@@ -1,10 +1,10 @@
 GO ?= go
 
 # Benchmarks tracked in BENCH_throughput.json: the simulator hot-loop
-# throughput benches, two representative figure benches, the sweep
-# pair whose ratio is the shared-warmup amortization factor, and the
-# 8-core pair whose ratio is the parallel-engine speedup.
-TRACKED_BENCH = SimulatorThroughput|Fig7$$|Fig8$$|SweepColdWarmup$$|SweepSharedWarmup$$|MultiCoreSeqThroughput$$|ParallelThroughput$$
+# throughput benches (single-core and the 8-core mix), two
+# representative figure benches, and the sweep pair whose ratio is the
+# shared-warmup amortization factor.
+TRACKED_BENCH = SimulatorThroughput|Fig7$$|Fig8$$|SweepColdWarmup$$|SweepSharedWarmup$$|MultiCoreSeqThroughput$$
 BENCH_FILE   = BENCH_throughput.json
 
 .PHONY: check build vet test determinism audit bench benchsmoke benchdiff benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
@@ -28,23 +28,20 @@ test:
 	$(GO) test -race ./...
 
 # Golden equivalence: fast-forwarded scheduler vs cycle-by-cycle
-# reference, run-to-run repeatability, and the parallel epoch-barrier
-# engine vs the sequential scheduler (already part of `test`; kept as
-# its own gate so a perf change can run just this, fast).
+# reference, run-to-run repeatability and fork-vs-cold, on 1/2/4/8-core
+# systems (already part of `test`; kept as its own gate so a perf
+# change can run just this, fast).
 determinism:
-	$(GO) test ./internal/sim -run 'Determinism|FastForward|Parallel' -count=1
+	$(GO) test ./internal/sim -run 'Determinism|FastForward' -count=1
 
 # Differential audit: every bundled workload through the fully audited
 # system (shadow caches + paper-faithful IPCP oracles in lockstep),
 # fast-forward on and off, diffed; plus the fork-vs-cold differential
-# that holds every warmup-forked run to byte-identity with a cold run,
-# and the parallel-vs-sequential differential that holds the parallel
-# epoch-barrier engine to byte-identity on multi-core mixes (up to 8
-# cores under AUDIT_FULL). No -race: the harness is already several
-# times slower than the plain simulation, and `test` covers the subset
-# under -race.
+# that holds every warmup-forked run to byte-identity with a cold run.
+# No -race: the harness is already several times slower than the plain
+# simulation, and `test` covers the subset under -race.
 audit:
-	AUDIT_FULL=1 $(GO) test ./internal/audit -run 'TestDifferentialSuite|TestDeepThrottleRun|TestForkDifferentialSuite|TestParallelDifferentialSuite' -count=1
+	AUDIT_FULL=1 $(GO) test ./internal/audit -run 'TestDifferentialSuite|TestDeepThrottleRun|TestForkDifferentialSuite' -count=1
 
 # Timed run of the tracked benchmarks, appended to $(BENCH_FILE).
 bench:
@@ -67,24 +64,11 @@ benchdiff:
 #  2. absolute gate — >50% instr/s drop against the recorded history
 #     fails; that catches structural collapses (a disabled fast path, a
 #     sweep gone cold) that no plausible host drift explains.
-# On hosts with >=4 CPUs a third check runs: the parallel epoch-barrier
-# engine must deliver >=2.5x the sequential scheduler's aggregate
-# instr/s on the 8-core mix. Single-CPU hosts skip it (parallelism
-# cannot beat sequential without real cores; the pair is still timed
-# and history-gated above). `make benchdiff` keeps the tight 10%
-# tolerance for quiet machines.
+# `make benchdiff` keeps the tight 10% tolerance for quiet machines.
 benchgate:
 	$(GO) test -run '^$$' -bench '$(TRACKED_BENCH)' -benchmem -benchtime=2s -count=3 . \
 		| $(GO) run ./cmd/benchrecord -diff $(BENCH_FILE) -tolerance 0.5 \
 		  -gate-fast BenchmarkSweepSharedWarmup -gate-slow BenchmarkSweepColdWarmup -gate-min 2.0
-	@if [ "$$(nproc)" -ge 4 ]; then \
-		$(GO) test -run '^$$' -bench 'MultiCoreSeqThroughput$$|ParallelThroughput$$' -benchmem -benchtime=2s -count=3 . \
-			| $(GO) run ./cmd/benchrecord -diff $(BENCH_FILE) -tolerance 0.5 \
-			  -gate-fast BenchmarkParallelThroughput -gate-slow BenchmarkMultiCoreSeqThroughput -gate-min 2.5; \
-	else \
-		echo "benchgate: $$(nproc) CPU(s) < 4; skipping the parallel speedup ratio gate" \
-		     "(the epoch-barrier engine needs real cores to outrun the sequential scheduler)"; \
-	fi
 
 # Smoke-run every benchmark once (no timing significance).
 benchsmoke:

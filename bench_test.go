@@ -247,36 +247,60 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(55_000*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
-// BenchmarkSimulatorThroughputSteady measures the simulation inner loop
-// in steady state: one system is built and warmed outside the timer,
-// and each iteration advances it by a fixed instruction count. With the
-// request pool, the fill ring, the fixed MSHR table, and the load ring
-// in place this reports ~0 allocs/op — the hot path recycles
-// everything it touches.
-func BenchmarkSimulatorThroughputSteady(b *testing.B) {
-	const instrPerOp = 10_000
-	cfg := sim.PaperConfig(1)
+// benchSteadyThroughput measures the simulation inner loop in steady
+// state: one system running workloads (one per core) is built and
+// warmed outside the timer, and each iteration advances every core by
+// perCorePerOp instructions. Reports aggregate instr/s (summed across
+// cores).
+func benchSteadyThroughput(b *testing.B, workloads []string, warm, perCorePerOp uint64) {
+	cfg := sim.PaperConfig(len(workloads))
 	cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: "ipcp"}
 	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: "ipcp"}
-	w, err := workload.Named("lbm-94")
-	if err != nil {
-		b.Fatal(err)
+	streams := make([]trace.Stream, len(workloads))
+	for i, name := range workloads {
+		w, err := workload.Named(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		streams[i] = w.New(1)
 	}
-	sys, err := sim.Build(cfg, []trace.Stream{w.New(1)})
+	sys, err := sim.Build(cfg, streams)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Warm the pools, rings, and page tables past their growth phase.
-	if err := sys.Advance(50_000); err != nil {
+	if err := sys.Advance(warm); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sys.Advance(instrPerOp); err != nil {
+		if err := sys.Advance(perCorePerOp); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(instrPerOp*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+	aggregate := float64(perCorePerOp) * float64(len(workloads))
+	b.ReportMetric(aggregate*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+}
+
+// BenchmarkSimulatorThroughputSteady is the single-core steady state.
+// With the request pool, the fill ring, the fixed MSHR table, and the
+// load ring in place this reports ~0 allocs/op — the hot path recycles
+// everything it touches.
+func BenchmarkSimulatorThroughputSteady(b *testing.B) {
+	benchSteadyThroughput(b, []string{"lbm-94"}, 50_000, 10_000)
+}
+
+// BenchmarkMultiCoreSeqThroughput is the 8-core steady state, on a mix
+// that spans the paper's Fig. 15 spatial classes twice over: dense
+// streaming (lbm, bwaves, roms), irregular (mcf, omnetpp), constant
+// stride (exchange2), and big-code (gcc, xalancbmk). "Seq" dates from
+// its pairing with the removed parallel engine (DESIGN §17); the name
+// stays so its BENCH_throughput.json history continues.
+func BenchmarkMultiCoreSeqThroughput(b *testing.B) {
+	benchSteadyThroughput(b, []string{
+		"lbm-94", "mcf-1536", "bwaves-2931", "exchange2-387",
+		"roms-1070", "omnetpp-17", "gcc-2226", "xalancbmk-165",
+	}, 20_000, 5_000)
 }
 
 // --- sweep amortization ---------------------------------------------------

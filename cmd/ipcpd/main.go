@@ -78,7 +78,6 @@ func main() {
 		scale        = flag.String("scale", "quick", "simulation scale: quick | default")
 		warmup       = flag.Uint64("warmup", 0, "override warmup instructions")
 		measure      = flag.Uint64("measure", 0, "override measured instructions")
-		parallel     = flag.Bool("parallel", false, "step multi-core mixes with the parallel epoch-barrier engine (bit-identical results)")
 		cacheDir     = flag.String("cache-dir", "", "checkpoint finished simulations here and serve them across restarts")
 		queueSize    = flag.Int("queue", 64, "bounded job backlog; a full queue rejects with 429")
 		workers      = flag.Int("workers", 0, "concurrent job runners (0 = NumCPU)")
@@ -132,7 +131,6 @@ func main() {
 	if *measure != 0 {
 		sc.Measure = *measure
 	}
-	sc.Parallel = *parallel
 
 	fatal := func(err error) {
 		logger.Error("fatal", "err", err)

@@ -43,7 +43,6 @@ func main() {
 		warmup       = flag.Uint64("warmup", 50_000, "warmup instructions per core")
 		measure      = flag.Uint64("measure", 200_000, "measured instructions per core")
 		seed         = flag.Int64("seed", 1, "workload/page-allocation seed")
-		parallel     = flag.Bool("parallel", false, "step core slices on parallel goroutines (bit-identical; multi-core mixes only, ignored with -trace/-audit)")
 		list         = flag.Bool("list", false, "list workloads and prefetchers")
 
 		traceOut   = flag.String("trace", "", "write the event trace to this file (.json → Chrome trace_event, else JSONL)")
@@ -87,7 +86,6 @@ func main() {
 		Warmup:        *warmup,
 		Measure:       *measure,
 		Seed:          *seed,
-		Parallel:      *parallel,
 	}
 	if *mix != "" {
 		rc.Mix = strings.Split(*mix, ",")

@@ -1,11 +1,11 @@
-// Package faultinject provides test-only fault injectors for the
-// robustness suite: instruction streams that panic or die mid-run,
-// prefetchers that panic or issue runaway prefetch floods, and byte
-// -level trace corrupters. Production code never imports this package;
-// it exists so the harness's survival guarantees (panic isolation,
-// guard trips, corrupt-trace rejection) are provable by tests instead
-// of asserted in prose.
-package faultinject
+package chaos
+
+// This file holds the adversaries tests pass into the simulator (as
+// opposed to the injection points production code hits): instruction
+// streams that panic or die mid-run, prefetchers that panic or issue
+// runaway prefetch floods, and byte-level corrupters. They make the
+// harness's survival guarantees (panic isolation, guard trips, corrupt
+// -file rejection) provable by tests instead of asserted in prose.
 
 import (
 	"ipcp/internal/memsys"
@@ -26,7 +26,7 @@ type PanicStream struct {
 func (s *PanicStream) Next(in *trace.Instr) bool {
 	s.calls++
 	if s.PanicAt != 0 && s.calls == s.PanicAt {
-		panic("faultinject: stream panic")
+		panic("chaos: stream panic")
 	}
 	return s.Inner.Next(in)
 }
@@ -57,13 +57,13 @@ type PanicPrefetcher struct {
 }
 
 // Name implements prefetch.Prefetcher.
-func (p *PanicPrefetcher) Name() string { return "faultinject-panic" }
+func (p *PanicPrefetcher) Name() string { return "chaos-panic" }
 
 // Operate implements prefetch.Prefetcher.
 func (p *PanicPrefetcher) Operate(now int64, a *prefetch.Access, iss prefetch.Issuer) {
 	p.calls++
 	if p.PanicAt != 0 && p.calls == p.PanicAt {
-		panic("faultinject: prefetcher panic")
+		panic("chaos: prefetcher panic")
 	}
 }
 
@@ -81,7 +81,7 @@ type RunawayPrefetcher struct {
 }
 
 // Name implements prefetch.Prefetcher.
-func (p *RunawayPrefetcher) Name() string { return "faultinject-runaway" }
+func (p *RunawayPrefetcher) Name() string { return "chaos-runaway" }
 
 // Operate implements prefetch.Prefetcher.
 func (p *RunawayPrefetcher) Operate(now int64, a *prefetch.Access, iss prefetch.Issuer) {

@@ -1,4 +1,4 @@
-package faultinject
+package chaos
 
 import (
 	"bytes"

@@ -6,12 +6,13 @@
 // (slow IO), or crash the whole process at exactly that point — the
 // software form of a kill -9 landing mid-operation.
 //
-// Unlike internal/faultinject (test-only types passed into the
-// simulator by tests), chaos points live inside production code: the
-// crash/restart e2e suite enables them on the real ipcpd binary via
-// the IPCPD_CHAOS environment variable and proves the durability
-// machinery (journal replay, checkpoint quarantine) holds under fire.
-// With no injector installed every hook is a single atomic load.
+// Chaos points live inside production code: the crash/restart e2e
+// suite enables them on the real ipcpd binary via the IPCPD_CHAOS
+// environment variable and proves the durability machinery (journal
+// replay, checkpoint quarantine) holds under fire. With no injector
+// installed every hook is a single atomic load. The adversaries tests
+// pass into the simulator directly (panicking streams, runaway
+// prefetchers, byte corrupters) are in adversaries.go.
 package chaos
 
 import (

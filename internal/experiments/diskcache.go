@@ -120,22 +120,14 @@ func encodeEntry(e entry) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeEntry verifies a frame and returns its payload. Legacy
-// (pre-frame) entries — plain JSON files — still decode, so an
-// existing cache directory survives the format upgrade. Every damage
-// mode (truncated header, short payload, trailing garbage, CRC
-// mismatch, malformed JSON) is an error, never a garbage entry.
+// decodeEntry verifies a frame and returns its payload. Every damage
+// mode (missing frame, truncated header, short payload, trailing
+// garbage, CRC mismatch, malformed JSON) is an error, never a garbage
+// entry.
 func decodeEntry(data []byte) (entry, error) {
 	var e entry
 	if !bytes.HasPrefix(data, []byte(ckptMagic+" ")) {
-		// Legacy v1 entry: no frame, the whole file is the payload.
-		if len(data) == 0 || data[0] != '{' {
-			return e, fmt.Errorf("checkpoint: bad magic")
-		}
-		if err := json.Unmarshal(data, &e); err != nil {
-			return e, fmt.Errorf("checkpoint: legacy entry: %w", err)
-		}
-		return e, nil
+		return e, fmt.Errorf("checkpoint: bad magic")
 	}
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"log/slog"
 	"os"
@@ -11,7 +10,6 @@ import (
 	"testing"
 
 	"ipcp/internal/chaos"
-	"ipcp/internal/faultinject"
 	"ipcp/internal/sim"
 )
 
@@ -43,26 +41,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLegacyEntryStillLoads(t *testing.T) {
-	d := testCache(t)
-	// A v1 (pre-frame) file: the payload alone, no header.
-	payload, err := json.Marshal(entry{Spec: "legacy", Result: testResult()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := d.path("aa00")
-	os.MkdirAll(filepath.Dir(p), 0o755)
-	if err := os.WriteFile(p, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.load("aa00", "legacy"); !ok {
-		t.Fatal("legacy entry did not load")
-	}
-	if n := d.quarantined.Load(); n != 0 {
-		t.Fatalf("legacy load quarantined %d files", n)
-	}
-}
-
 // TestQuarantine is the satellite table test: every damage mode moves
 // the file to corrupt/ (counted), the slot reads as a miss, and the
 // quarantined file is never re-read — a fresh store takes the slot.
@@ -77,11 +55,12 @@ func TestQuarantine(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"truncated-header", []byte(ckptMagic)},
-		{"truncated-payload", faultinject.Truncate(valid, len(valid)-7)},
-		{"bit-flip-payload", faultinject.FlipBits(valid, len(valid)-3, 0x40)},
-		{"bit-flip-header", faultinject.FlipBits(valid, 2, 0x01)},
+		{"truncated-payload", chaos.Truncate(valid, len(valid)-7)},
+		{"bit-flip-payload", chaos.FlipBits(valid, len(valid)-3, 0x40)},
+		{"bit-flip-header", chaos.FlipBits(valid, 2, 0x01)},
 		{"not-json-payload", []byte("garbage bytes, no magic")},
 		{"legacy-corrupt", []byte("{not json")},
+		{"legacy-valid", stripFrame(valid)},
 		{"wrong-spec", mustEncode(t, entry{Spec: "other", Result: testResult()})},
 		{"nil-result", mustEncode(t, entry{Spec: "spec-a"})},
 	}
@@ -124,6 +103,13 @@ func TestQuarantine(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stripFrame drops a frame's header line, leaving exactly what the
+// pre-v2 format wrote: the bare JSON payload, with no length or CRC to
+// vouch for it.
+func stripFrame(framed []byte) []byte {
+	return framed[bytes.IndexByte(framed, '\n')+1:]
 }
 
 func mustEncode(t *testing.T, e entry) []byte {
@@ -199,12 +185,16 @@ func TestSessionStatsSurfaceDiskCounters(t *testing.T) {
 	if _, err := s.Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	// Vandalize the entry, then reload through a fresh session.
+	// Strip the entry's frame, then reload through a fresh session.
 	entries, _ := filepath.Glob(filepath.Join(s.disk.dir, "*", "*.json"))
 	if len(entries) != 1 {
 		t.Fatalf("entries = %v", entries)
 	}
-	if err := os.WriteFile(entries[0], []byte("junk, not a frame"), 0o644); err != nil {
+	framed, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entries[0], stripFrame(framed), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewSession(tiny)
@@ -224,23 +214,22 @@ func TestSessionStatsSurfaceDiskCounters(t *testing.T) {
 // FuzzCheckpointDecode throws truncations, bit flips and arbitrary
 // bytes at the frame decoder: it must never panic, and any input it
 // does accept must carry a self-consistent payload. Seeds cover the
-// framed format, the legacy format, and systematic damage to both.
+// framed format, a frameless payload, and systematic damage.
 func FuzzCheckpointDecode(f *testing.F) {
 	valid, err := encodeEntry(entry{Spec: "fuzz-spec", Result: testResult()})
 	if err != nil {
 		f.Fatal(err)
 	}
-	legacy, _ := json.Marshal(entry{Spec: "fuzz-legacy", Result: testResult()})
 	f.Add(valid)
-	f.Add(legacy)
+	f.Add(stripFrame(valid))
 	f.Add([]byte(ckptMagic + " 3 00000000\nxyz"))
 	f.Add([]byte(ckptMagic))
 	f.Add([]byte("{"))
 	for cut := 0; cut < len(valid); cut += 7 {
-		f.Add(faultinject.Truncate(valid, cut))
+		f.Add(chaos.Truncate(valid, cut))
 	}
 	for off := 0; off < len(valid); off += 5 {
-		f.Add(faultinject.FlipBits(valid, off, 0x10))
+		f.Add(chaos.FlipBits(valid, off, 0x10))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := decodeEntry(data)
@@ -249,7 +238,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		// Accepted: the payload must re-encode and re-decode to the
 		// same spec — i.e. decode only ever yields frames encode could
-		// have produced (modulo legacy passthrough).
+		// have produced.
 		re, encErr := encodeEntry(e)
 		if encErr != nil {
 			t.Fatalf("accepted entry does not re-encode: %v", encErr)
@@ -273,7 +262,7 @@ func TestEveryBitFlipRejected(t *testing.T) {
 	}
 	for off := 0; off < len(valid); off++ {
 		for bit := 0; bit < 8; bit++ {
-			mut := faultinject.FlipBits(valid, off, 1<<bit)
+			mut := chaos.FlipBits(valid, off, 1<<bit)
 			e, err := decodeEntry(mut)
 			if err != nil {
 				continue

@@ -45,12 +45,6 @@ type Scale struct {
 	Mixes int
 	// Cores for the multi-core experiments' "small" configuration.
 	Seed int64
-	// Parallel steps multi-core systems with the parallel
-	// epoch-barrier engine (one goroutine per core slice, bit-identical
-	// results — see DESIGN.md §17). It deliberately does not appear in
-	// RunSpec.Key: the engines produce the same bytes, so memoized and
-	// checkpointed results are interchangeable across the setting.
-	Parallel bool
 }
 
 // Quick is the bench-friendly scale.
@@ -177,9 +171,7 @@ type RunSpec struct {
 
 // Key is the spec's memoization identity: two specs with equal keys
 // describe the same simulation. The serve layer uses it to coalesce
-// identical submissions onto one job. Scale.Parallel is intentionally
-// not part of the identity — the parallel engine is bit-identical to
-// the sequential one, so either engine's result satisfies the key.
+// identical submissions onto one job.
 func (r RunSpec) Key() string {
 	return fmt.Sprintf("%v|%d|%s|%s|%s|%s|%s|%.1f|%d|%d|%d|%d|%d|%d",
 		r.Workloads, r.Cores, r.L1D, r.L2, r.LLC, r.ConfigKey,
@@ -713,7 +705,6 @@ func (s *Session) specConfig(spec RunSpec) sim.Config {
 	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: spec.L2}
 	cfg.LLCPrefetcher = sim.PrefetcherSpec{Name: spec.LLC}
 	cfg.Seed = s.specSeed(spec)
-	cfg.ParallelCores = s.Scale.Parallel
 	return cfg
 }
 

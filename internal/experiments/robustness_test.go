@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"ipcp/internal/faultinject"
+	"ipcp/internal/chaos"
 	"ipcp/internal/prefetch"
 	"ipcp/internal/trace"
 	"ipcp/internal/workload"
@@ -26,7 +26,7 @@ func init() {
 	workload.Register(workload.Spec{
 		Name: "fi-panic-stream", Suite: "test",
 		NewStream: func(seed int64) trace.Stream {
-			return &faultinject.PanicStream{
+			return &chaos.PanicStream{
 				Inner:   &trace.SliceStream{Instrs: []trace.Instr{{IP: 0x400000, Loads: [trace.MaxLoads]uint64{0x10000}}}, Loop: true},
 				PanicAt: 5_000,
 			}
@@ -34,7 +34,7 @@ func init() {
 	})
 	workload.Register(workload.Spec{
 		Name: "fi-dead-stream", Suite: "test",
-		NewStream: func(seed int64) trace.Stream { return faultinject.DeadStream{} },
+		NewStream: func(seed int64) trace.Stream { return chaos.DeadStream{} },
 	})
 }
 
@@ -44,7 +44,7 @@ func TestPrefetcherPanicIsGuarded(t *testing.T) {
 		Workloads: []string{"bwaves-98"},
 		ConfigKey: "fi-guarded-panic",
 		L1DNew: func() (prefetch.Prefetcher, error) {
-			return &faultinject.PanicPrefetcher{PanicAt: 100}, nil
+			return &chaos.PanicPrefetcher{PanicAt: 100}, nil
 		},
 	})
 	// The guard absorbs the panic: the run completes unprefetched and
@@ -70,7 +70,7 @@ func TestRunawayPrefetcherIsGuarded(t *testing.T) {
 		Workloads: []string{"bwaves-98"},
 		ConfigKey: "fi-runaway",
 		L1DNew: func() (prefetch.Prefetcher, error) {
-			return &faultinject.RunawayPrefetcher{Flood: 100_000}, nil
+			return &chaos.RunawayPrefetcher{Flood: 100_000}, nil
 		},
 	})
 	if err != nil {

@@ -4,9 +4,7 @@ import "fmt"
 
 // RequestPool is a free list of Request values shared by the components
 // of one simulated system. A pool is only ever touched from one
-// goroutine at a time — sequential stepping is single-threaded, and the
-// parallel engine gives each core slice a private pool (the shared
-// LLC/DRAM pool is touched only with the slice workers parked) — so a
+// goroutine at a time — a system is stepped single-threaded — so a
 // plain slice beats sync.Pool: no locking, no per-P caches, and
 // requests recycle deterministically. Requests may migrate between
 // pools (created from one, recycled into another); a Request carries no

@@ -82,19 +82,6 @@ type Config struct {
 	// single-phase RunContext path is used, byte for byte.
 	CacheWarmOnly bool
 
-	// ParallelCores steps multi-core systems with the parallel
-	// epoch-barrier engine: one goroutine per core + private-cache
-	// slice, with the shared LLC/DRAM clocked by the coordinator and
-	// every shared-resource interaction resolved in the sequential
-	// scheduler's canonical order (see DESIGN.md §17). Results are
-	// bit-identical to the sequential engine — the flag trades wall
-	// clock, never simulation outcome — so it is deliberately absent
-	// from memoization keys and checkpoint signatures. Single-core
-	// systems, and runs with a tracer or auditor attached (both hook
-	// component internals mid-cycle), fall back to sequential
-	// stepping.
-	ParallelCores bool
-
 	// MaxCycles aborts a run that fails to make progress (a deadlock
 	// guard; 0 means a generous default is derived from the
 	// instruction budget).

@@ -15,7 +15,7 @@ type detSpec struct {
 	l1d, l2   string
 }
 
-func (d detSpec) run(t *testing.T, disableFF bool, ilog *telemetry.IntervalLog) *Result {
+func (d detSpec) build(t *testing.T, disableFF bool) *System {
 	t.Helper()
 	cfg := PaperConfig(len(d.workloads))
 	cfg.Seed = d.seed
@@ -26,6 +26,12 @@ func (d detSpec) run(t *testing.T, disableFF bool, ilog *telemetry.IntervalLog) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sys
+}
+
+func (d detSpec) run(t *testing.T, disableFF bool, ilog *telemetry.IntervalLog) *Result {
+	t.Helper()
+	sys := d.build(t, disableFF)
 	if ilog != nil {
 		sys.SetIntervalLog(ilog)
 	}
@@ -50,8 +56,13 @@ var detMatrix = []detSpec{
 	{name: "mcf-ipcp", workloads: []string{"mcf-1536"}, seed: 7, l1d: "ipcp", l2: "ipcp"},
 	{name: "bwaves-none", workloads: []string{"bwaves-2931"}, seed: 3},
 	{name: "gcc-spp", workloads: []string{"gcc-2226"}, seed: 5, l2: "spp"},
+	{name: "pair-ipcp", seed: 2, l1d: "ipcp", l2: "ipcp",
+		workloads: []string{"lbm-94", "mcf-1536"}},
 	{name: "mix4-ipcp", seed: 2, l1d: "ipcp", l2: "ipcp",
 		workloads: []string{"lbm-94", "mcf-1536", "bwaves-2931", "exchange2-387"}},
+	{name: "mix8-ipcp", seed: 7, l1d: "ipcp", l2: "ipcp",
+		workloads: []string{"lbm-94", "mcf-1536", "bwaves-2931", "exchange2-387",
+			"roms-1070", "omnetpp-17", "gcc-2226", "xalancbmk-165"}},
 }
 
 // TestDeterminismRepeatability runs each spec twice under identical

@@ -3,280 +3,13 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ipcp/internal/cpu"
-	"ipcp/internal/memsys"
 )
 
-// This file is the parallel multi-core engine and the unified phase
-// loops every run path (RunContext, RunWarmup, RunMeasure, Advance)
-// drives.
-//
-// The engine parallelizes one system across cores without changing a
-// single simulated bit. Each core plus its private caches (L1I/L1D/L2
-// and their prefetchers) is a slice, stepped by its own goroutine; the
-// shared LLC and DRAM stay with the coordinator. A cycle is one epoch
-// with two phases:
-//
-//  1. The coordinator clocks DRAM and the LLC (exactly the sequential
-//     scheduler's first two steps) while every worker is parked at the
-//     barrier, then publishes the cycle number and bumps the epoch
-//     counter.
-//  2. Each worker clocks its slice in the sequential per-slice order
-//     (L2, L1D, L1I, core) and stores the epoch into its done slot;
-//     the coordinator waits for all slots, then advances the cycle,
-//     flushes interval samples, scans retirements, and — on idle spans
-//     — fast-forwards, all with the workers parked again.
-//
-// Within phase 2 the slices are independent except for two shared
-// touch points, both serialized back into canonical order:
-//
-//   - LLC queue pushes (the only cross-slice memory traffic: L2 miss
-//     forwards, dirty-victim writebacks, prefetch pass-through) go
-//     through a per-slice orderedSink portal whose every Add first
-//     waits until all lower-numbered slices have finished the epoch.
-//     Slice i therefore observes exactly the LLC queue state the
-//     sequential scheduler would have shown it — same acceptance
-//     booleans, same queue order — and the wait graph is a strict DAG
-//     (i waits only on j < i), so it cannot deadlock.
-//   - First-touch page allocations from the shared PhysAllocator pass
-//     the same turn gate (vmem.PageTable.SetAllocGate), keeping the
-//     allocator's draw sequence canonical. Translation of mapped pages
-//     — the common case, and all the prefetchers ever do — never
-//     waits.
-//
-// Request-pool traffic needs no ordering (a pool is a free list whose
-// contents are semantically invisible: Get returns a dirty request
-// that every creation site fully overwrites), but it does need race
-// freedom, so each slice gets a private pool while the engine runs;
-// the LLC and DRAM keep the system pool, which only phase 1 and
-// barrier-time code touches. Requests migrating between pools is part
-// of the ownership protocol and harmless.
-//
-// Everything else the coordinator does — fast-forward NextEvent scans,
-// AccountSkip replays, interval flushes, retirement scans — runs at
-// the barrier with every worker parked, so the engine needs no other
-// synchronization. All cross-goroutine handoff rides the epoch/done
-// atomics, which establish the happens-before edges the memory model
-// needs. Spin waits yield to the scheduler, so the engine is live (if
-// pointless) even at GOMAXPROCS=1.
-
-// engine is one parallel run's barrier state. It exists only while a
-// phase loop runs; close restores the sequential wiring.
-type engine struct {
-	s *System
-
-	// epoch is bumped by the coordinator to release the workers; now
-	// is the cycle being clocked, published before the bump (the bump
-	// is the release fence that makes it visible).
-	epoch atomic.Int64
-	now   int64
-
-	// done[i] is the last epoch worker i completed, padded so the
-	// barrier and turn-gate spins don't false-share.
-	done []doneSlot
-
-	// workerEpoch[i] and turnEpoch[i] are worker-local scratch (only
-	// goroutine i touches its entries between barriers): the epoch it
-	// is executing, and the last epoch it acquired its push turn, so
-	// a slice making many LLC pushes in one cycle pays the turn wait
-	// once.
-	workerEpoch []int64
-	turnEpoch   []int64
-
-	stopFlag atomic.Bool
-	wg       sync.WaitGroup
-}
-
-// doneSlot pads each worker's completion counter to its own cache
-// line; every spin in the engine loads these.
-type doneSlot struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// startEngine wires the system for parallel stepping — portals between
-// each L2 and the LLC, per-slice request pools, allocation turn gates —
-// and starts one worker goroutine per slice.
-func (s *System) startEngine() *engine {
-	e := &engine{
-		s:           s,
-		done:        make([]doneSlot, s.cfg.Cores),
-		workerEpoch: make([]int64, s.cfg.Cores),
-		turnEpoch:   make([]int64, s.cfg.Cores),
-	}
-	for i := range s.cores {
-		s.l2s[i].SetLower(&orderedSink{eng: e, idx: i, lower: s.llc})
-		pool := memsys.NewRequestPool()
-		s.cores[i].SetRequestPool(pool)
-		s.l1ds[i].SetRequestPool(pool)
-		s.l1is[i].SetRequestPool(pool)
-		s.l2s[i].SetRequestPool(pool)
-		idx := i
-		s.cores[i].PageTable().SetAllocGate(func() { e.awaitTurn(idx) })
-	}
-	e.wg.Add(s.cfg.Cores)
-	for i := 0; i < s.cfg.Cores; i++ {
-		go e.worker(i)
-	}
-	return e
-}
-
-// close parks the workers for good and restores the sequential wiring,
-// leaving the system indistinguishable from one that was stepped
-// sequentially (it is bit-identical anyway; this restores the object
-// graph too). Must be called at a barrier — every phase loop does so
-// via defer, after its last step has fully completed.
-func (e *engine) close() {
-	e.stopFlag.Store(true)
-	e.wg.Wait()
-	s := e.s
-	for i := range s.cores {
-		s.l2s[i].SetLower(s.llc)
-		s.cores[i].PageTable().SetAllocGate(nil)
-		s.cores[i].SetRequestPool(s.pool)
-		s.l1ds[i].SetRequestPool(s.pool)
-		s.l1is[i].SetRequestPool(s.pool)
-		s.l2s[i].SetRequestPool(s.pool)
-	}
-}
-
-// worker steps slice i once per epoch until stopped.
-func (e *engine) worker(i int) {
-	defer e.wg.Done()
-	s := e.s
-	var last int64
-	for {
-		for e.epoch.Load() == last {
-			if e.stopFlag.Load() {
-				return
-			}
-			runtime.Gosched()
-		}
-		last++
-		e.workerEpoch[i] = last
-		now := e.now
-		s.l2s[i].Cycle(now)
-		s.l1ds[i].Cycle(now)
-		s.l1is[i].Cycle(now)
-		s.cores[i].Cycle(now)
-		e.done[i].v.Store(last)
-	}
-}
-
-// step clocks the whole system one cycle through the barrier. It is
-// the parallel counterpart of System.step and leaves the workers
-// parked, so the caller may touch any component state after it
-// returns.
-func (e *engine) step() {
-	s := e.s
-	now := s.cycle
-	s.mem.Cycle(now)
-	s.llc.Cycle(now)
-	e.now = now
-	target := e.epoch.Add(1)
-	for i := range e.done {
-		d := &e.done[i].v
-		for d.Load() < target {
-			runtime.Gosched()
-		}
-	}
-	s.cycle++
-	if s.sampling && s.cycle-s.lastSample >= s.ilog.Every {
-		s.flushInterval()
-	}
-}
-
-// awaitTurn blocks worker i until every lower-numbered slice has
-// finished the current epoch — the point at which the sequential
-// scheduler would have reached slice i, so whatever shared state i
-// reads or pushes next is exactly what it would have seen there. The
-// wait graph is acyclic by construction (i only waits on j < i).
-func (e *engine) awaitTurn(i int) {
-	my := e.workerEpoch[i]
-	if e.turnEpoch[i] == my {
-		return
-	}
-	for j := 0; j < i; j++ {
-		d := &e.done[j].v
-		for d.Load() < my {
-			runtime.Gosched()
-		}
-	}
-	e.turnEpoch[i] = my
-}
-
-// orderedSink is the turn-ordered portal between one slice's L2 and
-// the shared LLC: each push first waits for the slice's canonical
-// turn, then lands on the real LLC queue, so cross-slice push order
-// and queue-full acceptance results match the sequential scheduler
-// exactly.
-type orderedSink struct {
-	eng   *engine
-	idx   int
-	lower memsys.Sink
-}
-
-func (o *orderedSink) AddRead(r *memsys.Request) bool {
-	o.eng.awaitTurn(o.idx)
-	return o.lower.AddRead(r)
-}
-
-func (o *orderedSink) AddWrite(r *memsys.Request) bool {
-	o.eng.awaitTurn(o.idx)
-	return o.lower.AddWrite(r)
-}
-
-func (o *orderedSink) AddPrefetch(r *memsys.Request) bool {
-	o.eng.awaitTurn(o.idx)
-	return o.lower.AddPrefetch(r)
-}
-
-// parallelEligible reports whether this run may use the parallel
-// engine: opted in, more than one core to overlap, and none of the
-// attachments that reach into slice internals from outside the
-// barrier — the tracer's ring is single-writer, and the audit oracles
-// hook components mid-cycle.
-func (s *System) parallelEligible() bool {
-	return s.cfg.ParallelCores && s.cfg.Cores > 1 &&
-		s.tracer == nil && s.cfg.Audit == nil
-}
-
-// executor dispatches the phase loops' stepping to the sequential
-// scheduler or the parallel engine. The zero value is sequential.
-type executor struct {
-	s   *System
-	eng *engine
-}
-
-// newExecutor picks the engine for one phase loop. Callers must close
-// it (a sequential executor's close is a no-op).
-func (s *System) newExecutor() executor {
-	x := executor{s: s}
-	if s.parallelEligible() {
-		x.eng = s.startEngine()
-	}
-	return x
-}
-
-func (x executor) step() {
-	if x.eng != nil {
-		x.eng.step()
-	} else {
-		x.s.step()
-	}
-}
-
-func (x executor) close() {
-	if x.eng != nil {
-		x.eng.close()
-	}
-}
-
-// --- unified phase loops -------------------------------------------------
+// This file holds the unified phase loops every run path (RunContext,
+// RunWarmup, RunMeasure) drives; each clocks the system with
+// System.step and skips idle spans with System.fastForward.
 
 // loopCtl is one run's loop bookkeeping. RunContext threads a single
 // ctl through warmup and measurement (one shared cycle budget, one
@@ -307,8 +40,6 @@ func (s *System) newLoopCtl(budget uint64) *loopCtl {
 // warmupLoop steps the system until every core has retired warmup
 // instructions. Shared by RunContext's warmup phase and RunWarmup.
 func (s *System) warmupLoop(ctx context.Context, warmup uint64, ctl *loopCtl, report func()) error {
-	exec := s.newExecutor()
-	defer exec.close()
 	for !s.allRetired(warmup) {
 		if s.cycle >= ctl.deadline {
 			return fmt.Errorf("sim: warmup exceeded %d cycles", ctl.maxCycles)
@@ -320,7 +51,7 @@ func (s *System) warmupLoop(ctx context.Context, warmup uint64, ctl *loopCtl, re
 			}
 			report()
 		}
-		exec.step()
+		s.step()
 		// The retirement check must see the exact post-step cycle, so
 		// fast-forward only once the loop is known to continue.
 		if !s.allRetired(warmup) {
@@ -336,8 +67,6 @@ func (s *System) warmupLoop(ctx context.Context, warmup uint64, ctl *loopCtl, re
 // the last core finishes, as in the paper's methodology. Shared by
 // RunContext's measure phase and RunMeasure.
 func (s *System) measureLoop(ctx context.Context, measure uint64, ctl *loopCtl, report func()) ([]int64, error) {
-	exec := s.newExecutor()
-	defer exec.close()
 	finish := make([]int64, s.cfg.Cores)
 	finished := make([]bool, s.cfg.Cores)
 	done := 0
@@ -357,7 +86,7 @@ func (s *System) measureLoop(ctx context.Context, measure uint64, ctl *loopCtl, 
 			}
 			report()
 		}
-		exec.step()
+		s.step()
 		done += scanFinished(s.cores, s.cycle, measure, finish, finished)
 		// Fast-forward only after the finish scan: a finishing core's
 		// recorded cycle must be the stepped cycle, not a jump target.

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ipcp/internal/telemetry"
 	"ipcp/internal/trace"
@@ -145,5 +147,49 @@ func TestCancelledRunClosesPhaseSpan(t *testing.T) {
 	}
 	if !hasErr {
 		t.Errorf("cancelled phase span carries no error attr: %+v", spans[0])
+	}
+}
+
+// TestCancelMidRun cancels a 4-core run at arbitrary points mid-run (a
+// delay ladder) and, deterministically, from the first measure-phase
+// progress report: the run must either finish cleanly or return the
+// cancellation error, and a cancel that lands mid-measure must close
+// the partial interval at the cancellation cycle.
+func TestCancelMidRun(t *testing.T) {
+	d := detSpec{seed: 3, l1d: "ipcp", l2: "ipcp",
+		workloads: []string{"lbm-94", "mcf-1536", "bwaves-2931", "exchange2-387"}}
+	for _, delay := range []time.Duration{
+		0, 50 * time.Microsecond, 200 * time.Microsecond,
+		1 * time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond,
+	} {
+		sys := d.build(t, false)
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(delay, cancel)
+		_, err := sys.RunContext(ctx, 5000, 50000)
+		cancel()
+		if err != nil && !strings.Contains(err.Error(), "cancelled") {
+			t.Fatalf("delay %v: unexpected error: %v", delay, err)
+		}
+	}
+
+	sys := d.build(t, false)
+	// One interval longer than the run: the only sample there can be is
+	// the partial interval the cancellation path closes.
+	ilog := telemetry.NewIntervalLog(1 << 40)
+	sys.SetIntervalLog(ilog)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx = telemetry.ContextWithProgress(ctx, func(p telemetry.Progress) {
+		if p.Phase == "measure" {
+			cancel()
+		}
+	})
+	_, err := sys.RunContext(ctx, 5000, 50000)
+	if err == nil || !strings.Contains(err.Error(), "measurement cancelled") {
+		t.Fatalf("cancel from the measure phase: err = %v, want a measurement cancellation", err)
+	}
+	if samples := ilog.Samples(); len(samples) != 1 || samples[0].EndCycle != sys.cycle {
+		t.Fatalf("samples after a mid-measure cancel = %+v, want one partial interval ending at cycle %d",
+			samples, sys.cycle)
 	}
 }

@@ -235,9 +235,8 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 		s.l2s = append(s.l2s, l2)
 	}
 
-	// One request free list per system (sequential stepping is
-	// single-threaded within a system; the parallel engine swaps in
-	// per-slice pools for the duration of its phase loops).
+	// One request free list per system (stepping is single-threaded
+	// within a system).
 	pool := memsys.NewRequestPool()
 	s.pool = pool
 	s.mem.SetRequestPool(pool)
@@ -738,13 +737,11 @@ func (s *System) Advance(n uint64) error {
 	}
 	target := minRetired + n
 	deadline := s.cycle + int64(n)*500 + 1_000_000
-	exec := s.newExecutor()
-	defer exec.close()
 	for !s.allRetired(target) {
 		if s.cycle >= deadline {
 			return fmt.Errorf("sim: Advance(%d) exceeded %d cycles", n, deadline-s.cycle)
 		}
-		exec.step()
+		s.step()
 		if !s.allRetired(target) {
 			s.fastForward(deadline)
 		}

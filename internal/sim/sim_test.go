@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"ipcp/internal/cpu"
 	"ipcp/internal/trace"
 	"ipcp/internal/workload"
 )
@@ -220,5 +221,40 @@ func TestPaperConfigMatchesTableII(t *testing.T) {
 	}
 	if PaperConfig(4).DRAM.Channels != 2 {
 		t.Error("multi-core DRAM must have 2 channels")
+	}
+}
+
+// TestScanFinishedSentinel pins the explicit finished flag: a core
+// whose finish cycle is recorded as 0 (legitimate — the scan runs at
+// whatever cycle the loop is at) must not be re-counted on later
+// scans, which the old `finish[i] == 0` encoding could not guarantee.
+func TestScanFinishedSentinel(t *testing.T) {
+	cores := []*cpu.Core{{}, {}}
+	cores[0].Stats.Retired = 10
+
+	finish := make([]int64, 2)
+	finished := make([]bool, 2)
+
+	if n := scanFinished(cores, 0, 10, finish, finished); n != 1 {
+		t.Fatalf("first scan counted %d cores, want 1", n)
+	}
+	if !finished[0] || finish[0] != 0 {
+		t.Fatalf("core 0 should be finished at cycle 0: finished=%v finish=%d", finished[0], finish[0])
+	}
+	// Core 0's recorded cycle is 0 — the exact value the old sentinel
+	// used for "not yet finished". It must not be counted again.
+	if n := scanFinished(cores, 7, 10, finish, finished); n != 0 {
+		t.Fatalf("rescan re-counted an already finished core (%d)", n)
+	}
+	if finish[0] != 0 {
+		t.Fatalf("rescan moved core 0's finish cycle to %d", finish[0])
+	}
+
+	cores[1].Stats.Retired = 12
+	if n := scanFinished(cores, 9, 10, finish, finished); n != 1 {
+		t.Fatalf("core 1 scan counted %d cores, want 1", n)
+	}
+	if finish[1] != 9 || !finished[1] {
+		t.Fatalf("core 1 finish not recorded: finished=%v finish=%d", finished[1], finish[1])
 	}
 }

@@ -133,8 +133,6 @@ func (s *System) RunWarmup(ctx context.Context, warmup uint64) (err error) {
 		return err
 	}
 	report()
-	// The drain is a few hundred cycles of tail work; it runs on the
-	// sequential scheduler regardless of ParallelCores.
 	return s.drain(ctx)
 }
 

@@ -58,18 +58,7 @@ func (a *PhysAllocator) Alloc() uint64 {
 type PageTable struct {
 	alloc *PhysAllocator
 	pages map[uint64]uint64
-
-	// gate, when set, is called before each first-touch frame
-	// allocation. The parallel simulation engine installs one to
-	// serialize draws from the shared PhysAllocator into the
-	// sequential scheduler's canonical core order; translation of
-	// already-mapped pages never pays it.
-	gate func()
 }
-
-// SetAllocGate installs (or, with nil, removes) the hook called before
-// every first-touch allocation from the shared allocator.
-func (pt *PageTable) SetAllocGate(gate func()) { pt.gate = gate }
 
 // NewPageTable returns an empty page table drawing frames from alloc.
 func NewPageTable(alloc *PhysAllocator) *PageTable {
@@ -82,9 +71,6 @@ func (pt *PageTable) Translate(v memsys.Addr) memsys.Addr {
 	vpage := memsys.PageNumber(v)
 	ppage, ok := pt.pages[vpage]
 	if !ok {
-		if pt.gate != nil {
-			pt.gate()
-		}
 		ppage = pt.alloc.Alloc()
 		pt.pages[vpage] = ppage
 	}

@@ -112,13 +112,6 @@ type RunConfig struct {
 	// Seed drives workload randomness and page allocation.
 	Seed int64
 
-	// Parallel steps each core's private-cache slice on its own
-	// goroutine under the deterministic epoch barrier. Results are
-	// bit-identical to the sequential scheduler; it only pays off for
-	// multi-core mixes on multi-CPU hosts. Ignored (sequential fallback)
-	// for single-core runs and when Tracer or Audit is attached.
-	Parallel bool
-
 	// System optionally overrides the whole system configuration
 	// (defaults to PaperSystem for the mix size).
 	System *SystemConfig
@@ -186,9 +179,6 @@ func RunContext(ctx context.Context, rc RunConfig) (*Result, error) {
 		seed = 1
 	}
 	cfg.Seed = seed
-	if rc.Parallel {
-		cfg.ParallelCores = true
-	}
 
 	streams := make([]trace.Stream, len(mix))
 	for i, name := range mix {
