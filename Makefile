@@ -7,7 +7,7 @@ GO ?= go
 TRACKED_BENCH = SimulatorThroughput|Fig7$$|Fig8$$|SweepColdWarmup$$|SweepSharedWarmup$$|MultiCoreSeqThroughput$$
 BENCH_FILE   = BENCH_throughput.json
 
-.PHONY: check build vet test determinism audit bench benchsmoke benchdiff benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+.PHONY: check build fmt vet test determinism audit bench benchsmoke benchdiff benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
 # Tier-1 gate: everything must pass before a change lands. `test` runs
 # -race over every package — including the session-concurrency and
@@ -16,10 +16,15 @@ BENCH_FILE   = BENCH_throughput.json
 # end to end; benchgate holds the shared-warmup amortization ratio and
 # guards tracked instr/s against structural collapse (see benchgate
 # below).
-check: build vet test determinism audit benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+check: build fmt vet test determinism audit benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
 build:
 	$(GO) build ./...
+
+# gofmt is the only accepted formatting: any file it would rewrite
+# fails (`gofmt -l .`, minus the benchmark's git-ignored build cache).
+fmt:
+	@out=$$(find . -name .bench_build -prune -o -name '*.go' -print | xargs gofmt -l); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -75,10 +80,13 @@ benchsmoke:
 	$(GO) test -bench . -benchtime=1x
 
 # Brief fuzz passes (longer runs: raise -fuzztime): the trace reader,
-# and the checkpoint frame decoder that guards the result store against
-# torn/corrupt files. `go test -fuzz` takes one fuzz target per run.
+# the two frame codecs every durable file goes through (internal/store),
+# and the checkpoint entry decoder on top of them. `go test -fuzz`
+# takes one fuzz target per run.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReader$$' -fuzztime=10s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzUnframe$$' -fuzztime=10s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzNextRecord$$' -fuzztime=10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime=10s
 
 # End-to-end daemon smoke: build the real ipcpd binary, boot it on an

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"time"
 )
 
@@ -41,8 +42,8 @@ func StartAgent(ctx context.Context, coordURL, selfURL string, capacity int, log
 		capacity = 1
 	}
 	a := &Agent{
-		coord:    trimSlash(coordURL),
-		self:     trimSlash(selfURL),
+		coord:    strings.TrimRight(coordURL, "/"),
+		self:     strings.TrimRight(selfURL, "/"),
 		capacity: capacity,
 		hc:       &http.Client{Timeout: 10 * time.Second},
 		log:      log,

@@ -6,12 +6,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"time"
 
-	"ipcp/internal/experiments"
+	"ipcp/internal/store"
 )
 
 // This file is the coordinator's shared content-addressed result
@@ -24,52 +23,26 @@ import (
 // the fetching worker verifies before adopting. A flipped bit anywhere
 // along the path is detected, never decoded.
 
-// BlobStore is the coordinator-side store: framed files on disk,
-// sharded by key prefix like the session's disk cache, with the same
-// tmp+fsync+rename durability and quarantine-on-damage policy.
+// BlobStore is the coordinator-side store: a store.Dir of blob frames
+// (DESIGN §14) plus the request counters /metrics reports. Frames are
+// verified on the way in and out and stored verbatim, never re-encoded.
 type BlobStore struct {
-	dir string
-	log *slog.Logger
+	dir *store.Dir
 
-	gets        atomic.Uint64 // GET requests served
-	getHits     atomic.Uint64 // ... that found a verified blob
-	puts        atomic.Uint64 // PUT requests accepted and persisted
-	rejected    atomic.Uint64 // PUTs refused (bad key, bad frame, too big)
-	quarantined atomic.Uint64 // stored blobs that failed verification on GET
+	gets     atomic.Uint64 // GET requests served
+	getHits  atomic.Uint64 // ... that found a verified blob
+	puts     atomic.Uint64 // PUT requests accepted and persisted
+	rejected atomic.Uint64 // PUTs refused (bad key, bad frame, too big)
 }
 
-// NewBlobStore creates (if needed) the store directory.
+// NewBlobStore creates (if needed) the store directory. The chaos
+// points of every write are blob.save/blob.write.
 func NewBlobStore(dir string, log *slog.Logger) (*BlobStore, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("coord: empty blob store directory")
+	d, err := store.OpenDir(dir, "blob", log)
+	if err != nil {
+		return nil, fmt.Errorf("coord: blob store: %w", err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("coord: creating blob store dir: %w", err)
-	}
-	if log == nil {
-		log = slog.Default()
-	}
-	return &BlobStore{dir: dir, log: log}, nil
-}
-
-// validKey accepts only 64-char lowercase-hex SHA-256 content
-// addresses — the only keys the cache layer generates — so a request
-// path can never traverse outside the store.
-func validKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-func (b *BlobStore) path(key string) string {
-	return filepath.Join(b.dir, key[:2], key+".blob")
+	return &BlobStore{dir: d}, nil
 }
 
 // get returns the stored frame for key after re-verifying it, or
@@ -77,84 +50,26 @@ func (b *BlobStore) path(key string) string {
 // the coordinator's disk must not propagate to workers.
 func (b *BlobStore) get(key string) ([]byte, bool) {
 	b.gets.Add(1)
-	p := b.path(key)
-	frame, err := os.ReadFile(p)
-	if err != nil {
-		return nil, false
+	frame, _, ok := b.dir.Get(store.Blob, key)
+	if ok {
+		b.getHits.Add(1)
 	}
-	if _, err := experiments.DecodeBlobFrame(frame); err != nil {
-		b.quarantine(p, err)
-		return nil, false
-	}
-	b.getHits.Add(1)
-	return frame, true
+	return frame, ok
 }
 
 // put verifies and persists one frame. The key is the run identity's
 // content address (not the payload hash), so identity cannot be
 // re-derived here; the frame's own CRC is the integrity gate.
 func (b *BlobStore) put(key string, frame []byte) error {
-	if _, err := experiments.DecodeBlobFrame(frame); err != nil {
+	if _, err := store.Unframe(store.Blob.Magic, frame); err != nil {
 		b.rejected.Add(1)
 		return fmt.Errorf("coord: rejecting blob %s: %w", key[:8], err)
 	}
-	if err := b.writeFile(b.path(key), frame); err != nil {
+	if err := b.dir.Put(store.Blob, key, frame); err != nil {
 		b.rejected.Add(1)
 		return fmt.Errorf("coord: storing blob %s: %w", key[:8], err)
 	}
 	b.puts.Add(1)
-	return nil
-}
-
-// quarantine moves a damaged stored blob aside for inspection, falling
-// back to removal when the move fails — either way it is never served.
-func (b *BlobStore) quarantine(p string, reason error) {
-	qdir := filepath.Join(b.dir, "corrupt")
-	dst := filepath.Join(qdir, filepath.Base(p))
-	if err := os.MkdirAll(qdir, 0o755); err == nil {
-		if err := os.Rename(p, dst); err == nil {
-			b.quarantined.Add(1)
-			b.log.Warn("blob quarantined", "path", p, "quarantine", dst, "err", reason)
-			return
-		}
-	}
-	os.Remove(p)
-	b.quarantined.Add(1)
-	b.log.Warn("blob quarantined (removed: move failed)", "path", p, "err", reason)
-}
-
-// writeFile is the durable-write discipline shared with the session's
-// disk cache: temp file in the final directory, fsync, atomic rename.
-func (b *BlobStore) writeFile(p string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), "."+filepath.Base(p)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if f, err := os.Open(filepath.Dir(p)); err == nil {
-		f.Sync()
-		f.Close()
-	}
 	return nil
 }
 
@@ -178,21 +93,11 @@ type BlobClient struct {
 // NewBlobClient returns a client for the coordinator at base
 // (e.g. "http://127.0.0.1:8800").
 func NewBlobClient(base string, log *slog.Logger) *BlobClient {
-	if log == nil {
-		log = slog.Default()
-	}
 	return &BlobClient{
-		base: trimSlash(base),
+		base: strings.TrimRight(base, "/"),
 		hc:   &http.Client{Timeout: 30 * time.Second},
 		log:  log,
 	}
-}
-
-func trimSlash(s string) string {
-	for len(s) > 0 && s[len(s)-1] == '/' {
-		s = s[:len(s)-1]
-	}
-	return s
 }
 
 // GetBlob fetches and verifies one blob; any failure is a miss.
@@ -210,7 +115,7 @@ func (c *BlobClient) GetBlob(key string) ([]byte, bool) {
 	if err != nil || len(frame) > maxBlobBody {
 		return nil, false
 	}
-	payload, err := experiments.DecodeBlobFrame(frame)
+	payload, err := store.Unframe(store.Blob.Magic, frame)
 	if err != nil {
 		c.log.Warn("remote blob failed verification", "key", key[:8], "err", err)
 		return nil, false
@@ -222,7 +127,7 @@ func (c *BlobClient) GetBlob(key string) ([]byte, bool) {
 // failures are logged and dropped.
 func (c *BlobClient) PutBlob(key string, payload []byte) {
 	req, err := http.NewRequest(http.MethodPut, c.base+"/v1/blobs/"+key,
-		bytes.NewReader(experiments.EncodeBlobFrame(payload)))
+		bytes.NewReader(store.Frame(store.Blob.Magic, payload)))
 	if err != nil {
 		return
 	}

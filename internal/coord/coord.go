@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,6 +145,7 @@ func (c *Coordinator) register(url string, capacity int) *worker {
 	if capacity <= 0 {
 		capacity = 1
 	}
+	url = strings.TrimRight(url, "/") // before comparing: stored URLs are trimmed
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, w := range c.workers {
@@ -154,7 +156,7 @@ func (c *Coordinator) register(url string, capacity int) *worker {
 	c.nextW++
 	w := &worker{
 		ID:       fmt.Sprintf("w%06d", c.nextW),
-		URL:      trimSlash(url),
+		URL:      url,
 		Capacity: capacity,
 		Since:    time.Now(),
 		lastBeat: time.Now(),

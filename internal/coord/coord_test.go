@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"ipcp/internal/experiments"
+	"ipcp/internal/store"
 )
 
 func discardLog() *slog.Logger {
@@ -127,7 +127,7 @@ func TestBlobStoreHTTPRoundTrip(t *testing.T) {
 	c, ts := newTestCoord(t)
 	key := strings.Repeat("ab", 32)
 	payload := []byte("snapshot bytes")
-	frame := experiments.EncodeBlobFrame(payload)
+	frame := store.Frame(store.Blob.Magic, payload)
 
 	// Miss first.
 	resp, err := http.Get(ts.URL + "/v1/blobs/" + key)
@@ -168,7 +168,7 @@ func TestBlobStoreHTTPRoundTrip(t *testing.T) {
 	}
 	// ...and bad keys never touch the filesystem. (Multi-segment
 	// traversal attempts already die in the mux's single-segment
-	// {key} pattern; single-segment junk dies in validKey.)
+	// {key} pattern; single-segment junk dies in store.ValidKey.)
 	if code := put(strings.Repeat("ZZ", 32), frame); code != http.StatusBadRequest {
 		t.Fatalf("PUT non-hex key = %d, want 400", code)
 	}
@@ -188,10 +188,10 @@ func TestBlobStoreHTTPRoundTrip(t *testing.T) {
 func TestBlobStoreQuarantinesDamage(t *testing.T) {
 	c, ts := newTestCoord(t)
 	key := strings.Repeat("ef", 32)
-	if err := c.blobs.put(key, experiments.EncodeBlobFrame([]byte("precious"))); err != nil {
+	if err := c.blobs.put(key, store.Frame(store.Blob.Magic, []byte("precious"))); err != nil {
 		t.Fatal(err)
 	}
-	p := c.blobs.path(key)
+	p := c.blobs.dir.Path(store.Blob, key)
 	data, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -208,11 +208,48 @@ func TestBlobStoreQuarantinesDamage(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET damaged blob = %d, want 404", resp.StatusCode)
 	}
-	if c.blobs.quarantined.Load() != 1 {
-		t.Errorf("quarantined = %d, want 1", c.blobs.quarantined.Load())
+	if c.blobs.dir.Quarantined() != 1 {
+		t.Errorf("quarantined = %d, want 1", c.blobs.dir.Quarantined())
 	}
-	if _, err := os.Stat(filepath.Join(c.blobs.dir, "corrupt", filepath.Base(p))); err != nil {
+	if _, err := os.Stat(filepath.Join(filepath.Dir(filepath.Dir(p)), "corrupt", filepath.Base(p))); err != nil {
 		t.Errorf("damaged blob not preserved in corrupt/: %v", err)
+	}
+}
+
+// TestBlobStoreReadsParentLayout is the format-compatibility proof for
+// the coordinator's data dir: a blob laid down byte for byte as the
+// pre-internal/store coordinator wrote it — the path and the frame are
+// spelled out here, not produced by today's encoder — is served 200
+// with identical bytes.
+func TestBlobStoreReadsParentLayout(t *testing.T) {
+	dir := t.TempDir()
+	key := "3f" + strings.Repeat("0123456789abcdef", 4)[:62]
+	frame := []byte("ipcp-blob-v1 21 c0b6f627\nwarmup snapshot bytes")
+	p := filepath.Join(dir, "3f", key+".blob")
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p, frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{DataDir: dir, Log: discardLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer func() { ts.Close(); c.Close() }()
+
+	resp, err := http.Get(ts.URL + "/v1/blobs/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, frame) {
+		t.Fatalf("GET parent-written blob = %d %q, want 200 and the stored bytes", resp.StatusCode, got)
+	}
+	if payload, ok := NewBlobClient(ts.URL, discardLog()).GetBlob(key); !ok || string(payload) != "warmup snapshot bytes" {
+		t.Fatalf("worker-side adopt check = %q, %v", payload, ok)
 	}
 }
 
@@ -263,9 +300,18 @@ func TestWorkerRegistryLifecycle(t *testing.T) {
 	if !c.heartbeat(w2.ID) {
 		t.Error("heartbeat for the new incarnation refused")
 	}
+	// A trailing slash is the same worker: stored URLs are trimmed, so
+	// the comparison must be too.
+	w3 := c.register("http://127.0.0.1:1111/", 2)
+	if c.heartbeat(w2.ID) {
+		t.Error("re-registration with a trailing slash did not supersede")
+	}
+	if !c.heartbeat(w3.ID) {
+		t.Error("heartbeat for the trailing-slash incarnation refused")
+	}
 	m := c.Metrics()
-	if m.Workers.Registered != 2 || m.Workers.Lost != 1 || m.Workers.Live != 1 {
-		t.Errorf("worker counters = %+v, want registered=2 lost=1 live=1", m.Workers)
+	if m.Workers.Registered != 3 || m.Workers.Lost != 2 || m.Workers.Live != 1 {
+		t.Errorf("worker counters = %+v, want registered=3 lost=2 live=1", m.Workers)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	"ipcp/internal/store"
 	"ipcp/internal/telemetry"
 )
 
@@ -189,7 +190,7 @@ func (c *Coordinator) handleSweepEvents(w http.ResponseWriter, r *http.Request) 
 
 func (c *Coordinator) handleGetBlob(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !store.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, errors.New("key must be 64 hex chars"))
 		return
 	}
@@ -205,7 +206,7 @@ func (c *Coordinator) handleGetBlob(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handlePutBlob(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !store.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, errors.New("key must be 64 hex chars"))
 		return
 	}
@@ -303,7 +304,7 @@ func (c *Coordinator) Metrics() MetricsSnapshot {
 	m.Blobs.Hits = c.blobs.getHits.Load()
 	m.Blobs.Puts = c.blobs.puts.Load()
 	m.Blobs.Rejected = c.blobs.rejected.Load()
-	m.Blobs.Quarantined = c.blobs.quarantined.Load()
+	m.Blobs.Quarantined = c.blobs.dir.Quarantined()
 	return m
 }
 

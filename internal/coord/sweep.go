@@ -12,11 +12,9 @@ import (
 	"time"
 
 	"ipcp/internal/experiments"
-	"ipcp/internal/memsys"
-	"ipcp/internal/prefetch"
+	"ipcp/internal/serve"
 	"ipcp/internal/sim"
 	"ipcp/internal/telemetry"
-	"ipcp/internal/workload"
 )
 
 // --- sweep request & grid expansion ---------------------------------------
@@ -48,57 +46,9 @@ type SweepRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// PointSpec is one sweep point on the wire — the same JSON shape the
-// workers' POST /v1/runs accepts, so fan-out is a direct re-encode.
-type PointSpec struct {
-	Workloads      []string `json:"workloads"`
-	Cores          int      `json:"cores,omitempty"`
-	L1D            string   `json:"l1d,omitempty"`
-	L2             string   `json:"l2,omitempty"`
-	LLC            string   `json:"llc,omitempty"`
-	ConfigKey      string   `json:"config_key,omitempty"`
-	LLCRepl        string   `json:"llc_repl,omitempty"`
-	DRAMGBps       float64  `json:"dram_gbps,omitempty"`
-	L1PQ           int      `json:"l1_pq,omitempty"`
-	L1MSHR         int      `json:"l1_mshr,omitempty"`
-	L1DWays        int      `json:"l1d_ways,omitempty"`
-	L2Sets         int      `json:"l2_sets,omitempty"`
-	LLCSetsPerCore int      `json:"llc_sets_per_core,omitempty"`
-	Seed           int64    `json:"seed,omitempty"`
-	TimeoutMS      int64    `json:"timeout_ms,omitempty"`
-}
-
-// spec mirrors the point into an experiments.RunSpec (for grouping).
-func (p PointSpec) spec() experiments.RunSpec {
-	return experiments.RunSpec{
-		Workloads: p.Workloads, Cores: p.Cores,
-		L1D: p.L1D, L2: p.L2, LLC: p.LLC, ConfigKey: p.ConfigKey,
-		LLCRepl: p.LLCRepl, DRAMGBps: p.DRAMGBps,
-		L1PQ: p.L1PQ, L1MSHR: p.L1MSHR, L1DWays: p.L1DWays,
-		L2Sets: p.L2Sets, LLCSetsPerCore: p.LLCSetsPerCore,
-		Seed: p.Seed,
-	}
-}
-
-func (p PointSpec) validate() error {
-	if len(p.Workloads) == 0 {
-		return errors.New("workloads must be non-empty")
-	}
-	for _, w := range p.Workloads {
-		if _, err := workload.Named(w); err != nil {
-			return err
-		}
-	}
-	if p.Cores != 0 && p.Cores != len(p.Workloads) {
-		return fmt.Errorf("cores (%d) must be 0 or match the workload count (%d)", p.Cores, len(p.Workloads))
-	}
-	for _, pf := range []string{p.L1D, p.L2, p.LLC} {
-		if _, err := prefetch.New(pf, memsys.LevelL1D); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// PointSpec is one sweep point on the wire — the very type the
+// workers' POST /v1/runs decodes, so fan-out is a direct re-encode.
+type PointSpec = serve.RunRequest
 
 // expand validates the request and produces the point list in caller
 // order: grid cross product (workload outermost, then l1d, l2, llc —
@@ -139,7 +89,7 @@ func (r *SweepRequest) expand(maxPoints int) ([]PointSpec, error) {
 		return nil, fmt.Errorf("sweep expands to %d points, cap is %d", len(pts), maxPoints)
 	}
 	for i := range pts {
-		if err := pts[i].validate(); err != nil {
+		if err := pts[i].Validate(); err != nil {
 			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
 	}
@@ -151,7 +101,7 @@ func (r *SweepRequest) expand(maxPoints int) ([]PointSpec, error) {
 // fixed reference scale; every field of the key that varies between
 // points comes from the spec itself.
 func groupKey(p PointSpec) string {
-	return experiments.WarmupKey(experiments.Quick, p.spec())
+	return experiments.WarmupKey(experiments.Quick, p.Spec())
 }
 
 // --- sweep state -----------------------------------------------------------
@@ -184,7 +134,7 @@ type point struct {
 type sweepEvent struct {
 	Seq    int       `json:"seq"`
 	Time   time.Time `json:"time"`
-	Kind   string    `json:"kind"` // accepted | point | done
+	Kind   string    `json:"kind"`  // accepted | point | done
 	Point  int       `json:"point"` // meaningful on point/reassign kinds; 0 is a real index, never omitted
 	Worker string    `json:"worker,omitempty"`
 	Msg    string    `json:"msg,omitempty"`

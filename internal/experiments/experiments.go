@@ -405,7 +405,7 @@ func (s *Session) Stats() SessionStats {
 	s.snapMu.Unlock()
 	if s.disk != nil {
 		st.StoreFailures = int(s.disk.storeFails.Load())
-		st.Quarantined = int(s.disk.quarantined.Load())
+		st.Quarantined = int(s.disk.local.Quarantined())
 		st.RemoteBlobHits = int(s.disk.remoteHits.Load())
 		st.RemoteBlobPuts = int(s.disk.remotePuts.Load())
 	}
@@ -429,9 +429,21 @@ func (s *Session) Run(spec RunSpec) (*sim.Result, error) {
 // memo-hit, coalesced, disk-hit or executed — plus admission and
 // checkpoint child spans on the paths that have them.
 func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*sim.Result, error) {
-	k := spec.Key()
+	return s.run(ctx, spec, "", s.diskKey, s.execute, false)
+}
+
+// run is the single-flight loop behind RunContext and RunSharedContext.
+// The two methodologies differ only in what the caller passes: the memo
+// key prefix and disk-key function that keep their results apart, the
+// exec that actually simulates, and whether the span says so.
+func (s *Session) run(ctx context.Context, spec RunSpec, prefix string, diskKey func(string) string,
+	exec func(context.Context, RunSpec) (*sim.Result, error), shared bool) (*sim.Result, error) {
+	k := prefix + spec.Key()
 	ctx, span := telemetry.StartSpan(ctx, "session.run")
 	defer span.End()
+	if shared {
+		span.SetAttr("warmup_shared", "true")
+	}
 	for {
 		s.mu.Lock()
 		if o, ok := s.cache[k]; ok {
@@ -467,7 +479,7 @@ func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*sim.Result, er
 		o := &outcome{done: make(chan struct{})}
 		s.cache[k] = o
 		s.mu.Unlock()
-		return s.lead(ctx, spec, k, s.diskKey(k), o, span, s.execute)
+		return s.lead(ctx, spec, k, diskKey(k), o, span, exec)
 	}
 }
 

@@ -106,44 +106,7 @@ func (s *Session) RunShared(spec RunSpec) (*sim.Result, error) {
 // CacheWarmOnly phases, so the result semantics are unchanged; only
 // the warmup sharing is lost.
 func (s *Session) RunSharedContext(ctx context.Context, spec RunSpec) (*sim.Result, error) {
-	k := "sw|" + spec.Key()
-	ctx, span := telemetry.StartSpan(ctx, "session.run")
-	defer span.End()
-	span.SetAttr("warmup_shared", "true")
-	for {
-		s.mu.Lock()
-		if o, ok := s.cache[k]; ok {
-			select {
-			case <-o.done:
-				s.memoHits++
-				s.mu.Unlock()
-				span.SetAttr("outcome", "memo-hit")
-				return o.res, o.err
-			default:
-			}
-			s.coalesced++
-			s.mu.Unlock()
-			span.SetAttr("outcome", "coalesced")
-			select {
-			case <-o.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-s.ctx.Done():
-				return nil, s.ctx.Err()
-			}
-			if o.err != nil && fatal(o.err) {
-				if err := firstError(ctx.Err(), s.ctx.Err()); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			return o.res, o.err
-		}
-		o := &outcome{done: make(chan struct{})}
-		s.cache[k] = o
-		s.mu.Unlock()
-		return s.lead(ctx, spec, k, s.diskKeyShared(k), o, span, s.executeShared)
-	}
+	return s.run(ctx, spec, "sw|", s.diskKeyShared, s.executeShared, true)
 }
 
 // RunSweep executes a sweep grid with shared warmups, returning results
@@ -353,23 +316,22 @@ func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *
 }
 
 // loadSnapshotSpill loads and decodes a spilled snapshot. A blob that
-// fails its frame check was already quarantined by loadBlob; one that
-// fails gob decoding is dropped here the same way (never trusted).
-func (s *Session) loadSnapshotSpill(ctx context.Context, wkey string) (*sim.Snapshot, bool) {
+// fails its frame check or its gob decoding is quarantined by the disk
+// cache (never trusted) and reads as a miss.
+func (s *Session) loadSnapshotSpill(ctx context.Context, wkey string) (snap *sim.Snapshot, ok bool) {
 	if s.disk == nil {
 		return nil, false
 	}
 	_, lsp := telemetry.StartSpan(ctx, "snapshot.load")
 	defer lsp.End()
-	data, ok := s.disk.loadBlob(s.snapDiskKey(wkey))
+	ok = s.disk.loadBlob(s.snapDiskKey(wkey), func(data []byte) (err error) {
+		if snap, err = sim.DecodeSnapshot(data); err != nil {
+			lsp.SetAttr("error", err.Error())
+		}
+		return err
+	})
 	lsp.SetAttr("hit", strconv.FormatBool(ok))
 	if !ok {
-		return nil, false
-	}
-	snap, err := sim.DecodeSnapshot(data)
-	if err != nil {
-		s.disk.quarantine(s.disk.blobPath(s.snapDiskKey(wkey)), err)
-		lsp.SetAttr("error", err.Error())
 		return nil, false
 	}
 	s.mu.Lock()

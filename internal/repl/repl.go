@@ -283,9 +283,9 @@ func NewRandom(sets, ways int) Policy {
 	return &random{ways: ways, rng: rand.New(rand.NewSource(2))}
 }
 
-func (p *random) Name() string                          { return "random" }
-func (p *random) Hit(set, way int, _ *memsys.Request)   {}
-func (p *random) Fill(set, way int, _ *memsys.Request)  {}
+func (p *random) Name() string                         { return "random" }
+func (p *random) Hit(set, way int, _ *memsys.Request)  {}
+func (p *random) Fill(set, way int, _ *memsys.Request) {}
 func (p *random) Victim(set int, _ *memsys.Request) int {
 	p.draws++
 	return p.rng.Intn(p.ways)

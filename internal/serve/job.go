@@ -59,7 +59,7 @@ type Job struct {
 	ID         string
 	Kind       JobKind
 	Spec       experiments.RunSpec // KindRun
-	Req        *runRequest         // the wire form of Spec, echoed in views
+	Req        *RunRequest         // the wire form of Spec, echoed in views
 	ExpIDs     []string            // KindExperiments
 	Timeout    time.Duration       // 0 = no per-job deadline
 	key        string              // coalescing key (KindRun only)
@@ -280,7 +280,7 @@ type jobView struct {
 	Error     string      `json:"error,omitempty"`
 	Result    *sim.Result `json:"result,omitempty"`
 	Report    *reportView `json:"report,omitempty"`
-	Spec      *runRequest `json:"spec,omitempty"`
+	Spec      *RunRequest `json:"spec,omitempty"`
 	ExpIDs    []string    `json:"experiment_ids,omitempty"`
 	RequestID string      `json:"request_id,omitempty"`
 	Revision  string      `json:"revision,omitempty"`
@@ -369,7 +369,7 @@ func newReplayedJob(r *replayedJob) *Job {
 	}
 	if r.spec != nil {
 		j.Req = r.spec
-		j.Spec = r.spec.spec()
+		j.Spec = r.spec.Spec()
 		j.key = j.Spec.Key()
 	}
 	j.events = append(j.events, JobEvent{Seq: 0, Time: r.submitted, Kind: "queued"})

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -15,6 +13,7 @@ import (
 
 	"ipcp/internal/chaos"
 	"ipcp/internal/sim"
+	"ipcp/internal/store"
 )
 
 // The job journal is ipcpd's write-ahead log: every job's submit,
@@ -25,12 +24,9 @@ import (
 // polling across the crash sees its job complete), unfinished jobs are
 // re-enqueued with their original IDs (they run again — their results
 // were never delivered), and the replayed state is compacted into a
-// fresh segment written via tmp + fsync + rename.
+// fresh segment written atomically (store.WriteFile).
 //
-// Record framing is binary and per-record checksummed:
-//
-//	uint32le payload length | uint32le CRC-32C(payload) | JSON payload
-//
+// Each record is a JSON payload in store's length+CRC record frame.
 // Replay reads frames until EOF or the first damaged frame (torn tail
 // from a crash mid-append, or a bit flip): everything before the
 // damage is recovered, everything after is discarded with a warning —
@@ -46,7 +42,7 @@ type journalRecord struct {
 	// submit fields: everything needed to rebuild the job's identity.
 	Seq       int         `json:"seq,omitempty"`
 	Kind      JobKind     `json:"kind,omitempty"`
-	Spec      *runRequest `json:"spec,omitempty"`
+	Spec      *RunRequest `json:"spec,omitempty"`
 	ExpIDs    []string    `json:"exp_ids,omitempty"`
 	TimeoutMS int64       `json:"timeout_ms,omitempty"`
 	RequestID string      `json:"request_id,omitempty"`
@@ -59,17 +55,8 @@ type journalRecord struct {
 	Report  *reportView `json:"report,omitempty"`
 }
 
-// walTable is Castagnoli, matching the checkpoint store.
-var walTable = crc32.MakeTable(crc32.Castagnoli)
-
-const (
-	walFrameHeader = 8
-	// walMaxRecord bounds a frame so a corrupt length field cannot ask
-	// replay to allocate gigabytes.
-	walMaxRecord = 64 << 20
-	// walMaxSegment rotates the active segment when it grows past this.
-	walMaxSegment = 8 << 20
-)
+// walMaxSegment rotates the active segment when it grows past this.
+const walMaxSegment = 8 << 20
 
 // journal is the WAL: one active append segment plus replay/compaction.
 type journal struct {
@@ -97,7 +84,7 @@ func openJournal(dir string, log *slog.Logger) (*journal, []*replayedJob, error)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: creating journal dir: %w", err)
 	}
-	j := &journal{dir: dir, log: log}
+	j := &journal{dir: dir, log: log, segSeq: 1}
 
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if err != nil {
@@ -138,8 +125,6 @@ func openJournal(dir string, log *slog.Logger) (*journal, []*replayedJob, error)
 			}
 		}
 		j.segSeq = maxSeg + 2
-	} else {
-		j.segSeq = 1
 	}
 	if err := j.openActive(); err != nil {
 		return nil, nil, err
@@ -174,10 +159,7 @@ func (j *journal) append(rec journalRecord) error {
 		j.appendErrs.Add(1)
 		return err
 	}
-	frame := make([]byte, walFrameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walTable))
-	copy(frame[walFrameHeader:], payload)
+	frame := store.AppendRecord(nil, payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -195,7 +177,15 @@ func (j *journal) append(rec journalRecord) error {
 		j.appendErrs.Add(1)
 		return err
 	}
-	if err := j.f.Sync(); err != nil {
+	err = chaos.At("journal.fsync")
+	if err == nil {
+		err = j.f.Sync()
+	}
+	if err != nil {
+		// The frame's bytes are in the file but j.size does not cover
+		// them: abandon the segment, or a later torn write's
+		// Truncate(j.size) would cut into records acknowledged since.
+		j.rotateLocked()
 		j.appendErrs.Add(1)
 		return err
 	}
@@ -237,26 +227,17 @@ func (j *journal) readSegment(path string) (recs []journalRecord, damaged int) {
 		j.log.Warn("journal: unreadable segment", "segment", path, "err", err)
 		return nil, 1
 	}
-	off := 0
-	for off < len(data) {
-		if len(data)-off < walFrameHeader {
-			return recs, 1 // torn header
-		}
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n < 0 || n > walMaxRecord || off+walFrameHeader+n > len(data) {
-			return recs, 1 // torn or length-corrupted payload
-		}
-		payload := data[off+walFrameHeader : off+walFrameHeader+n]
-		if crc32.Checksum(payload, walTable) != crc {
-			return recs, 1 // bit flip
+	for len(data) > 0 {
+		payload, rest, err := store.NextRecord(data)
+		if err != nil {
+			return recs, 1 // torn tail, corrupt length or bit flip
 		}
 		var rec journalRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return recs, 1 // CRC-valid but unparseable: treat as damage
 		}
 		recs = append(recs, rec)
-		off += walFrameHeader + n
+		data = rest
 	}
 	return recs, 0
 }
@@ -266,7 +247,7 @@ type replayedJob struct {
 	seq       int
 	id        string
 	kind      JobKind
-	spec      *runRequest
+	spec      *RunRequest
 	expIDs    []string
 	timeoutMS int64
 	requestID string
@@ -331,27 +312,17 @@ func mergeReplay(recs []journalRecord, log *slog.Logger) []*replayedJob {
 	return out
 }
 
-// writeCompacted writes the canonical replay of jobs as one segment:
-// tmp file, fsync, rename — the same discipline as the checkpoint
-// store, so a crash never leaves a half-compacted segment in place.
+// writeCompacted writes the canonical replay of jobs as one segment,
+// atomically: a crash never leaves a half-compacted segment in place.
+// Its chaos points are journal.compact.save/journal.compact.write.
 func writeCompacted(path string, jobs []*replayedJob) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".wal-compact-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	var buf []byte
 	frame := func(rec journalRecord) error {
 		payload, err := json.Marshal(rec)
-		if err != nil {
-			return err
+		if err == nil {
+			buf = store.AppendRecord(buf, payload)
 		}
-		var hdr [walFrameHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, walTable))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, payload...)
-		return nil
+		return err
 	}
 	for _, r := range jobs {
 		if err := frame(journalRecord{
@@ -359,7 +330,6 @@ func writeCompacted(path string, jobs []*replayedJob) error {
 			Kind: r.kind, Spec: r.spec, ExpIDs: r.expIDs,
 			TimeoutMS: r.timeoutMS, RequestID: r.requestID, Revision: r.revision,
 		}); err != nil {
-			tmp.Close()
 			return err
 		}
 		if r.outcome == "" {
@@ -369,29 +339,10 @@ func writeCompacted(path string, jobs []*replayedJob) error {
 			Type: "finish", Time: r.finished, Job: r.id,
 			Outcome: r.outcome, Error: r.errstr, Result: r.result, Report: r.report,
 		}); err != nil {
-			tmp.Close()
 			return err
 		}
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if f, err := os.Open(filepath.Dir(path)); err == nil {
-		f.Sync()
-		f.Close()
-	}
-	return nil
+	return store.WriteFile(path, buf, "journal.compact")
 }
 
 // submitRecord renders a job's admission for the WAL.

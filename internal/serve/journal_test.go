@@ -29,7 +29,7 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 	if len(replayed) != 0 {
 		t.Fatalf("fresh journal replayed %d jobs", len(replayed))
 	}
-	spec := &runRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "wal"}
+	spec := &RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "wal"}
 	res := &sim.Result{IPC: []float64{2.5}}
 	recs := []journalRecord{
 		{Type: "submit", Time: time.Now(), Job: "j000001", Seq: 1, Kind: KindRun, Spec: spec, RequestID: "r-1"},
@@ -88,7 +88,7 @@ func TestJournalTornTailRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &runRequest{Workloads: []string{"bwaves-98"}}
+	spec := &RunRequest{Workloads: []string{"bwaves-98"}}
 	for i := 1; i <= 3; i++ {
 		id := "j00000" + strconv.Itoa(i)
 		if err := j.append(journalRecord{Type: "submit", Time: time.Now(), Job: id, Seq: i, Kind: KindRun, Spec: spec}); err != nil {
@@ -128,7 +128,7 @@ func TestJournalBitFlipStopsReplayAtDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &runRequest{Workloads: []string{"bwaves-98"}}
+	spec := &RunRequest{Workloads: []string{"bwaves-98"}}
 	var sizes []int64
 	for i := 1; i <= 3; i++ {
 		id := "j00000" + strconv.Itoa(i)
@@ -145,7 +145,8 @@ func TestJournalBitFlipStopsReplayAtDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[sizes[0]+walFrameHeader+4] ^= 0x08
+	const recordHeader = 8 // u32 length | u32 CRC-32C
+	data[sizes[0]+recordHeader+4] ^= 0x08
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +164,124 @@ func TestJournalBitFlipStopsReplayAtDamage(t *testing.T) {
 	}
 }
 
+// TestJournalFsyncFailureKeepsAcknowledgedRecords: a failed fsync
+// leaves the frame's bytes in the segment without j.size covering them.
+// The journal must abandon that segment — otherwise the next torn
+// write's Truncate(j.size) cuts into a record acknowledged after the
+// failure. Every append that returned nil must replay.
+func TestJournalFsyncFailureKeepsAcknowledgedRecords(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := openJournal(dir, discard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { chaos.Enable(nil) })
+	arm := func(r chaos.Rule) {
+		in := chaos.New(1)
+		in.Add(r)
+		chaos.Enable(in)
+	}
+	spec := &RunRequest{Workloads: []string{"bwaves-98"}}
+	var acked []string
+	submit := func(i int) error {
+		id := "j00000" + strconv.Itoa(i)
+		err := j.append(journalRecord{Type: "submit", Time: time.Now(), Job: id, Seq: i, Kind: KindRun, Spec: spec})
+		if err == nil {
+			acked = append(acked, id)
+		}
+		return err
+	}
+	if err := submit(1); err != nil {
+		t.Fatal(err)
+	}
+	arm(chaos.Rule{Point: "journal.fsync", Kind: chaos.KindErr})
+	if err := submit(2); err == nil {
+		t.Fatal("append acknowledged a record whose fsync failed")
+	}
+	chaos.Enable(nil)
+	if err := submit(3); err != nil {
+		t.Fatal(err)
+	}
+	arm(chaos.Rule{Point: "journal.write", Kind: chaos.KindShort})
+	if err := submit(4); err == nil {
+		t.Fatal("append acknowledged a torn write")
+	}
+	chaos.Enable(nil)
+	if err := submit(5); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	j2, replayed, err := openJournal(dir, discard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	got := make(map[string]bool)
+	for _, r := range replayed {
+		got[r.id] = true
+	}
+	for _, id := range acked {
+		if !got[id] {
+			t.Errorf("acknowledged record %s lost (replayed %v)", id, got)
+		}
+	}
+	if len(acked) != 3 || j2.damaged.Load() != 0 {
+		t.Fatalf("acked %v, damaged frames %d; want 3 acknowledged and a clean replay", acked, j2.damaged.Load())
+	}
+}
+
+// parentResultJSON is what the pre-internal/store encoder marshalled
+// for sim.Result{Cores: 1, Instructions: 20000, IPC: [1.25]}.
+const parentResultJSON = `{"Cores":1,"Instructions":20000,"CyclesPerCore":null,"IPC":[1.25],"CoreStats":null,"L1I":null,"L1D":null,"L2":null,` +
+	`"LLC":{"Access":[0,0,0,0,0],"Hit":[0,0,0,0,0],"Miss":[0,0,0,0,0],"MSHRMerges":0,"LatePrefetch":0,"PrefetchIssued":0,` +
+	`"PrefetchDropPQFull":0,"PrefetchMSHRStall":0,"PrefetchDropUnmapped":0,"PrefetchFills":0,"PrefetchUseful":0,"UselessEvicted":0,` +
+	`"IssuedByClass":[0,0,0,0,0],"FillsByClass":[0,0,0,0,0],"UsefulByClass":[0,0,0,0,0],"Writebacks":0,"DemandMissLatency":0,"DemandMissSamples":0},` +
+	`"DRAM":{"Reads":0,"Writes":0,"RowHits":0,"RowMisses":0,"RowConflicts":0,"BusBusyCycles":0,"Cycles":0,"ReadQueueFullRejects":0,"WriteQueueFullRejects":0},` +
+	`"IPCPL1":null,"IPCPL2":null}`
+
+// TestJournalReadsParentLayout is the format-compatibility proof for
+// the journal dir: a segment laid down byte for byte as the
+// pre-internal/store daemon appended it — length, CRC and payload of
+// each record spelled out here, not produced by today's encoder — is
+// replayed, and the finished job in it is re-served with its result.
+func TestJournalReadsParentLayout(t *testing.T) {
+	dir := t.TempDir()
+	seg := "\xc3\x00\x00\x00\x03\xad\xfd\x85" +
+		`{"type":"submit","time":"2026-01-02T03:04:05Z","job":"j000001","seq":1,"kind":"run",` +
+		`"spec":{"workloads":["bwaves-98"],"l1d":"ipcp","config_key":"compat"},"request_id":"req-1","revision":"parent"}` +
+		">\x00\x00\x00\x1c@?\xc4" +
+		`{"type":"start","time":"2026-01-02T03:04:06Z","job":"j000001"}` +
+		"\x03\x03\x00\x00\xdb\xfbG\xcc" +
+		`{"type":"finish","time":"2026-01-02T03:04:07Z","job":"j000001","outcome":"done","result":` + parentResultJSON + `}`
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), []byte(seg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{JournalDir: dir})
+	resp, body := s.get(t, "/v1/runs/j000001")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET replayed job = %d (%s)", resp.StatusCode, body)
+	}
+	var got jobView
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != StateDone || got.Result == nil || got.Result.Instructions != 20000 || got.Result.IPC[0] != 1.25 ||
+		got.RequestID != "req-1" || got.Spec == nil || got.Spec.ConfigKey != "compat" {
+		t.Fatalf("replayed job = %+v", got)
+	}
+	if m := s.Metrics(); m.Journal.ReplayedJobs != 1 || m.Journal.DamagedFrames != 0 {
+		t.Fatalf("journal metrics = %+v", m.Journal)
+	}
+}
+
 // TestServerReplayServesFinishedJob: a finished job survives a restart
 // with its original ID and result, and later identical submissions
 // coalesce onto the replayed job.
 func TestServerReplayServesFinishedJob(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newTestServer(t, Options{JournalDir: dir})
-	req := runRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp", ConfigKey: "replay-done"}
+	req := RunRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp", ConfigKey: "replay-done"}
 	v := s1.submitRun(t, req, http.StatusAccepted)
 	job := s1.await(t, v.ID, 10*time.Second)
 	if job.Status != StateDone {
@@ -219,7 +331,7 @@ func TestServerReplayReenqueuesUnfinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &runRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp", ConfigKey: "replay-requeue"}
+	spec := &RunRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp", ConfigKey: "replay-requeue"}
 	if err := j.append(journalRecord{
 		Type: "submit", Time: time.Now(), Job: "j000007", Seq: 7,
 		Kind: KindRun, Spec: spec, RequestID: "r-lost",
@@ -249,7 +361,7 @@ func TestServerReplayReenqueuesUnfinished(t *testing.T) {
 		t.Fatalf("replayed job events = %v", kinds)
 	}
 	// New submissions pick up the sequence after the replayed maximum.
-	v := s.submitRun(t, runRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "post-replay"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "post-replay"}, http.StatusAccepted)
 	if v.ID != "j000008" {
 		t.Fatalf("post-replay id = %s, want j000008", v.ID)
 	}
@@ -279,7 +391,7 @@ func TestJournalAppendFailureDegradesGracefully(t *testing.T) {
 	t.Cleanup(func() { chaos.Enable(nil) })
 
 	s := newTestServer(t, Options{JournalDir: t.TempDir()})
-	v := s.submitRun(t, runRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "degraded"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "degraded"}, http.StatusAccepted)
 	job := s.await(t, v.ID, 10*time.Second)
 	if job.Status != StateDone {
 		t.Fatalf("job under journal failure = %+v", job)

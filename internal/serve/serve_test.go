@@ -117,7 +117,7 @@ func (s *testServer) get(t *testing.T, path string) (*http.Response, []byte) {
 }
 
 // submitRun posts a run and decodes the submission view.
-func (s *testServer) submitRun(t *testing.T, req runRequest, wantCode int) submitView {
+func (s *testServer) submitRun(t *testing.T, req RunRequest, wantCode int) submitView {
 	t.Helper()
 	resp, body := s.post(t, "/v1/runs", req)
 	if resp.StatusCode != wantCode {
@@ -155,7 +155,7 @@ func (s *testServer) await(t *testing.T, id string, timeout time.Duration) jobVi
 
 func TestSubmitPollComplete(t *testing.T) {
 	s := newTestServer(t, Options{})
-	v := s.submitRun(t, runRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp", L2: "ipcp"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp", L2: "ipcp"}, http.StatusAccepted)
 	if v.ID == "" || v.Coalesced {
 		t.Fatalf("submission view = %+v", v)
 	}
@@ -198,7 +198,7 @@ func TestSubmitPollComplete(t *testing.T) {
 func TestStampedeCoalesces(t *testing.T) {
 	s := newTestServer(t, Options{QueueSize: 64, Workers: 4})
 	const m = 16
-	req := runRequest{Workloads: []string{"mcf-994"}, L1D: "ipcp", L2: "ipcp"}
+	req := RunRequest{Workloads: []string{"mcf-994"}, L1D: "ipcp", L2: "ipcp"}
 
 	var wg sync.WaitGroup
 	ids := make([]string, m)
@@ -260,11 +260,11 @@ func TestQueueFullRejects(t *testing.T) {
 
 	// Job 1 occupies the single worker (blocked on the gate); job 2
 	// fills the queue; job 3 must be refused with 429 + Retry-After.
-	first := s.submitRun(t, runRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-0"}, http.StatusAccepted)
+	first := s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-0"}, http.StatusAccepted)
 	waitFor(t, time.Second, func() bool { return s.Metrics().InFlight == 1 })
-	s.submitRun(t, runRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-1"}, http.StatusAccepted)
+	s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-1"}, http.StatusAccepted)
 
-	resp, body := s.post(t, "/v1/runs", runRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-2"})
+	resp, body := s.post(t, "/v1/runs", RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-2"})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload submission = %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -277,7 +277,7 @@ func TestQueueFullRejects(t *testing.T) {
 
 	// Identical resubmission of a queued spec coalesces instead of
 	// consuming the full queue's capacity.
-	again := s.submitRun(t, runRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-0"}, http.StatusOK)
+	again := s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-0"}, http.StatusOK)
 	if !again.Coalesced || again.ID != first.ID {
 		t.Errorf("resubmission = %+v, want coalesced onto %s", again, first.ID)
 	}
@@ -289,7 +289,7 @@ func TestQueueFullRejects(t *testing.T) {
 func TestDrainStopsAdmissionAndFinishesInFlight(t *testing.T) {
 	release := gateJobs(t)
 	s := newTestServer(t, Options{QueueSize: 8, Workers: 2})
-	v := s.submitRun(t, runRequest{Workloads: []string{"serve-gate"}, ConfigKey: "drain"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "drain"}, http.StatusAccepted)
 	waitFor(t, time.Second, func() bool { return s.Metrics().InFlight == 1 })
 
 	drained := make(chan error, 1)
@@ -297,7 +297,7 @@ func TestDrainStopsAdmissionAndFinishesInFlight(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return s.Draining() })
 
 	// Admission is closed: new work bounces with 429, healthz flips.
-	resp, _ := s.post(t, "/v1/runs", runRequest{Workloads: []string{"bwaves-98"}})
+	resp, _ := s.post(t, "/v1/runs", RunRequest{Workloads: []string{"bwaves-98"}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("submission while draining = %d, want 429", resp.StatusCode)
 	}
@@ -320,13 +320,13 @@ func TestValidationAndLookupErrors(t *testing.T) {
 	s := newTestServer(t, Options{})
 	cases := []struct {
 		name string
-		req  runRequest
+		req  RunRequest
 	}{
-		{"empty workloads", runRequest{}},
-		{"unknown workload", runRequest{Workloads: []string{"no-such-trace"}}},
-		{"unknown prefetcher", runRequest{Workloads: []string{"bwaves-98"}, L1D: "warp-drive"}},
-		{"core mismatch", runRequest{Workloads: []string{"bwaves-98"}, Cores: 3}},
-		{"negative timeout", runRequest{Workloads: []string{"bwaves-98"}, TimeoutMS: -1}},
+		{"empty workloads", RunRequest{}},
+		{"unknown workload", RunRequest{Workloads: []string{"no-such-trace"}}},
+		{"unknown prefetcher", RunRequest{Workloads: []string{"bwaves-98"}, L1D: "warp-drive"}},
+		{"core mismatch", RunRequest{Workloads: []string{"bwaves-98"}, Cores: 3}},
+		{"negative timeout", RunRequest{Workloads: []string{"bwaves-98"}, TimeoutMS: -1}},
 	}
 	for _, c := range cases {
 		if resp, body := s.post(t, "/v1/runs", c.req); resp.StatusCode != http.StatusBadRequest {
@@ -389,7 +389,7 @@ func TestExperimentsListAndJob(t *testing.T) {
 
 func TestMetricsSnapshotShape(t *testing.T) {
 	s := newTestServer(t, Options{CacheDir: t.TempDir()})
-	v := s.submitRun(t, runRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "metrics"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "metrics"}, http.StatusAccepted)
 	s.await(t, v.ID, 10*time.Second)
 
 	resp, body := s.get(t, "/metrics")
@@ -421,9 +421,9 @@ func TestMetricsSnapshotShape(t *testing.T) {
 func TestSharedWarmupServer(t *testing.T) {
 	s := newTestServer(t, Options{SharedWarmup: true})
 
-	a := s.submitRun(t, runRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp"}, http.StatusAccepted)
+	a := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp"}, http.StatusAccepted)
 	s.await(t, a.ID, 10*time.Second)
-	b := s.submitRun(t, runRequest{Workloads: []string{"bwaves-98"}, L1D: "spp"}, http.StatusAccepted)
+	b := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, L1D: "spp"}, http.StatusAccepted)
 	s.await(t, b.ID, 10*time.Second)
 
 	resp, body := s.get(t, "/metrics")
@@ -482,7 +482,7 @@ func TestSharedWarmupServer(t *testing.T) {
 func TestEventsFollowLiveJob(t *testing.T) {
 	release := gateJobs(t)
 	s := newTestServer(t, Options{})
-	v := s.submitRun(t, runRequest{Workloads: []string{"serve-gate"}, ConfigKey: "follow"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "follow"}, http.StatusAccepted)
 	waitFor(t, time.Second, func() bool { return s.Metrics().InFlight == 1 })
 
 	resp, err := http.Get(s.ts.URL + "/v1/runs/" + v.ID + "/events")

@@ -137,7 +137,7 @@ type Server struct {
 	coalesced telemetry.Counter
 	completed telemetry.Counter
 	failed    telemetry.Counter
-	stalledC  telemetry.Counter // watchdog-reaped jobs
+	stalledC  telemetry.Counter    // watchdog-reaped jobs
 	queueWait *telemetry.Histogram // admission → worker pickup
 	execution *telemetry.Histogram // worker pickup → finish
 	latency   *telemetry.Histogram // admission → finish (end to end)
@@ -659,9 +659,10 @@ func firstNonNil(errs ...error) error {
 
 // --- HTTP layer ----------------------------------------------------------
 
-// runRequest is the wire form of POST /v1/runs — a JSON rendering of
-// experiments.RunSpec plus a per-job timeout.
-type runRequest struct {
+// RunRequest is the wire form of POST /v1/runs — a JSON rendering of
+// experiments.RunSpec plus a per-job timeout. The coordinator's sweep
+// points are this same type, so fan-out is a direct re-encode.
+type RunRequest struct {
 	Workloads      []string `json:"workloads"`
 	Cores          int      `json:"cores,omitempty"`
 	L1D            string   `json:"l1d,omitempty"`
@@ -679,7 +680,8 @@ type runRequest struct {
 	TimeoutMS      int64    `json:"timeout_ms,omitempty"`
 }
 
-func (r *runRequest) spec() experiments.RunSpec {
+// Spec is the request as the simulation layer's run identity.
+func (r *RunRequest) Spec() experiments.RunSpec {
 	return experiments.RunSpec{
 		Workloads: r.Workloads, Cores: r.Cores,
 		L1D: r.L1D, L2: r.L2, LLC: r.LLC, ConfigKey: r.ConfigKey,
@@ -690,9 +692,9 @@ func (r *runRequest) spec() experiments.RunSpec {
 	}
 }
 
-// validate rejects requests the simulator would only fail on later,
+// Validate rejects requests the simulator would only fail on later,
 // so bad input costs a 400 instead of a queued failing job.
-func (r *runRequest) validate() error {
+func (r *RunRequest) Validate() error {
 	if len(r.Workloads) == 0 {
 		return errors.New("workloads must be non-empty")
 	}
@@ -840,17 +842,17 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 }
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
+	var req RunRequest
 	if code, err := decodeRequest(w, r, &req); err != nil {
 		writeError(w, code, err)
 		return
 	}
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	j := newJob(KindRun)
-	j.Spec = req.spec()
+	j.Spec = req.Spec()
 	j.Req = &req
 	j.Timeout = s.timeout(req.TimeoutMS)
 	j.key = j.Spec.Key()
