@@ -7,7 +7,7 @@ GO ?= go
 TRACKED_BENCH = SimulatorThroughput|Fig7$$|Fig8$$|SweepColdWarmup$$|SweepSharedWarmup$$|MultiCoreSeqThroughput$$
 BENCH_FILE   = BENCH_throughput.json
 
-.PHONY: check build fmt vet test determinism audit bench benchsmoke benchdiff benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+.PHONY: check build fmt vet test benchmark-test determinism audit bench benchsmoke benchdiff benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
 # Tier-1 gate: everything must pass before a change lands. `test` runs
 # -race over every package — including the session-concurrency and
@@ -15,8 +15,9 @@ BENCH_FILE   = BENCH_throughput.json
 # obs-smoke, chaos-smoke and dist-smoke exercise the built ipcpd binary
 # end to end; benchgate holds the shared-warmup amortization ratio and
 # guards tracked instr/s against structural collapse (see benchgate
-# below).
-check: build fmt vet test determinism audit benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+# below). benchmark-test runs the benchmark module's own tests, which
+# `test` does not reach.
+check: build fmt vet test benchmark-test determinism audit benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
 build:
 	$(GO) build ./...
@@ -32,12 +33,24 @@ vet:
 test:
 	$(GO) test -race ./...
 
-# Golden equivalence: fast-forwarded scheduler vs cycle-by-cycle
-# reference, run-to-run repeatability and fork-vs-cold, on 1/2/4/8-core
-# systems (already part of `test`; kept as its own gate so a perf
-# change can run just this, fast).
+# The benchmark is its own Go module (benchmark/go.mod), so `go test
+# ./...` at the root never builds it. Its layer drivers construct
+# cache.New / cpu.New / dram.New and drive AddRead / Cycle / NextEvent /
+# ReturnData directly, and its smoke test runs every workload once
+# against the real binaries (~20 s): a change to those signatures, to a
+# CLI flag or to a result field breaks here.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
+
+# Golden equivalence: the wake-gated scheduler vs the clock-everything
+# reference, run-to-run repeatability, fork-vs-cold and the fork path
+# gated vs reference, on 1/2/4/8-core systems; then the per-component
+# gated-twin differentials that hold each NextEvent to its contract
+# cycle by cycle (already part of `test`; kept as its own gate so a
+# perf change can run just this, fast).
 determinism:
-	$(GO) test ./internal/sim -run 'Determinism|FastForward' -count=1
+	$(GO) test ./internal/sim -run 'Determinism|FastForward|ForkGated' -count=1
+	$(GO) test ./internal/dram ./internal/cache ./internal/cpu -run 'GatedTwin' -count=1
 
 # Differential audit: every bundled workload through the fully audited
 # system (shadow caches + paper-faithful IPCP oracles in lockstep),

@@ -33,11 +33,13 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("building ipcpd: %v\n%s", err, out)
 	}
 	cacheDir := t.TempDir()
-	// A job big enough (~4M instructions) to still be in flight when
-	// the SIGTERM lands, small enough to drain in a few seconds.
+	// A job big enough (~12M instructions of mcf-994, ~5 s at the
+	// event-driven scheduler's ~2M instr/s on this workload) to still be
+	// in flight when the SIGTERM lands, small enough to drain in a few
+	// seconds.
 	args := []string{
 		"-addr", "127.0.0.1:0", "-scale", "quick",
-		"-measure", "4000000", "-warmup", "10000",
+		"-measure", "12000000", "-warmup", "10000",
 		"-cache-dir", cacheDir, "-drain-timeout", "120s",
 	}
 

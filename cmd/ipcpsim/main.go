@@ -31,6 +31,7 @@ import (
 
 	"ipcp"
 	"ipcp/internal/memsys"
+	"ipcp/internal/sim"
 )
 
 func main() {
@@ -227,6 +228,27 @@ func report(res *ipcp.Result) {
 	fmt.Printf("DRAM: %d reads, %d writes, %.1f%% bus utilization, %d row hits / %d misses / %d conflicts\n",
 		res.DRAM.Reads, res.DRAM.Writes, res.DRAM.BusUtilization()*100,
 		res.DRAM.RowHits, res.DRAM.RowMisses, res.DRAM.RowConflicts)
+	reportEngine(&res.Engine)
+}
+
+// reportEngine prints the scheduler's self-profile: how much of the
+// simulated time had to be stepped, how many components a step
+// clocked, and which kind of component kept the machine awake.
+func reportEngine(e *ipcp.EngineStats) {
+	total := e.SteppedCycles + e.JumpedCycles
+	if total == 0 {
+		return
+	}
+	span := 0.0
+	if e.Jumps > 0 {
+		span = float64(e.JumpedCycles) / float64(e.Jumps)
+	}
+	fmt.Printf("engine: stepped %d of %d cycles (%.1f%%), %.2f component visits per step; %d jumps, mean span %.1f cycles\n",
+		e.SteppedCycles, total, 100*float64(e.SteppedCycles)/float64(total), e.VisitsPerStep(), e.Jumps, span)
+	fmt.Printf("        %-5s %10s %10s %10s %10s\n", "kind", "visits", "skipped", "waker", "sole")
+	for k := sim.Kind(0); k < sim.NumKinds; k++ {
+		fmt.Printf("        %-5s %10d %10d %10d %10d\n", k, e.Visits[k], e.Skipped[k], e.Waker[k], e.Sole[k])
+	}
 }
 
 // reportIPCP prints the per-class introspection table of an IPCP L1.

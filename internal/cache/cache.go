@@ -127,6 +127,12 @@ type Auditor interface {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
+	// Wake is the cache's wake time (see memsys.Wake): requests pushed
+	// from above and a prefetcher swap mark it due, a fill returned from
+	// below lowers it to the fill's ready cycle, and the scheduler
+	// re-arms it from NextEvent.
+	memsys.Wake
+
 	cfg   Config
 	lines []Line
 	pol   repl.Policy
@@ -223,11 +229,16 @@ func (c *Cache) Config() Config { return c.cfg }
 // SetLower attaches the next level down.
 func (c *Cache) SetLower(s memsys.Sink) { c.lower = s }
 
+// Lower returns the next level down.
+func (c *Cache) Lower() memsys.Sink { return c.lower }
+
 // SetRequestPool attaches the system-wide request free list (nil keeps
 // plain allocation, the default for standalone caches).
 func (c *Cache) SetRequestPool(p *memsys.RequestPool) { c.pool = p }
 
-// SetPrefetcher attaches a prefetcher (nil detaches).
+// SetPrefetcher attaches a prefetcher (nil detaches). The new
+// prefetcher's clocked work bounds NextEvent differently, so the cache
+// is marked due.
 func (c *Cache) SetPrefetcher(p prefetch.Prefetcher) {
 	if p == nil {
 		p = prefetch.Nil{}
@@ -235,6 +246,7 @@ func (c *Cache) SetPrefetcher(p prefetch.Prefetcher) {
 	c.pf = p
 	_, c.pfNil = p.(prefetch.Nil)
 	c.pfNext, _ = p.(prefetch.NextEventer)
+	c.MarkDue()
 }
 
 // Prefetcher returns the attached prefetcher.
@@ -266,19 +278,31 @@ func (c *Cache) ResetStats() {
 // --- memsys.Sink ------------------------------------------------------
 
 // AddRead enqueues a demand read from above.
-func (c *Cache) AddRead(r *memsys.Request) bool { return c.rq.push(r) }
+func (c *Cache) AddRead(r *memsys.Request) bool { return c.accept(c.rq, r) }
 
 // AddWrite enqueues a writeback from above.
-func (c *Cache) AddWrite(r *memsys.Request) bool { return c.wq.push(r) }
+func (c *Cache) AddWrite(r *memsys.Request) bool { return c.accept(c.wq, r) }
 
 // AddPrefetch enqueues a prefetch from the level above.
-func (c *Cache) AddPrefetch(r *memsys.Request) bool { return c.pq.push(r) }
+func (c *Cache) AddPrefetch(r *memsys.Request) bool { return c.accept(c.pq, r) }
+
+// accept pushes r onto q; an accepted request is work for the next
+// cycle, so the cache becomes due.
+func (c *Cache) accept(q *queue, r *memsys.Request) bool {
+	if !q.push(r) {
+		return false
+	}
+	c.MarkDue()
+	return true
+}
 
 // --- memsys.Receiver ----------------------------------------------------
 
-// ReturnData receives a completed forwarded request from below.
+// ReturnData receives a completed forwarded request from below; the
+// fill is installable from ready on.
 func (c *Cache) ReturnData(ready int64, req *memsys.Request) {
 	c.fills.push(ready, req)
+	c.LowerWake(ready)
 }
 
 // --- clocking -----------------------------------------------------------

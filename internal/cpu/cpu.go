@@ -126,6 +126,11 @@ func (q *loadRing) pop() {
 
 // Core is one simulated CPU.
 type Core struct {
+	// Wake is the core's wake time (see memsys.Wake): data returned by
+	// the L1s lowers it to the data's ready cycle, the fetch gate marks
+	// it due, and the scheduler re-arms it from NextEvent.
+	memsys.Wake
+
 	ID  int
 	cfg Config
 
@@ -165,10 +170,6 @@ type Core struct {
 
 	// pool recycles Requests (nil: allocate per request).
 	pool *memsys.RequestPool
-	// issueBlockedOnSink records that the load-queue head bounced off a
-	// full L1-D read queue this cycle; the queue can only drain through
-	// cache activity, which pins the scheduler awake on the cache side.
-	issueBlockedOnSink bool
 
 	Stats Stats
 }
@@ -200,6 +201,9 @@ func (c *Core) Attach(l1d, l1i memsys.Sink) {
 	c.l1i = l1i
 }
 
+// Sinks returns the L1 caches the core is attached to.
+func (c *Core) Sinks() (l1d, l1i memsys.Sink) { return c.l1d, c.l1i }
+
 // SetRequestPool attaches the system-wide request free list.
 func (c *Core) SetRequestPool(p *memsys.RequestPool) { c.pool = p }
 
@@ -223,6 +227,10 @@ func (c *Core) Done() bool { return c.streamEnded && c.robCount == 0 }
 func (c *Core) ReturnData(ready int64, r *memsys.Request) {
 	c.returnData(ready, r)
 	c.pool.Put(r)
+	// Nothing the return enables (retiring the entry, resolving a
+	// dependent load's address, ending a fetch stall) can happen before
+	// the data is ready.
+	c.LowerWake(ready)
 }
 
 func (c *Core) returnData(ready int64, r *memsys.Request) {
@@ -267,8 +275,8 @@ func (c *Core) Cycle(now int64) {
 // cycle, every Cycle call would only bump the per-cycle stall counters,
 // whose per-cycle behaviour is constant across the span — AccountSkip
 // replays them in closed form. math.MaxInt64 means the core is inert
-// until an external data return arrives (those happen only inside some
-// cache's own event, which bounds the global skip).
+// until an external data return arrives (ReturnData lowers the wake
+// time itself).
 func (c *Core) NextEvent(now int64) int64 {
 	next := int64(math.MaxInt64)
 
@@ -286,10 +294,11 @@ func (c *Core) NextEvent(now int64) int64 {
 		}
 	}
 
-	// Load issue: the queue head either waits for translation
-	// (readyAt), for its address dependency (the dep entry's doneAt),
-	// or for an L1-D queue slot (cache activity keeps the system
-	// clocked until the queue drains).
+	// Load issue: the queue head waits for translation (readyAt) or for
+	// its address dependency (the dep entry's doneAt); after that it is
+	// tried every cycle — a head that bounced off a full L1-D read queue
+	// keeps the core due, because nothing tells the core when a slot
+	// frees up.
 	if c.loadQ.size > 0 {
 		pl := c.loadQ.front()
 		if pl.depSeq != 0 && !c.depResolved(now, pl.depSeq) {
@@ -301,7 +310,7 @@ func (c *Core) NextEvent(now int64) int64 {
 			if pl.readyAt < next {
 				next = pl.readyAt
 			}
-		} else if !c.issueBlockedOnSink {
+		} else {
 			return now + 1
 		}
 	}
@@ -377,7 +386,6 @@ func (c *Core) depResolved(now, dep int64) bool {
 // classifiers see on real hardware — and makes dependent chains
 // expose memory latency exactly as pointer chases do.
 func (c *Core) issueLoads(now int64) {
-	c.issueBlockedOnSink = false
 	budget := c.cfg.LoadPortsPerCycle
 	for budget > 0 && c.loadQ.size > 0 {
 		pl := c.loadQ.front()
@@ -405,7 +413,6 @@ func (c *Core) issueLoads(now int64) {
 		}
 		if !c.l1d.AddRead(r) {
 			c.pool.Put(r)
-			c.issueBlockedOnSink = true
 			return
 		}
 		c.loadQ.pop()

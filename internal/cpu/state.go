@@ -32,10 +32,18 @@ type State struct {
 
 // StopFetch gates dispatch so the core drains: in-flight instructions
 // retire, no new ones enter the ROB.
-func (c *Core) StopFetch() { c.fetchStopped = true }
+func (c *Core) StopFetch() { c.setFetchStopped(true) }
 
 // ResumeFetch re-opens dispatch after a drain.
-func (c *Core) ResumeFetch() { c.fetchStopped = false }
+func (c *Core) ResumeFetch() { c.setFetchStopped(false) }
+
+// setFetchStopped flips the fetch gate. The gate changes what NextEvent
+// answers (a drained core is inert; a re-opened one dispatches next
+// cycle), so the core is marked due.
+func (c *Core) setFetchStopped(stopped bool) {
+	c.fetchStopped = stopped
+	c.MarkDue()
+}
 
 // Quiescent reports whether the core holds no in-flight work: empty
 // ROB, empty load queue, no outstanding code read.
@@ -102,6 +110,5 @@ func (c *Core) RestoreState(s State) error {
 	c.pt.SetState(s.PageTable)
 	c.Stats = s.Stats
 	c.fetchStopped = false
-	c.issueBlockedOnSink = false
 	return nil
 }

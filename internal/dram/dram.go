@@ -88,9 +88,14 @@ type bank struct {
 	busyUntil int64
 }
 
+// pending is one queued request with its address decoded once, at
+// arrival: pick, start and NextEvent all walk the queues, and none of
+// them should re-derive (bank, row) per entry per cycle.
 type pending struct {
 	req     *memsys.Request
 	born    int64
+	row     uint64
+	bank    int
 	isWrite bool
 }
 
@@ -107,14 +112,18 @@ type channel struct {
 // Controller is the memory controller; it implements memsys.Sink and
 // calls each completed read's ReturnTo.
 type Controller struct {
+	// Wake is the controller's wake time (see memsys.Wake): add marks it
+	// due, the scheduler re-arms it from NextEvent.
+	memsys.Wake
+
 	cfg   Config
 	chans []channel
 
 	chanMask uint64
 	bankMask uint64
 	colBits  uint
-	// nowApprox timestamps arrivals for the starvation cap (updated
-	// each Cycle).
+	// nowApprox timestamps arrivals for the starvation cap: the last
+	// cycle the controller was clocked or accounted as skipped.
 	nowApprox int64
 	// pool recycles writeback requests once they are scheduled.
 	pool  *memsys.RequestPool
@@ -193,21 +202,23 @@ func (c *Controller) AddPrefetch(r *memsys.Request) bool { return c.add(r, false
 func (c *Controller) AddWrite(r *memsys.Request) bool { return c.add(r, true) }
 
 func (c *Controller) add(r *memsys.Request, write bool) bool {
-	ch, _, _ := c.decode(r.Addr)
+	ch, bk, row := c.decode(r.Addr)
 	cn := &c.chans[ch]
+	p := pending{req: r, born: c.nowApprox, row: row, bank: bk, isWrite: write}
 	if write {
 		if len(cn.writeQ) >= c.cfg.QueueSize {
 			c.Stats.WriteQueueFullRejects++
 			return false
 		}
-		cn.writeQ = append(cn.writeQ, pending{req: r, born: c.nowApprox, isWrite: true})
-		return true
+		cn.writeQ = append(cn.writeQ, p)
+	} else {
+		if len(cn.readQ) >= c.cfg.QueueSize {
+			c.Stats.ReadQueueFullRejects++
+			return false
+		}
+		cn.readQ = append(cn.readQ, p)
 	}
-	if len(cn.readQ) >= c.cfg.QueueSize {
-		c.Stats.ReadQueueFullRejects++
-		return false
-	}
-	cn.readQ = append(cn.readQ, pending{req: r, born: c.nowApprox})
+	c.MarkDue()
 	return true
 }
 
@@ -226,30 +237,45 @@ func (c *Controller) Cycle(now int64) {
 	}
 }
 
+// drainMode is the write-drain policy: drain when writes pile past 3/4
+// full, stop once below 1/4, otherwise keep the mode the channel is in.
+// It is a pure function of the flag and the current write-queue length,
+// so Cycle, NextEvent and AccountSkip all agree on it.
+func (c *Controller) drainMode(cn *channel) bool {
+	drain := cn.drainWrites
+	if len(cn.writeQ) >= c.cfg.QueueSize*3/4 {
+		drain = true
+	}
+	if len(cn.writeQ) <= c.cfg.QueueSize/4 {
+		drain = false
+	}
+	return drain
+}
+
+// drawQueue returns the queue the scheduler draws from under the given
+// drain mode (nil when there is nothing to draw): writes while
+// draining, and opportunistically when no reads wait.
+func (cn *channel) drawQueue(drain bool) *[]pending {
+	if drain || (len(cn.readQ) == 0 && len(cn.writeQ) > 0) {
+		return &cn.writeQ
+	}
+	if len(cn.readQ) > 0 {
+		return &cn.readQ
+	}
+	return nil
+}
+
 // cycleChannel tries to start one transaction on the channel and
 // reports whether its data bus is busy this cycle.
 func (c *Controller) cycleChannel(now int64, cn *channel) bool {
-	// Write-drain policy: drain when writes pile past 3/4 full, stop
-	// once below 1/4; also drain opportunistically when no reads wait.
-	if len(cn.writeQ) >= c.cfg.QueueSize*3/4 {
-		cn.drainWrites = true
-	}
-	if len(cn.writeQ) <= c.cfg.QueueSize/4 {
-		cn.drainWrites = false
-	}
+	cn.drainWrites = c.drainMode(cn)
 
 	// Commands pipeline ahead of the data bus: a new transaction may
 	// start while the bus is still transferring, as long as the bus
 	// backlog stays within two bursts (so row activations overlap
 	// with data transfer, as in a real controller).
 	if cn.busFreeAt-now < int64(2*c.cfg.BurstCycles) {
-		var q *[]pending
-		if cn.drainWrites || (len(cn.readQ) == 0 && len(cn.writeQ) > 0) {
-			q = &cn.writeQ
-		} else if len(cn.readQ) > 0 {
-			q = &cn.readQ
-		}
-		if q != nil {
+		if q := cn.drawQueue(cn.drainWrites); q != nil {
 			if idx := c.pick(now, cn, *q); idx >= 0 {
 				c.start(now, cn, q, idx)
 			}
@@ -267,12 +293,11 @@ func (c *Controller) pick(now int64, cn *channel, q []pending) int {
 	const starvationCap = 1500 // cycles
 	oldest, firstHit := -1, -1
 	for i := range q {
-		_, bk, row := c.decode(q[i].req.Addr)
-		b := &cn.banks[bk]
+		b := &cn.banks[q[i].bank]
 		if b.busyUntil > now {
 			continue
 		}
-		if firstHit < 0 && b.rowValid && b.openRow == row {
+		if firstHit < 0 && b.rowValid && b.openRow == q[i].row {
 			firstHit = i
 		}
 		if oldest < 0 {
@@ -293,8 +318,8 @@ func (c *Controller) start(now int64, cn *channel, q *[]pending, idx int) {
 	p := (*q)[idx]
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
 
-	_, bk, row := c.decode(p.req.Addr)
-	b := &cn.banks[bk]
+	row := p.row
+	b := &cn.banks[p.bank]
 	// tCCD: successive column reads to an open row pipeline; the bank
 	// only stays unavailable through precharge/activate.
 	const tCCD = 8
@@ -335,29 +360,58 @@ func (c *Controller) start(now int64, cn *channel, q *[]pending, idx int) {
 }
 
 // NextEvent reports the earliest future cycle at which clocking the
-// controller could change state: any queued request keeps it awake
-// (scheduling decisions are per-cycle); with every queue empty, Cycle
-// only bumps the per-cycle counters, which AccountSkip replays.
+// controller could change state, exactly: the first cycle some channel
+// can start a transaction. A channel starts one when its bus backlog is
+// under two bursts (from busFreeAt − 2·BurstCycles + 1 on) and a bank
+// addressed by the queue it draws from is free (the earliest busyUntil
+// among them); the starvation cap only changes which request pick
+// returns, never when one is pickable. Until then Cycle only bumps the
+// per-cycle counters and re-derives the drain mode, which AccountSkip
+// replays. With nothing queued the controller is inert until add.
 func (c *Controller) NextEvent(now int64) int64 {
+	next := int64(math.MaxInt64)
 	for i := range c.chans {
 		cn := &c.chans[i]
-		if len(cn.readQ) > 0 || len(cn.writeQ) > 0 {
-			return now + 1
+		q := cn.drawQueue(c.drainMode(cn))
+		if q == nil {
+			continue
+		}
+		// floor is the earliest this channel could start anything.
+		floor := cn.busFreeAt - int64(2*c.cfg.BurstCycles) + 1
+		if floor <= now {
+			floor = now + 1
+		}
+		t := int64(math.MaxInt64)
+		for j := range *q {
+			if b := cn.banks[(*q)[j].bank].busyUntil; b < t {
+				t = b
+				if t <= floor {
+					break // the bus bound decides; no bank can improve on it
+				}
+			}
+		}
+		if t < floor {
+			t = floor
+		}
+		if t < next {
+			next = t
 		}
 	}
-	return math.MaxInt64
+	return next
 }
 
-// AccountSkip replays the per-cycle statistics for the skipped cycles
-// [from, to). Skips only happen with every queue empty (see NextEvent),
-// where each clocked cycle would count Cycles, count BusBusyCycles
-// while a tail transfer drains, and clear the write-drain flag.
+// AccountSkip replays the skipped cycles [from, to), during which
+// NextEvent guarantees no transaction could start and nothing arrived:
+// each clocked cycle would count Cycles, count BusBusyCycles while a
+// transfer drains, settle the drain mode for the (unchanged) queue
+// lengths, and stamp the arrival clock.
 func (c *Controller) AccountSkip(from, to int64) {
+	c.nowApprox = to - 1
 	c.Stats.Cycles += uint64(to - from)
 	var maxBusFree int64
 	for i := range c.chans {
 		cn := &c.chans[i]
-		cn.drainWrites = false
+		cn.drainWrites = c.drainMode(cn)
 		if cn.busFreeAt > maxBusFree {
 			maxBusFree = cn.busFreeAt
 		}

@@ -266,6 +266,14 @@ type SessionStats struct {
 	SnapshotBytes    int64
 	WarmupsCoalesced int
 	ForkedRuns       int
+
+	// SteppedCycles and JumpedCycles total the scheduler self-profile
+	// (sim.EngineStats) of every measured phase this session executed:
+	// simulated cycles on which some component was clocked, and cycles
+	// crossed in a jump because none was due. Recalled results (memo,
+	// disk) simulated nothing and add nothing.
+	SteppedCycles uint64
+	JumpedCycles  uint64
 }
 
 // Session memoizes simulation results for one Scale.
@@ -288,7 +296,10 @@ type Session struct {
 	snapDiskHits int
 	snapBytes    int64
 	forkedRuns   int
-	sem          chan struct{}
+	// steppedCycles/jumpedCycles sum Result.Engine over executed runs.
+	steppedCycles uint64
+	jumpedCycles  uint64
+	sem           chan struct{}
 
 	// Shared-warmup snapshot store (see sweep.go): one single-flight
 	// entry per warmup identity, with a residency list bounding how
@@ -397,6 +408,8 @@ func (s *Session) Stats() SessionStats {
 		SnapshotDiskHits: s.snapDiskHits,
 		SnapshotBytes:    s.snapBytes,
 		ForkedRuns:       s.forkedRuns,
+		SteppedCycles:    s.steppedCycles,
+		JumpedCycles:     s.jumpedCycles,
 	}
 	s.mu.Unlock()
 	s.snapMu.Lock()
@@ -529,6 +542,10 @@ func (s *Session) lead(ctx context.Context, spec RunSpec, k, dk string, o *outco
 		span.SetAttr("error", err.Error())
 		return resolve(nil, err)
 	}
+	s.mu.Lock()
+	s.steppedCycles += res.Engine.SteppedCycles
+	s.jumpedCycles += res.Engine.JumpedCycles
+	s.mu.Unlock()
 	if s.disk != nil {
 		_, ssp := telemetry.StartSpan(ctx, "checkpoint.save")
 		s.disk.store(dk, k, res)

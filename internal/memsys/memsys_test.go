@@ -170,3 +170,27 @@ func TestAccessTypeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestWakeZeroValueIsDue pins the property restores and fresh builds
+// rely on: a component nobody armed yet is due at any cycle, arming and
+// lowering only ever move the wake time the way their names say, and
+// MarkDue undoes any arming.
+func TestWakeZeroValueIsDue(t *testing.T) {
+	var w Wake
+	if w.WakeAt() > 0 {
+		t.Fatalf("zero Wake sleeps until %d", w.WakeAt())
+	}
+	w.ArmWake(100)
+	w.LowerWake(150)
+	if w.WakeAt() != 100 {
+		t.Errorf("LowerWake raised the wake time to %d", w.WakeAt())
+	}
+	w.LowerWake(40)
+	if w.WakeAt() != 40 {
+		t.Errorf("LowerWake(40) left %d", w.WakeAt())
+	}
+	w.MarkDue()
+	if w.WakeAt() > 0 {
+		t.Errorf("MarkDue left the component asleep until %d", w.WakeAt())
+	}
+}

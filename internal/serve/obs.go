@@ -223,6 +223,11 @@ func (s *Server) writePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "ipcpd_remote_blob_total{op=\"hit\"} %d\n", m.Session.RemoteBlobHits)
 	fmt.Fprintf(w, "ipcpd_remote_blob_total{op=\"put\"} %d\n", m.Session.RemoteBlobPuts)
 
+	telemetry.WritePrometheusHeader(w, "ipcpd_sim_cycles_total", "counter",
+		"Simulated cycles of executed measure phases: stepped (some component clocked) or jumped (none due).")
+	fmt.Fprintf(w, "ipcpd_sim_cycles_total{mode=\"stepped\"} %d\n", m.Session.SimSteppedCycles)
+	fmt.Fprintf(w, "ipcpd_sim_cycles_total{mode=\"jumped\"} %d\n", m.Session.SimJumpedCycles)
+
 	telemetry.WritePrometheusValue(w, "ipcpd_checkpoints_quarantined", "counter",
 		"Corrupt checkpoint files detected on load and moved to the corrupt/ subdirectory.",
 		float64(m.Session.Quarantined))

@@ -243,6 +243,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"ipcpd_job_execution_seconds_bucket{le=\"+Inf\"} 1",
 		"ipcpd_build_info{",
 		"ipcpd_session_runs_total{disposition=\"executed\"} 1",
+		"ipcpd_sim_cycles_total{mode=\"stepped\"} ",
+		"ipcpd_sim_cycles_total{mode=\"jumped\"} ",
 	} {
 		if !strings.Contains(text, needle) {
 			t.Errorf("exposition lacks %q:\n%s", needle, text)

@@ -390,7 +390,7 @@ func TestExperimentsListAndJob(t *testing.T) {
 func TestMetricsSnapshotShape(t *testing.T) {
 	s := newTestServer(t, Options{CacheDir: t.TempDir()})
 	v := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "metrics"}, http.StatusAccepted)
-	s.await(t, v.ID, 10*time.Second)
+	done := s.await(t, v.ID, 10*time.Second)
 
 	resp, body := s.get(t, "/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -405,6 +405,16 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	}
 	if m.Session.Executed != 1 {
 		t.Errorf("session = %+v", m.Session)
+	}
+	// The scheduler self-profile partitions the measured phase: every
+	// cycle of the one executed (single-core) run was stepped or jumped.
+	if done.Result == nil {
+		t.Fatal("finished job carries no result")
+	}
+	cycles := uint64(done.Result.CyclesPerCore[0])
+	if m.Session.SimSteppedCycles == 0 || m.Session.SimSteppedCycles+m.Session.SimJumpedCycles != cycles {
+		t.Errorf("stepped %d + jumped %d cycles, want a non-zero stepped count summing to the run's %d",
+			m.Session.SimSteppedCycles, m.Session.SimJumpedCycles, cycles)
 	}
 	if m.JobLatency.Count != 1 || m.JobLatency.Sum <= 0 {
 		t.Errorf("latency = %+v", m.JobLatency)

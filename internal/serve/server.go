@@ -1122,6 +1122,14 @@ type MetricsSnapshot struct {
 		// satisfied by the shared store and local writes pushed to it.
 		RemoteBlobHits int `json:"remote_blob_hits"`
 		RemoteBlobPuts int `json:"remote_blob_puts"`
+
+		// The simulator's scheduler self-profile, summed over every
+		// measured phase this daemon executed: cycles on which some
+		// component was clocked versus cycles jumped because none was
+		// due. Their ratio says how much of the simulated time the
+		// daemon actually paid for.
+		SimSteppedCycles uint64 `json:"sim_stepped_cycles"`
+		SimJumpedCycles  uint64 `json:"sim_jumped_cycles"`
 	} `json:"session"`
 
 	// Journal counters: the WAL's health this process life. AppendErrors
@@ -1173,6 +1181,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 	m.Session.ForkedRuns = st.ForkedRuns
 	m.Session.RemoteBlobHits = st.RemoteBlobHits
 	m.Session.RemoteBlobPuts = st.RemoteBlobPuts
+	m.Session.SimSteppedCycles = st.SteppedCycles
+	m.Session.SimJumpedCycles = st.JumpedCycles
 	if s.journal != nil {
 		m.Journal.Enabled = true
 		m.Journal.ReplayedJobs = s.journal.replayed.Load()

@@ -88,10 +88,11 @@ type Config struct {
 	MaxCycles int64
 
 	// DisableFastForward forces the scheduler to clock every component
-	// on every cycle instead of skipping provably idle spans. The two
-	// modes produce bit-identical results (the determinism suite holds
-	// them to that); the reference mode exists for that comparison and
-	// for debugging the scheduler itself.
+	// on every cycle instead of only those whose wake time has come
+	// (and jumping over cycles on which none has). The two modes
+	// produce bit-identical results (the determinism suite holds them
+	// to that); the reference mode exists for that comparison and for
+	// debugging the scheduler itself.
 	DisableFastForward bool
 
 	// Audit, when non-nil, is attached to the freshly built system and

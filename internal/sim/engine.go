@@ -3,13 +3,220 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
+	"ipcp/internal/cache"
 	"ipcp/internal/cpu"
+	"ipcp/internal/memsys"
 )
 
-// This file holds the unified phase loops every run path (RunContext,
-// RunWarmup, RunMeasure) drives; each clocks the system with
-// System.step and skips idle spans with System.fastForward.
+// This file holds the scheduler — System.step, the one way simulated
+// time advances — and the unified phase loops every run path
+// (RunContext, RunWarmup, RunMeasure, Advance, drain) drives it from.
+
+// Kind names a class of clocked component.
+type Kind int
+
+// The kinds, in the order step visits them within a cycle: the memory
+// side first, then each core's private slice from the L2 up.
+const (
+	KindDRAM Kind = iota
+	KindLLC
+	KindL2
+	KindL1D
+	KindL1I
+	KindCore
+	NumKinds
+)
+
+func (k Kind) String() string {
+	return [...]string{"DRAM", "LLC", "L2", "L1D", "L1I", "core"}[k]
+}
+
+// slot is one clocked component's place in the visit order. A cache
+// kind carries cache, KindCore carries core, KindDRAM is System.mem.
+type slot struct {
+	kind  Kind
+	cache *cache.Cache
+	core  *cpu.Core
+}
+
+// EngineStats is the scheduler's self-profile: counters only, reset at
+// the warmup boundary with every other statistic. Every simulated
+// cycle is either stepped (at least one component was due and clocked)
+// or jumped (nothing was due; the cycle was crossed in a span without
+// clocking anything), so SteppedCycles + JumpedCycles is the simulated
+// cycle count, and on a stepped cycle every component is either visited
+// or skipped in its slot.
+type EngineStats struct {
+	SteppedCycles uint64
+	JumpedCycles  uint64
+	Jumps         uint64 // spans; JumpedCycles/Jumps is the mean span
+
+	// Visits counts Cycle calls per kind; Skipped the slots passed over
+	// on stepped cycles because the component was not due.
+	Visits  [NumKinds]uint64
+	Skipped [NumKinds]uint64
+
+	// Waker attributes each stepped cycle to the kind of the first
+	// component found due in visit order — the one that foreclosed a
+	// jump over that cycle; Sole counts the subset on which it was the
+	// only component due (making that kind sleep longer would have let
+	// the whole machine skip the cycle).
+	Waker [NumKinds]uint64
+	Sole  [NumKinds]uint64
+}
+
+// VisitsPerStep is the mean number of components clocked per stepped
+// cycle.
+func (e *EngineStats) VisitsPerStep() float64 {
+	if e.SteppedCycles == 0 {
+		return 0
+	}
+	var v uint64
+	for _, n := range e.Visits {
+		v += n
+	}
+	return float64(v) / float64(e.SteppedCycles)
+}
+
+// checkVisitOrder asserts what the wake-time rules rest on: every
+// component's downstream sinks come before it in the visit order. A
+// request pushed down therefore lands on a component already visited
+// this cycle (it is work for the next one) and data returned up lands
+// on one not yet visited (a return that is already ready is consumed
+// this cycle) — exactly when the clock-everything reference sees them.
+func (s *System) checkVisitOrder() error {
+	seen := make(map[memsys.Sink]bool, len(s.slots))
+	for i, sl := range s.slots {
+		var down [2]memsys.Sink
+		switch sl.kind {
+		case KindDRAM:
+			seen[s.mem] = true
+			continue
+		case KindCore:
+			down[0], down[1] = sl.core.Sinks()
+		default:
+			seen[sl.cache] = true
+			down[0] = sl.cache.Lower()
+		}
+		for _, d := range down {
+			if d != nil && !seen[d] {
+				return fmt.Errorf("sim: slot %d (%v) pushes to a component visited after it", i, sl.kind)
+			}
+		}
+	}
+	return nil
+}
+
+// step advances simulated time: it clocks, in the fixed visit order,
+// every component whose wake time has come, then moves to the next
+// cycle — or, when nothing was due, straight to the earliest wake time.
+//
+// A visited component is re-armed with its own NextEvent, which names
+// the earliest cycle clocking it could change anything absent new
+// input; input lowers the wake time at the receiver (memsys.Wake). A
+// component that is not due is skipped in its slot: for a cache that is
+// a no-op, while cores and the DRAM controller replay the per-cycle
+// counters Cycle would have bumped (AccountSkip over exactly this
+// cycle, seeing exactly the state the reference's Cycle would see).
+// Jumps are capped at the run deadline and the next interval-sample
+// boundary, so error cycles and telemetry samples land where the
+// reference puts them. Config.DisableFastForward turns the gate off —
+// every component clocked every cycle — and is the reference the
+// determinism suite holds the gated schedule bit-identical to.
+func (s *System) step(deadline int64) {
+	now := s.cycle
+	gate := !s.cfg.DisableFastForward
+	es := &s.engine
+	visited := 0
+	first := KindDRAM
+	// next is the earliest wake time among skipped components; it is
+	// only used when nothing was visited, and then nothing can have
+	// lowered a wake time behind the scan's back.
+	next := int64(math.MaxInt64)
+
+	for i := range s.slots {
+		sl := &s.slots[i]
+		switch sl.kind {
+		case KindDRAM:
+			m := s.mem
+			if w := m.WakeAt(); gate && w > now {
+				m.AccountSkip(now, now+1)
+				if w < next {
+					next = w
+				}
+				continue
+			}
+			m.Cycle(now)
+			if gate {
+				m.ArmWake(m.NextEvent(now))
+			}
+		case KindCore:
+			c := sl.core
+			if w := c.WakeAt(); gate && w > now {
+				c.AccountSkip(now, now+1)
+				if w < next {
+					next = w
+				}
+				continue
+			}
+			c.Cycle(now)
+			if gate {
+				c.ArmWake(c.NextEvent(now))
+			}
+		default:
+			c := sl.cache
+			if w := c.WakeAt(); gate && w > now {
+				if w < next {
+					next = w
+				}
+				continue
+			}
+			c.Cycle(now)
+			if gate {
+				c.ArmWake(c.NextEvent(now))
+			}
+		}
+		if visited == 0 {
+			first = sl.kind
+		}
+		visited++
+		es.Visits[sl.kind]++
+	}
+	s.cycle++
+
+	if visited > 0 {
+		es.SteppedCycles++
+		es.Waker[first]++
+		if visited == 1 {
+			es.Sole[first]++
+		}
+	} else {
+		// Nothing was due at now, so nothing changed and every wake
+		// time stands: no component has work before next.
+		if next > deadline {
+			next = deadline
+		}
+		if s.sampling {
+			if b := s.lastSample + s.ilog.Every; next > b {
+				next = b
+			}
+		}
+		if next > s.cycle {
+			for _, c := range s.cores {
+				c.AccountSkip(s.cycle, next)
+			}
+			s.mem.AccountSkip(s.cycle, next)
+			s.cycle = next
+		}
+		es.Jumps++
+		es.JumpedCycles += uint64(s.cycle - now)
+	}
+	if s.sampling && s.cycle-s.lastSample >= s.ilog.Every {
+		s.flushInterval()
+	}
+}
 
 // loopCtl is one run's loop bookkeeping. RunContext threads a single
 // ctl through warmup and measurement (one shared cycle budget, one
@@ -51,12 +258,10 @@ func (s *System) warmupLoop(ctx context.Context, warmup uint64, ctl *loopCtl, re
 			}
 			report()
 		}
-		s.step()
-		// The retirement check must see the exact post-step cycle, so
-		// fast-forward only once the loop is known to continue.
-		if !s.allRetired(warmup) {
-			s.fastForward(ctl.deadline)
-		}
+		// A step that retires anything advances exactly one cycle (it
+		// jumps only when no component was due), so the retirement check
+		// sees the exact cycle the last core got there.
+		s.step(ctl.deadline)
 	}
 	return nil
 }
@@ -86,13 +291,10 @@ func (s *System) measureLoop(ctx context.Context, measure uint64, ctl *loopCtl, 
 			}
 			report()
 		}
-		s.step()
+		// A finishing core's recorded cycle is the stepped cycle, never
+		// a jump target: a step that clocks a core does not jump.
+		s.step(ctl.deadline)
 		done += scanFinished(s.cores, s.cycle, measure, finish, finished)
-		// Fast-forward only after the finish scan: a finishing core's
-		// recorded cycle must be the stepped cycle, not a jump target.
-		if done < s.cfg.Cores {
-			s.fastForward(ctl.deadline)
-		}
 	}
 
 	// Close the last (partial) interval so the timeline's deltas sum
@@ -133,6 +335,15 @@ func (s *System) buildResult(measure uint64, start int64, finish []int64) *Resul
 		LLC:              s.llc.Stats,
 		DRAM:             s.mem.Stats,
 		PrefetcherFaults: s.PrefetcherFaults(),
+		Engine:           s.engine,
+	}
+	// Skipped is derived, not counted: every slot of a stepped cycle
+	// that was not visited was skipped.
+	for _, sl := range s.slots {
+		res.Engine.Skipped[sl.kind] += s.engine.SteppedCycles
+	}
+	for k, v := range s.engine.Visits {
+		res.Engine.Skipped[k] -= v
 	}
 	for i := range s.cores {
 		cyc := finish[i] - start

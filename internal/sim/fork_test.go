@@ -2,16 +2,14 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 )
 
 // forkCfg builds a CacheWarmOnly config for one determinism-matrix spec.
 func forkCfg(d detSpec) Config {
-	cfg := PaperConfig(len(d.workloads))
-	cfg.Seed = d.seed
-	cfg.L1DPrefetcher = PrefetcherSpec{Name: d.l1d}
-	cfg.L2Prefetcher = PrefetcherSpec{Name: d.l2}
+	cfg := d.config()
 	cfg.CacheWarmOnly = true
 	return cfg
 }
@@ -157,5 +155,64 @@ func TestForkSnapshotSignatureGuard(t *testing.T) {
 	}
 	if err := sys.RestoreSnapshot(snap); err == nil {
 		t.Fatal("RestoreSnapshot accepted a snapshot from a different configuration")
+	}
+}
+
+// TestForkGatedMatchesReference walks the fork path — warmup, drain,
+// snapshot, restore into a fresh system, attach prefetchers, measure —
+// under the wake-gated scheduler and under the clock-everything
+// reference. Every step on that path mutates components behind the
+// scheduler's back (the drain's fetch gate, a restore, a prefetcher
+// swap); a component left asleep across one of them shows up here as a
+// snapshot or a measured result that differs from the reference's.
+func TestForkGatedMatchesReference(t *testing.T) {
+	for _, d := range []detSpec{detMatrix[0], detMatrix[1], detMatrix[len(detMatrix)-1]} {
+		d := d
+		t.Run(d.name, func(t *testing.T) {
+			t.Parallel()
+			const warmup, measure = 2000, 10000
+			build := func(disableFF bool) *System {
+				cfg := forkCfg(d)
+				cfg.DisableFastForward = disableFF
+				sys, err := Build(cfg, streamsFor(t, d.workloads, d.seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			var snaps [2]*Snapshot
+			for i, disableFF := range []bool{false, true} {
+				sys := build(disableFF)
+				if err := sys.RunWarmup(context.Background(), warmup); err != nil {
+					t.Fatal(err)
+				}
+				snap, err := sys.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				snaps[i] = snap
+			}
+			if !reflect.DeepEqual(snaps[0], snaps[1]) {
+				t.Fatal("gated warmup+drain snapshot differs from the reference's")
+			}
+			var out [2]string
+			for i, disableFF := range []bool{false, true} {
+				sys := build(disableFF)
+				if err := sys.RestoreSnapshot(snaps[0]); err != nil {
+					t.Fatal(err)
+				}
+				if err := sys.AttachPrefetchers(); err != nil {
+					t.Fatal(err)
+				}
+				res, err := sys.RunMeasure(context.Background(), measure)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = string(marshal(t, res))
+			}
+			if out[0] != out[1] {
+				t.Errorf("gated forked run diverges from the reference:\ngated: %s\nref:   %s", out[0], out[1])
+			}
+		})
 	}
 }

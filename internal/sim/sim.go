@@ -32,6 +32,11 @@ type System struct {
 
 	cycle int64
 
+	// slots lists every clocked component in the order step visits
+	// them; engine is the scheduler's self-profile (see engine.go).
+	slots  []slot
+	engine EngineStats
+
 	// pool is the system-wide request free list Build wired into every
 	// component.
 	pool *memsys.RequestPool
@@ -48,7 +53,7 @@ type System struct {
 	// attached prefetchers (empty when cfg.DisableGuard).
 	guards []guardRef
 
-	// Telemetry (all nil/false when disabled — the step() fast path
+	// Telemetry (all nil/false when disabled — the step fast path
 	// pays one branch).
 	tracer     *telemetry.Tracer
 	ilog       *telemetry.IntervalLog
@@ -81,6 +86,12 @@ type Result struct {
 	// PrefetcherFaults lists guarded prefetchers that were disabled
 	// mid-run (panic or budget violation). Empty on a healthy run.
 	PrefetcherFaults []PrefetcherFault `json:",omitempty"`
+
+	// Engine is the scheduler's self-profile over the measured phase.
+	// It describes how the simulator ran, not what it simulated, so it
+	// is kept out of the serialized result (JSON output, checkpoints and
+	// result digests are the same with or without it).
+	Engine EngineStats `json:"-"`
 }
 
 // PrefetcherFault records one guarded prefetcher's fail-safe trip: the
@@ -246,6 +257,17 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 		s.l1ds[i].SetRequestPool(pool)
 		s.l1is[i].SetRequestPool(pool)
 		s.l2s[i].SetRequestPool(pool)
+	}
+	s.slots = append(s.slots, slot{kind: KindDRAM}, slot{kind: KindLLC, cache: s.llc})
+	for i := range s.cores {
+		s.slots = append(s.slots,
+			slot{kind: KindL2, cache: s.l2s[i]},
+			slot{kind: KindL1D, cache: s.l1ds[i]},
+			slot{kind: KindL1I, cache: s.l1is[i]},
+			slot{kind: KindCore, core: s.cores[i]})
+	}
+	if err := s.checkVisitOrder(); err != nil {
+		return nil, err
 	}
 	if cfg.Audit != nil {
 		cfg.Audit.Attach(s)
@@ -459,106 +481,6 @@ func applyClassState(sm *telemetry.Sample, snaps []telemetry.Snapshot) {
 	}
 }
 
-// step advances the whole system one cycle, memory side first so that
-// data returned this cycle is visible to the cores next cycle.
-func (s *System) step() {
-	now := s.cycle
-	s.mem.Cycle(now)
-	s.llc.Cycle(now)
-	for i := range s.cores {
-		s.l2s[i].Cycle(now)
-		s.l1ds[i].Cycle(now)
-		s.l1is[i].Cycle(now)
-		s.cores[i].Cycle(now)
-	}
-	s.cycle++
-	if s.sampling && s.cycle-s.lastSample >= s.ilog.Every {
-		s.flushInterval()
-	}
-}
-
-// fastForward advances s.cycle past cycles every component reports as
-// no-ops. Each component's NextEvent(now) names the earliest cycle > now
-// at which clocking it could change state; the global minimum bounds a
-// span of provable no-op cycles that the scheduler skips in one jump,
-// replaying the per-cycle counters (core stall accounting, DRAM
-// cycle/bus counters) in closed form via AccountSkip. Jumps are capped
-// at the run deadline and the next interval-sample boundary, so error
-// cycles and telemetry samples land on exactly the cycles the
-// cycle-by-cycle reference would produce. The skipped spans contain no
-// activity at all, so results are bit-identical with or without
-// fast-forwarding (tested by TestFastForwardMatchesReference).
-func (s *System) fastForward(deadline int64) {
-	if s.cfg.DisableFastForward {
-		return
-	}
-	now := s.cycle - 1 // the cycle step() just clocked
-	// Any component due next cycle forecloses a jump — return as soon
-	// as one says so, cheapest and most-often-active components first,
-	// so the sweep costs little on busy cycles.
-	next := int64(math.MaxInt64)
-	for i := range s.cores {
-		if t := s.cores[i].NextEvent(now); t < next {
-			if t <= s.cycle {
-				return
-			}
-			next = t
-		}
-	}
-	for i := range s.cores {
-		if t := s.l1ds[i].NextEvent(now); t < next {
-			if t <= s.cycle {
-				return
-			}
-			next = t
-		}
-		if t := s.l2s[i].NextEvent(now); t < next {
-			if t <= s.cycle {
-				return
-			}
-			next = t
-		}
-		if t := s.l1is[i].NextEvent(now); t < next {
-			if t <= s.cycle {
-				return
-			}
-			next = t
-		}
-	}
-	if t := s.llc.NextEvent(now); t < next {
-		if t <= s.cycle {
-			return
-		}
-		next = t
-	}
-	if t := s.mem.NextEvent(now); t < next {
-		if t <= s.cycle {
-			return
-		}
-		next = t
-	}
-	if next > deadline {
-		next = deadline
-	}
-	if s.sampling {
-		if b := s.lastSample + s.ilog.Every; next > b {
-			next = b
-		}
-	}
-	if next <= s.cycle {
-		return
-	}
-	from := s.cycle
-	for i := range s.cores {
-		s.cores[i].AccountSkip(from, next)
-	}
-	s.mem.AccountSkip(from, next)
-	s.cycle = next
-	if s.sampling && s.cycle-s.lastSample >= s.ilog.Every {
-		s.flushInterval()
-	}
-}
-
 // resetStats zeroes every component's counters at the warmup boundary,
 // including prefetcher observation counters, so everything reported
 // afterwards — aggregates, trace events, interval samples — covers the
@@ -580,6 +502,7 @@ func (s *System) resetStats() {
 		rp.ResetStats()
 	}
 	s.mem.ResetStats()
+	s.engine = EngineStats{}
 
 	// The trace deliberately spans the whole run — classification and
 	// training happen during warmup, and every event is cycle-stamped —
@@ -729,22 +652,14 @@ func (s *System) minRetired() uint64 {
 // warmup Run or a prior Advance, repeated calls exercise the inner loop
 // with all setup allocation already behind them.
 func (s *System) Advance(n uint64) error {
-	minRetired := uint64(math.MaxUint64)
-	for _, c := range s.cores {
-		if r := c.Retired(); r < minRetired {
-			minRetired = r
-		}
-	}
-	target := minRetired + n
-	deadline := s.cycle + int64(n)*500 + 1_000_000
+	target := s.minRetired() + n
+	budget := int64(n)*500 + 1_000_000
+	deadline := s.cycle + budget
 	for !s.allRetired(target) {
 		if s.cycle >= deadline {
-			return fmt.Errorf("sim: Advance(%d) exceeded %d cycles", n, deadline-s.cycle)
+			return fmt.Errorf("sim: Advance(%d) exceeded %d cycles", n, budget)
 		}
-		s.step()
-		if !s.allRetired(target) {
-			s.fastForward(deadline)
-		}
+		s.step(deadline)
 	}
 	return nil
 }

@@ -95,7 +95,7 @@ func (s *System) drain(ctx context.Context) error {
 				return fmt.Errorf("sim: drain cancelled at cycle %d: %w", s.cycle, err)
 			}
 		}
-		s.step()
+		s.step(deadline)
 	}
 	return nil
 }

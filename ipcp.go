@@ -36,6 +36,12 @@ import (
 // statistics, DRAM statistics).
 type Result = sim.Result
 
+// EngineStats is the scheduler's self-profile carried on Result.Engine:
+// cycles stepped versus jumped and, per kind of component in the
+// scheduler's visit order (DRAM, LLC, L2, L1D, L1I, core), how often it
+// was clocked, skipped, and the one keeping the machine awake.
+type EngineStats = sim.EngineStats
+
 // SystemConfig is the full simulated-system configuration; see
 // PaperSystem for the paper's Table II values.
 type SystemConfig = sim.Config
