@@ -1,23 +1,16 @@
 GO ?= go
 
-# Benchmarks tracked in BENCH_throughput.json: the simulator hot-loop
-# throughput benches (single-core and the 8-core mix), two
-# representative figure benches, and the sweep pair whose ratio is the
-# shared-warmup amortization factor.
-TRACKED_BENCH = SimulatorThroughput|Fig7$$|Fig8$$|SweepColdWarmup$$|SweepSharedWarmup$$|MultiCoreSeqThroughput$$
-BENCH_FILE   = BENCH_throughput.json
+.PHONY: check build fmt vet test benchmark-test determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
-.PHONY: check build fmt vet test benchmark-test determinism audit bench benchsmoke benchdiff benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
-
-# Tier-1 gate: everything must pass before a change lands. `test` runs
-# -race over every package — including the session-concurrency and
-# serve suites (internal/experiments, internal/serve); serve-smoke,
-# obs-smoke, chaos-smoke and dist-smoke exercise the built ipcpd binary
-# end to end; benchgate holds the shared-warmup amortization ratio and
-# guards tracked instr/s against structural collapse (see benchgate
-# below). benchmark-test runs the benchmark module's own tests, which
-# `test` does not reach.
-check: build fmt vet test benchmark-test determinism audit benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+# Tier-1 gate: everything must pass before a change lands, and every
+# test runs once. `test` runs -race over every package — including the
+# determinism goldens, the gated-twin differentials and the four
+# real-binary ipcpd smokes in cmd/ipcpd, so the standalone determinism /
+# *-smoke targets below are for running one gate alone and are not
+# prerequisites here. benchmark-test runs the benchmark module's own
+# tests, which `test` does not reach; audit runs the full differential
+# suite (AUDIT_FULL=1), which `test` runs only a subset of.
+check: build fmt vet test benchmark-test audit fuzz
 
 build:
 	$(GO) build ./...
@@ -46,8 +39,8 @@ benchmark-test:
 # reference, run-to-run repeatability, fork-vs-cold and the fork path
 # gated vs reference, on 1/2/4/8-core systems; then the per-component
 # gated-twin differentials that hold each NextEvent to its contract
-# cycle by cycle (already part of `test`; kept as its own gate so a
-# perf change can run just this, fast).
+# cycle by cycle. Already part of `test`; kept as its own target so a
+# perf change can run just this, fast.
 determinism:
 	$(GO) test ./internal/sim -run 'Determinism|FastForward|ForkGated' -count=1
 	$(GO) test ./internal/dram ./internal/cache ./internal/cpu -run 'GatedTwin' -count=1
@@ -60,37 +53,6 @@ determinism:
 # simulation, and `test` covers the subset under -race.
 audit:
 	AUDIT_FULL=1 $(GO) test ./internal/audit -run 'TestDifferentialSuite|TestDeepThrottleRun|TestForkDifferentialSuite' -count=1
-
-# Timed run of the tracked benchmarks, appended to $(BENCH_FILE).
-bench:
-	$(GO) test -run '^$$' -bench '$(TRACKED_BENCH)' -benchmem -benchtime=2s -count=3 . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchrecord -record $(BENCH_FILE)
-
-# Same run, compared against the last recorded entries instead of
-# recorded; fails on >10% instr/s regression.
-benchdiff:
-	$(GO) test -run '^$$' -bench '$(TRACKED_BENCH)' -benchmem -benchtime=2s -count=3 . \
-		| $(GO) run ./cmd/benchrecord -diff $(BENCH_FILE)
-
-# Perf gate for `make check`. Two checks, calibrated for a shared
-# single-CPU host whose absolute speed drifts tens of percent between
-# runs:
-#  1. ratio gate — SweepSharedWarmup must deliver >=2x SweepColdWarmup
-#     instr/s *within the same run*; host drift is common-mode there,
-#     so the amortization factor is stable even when absolutes are not
-#     (measured 3.0-3.5x, so 2x leaves real margin);
-#  2. absolute gate — >50% instr/s drop against the recorded history
-#     fails; that catches structural collapses (a disabled fast path, a
-#     sweep gone cold) that no plausible host drift explains.
-# `make benchdiff` keeps the tight 10% tolerance for quiet machines.
-benchgate:
-	$(GO) test -run '^$$' -bench '$(TRACKED_BENCH)' -benchmem -benchtime=2s -count=3 . \
-		| $(GO) run ./cmd/benchrecord -diff $(BENCH_FILE) -tolerance 0.5 \
-		  -gate-fast BenchmarkSweepSharedWarmup -gate-slow BenchmarkSweepColdWarmup -gate-min 2.0
-
-# Smoke-run every benchmark once (no timing significance).
-benchsmoke:
-	$(GO) test -bench . -benchtime=1x
 
 # Brief fuzz passes (longer runs: raise -fuzztime): the trace reader,
 # the two frame codecs every durable file goes through (internal/store),

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ipcp/internal/serve"
 	"ipcp/internal/store"
 )
 
@@ -273,7 +274,7 @@ func TestBlobClientRoundTrip(t *testing.T) {
 // endpoint: grid requests are bounded too.
 func TestSubmitSweepBodyTooLarge(t *testing.T) {
 	_, ts := newTestCoord(t)
-	huge := []byte(`{"workloads":["` + strings.Repeat("x", maxRequestBody+1024) + `"]}`)
+	huge := []byte(`{"workloads":["` + strings.Repeat("x", serve.MaxRequestBody+1024) + `"]}`)
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	"ipcp/internal/serve"
 	"ipcp/internal/store"
 	"ipcp/internal/telemetry"
 )
@@ -22,35 +23,6 @@ import (
 //	GET  /v1/blobs/{key}              shared store fetch (ipcp-blob-v1 frame)
 //	PUT  /v1/blobs/{key}              shared store push
 //	GET  /healthz, /metrics, /debug/trace
-
-// maxRequestBody bounds every JSON request body, mirroring the serve
-// layer's fix: a multi-GB body earns a 413, not an allocation.
-const maxRequestBody = 1 << 20
-
-func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
-	}
-	return http.StatusOK, nil
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
 
 // Handler returns the coordinator's HTTP handler.
 func (c *Coordinator) Handler() http.Handler {
@@ -83,16 +55,16 @@ type registerResponse struct {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if code, err := decodeRequest(w, r, &req); err != nil {
-		writeError(w, code, err)
+	if code, err := serve.DecodeRequest(w, r, &req); err != nil {
+		serve.WriteError(w, code, err)
 		return
 	}
 	if req.URL == "" {
-		writeError(w, http.StatusBadRequest, errors.New("url must be non-empty"))
+		serve.WriteError(w, http.StatusBadRequest, errors.New("url must be non-empty"))
 		return
 	}
 	wk := c.register(req.URL, req.Capacity)
-	writeJSON(w, http.StatusCreated, registerResponse{
+	serve.WriteJSON(w, http.StatusCreated, registerResponse{
 		ID:          wk.ID,
 		HeartbeatMS: (c.opts.HeartbeatTimeout / 3).Milliseconds(),
 	})
@@ -101,14 +73,14 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !c.heartbeat(id) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown or lost worker %q", id))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown or lost worker %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleListWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"workers": c.workerViews()})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"workers": c.workerViews()})
 }
 
 // --- sweeps ----------------------------------------------------------------
@@ -123,17 +95,17 @@ type sweepSubmitView struct {
 
 func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if code, err := decodeRequest(w, r, &req); err != nil {
-		writeError(w, code, err)
+	if code, err := serve.DecodeRequest(w, r, &req); err != nil {
+		serve.WriteError(w, code, err)
 		return
 	}
 	sw, err := c.acceptSweep(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	v := sw.view(false)
-	writeJSON(w, http.StatusAccepted, sweepSubmitView{
+	serve.WriteJSON(w, http.StatusAccepted, sweepSubmitView{
 		ID: sw.ID, Status: v.Status, Location: "/v1/sweeps/" + sw.ID,
 		Points: v.Total, Groups: v.Groups,
 	})
@@ -142,10 +114,10 @@ func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) 
 func (c *Coordinator) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 	sw, ok := c.lookupSweep(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, sw.view(true))
+	serve.WriteJSON(w, http.StatusOK, sw.view(true))
 }
 
 // handleSweepEvents streams a sweep's lifecycle as JSONL, following
@@ -154,7 +126,7 @@ func (c *Coordinator) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	sw, ok := c.lookupSweep(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -191,12 +163,12 @@ func (c *Coordinator) handleSweepEvents(w http.ResponseWriter, r *http.Request) 
 func (c *Coordinator) handleGetBlob(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !store.ValidKey(key) {
-		writeError(w, http.StatusBadRequest, errors.New("key must be 64 hex chars"))
+		serve.WriteError(w, http.StatusBadRequest, errors.New("key must be 64 hex chars"))
 		return
 	}
 	frame, ok := c.blobs.get(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no blob %s", key[:8]))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("no blob %s", key[:8]))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -207,7 +179,7 @@ func (c *Coordinator) handleGetBlob(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handlePutBlob(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !store.ValidKey(key) {
-		writeError(w, http.StatusBadRequest, errors.New("key must be 64 hex chars"))
+		serve.WriteError(w, http.StatusBadRequest, errors.New("key must be 64 hex chars"))
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, maxBlobBody)
@@ -216,18 +188,18 @@ func (c *Coordinator) handlePutBlob(w http.ResponseWriter, r *http.Request) {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			c.blobs.rejected.Add(1)
-			writeError(w, http.StatusRequestEntityTooLarge,
+			serve.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("blob exceeds %d bytes", mbe.Limit))
 			return
 		}
-		writeError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := c.blobs.put(key, frame); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "stored"})
+	serve.WriteJSON(w, http.StatusCreated, map[string]string{"status": "stored"})
 }
 
 // --- health, metrics, trace ------------------------------------------------
@@ -241,7 +213,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "workers": live})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "workers": live})
 }
 
 // MetricsSnapshot is the JSON shape of the coordinator's GET /metrics.
@@ -311,26 +283,13 @@ func (c *Coordinator) Metrics() MetricsSnapshot {
 // handleMetrics negotiates the representation like the worker daemon's
 // /metrics: Prometheus text exposition for scrapers, JSON otherwise.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	accept := r.Header.Get("Accept")
-	if wantsPrometheus(accept) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if serve.WantsPrometheus(r.Header.Get("Accept")) {
+		w.Header().Set("Content-Type", telemetry.PrometheusContentType)
 		w.WriteHeader(http.StatusOK)
 		c.writePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, c.Metrics())
-}
-
-// wantsPrometheus mirrors the serve layer's content negotiation.
-func wantsPrometheus(accept string) bool {
-	for _, marker := range []string{"text/plain", "openmetrics", "text/*"} {
-		for i := 0; i+len(marker) <= len(accept); i++ {
-			if accept[i:i+len(marker)] == marker {
-				return true
-			}
-		}
-	}
-	return false
+	serve.WriteJSON(w, http.StatusOK, c.Metrics())
 }
 
 func (c *Coordinator) writePrometheus(w io.Writer) {

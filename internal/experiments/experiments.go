@@ -1,8 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§VI). Each experiment is registered under the ID used in
 // DESIGN.md (fig1, fig7, ..., tab4, sens-dram, ...) and produces a
-// Table that cmd/experiments renders as markdown and bench_test.go
-// reports as benchmark metrics.
+// Table that cmd/experiments renders as markdown.
 //
 // Simulations are deterministic, so a Session memoizes results across
 // experiments (the no-prefetching baselines are shared by most

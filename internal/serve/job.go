@@ -336,44 +336,31 @@ func (j *Job) view() jobView {
 	return v
 }
 
-// reportViewOf renders the job's report for the journal (nil when the
-// job has none).
-func (j *Job) reportViewOf() *reportView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.report == nil {
-		return j.replayRep
-	}
-	rv := &reportView{Interrupted: j.report.Interrupted, Markdown: j.report.Markdown()}
-	for _, res := range j.report.Failed() {
-		rv.Failed = append(rv.Failed, failedView{ID: res.ID, Error: fmt.Sprint(res.Err)})
-	}
-	return rv
-}
-
 // newReplayedJob rebuilds a Job from its journal history. Finished
 // jobs come back terminal with their original result; unfinished ones
 // come back queued (the caller re-enqueues them) — their start in the
 // previous life, if any, died with the process.
-func newReplayedJob(r *replayedJob) *Job {
+func newReplayedJob(h *jobHistory) *Job {
+	sub := &h.submit
 	j := &Job{
-		ID:        r.id,
-		Kind:      r.kind,
-		ExpIDs:    r.expIDs,
-		Timeout:   time.Duration(r.timeoutMS) * time.Millisecond,
-		RequestID: r.requestID,
-		Revision:  r.revision,
-		submitted: r.submitted,
+		ID:        sub.Job,
+		Kind:      sub.Kind,
+		ExpIDs:    sub.ExpIDs,
+		Timeout:   time.Duration(sub.TimeoutMS) * time.Millisecond,
+		RequestID: sub.RequestID,
+		Revision:  sub.Revision,
+		submitted: sub.Time,
 		state:     StateQueued,
 		changed:   make(chan struct{}),
 	}
-	if r.spec != nil {
-		j.Req = r.spec
-		j.Spec = r.spec.Spec()
+	if sub.Spec != nil {
+		j.Req = sub.Spec
+		j.Spec = sub.Spec.Spec()
 		j.key = j.Spec.Key()
 	}
-	j.events = append(j.events, JobEvent{Seq: 0, Time: r.submitted, Kind: "queued"})
-	if r.outcome == "" {
+	j.events = append(j.events, JobEvent{Seq: 0, Time: sub.Time, Kind: "queued"})
+	fin := h.finish
+	if fin == nil {
 		// Unfinished: back to the queue with a visible marker that the
 		// daemon restarted underneath the job.
 		j.events = append(j.events, JobEvent{
@@ -382,21 +369,21 @@ func newReplayedJob(r *replayedJob) *Job {
 		})
 		return j
 	}
-	if !r.started.IsZero() {
-		j.started = r.started
-		j.events = append(j.events, JobEvent{Seq: len(j.events), Time: r.started, Kind: "started"})
+	if !h.started.IsZero() {
+		j.started = h.started
+		j.events = append(j.events, JobEvent{Seq: len(j.events), Time: h.started, Kind: "started"})
 	}
-	j.state = r.outcome
-	j.finished = r.finished
-	j.result = r.result
-	j.replayRep = r.report
-	j.stalled = r.outcome == StateStalled
-	ev := JobEvent{Seq: len(j.events), Time: r.finished, Kind: string(r.outcome), Msg: r.errstr}
-	if r.outcome == StateDone {
+	j.state = fin.Outcome
+	j.finished = fin.Time
+	j.result = fin.Result
+	j.replayRep = fin.Report
+	j.stalled = fin.Outcome == StateStalled
+	ev := JobEvent{Seq: len(j.events), Time: fin.Time, Kind: string(fin.Outcome), Msg: fin.Error}
+	if fin.Outcome == StateDone {
 		ev.Kind = "done"
 	}
-	if r.errstr != "" {
-		j.err = errors.New(r.errstr)
+	if fin.Error != "" {
+		j.err = errors.New(fin.Error)
 	}
 	j.events = append(j.events, ev)
 	return j

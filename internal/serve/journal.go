@@ -80,7 +80,7 @@ func segName(seq int) string { return fmt.Sprintf("wal-%08d.seg", seq) }
 // replays every segment, compacts the live records into a single fresh
 // segment, and opens a new active segment for this life's appends.
 // The returned records are the replayed history, merged per job.
-func openJournal(dir string, log *slog.Logger) (*journal, []*replayedJob, error) {
+func openJournal(dir string, log *slog.Logger) (*journal, []*jobHistory, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: creating journal dir: %w", err)
 	}
@@ -242,80 +242,56 @@ func (j *journal) readSegment(path string) (recs []journalRecord, damaged int) {
 	return recs, 0
 }
 
-// replayedJob is one job's merged journal history.
-type replayedJob struct {
-	seq       int
-	id        string
-	kind      JobKind
-	spec      *RunRequest
-	expIDs    []string
-	timeoutMS int64
-	requestID string
-	revision  string
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	outcome   JobState // "" while unfinished
-	errstr    string
-	result    *sim.Result
-	report    *reportView
+// jobHistory is one job's merged journal history: its submit and
+// finish records as journaled — compaction writes them back verbatim —
+// and the start time, which compaction does not keep.
+type jobHistory struct {
+	submit  journalRecord
+	finish  *journalRecord // nil while unfinished
+	started time.Time
 }
 
 // mergeReplay folds records into per-job state, ordered by submit
-// sequence. Records for jobs whose submit record was lost to damage
-// cannot be acted on (no identity to rebuild) and are dropped with a
-// warning.
-func mergeReplay(recs []journalRecord, log *slog.Logger) []*replayedJob {
-	byID := make(map[string]*replayedJob)
-	get := func(id string) *replayedJob {
-		r, ok := byID[id]
-		if !ok {
-			r = &replayedJob{id: id}
-			byID[id] = r
-		}
-		return r
-	}
-	for _, rec := range recs {
+// sequence; a later record of a type replaces an earlier one. Records
+// for jobs whose submit record was lost to damage cannot be acted on
+// (no identity to rebuild) and are dropped with a warning.
+func mergeReplay(recs []journalRecord, log *slog.Logger) []*jobHistory {
+	byID := make(map[string]*jobHistory)
+	for i := range recs {
+		rec := &recs[i]
 		if rec.Job == "" {
 			continue
 		}
-		r := get(rec.Job)
+		r, ok := byID[rec.Job]
+		if !ok {
+			r = &jobHistory{}
+			byID[rec.Job] = r
+		}
 		switch rec.Type {
 		case "submit":
-			r.seq = rec.Seq
-			r.kind = rec.Kind
-			r.spec = rec.Spec
-			r.expIDs = rec.ExpIDs
-			r.timeoutMS = rec.TimeoutMS
-			r.requestID = rec.RequestID
-			r.revision = rec.Revision
-			r.submitted = rec.Time
+			r.submit = *rec
 		case "start":
 			r.started = rec.Time
 		case "finish":
-			r.finished = rec.Time
-			r.outcome = rec.Outcome
-			r.errstr = rec.Error
-			r.result = rec.Result
-			r.report = rec.Report
+			r.finish = rec
 		}
 	}
-	out := make([]*replayedJob, 0, len(byID))
+	out := make([]*jobHistory, 0, len(byID))
 	for id, r := range byID {
-		if r.submitted.IsZero() || (r.kind == KindRun && r.spec == nil) {
+		if r.submit.Time.IsZero() || (r.submit.Kind == KindRun && r.submit.Spec == nil) {
 			log.Warn("journal: dropping job with incomplete history", "job_id", id)
 			continue
 		}
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].seq < out[k].seq })
+	sort.Slice(out, func(i, k int) bool { return out[i].submit.Seq < out[k].submit.Seq })
 	return out
 }
 
 // writeCompacted writes the canonical replay of jobs as one segment,
 // atomically: a crash never leaves a half-compacted segment in place.
 // Its chaos points are journal.compact.save/journal.compact.write.
-func writeCompacted(path string, jobs []*replayedJob) error {
+func writeCompacted(path string, jobs []*jobHistory) error {
 	var buf []byte
 	frame := func(rec journalRecord) error {
 		payload, err := json.Marshal(rec)
@@ -325,20 +301,13 @@ func writeCompacted(path string, jobs []*replayedJob) error {
 		return err
 	}
 	for _, r := range jobs {
-		if err := frame(journalRecord{
-			Type: "submit", Time: r.submitted, Job: r.id, Seq: r.seq,
-			Kind: r.kind, Spec: r.spec, ExpIDs: r.expIDs,
-			TimeoutMS: r.timeoutMS, RequestID: r.requestID, Revision: r.revision,
-		}); err != nil {
+		if err := frame(r.submit); err != nil {
 			return err
 		}
-		if r.outcome == "" {
+		if r.finish == nil {
 			continue
 		}
-		if err := frame(journalRecord{
-			Type: "finish", Time: r.finished, Job: r.id,
-			Outcome: r.outcome, Error: r.errstr, Result: r.result, Report: r.report,
-		}); err != nil {
+		if err := frame(*r.finish); err != nil {
 			return err
 		}
 	}

@@ -55,13 +55,14 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 		t.Fatalf("replayed %d jobs, want 2", len(replayed))
 	}
 	done, unfinished := replayed[0], replayed[1]
-	if done.id != "j000001" || done.outcome != StateDone || done.result == nil || done.result.IPC[0] != 2.5 {
+	if done.submit.Job != "j000001" || done.finish == nil || done.finish.Outcome != StateDone ||
+		done.finish.Result == nil || done.finish.Result.IPC[0] != 2.5 {
 		t.Fatalf("finished job replayed as %+v", done)
 	}
-	if done.requestID != "r-1" || done.spec == nil || done.spec.ConfigKey != "wal" {
+	if done.submit.RequestID != "r-1" || done.submit.Spec == nil || done.submit.Spec.ConfigKey != "wal" {
 		t.Fatalf("identity lost in replay: %+v", done)
 	}
-	if unfinished.id != "j000002" || unfinished.outcome != "" || unfinished.started.IsZero() {
+	if unfinished.submit.Job != "j000002" || unfinished.finish != nil || unfinished.started.IsZero() {
 		t.Fatalf("unfinished job replayed as %+v", unfinished)
 	}
 	if d := j2.damaged.Load(); d != 0 {
@@ -156,7 +157,7 @@ func TestJournalBitFlipStopsReplayAtDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if len(replayed) != 1 || replayed[0].id != "j000001" {
+	if len(replayed) != 1 || replayed[0].submit.Job != "j000001" {
 		t.Fatalf("replayed %v, want only the pre-damage job", replayed)
 	}
 	if d := j2.damaged.Load(); d != 1 {
@@ -219,7 +220,7 @@ func TestJournalFsyncFailureKeepsAcknowledgedRecords(t *testing.T) {
 	defer j2.Close()
 	got := make(map[string]bool)
 	for _, r := range replayed {
-		got[r.id] = true
+		got[r.submit.Job] = true
 	}
 	for _, id := range acked {
 		if !got[id] {

@@ -15,7 +15,7 @@ import (
 // silent truncation).
 func TestSubmitRunBodyTooLarge(t *testing.T) {
 	s := newTestServer(t, Options{})
-	huge := []byte(`{"workloads":["` + strings.Repeat("x", maxRequestBody+1024) + `"]}`)
+	huge := []byte(`{"workloads":["` + strings.Repeat("x", MaxRequestBody+1024) + `"]}`)
 	resp, err := http.Post(s.ts.URL+"/v1/runs", "application/json", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestSubmitRunBodyTooLarge(t *testing.T) {
 // validation on its unknown workload, not on framing).
 func TestSubmitRunBodyWithinLimit(t *testing.T) {
 	s := newTestServer(t, Options{})
-	name := strings.Repeat("y", maxRequestBody-64)
+	name := strings.Repeat("y", MaxRequestBody-64)
 	resp, raw := s.post(t, "/v1/runs", map[string][]string{"workloads": {name}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("near-limit POST /v1/runs = %d, want 400 (unknown workload), body %.120s",

@@ -137,16 +137,16 @@ func ReadBuildInfo() BuildInfo {
 }
 
 func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.build)
+	WriteJSON(w, http.StatusOK, s.build)
 }
 
 // --- Prometheus exposition ------------------------------------------------
 
-// wantsPrometheus decides the /metrics representation: any Accept
+// WantsPrometheus decides the /metrics representation: any Accept
 // preference for the text exposition formats (what prometheus and every
 // scraper in its lineage sends) selects them; everything else keeps the
 // original JSON shape for compatibility.
-func wantsPrometheus(accept string) bool {
+func WantsPrometheus(accept string) bool {
 	for _, marker := range []string{"text/plain", "openmetrics", "text/*"} {
 		if containsToken(accept, marker) {
 			return true

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -277,8 +279,8 @@ func TestWantsPrometheus(t *testing.T) {
 		"text/*":                          true,
 		"text/html,application/xhtml+xml": false,
 	} {
-		if got := wantsPrometheus(accept); got != want {
-			t.Errorf("wantsPrometheus(%q) = %v, want %v", accept, got, want)
+		if got := WantsPrometheus(accept); got != want {
+			t.Errorf("WantsPrometheus(%q) = %v, want %v", accept, got, want)
 		}
 	}
 }
@@ -418,4 +420,41 @@ func TestDebugTraceDaemonWide(t *testing.T) {
 	if !jobs[a.ID] || !jobs[b.ID] {
 		t.Errorf("daemon-wide trace covers jobs %v, want both %s and %s", jobs, a.ID, b.ID)
 	}
+}
+
+// TestSessionWarningsUseServerLogger pins Options.Log to the session
+// and its checkpoint store: a damaged checkpoint found on resubmission
+// must be reported on the server's logger (so `ipcpd -log-format json`
+// covers it), not on slog.Default().
+func TestSessionWarningsUseServerLogger(t *testing.T) {
+	cacheDir := t.TempDir()
+	req := RunRequest{Workloads: []string{"mcf-994"}, L1D: "ipcp"}
+
+	first := newTestServer(t, Options{CacheDir: cacheDir})
+	first.await(t, first.submitRun(t, req, http.StatusAccepted).ID, 30*time.Second)
+	entries, err := filepath.Glob(filepath.Join(cacheDir, "*", "*.json"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("checkpoints on disk = %v (err %v), want exactly one", entries, err)
+	}
+	data, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x20
+	if err := os.WriteFile(entries[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second, logBuf := newObsServer(t, Options{CacheDir: cacheDir})
+	second.await(t, second.submitRun(t, req, http.StatusAccepted).ID, 30*time.Second)
+	for _, line := range strings.Split(logBuf.String(), "\n") {
+		var rec struct {
+			Level, Msg, Path string
+		}
+		if json.Unmarshal([]byte(line), &rec) == nil && rec.Level == "WARN" &&
+			rec.Msg == "damaged entry quarantined" && rec.Path == entries[0] {
+			return
+		}
+	}
+	t.Fatalf("no JSON quarantine warning for %s on the server's logger:\n%s", entries[0], logBuf.String())
 }

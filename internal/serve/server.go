@@ -162,6 +162,9 @@ func New(opts Options) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	session := experiments.NewSessionContext(ctx, opts.Scale)
+	// Before SetCacheDir: the disk cache captures the logger it is
+	// created with.
+	session.SetLogger(opts.Log)
 	if opts.CacheDir != "" {
 		if err := session.SetCacheDir(opts.CacheDir); err != nil {
 			cancel()
@@ -193,7 +196,7 @@ func New(opts Options) (*Server, error) {
 		execution: telemetry.NewHistogram(),
 		latency:   telemetry.NewHistogram(),
 	}
-	var replay []*replayedJob
+	var replay []*jobHistory
 	if opts.JournalDir != "" {
 		jr, jobs, err := openJournal(opts.JournalDir, opts.Log)
 		if err != nil {
@@ -209,7 +212,7 @@ func New(opts Options) (*Server, error) {
 	queueCap := opts.QueueSize
 	unfinished := 0
 	for _, r := range replay {
-		if r.outcome == "" {
+		if r.finish == nil {
 			unfinished++
 		}
 	}
@@ -219,8 +222,8 @@ func New(opts Options) (*Server, error) {
 	s.queue = make(chan *Job, queueCap)
 	requeued := 0
 	for _, r := range replay {
-		if r.seq > s.seq {
-			s.seq = r.seq
+		if r.submit.Seq > s.seq {
+			s.seq = r.submit.Seq
 		}
 		j := newReplayedJob(r)
 		s.jobs[j.ID] = j
@@ -642,7 +645,7 @@ func (s *Server) journalFinish(j *Job, st JobState, err error) {
 		if j.Kind == KindRun {
 			rec.Result = j.Result()
 		} else {
-			rec.Report = j.reportViewOf()
+			rec.Report = j.view().Report
 		}
 	}
 	s.appendOrWarn(rec)
@@ -749,7 +752,10 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as indented JSON under status code. The
+// coordinator's HTTP surface shares it (and WriteError, DecodeRequest,
+// WantsPrometheus) so both daemons speak one dialect.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -757,14 +763,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// WriteError answers with {"error": err} under status code.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // writeAdmissionError maps admission refusals onto 429 + Retry-After.
 func writeAdmissionError(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", retryAfter())
-	writeError(w, http.StatusTooManyRequests, err)
+	WriteError(w, http.StatusTooManyRequests, err)
 }
 
 // retryAfterBase is the midpoint of the jittered Retry-After hint.
@@ -818,18 +825,18 @@ func (s *Server) timeout(ms int64) time.Duration {
 	return d
 }
 
-// maxRequestBody bounds every JSON request body. Decoding used to run
+// MaxRequestBody bounds every JSON request body. Decoding used to run
 // behind a silent io.LimitReader truncation, which surfaced a multi-MB
 // body as a confusing 400 "unexpected EOF" (and, before the limit, as
 // an unbounded allocation); MaxBytesReader both caps the read and lets
 // the handler answer an honest 413.
-const maxRequestBody = 1 << 20
+const MaxRequestBody = 1 << 20
 
-// decodeRequest decodes a bounded JSON body into v. The returned
+// DecodeRequest decodes a bounded JSON body into v. The returned
 // status is 413 when the body blew the cap, 400 for malformed JSON,
 // 200 on success.
-func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBody)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -843,12 +850,12 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if code, err := decodeRequest(w, r, &req); err != nil {
-		writeError(w, code, err)
+	if code, err := DecodeRequest(w, r, &req); err != nil {
+		WriteError(w, code, err)
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	j := newJob(KindRun)
@@ -869,7 +876,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	if coalesced {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, submitView{
+	WriteJSON(w, code, submitView{
 		ID:        admitted.ID,
 		Status:    admitted.State(),
 		Location:  "/v1/runs/" + admitted.ID,
@@ -879,12 +886,12 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitExperiments(w http.ResponseWriter, r *http.Request) {
 	var req experimentsRequest
-	if code, err := decodeRequest(w, r, &req); err != nil {
-		writeError(w, code, err)
+	if code, err := DecodeRequest(w, r, &req); err != nil {
+		WriteError(w, code, err)
 		return
 	}
 	if len(req.IDs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("ids must be non-empty"))
+		WriteError(w, http.StatusBadRequest, errors.New("ids must be non-empty"))
 		return
 	}
 	ids := req.IDs
@@ -896,7 +903,7 @@ func (s *Server) handleSubmitExperiments(w http.ResponseWriter, r *http.Request)
 	} else {
 		for _, id := range ids {
 			if _, err := experiments.ByID(id); err != nil {
-				writeError(w, http.StatusBadRequest, err)
+				WriteError(w, http.StatusBadRequest, err)
 				return
 			}
 		}
@@ -913,7 +920,7 @@ func (s *Server) handleSubmitExperiments(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	httpSpan(r.Context()).SetJobID(admitted.ID)
-	writeJSON(w, http.StatusAccepted, submitView{
+	WriteJSON(w, http.StatusAccepted, submitView{
 		ID:       admitted.ID,
 		Status:   admitted.State(),
 		Location: "/v1/runs/" + admitted.ID,
@@ -923,10 +930,10 @@ func (s *Server) handleSubmitExperiments(w http.ResponseWriter, r *http.Request)
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	WriteJSON(w, http.StatusOK, j.view())
 }
 
 // progressLine is the JSONL rendering of a live progress report, both
@@ -968,7 +975,7 @@ const progressTick = 250 * time.Millisecond
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -1018,12 +1025,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobProgress(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	p, at, _ := j.Progress()
 	line := newProgressLine(p, at)
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		ID     string   `json:"id"`
 		Status JobState `json:"status"`
 		progressLine
@@ -1036,7 +1043,7 @@ func (s *Server) handleJobProgress(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1066,15 +1073,15 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 	for _, e := range experiments.All() {
 		out = append(out, experimentView{ID: e.ID, Title: e.Title, Paper: e.Paper})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // MetricsSnapshot is the JSON shape of GET /metrics.
@@ -1200,11 +1207,11 @@ func (s *Server) Metrics() MetricsSnapshot {
 // text exposition formats get Prometheus 0.0.4 text; everything else
 // (curl, the CLI, existing tooling) keeps the JSON snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsPrometheus(r.Header.Get("Accept")) {
+	if WantsPrometheus(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", telemetry.PrometheusContentType)
 		w.WriteHeader(http.StatusOK)
 		s.writePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, s.Metrics())
 }

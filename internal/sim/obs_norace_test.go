@@ -29,8 +29,7 @@ func TestNilHooksZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run past the growth phase of the pools, rings and page tables
-	// (mirrors BenchmarkSimulatorThroughputSteady).
+	// Run past the growth phase of the pools, rings and page tables.
 	if err := sys.Advance(60_000); err != nil {
 		t.Fatal(err)
 	}

@@ -647,10 +647,10 @@ func (s *System) minRetired() uint64 {
 }
 
 // Advance runs the system until every core has retired n further
-// instructions, without resetting statistics or building a Result. It
-// is the benchmark hook for measuring steady-state throughput: after a
-// warmup Run or a prior Advance, repeated calls exercise the inner loop
-// with all setup allocation already behind them.
+// instructions, without resetting statistics or building a Result.
+// After a warmup Run or a prior Advance, repeated calls exercise the
+// inner loop with all setup allocation already behind them; the
+// steady-state allocation tests are built on that.
 func (s *System) Advance(n uint64) error {
 	target := s.minRetired() + n
 	budget := int64(n)*500 + 1_000_000
