@@ -7,8 +7,10 @@
 // POST /v1/sweeps, shards it by warmup identity (experiments.WarmupKey)
 // so each group's shared warmup is simulated — and its snapshot forked
 // — on exactly one worker, fans the points out through the workers'
-// existing /v1/runs API, and merges results. A worker that misses
-// heartbeats (or drops connections) is declared lost and its
+// existing /v1/runs API — submit, follow the job's event stream to its
+// end, fetch the result; no timer paces a sweep — and merges results. A
+// worker that misses heartbeats, drops a connection or breaks an event
+// stream before its job is terminal is declared lost and its
 // outstanding points are reassigned; a point's simulation failure, by
 // contrast, is deterministic and final. Results flow back through a
 // shared content-addressed blob store (blobs.go) so nothing is ever
@@ -35,9 +37,6 @@ type Options struct {
 	// HeartbeatTimeout is how long a silent worker stays schedulable;
 	// workers are told to beat at a third of it. Default 5s.
 	HeartbeatTimeout time.Duration
-	// PollInterval paces job-status polling against workers and
-	// worker-availability rechecks. Default 150ms.
-	PollInterval time.Duration
 	// MaxPoints caps one sweep's expanded grid. Default 4096.
 	MaxPoints int
 	// SpanBuf is the trace ring capacity (0 = telemetry default).
@@ -53,7 +52,8 @@ type Coordinator struct {
 	log   *slog.Logger
 	blobs *BlobStore
 	spans *telemetry.SpanTracer
-	hc    *http.Client
+	hc    *http.Client // submit and fetch: bounded whole-request
+	tail  *http.Client // event-stream follows: bounded only by the worker's ctx
 	ctx   context.Context
 	stop  context.CancelFunc
 	wg    sync.WaitGroup
@@ -61,8 +61,9 @@ type Coordinator struct {
 	mu      sync.Mutex
 	workers map[string]*worker
 	sweeps  map[string]*sweep
-	nextW   int // worker id allocator
-	nextS   int // sweep id allocator
+	nextW   int           // worker id allocator
+	nextS   int           // sweep id allocator
+	joined  chan struct{} // closed and replaced by every register
 
 	// Fleet and fan-out counters, surfaced on /metrics (JSON and
 	// Prometheus). Reassigned counts points re-fanned-out after their
@@ -79,8 +80,9 @@ type Coordinator struct {
 }
 
 // worker is one registered daemon. Mutable fields are guarded by the
-// coordinator's mu; down is closed exactly once when the worker is
-// declared lost, waking every scheduler goroutine blocked on it.
+// coordinator's mu; ctx (a child of the coordinator's) is cancelled
+// when the worker is declared lost, waking every scheduler goroutine
+// blocked on it and aborting every request in flight to it.
 type worker struct {
 	ID       string    `json:"id"`
 	URL      string    `json:"url"`
@@ -89,7 +91,8 @@ type worker struct {
 
 	lastBeat time.Time
 	dead     bool
-	down     chan struct{}
+	ctx      context.Context
+	cancel   context.CancelFunc
 	assigned int           // points currently assigned (load metric)
 	slots    chan struct{} // capacity semaphore
 }
@@ -101,9 +104,6 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 5 * time.Second
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 150 * time.Millisecond
 	}
 	if opts.MaxPoints <= 0 {
 		opts.MaxPoints = 4096
@@ -119,10 +119,12 @@ func New(opts Options) (*Coordinator, error) {
 		blobs:   blobs,
 		spans:   telemetry.NewSpanTracer(opts.SpanBuf),
 		hc:      &http.Client{Timeout: 30 * time.Second},
+		tail:    &http.Client{},
 		ctx:     ctx,
 		stop:    cancel,
 		workers: make(map[string]*worker),
 		sweeps:  make(map[string]*sweep),
+		joined:  make(chan struct{}),
 	}
 	c.wg.Add(1)
 	go c.reap()
@@ -160,10 +162,12 @@ func (c *Coordinator) register(url string, capacity int) *worker {
 		Capacity: capacity,
 		Since:    time.Now(),
 		lastBeat: time.Now(),
-		down:     make(chan struct{}),
 		slots:    make(chan struct{}, capacity),
 	}
+	w.ctx, w.cancel = context.WithCancel(c.ctx)
 	c.workers[w.ID] = w
+	close(c.joined)
+	c.joined = make(chan struct{})
 	c.workersRegistered.Add(1)
 	c.log.Info("worker registered", "worker", w.ID, "url", w.URL, "capacity", capacity)
 	return w
@@ -194,14 +198,14 @@ func (c *Coordinator) markDeadLocked(w *worker, reason string) {
 		return
 	}
 	w.dead = true
-	close(w.down)
+	w.cancel()
 	c.workersLost.Add(1)
 	c.log.Warn("worker lost", "worker", w.ID, "url", w.URL, "reason", reason)
 }
 
 // reap periodically declares workers lost after a silent heartbeat
-// window. Schedulers blocked on those workers wake via their down
-// channel and reassign.
+// window. Schedulers blocked on those workers wake via their ctx and
+// reassign.
 func (c *Coordinator) reap() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.opts.HeartbeatTimeout / 3)
@@ -224,10 +228,14 @@ func (c *Coordinator) reap() {
 }
 
 // pickWorker returns the live worker with the least assigned load,
-// reserving n points of load on it, or blocks (re-checking every poll
-// interval) until one registers. ctx aborts the wait.
-func (c *Coordinator) pickWorker(ctx context.Context, n int) (*worker, error) {
+// reserving n points of load on it, or blocks until register admits
+// one. Closing the coordinator aborts the wait.
+func (c *Coordinator) pickWorker(n int) (*worker, error) {
 	for {
+		// First: handing a closing coordinator's worker out spins runGroup.
+		if err := c.ctx.Err(); err != nil {
+			return nil, err
+		}
 		c.mu.Lock()
 		var best *worker
 		for _, w := range c.workers {
@@ -243,13 +251,11 @@ func (c *Coordinator) pickWorker(ctx context.Context, n int) (*worker, error) {
 			c.mu.Unlock()
 			return best, nil
 		}
+		joined := c.joined
 		c.mu.Unlock()
 		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		case <-c.ctx.Done():
-			return nil, c.ctx.Err()
-		case <-time.After(c.opts.PollInterval):
+		case <-joined:
 		}
 	}
 }

@@ -28,7 +28,6 @@ func newTestCoord(t *testing.T) (*Coordinator, *httptest.Server) {
 	c, err := New(Options{
 		DataDir:          t.TempDir(),
 		HeartbeatTimeout: 600 * time.Millisecond,
-		PollInterval:     10 * time.Millisecond,
 		Log:              discardLog(),
 	})
 	if err != nil {
@@ -108,7 +107,7 @@ func TestSweepExpandTimeoutInheritance(t *testing.T) {
 		TimeoutMS: 1234,
 	}
 	c, _ := newTestCoord(t)
-	sw, err := c.acceptSweep(req)
+	sw, err := c.acceptSweep(req, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +318,10 @@ func TestWorkerRegistryLifecycle(t *testing.T) {
 func TestReaperDeclaresSilentWorkersLost(t *testing.T) {
 	c, _ := newTestCoord(t)
 	w := c.register("http://127.0.0.1:2222", 1)
-	// Observe via the down channel, not heartbeat(): a heartbeat is a
+	// Observe via the worker's ctx, not heartbeat(): a heartbeat is a
 	// liveness refresh and would keep the worker alive forever.
 	select {
-	case <-w.down:
+	case <-w.ctx.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("silent worker never declared lost")
 	}

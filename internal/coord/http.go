@@ -99,7 +99,7 @@ func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) 
 		serve.WriteError(w, code, err)
 		return
 	}
-	sw, err := c.acceptSweep(req)
+	sw, err := c.acceptSweep(req, r.Header.Get(serve.RequestIDHeader))
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, err)
 		return

@@ -146,6 +146,7 @@ type sweepEvent struct {
 // sweep is one accepted grid and its scheduling state.
 type sweep struct {
 	ID        string
+	RequestID string // on every fan-out request and span: the client's X-Request-ID, else ID
 	Submitted time.Time
 	TimeoutMS int64
 	Groups    int
@@ -266,13 +267,15 @@ func (sw *sweep) view(withPoints bool) sweepView {
 // --- scheduling ------------------------------------------------------------
 
 // acceptSweep expands the grid, registers the sweep and starts its
-// scheduler. The returned sweep is already running.
-func (c *Coordinator) acceptSweep(req SweepRequest) (*sweep, error) {
+// scheduler. The returned sweep is already running. requestID is the
+// submitting client's X-Request-ID ("" when it sent none).
+func (c *Coordinator) acceptSweep(req SweepRequest, requestID string) (*sweep, error) {
 	pts, err := req.expand(c.opts.MaxPoints)
 	if err != nil {
 		return nil, err
 	}
 	sw := &sweep{
+		RequestID: requestID,
 		Submitted: time.Now(),
 		TimeoutMS: req.TimeoutMS,
 		state:     "running",
@@ -299,6 +302,9 @@ func (c *Coordinator) acceptSweep(req SweepRequest) (*sweep, error) {
 	sw.ID = fmt.Sprintf("s%06d", c.nextS)
 	c.sweeps[sw.ID] = sw
 	c.mu.Unlock()
+	if sw.RequestID == "" {
+		sw.RequestID = sw.ID
+	}
 	c.sweepsAccepted.Add(1)
 
 	sw.mu.Lock()
@@ -351,7 +357,7 @@ var errWorkerLost = errors.New("worker lost")
 func (c *Coordinator) runGroup(sw *sweep, pts []*point) {
 	remaining := pts
 	for len(remaining) > 0 {
-		w, err := c.pickWorker(c.ctx, len(remaining))
+		w, err := c.pickWorker(len(remaining))
 		if err != nil {
 			// Coordinator shutting down: fail what's left.
 			for _, pt := range remaining {
@@ -382,14 +388,8 @@ func (c *Coordinator) runGroupOn(sw *sweep, w *worker, pts []*point) (lost []*po
 	for i, pt := range pts {
 		select {
 		case w.slots <- struct{}{}:
-		case <-w.down:
+		case <-w.ctx.Done():
 			// Everything not yet scheduled is lost with the worker.
-			mu.Lock()
-			lost = append(lost, pts[i:]...)
-			mu.Unlock()
-			wg.Wait()
-			return lost
-		case <-c.ctx.Done():
 			mu.Lock()
 			lost = append(lost, pts[i:]...)
 			mu.Unlock()
@@ -418,47 +418,88 @@ func (c *Coordinator) runGroupOn(sw *sweep, w *worker, pts []*point) (lost []*po
 	return lost
 }
 
-// runPoint submits one point to a worker and polls it to a terminal
-// state. Returns errWorkerLost when the attempt died with the worker
-// (reassign), any other error for a permanent point failure, nil after
-// sw.finish recorded a result. Each attempt is one "sweep.point" span
-// stamped with the worker id, so the trace export lanes fan-out by
-// worker.
+// runPoint runs one point on a worker: submit, follow the job's event
+// stream to its end, fetch the result. Returns errWorkerLost when the
+// attempt died with the worker (reassign), any other error for a
+// permanent point failure, nil after sw.finish recorded a result. Each
+// attempt is one "sweep.point" span stamped with the worker id, so the
+// trace export lanes fan-out by worker, and split into submit_ms /
+// follow_ms / fetch_ms, so the trace itself says how much of a point
+// was the worker's job (the follow) and how much was transport.
 func (c *Coordinator) runPoint(sw *sweep, w *worker, pt *point) (err error) {
 	sw.begin(pt, w.ID)
-	span := telemetry.Span{
-		Name:      "sweep.point",
-		RequestID: sw.ID,
-		JobID:     w.ID,
-		Start:     time.Now(),
-		Attrs: []telemetry.SpanAttr{
-			{Key: "point", Value: strconv.Itoa(pt.Index)},
-			{Key: "attempt", Value: strconv.Itoa(pt.Attempts)},
-		},
-	}
+	start := time.Now()
+	var submit, follow, fetch time.Duration
 	defer func() {
 		outcome := "done"
 		if err != nil {
 			outcome = err.Error()
 		}
-		span.Attrs = append(span.Attrs, telemetry.SpanAttr{Key: "outcome", Value: outcome})
-		span.Dur = time.Since(span.Start)
-		c.spans.Emit(span)
+		ms := func(d time.Duration) string { return strconv.FormatFloat(d.Seconds()*1e3, 'f', 3, 64) }
+		c.spans.Emit(telemetry.Span{
+			Name: "sweep.point", RequestID: sw.RequestID, JobID: w.ID,
+			Start: start, Dur: time.Since(start),
+			Attrs: []telemetry.SpanAttr{
+				{Key: "point", Value: strconv.Itoa(pt.Index)},
+				{Key: "attempt", Value: strconv.Itoa(pt.Attempts)},
+				{Key: "submit_ms", Value: ms(submit)},
+				{Key: "follow_ms", Value: ms(follow)},
+				{Key: "fetch_ms", Value: ms(fetch)},
+				{Key: "outcome", Value: outcome},
+			},
+		})
 	}()
 
-	jobID, err := c.submitPoint(w, pt)
+	jobID, err := c.submitPoint(sw, w, pt)
+	submit = time.Since(start)
 	if err != nil {
 		return err
 	}
 	sw.mu.Lock()
 	pt.JobID = jobID
 	sw.mu.Unlock()
-	res, err := c.awaitJob(w, jobID)
-	if err != nil {
-		return err
+
+	url := w.URL + "/v1/runs/" + jobID
+	for {
+		// The worker ends a job's JSONL event stream when the job is
+		// terminal; the lines are progress for people, the coordinator
+		// wants the end. No whole-request timeout: a job may run long.
+		t := time.Now()
+		err := c.getJob(c.tail, sw, w, url+"/events", func(r io.Reader) error {
+			_, err := io.Copy(io.Discard, r)
+			return err
+		})
+		follow += time.Since(t)
+		if err != nil {
+			return err
+		}
+		var jv jobView
+		t = time.Now()
+		err = c.getJob(c.hc, sw, w, url, func(r io.Reader) error {
+			return json.NewDecoder(io.LimitReader(r, 64<<20)).Decode(&jv)
+		})
+		fetch += time.Since(t)
+		if err != nil {
+			return err
+		}
+		switch jv.Status {
+		case "done":
+			if jv.Result == nil {
+				return fmt.Errorf("worker %s: job %s done without result", w.ID, jobID)
+			}
+			sw.finish(pt, jv.Result, "")
+			return nil
+		case "failed", "stalled":
+			// Deterministic simulation outcome: final, not reassigned.
+			if jv.Error == "" {
+				jv.Error = "job " + jv.Status
+			}
+			return fmt.Errorf("worker %s: %s", w.ID, jv.Error)
+		}
+		// The stream ended, the job has not: a worker shutting down ends
+		// its streams cleanly. Only the status decides, so follow again;
+		// once the worker is really gone the follow itself fails.
 	}
-	sw.finish(pt, res, "")
-	return nil
 }
 
 // submitView / jobView are the slices of the workers' wire shapes the
@@ -475,110 +516,101 @@ type jobView struct {
 	Result *sim.Result `json:"result,omitempty"`
 }
 
+// fanout sends one of sw's requests to w. It carries the sweep's
+// request id, so one sweep is one id across every worker's logs and
+// spans, and w's ctx, so losing the worker or closing the coordinator
+// aborts it.
+func (c *Coordinator) fanout(hc *http.Client, sw *sweep, w *worker, method, url string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(w.ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set(serve.RequestIDHeader, sw.RequestID)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	return hc.Do(req)
+}
+
+// drain reads (a bounded rest of) a fan-out response and closes it: a
+// body closed unread costs the pooled connection.
+func drain(body io.ReadCloser) []byte {
+	defer body.Close()
+	rest, _ := io.ReadAll(io.LimitReader(body, 4096))
+	return rest
+}
+
+// workerLost declares w lost over a failed fan-out request and returns
+// errWorkerLost. A request that failed because w's ctx had already
+// ended (lost earlier, or the coordinator is closing) declares nothing.
+func (c *Coordinator) workerLost(w *worker, reason string) error {
+	if w.ctx.Err() == nil {
+		c.markDead(w, reason)
+	}
+	return errWorkerLost
+}
+
 // submitPoint POSTs one point to the worker's /v1/runs, backing off on
 // 429 until the worker either admits it or dies.
-func (c *Coordinator) submitPoint(w *worker, pt *point) (string, error) {
+func (c *Coordinator) submitPoint(sw *sweep, w *worker, pt *point) (string, error) {
 	body, err := json.Marshal(pt.Spec)
 	if err != nil {
 		return "", err
 	}
 	for {
-		select {
-		case <-w.down:
+		if w.ctx.Err() != nil {
 			return "", errWorkerLost
-		case <-c.ctx.Done():
-			return "", errWorkerLost
-		default:
 		}
 		c.fanoutSubmitted.Add(1)
-		resp, err := c.hc.Post(w.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+		resp, err := c.fanout(c.hc, sw, w, http.MethodPost, w.URL+"/v1/runs", body)
 		if err != nil {
-			c.markDead(w, "submit failed: "+err.Error())
-			return "", errWorkerLost
+			return "", c.workerLost(w, "submit failed: "+err.Error())
 		}
 		switch resp.StatusCode {
 		case http.StatusAccepted, http.StatusOK:
 			var sv submitView
 			err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sv)
-			resp.Body.Close()
+			drain(resp.Body)
 			if err != nil || sv.ID == "" {
 				return "", fmt.Errorf("worker %s: malformed submit response: %v", w.ID, err)
 			}
 			return sv.ID, nil
 		case http.StatusTooManyRequests:
 			// Backpressure: the worker's queue is full (or it is
-			// draining). Honor Retry-After, capped so a dying worker's
-			// hint cannot stall the sweep.
-			delay := c.opts.PollInterval
-			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-				delay = time.Duration(ra) * time.Second
-				if delay > 2*time.Second {
-					delay = 2 * time.Second
-				}
-			}
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
+			// draining). Honor its Retry-After, held to 1–2 s so neither
+			// a missing hint spins nor a dying worker's stalls the sweep.
+			ra, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
+			drain(resp.Body)
 			c.fanoutRetries.Add(1)
 			select {
-			case <-time.After(delay):
-			case <-w.down:
-				return "", errWorkerLost
-			case <-c.ctx.Done():
+			case <-time.After(time.Duration(min(max(ra, 1), 2)) * time.Second):
+			case <-w.ctx.Done():
 				return "", errWorkerLost
 			}
 		default:
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
 			return "", fmt.Errorf("worker %s refused point: %s: %s",
-				w.ID, resp.Status, bytes.TrimSpace(msg))
+				w.ID, resp.Status, bytes.TrimSpace(drain(resp.Body)))
 		}
 	}
 }
 
-// awaitJob polls one worker job to a terminal state.
-func (c *Coordinator) awaitJob(w *worker, jobID string) (*sim.Result, error) {
-	url := w.URL + "/v1/runs/" + jobID
-	for {
-		select {
-		case <-w.down:
-			return nil, errWorkerLost
-		case <-c.ctx.Done():
-			return nil, errWorkerLost
-		case <-time.After(c.opts.PollInterval):
-		}
-		resp, err := c.hc.Get(url)
-		if err != nil {
-			c.markDead(w, "poll failed: "+err.Error())
-			return nil, errWorkerLost
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			// A worker that forgot an admitted job restarted without its
-			// journal; treat as lost so the point reassigns.
-			c.markDead(w, fmt.Sprintf("job %s vanished (%s)", jobID, resp.Status))
-			return nil, errWorkerLost
-		}
-		var jv jobView
-		err = json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&jv)
-		resp.Body.Close()
-		if err != nil {
-			c.markDead(w, "poll decode failed: "+err.Error())
-			return nil, errWorkerLost
-		}
-		switch jv.Status {
-		case "done":
-			if jv.Result == nil {
-				return nil, fmt.Errorf("worker %s: job %s done without result", w.ID, jobID)
-			}
-			return jv.Result, nil
-		case "failed", "stalled":
-			// Deterministic simulation outcome: final, not reassigned.
-			msg := jv.Error
-			if msg == "" {
-				msg = "job " + jv.Status
-			}
-			return nil, fmt.Errorf("worker %s: %s", w.ID, msg)
-		}
+// getJob GETs one of a worker job's URLs and hands a 200 body to read.
+// Every failure is worker loss, declared at once rather than at the
+// next heartbeat timeout: a refused or broken connection, a non-200 (a
+// worker that forgot an admitted job restarted without its journal),
+// and a body that fails to read — for the event stream, one that broke
+// before the job was terminal.
+func (c *Coordinator) getJob(hc *http.Client, sw *sweep, w *worker, url string, read func(io.Reader) error) error {
+	resp, err := c.fanout(hc, sw, w, http.MethodGet, url, nil)
+	if err != nil {
+		return c.workerLost(w, err.Error())
 	}
+	defer drain(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return c.workerLost(w, fmt.Sprintf("job vanished: GET %s: %s", url, resp.Status))
+	}
+	if err := read(resp.Body); err != nil {
+		return c.workerLost(w, fmt.Sprintf("GET %s: %v", url, err))
+	}
+	return nil
 }

@@ -22,10 +22,10 @@ import (
 
 // --- request correlation --------------------------------------------------
 
-// requestIDHeader is accepted on every request and echoed on every
+// RequestIDHeader is accepted on every request and echoed on every
 // response; absent, a fresh id is generated so every request is
-// correlatable.
-const requestIDHeader = "X-Request-ID"
+// correlatable. The coordinator sets it on every fan-out request.
+const RequestIDHeader = "X-Request-ID"
 
 // newRequestID returns a 16-hex-char random correlation id.
 func newRequestID() string {
@@ -73,11 +73,11 @@ func httpSpan(ctx context.Context) *telemetry.ActiveSpan {
 // every downstream span and log line carries the same request id.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rid := r.Header.Get(requestIDHeader)
+		rid := r.Header.Get(RequestIDHeader)
 		if rid == "" {
 			rid = newRequestID()
 		}
-		w.Header().Set(requestIDHeader, rid)
+		w.Header().Set(RequestIDHeader, rid)
 
 		ctx := telemetry.ContextWithSpanTracer(r.Context(), s.spans)
 		ctx = telemetry.ContextWithRequestID(ctx, rid)
