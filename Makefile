@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test benchmark-test determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+.PHONY: check build fmt vet test benchmark-test pairs determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
 # Tier-1 gate: everything must pass before a change lands, and every
 # test runs once. `test` runs -race over every package — including the
@@ -34,6 +34,17 @@ test:
 # CLI flag or to a result field breaks here.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
+
+# The claim procedure for a speed change: N alternating pairs of one
+# benchmark workload on the committed files of BASE and on this
+# checkout, with per-pair values, wins, medians and quartiles (see
+# scripts/pairs.sh). Minutes, not part of `check`.
+#   make pairs W=serve_cold BASE=HEAD~1 N=10 S=15
+N ?= 10
+S ?= 15
+pairs:
+	@test -n "$(W)" -a -n "$(BASE)" || { echo "usage: make pairs W=<workload> BASE=<rev> [N=10] [S=15]"; exit 2; }
+	bash scripts/pairs.sh $(W) $(BASE) $(N) $(S)
 
 # Golden equivalence: the wake-gated scheduler vs the clock-everything
 # reference, run-to-run repeatability, fork-vs-cold and the fork path

@@ -8,8 +8,9 @@
 // SIGINT/SIGTERM interrupt the run cooperatively: in-flight simulations
 // stop within a few thousand cycles, completed tables are flushed, and
 // the process exits 130. With -cache-dir every finished simulation is
-// checkpointed, so rerunning the same command resumes instead of
-// recomputing (-resume is shorthand for the default cache directory).
+// checkpointed (before the process exits, on either path), so rerunning
+// the same command resumes instead of recomputing (-resume is shorthand
+// for the default cache directory).
 package main
 
 import (
@@ -152,6 +153,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// Results are checkpointed behind the runs that produced them; wait
+	// for the tail here, once, so every exit below — 130 after a SIGINT
+	// included — leaves a cache directory the next invocation resumes
+	// from.
+	session.Flush()
 
 	var b strings.Builder
 	for _, res := range rep.Results {

@@ -187,6 +187,22 @@ type Cache struct {
 	Stats Stats
 }
 
+// lineArrays recycles line arrays — the largest allocation of a system
+// build — between caches of the same geometry.
+var lineArrays memsys.ArrayPool[Line]
+
+// Release hands the line array and the replacement policy's per-line
+// array back to the free lists New draws from. The cache must never be
+// used again (a later access faults on the nil array instead of
+// reading another system's lines), and the caller must be the only
+// goroutine that could still touch it. State and Stats taken earlier
+// are copies and stay valid.
+func (c *Cache) Release() {
+	lineArrays.Put(c.lines)
+	c.lines = nil
+	repl.Release(c.pol)
+}
+
 // New constructs a cache. The lower sink and prefetcher are attached
 // with SetLower / SetPrefetcher before the first cycle.
 func New(cfg Config) (*Cache, error) {
@@ -208,7 +224,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:      cfg,
-		lines:    make([]Line, cfg.Sets*cfg.Ways),
+		lines:    lineArrays.Get(cfg.Sets * cfg.Ways),
 		pol:      pol,
 		rq:       newQueue(cfg.RQSize),
 		wq:       newQueue(cfg.WQSize),

@@ -98,7 +98,12 @@ func startWorker(t *testing.T, coordURL string) *testWorker {
 	ctx, cancel := context.WithCancel(context.Background())
 	StartAgent(ctx, coordURL, ts.URL, 2, discardLog())
 	w := &testWorker{srv: srv, ts: ts, cancel: cancel}
-	t.Cleanup(func() { w.kill() })
+	t.Cleanup(func() {
+		w.kill()
+		// The session writes checkpoints behind its runs; let the tail
+		// land before the test's temp dirs are removed under it.
+		srv.Session().Flush()
+	})
 	return w
 }
 
@@ -344,6 +349,10 @@ func TestE2EDistributedSweepMatchesSingleNode(t *testing.T) {
 	// --- shared-store replay: a fresh worker, an empty cache, zero
 	// simulations ---------------------------------------------------
 	for _, w := range workers {
+		// Checkpoints are pushed behind the jobs that produced them: the
+		// replay below is of a fleet that drained, not one that crashed
+		// with PUTs in flight (those points would simply re-simulate).
+		w.srv.Session().Flush()
 		w.kill()
 	}
 	fresh := startWorker(t, cts.URL)

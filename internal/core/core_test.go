@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -465,6 +466,47 @@ func TestRRFilterUnit(t *testing.T) {
 	}
 	if f.hit(0x1000) {
 		t.Error("tag survived past FIFO capacity")
+	}
+}
+
+// TestRRFilterMatchesScan holds the O(1) presence-count probe to the
+// reference it replaced — a scan of all 32 FIFO tags — over random
+// insert/probe steps. Addresses come from a pool of 48 blocks, so the
+// FIFO is always full of duplicates (the same tag in several entries,
+// each evicted separately) and every step's answer is contested.
+func TestRRFilterMatchesScan(t *testing.T) {
+	scan := func(f *rrFilter, addr memsys.Addr) bool {
+		tag := rrTag(addr)
+		for _, x := range f.tags {
+			if x == tag {
+				return true
+			}
+		}
+		return false
+	}
+	f := newRRFilter()
+	rng := rand.New(rand.NewSource(7))
+	var wantProbes, wantHits uint64
+	for step := 0; step < 1_200_000; step++ {
+		addr := memsys.Addr(0x7f00_0000 + rng.Intn(48)*memsys.BlockSize)
+		if rng.Intn(3) == 0 {
+			f.insert(addr)
+			continue
+		}
+		want := scan(f, addr)
+		wantProbes++
+		if want {
+			wantHits++
+		}
+		if got := f.hit(addr); got != want {
+			t.Fatalf("step %d: hit(%#x) = %v, 32-entry scan says %v", step, addr, got, want)
+		}
+	}
+	if probes, hits := f.stats(); probes != wantProbes || hits != wantHits {
+		t.Errorf("stats = (%d, %d), want (%d, %d)", probes, hits, wantProbes, wantHits)
+	}
+	if wantHits == 0 || wantHits == wantProbes {
+		t.Errorf("degenerate mix: %d hits of %d probes", wantHits, wantProbes)
 	}
 }
 

@@ -9,11 +9,17 @@ import "ipcp/internal/memsys"
 // the candidate instead (§V, "L1-D bandwidth and Recent Request
 // Filter").
 type rrFilter struct {
-	// tags is a fixed array: the probe loop runs on every candidate the
-	// L1 IPCP generates, and the embedded array spares it a pointer
-	// indirection and slice bounds checks.
+	// tags is the hardware structure: a 32-entry FIFO of partial tags
+	// (Table I's 12 × 32 bits, see storage.go).
 	tags [rrEntries]uint16
 	pos  int
+
+	// present counts how many FIFO entries hold each tag, so the probe
+	// that runs on every candidate the L1 IPCP generates is one load
+	// instead of a 32-entry scan. It is simulator bookkeeping derived
+	// from tags — hardware compares the 32 tags in parallel — and is
+	// not part of the storage budget. A count never exceeds rrEntries.
+	present [1 << rrTagBits]uint8
 
 	// probes/hits are observation counters for telemetry snapshots;
 	// they never influence filtering decisions.
@@ -24,12 +30,14 @@ type rrFilter struct {
 const (
 	rrEntries = 32
 	rrTagBits = 12
+	// rrInvalid marks an empty FIFO entry; no 12-bit tag equals it.
+	rrInvalid = 0xffff
 )
 
 func newRRFilter() *rrFilter {
 	f := &rrFilter{}
 	for i := range f.tags {
-		f.tags[i] = 0xffff // invalid
+		f.tags[i] = rrInvalid
 	}
 	return f
 }
@@ -42,14 +50,11 @@ func rrTag(addr memsys.Addr) uint16 {
 // hit reports whether addr's partial tag is present.
 func (f *rrFilter) hit(addr memsys.Addr) bool {
 	f.probes++
-	t := rrTag(addr)
-	for _, x := range &f.tags {
-		if x == t {
-			f.hits++
-			return true
-		}
+	if f.present[rrTag(addr)] == 0 {
+		return false
 	}
-	return false
+	f.hits++
+	return true
 }
 
 // stats returns the cumulative probe and hit counts.
@@ -61,6 +66,11 @@ func (f *rrFilter) resetStats() { f.probes, f.hits = 0, 0 }
 
 // insert records addr, replacing the oldest entry (FIFO).
 func (f *rrFilter) insert(addr memsys.Addr) {
-	f.tags[f.pos] = rrTag(addr)
+	if old := f.tags[f.pos]; old != rrInvalid {
+		f.present[old]--
+	}
+	t := rrTag(addr)
+	f.tags[f.pos] = t
+	f.present[t]++
 	f.pos = (f.pos + 1) % rrEntries
 }

@@ -229,6 +229,7 @@ func TestSessionStatsSurfaceDiskCounters(t *testing.T) {
 	if _, err := s.Run(spec); err != nil {
 		t.Fatal(err)
 	}
+	s.Flush()
 	// Strip the entry's frame, then reload through a fresh session.
 	entries, _ := filepath.Glob(filepath.Join(dir, "*", "*.json"))
 	if len(entries) != 1 {
@@ -249,6 +250,7 @@ func TestSessionStatsSurfaceDiskCounters(t *testing.T) {
 	if _, err := s2.Run(spec); err != nil {
 		t.Fatal(err)
 	}
+	s2.Flush()
 	st := s2.Stats()
 	if st.Quarantined != 1 || st.Executed != 1 {
 		t.Fatalf("stats = %+v, want 1 quarantine + 1 recompute", st)

@@ -266,6 +266,14 @@ type SessionStats struct {
 	WarmupsCoalesced int
 	ForkedRuns       int
 
+	// PendingSaves is a gauge: checkpoints and snapshot spills whose run
+	// has returned but whose write has not finished (see Flush).
+	// BuildsRecycled counts simulated systems this session released
+	// once their run had returned, handing their cache arrays to the
+	// next build (sim.System.Release).
+	PendingSaves   int
+	BuildsRecycled int
+
 	// SteppedCycles and JumpedCycles total the scheduler self-profile
 	// (sim.EngineStats) of every measured phase this session executed:
 	// simulated cycles on which some component was clocked, and cycles
@@ -298,7 +306,12 @@ type Session struct {
 	// steppedCycles/jumpedCycles sum Result.Engine over executed runs.
 	steppedCycles uint64
 	jumpedCycles  uint64
+	recycled      int
 	sem           chan struct{}
+
+	// saves persists results and snapshot spills behind the runs that
+	// produced them (see writebehind.go).
+	saves writeBehind
 
 	// Shared-warmup snapshot store (see sweep.go): one single-flight
 	// entry per warmup identity, with a residency list bounding how
@@ -349,10 +362,11 @@ func (s *Session) SetLogger(log *slog.Logger) {
 
 // SetCacheDir attaches a persistent result cache rooted at dir
 // (created if missing): every memoized result is also checkpointed to
-// disk, and later sessions — including a rerun after a crash or SIGINT
-// — resume from it instead of recomputing. Results are keyed by
-// workload + configuration + scale, so a cache directory can be shared
-// across scales safely.
+// disk — behind the run that produced it, see Flush — and later
+// sessions, including a rerun after a crash or SIGINT, resume from it
+// instead of recomputing. Results are keyed by workload +
+// configuration + scale, so a cache directory can be shared across
+// scales safely.
 func (s *Session) SetCacheDir(dir string) error {
 	d, err := newDiskCache(dir, s.log)
 	if err != nil {
@@ -409,8 +423,10 @@ func (s *Session) Stats() SessionStats {
 		ForkedRuns:       s.forkedRuns,
 		SteppedCycles:    s.steppedCycles,
 		JumpedCycles:     s.jumpedCycles,
+		BuildsRecycled:   s.recycled,
 	}
 	s.mu.Unlock()
+	st.PendingSaves = s.saves.depth()
 	s.snapMu.Lock()
 	st.SnapshotMemHits = s.snapMemHits
 	st.WarmupsCoalesced = s.warmupsCoalesced
@@ -496,8 +512,9 @@ func (s *Session) run(ctx context.Context, spec RunSpec, prefix string, diskKey 
 }
 
 // lead resolves an in-flight cache entry as its leader: it loads or
-// executes the run, publishes the outcome, and wakes every coalesced
-// waiter. Exactly one goroutine leads each in-flight entry. span is the
+// executes the run, publishes the outcome, wakes every coalesced
+// waiter, and only then queues the checkpoint write behind them.
+// Exactly one goroutine leads each in-flight entry. span is the
 // caller's session.run span; lead stamps the outcome onto it. dk is the
 // disk-cache address for this entry and exec the path that actually
 // simulates (classic warmup+measure, or a forked measure phase).
@@ -545,12 +562,19 @@ func (s *Session) lead(ctx context.Context, spec RunSpec, k, dk string, o *outco
 	s.steppedCycles += res.Engine.SteppedCycles
 	s.jumpedCycles += res.Engine.JumpedCycles
 	s.mu.Unlock()
+	resolve(res, nil)
 	if s.disk != nil {
-		_, ssp := telemetry.StartSpan(ctx, "checkpoint.save")
-		s.disk.store(dk, k, res)
-		ssp.End()
+		// The save span is a child of session.run but starts after it
+		// has ended (run's deferred End then no-ops): the trace shows the
+		// write overlapping whatever runs next, not inside the run.
+		span.End()
+		s.saves.enqueue(func() {
+			_, ssp := telemetry.StartSpan(ctx, "checkpoint.save")
+			s.disk.store(dk, k, res)
+			ssp.End()
+		})
 	}
-	return resolve(res, nil)
+	return res, nil
 }
 
 // RunAll executes the specs concurrently and returns results in order;
@@ -761,7 +785,19 @@ func (s *Session) buildAndRun(runCtx context.Context, spec RunSpec) (*sim.Result
 	if err != nil {
 		return nil, err
 	}
+	defer s.release(sys)
 	return sys.RunContext(runCtx, s.Scale.Warmup, s.Scale.Measure)
+}
+
+// release recycles a system's arrays once its simulation has returned.
+// Every caller defers it in the function that built and ran the system
+// — runSlot's body goroutine — which is the only place sim.System's
+// Release rule allows: an abandoned run is still inside that function.
+func (s *Session) release(sys *sim.System) {
+	sys.Release()
+	s.mu.Lock()
+	s.recycled++
+	s.mu.Unlock()
 }
 
 // capSpread caps a sorted name list by taking evenly spaced entries,

@@ -251,6 +251,7 @@ func TestDiskCacheResumeByteIdentical(t *testing.T) {
 	if s1.Executed() == 0 {
 		t.Fatal("first session executed nothing")
 	}
+	s1.Flush()
 
 	// A second session over the same cache dir resumes: zero executions,
 	// byte-identical report.
@@ -283,6 +284,7 @@ func TestCorruptCacheEntryRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1.Flush()
 
 	// Vandalize every cached entry.
 	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
@@ -303,6 +305,7 @@ func TestCorruptCacheEntryRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupt cache entry surfaced as an error: %v", err)
 	}
+	s2.Flush()
 	if s2.Executed() != 1 {
 		t.Errorf("Executed = %d, want 1 (silent recompute)", s2.Executed())
 	}
@@ -323,6 +326,7 @@ func TestDiskCacheKeyMismatchIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Flush()
 	s.disk.store(s.diskKey(k), "some-other-spec", res)
 	if _, ok := s.disk.load(s.diskKey(k), k); ok {
 		t.Error("load accepted an entry whose spec key differs")

@@ -151,6 +151,7 @@ func (s *Session) executeShared(ctx context.Context, spec RunSpec) (*sim.Result,
 			if err != nil {
 				return nil, err
 			}
+			defer s.release(sys)
 			return sys.RunContext(runCtx, s.Scale.Warmup, s.Scale.Measure)
 		})
 	}
@@ -163,6 +164,7 @@ func (s *Session) executeShared(ctx context.Context, spec RunSpec) (*sim.Result,
 		if err != nil {
 			return nil, err
 		}
+		defer s.release(sys)
 		if err := sys.RestoreSnapshot(snap); err != nil {
 			return nil, err
 		}
@@ -259,17 +261,23 @@ func (s *Session) snapshotFor(ctx context.Context, spec RunSpec) (*sim.Snapshot,
 }
 
 // leadWarmup resolves a snapshot entry as its leader: disk spill if
-// present, else run the warmup under a concurrency slot, snapshot, and
-// spill. Fatal outcomes are removed before publishing so later callers
+// present, else run the warmup under a concurrency slot, snapshot,
+// publish it to the siblings blocked on the group, and spill behind
+// them. Fatal outcomes are removed before publishing so later callers
 // retry rather than inherit an interruption.
 func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *snapEntry) (*sim.Snapshot, error) {
-	resolve := func(snap *sim.Snapshot, err error) (*sim.Snapshot, error) {
+	// evictable says the snapshot may be dropped from memory under the
+	// residency cap: true when dropping it costs a disk read (its spill
+	// is there) or nothing can be done about it (no cache directory).
+	// A snapshot whose spill is still queued joins the residency list
+	// when the write lands — evicting it earlier would re-warm.
+	resolve := func(snap *sim.Snapshot, err error, evictable bool) (*sim.Snapshot, error) {
 		s.snapMu.Lock()
 		e.snap, e.err = snap, err
 		if err != nil && fatal(err) {
 			delete(s.snaps, wkey)
 		}
-		if snap != nil {
+		if snap != nil && evictable {
 			s.evictSnapshotsLocked(wkey)
 		}
 		s.snapMu.Unlock()
@@ -278,10 +286,10 @@ func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *
 	}
 
 	if err := firstError(ctx.Err(), s.ctx.Err()); err != nil {
-		return resolve(nil, err)
+		return resolve(nil, err, false)
 	}
 	if snap, ok := s.loadSnapshotSpill(ctx, wkey); ok {
-		return resolve(snap, nil)
+		return resolve(snap, nil, true)
 	}
 
 	snap, err := runSlot(s, ctx, func(runCtx context.Context) (*sim.Snapshot, error) {
@@ -294,15 +302,23 @@ func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *
 		if err != nil {
 			return nil, err
 		}
+		// Snapshot deep-copies, so the system's arrays can go back.
+		defer s.release(sys)
 		if err := sys.RunWarmup(runCtx, s.Scale.Warmup); err != nil {
 			return nil, err
 		}
 		return sys.Snapshot()
 	})
 	if err != nil {
-		return resolve(nil, err)
+		return resolve(nil, err, false)
 	}
-	if s.disk != nil {
+	if s.disk == nil {
+		return resolve(snap, nil, true)
+	}
+	resolve(snap, nil, false)
+	s.saves.enqueue(func() {
+		_, ssp := telemetry.StartSpan(ctx, "snapshot.spill")
+		defer ssp.End()
 		if data, err := sim.EncodeSnapshot(snap); err == nil {
 			s.disk.storeBlob(s.snapDiskKey(wkey), data)
 			s.mu.Lock()
@@ -311,8 +327,11 @@ func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *
 		} else {
 			s.log.Warn("snapshot encode failed; not spilled", "warmup", wkey, "err", err)
 		}
-	}
-	return resolve(snap, nil)
+		s.snapMu.Lock()
+		s.evictSnapshotsLocked(wkey)
+		s.snapMu.Unlock()
+	})
+	return snap, nil
 }
 
 // loadSnapshotSpill loads and decodes a spilled snapshot. A blob that
@@ -343,8 +362,10 @@ func (s *Session) loadSnapshotSpill(ctx context.Context, wkey string) (snap *sim
 // evictSnapshotsLocked appends wkey to the residency list and drops the
 // oldest in-memory snapshots beyond the cap (their entries stay — the
 // warmup is done — only the resident copy goes; a later fork reloads
-// the spill or, with no cache directory, re-warms). Callers hold
-// snapMu.
+// the spill or, with no cache directory, re-warms). Only a snapshot
+// whose spill has been attempted is ever on the list (see leadWarmup),
+// so the resident count can exceed the cap by the spills still queued.
+// Callers hold snapMu.
 func (s *Session) evictSnapshotsLocked(wkey string) {
 	s.snapResident = append(s.snapResident, wkey)
 	for len(s.snapResident) > snapMemCap {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"ipcp/internal/chaos"
 	"ipcp/internal/sim"
 )
 
@@ -136,6 +137,7 @@ func TestSweepSnapshotSpillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1.Flush()
 	if st := s1.Stats(); st.SnapshotMisses != 1 || st.SnapshotBytes == 0 {
 		t.Fatalf("first session: misses=%d bytes=%d, want 1 warmup spilled", st.SnapshotMisses, st.SnapshotBytes)
 	}
@@ -158,6 +160,7 @@ func TestSweepSnapshotSpillResume(t *testing.T) {
 	if _, err := s2.RunShared(novel); err != nil {
 		t.Fatal(err)
 	}
+	s2.Flush()
 	st := s2.Stats()
 	if st.DiskHits != 1 {
 		t.Errorf("DiskHits = %d, want 1 (the repeated spec)", st.DiskHits)
@@ -336,11 +339,13 @@ func TestSnapshotEvictionServesSpillWithCache(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
+	s.Flush()
 	novel := first
 	novel.L1D = "spp"
 	if _, err := s.RunShared(novel); err != nil {
 		t.Fatalf("post-eviction fork: %v", err)
 	}
+	s.Flush()
 	st := s.Stats()
 	if st.SnapshotMisses != snapMemCap+1 {
 		t.Errorf("SnapshotMisses = %d, want %d (the evicted identity must reload its spill, not re-warm)",
@@ -348,5 +353,49 @@ func TestSnapshotEvictionServesSpillWithCache(t *testing.T) {
 	}
 	if st.SnapshotDiskHits != 1 {
 		t.Errorf("SnapshotDiskHits = %d, want 1", st.SnapshotDiskHits)
+	}
+}
+
+// TestSnapshotNotEvictedBeforeItsSpillLands: the residency cap drops a
+// snapshot on the assumption that its spill can be read back, and the
+// spill is written behind the warmup. With every write held, one more
+// warmup than the cap must evict nothing — a fork of the oldest
+// identity is a memory hit, not a re-warm — and once the spills land
+// the cap applies again and the same fork reads the disk.
+func TestSnapshotNotEvictedBeforeItsSpillLands(t *testing.T) {
+	letGo := make(chan struct{})
+	in := chaos.New(1)
+	in.Add(chaos.Rule{Point: "checkpoint.save", Kind: chaos.KindCrash})
+	in.SetCrashFunc(func(string) { <-letGo })
+	chaos.Enable(in)
+	t.Cleanup(func() { chaos.Enable(nil) })
+
+	s := NewSession(sweepScale)
+	if err := s.SetCacheDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= snapMemCap+1; seed++ {
+		if _, err := s.RunShared(RunSpec{Workloads: []string{"mcf-994"}, L1D: "ipcp", Seed: seed}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	oldest := RunSpec{Workloads: []string{"mcf-994"}, L1D: "spp", Seed: 1}
+	if _, err := s.RunShared(oldest); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.SnapshotMisses != snapMemCap+1 || st.SnapshotMemHits != 1 || st.SnapshotDiskHits != 0 {
+		t.Fatalf("with every spill held: misses=%d mem=%d disk=%d, want %d/1/0 (an unspilled snapshot must stay resident)",
+			st.SnapshotMisses, st.SnapshotMemHits, st.SnapshotDiskHits, snapMemCap+1)
+	}
+	close(letGo)
+	s.Flush()
+	oldest.L1D = "bop"
+	if _, err := s.RunShared(oldest); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	if st := s.Stats(); st.SnapshotMisses != snapMemCap+1 || st.SnapshotDiskHits != 1 {
+		t.Fatalf("after the spills landed: misses=%d disk=%d, want %d/1 (the cap evicts again, the spill serves)",
+			st.SnapshotMisses, st.SnapshotDiskHits, snapMemCap+1)
 	}
 }

@@ -57,9 +57,25 @@ type lru struct {
 	tick  uint64
 }
 
+// stampArrays recycles LRU stamp arrays — one uint64 per line, the
+// second-largest allocation of a system build — between policies.
+var stampArrays memsys.ArrayPool[uint64]
+
 // NewLRU returns a true-LRU policy.
 func NewLRU(sets, ways int) Policy {
-	return &lru{ways: ways, stamp: make([]uint64, sets*ways)}
+	return &lru{ways: ways, stamp: stampArrays.Get(sets * ways)}
+}
+
+// Release hands p's per-line array back to the free list its
+// constructor draws from (LRU's stamps; the other policies' arrays are
+// a quarter of the size or rarely built, and are left to the garbage
+// collector). p must never be used again, and the caller must be the
+// only goroutine that could still touch it.
+func Release(p Policy) {
+	if l, ok := p.(*lru); ok {
+		stampArrays.Put(l.stamp)
+		l.stamp = nil
+	}
 }
 
 func (p *lru) Name() string { return "lru" }

@@ -319,7 +319,11 @@ func (j *Job) view() jobView {
 	if !j.finished.IsZero() {
 		t := j.finished
 		v.Finished = &t
-		v.ElapsedS = j.finished.Sub(j.started).Seconds()
+		// A job replayed from the journal finished in an earlier life;
+		// when it started there is not recorded.
+		if !j.started.IsZero() {
+			v.ElapsedS = j.finished.Sub(j.started).Seconds()
+		}
 	}
 	if j.err != nil {
 		v.Error = j.err.Error()
@@ -368,10 +372,6 @@ func newReplayedJob(h *jobHistory) *Job {
 			Msg: "daemon restarted; job re-enqueued from the journal",
 		})
 		return j
-	}
-	if !h.started.IsZero() {
-		j.started = h.started
-		j.events = append(j.events, JobEvent{Seq: len(j.events), Time: h.started, Kind: "started"})
 	}
 	j.state = fin.Outcome
 	j.finished = fin.Time

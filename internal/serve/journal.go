@@ -16,26 +16,33 @@ import (
 	"ipcp/internal/store"
 )
 
-// The job journal is ipcpd's write-ahead log: every job's submit,
-// start and finish is appended (fsynced) to a segment file before the
-// daemon acts on it, so a kill -9 at any instant loses zero
-// acknowledged work. On startup the journal is replayed: finished jobs
-// are re-registered with their original IDs and results (a client
-// polling across the crash sees its job complete), unfinished jobs are
-// re-enqueued with their original IDs (they run again — their results
-// were never delivered), and the replayed state is compacted into a
-// fresh segment written atomically (store.WriteFile).
+// The job journal is ipcpd's write-ahead log: every job's submit is
+// appended (fsynced) to a segment file before the daemon acknowledges
+// it, and its finish after the result is published and checkpointed, so
+// a kill -9 at any instant loses zero acknowledged work. There is no record of a
+// job starting: replay re-runs an unfinished job whether or not it had
+// started, so that record bought nothing and put a queued fsync in
+// front of the first simulated cycle. On startup the journal is
+// replayed: finished jobs are re-registered with their original IDs and
+// results (a client polling across the crash sees its job complete),
+// unfinished jobs are re-enqueued with their original IDs (they run
+// again — their results were never delivered), and the replayed state
+// is compacted into a fresh segment written atomically
+// (store.WriteFile).
 //
 // Each record is a JSON payload in store's length+CRC record frame.
 // Replay reads frames until EOF or the first damaged frame (torn tail
 // from a crash mid-append, or a bit flip): everything before the
 // damage is recovered, everything after is discarded with a warning —
 // a WAL's prefix-durability contract. Records are merged per job ID,
-// so replay tolerates any interleaving of submit/start/finish appends.
+// so replay tolerates any interleaving of submit/finish appends — a
+// worker can finish a memoized job before the submit record's fsync
+// returns. A record of any other type is skipped, not damage: segments
+// written before the "start" record was dropped still replay.
 
 // journalRecord is one WAL entry. Type decides which fields are live.
 type journalRecord struct {
-	Type string    `json:"type"` // "submit" | "start" | "finish"
+	Type string    `json:"type"` // "submit" | "finish"
 	Time time.Time `json:"time"`
 	Job  string    `json:"job"`
 
@@ -243,12 +250,10 @@ func (j *journal) readSegment(path string) (recs []journalRecord, damaged int) {
 }
 
 // jobHistory is one job's merged journal history: its submit and
-// finish records as journaled — compaction writes them back verbatim —
-// and the start time, which compaction does not keep.
+// finish records as journaled — compaction writes them back verbatim.
 type jobHistory struct {
-	submit  journalRecord
-	finish  *journalRecord // nil while unfinished
-	started time.Time
+	submit journalRecord
+	finish *journalRecord // nil while unfinished
 }
 
 // mergeReplay folds records into per-job state, ordered by submit
@@ -270,8 +275,6 @@ func mergeReplay(recs []journalRecord, log *slog.Logger) []*jobHistory {
 		switch rec.Type {
 		case "submit":
 			r.submit = *rec
-		case "start":
-			r.started = rec.Time
 		case "finish":
 			r.finish = rec
 		}

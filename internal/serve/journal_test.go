@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -62,7 +64,7 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 	if done.submit.RequestID != "r-1" || done.submit.Spec == nil || done.submit.Spec.ConfigKey != "wal" {
 		t.Fatalf("identity lost in replay: %+v", done)
 	}
-	if unfinished.submit.Job != "j000002" || unfinished.finish != nil || unfinished.started.IsZero() {
+	if unfinished.submit.Job != "j000002" || unfinished.finish != nil {
 		t.Fatalf("unfinished job replayed as %+v", unfinished)
 	}
 	if d := j2.damaged.Load(); d != 0 {
@@ -77,6 +79,73 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
 		t.Fatalf("pre-compaction segment survived (err=%v)", err)
+	}
+}
+
+// TestJournalOldStartRecordsReplayTheSame: a segment written by a daemon
+// that still journaled submit/start/finish triples replays to exactly
+// the jobs — and compacts to exactly the bytes — of the two-record form
+// this daemon writes. The "start" record is an unknown type now:
+// skipped, not damage.
+func TestJournalOldStartRecordsReplayTheSame(t *testing.T) {
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	spec := &RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "wal"}
+	var two []journalRecord
+	for i, id := range []string{"j000001", "j000002", "j000003"} {
+		two = append(two, journalRecord{Type: "submit", Time: at, Job: id, Seq: i + 1, Kind: KindRun, Spec: spec})
+	}
+	two = append(two,
+		journalRecord{Type: "finish", Time: at.Add(2 * time.Second), Job: "j000001", Outcome: StateDone,
+			Result: &sim.Result{IPC: []float64{2.5}}},
+		journalRecord{Type: "finish", Time: at.Add(3 * time.Second), Job: "j000002", Outcome: StateFailed, Error: "boom"})
+	// The old form: a start between every submit and finish, and one
+	// for j000003, which the crash took mid-run.
+	var three []journalRecord
+	for _, r := range two {
+		if r.Type == "finish" {
+			three = append(three, journalRecord{Type: "start", Time: at.Add(time.Second), Job: r.Job})
+		}
+		three = append(three, r)
+	}
+	three = append(three, journalRecord{Type: "start", Time: at.Add(time.Second), Job: "j000003"})
+
+	replay := func(recs []journalRecord) (jobs []*jobHistory, compacted []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		j, _, err := openJournal(dir, discard())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := j.append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		j2, jobs, err := openJournal(dir, discard())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j2.Close()
+		if d := j2.damaged.Load(); d != 0 {
+			t.Fatalf("%d-record journal replayed with %d damaged frames", len(recs), d)
+		}
+		compacted, err = os.ReadFile(filepath.Join(dir, segName(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jobs, compacted
+	}
+	oldJobs, oldSeg := replay(three)
+	newJobs, newSeg := replay(two)
+	if len(oldJobs) != 3 || !reflect.DeepEqual(oldJobs, newJobs) {
+		t.Fatalf("triples replayed to %d jobs, the two-record form to %d; want the same 3", len(oldJobs), len(newJobs))
+	}
+	if oldJobs[2].finish != nil || oldJobs[0].finish == nil || oldJobs[1].finish.Error != "boom" {
+		t.Fatalf("replayed histories = %+v %+v %+v", oldJobs[0], oldJobs[1], oldJobs[2])
+	}
+	if !bytes.Equal(oldSeg, newSeg) {
+		t.Fatal("compacted segments differ between the three-record and two-record forms")
 	}
 }
 

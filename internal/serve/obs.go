@@ -234,6 +234,12 @@ func (s *Server) writePrometheus(w io.Writer) {
 	telemetry.WritePrometheusValue(w, "ipcpd_checkpoint_store_failures_total", "counter",
 		"Checkpoint writes that failed (results still served from memory).",
 		float64(m.Session.StoreFailures))
+	telemetry.WritePrometheusValue(w, "ipcpd_checkpoint_saves_pending", "gauge",
+		"Results and warmup spills published to their jobs but not yet on disk (write-behind).",
+		float64(m.Session.PendingSaves))
+	telemetry.WritePrometheusValue(w, "ipcpd_sim_builds_recycled_total", "counter",
+		"Simulated systems whose cache arrays were handed back for the next build.",
+		float64(m.Session.BuildsRecycled))
 
 	telemetry.WritePrometheusHeader(w, "ipcpd_journal_records_total", "counter",
 		"Job-journal WAL appends this process life, by result.")

@@ -247,6 +247,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"ipcpd_session_runs_total{disposition=\"executed\"} 1",
 		"ipcpd_sim_cycles_total{mode=\"stepped\"} ",
 		"ipcpd_sim_cycles_total{mode=\"jumped\"} ",
+		"ipcpd_sim_builds_recycled_total 1",
+		"ipcpd_checkpoint_saves_pending 0",
 	} {
 		if !strings.Contains(text, needle) {
 			t.Errorf("exposition lacks %q:\n%s", needle, text)
@@ -432,6 +434,7 @@ func TestSessionWarningsUseServerLogger(t *testing.T) {
 
 	first := newTestServer(t, Options{CacheDir: cacheDir})
 	first.await(t, first.submitRun(t, req, http.StatusAccepted).ID, 30*time.Second)
+	first.Session().Flush()
 	entries, err := filepath.Glob(filepath.Join(cacheDir, "*", "*.json"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("checkpoints on disk = %v (err %v), want exactly one", entries, err)

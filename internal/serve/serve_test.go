@@ -403,8 +403,12 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	if m.Jobs.Admitted != 1 || m.Jobs.Completed != 1 {
 		t.Errorf("jobs = %+v", m.Jobs)
 	}
-	if m.Session.Executed != 1 {
-		t.Errorf("session = %+v", m.Session)
+	if m.Session.Executed != 1 || m.Session.BuildsRecycled != 1 {
+		t.Errorf("session = %+v, want one run executed and its system recycled", m.Session)
+	}
+	// A gauge that is usually zero still has to be on the wire.
+	if !strings.Contains(string(body), `"pending_saves"`) {
+		t.Errorf("metrics JSON lacks session.pending_saves:\n%s", body)
 	}
 	// The scheduler self-profile partitions the measured phase: every
 	// cycle of the one executed (single-core) run was stepped or jumped.

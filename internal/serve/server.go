@@ -82,8 +82,8 @@ type Options struct {
 	// writes are pushed to it, so any worker's result is every
 	// worker's disk hit. Requires CacheDir.
 	RemoteBlobs experiments.RemoteBlobs
-	// JournalDir, when set, write-ahead journals every job's
-	// submit/start/finish to CRC-framed, fsynced segment files. On
+	// JournalDir, when set, write-ahead journals every job's submit and
+	// finish to CRC-framed, fsynced segment files. On
 	// startup the journal is replayed: finished jobs are re-served
 	// with their original IDs and results, unfinished ones are
 	// re-enqueued — a kill -9 loses zero acknowledged work.
@@ -330,15 +330,18 @@ func (s *Server) StartDrain() {
 	s.mu.Unlock()
 }
 
-// AwaitDrain blocks until every queued and in-flight job has finished.
-// If ctx expires first, in-flight simulations are cancelled (they stop
-// within a few thousand cycles; completed sub-runs are already
-// checkpointed when a cache dir is configured) and the context error is
-// returned after the workers unwind.
+// AwaitDrain blocks until every queued and in-flight job has finished
+// and every result they produced is checkpointed (the session persists
+// behind its runs; this is where the daemon waits for it). If ctx
+// expires first, in-flight simulations are cancelled (they stop within
+// a few thousand cycles; completed sub-runs are checkpointed before
+// this returns, when a cache dir is configured) and the context error
+// is returned after the workers unwind.
 func (s *Server) AwaitDrain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		s.session.Flush()
 		close(done)
 	}()
 	select {
@@ -364,6 +367,7 @@ func (s *Server) Close() {
 	s.cancel()
 	s.wg.Wait()
 	s.bg.Wait()
+	s.session.Flush()
 	if s.journal != nil {
 		s.journal.Close()
 	}
@@ -519,7 +523,6 @@ func (s *Server) runJob(j *Job) {
 	}
 	defer cancel()
 	j.begin(cancel)
-	s.appendOrWarn(journalRecord{Type: "start", Time: time.Now(), Job: j.ID})
 
 	// The session call runs in a child goroutine so the worker can
 	// abandon a simulation the watchdog's cancellation cannot unwind
@@ -584,7 +587,6 @@ func (s *Server) runJob(j *Job) {
 	s.execution.Observe(elapsed.Seconds())
 	s.latency.Observe(time.Since(j.submitted).Seconds())
 	st, err := j.State(), j.Err()
-	s.journalFinish(j, st, err)
 	switch st {
 	case StateStalled:
 		jobSpan.SetAttr("outcome", "stalled")
@@ -622,6 +624,19 @@ func (s *Server) runJob(j *Job) {
 		}
 		s.mu.Unlock()
 	}
+	// The job is terminal and visible; what follows is off its latency.
+	// The worker waits out the session's write-behind queue before it
+	// journals the finish, for two reasons. Order: a finish record then
+	// implies its checkpoint is on disk, so a crash in between re-runs
+	// the job as a disk hit instead of leaving a finished job whose
+	// result lives only in the journal. And CPU: on a host whose
+	// processors are all simulating, a writer goroutine coming back from
+	// an fsync finds none free for up to a scheduler quantum per
+	// syscall; this worker blocking here is what frees one, so the file
+	// lands an fsync after `done`, not tens of milliseconds. It also
+	// bounds the checkpoints in flight by the worker count.
+	s.session.Flush()
+	s.journalFinish(j, st, err)
 }
 
 // journalFinish decides which terminal states earn a WAL finish
@@ -1113,6 +1128,13 @@ type MetricsSnapshot struct {
 		StoreFailures int `json:"store_failures"`
 		Quarantined   int `json:"quarantined"`
 
+		// PendingSaves is a gauge: results and warmup spills published
+		// to their jobs but not yet on disk (write-behind; a drain waits
+		// for zero). BuildsRecycled counts simulated systems whose cache
+		// arrays were handed back for the next build.
+		PendingSaves   int `json:"pending_saves"`
+		BuildsRecycled int `json:"builds_recycled"`
+
 		// Shared-warmup dispositions (all zero unless the daemon runs
 		// with -shared-warmup): how warmup snapshots were satisfied,
 		// bytes spilled to disk, warmups coalesced onto an in-flight
@@ -1180,6 +1202,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 	m.Session.Faults = st.Faults
 	m.Session.StoreFailures = st.StoreFailures
 	m.Session.Quarantined = st.Quarantined
+	m.Session.PendingSaves = st.PendingSaves
+	m.Session.BuildsRecycled = st.BuildsRecycled
 	m.Session.SnapshotMemHits = st.SnapshotMemHits
 	m.Session.SnapshotDiskHits = st.SnapshotDiskHits
 	m.Session.SnapshotMisses = st.SnapshotMisses

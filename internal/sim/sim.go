@@ -275,6 +275,29 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 	return s, nil
 }
 
+// Release hands the system's big arrays — every cache's lines and LRU
+// stamps, nine tenths of what Build allocates — back to the free lists
+// Build draws from, so the next build of the same geometry reuses them
+// instead of allocating (and the collector runs that much less often).
+// The system must never be used again; Results and Snapshots taken from
+// it are deep copies and stay valid.
+//
+// Only the goroutine that stepped the system may call Release, after
+// its last RunContext / RunWarmup / RunMeasure / Snapshot has returned:
+// it alone knows nothing is still reading the arrays. A run abandoned
+// after cancellation (experiments.runSlot, the daemon's watchdog) is
+// never released by whoever gave up on it — if its goroutine ever
+// unwinds it releases itself, and until then it keeps arrays nobody
+// else can be handed.
+func (s *System) Release() {
+	s.llc.Release()
+	for i := range s.cores {
+		s.l2s[i].Release()
+		s.l1ds[i].Release()
+		s.l1is[i].Release()
+	}
+}
+
 // guardPf wraps a prefetcher in the fail-safe Guard unless guarding is
 // disabled or the prefetcher is the no-op (whose Nil type the cache's
 // fast path keys on).

@@ -215,6 +215,7 @@ func RunContext(ctx context.Context, rc RunConfig) (*Result, error) {
 	if rc.Audit != nil {
 		rc.Audit.Finish()
 	}
+	sys.Release()
 	return res, err
 }
 
