@@ -67,13 +67,16 @@ audit:
 
 # Brief fuzz passes (longer runs: raise -fuzztime): the trace reader,
 # the two frame codecs every durable file goes through (internal/store),
-# and the checkpoint entry decoder on top of them. `go test -fuzz`
-# takes one fuzz target per run.
+# the checkpoint entry decoder on top of them, and the one request body
+# both daemons decode (POST /v1/runs, every /v1/sweeps point: decode →
+# validate → derived keys). `go test -fuzz` takes one fuzz target per
+# run.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReader$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzUnframe$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzNextRecord$$' -fuzztime=10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime=10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime=10s
 
 # End-to-end daemon smoke: build the real ipcpd binary, boot it on an
 # ephemeral port with a cache dir, drive the API, SIGTERM it mid-job

@@ -43,7 +43,7 @@ func TestChaosSmoke(t *testing.T) {
 	ids := make([]string, 0, burst)
 	for i := 0; i < burst; i++ {
 		ids = append(ids, submitRun(t, d.base,
-			fmt.Sprintf(`{"workloads":["mcf-994"],"l1d":"ipcp","config_key":"chaos-%d"}`, i)))
+			fmt.Sprintf(`{"workloads":["mcf-994"],"l1d":"ipcp","seed":%d}`, i+1)))
 	}
 	// Mixed states at the moment of death: wait for the first job to
 	// finish (so some are done, some running, the rest queued), note
@@ -85,7 +85,7 @@ func TestChaosSmoke(t *testing.T) {
 		t.Fatalf("executed %d of %d jobs after replay: finished work was re-run", m.Session.Executed, burst)
 	}
 	// New admissions continue the ID sequence past the replayed jobs.
-	next := submitRun(t, d2.base, `{"workloads":["mcf-994"],"l1d":"ipcp","config_key":"post-crash"}`)
+	next := submitRun(t, d2.base, `{"workloads":["mcf-994"],"l1d":"ipcp","seed":1000}`)
 	if want := fmt.Sprintf("j%06d", burst+1); next != want {
 		t.Fatalf("post-replay id = %s, want %s", next, want)
 	}
@@ -111,7 +111,7 @@ func TestChaosSmoke(t *testing.T) {
 	// store, not the WAL replay.
 	args3 := append(append([]string{}, args...)[:len(args)-2], "-journal-dir", t.TempDir())
 	d3 := startDaemon(t, bin, args3)
-	id3 := submitRun(t, d3.base, `{"workloads":["mcf-994"],"l1d":"ipcp","config_key":"chaos-0"}`)
+	id3 := submitRun(t, d3.base, `{"workloads":["mcf-994"],"l1d":"ipcp","seed":1}`)
 	waitState(t, d3.base, id3, "done", 120*time.Second)
 	if got := jobIPC(t, d3.base, id3); got != preIPC {
 		t.Fatalf("recomputed result drifted: IPC %v != %v", got, preIPC)
@@ -147,7 +147,7 @@ func TestChaosSmoke(t *testing.T) {
 	acked := make([]string, 0, 8)
 	for i := 0; i < 12; i++ {
 		resp, err := http.Post(d4.base+"/v1/runs", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"workloads":["mcf-994"],"l1d":"ipcp","config_key":"handoff-%d"}`, i)))
+			strings.NewReader(fmt.Sprintf(`{"workloads":["mcf-994"],"l1d":"ipcp","seed":%d}`, 2000+i)))
 		if err != nil {
 			break // the injected crash took the daemon mid-request
 		}

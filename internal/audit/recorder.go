@@ -90,7 +90,7 @@ func newRecorder(k *Checker, inner prefetch.Prefetcher, name string) *recorder {
 		// optional temporal extension issues ClassNone candidates the
 		// reference cannot reproduce, so its presence limits the
 		// recorder to the inline invariants.
-		if !t.TemporalEnabled() {
+		if t.Config().TemporalEntries == 0 {
 			r.ora = newL1Oracle(t)
 			if t.Config().UseRRFilter {
 				r.rr = newRefRR()

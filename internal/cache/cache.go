@@ -14,6 +14,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ipcp/internal/memsys"
 	"ipcp/internal/prefetch"
@@ -203,14 +204,25 @@ func (c *Cache) Release() {
 	repl.Release(c.pol)
 }
 
+// Validate reports a geometry or policy name New would refuse.
+func (cfg Config) Validate() error {
+	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
+		return fmt.Errorf("cache %s: sets must be a power of two, got %d", cfg.Name, cfg.Sets)
+	}
+	if cfg.Ways <= 0 {
+		return fmt.Errorf("cache %s: ways must be positive", cfg.Name)
+	}
+	if cfg.Repl != "" && !slices.Contains(repl.Names(), cfg.Repl) {
+		return fmt.Errorf("cache %s: unknown replacement policy %q (known: %v)", cfg.Name, cfg.Repl, repl.Names())
+	}
+	return nil
+}
+
 // New constructs a cache. The lower sink and prefetcher are attached
 // with SetLower / SetPrefetcher before the first cycle.
 func New(cfg Config) (*Cache, error) {
-	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
-		return nil, fmt.Errorf("cache %s: sets must be a power of two, got %d", cfg.Name, cfg.Sets)
-	}
-	if cfg.Ways <= 0 {
-		return nil, fmt.Errorf("cache %s: ways must be positive", cfg.Name)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Ports <= 0 {
 		cfg.Ports = 1

@@ -3,16 +3,19 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"ipcp/internal/experiments"
 	"ipcp/internal/serve"
 	"ipcp/internal/store"
 )
@@ -45,7 +48,7 @@ func newTestCoord(t *testing.T) (*Coordinator, *httptest.Server) {
 
 func TestSweepExpandCrossProduct(t *testing.T) {
 	req := SweepRequest{
-		Workloads: []string{"mcf-994", "bwaves-98"},
+		RunSpec:   experiments.RunSpec{Workloads: []string{"mcf-994", "bwaves-98"}},
 		L1D:       []string{"", "ipcp", "spp"},
 		L2:        []string{"", "ipcp"},
 		TimeoutMS: 5000,
@@ -78,23 +81,64 @@ func TestSweepExpandCrossProduct(t *testing.T) {
 	}
 }
 
+// TestSweepWireGolden: the benchmark's grid body (benchmark/daemons.go
+// marshals a map, so its keys arrive sorted) decodes onto the embedded
+// spec and the axes, expands to points that carry the shared seed, and
+// re-encodes to the same fields — the system knobs are the spec's own
+// fields now, not a second list, and a knob the grid never heard of
+// (an IPCP variant) reaches every point.
+func TestSweepWireGolden(t *testing.T) {
+	const body = `{"l1d":["","nl","ipstride","ipcp","spp","bop"],"l2":["","ipcp"],"seed":7,` +
+		`"workloads":["mcf-994","lbm-94","gcc-2226","bwaves-2931"]}`
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	pts, err := req.expand(4096)
+	if err != nil || len(pts) != 48 {
+		t.Fatalf("expand = %d points, %v; want 48", len(pts), err)
+	}
+	if p := pts[7]; p.Seed != 7 || len(p.Workloads) != 1 || p.L1D != "ipcp" || p.L2 != "ipcp" {
+		t.Errorf("point 7 = %+v", p.RunSpec)
+	}
+	if out, _ := json.Marshal(pts[7]); string(out) != `{"workloads":["mcf-994"],"l1d":"ipcp","l2":"ipcp","seed":7}` {
+		t.Errorf("fan-out body = %s", out)
+	}
+	var sent, back map[string]any
+	out, _ := json.Marshal(req)
+	json.Unmarshal([]byte(body), &sent)
+	json.Unmarshal(out, &back)
+	if !reflect.DeepEqual(sent, back) {
+		t.Errorf("re-encoded grid\n %s\nwant the fields of\n %s", out, body)
+	}
+
+	var variant SweepRequest
+	if err := json.Unmarshal([]byte(`{"workloads":["mcf-994"],"l2":["","ipcp"],"l1_pq":4,"ipcp_l1":{"degree_gs":4}}`), &variant); err != nil {
+		t.Fatal(err)
+	}
+	pts, err = variant.expand(4096)
+	if err != nil || len(pts) != 2 || pts[1].IPCPL1 == nil || pts[1].IPCPL1.DegreeGS != 4 || pts[1].L1PQ != 4 || pts[1].L2 != "ipcp" {
+		t.Fatalf("variant grid = %+v, %v", pts, err)
+	}
+}
+
 func TestSweepExpandValidates(t *testing.T) {
 	cases := []struct {
 		name string
 		req  SweepRequest
 	}{
 		{"empty", SweepRequest{}},
-		{"unknown workload", SweepRequest{Workloads: []string{"no-such-trace"}}},
-		{"unknown prefetcher", SweepRequest{Workloads: []string{"mcf-994"}, L1D: []string{"warp-drive"}}},
-		{"negative timeout", SweepRequest{Workloads: []string{"mcf-994"}, TimeoutMS: -1}},
-		{"bad explicit point", SweepRequest{Points: []PointSpec{{Workloads: []string{"mcf-994"}, Cores: 3}}}},
+		{"unknown workload", SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"no-such-trace"}}}},
+		{"unknown prefetcher", SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, L1D: []string{"warp-drive"}}},
+		{"negative timeout", SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, TimeoutMS: -1}},
+		{"bad explicit point", SweepRequest{Points: []PointSpec{{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}, Cores: 3}}}}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.req.expand(4096); err == nil {
 			t.Errorf("%s: expand accepted an invalid request", tc.name)
 		}
 	}
-	big := SweepRequest{Workloads: []string{"mcf-994"}, L1D: []string{"", "ipcp"}}
+	big := SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, L1D: []string{"", "ipcp"}}
 	if _, err := big.expand(1); err == nil {
 		t.Error("expand accepted a grid beyond the point cap")
 	}
@@ -102,8 +146,8 @@ func TestSweepExpandValidates(t *testing.T) {
 
 func TestSweepExpandTimeoutInheritance(t *testing.T) {
 	req := SweepRequest{
-		Workloads: []string{"mcf-994"},
-		Points:    []PointSpec{{Workloads: []string{"bwaves-98"}, TimeoutMS: 99}},
+		RunSpec:   experiments.RunSpec{Workloads: []string{"mcf-994"}},
+		Points:    []PointSpec{{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}, TimeoutMS: 99}},
 		TimeoutMS: 1234,
 	}
 	c, _ := newTestCoord(t)

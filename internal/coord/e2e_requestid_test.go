@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ipcp/internal/experiments"
 	"ipcp/internal/serve"
 )
 
@@ -21,7 +22,7 @@ func TestE2ERequestIDReachesWorkers(t *testing.T) {
 	w := startWorker(t, cts.URL)
 	waitWorkers(t, c, 1)
 
-	body, _ := json.Marshal(SweepRequest{Workloads: []string{"mcf-994"}, L1D: []string{"", "ipcp"}})
+	body, _ := json.Marshal(SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, L1D: []string{"", "ipcp"}})
 	req, _ := http.NewRequest(http.MethodPost, cts.URL+"/v1/sweeps", bytes.NewReader(body))
 	req.Header.Set(serve.RequestIDHeader, "demo-sweep")
 	resp, err := http.DefaultClient.Do(req)
@@ -35,7 +36,7 @@ func TestE2ERequestIDReachesWorkers(t *testing.T) {
 		t.Fatalf("POST /v1/sweeps = %d, %v", resp.StatusCode, err)
 	}
 	tagged := sv.ID
-	untagged := submitSweep(t, cts.URL, SweepRequest{Workloads: []string{"bwaves-98"}, L1D: []string{"", "ipcp"}})
+	untagged := submitSweep(t, cts.URL, SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}, L1D: []string{"", "ipcp"}})
 	for _, id := range []string{tagged, untagged} {
 		if v := waitSweep(t, cts.URL, id, 60*time.Second); v.Done != 2 {
 			t.Fatalf("sweep %s done=%d failed=%d, want 2/0", id, v.Done, v.Failed)

@@ -205,9 +205,9 @@ func TestE2EDistributedSweepMatchesSingleNode(t *testing.T) {
 	waitWorkers(t, c, 3)
 
 	req := SweepRequest{
-		Workloads: []string{"mcf-994", "bwaves-98"},
-		L1D:       []string{"", "ipcp", "spp"},
-		L2:        []string{"", "ipcp"},
+		RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994", "bwaves-98"}},
+		L1D:     []string{"", "ipcp", "spp"},
+		L2:      []string{"", "ipcp"},
 	}
 	id := submitSweep(t, cts.URL, req)
 
@@ -399,9 +399,9 @@ func TestE2EWorkerKillMidSweepReassigns(t *testing.T) {
 
 	release := gatePoints(t)
 	req := SweepRequest{
-		Workloads: []string{"coord-gate-0", "coord-gate-1", "coord-gate-2", "coord-gate-3"},
-		L1D:       []string{"", "ipcp", "spp"},
-		L2:        []string{"", "ipcp"},
+		RunSpec: experiments.RunSpec{Workloads: []string{"coord-gate-0", "coord-gate-1", "coord-gate-2", "coord-gate-3"}},
+		L1D:     []string{"", "ipcp", "spp"},
+		L2:      []string{"", "ipcp"},
 	}
 	id := submitSweep(t, cts.URL, req) // 24 points, 4 warmup groups
 

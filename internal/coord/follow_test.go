@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ipcp/internal/experiments"
 	"ipcp/internal/serve"
 )
 
@@ -191,7 +192,7 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-var onePoint = SweepRequest{Workloads: []string{"mcf-994"}}
+var onePoint = SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}}
 
 // TestFollowOnePostOneStreamOneGet pins the per-point conversation: one
 // POST, one event-stream follow, one GET — the GET only after the
@@ -203,8 +204,8 @@ func TestFollowOnePostOneStreamOneGet(t *testing.T) {
 	c.register(fw.ts.URL, 2)
 
 	sw, err := c.acceptSweep(SweepRequest{
-		Workloads: []string{"mcf-994", "bwaves-98"},
-		L1D:       []string{"", "ipcp", "spp"},
+		RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994", "bwaves-98"}},
+		L1D:     []string{"", "ipcp", "spp"},
 	}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -500,10 +501,10 @@ func TestFanoutReusesConnections(t *testing.T) {
 	fw := startFakeWorker(t, nil)
 	c.register(fw.ts.URL, 1)
 	sw, err := c.acceptSweep(SweepRequest{
-		Workloads: []string{"mcf-994"},
-		L1D:       []string{"", "nl", "ipstride", "ipcp", "spp", "bop"},
-		L2:        []string{"", "ipcp"},
-		LLC:       []string{"", "nl"},
+		RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}},
+		L1D:     []string{"", "nl", "ipstride", "ipcp", "spp", "bop"},
+		L2:      []string{"", "ipcp"},
+		LLC:     []string{"", "nl"},
 	}, "")
 	if err != nil {
 		t.Fatal(err)

@@ -23,21 +23,15 @@ import (
 // expanded to the cross product workloads × l1d × l2 × llc (an empty
 // axis contributes one "off"/default element), plus optional explicit
 // points for shapes the grid cannot express (multi-core runs). The
-// scalar knobs and seed apply to every point.
+// embedded spec is what every grid point shares — system knobs, seed,
+// an IPCP variant — under the names a run request uses; its workloads
+// are the grid's first axis (one single-core point per name), and its
+// own l1d/l2/llc are shadowed by the axes declared here.
 type SweepRequest struct {
-	Workloads []string `json:"workloads"` // one single-core point per name
-	L1D       []string `json:"l1d,omitempty"`
-	L2        []string `json:"l2,omitempty"`
-	LLC       []string `json:"llc,omitempty"`
-
-	LLCRepl        string  `json:"llc_repl,omitempty"`
-	DRAMGBps       float64 `json:"dram_gbps,omitempty"`
-	L1PQ           int     `json:"l1_pq,omitempty"`
-	L1MSHR         int     `json:"l1_mshr,omitempty"`
-	L1DWays        int     `json:"l1d_ways,omitempty"`
-	L2Sets         int     `json:"l2_sets,omitempty"`
-	LLCSetsPerCore int     `json:"llc_sets_per_core,omitempty"`
-	Seed           int64   `json:"seed,omitempty"`
+	experiments.RunSpec
+	L1D []string `json:"l1d,omitempty"`
+	L2  []string `json:"l2,omitempty"`
+	LLC []string `json:"llc,omitempty"`
 
 	// Points are appended after the expanded grid.
 	Points []PointSpec `json:"points,omitempty"`
@@ -69,14 +63,10 @@ func (r *SweepRequest) expand(maxPoints int) ([]PointSpec, error) {
 		for _, l1d := range axis(r.L1D) {
 			for _, l2 := range axis(r.L2) {
 				for _, llc := range axis(r.LLC) {
-					pts = append(pts, PointSpec{
-						Workloads: []string{wl},
-						L1D:       l1d, L2: l2, LLC: llc,
-						LLCRepl: r.LLCRepl, DRAMGBps: r.DRAMGBps,
-						L1PQ: r.L1PQ, L1MSHR: r.L1MSHR, L1DWays: r.L1DWays,
-						L2Sets: r.L2Sets, LLCSetsPerCore: r.LLCSetsPerCore,
-						Seed: r.Seed,
-					})
+					p := PointSpec{RunSpec: r.RunSpec}
+					p.Workloads = []string{wl}
+					p.L1D, p.L2, p.LLC = l1d, l2, llc
+					pts = append(pts, p)
 				}
 			}
 		}
@@ -101,7 +91,7 @@ func (r *SweepRequest) expand(maxPoints int) ([]PointSpec, error) {
 // fixed reference scale; every field of the key that varies between
 // points comes from the spec itself.
 func groupKey(p PointSpec) string {
-	return experiments.WarmupKey(experiments.Quick, p.Spec())
+	return experiments.WarmupKey(experiments.Quick, p.RunSpec)
 }
 
 // --- sweep state -----------------------------------------------------------

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ipcp/internal/memsys"
@@ -181,5 +184,40 @@ func TestGSDegreeAggressive(t *testing.T) {
 	demand(p, rec, now, ip, region+2048, false)
 	if got := len(rec.byClass(memsys.ClassGS)); got != p.cfg.DegreeGS {
 		t.Errorf("GS issued %d, want degree %d", got, p.cfg.DegreeGS)
+	}
+}
+
+// TestL1ConfigIsData: the configuration is its own wire form — it
+// validates, round-trips through JSON exactly, decodes on top of the
+// paper's defaults, and spells the priority order by class name.
+func TestL1ConfigIsData(t *testing.T) {
+	def := DefaultL1Config()
+	if err := def.Validate(); err != nil {
+		t.Fatalf("the paper's configuration does not validate: %v", err)
+	}
+	b, err := json.Marshal(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"priority":["GS","CS","CPLX","NL"]`) {
+		t.Errorf("priority is not spelled by class name: %s", b)
+	}
+	var back, sparse L1Config
+	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, def) {
+		t.Errorf("round trip = %+v, %v", back, err)
+	}
+	if err := json.Unmarshal([]byte(`{"enable_gs":false,"temporal_entries":1024}`), &sparse); err != nil {
+		t.Fatal(err)
+	}
+	want := def
+	want.EnableGS, want.TemporalEntries = false, 1024
+	if !reflect.DeepEqual(sparse, want) || sparse.Validate() != nil {
+		t.Errorf("sparse variant = %+v (%v)", sparse, sparse.Validate())
+	}
+	if NewL1IPCP(sparse).temporal == nil || NewL1IPCP(def).temporal != nil {
+		t.Error("TemporalEntries does not decide whether the temporal table exists")
+	}
+	if err := json.Unmarshal([]byte(`{"priority":["GS","CS","CPLX","??"]}`), &sparse); err == nil {
+		t.Error("an unknown class name decoded")
 	}
 }

@@ -7,6 +7,10 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"unsafe"
+
 	"ipcp/internal/memsys"
 	"ipcp/internal/prefetch"
 	"ipcp/internal/telemetry"
@@ -14,51 +18,123 @@ import (
 
 // L1Config parametrizes the L1-D IPCP. The zero value is not valid;
 // use DefaultL1Config. The class-enable switches and the priority
-// order exist for the paper's ablations (Fig. 13a/13b).
+// order exist for the paper's ablations (Fig. 13a/13b). It is also the
+// wire form of an IPCP variant (experiments.RunSpec.IPCPL1): a JSON
+// object decodes on top of the paper's defaults, so a variant names
+// only what it changes.
 type L1Config struct {
-	IPTableEntries int // direct-mapped; paper: 64
-	CSPTEntries    int // direct-mapped; paper: 128
-	RSTEntries     int // fully associative LRU; paper: 8
-	SignatureBits  int // paper: 7
-	RegionBits     int // log2 region bytes; paper: 11 (2KB)
+	IPTableEntries int `json:"ip_table_entries"` // direct-mapped; paper: 64
+	CSPTEntries    int `json:"cspt_entries"`     // direct-mapped, 1<<SignatureBits; paper: 128
+	RSTEntries     int `json:"rst_entries"`      // fully associative LRU; paper: 8
+	SignatureBits  int `json:"signature_bits"`   // paper: 7
+	RegionBits     int `json:"region_bits"`      // log2 region bytes; paper: 11 (2KB)
 
 	// Default prefetch degrees per class (paper: CS 3, CPLX 3, GS 6).
-	DegreeCS, DegreeCPLX, DegreeGS int
+	DegreeCS   int `json:"degree_cs"`
+	DegreeCPLX int `json:"degree_cplx"`
+	DegreeGS   int `json:"degree_gs"`
 
 	// CPLXDistance skips the first k CPLX candidates, starting the run
 	// farther ahead — the paper's §V latency-relief option ("the
 	// prefetch distance can be increased ... only to the CPLX class").
-	CPLXDistance int
+	CPLXDistance int `json:"cplx_distance"`
 
 	// Dense threshold: fraction of region lines that must be touched
 	// before the region trains as dense (paper: 0.75).
-	DenseFraction float64
+	DenseFraction float64 `json:"dense_fraction"`
 
 	// Accuracy watermarks and the per-class fill window for
 	// coordinated throttling (paper: 0.75 / 0.40 / 256).
-	ThrottleHigh   float64
-	ThrottleLow    float64
-	ThrottleWindow int
+	ThrottleHigh   float64 `json:"throttle_high"`
+	ThrottleLow    float64 `json:"throttle_low"`
+	ThrottleWindow int     `json:"throttle_window"`
 
 	// NLThresholdMPKC gates the tentative next-line class: NL is on
 	// while demand misses per kilo-cycle stay below this value (the
 	// paper uses MPKI 50 and notes misses-per-kilo-cycles is equally
 	// effective; the prefetcher observes cycles, not retirements).
-	NLThresholdMPKC float64
+	NLThresholdMPKC float64 `json:"nl_threshold_mpkc"`
 
 	// Class enables (Fig. 13a isolation study).
-	EnableCS, EnableCPLX, EnableGS, EnableNL bool
+	EnableCS   bool `json:"enable_cs"`
+	EnableCPLX bool `json:"enable_cplx"`
+	EnableGS   bool `json:"enable_gs"`
+	EnableNL   bool `json:"enable_nl"`
 
 	// Priority is the hierarchical class order (Fig. 13b); default
 	// GS > CS > CPLX > NL.
-	Priority []memsys.PrefetchClass
+	Priority []memsys.PrefetchClass `json:"priority"`
 
 	// UseRRFilter enables the recent-request filter (ablation).
-	UseRRFilter bool
+	UseRRFilter bool `json:"use_rr_filter"`
 
 	// EmitMetadata controls whether candidates carry the 9-bit L1→L2
 	// payload (§VI-B2 studies turning it off).
-	EmitMetadata bool
+	EmitMetadata bool `json:"emit_metadata"`
+
+	// TemporalEntries sizes the §VII future-work temporal table (a power
+	// of two); 0, the paper's configuration, leaves it out. It is not
+	// part of Table I's 895 bytes.
+	TemporalEntries int `json:"temporal_entries"`
+}
+
+// UnmarshalJSON decodes on top of DefaultL1Config, so {"degree_cplx":4}
+// is the paper's IPCP with one parameter changed.
+func (c *L1Config) UnmarshalJSON(b []byte) error {
+	type plain L1Config
+	v := plain(DefaultL1Config())
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*c = L1Config(v)
+	return nil
+}
+
+// maxTableBytes caps the tables one configuration may allocate, so a
+// config that arrives in a request body cannot allocate the host.
+const maxTableBytes = 1 << 20
+
+// Validate rejects what NewL1IPCP and Operate assume without checking:
+// sizes that are allocated or used as a modulus, widths that are shift
+// counts, degrees that are loop bounds. It reports the first problem.
+func (c L1Config) Validate() (err error) {
+	check := func(ok bool, format string, args ...any) {
+		if err == nil && !ok {
+			err = fmt.Errorf("core: "+format, args...)
+		}
+	}
+	between := func(name string, v, lo, hi int) {
+		check(v >= lo && v <= hi, "%s = %d, want %d..%d", name, v, lo, hi)
+	}
+	between("ip_table_entries", c.IPTableEntries, 1, maxTableBytes/int(unsafe.Sizeof(ipEntry{})))
+	between("rst_entries", c.RSTEntries, 1, maxTableBytes/int(unsafe.Sizeof(rstEntry{})))
+	between("temporal_entries", c.TemporalEntries, 0, maxTableBytes/int(unsafe.Sizeof(temporalEntry{})))
+	check(c.TemporalEntries&(c.TemporalEntries-1) == 0, "temporal_entries = %d, want a power of two", c.TemporalEntries)
+	between("signature_bits", c.SignatureBits, 1, 16)
+	if err != nil {
+		return err // the shift below needs a sane width
+	}
+	check(c.CSPTEntries == 1<<c.SignatureBits, "cspt_entries = %d, want 1<<signature_bits", c.CSPTEntries)
+	// The RST tracks a region's lines in one 64-bit vector.
+	between("region_bits", c.RegionBits, memsys.BlockBits+1, memsys.BlockBits+6)
+	// A page holds 64 lines and IPCP never leaves the page.
+	between("degree_cs", c.DegreeCS, 1, 64)
+	between("degree_cplx", c.DegreeCPLX, 1, 64)
+	between("degree_gs", c.DegreeGS, 1, 64)
+	between("cplx_distance", c.CPLXDistance, 0, 64)
+	between("throttle_window", c.ThrottleWindow, 1, 1<<30)
+	check(c.DenseFraction > 0 && c.DenseFraction <= 1, "dense_fraction = %v, want (0,1]", c.DenseFraction)
+	check(c.ThrottleLow <= c.ThrottleHigh, "throttle_low %v above throttle_high %v", c.ThrottleLow, c.ThrottleHigh)
+	check(c.NLThresholdMPKC >= 0, "nl_threshold_mpkc = %v, want >= 0", c.NLThresholdMPKC)
+	var seen [memsys.NumClasses]bool
+	perm := len(c.Priority) == memsys.NumClasses-1
+	for _, cls := range c.Priority {
+		if perm = perm && cls != memsys.ClassNone && int(cls) < memsys.NumClasses && !seen[cls]; perm {
+			seen[cls] = true
+		}
+	}
+	check(perm, "priority %v is not a permutation of CS, CPLX, GS, NL", c.Priority)
+	return err
 }
 
 // DefaultL1Config returns the paper's configuration.
@@ -149,7 +225,7 @@ type L1IPCP struct {
 	rst     []rstEntry
 	rr      *rrFilter
 	// temporal is the optional future-work temporal component
-	// (EnableTemporal); nil by default.
+	// (cfg.TemporalEntries); nil by default.
 	temporal *TemporalTable
 
 	classes [memsys.NumClasses]classState
@@ -213,6 +289,9 @@ func NewL1IPCP(cfg L1Config) *L1IPCP {
 	p.classes[memsys.ClassCPLX] = classState{degree: cfg.DegreeCPLX, defDegree: cfg.DegreeCPLX, accuracy: 1}
 	p.classes[memsys.ClassGS] = classState{degree: cfg.DegreeGS, defDegree: cfg.DegreeGS, accuracy: 1}
 	p.classes[memsys.ClassNL] = classState{degree: 1, defDegree: 1, accuracy: 1}
+	if cfg.TemporalEntries > 0 {
+		p.temporal = NewTemporalTable(cfg.TemporalEntries)
+	}
 	return p
 }
 
@@ -223,10 +302,6 @@ func (p *L1IPCP) Name() string { return "ipcp" }
 // reconciliation of the CSPT size) — the audit oracle builds its
 // reference model from it.
 func (p *L1IPCP) Config() L1Config { return p.cfg }
-
-// TemporalEnabled reports whether the optional temporal extension is
-// attached (the audit oracle models only the paper's spatial classes).
-func (p *L1IPCP) TemporalEnabled() bool { return p.temporal != nil }
 
 func (p *L1IPCP) regionOf(v memsys.Addr) (region uint64, line int) {
 	region = uint64(v) >> p.cfg.RegionBits

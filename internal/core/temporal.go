@@ -11,7 +11,8 @@ import (
 // miss-correlation table (a Markov-1 predictor over the L1 demand-miss
 // stream, in the spirit of temporal streaming / Domino scaled down to
 // IPCP's budget) that predicts the next missing block from the current
-// one. It is off by default; the abl-temporal experiment measures it.
+// one. It is off by default (L1Config.TemporalEntries); the abl-temporal
+// experiment measures it.
 type TemporalTable struct {
 	entries []temporalEntry
 	mask    uint64
@@ -91,9 +92,4 @@ func (p *L1IPCP) temporalIssue(a *prefetch.Access, v memsys.Addr, iss prefetch.I
 			p.rr.insert(cand)
 		}
 	}
-}
-
-// EnableTemporal attaches the future-work temporal component.
-func (p *L1IPCP) EnableTemporal(entries int) {
-	p.temporal = NewTemporalTable(entries)
 }

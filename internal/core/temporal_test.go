@@ -65,8 +65,9 @@ func TestIPCPTemporalExtensionCoversIrregularRepeats(t *testing.T) {
 	// A repeating irregular miss sequence that no spatial class can
 	// learn: with the temporal extension enabled, IPCP must start
 	// prefetching it.
-	p := NewL1IPCP(DefaultL1Config())
-	p.EnableTemporal(1024)
+	cfg := DefaultL1Config()
+	cfg.TemporalEntries = 1024
+	p := NewL1IPCP(cfg)
 	rec := &recorder{}
 	// A repeating sequence of 40 far-apart blocks: long enough that the
 	// 32-entry RR filter ages each block out before its successor is

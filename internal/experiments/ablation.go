@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"ipcp/internal/core"
-	"ipcp/internal/prefetch"
-	"ipcp/internal/stats"
 )
 
 // Ablations beyond the paper's own studies: the design choices
@@ -21,18 +19,16 @@ func init() {
 			t := &Table{ID: "sens-tables", Title: "IPCP geomean speedup per table scale",
 				Columns: []string{"speedup"}}
 			for _, scale := range []int{1, 2, 4, 16} {
-				scale := scale
-				g, err := geomeanVariant(s, s.memIntensive(), fmt.Sprintf("tables-x%d", scale), true,
-					func(c *core.L1Config) {
-						c.IPTableEntries *= scale
-						c.CSPTEntries *= scale
-						c.RSTEntries *= scale
-					})
+				g, err := geomeanSpeedup(s, s.memIntensive(), variantSpec(true, func(c *core.L1Config) {
+					c.IPTableEntries *= scale
+					c.RSTEntries *= scale
+				}))
 				if err != nil {
 					return nil, err
 				}
 				t.AddRow(fmt.Sprintf("x%d tables", scale), g)
 			}
+			t.Notes = append(t.Notes, "The rows scale the IP table and the RST; the CSPT's size is 1<<signature width, which is abl-sig's axis.")
 			return t, nil
 		},
 	})
@@ -46,13 +42,13 @@ func init() {
 		Run: func(s *Session) (*Table, error) {
 			t := &Table{ID: "abl-rr", Title: "IPCP geomean speedup with/without the RR filter",
 				Columns: []string{"speedup"}}
-			on, err := geomeanVariant(s, s.memIntensive(), "rr-on", true, func(c *core.L1Config) {})
+			on, err := geomeanSpeedup(s, s.memIntensive(), variantSpec(true, func(c *core.L1Config) {}))
 			if err != nil {
 				return nil, err
 			}
-			off, err := geomeanVariant(s, s.memIntensive(), "rr-off", true, func(c *core.L1Config) {
+			off, err := geomeanSpeedup(s, s.memIntensive(), variantSpec(true, func(c *core.L1Config) {
 				c.UseRRFilter = false
-			})
+			}))
 			if err != nil {
 				return nil, err
 			}
@@ -71,15 +67,13 @@ func init() {
 			t := &Table{ID: "abl-throttle", Title: "IPCP geomean speedup per watermark pair",
 				Columns: []string{"speedup"}}
 			for _, wm := range [][2]float64{{0.75, 0.40}, {0.90, 0.60}, {0.50, 0.25}, {1.01, -0.01}} {
-				wm := wm
 				label := fmt.Sprintf("high=%.2f low=%.2f", wm[0], wm[1])
 				if wm[1] < 0 {
 					label = "throttling off"
 				}
-				g, err := geomeanVariant(s, s.memIntensive(), "throttle-"+label, true,
-					func(c *core.L1Config) {
-						c.ThrottleHigh, c.ThrottleLow = wm[0], wm[1]
-					})
+				g, err := geomeanSpeedup(s, s.memIntensive(), variantSpec(true, func(c *core.L1Config) {
+					c.ThrottleHigh, c.ThrottleLow = wm[0], wm[1]
+				}))
 				if err != nil {
 					return nil, err
 				}
@@ -98,9 +92,7 @@ func init() {
 			t := &Table{ID: "abl-region", Title: "IPCP geomean speedup per GS region size",
 				Columns: []string{"speedup"}}
 			for _, bits := range []int{10, 11, 12} {
-				bits := bits
-				g, err := geomeanVariant(s, s.memIntensive(), fmt.Sprintf("region-%d", bits), true,
-					func(c *core.L1Config) { c.RegionBits = bits })
+				g, err := geomeanSpeedup(s, s.memIntensive(), variantSpec(true, func(c *core.L1Config) { c.RegionBits = bits }))
 				if err != nil {
 					return nil, err
 				}
@@ -119,9 +111,7 @@ func init() {
 			t := &Table{ID: "abl-degree", Title: "IPCP geomean speedup per CPLX degree",
 				Columns: []string{"speedup"}}
 			for _, d := range []int{1, 2, 3, 4, 6} {
-				d := d
-				g, err := geomeanVariant(s, s.memIntensive(), fmt.Sprintf("cplxdeg-%d", d), true,
-					func(c *core.L1Config) { c.DegreeCPLX = d })
+				g, err := geomeanSpeedup(s, s.memIntensive(), variantSpec(true, func(c *core.L1Config) { c.DegreeCPLX = d }))
 				if err != nil {
 					return nil, err
 				}
@@ -139,9 +129,9 @@ func init() {
 			t := &Table{ID: "abl-sig", Title: "IPCP geomean speedup per signature width",
 				Columns: []string{"speedup"}}
 			for _, b := range []int{5, 7, 9} {
-				b := b
-				g, err := geomeanVariant(s, s.memIntensive(), fmt.Sprintf("sig-%d", b), true,
-					func(c *core.L1Config) { c.SignatureBits = b })
+				g, err := geomeanSpeedup(s, s.memIntensive(), variantSpec(true, func(c *core.L1Config) {
+					c.SignatureBits, c.CSPTEntries = b, 1<<b
+				}))
 				if err != nil {
 					return nil, err
 				}
@@ -163,35 +153,17 @@ func init() {
 			t := &Table{ID: "abl-temporal",
 				Title:   "Geomean speedup with and without the temporal extension",
 				Columns: []string{"speedup"}}
-			base, err := geomeanVariant(s, s.memIntensive(), "temporal-off", true,
-				func(c *core.L1Config) {})
-			if err != nil {
-				return nil, err
+			for _, entries := range []int{0, 1024} {
+				g, err := geomeanSpeedup(s, s.memIntensive(), variantSpec(true, func(c *core.L1Config) { c.TemporalEntries = entries }))
+				if err != nil {
+					return nil, err
+				}
+				label := "IPCP (paper)"
+				if entries > 0 {
+					label = fmt.Sprintf("IPCP + temporal (%d entries)", entries)
+				}
+				t.AddRow(label, g)
 			}
-			t.AddRow("IPCP (paper)", base)
-			// The temporal table attaches after construction, so build
-			// the variant directly.
-			specs := make([]RunSpec, 0)
-			names := s.memIntensive()
-			for _, n := range names {
-				specs = append(specs,
-					RunSpec{Workloads: []string{n}},
-					RunSpec{Workloads: []string{n}, ConfigKey: "temporal-on", L2: "ipcp",
-						L1DNew: func() (prefetch.Prefetcher, error) {
-							p := core.NewL1IPCP(core.DefaultL1Config())
-							p.EnableTemporal(1024)
-							return p, nil
-						}})
-			}
-			results, err := s.RunAll(specs)
-			if err != nil {
-				return nil, err
-			}
-			sp := make([]float64, len(names))
-			for i := range names {
-				sp[i] = results[2*i+1].IPC[0] / results[2*i].IPC[0]
-			}
-			t.AddRow("IPCP + temporal (1024 entries)", stats.Geomean(sp))
 			return t, nil
 		},
 	})

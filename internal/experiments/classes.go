@@ -1,47 +1,21 @@
 package experiments
 
 import (
-	"fmt"
-
 	"ipcp/internal/core"
 	"ipcp/internal/memsys"
-	"ipcp/internal/prefetch"
-	"ipcp/internal/stats"
 )
 
-// ipcpVariant builds an L1 IPCP with the given config mutation, keyed
-// for the session cache.
-func ipcpVariant(key string, mutate func(*core.L1Config)) (string, func() (prefetch.Prefetcher, error)) {
-	return key, func() (prefetch.Prefetcher, error) {
-		cfg := core.DefaultL1Config()
-		mutate(&cfg)
-		return core.NewL1IPCP(cfg), nil
-	}
-}
-
-// geomeanVariant runs an IPCP variant over the workload set and
-// returns the geomean speedup against the no-prefetching baseline.
-func geomeanVariant(s *Session, names []string, key string, withL2 bool, mutate func(*core.L1Config)) (float64, error) {
-	k, mk := ipcpVariant(key, mutate)
-	specs := make([]RunSpec, 0, 2*len(names))
-	l2 := ""
+// variantSpec is IPCP with one mutation of the paper's L1 configuration,
+// with or without the L2 IPCP under it. An empty mutation is the
+// paper's IPCP itself (RunSpec normalises it onto the "ipcp" name).
+func variantSpec(withL2 bool, mutate func(*core.L1Config)) RunSpec {
+	cfg := core.DefaultL1Config()
+	mutate(&cfg)
+	spec := RunSpec{IPCPL1: &cfg}
 	if withL2 {
-		l2 = "ipcp"
+		spec.L2 = "ipcp"
 	}
-	for _, n := range names {
-		specs = append(specs,
-			RunSpec{Workloads: []string{n}},
-			RunSpec{Workloads: []string{n}, L1DNew: mk, L2: l2, ConfigKey: k})
-	}
-	results, err := s.RunAll(specs)
-	if err != nil {
-		return 0, err
-	}
-	sp := make([]float64, len(names))
-	for i := range names {
-		sp[i] = stats.Speedup(results[2*i+1].IPC[0], results[2*i].IPC[0])
-	}
-	return stats.Geomean(sp), nil
+	return spec
 }
 
 // --- Fig. 13a: utility of IPCP classes ---------------------------------------
@@ -60,27 +34,26 @@ func runFig13a(s *Session) (*Table, error) {
 	names := s.memIntensive()
 	variants := []struct {
 		label  string
-		key    string
 		withL2 bool
 		mut    func(*core.L1Config)
 	}{
-		{"CS only", "cls-cs", false, func(c *core.L1Config) {
+		{"CS only", false, func(c *core.L1Config) {
 			c.EnableCPLX, c.EnableGS, c.EnableNL = false, false, false
 		}},
-		{"CPLX only", "cls-cplx", false, func(c *core.L1Config) {
+		{"CPLX only", false, func(c *core.L1Config) {
 			c.EnableCS, c.EnableGS, c.EnableNL = false, false, false
 		}},
-		{"GS only", "cls-gs", false, func(c *core.L1Config) {
+		{"GS only", false, func(c *core.L1Config) {
 			c.EnableCS, c.EnableCPLX, c.EnableNL = false, false, false
 		}},
-		{"CS+CPLX", "cls-cs-cplx", false, func(c *core.L1Config) {
+		{"CS+CPLX", false, func(c *core.L1Config) {
 			c.EnableGS, c.EnableNL = false, false
 		}},
-		{"CS+CPLX+NL", "cls-cs-cplx-nl", false, func(c *core.L1Config) {
+		{"CS+CPLX+NL", false, func(c *core.L1Config) {
 			c.EnableGS = false
 		}},
-		{"IPCP L1 (full bouquet)", "cls-full", false, func(c *core.L1Config) {}},
-		{"IPCP L1+L2", "cls-full-l2", true, func(c *core.L1Config) {}},
+		{"IPCP L1 (full bouquet)", false, func(c *core.L1Config) {}},
+		{"IPCP L1+L2", true, func(c *core.L1Config) {}},
 	}
 	t := &Table{
 		ID:      "fig13a",
@@ -88,7 +61,7 @@ func runFig13a(s *Session) (*Table, error) {
 		Columns: []string{"speedup"},
 	}
 	for _, v := range variants {
-		g, err := geomeanVariant(s, names, v.key, v.withL2, v.mut)
+		g, err := geomeanSpeedup(s, names, variantSpec(v.withL2, v.mut))
 		if err != nil {
 			return nil, err
 		}
@@ -127,20 +100,19 @@ func runFig13b(s *Session) (*Table, error) {
 		Title:   "Geomean speedup per priority order (IPCP L1+L2)",
 		Columns: []string{"speedup"},
 	}
-	for i, o := range orders {
-		o := o
-		g, err := geomeanVariant(s, names, fmt.Sprintf("prio-%d", i), true, func(c *core.L1Config) {
+	for _, o := range orders {
+		g, err := geomeanSpeedup(s, names, variantSpec(true, func(c *core.L1Config) {
 			c.Priority = o.order
-		})
+		}))
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(o.label, g)
 	}
 	// Metadata off.
-	g, err := geomeanVariant(s, names, "no-metadata", true, func(c *core.L1Config) {
+	g, err := geomeanSpeedup(s, names, variantSpec(true, func(c *core.L1Config) {
 		c.EmitMetadata = false
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,11 @@ type Combo struct {
 	StorageNote  string
 }
 
+// on is the combination running the given workloads (one per core).
+func (c Combo) on(workloads ...string) RunSpec {
+	return RunSpec{Workloads: workloads, L1D: c.L1D, L2: c.L2, LLC: c.LLC}
+}
+
 // Combos returns the paper's Table III combinations:
 //
 //	SPP+Perceptron+DSPatch  at L2, throttled NL at L1, NL at LLC
@@ -25,11 +30,13 @@ func Combos() []Combo {
 			StorageNote: "48KB at L1"},
 		{Name: "TSKID", L1D: "tskid", L2: "spp", LLC: "",
 			StorageNote: "52KB at L1 + 6.4KB at L2"},
-		{Name: "IPCP", L1D: "ipcp", L2: "ipcp", LLC: "",
-			StorageNote: "740B at L1 + 155B at L2 = 895B"},
+		ipcpCombo,
 	}
 }
 
 // baseline is the no-prefetching configuration every figure normalizes
-// against.
-var baseline = Combo{Name: "no-prefetch"}
+// against; ipcpCombo is the paper's proposal, Combos' last row.
+var (
+	baseline  = Combo{Name: "no-prefetch"}
+	ipcpCombo = Combo{Name: "IPCP", L1D: "ipcp", L2: "ipcp", StorageNote: "740B at L1 + 155B at L2 = 895B"}
+)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -97,7 +96,7 @@ func init() {
 func TestConcurrentDuplicateRunsCoalesce(t *testing.T) {
 	s := NewSession(tiny)
 	const n = 8
-	spec := RunSpec{Workloads: []string{"bwaves-98"}, ConfigKey: "coalesce"}
+	spec := RunSpec{Workloads: []string{"bwaves-98"}, Seed: 7001}
 
 	var wg sync.WaitGroup
 	got := make([]float64, n)
@@ -144,7 +143,7 @@ func TestConcurrentDuplicateErrorsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Run(RunSpec{Workloads: []string{"fi-panic-stream"}, ConfigKey: "conc-fault"})
+			_, errs[i] = s.Run(RunSpec{Workloads: []string{"fi-panic-stream"}, Seed: 7002})
 		}(i)
 	}
 	wg.Wait()
@@ -179,7 +178,7 @@ func TestDirectRunHonorsAdmissionCap(t *testing.T) {
 			// and still respect the cap despite bypassing RunAllPartial.
 			_, errs[i] = s.Run(RunSpec{
 				Workloads: []string{"conc-gate"},
-				ConfigKey: fmt.Sprintf("cap-%d", i),
+				Seed:      int64(i + 1),
 			})
 		}(i)
 	}
@@ -229,7 +228,7 @@ func TestRunContextDeadlineDoesNotPoisonSession(t *testing.T) {
 	s := NewSession(tiny)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	spec := RunSpec{Workloads: []string{"bwaves-98"}, ConfigKey: "deadline"}
+	spec := RunSpec{Workloads: []string{"bwaves-98"}, Seed: 7003}
 	if _, err := s.RunContext(ctx, spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -251,7 +250,7 @@ func TestRunIDsRecordsInterruptedExperiment(t *testing.T) {
 	register(Experiment{ID: "rob-interrupt", Title: "interrupted mid-flight",
 		Run: func(s *Session) (*Table, error) {
 			cancel() // the SIGINT arrives while this experiment is running
-			_, err := s.Run(RunSpec{Workloads: []string{"bwaves-98"}, ConfigKey: "interrupt"})
+			_, err := s.Run(RunSpec{Workloads: []string{"bwaves-98"}, Seed: 7004})
 			return nil, err
 		}})
 	t.Cleanup(func() { registry = registry[:n] })

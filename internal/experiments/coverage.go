@@ -2,33 +2,18 @@ package experiments
 
 import (
 	"ipcp/internal/memsys"
+	"ipcp/internal/sim"
 	"ipcp/internal/stats"
 )
 
-// ipcpPair returns base and IPCP results for every workload name.
-func ipcpPair(s *Session, names []string) (base, pf []*resultPair, err error) {
+// ipcpPairs runs every workload without prefetching and with IPCP:
+// results[2i] is names[i]'s baseline, results[2i+1] its IPCP run.
+func ipcpPairs(s *Session, names []string) ([]*sim.Result, error) {
 	specs := make([]RunSpec, 0, 2*len(names))
 	for _, n := range names {
-		specs = append(specs,
-			RunSpec{Workloads: []string{n}},
-			RunSpec{Workloads: []string{n}, L1D: "ipcp", L2: "ipcp", ConfigKey: "IPCP"})
+		specs = append(specs, baseline.on(n), ipcpCombo.on(n))
 	}
-	results, e := s.RunAll(specs)
-	if e != nil {
-		return nil, nil, e
-	}
-	for i := range names {
-		base = append(base, &resultPair{name: names[i], res: results[2*i]})
-		pf = append(pf, &resultPair{name: names[i], res: results[2*i+1]})
-	}
-	return base, pf, nil
-}
-
-type resultPair struct {
-	name string
-	res  interface {
-		TotalDemandMisses(level string) uint64
-	}
+	return s.RunAll(specs)
 }
 
 // --- Fig. 10: demand misses covered by IPCP at each level --------------------
@@ -45,7 +30,7 @@ func init() {
 
 func runFig10(s *Session) (*Table, error) {
 	names := s.memIntensive()
-	base, pf, err := ipcpPair(s, names)
+	results, err := ipcpPairs(s, names)
 	if err != nil {
 		return nil, err
 	}
@@ -56,9 +41,10 @@ func runFig10(s *Session) (*Table, error) {
 	}
 	var a1, a2, a3 float64
 	for i := range names {
-		c1 := stats.Coverage(base[i].res.TotalDemandMisses("L1D"), pf[i].res.TotalDemandMisses("L1D"))
-		c2 := stats.Coverage(base[i].res.TotalDemandMisses("L2"), pf[i].res.TotalDemandMisses("L2"))
-		c3 := stats.Coverage(base[i].res.TotalDemandMisses("LLC"), pf[i].res.TotalDemandMisses("LLC"))
+		base, pf := results[2*i], results[2*i+1]
+		c1 := stats.Coverage(base.TotalDemandMisses("L1D"), pf.TotalDemandMisses("L1D"))
+		c2 := stats.Coverage(base.TotalDemandMisses("L2"), pf.TotalDemandMisses("L2"))
+		c3 := stats.Coverage(base.TotalDemandMisses("LLC"), pf.TotalDemandMisses("LLC"))
 		t.AddRow(names[i], c1, c2, c3)
 		a1 += c1
 		a2 += c2
@@ -84,13 +70,7 @@ func init() {
 
 func runFig11(s *Session) (*Table, error) {
 	names := s.memIntensive()
-	specs := make([]RunSpec, 0, 2*len(names))
-	for _, n := range names {
-		specs = append(specs,
-			RunSpec{Workloads: []string{n}},
-			RunSpec{Workloads: []string{n}, L1D: "ipcp", L2: "ipcp", ConfigKey: "IPCP"})
-	}
-	results, err := s.RunAll(specs)
+	results, err := ipcpPairs(s, names)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +114,7 @@ func runFig12(s *Session) (*Table, error) {
 	names := s.memIntensive()
 	specs := make([]RunSpec, len(names))
 	for i, n := range names {
-		specs[i] = RunSpec{Workloads: []string{n}, L1D: "ipcp", L2: "ipcp", ConfigKey: "IPCP"}
+		specs[i] = ipcpCombo.on(n)
 	}
 	results, err := s.RunAll(specs)
 	if err != nil {

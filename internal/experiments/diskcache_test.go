@@ -330,12 +330,15 @@ const parentResultJSON = `{"Cores":1,"Instructions":20000,"CyclesPerCore":null,"
 // pre-internal/store session wrote it at the `tiny` scale — paths and
 // frames spelled out here, not produced by today's encoder — gives a
 // checkpoint disk hit and a snapshot-spill hit, with nothing
-// quarantined.
+// quarantined. (The spec string inside the entry, and the address
+// derived from it, follow RunSpec.Key: the content-derived key replaced
+// the 14-verb format, so a checkpoint written under that format is
+// simply never looked up — the layout and framing are what is pinned.)
 func TestCacheDirReadsParentLayout(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
-		"fc/fc4bb99d3dd9a683b1edfd4be6b340cd66a5e2ddec52699df10731be1a4bea9c.json": "ipcp-ckpt-v2 736 818f98d9\n" +
-			`{"spec":"[bwaves-98]|0||||||0.0|0|0|0|0|0|0","result":` + parentResultJSON + `}`,
+		"b8/b8f684310ab9583665c0a36558a30857d530a1f3a85af4510d641a7d4dd545aa.json": "ipcp-ckpt-v2 733 53516ad0\n" +
+			`{"spec":"{\"workloads\":[\"bwaves-98\"]}","result":` + parentResultJSON + `}`,
 		"5c/5c7d91d7f8a074266835dda1155decb167ca130856b4a58cbe181cd6fa399e86.blob": "ipcp-blob-v1 21 c0b6f627\nwarmup snapshot bytes",
 	}
 	for rel, data := range files {

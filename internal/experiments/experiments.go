@@ -10,10 +10,12 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -22,13 +24,13 @@ import (
 	"sync"
 	"time"
 
+	"ipcp/internal/core" // also registers the "ipcp" prefetcher
+	"ipcp/internal/memsys"
 	"ipcp/internal/prefetch"
 	"ipcp/internal/sim"
 	"ipcp/internal/telemetry"
 	"ipcp/internal/trace"
 	"ipcp/internal/workload"
-
-	_ "ipcp/internal/core" // register the "ipcp" prefetcher
 )
 
 // Scale sets how much simulation an experiment run buys. The paper
@@ -142,40 +144,124 @@ func ByID(id string) (Experiment, error) {
 
 // --- Session: memoized, parallel simulation runner -----------------------
 
-// RunSpec identifies one simulation for memoization.
+// RunSpec is the one description of a simulation: the body of POST
+// /v1/runs, a sweep point, a journal record and an experiment's grid
+// entry are all this struct, and a run's identity (Key, WarmupKey) is
+// derived from its content, never typed beside it.
 type RunSpec struct {
-	Workloads []string // one per core
-	Cores     int      // defaults to len(Workloads)
+	Workloads []string `json:"workloads"`       // one per core
+	Cores     int      `json:"cores,omitempty"` // 0 = len(Workloads)
 
-	// Prefetcher names per level ("" = none). ConfigKey + New allow
-	// custom-configured prefetchers; ConfigKey must uniquely describe
-	// the configuration for caching. A construction error propagates
-	// through the worker's error channel instead of crashing the
-	// process.
-	L1D, L2, LLC string
-	L1DNew       func() (prefetch.Prefetcher, error)
-	ConfigKey    string
+	// Prefetcher names per level ("" = none; "<name>@l2" learns here and
+	// fills at the L2, see prefetch.New).
+	L1D string `json:"l1d,omitempty"`
+	L2  string `json:"l2,omitempty"`
+	LLC string `json:"llc,omitempty"`
+	// IPCPL1, when set, is the L1-D prefetcher: an IPCP with this
+	// configuration (nil = whatever L1D names; L1D must be "" or "ipcp").
+	IPCPL1 *core.L1Config `json:"ipcp_l1,omitempty"`
 
 	// System knobs (zero values = PaperConfig defaults).
-	LLCRepl        string
-	DRAMGBps       float64
-	L1PQ           int
-	L1MSHR         int
-	L1DWays        int // 8 → 32KB L1D
-	L2Sets         int
-	LLCSetsPerCore int
+	LLCRepl        string  `json:"llc_repl,omitempty"`
+	DRAMGBps       float64 `json:"dram_gbps,omitempty"`
+	L1PQ           int     `json:"l1_pq,omitempty"`
+	L1MSHR         int     `json:"l1_mshr,omitempty"`
+	L1DWays        int     `json:"l1d_ways,omitempty"` // 8 → 32KB L1D
+	L2Sets         int     `json:"l2_sets,omitempty"`
+	LLCSetsPerCore int     `json:"llc_sets_per_core,omitempty"`
 
-	Seed int64
+	Seed int64 `json:"seed,omitempty"` // 0 = the session scale's seed
+}
+
+// normalised returns the spec with every spelling of one simulation
+// folded onto one: an IPCP variant always names l1d "ipcp", a variant
+// equal to the paper's configuration IS the registered "ipcp", "none"
+// is "", and a core count that restates the workload count is 0.
+func (r RunSpec) normalised() RunSpec {
+	if r.IPCPL1 != nil {
+		r.L1D = "ipcp"
+		if reflect.DeepEqual(*r.IPCPL1, core.DefaultL1Config()) {
+			r.IPCPL1 = nil
+		}
+	}
+	for _, name := range []*string{&r.L1D, &r.L2, &r.LLC} {
+		if *name == "none" {
+			*name = ""
+		}
+	}
+	if r.Cores == len(r.Workloads) {
+		r.Cores = 0
+	}
+	return r
+}
+
+// canonical renders a normalised spec as its identity: the JSON a client
+// would POST to ask for it.
+func (r RunSpec) canonical() string {
+	b, err := json.Marshal(r)
+	if err != nil {
+		// Only a NaN/Inf knob, which Validate refuses; never let two such
+		// specs share a result by accident.
+		return fmt.Sprintf("unkeyable(%v):%+v", err, r)
+	}
+	return string(b)
 }
 
 // Key is the spec's memoization identity: two specs with equal keys
 // describe the same simulation. The serve layer uses it to coalesce
 // identical submissions onto one job.
-func (r RunSpec) Key() string {
-	return fmt.Sprintf("%v|%d|%s|%s|%s|%s|%s|%.1f|%d|%d|%d|%d|%d|%d",
-		r.Workloads, r.Cores, r.L1D, r.L2, r.LLC, r.ConfigKey,
-		r.LLCRepl, r.DRAMGBps, r.L1PQ, r.L1MSHR, r.L1DWays, r.L2Sets,
-		r.LLCSetsPerCore, r.Seed)
+func (r RunSpec) Key() string { return r.normalised().canonical() }
+
+// maxCores and the knob ceilings below bound what one request may
+// allocate; the paper's largest system (8 cores, 16K-set LLC slices in
+// the weighted-speedup runs) sits well inside them.
+const maxCores = 16
+
+// Validate rejects a spec the simulator would only fail on later — or
+// allocate the host for — so bad input costs a 400 instead of a queued
+// failing job. POST /v1/runs and every sweep point pass through it.
+func (r RunSpec) Validate() error {
+	if len(r.Workloads) == 0 || len(r.Workloads) > maxCores {
+		return fmt.Errorf("workloads must name 1..%d traces, got %d", maxCores, len(r.Workloads))
+	}
+	for _, w := range r.Workloads {
+		if _, err := workload.Named(w); err != nil {
+			return err
+		}
+	}
+	if r.Cores != 0 && r.Cores != len(r.Workloads) {
+		return fmt.Errorf("cores (%d) must be 0 or match the workload count (%d)", r.Cores, len(r.Workloads))
+	}
+	for _, p := range []string{r.L1D, r.L2, r.LLC} {
+		if _, err := prefetch.New(p, memsys.LevelL1D); err != nil {
+			return err
+		}
+	}
+	if r.IPCPL1 != nil {
+		if r.L1D != "" && r.L1D != "ipcp" {
+			return fmt.Errorf("ipcp_l1 configures the IPCP at the L1-D; l1d must be \"ipcp\" or empty, not %q", r.L1D)
+		}
+		if err := r.IPCPL1.Validate(); err != nil {
+			return err
+		}
+	}
+	for _, k := range []struct {
+		name   string
+		v, max int
+	}{
+		{"l1_pq", r.L1PQ, 1 << 10}, {"l1_mshr", r.L1MSHR, 1 << 10}, {"l1d_ways", r.L1DWays, 1 << 6},
+		{"l2_sets", r.L2Sets, 1 << 15}, {"llc_sets_per_core", r.LLCSetsPerCore, 1 << 15},
+	} {
+		if k.v < 0 || k.v > k.max {
+			return fmt.Errorf("%s = %d, want 0..%d", k.name, k.v, k.max)
+		}
+	}
+	if !(r.DRAMGBps >= 0 && r.DRAMGBps <= 1024) {
+		return fmt.Errorf("dram_gbps = %v, want 0..1024", r.DRAMGBps)
+	}
+	// Geometry (power-of-two sets and core count, known policy names) is
+	// the simulator's own rule; ask it.
+	return specConfig(r, 1).Validate()
 }
 
 // PanicError wraps a panic recovered in a simulation worker: the
@@ -220,35 +306,40 @@ type outcome struct {
 	err  error
 }
 
-// SessionStats counts how the session's Run calls were satisfied.
+// SessionStats counts how the session's Run calls were satisfied. It is
+// also the "session" object of ipcpd's GET /metrics, so the JSON names
+// are API.
 type SessionStats struct {
 	// Executed is how many simulations actually ran.
-	Executed int
+	Executed int `json:"executed"`
 	// MemoHits were served from the in-memory memo cache.
-	MemoHits int
+	MemoHits int `json:"memo_hits"`
 	// DiskHits were loaded from the disk checkpoint cache.
-	DiskHits int
+	DiskHits int `json:"disk_hits"`
 	// Coalesced callers found an identical run already in flight and
 	// waited for its outcome instead of executing (single-flight).
-	Coalesced int
+	Coalesced int `json:"coalesced"`
 	// Faults is the number of degraded (failed but non-fatal) runs.
-	Faults int
+	Faults int `json:"faults"`
 	// StoreFailures counts disk-checkpoint writes that failed. Store
 	// failures are deliberately non-fatal (the cache degrades to a
 	// no-op) but surfaced here so a dying disk is visible.
-	StoreFailures int
+	StoreFailures int `json:"store_failures"`
 	// Quarantined counts corrupt checkpoint files detected on load and
 	// moved to the cache's corrupt/ subdirectory instead of decoded.
-	Quarantined int
+	Quarantined int `json:"quarantined"`
 	// Abandoned counts concurrency slots reclaimed from cancelled runs
 	// that failed to unwind within the abandon grace (simulations
 	// wedged beyond cooperative cancellation).
-	Abandoned int
-	// RemoteBlobHits counts local cache misses satisfied from the
-	// shared remote blob store (checkpoints and warmup spills alike);
-	// RemoteBlobPuts counts local writes pushed to it.
-	RemoteBlobHits int
-	RemoteBlobPuts int
+	Abandoned int `json:"abandoned"`
+
+	// PendingSaves is a gauge: checkpoints and snapshot spills whose run
+	// has returned but whose write has not finished (see Flush).
+	// BuildsRecycled counts simulated systems this session released
+	// once their run had returned, handing their cache arrays to the
+	// next build (sim.System.Release).
+	PendingSaves   int `json:"pending_saves"`
+	BuildsRecycled int `json:"builds_recycled"`
 
 	// Shared-warmup (RunShared/RunSweep) dispositions.
 	//
@@ -259,28 +350,26 @@ type SessionStats struct {
 	// an in-flight warmup instead of running their own. ForkedRuns
 	// counts measure phases that ran from a snapshot (the fallback
 	// cold path counts under Executed only).
-	SnapshotMemHits  int
-	SnapshotDiskHits int
-	SnapshotMisses   int
-	SnapshotBytes    int64
-	WarmupsCoalesced int
-	ForkedRuns       int
+	SnapshotMemHits  int   `json:"snapshot_mem_hits"`
+	SnapshotDiskHits int   `json:"snapshot_disk_hits"`
+	SnapshotMisses   int   `json:"snapshot_misses"`
+	SnapshotBytes    int64 `json:"snapshot_bytes"`
+	WarmupsCoalesced int   `json:"warmups_coalesced"`
+	ForkedRuns       int   `json:"forked_runs"`
 
-	// PendingSaves is a gauge: checkpoints and snapshot spills whose run
-	// has returned but whose write has not finished (see Flush).
-	// BuildsRecycled counts simulated systems this session released
-	// once their run had returned, handing their cache arrays to the
-	// next build (sim.System.Release).
-	PendingSaves   int
-	BuildsRecycled int
+	// RemoteBlobHits counts local cache misses satisfied from the
+	// shared remote blob store (checkpoints and warmup spills alike);
+	// RemoteBlobPuts counts local writes pushed to it.
+	RemoteBlobHits int `json:"remote_blob_hits"`
+	RemoteBlobPuts int `json:"remote_blob_puts"`
 
 	// SteppedCycles and JumpedCycles total the scheduler self-profile
 	// (sim.EngineStats) of every measured phase this session executed:
 	// simulated cycles on which some component was clocked, and cycles
 	// crossed in a jump because none was due. Recalled results (memo,
 	// disk) simulated nothing and add nothing.
-	SteppedCycles uint64
-	JumpedCycles  uint64
+	SteppedCycles uint64 `json:"sim_stepped_cycles"`
+	JumpedCycles  uint64 `json:"sim_jumped_cycles"`
 }
 
 // Session memoizes simulation results for one Scale.
@@ -722,7 +811,8 @@ func (s *Session) specSeed(spec RunSpec) int64 {
 // specConfig assembles the sim.Config a spec describes (shared by the
 // classic path, warmup leaders and forked measure phases — the three
 // must agree exactly for forked runs to be bit-identical to cold ones).
-func (s *Session) specConfig(spec RunSpec) sim.Config {
+// A system knob is one RunSpec field and one line here.
+func specConfig(spec RunSpec, seed int64) sim.Config {
 	cores := spec.Cores
 	if cores == 0 {
 		cores = len(spec.Workloads)
@@ -749,14 +839,14 @@ func (s *Session) specConfig(spec RunSpec) sim.Config {
 	if spec.LLCSetsPerCore > 0 {
 		cfg.LLC.Sets = spec.LLCSetsPerCore * cores
 	}
-	if spec.L1DNew != nil {
-		cfg.L1DPrefetcher = sim.PrefetcherSpec{New: spec.L1DNew}
-	} else {
-		cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: spec.L1D}
+	cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: spec.L1D}
+	if spec.IPCPL1 != nil {
+		l1 := *spec.IPCPL1
+		cfg.L1DPrefetcher.New = func() (prefetch.Prefetcher, error) { return core.NewL1IPCP(l1), nil }
 	}
 	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: spec.L2}
 	cfg.LLCPrefetcher = sim.PrefetcherSpec{Name: spec.LLC}
-	cfg.Seed = s.specSeed(spec)
+	cfg.Seed = seed
 	return cfg
 }
 
@@ -781,7 +871,7 @@ func (s *Session) buildAndRun(runCtx context.Context, spec RunSpec) (*sim.Result
 	if err != nil {
 		return nil, err
 	}
-	sys, err := sim.Build(s.specConfig(spec), streams)
+	sys, err := sim.Build(specConfig(spec, s.specSeed(spec)), streams)
 	if err != nil {
 		return nil, err
 	}

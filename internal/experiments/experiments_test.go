@@ -40,7 +40,7 @@ func TestSessionMemoization(t *testing.T) {
 	if a != b {
 		t.Error("identical specs not memoized")
 	}
-	c, err := s.Run(RunSpec{Workloads: []string{"bwaves-98"}, L1D: "ipcp", ConfigKey: "x"})
+	c, err := s.Run(RunSpec{Workloads: []string{"bwaves-98"}, L1D: "ipcp"})
 	if err != nil {
 		t.Fatal(err)
 	}

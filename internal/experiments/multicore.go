@@ -17,17 +17,12 @@ import (
 // alone on the N-core system).
 func weightedSpeedup(s *Session, mix []string, c Combo) (float64, error) {
 	n := len(mix)
-	specs := []RunSpec{{
-		Workloads: mix,
-		L1D:       c.L1D, L2: c.L2, LLC: c.LLC, ConfigKey: c.Name,
-	}}
+	specs := []RunSpec{c.on(mix...)}
 	for _, w := range mix {
-		specs = append(specs, RunSpec{
-			Workloads: []string{w}, Cores: 1,
-			L1D: c.L1D, L2: c.L2, LLC: c.LLC, ConfigKey: c.Name + "-alone",
-			LLCSetsPerCore: 2048 * n,
-			DRAMGBps:       12.8 * 2, // the multi-core system's two channels
-		})
+		alone := c.on(w)
+		alone.LLCSetsPerCore = 2048 * n
+		alone.DRAMGBps = 12.8 * 2 // the multi-core system's two channels
+		specs = append(specs, alone)
 	}
 	results, errs := s.RunAllPartial(specs)
 	if err := firstError(errs...); err != nil {
@@ -128,24 +123,9 @@ func runFig14a(s *Session) (*Table, error) {
 	for i, w := range names {
 		mixes[i] = []string{w, w, w, w}
 	}
-	perCombo := make([][]float64, len(combos))
-	for j, c := range combos {
-		vals, err := normalizedWSAll(s, mixes, c)
-		if err != nil {
-			return nil, err
-		}
-		perCombo[j] = vals
-	}
-	for i, w := range names {
-		row := make([]float64, len(combos))
-		for j := range combos {
-			row[j] = perCombo[j][i]
-		}
-		t.AddRow(w, row...)
-	}
-	geo := make([]float64, len(combos))
-	for j := range combos {
-		geo[j] = stats.Geomean(perCombo[j])
+	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return normalizedWSAll(s, mixes, c) })
+	if err != nil {
+		return nil, err
 	}
 	t.AddRow("geomean", geo...)
 	t.Notes = append(t.Notes, "Paper Fig. 14a: gains ≤ ~10%; 'classification' defeats every prefetcher.")
@@ -172,24 +152,9 @@ func runFig14b(s *Session) (*Table, error) {
 		Title:   "Speedup on CNN/RNN workloads (single core)",
 		Columns: comboNames(combos),
 	}
-	perCombo := make([][]float64, len(combos))
-	for j, c := range combos {
-		sp, err := Speedups(s, names, c)
-		if err != nil {
-			return nil, err
-		}
-		perCombo[j] = sp
-	}
-	for i, n := range names {
-		row := make([]float64, len(combos))
-		for j := range combos {
-			row[j] = perCombo[j][i]
-		}
-		t.AddRow(n, row...)
-	}
-	geo := make([]float64, len(combos))
-	for j := range combos {
-		geo[j] = stats.Geomean(perCombo[j])
+	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return Speedups(s, names, c) })
+	if err != nil {
+		return nil, err
 	}
 	t.AddRow("geomean", geo...)
 	t.Notes = append(t.Notes, "Paper Fig. 14b: IPCP on top thanks to GS; all prefetchers gain on streaming kernels.")
@@ -225,9 +190,9 @@ func runFig15(s *Session) (*Table, error) {
 		mixes [][]string
 	}{
 		{"homogeneous 4-core", homogeneousMixes(mi, 4, s.Scale.Mixes)},
-		{"heterogeneous 4-core (full suite)", heterogeneousMixes(full, 4, maxInt(1, s.Scale.Mixes/2), s.Scale.Seed+100)},
-		{"heterogeneous 4-core (mem-intensive)", heterogeneousMixes(mi, 4, maxInt(1, s.Scale.Mixes/2), s.Scale.Seed+150)},
-		{"heterogeneous 8-core", heterogeneousMixes(full, 8, maxInt(1, s.Scale.Mixes/2), s.Scale.Seed+200)},
+		{"heterogeneous 4-core (full suite)", heterogeneousMixes(full, 4, max(1, s.Scale.Mixes/2), s.Scale.Seed+100)},
+		{"heterogeneous 4-core (mem-intensive)", heterogeneousMixes(mi, 4, max(1, s.Scale.Mixes/2), s.Scale.Seed+150)},
+		{"heterogeneous 8-core", heterogeneousMixes(full, 8, max(1, s.Scale.Mixes/2), s.Scale.Seed+200)},
 		{"cloud 4-core", homogeneousMixes(workload.Names(workload.Suite("cloud")), 4, s.Scale.Mixes)},
 		{"nn 4-core", homogeneousMixes(workload.Names(workload.Suite("nn")), 4, s.Scale.Mixes)},
 	}
@@ -269,11 +234,4 @@ func homogeneousMixes(pool []string, cores, count int) [][]string {
 		mixes = append(mixes, mix)
 	}
 	return mixes
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -36,17 +36,18 @@ func init() {
 		Name: "fi-dead-stream", Suite: "test",
 		NewStream: func(seed int64) trace.Stream { return chaos.DeadStream{} },
 	})
+	// Faulty prefetchers are data like any other: registered names.
+	prefetch.Register("fi-panic", func(prefetch.Level) prefetch.Prefetcher {
+		return &chaos.PanicPrefetcher{PanicAt: 100}
+	})
+	prefetch.Register("fi-runaway", func(prefetch.Level) prefetch.Prefetcher {
+		return &chaos.RunawayPrefetcher{Flood: 100_000}
+	})
 }
 
 func TestPrefetcherPanicIsGuarded(t *testing.T) {
 	s := NewSession(tiny)
-	res, err := s.Run(RunSpec{
-		Workloads: []string{"bwaves-98"},
-		ConfigKey: "fi-guarded-panic",
-		L1DNew: func() (prefetch.Prefetcher, error) {
-			return &chaos.PanicPrefetcher{PanicAt: 100}, nil
-		},
-	})
+	res, err := s.Run(RunSpec{Workloads: []string{"bwaves-98"}, L1D: "fi-panic"})
 	// The guard absorbs the panic: the run completes unprefetched and
 	// records the trip.
 	if err != nil {
@@ -66,13 +67,7 @@ func TestPrefetcherPanicIsGuarded(t *testing.T) {
 
 func TestRunawayPrefetcherIsGuarded(t *testing.T) {
 	s := NewSession(tiny)
-	res, err := s.Run(RunSpec{
-		Workloads: []string{"bwaves-98"},
-		ConfigKey: "fi-runaway",
-		L1DNew: func() (prefetch.Prefetcher, error) {
-			return &chaos.RunawayPrefetcher{Flood: 100_000}, nil
-		},
-	})
+	res, err := s.Run(RunSpec{Workloads: []string{"bwaves-98"}, L1D: "fi-runaway"})
 	if err != nil {
 		t.Fatalf("guarded runaway prefetcher failed the run: %v", err)
 	}

@@ -1,31 +1,13 @@
 package experiments
 
-import (
-	"fmt"
+import "fmt"
 
-	"ipcp/internal/stats"
-)
-
-// sensGeomean runs IPCP (and the baseline) with the spec mutations
+// sensGeomean runs IPCP (and the baseline) with the spec mutation
 // applied to both, returning the geomean speedup.
-func sensGeomean(s *Session, names []string, key string, mutate func(*RunSpec)) (float64, error) {
-	specs := make([]RunSpec, 0, 2*len(names))
-	for _, n := range names {
-		base := RunSpec{Workloads: []string{n}, ConfigKey: key + "-base"}
-		pf := RunSpec{Workloads: []string{n}, L1D: "ipcp", L2: "ipcp", ConfigKey: key}
-		mutate(&base)
-		mutate(&pf)
-		specs = append(specs, base, pf)
-	}
-	results, err := s.RunAll(specs)
-	if err != nil {
-		return 0, err
-	}
-	sp := make([]float64, len(names))
-	for i := range names {
-		sp[i] = stats.Speedup(results[2*i+1].IPC[0], results[2*i].IPC[0])
-	}
-	return stats.Geomean(sp), nil
+func sensGeomean(s *Session, names []string, mutate func(*RunSpec)) (float64, error) {
+	spec := ipcpCombo.on()
+	mutate(&spec)
+	return geomeanSpeedup(s, names, spec)
 }
 
 func init() {
@@ -37,11 +19,10 @@ func init() {
 			t := &Table{ID: "sens-repl", Title: "IPCP geomean speedup per LLC replacement policy (512KB/core LLC)",
 				Columns: []string{"speedup"}}
 			for _, pol := range []string{"lru", "srrip", "drrip", "ship", "hawkeye", "mpppb"} {
-				pol := pol
 				// A small LLC so replacement is actually exercised at
 				// sub-million-instruction scales (the paper's 2MB LLC
 				// does not fill within a short run).
-				g, err := sensGeomean(s, s.memIntensive(), "repl-"+pol, func(r *RunSpec) {
+				g, err := sensGeomean(s, s.memIntensive(), func(r *RunSpec) {
 					r.LLCRepl = pol
 					r.LLCSetsPerCore = 512
 				})
@@ -75,8 +56,8 @@ func init() {
 				{"LLC 4MB/core", func(r *RunSpec) { r.LLCSetsPerCore = 4096 }},
 				{"LLC 512KB/core (tiny)", func(r *RunSpec) { r.LLCSetsPerCore = 512 }},
 			}
-			for i, c := range configs {
-				g, err := sensGeomean(s, s.memIntensive(), fmt.Sprintf("cache-%d", i), c.mut)
+			for _, c := range configs {
+				g, err := sensGeomean(s, s.memIntensive(), c.mut)
 				if err != nil {
 					return nil, err
 				}
@@ -96,28 +77,16 @@ func init() {
 				Columns: []string{"IPCP", "MLOP"}}
 			names := s.memIntensive()
 			for _, bw := range []float64{3.2, 12.8, 25.6} {
-				bw := bw
-				ipcpG, err := sensGeomean(s, names, fmt.Sprintf("dram-%.1f", bw), func(r *RunSpec) { r.DRAMGBps = bw })
+				ipcpG, err := sensGeomean(s, names, func(r *RunSpec) { r.DRAMGBps = bw })
 				if err != nil {
 					return nil, err
 				}
 				// MLOP comparison at the same bandwidth.
-				specs := make([]RunSpec, 0, 2*len(names))
-				for _, n := range names {
-					specs = append(specs,
-						RunSpec{Workloads: []string{n}, DRAMGBps: bw, ConfigKey: "dram-base"},
-						RunSpec{Workloads: []string{n}, L1D: "mlop", L2: "nl", LLC: "nl-miss",
-							DRAMGBps: bw, ConfigKey: "dram-mlop"})
-				}
-				results, err := s.RunAll(specs)
+				mlopG, err := geomeanSpeedup(s, names, RunSpec{L1D: "mlop", L2: "nl", LLC: "nl-miss", DRAMGBps: bw})
 				if err != nil {
 					return nil, err
 				}
-				sp := make([]float64, len(names))
-				for i := range names {
-					sp[i] = stats.Speedup(results[2*i+1].IPC[0], results[2*i].IPC[0])
-				}
-				t.AddRow(fmt.Sprintf("%.1f GB/s", bw), ipcpG, stats.Geomean(sp))
+				t.AddRow(fmt.Sprintf("%.1f GB/s", bw), ipcpG, mlopG)
 			}
 			return t, nil
 		},
@@ -132,9 +101,7 @@ func init() {
 			t := &Table{ID: "sens-pq", Title: "IPCP geomean speedup per (PQ, MSHR) pair",
 				Columns: []string{"speedup"}}
 			for _, pair := range [][2]int{{2, 4}, {4, 8}, {8, 16}, {16, 32}} {
-				pair := pair
-				g, err := sensGeomean(s, s.memIntensive(), fmt.Sprintf("pq-%d-%d", pair[0], pair[1]),
-					func(r *RunSpec) { r.L1PQ, r.L1MSHR = pair[0], pair[1] })
+				g, err := sensGeomean(s, s.memIntensive(), func(r *RunSpec) { r.L1PQ, r.L1MSHR = pair[0], pair[1] })
 				if err != nil {
 					return nil, err
 				}

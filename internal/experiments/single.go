@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ipcp/internal/memsys"
-	"ipcp/internal/prefetch"
 	"ipcp/internal/stats"
 )
 
@@ -17,9 +15,7 @@ import (
 func Speedups(s *Session, names []string, c Combo) ([]float64, error) {
 	specs := make([]RunSpec, 0, 2*len(names))
 	for _, n := range names {
-		specs = append(specs,
-			RunSpec{Workloads: []string{n}},
-			RunSpec{Workloads: []string{n}, L1D: c.L1D, L2: c.L2, LLC: c.LLC, ConfigKey: c.Name})
+		specs = append(specs, baseline.on(n), c.on(n))
 	}
 	results, errs := s.RunAllPartial(specs)
 	out := make([]float64, len(names))
@@ -46,6 +42,52 @@ func firstError(errs ...error) error {
 	return nil
 }
 
+// geomeanSpeedup runs spec on each workload, beside the same system with
+// every prefetcher off, and returns the geomean speedup. Any failed run
+// fails the call.
+func geomeanSpeedup(s *Session, names []string, spec RunSpec) (float64, error) {
+	specs := make([]RunSpec, 0, 2*len(names))
+	for _, n := range names {
+		pf := spec
+		pf.Workloads = []string{n}
+		base := pf
+		base.L1D, base.L2, base.LLC, base.IPCPL1 = "", "", "", nil
+		specs = append(specs, base, pf)
+	}
+	results, err := s.RunAll(specs)
+	if err != nil {
+		return 0, err
+	}
+	sp := make([]float64, len(names))
+	for i := range names {
+		sp[i] = stats.Speedup(results[2*i+1].IPC[0], results[2*i].IPC[0])
+	}
+	return stats.Geomean(sp), nil
+}
+
+// perTraceRows fills t with one row per label and one column per combo
+// — per(combo) yields that column's values in label order — and returns
+// the columns' geomeans for the caller's summary row.
+func perTraceRows(t *Table, labels []string, combos []Combo, per func(Combo) ([]float64, error)) ([]float64, error) {
+	cols := make([][]float64, len(combos))
+	geo := make([]float64, len(combos))
+	for j, c := range combos {
+		var err error
+		if cols[j], err = per(c); err != nil {
+			return nil, err
+		}
+		geo[j] = stats.Geomean(cols[j])
+	}
+	for i, label := range labels {
+		row := make([]float64, len(combos))
+		for j := range combos {
+			row[j] = cols[j][i]
+		}
+		t.AddRow(label, row...)
+	}
+	return geo, nil
+}
+
 // --- Fig. 1: utility of L1-D prefetching ----------------------------------
 
 func init() {
@@ -67,46 +109,13 @@ func runFig1(s *Session) (*Table, error) {
 		Columns: []string{"at L2", "learn L1, fill L2", "at L1"},
 	}
 	for _, pf := range []string{"ipstride", "bingo", "mlop"} {
-		pf := pf
-		placements := []struct {
-			label string
-			spec  func(n string) RunSpec
-		}{
-			{"l2", func(n string) RunSpec {
-				return RunSpec{Workloads: []string{n}, L2: pf, ConfigKey: "fig1-l2-" + pf}
-			}},
-			{"l1fill2", func(n string) RunSpec {
-				return RunSpec{Workloads: []string{n},
-					L1DNew: func() (prefetch.Prefetcher, error) {
-						p, err := prefetch.New(pf, memsys.LevelL1D)
-						if err != nil {
-							// Propagated through the worker's error
-							// channel; never panic in a worker.
-							return nil, err
-						}
-						return prefetch.FillAt{Inner: p, Level: memsys.LevelL2}, nil
-					},
-					ConfigKey: "fig1-l1fill2-" + pf}
-			}},
-			{"l1", func(n string) RunSpec {
-				return RunSpec{Workloads: []string{n}, L1D: pf, ConfigKey: "fig1-l1-" + pf}
-			}},
-		}
 		row := make([]float64, 0, 3)
-		for _, pl := range placements {
-			var sp []float64
-			specs := make([]RunSpec, 0, 2*len(names))
-			for _, n := range names {
-				specs = append(specs, RunSpec{Workloads: []string{n}}, pl.spec(n))
-			}
-			results, err := s.RunAll(specs)
+		for _, placed := range []RunSpec{{L2: pf}, {L1D: pf + "@l2"}, {L1D: pf}} {
+			g, err := geomeanSpeedup(s, names, placed)
 			if err != nil {
 				return nil, err
 			}
-			for i := range names {
-				sp = append(sp, stats.Speedup(results[2*i+1].IPC[0], results[2*i].IPC[0]))
-			}
-			row = append(row, stats.Geomean(sp))
+			row = append(row, g)
 		}
 		t.AddRow(pf, row...)
 	}
@@ -128,30 +137,18 @@ func init() {
 
 func runFig7(s *Session) (*Table, error) {
 	names := s.memIntensive()
-	pfs := []string{"nl", "ipstride", "stream", "bop", "spp", "mlop", "bingo", "bingo119", "tskid", "ipcp"}
+	var combos []Combo
+	for _, pf := range []string{"nl", "ipstride", "stream", "bop", "spp", "mlop", "bingo", "bingo119", "tskid", "ipcp"} {
+		combos = append(combos, Combo{Name: pf, L1D: pf})
+	}
 	t := &Table{
 		ID:      "fig7",
 		Title:   "Per-trace speedup with L1-only prefetching (L2/LLC off)",
-		Columns: append([]string{}, pfs...),
+		Columns: comboNames(combos),
 	}
-	perPf := make([][]float64, len(pfs))
-	for j, pf := range pfs {
-		sp, err := Speedups(s, names, Combo{Name: "l1only-" + pf, L1D: pf})
-		if err != nil {
-			return nil, err
-		}
-		perPf[j] = sp
-	}
-	for i, n := range names {
-		row := make([]float64, len(pfs))
-		for j := range pfs {
-			row[j] = perPf[j][i]
-		}
-		t.AddRow(n, row...)
-	}
-	geo := make([]float64, len(pfs))
-	for j := range pfs {
-		geo[j] = stats.Geomean(perPf[j])
+	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return Speedups(s, names, c) })
+	if err != nil {
+		return nil, err
 	}
 	t.AddRow("geomean", geo...)
 	t.Notes = append(t.Notes, "Paper Fig. 7: IPCP at or near the top; spp below the offset/footprint prefetchers at L1.")
@@ -178,36 +175,17 @@ func runFig8(s *Session) (*Table, error) {
 		Title:   "Per-trace speedup with multi-level prefetching",
 		Columns: comboNames(combos),
 	}
-	perCombo := make([][]float64, len(combos))
-	for j, c := range combos {
-		sp, err := Speedups(s, names, c)
-		if err != nil {
-			return nil, err
-		}
-		perCombo[j] = sp
-	}
-	for i, n := range names {
-		row := make([]float64, len(combos))
-		for j := range combos {
-			row[j] = perCombo[j][i]
-		}
-		t.AddRow(n, row...)
-	}
-	geo := make([]float64, len(combos))
-	for j := range combos {
-		geo[j] = stats.Geomean(perCombo[j])
+	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return Speedups(s, names, c) })
+	if err != nil {
+		return nil, err
 	}
 	t.AddRow("geomean (mem-intensive)", geo...)
 
-	// Full-suite geomean.
+	// Full-suite geomean (no per-trace rows).
 	full := s.fullSuite()
-	geoFull := make([]float64, len(combos))
-	for j, c := range combos {
-		sp, err := Speedups(s, full, c)
-		if err != nil {
-			return nil, err
-		}
-		geoFull[j] = stats.Geomean(sp)
+	geoFull, err := perTraceRows(t, nil, combos, func(c Combo) ([]float64, error) { return Speedups(s, full, c) })
+	if err != nil {
+		return nil, err
 	}
 	t.AddRow("geomean (full suite)", geoFull...)
 	t.Notes = append(t.Notes,
@@ -247,7 +225,7 @@ func runFig9(s *Session) (*Table, error) {
 		var l1, l2, llc float64
 		specs := make([]RunSpec, len(names))
 		for i, n := range names {
-			specs[i] = RunSpec{Workloads: []string{n}, L1D: c.L1D, L2: c.L2, LLC: c.LLC, ConfigKey: c.Name}
+			specs[i] = c.on(n)
 		}
 		results, err := s.RunAll(specs)
 		if err != nil {
@@ -286,7 +264,7 @@ func runTab4(s *Session) (*Table, error) {
 	}
 	baseSpecs := make([]RunSpec, len(names))
 	for i, n := range names {
-		baseSpecs[i] = RunSpec{Workloads: []string{n}}
+		baseSpecs[i] = baseline.on(n)
 	}
 	baseResults, err := s.RunAll(baseSpecs)
 	if err != nil {
@@ -295,7 +273,7 @@ func runTab4(s *Session) (*Table, error) {
 	for _, c := range Combos() {
 		specs := make([]RunSpec, len(names))
 		for i, n := range names {
-			specs[i] = RunSpec{Workloads: []string{n}, L1D: c.L1D, L2: c.L2, LLC: c.LLC, ConfigKey: c.Name}
+			specs[i] = c.on(n)
 		}
 		results, err := s.RunAll(specs)
 		if err != nil {

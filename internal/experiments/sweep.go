@@ -46,26 +46,20 @@ type snapEntry struct {
 	err  error
 }
 
-// WarmupKey is a spec's warmup identity under scale: every field that
-// shapes post-warmup architectural state under CacheWarmOnly
-// (workloads, core count, system knobs, seed, warmup length) and none
-// of the prefetcher fields, which attach only at the measure boundary.
-// Two specs with equal warmup keys share one warmup. The coordinator
-// uses it to shard sweep grids so each warmup-identity group lands on
-// exactly one worker (where its snapshot is forked locally).
+// WarmupKey is a spec's warmup identity under scale: the spec's identity
+// (Key) with the prefetcher fields — which attach only at the measure
+// boundary under CacheWarmOnly — cleared, the seed resolved against the
+// scale, and the warmup length. Two specs with equal warmup keys share
+// one warmup. The coordinator uses it to shard sweep grids so each
+// warmup-identity group lands on exactly one worker (where its snapshot
+// is forked locally).
 func WarmupKey(scale Scale, spec RunSpec) string {
-	cores := spec.Cores
-	if cores == 0 {
-		cores = len(spec.Workloads)
+	spec = spec.normalised()
+	spec.L1D, spec.L2, spec.LLC, spec.IPCPL1 = "", "", "", nil
+	if spec.Seed == 0 {
+		spec.Seed = scale.Seed
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = scale.Seed
-	}
-	return fmt.Sprintf("%v|%d|%s|%.1f|%d|%d|%d|%d|%d|%d|%d",
-		spec.Workloads, cores, spec.LLCRepl, spec.DRAMGBps,
-		spec.L1PQ, spec.L1MSHR, spec.L1DWays, spec.L2Sets,
-		spec.LLCSetsPerCore, seed, scale.Warmup)
+	return fmt.Sprintf("%s|%d", spec.canonical(), scale.Warmup)
 }
 
 // warmupKey is WarmupKey under the session's own scale.
@@ -181,7 +175,7 @@ func (s *Session) buildShared(spec RunSpec) (*sim.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.specConfig(spec)
+	cfg := specConfig(spec, s.specSeed(spec))
 	cfg.CacheWarmOnly = true
 	return sim.Build(cfg, streams)
 }

@@ -54,7 +54,7 @@ func TestCheckpointIsWrittenBehindTheResult(t *testing.T) {
 	// has coalesced onto it.
 	gate := &concGate{release: make(chan struct{})}
 	setGate(t, gate)
-	spec := RunSpec{Workloads: []string{"conc-gate"}, ConfigKey: "write-behind"}
+	spec := RunSpec{Workloads: []string{"conc-gate"}, Seed: 7005}
 	ipc := make(chan float64, 2)
 	spans := telemetry.NewSpanTracer(64)
 	traced := telemetry.ContextWithSpanTracer(context.Background(), spans)
@@ -143,7 +143,7 @@ func TestFailedBackgroundSaveLosesNoResult(t *testing.T) {
 	if err := s.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	spec := RunSpec{Workloads: []string{"bwaves-98"}, ConfigKey: "save-fails"}
+	spec := RunSpec{Workloads: []string{"bwaves-98"}, Seed: 7006}
 	first, err := s.Run(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -150,6 +150,21 @@ func (c PrefetchClass) String() string {
 	}
 }
 
+// MarshalText renders the class by name, so a priority order reads
+// ["GS","CS","CPLX","NL"] in a JSON config (core.L1Config.Priority).
+func (c PrefetchClass) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText is MarshalText's inverse; an unknown name is an error.
+func (c *PrefetchClass) UnmarshalText(b []byte) error {
+	for k := ClassNone; k < numClasses; k++ {
+		if k.String() == string(b) {
+			*c = k
+			return nil
+		}
+	}
+	return fmt.Errorf("memsys: unknown prefetch class %q", b)
+}
+
 // Metadata is the 9-bit payload IPCP sends from the L1 prefetcher to the
 // L2 prefetcher alongside each prefetch request: a 2-bit class and a
 // 7-bit signed stride (or stream direction for the GS class).

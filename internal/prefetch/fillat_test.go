@@ -26,3 +26,21 @@ func TestFillAtOverridesLevel(t *testing.T) {
 	w.Fill(0, &FillEvent{Addr: 0x5000})
 	w.Cycle(1)
 }
+
+// TestFillAtByName: "<name>@l2" is the registered <name> under FillAt —
+// Fig. 1's "learn at L1, fill at L2" placement as a plain name.
+func TestFillAtByName(t *testing.T) {
+	p, err := New("ipstride@l2", memsys.LevelL1D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, ok := p.(FillAt)
+	if !ok || w.Level != memsys.LevelL2 || w.Inner.Name() != "ipstride" || p.Name() != "ipstride@L2" {
+		t.Errorf("New(ipstride@l2) = %#v", p)
+	}
+	for _, bad := range []string{"ipstride@l9", "ipstride@", "warp-drive@l2", "ipstride@l2@llc"} {
+		if _, err := New(bad, memsys.LevelL1D); err == nil {
+			t.Errorf("New(%q) accepted", bad)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"ipcp/internal/memsys"
 )
@@ -144,11 +145,27 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
+// fillLevels are the "@level" suffixes New accepts.
+var fillLevels = map[string]Level{"l1d": memsys.LevelL1D, "l2": memsys.LevelL2, "llc": memsys.LevelLLC}
+
 // New constructs a registered prefetcher by name. The name "none" (or
-// empty) yields the no-op prefetcher.
+// empty) yields the no-op prefetcher; "<name>@l2" (or @l1d, @llc) is
+// <name> wrapped in FillAt — it learns at the cache it is attached to
+// and fills only up to the named level (the paper's Fig. 1).
 func New(name string, level Level) (Prefetcher, error) {
 	if name == "" || name == "none" {
 		return Nil{}, nil
+	}
+	if base, at, ok := strings.Cut(name, "@"); ok {
+		fill, known := fillLevels[at]
+		if !known {
+			return nil, fmt.Errorf("prefetch: unknown fill level in %q (want @l1d, @l2 or @llc)", name)
+		}
+		inner, err := New(base, level)
+		if err != nil {
+			return nil, err
+		}
+		return FillAt{Inner: inner, Level: fill}, nil
 	}
 	f, ok := registry[name]
 	if !ok {

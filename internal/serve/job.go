@@ -58,15 +58,14 @@ type JobEvent struct {
 type Job struct {
 	ID         string
 	Kind       JobKind
-	Spec       experiments.RunSpec // KindRun
-	Req        *RunRequest         // the wire form of Spec, echoed in views
-	ExpIDs     []string            // KindExperiments
-	Timeout    time.Duration       // 0 = no per-job deadline
-	key        string              // coalescing key (KindRun only)
-	RequestID  string              // X-Request-ID of the submitting request
-	Revision   string              // daemon VCS revision, stamped at admission
-	parentSpan uint64              // submitting request's span, parents queue.wait
-	submitted  time.Time           // set once in newJob, before publication
+	Spec       *RunRequest   // KindRun: the run, as submitted and as echoed in views
+	ExpIDs     []string      // KindExperiments
+	Timeout    time.Duration // 0 = no per-job deadline
+	key        string        // coalescing key (KindRun only)
+	RequestID  string        // X-Request-ID of the submitting request
+	Revision   string        // daemon VCS revision, stamped at admission
+	parentSpan uint64        // submitting request's span, parents queue.wait
+	submitted  time.Time     // set once in newJob, before publication
 
 	mu         sync.Mutex
 	state      JobState
@@ -308,7 +307,7 @@ func (j *Job) view() jobView {
 		Submitted: j.submitted,
 		Result:    j.result,
 		ExpIDs:    j.ExpIDs,
-		Spec:      j.Req,
+		Spec:      j.Spec,
 		RequestID: j.RequestID,
 		Revision:  j.Revision,
 	}
@@ -349,6 +348,7 @@ func newReplayedJob(h *jobHistory) *Job {
 	j := &Job{
 		ID:        sub.Job,
 		Kind:      sub.Kind,
+		Spec:      sub.Spec,
 		ExpIDs:    sub.ExpIDs,
 		Timeout:   time.Duration(sub.TimeoutMS) * time.Millisecond,
 		RequestID: sub.RequestID,
@@ -358,9 +358,7 @@ func newReplayedJob(h *jobHistory) *Job {
 		changed:   make(chan struct{}),
 	}
 	if sub.Spec != nil {
-		j.Req = sub.Spec
-		j.Spec = sub.Spec.Spec()
-		j.key = j.Spec.Key()
+		j.key = sub.Spec.Key()
 	}
 	j.events = append(j.events, JobEvent{Seq: 0, Time: sub.Time, Kind: "queued"})
 	fin := h.finish

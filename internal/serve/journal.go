@@ -321,7 +321,7 @@ func writeCompacted(path string, jobs []*jobHistory) error {
 func submitRecord(j *Job, seq int) journalRecord {
 	return journalRecord{
 		Type: "submit", Time: j.submitted, Job: j.ID, Seq: seq,
-		Kind: j.Kind, Spec: j.Req, ExpIDs: j.ExpIDs,
+		Kind: j.Kind, Spec: j.Spec, ExpIDs: j.ExpIDs,
 		TimeoutMS: int64(j.Timeout / time.Millisecond),
 		RequestID: j.RequestID, Revision: j.Revision,
 	}

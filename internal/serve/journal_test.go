@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ipcp/internal/chaos"
+	"ipcp/internal/experiments"
 	"ipcp/internal/sim"
 )
 
@@ -31,7 +32,7 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 	if len(replayed) != 0 {
 		t.Fatalf("fresh journal replayed %d jobs", len(replayed))
 	}
-	spec := &RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "wal"}
+	spec := &RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, Seed: 9006}}
 	res := &sim.Result{IPC: []float64{2.5}}
 	recs := []journalRecord{
 		{Type: "submit", Time: time.Now(), Job: "j000001", Seq: 1, Kind: KindRun, Spec: spec, RequestID: "r-1"},
@@ -61,7 +62,7 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 		done.finish.Result == nil || done.finish.Result.IPC[0] != 2.5 {
 		t.Fatalf("finished job replayed as %+v", done)
 	}
-	if done.submit.RequestID != "r-1" || done.submit.Spec == nil || done.submit.Spec.ConfigKey != "wal" {
+	if done.submit.RequestID != "r-1" || done.submit.Spec == nil || done.submit.Spec.Seed != 9006 {
 		t.Fatalf("identity lost in replay: %+v", done)
 	}
 	if unfinished.submit.Job != "j000002" || unfinished.finish != nil {
@@ -89,7 +90,7 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 // skipped, not damage.
 func TestJournalOldStartRecordsReplayTheSame(t *testing.T) {
 	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	spec := &RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "wal"}
+	spec := &RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, Seed: 9006}}
 	var two []journalRecord
 	for i, id := range []string{"j000001", "j000002", "j000003"} {
 		two = append(two, journalRecord{Type: "submit", Time: at, Job: id, Seq: i + 1, Kind: KindRun, Spec: spec})
@@ -158,7 +159,7 @@ func TestJournalTornTailRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &RunRequest{Workloads: []string{"bwaves-98"}}
+	spec := &RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}}
 	for i := 1; i <= 3; i++ {
 		id := "j00000" + strconv.Itoa(i)
 		if err := j.append(journalRecord{Type: "submit", Time: time.Now(), Job: id, Seq: i, Kind: KindRun, Spec: spec}); err != nil {
@@ -198,7 +199,7 @@ func TestJournalBitFlipStopsReplayAtDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &RunRequest{Workloads: []string{"bwaves-98"}}
+	spec := &RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}}
 	var sizes []int64
 	for i := 1; i <= 3; i++ {
 		id := "j00000" + strconv.Itoa(i)
@@ -251,7 +252,7 @@ func TestJournalFsyncFailureKeepsAcknowledgedRecords(t *testing.T) {
 		in.Add(r)
 		chaos.Enable(in)
 	}
-	spec := &RunRequest{Workloads: []string{"bwaves-98"}}
+	spec := &RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}}
 	var acked []string
 	submit := func(i int) error {
 		id := "j00000" + strconv.Itoa(i)
@@ -337,8 +338,15 @@ func TestJournalReadsParentLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Status != StateDone || got.Result == nil || got.Result.Instructions != 20000 || got.Result.IPC[0] != 1.25 ||
-		got.RequestID != "req-1" || got.Spec == nil || got.Spec.ConfigKey != "compat" {
+		got.RequestID != "req-1" || got.Spec == nil || got.Spec.L1D != "ipcp" {
 		t.Fatalf("replayed job = %+v", got)
+	}
+	// The record's "config_key" is ignored, not refused: the job's
+	// identity is its content, so the same run asked for today (no such
+	// field) is this very job.
+	again := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, L1D: "ipcp"}}, http.StatusOK)
+	if again.ID != "j000001" || !again.Coalesced {
+		t.Fatalf("same content after replay = %+v, want coalesced onto j000001", again)
 	}
 	if m := s.Metrics(); m.Journal.ReplayedJobs != 1 || m.Journal.DamagedFrames != 0 {
 		t.Fatalf("journal metrics = %+v", m.Journal)
@@ -351,7 +359,7 @@ func TestJournalReadsParentLayout(t *testing.T) {
 func TestServerReplayServesFinishedJob(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newTestServer(t, Options{JournalDir: dir})
-	req := RunRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp", ConfigKey: "replay-done"}
+	req := RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, L1D: "ipcp", Seed: 9007}}
 	v := s1.submitRun(t, req, http.StatusAccepted)
 	job := s1.await(t, v.ID, 10*time.Second)
 	if job.Status != StateDone {
@@ -373,7 +381,7 @@ func TestServerReplayServesFinishedJob(t *testing.T) {
 	if got.Status != StateDone || got.Result == nil || got.Result.IPC[0] != wantIPC {
 		t.Fatalf("replayed job = %+v, want done with IPC %v", got, wantIPC)
 	}
-	if got.RequestID == "" || got.Spec == nil || got.Spec.ConfigKey != "replay-done" {
+	if got.RequestID == "" || got.Spec == nil || got.Spec.Seed != 9007 {
 		t.Fatalf("replayed identity = %+v", got)
 	}
 	if m := s2.Metrics(); !m.Journal.Enabled || m.Journal.ReplayedJobs != 1 {
@@ -401,7 +409,7 @@ func TestServerReplayReenqueuesUnfinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &RunRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp", ConfigKey: "replay-requeue"}
+	spec := &RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, L1D: "ipcp", Seed: 9008}}
 	if err := j.append(journalRecord{
 		Type: "submit", Time: time.Now(), Job: "j000007", Seq: 7,
 		Kind: KindRun, Spec: spec, RequestID: "r-lost",
@@ -431,7 +439,7 @@ func TestServerReplayReenqueuesUnfinished(t *testing.T) {
 		t.Fatalf("replayed job events = %v", kinds)
 	}
 	// New submissions pick up the sequence after the replayed maximum.
-	v := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "post-replay"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, Seed: 9009}}, http.StatusAccepted)
 	if v.ID != "j000008" {
 		t.Fatalf("post-replay id = %s, want j000008", v.ID)
 	}
@@ -461,7 +469,7 @@ func TestJournalAppendFailureDegradesGracefully(t *testing.T) {
 	t.Cleanup(func() { chaos.Enable(nil) })
 
 	s := newTestServer(t, Options{JournalDir: t.TempDir()})
-	v := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "degraded"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, Seed: 9010}}, http.StatusAccepted)
 	job := s.await(t, v.ID, 10*time.Second)
 	if job.Status != StateDone {
 		t.Fatalf("job under journal failure = %+v", job)

@@ -225,8 +225,8 @@ func (s *Server) writePrometheus(w io.Writer) {
 
 	telemetry.WritePrometheusHeader(w, "ipcpd_sim_cycles_total", "counter",
 		"Simulated cycles of executed measure phases: stepped (some component clocked) or jumped (none due).")
-	fmt.Fprintf(w, "ipcpd_sim_cycles_total{mode=\"stepped\"} %d\n", m.Session.SimSteppedCycles)
-	fmt.Fprintf(w, "ipcpd_sim_cycles_total{mode=\"jumped\"} %d\n", m.Session.SimJumpedCycles)
+	fmt.Fprintf(w, "ipcpd_sim_cycles_total{mode=\"stepped\"} %d\n", m.Session.SteppedCycles)
+	fmt.Fprintf(w, "ipcpd_sim_cycles_total{mode=\"jumped\"} %d\n", m.Session.JumpedCycles)
 
 	telemetry.WritePrometheusValue(w, "ipcpd_checkpoints_quarantined", "counter",
 		"Corrupt checkpoint files detected on load and moved to the corrupt/ subdirectory.",

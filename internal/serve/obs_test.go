@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ipcp/internal/experiments"
 )
 
 // syncBuffer lets the slog handler and the test read/write log output
@@ -49,7 +51,7 @@ func newObsServer(t *testing.T, opts Options) (*testServer, *syncBuffer) {
 func TestRequestIDCorrelationEndToEnd(t *testing.T) {
 	s, logBuf := newObsServer(t, Options{})
 
-	body, _ := json.Marshal(RunRequest{Workloads: []string{"mcf-994"}, L1D: "ipcp", L2: "ipcp"})
+	body, _ := json.Marshal(RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}, L1D: "ipcp", L2: "ipcp"}})
 	req, err := http.NewRequest(http.MethodPost, s.ts.URL+"/v1/runs", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +219,7 @@ func validateExposition(t *testing.T, text string) {
 // completed job.
 func TestMetricsPrometheusExposition(t *testing.T) {
 	s := newTestServer(t, Options{})
-	v := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, L1D: "ipcp"}}, http.StatusAccepted)
 	s.await(t, v.ID, 10*time.Second)
 
 	req, _ := http.NewRequest(http.MethodGet, s.ts.URL+"/metrics", nil)
@@ -319,7 +321,7 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 	}
 	ids := make([]string, 0, 4)
 	for i := 0; i < 4; i++ {
-		v := s.submitRun(t, RunRequest{Workloads: []string{"mcf-994"}, Seed: int64(i + 1)}, http.StatusAccepted)
+		v := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}, Seed: int64(i + 1)}}, http.StatusAccepted)
 		ids = append(ids, v.ID)
 	}
 	for _, id := range ids {
@@ -334,7 +336,7 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 // events stream replayed a progress line shape when any were sampled.
 func TestProgressEndpoint(t *testing.T) {
 	s := newTestServer(t, Options{})
-	v := s.submitRun(t, RunRequest{Workloads: []string{"gcc-56"}, L1D: "ipcp", L2: "ipcp"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"gcc-56"}, L1D: "ipcp", L2: "ipcp"}}, http.StatusAccepted)
 	s.await(t, v.ID, 10*time.Second)
 
 	resp, body := s.get(t, "/v1/runs/"+v.ID+"/progress")
@@ -392,8 +394,8 @@ func TestBuildinfoEndpoint(t *testing.T) {
 // multiple jobs plus daemon-lane metadata.
 func TestDebugTraceDaemonWide(t *testing.T) {
 	s := newTestServer(t, Options{})
-	a := s.submitRun(t, RunRequest{Workloads: []string{"mcf-994"}, Seed: 101}, http.StatusAccepted)
-	b := s.submitRun(t, RunRequest{Workloads: []string{"mcf-994"}, Seed: 102}, http.StatusAccepted)
+	a := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}, Seed: 101}}, http.StatusAccepted)
+	b := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}, Seed: 102}}, http.StatusAccepted)
 	s.await(t, a.ID, 10*time.Second)
 	s.await(t, b.ID, 10*time.Second)
 
@@ -430,7 +432,7 @@ func TestDebugTraceDaemonWide(t *testing.T) {
 // covers it), not on slog.Default().
 func TestSessionWarningsUseServerLogger(t *testing.T) {
 	cacheDir := t.TempDir()
-	req := RunRequest{Workloads: []string{"mcf-994"}, L1D: "ipcp"}
+	req := RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}, L1D: "ipcp"}}
 
 	first := newTestServer(t, Options{CacheDir: cacheDir})
 	first.await(t, first.submitRun(t, req, http.StatusAccepted).ID, 30*time.Second)

@@ -94,7 +94,13 @@ func (s *testServer) post(t *testing.T, path string, body any) (*http.Response, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(s.ts.URL+path, "application/json", bytes.NewReader(b))
+	return s.postRaw(t, path, string(b))
+}
+
+// postRaw posts the body exactly as written.
+func (s *testServer) postRaw(t *testing.T, path, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(s.ts.URL+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +161,7 @@ func (s *testServer) await(t *testing.T, id string, timeout time.Duration) jobVi
 
 func TestSubmitPollComplete(t *testing.T) {
 	s := newTestServer(t, Options{})
-	v := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp", L2: "ipcp"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, L1D: "ipcp", L2: "ipcp"}}, http.StatusAccepted)
 	if v.ID == "" || v.Coalesced {
 		t.Fatalf("submission view = %+v", v)
 	}
@@ -198,7 +204,7 @@ func TestSubmitPollComplete(t *testing.T) {
 func TestStampedeCoalesces(t *testing.T) {
 	s := newTestServer(t, Options{QueueSize: 64, Workers: 4})
 	const m = 16
-	req := RunRequest{Workloads: []string{"mcf-994"}, L1D: "ipcp", L2: "ipcp"}
+	req := RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}, L1D: "ipcp", L2: "ipcp"}}
 
 	var wg sync.WaitGroup
 	ids := make([]string, m)
@@ -260,11 +266,11 @@ func TestQueueFullRejects(t *testing.T) {
 
 	// Job 1 occupies the single worker (blocked on the gate); job 2
 	// fills the queue; job 3 must be refused with 429 + Retry-After.
-	first := s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-0"}, http.StatusAccepted)
+	first := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9011}}, http.StatusAccepted)
 	waitFor(t, time.Second, func() bool { return s.Metrics().InFlight == 1 })
-	s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-1"}, http.StatusAccepted)
+	s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9012}}, http.StatusAccepted)
 
-	resp, body := s.post(t, "/v1/runs", RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-2"})
+	resp, body := s.post(t, "/v1/runs", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9013}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload submission = %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -277,7 +283,7 @@ func TestQueueFullRejects(t *testing.T) {
 
 	// Identical resubmission of a queued spec coalesces instead of
 	// consuming the full queue's capacity.
-	again := s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "q-0"}, http.StatusOK)
+	again := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9011}}, http.StatusOK)
 	if !again.Coalesced || again.ID != first.ID {
 		t.Errorf("resubmission = %+v, want coalesced onto %s", again, first.ID)
 	}
@@ -289,7 +295,7 @@ func TestQueueFullRejects(t *testing.T) {
 func TestDrainStopsAdmissionAndFinishesInFlight(t *testing.T) {
 	release := gateJobs(t)
 	s := newTestServer(t, Options{QueueSize: 8, Workers: 2})
-	v := s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "drain"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9014}}, http.StatusAccepted)
 	waitFor(t, time.Second, func() bool { return s.Metrics().InFlight == 1 })
 
 	drained := make(chan error, 1)
@@ -297,7 +303,7 @@ func TestDrainStopsAdmissionAndFinishesInFlight(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return s.Draining() })
 
 	// Admission is closed: new work bounces with 429, healthz flips.
-	resp, _ := s.post(t, "/v1/runs", RunRequest{Workloads: []string{"bwaves-98"}})
+	resp, _ := s.post(t, "/v1/runs", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("submission while draining = %d, want 429", resp.StatusCode)
 	}
@@ -323,10 +329,10 @@ func TestValidationAndLookupErrors(t *testing.T) {
 		req  RunRequest
 	}{
 		{"empty workloads", RunRequest{}},
-		{"unknown workload", RunRequest{Workloads: []string{"no-such-trace"}}},
-		{"unknown prefetcher", RunRequest{Workloads: []string{"bwaves-98"}, L1D: "warp-drive"}},
-		{"core mismatch", RunRequest{Workloads: []string{"bwaves-98"}, Cores: 3}},
-		{"negative timeout", RunRequest{Workloads: []string{"bwaves-98"}, TimeoutMS: -1}},
+		{"unknown workload", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"no-such-trace"}}}},
+		{"unknown prefetcher", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, L1D: "warp-drive"}}},
+		{"core mismatch", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, Cores: 3}}},
+		{"negative timeout", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}, TimeoutMS: -1}},
 	}
 	for _, c := range cases {
 		if resp, body := s.post(t, "/v1/runs", c.req); resp.StatusCode != http.StatusBadRequest {
@@ -389,7 +395,7 @@ func TestExperimentsListAndJob(t *testing.T) {
 
 func TestMetricsSnapshotShape(t *testing.T) {
 	s := newTestServer(t, Options{CacheDir: t.TempDir()})
-	v := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "metrics"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, Seed: 9015}}, http.StatusAccepted)
 	done := s.await(t, v.ID, 10*time.Second)
 
 	resp, body := s.get(t, "/metrics")
@@ -416,9 +422,9 @@ func TestMetricsSnapshotShape(t *testing.T) {
 		t.Fatal("finished job carries no result")
 	}
 	cycles := uint64(done.Result.CyclesPerCore[0])
-	if m.Session.SimSteppedCycles == 0 || m.Session.SimSteppedCycles+m.Session.SimJumpedCycles != cycles {
+	if m.Session.SteppedCycles == 0 || m.Session.SteppedCycles+m.Session.JumpedCycles != cycles {
 		t.Errorf("stepped %d + jumped %d cycles, want a non-zero stepped count summing to the run's %d",
-			m.Session.SimSteppedCycles, m.Session.SimJumpedCycles, cycles)
+			m.Session.SteppedCycles, m.Session.JumpedCycles, cycles)
 	}
 	if m.JobLatency.Count != 1 || m.JobLatency.Sum <= 0 {
 		t.Errorf("latency = %+v", m.JobLatency)
@@ -435,9 +441,9 @@ func TestMetricsSnapshotShape(t *testing.T) {
 func TestSharedWarmupServer(t *testing.T) {
 	s := newTestServer(t, Options{SharedWarmup: true})
 
-	a := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, L1D: "ipcp"}, http.StatusAccepted)
+	a := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, L1D: "ipcp"}}, http.StatusAccepted)
 	s.await(t, a.ID, 10*time.Second)
-	b := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, L1D: "spp"}, http.StatusAccepted)
+	b := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, L1D: "spp"}}, http.StatusAccepted)
 	s.await(t, b.ID, 10*time.Second)
 
 	resp, body := s.get(t, "/metrics")
@@ -496,7 +502,7 @@ func TestSharedWarmupServer(t *testing.T) {
 func TestEventsFollowLiveJob(t *testing.T) {
 	release := gateJobs(t)
 	s := newTestServer(t, Options{})
-	v := s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "follow"}, http.StatusAccepted)
+	v := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9016}}, http.StatusAccepted)
 	waitFor(t, time.Second, func() bool { return s.Metrics().InFlight == 1 })
 
 	resp, err := http.Get(s.ts.URL + "/v1/runs/" + v.ID + "/events")

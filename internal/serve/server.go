@@ -44,11 +44,8 @@ import (
 
 	"ipcp/internal/chaos"
 	"ipcp/internal/experiments"
-	"ipcp/internal/memsys"
-	"ipcp/internal/prefetch"
 	"ipcp/internal/sim"
 	"ipcp/internal/telemetry"
-	"ipcp/internal/workload"
 )
 
 // Options configures a Server.
@@ -543,9 +540,9 @@ func (s *Server) runJob(j *Job) {
 			var err error
 			if s.opts.SharedWarmup {
 				jobSpan.SetAttr("warmup_shared", "true")
-				res, err = s.session.RunSharedContext(ctx, j.Spec)
+				res, err = s.session.RunSharedContext(ctx, j.Spec.RunSpec)
 			} else {
-				res, err = s.session.RunContext(ctx, j.Spec)
+				res, err = s.session.RunContext(ctx, j.Spec.RunSpec)
 			}
 			outc <- outcome{res: res, err: err}
 		case KindExperiments:
@@ -677,62 +674,22 @@ func firstNonNil(errs ...error) error {
 
 // --- HTTP layer ----------------------------------------------------------
 
-// RunRequest is the wire form of POST /v1/runs — a JSON rendering of
-// experiments.RunSpec plus a per-job timeout. The coordinator's sweep
-// points are this same type, so fan-out is a direct re-encode.
+// RunRequest is the wire form of POST /v1/runs: the run itself plus a
+// per-job timeout. The coordinator's sweep points are this same type,
+// so fan-out is a direct re-encode. Unknown fields are ignored, so a body
+// (or an old journal record) still carrying a hand-typed identity label
+// decodes, and the label no longer splits the cache.
 type RunRequest struct {
-	Workloads      []string `json:"workloads"`
-	Cores          int      `json:"cores,omitempty"`
-	L1D            string   `json:"l1d,omitempty"`
-	L2             string   `json:"l2,omitempty"`
-	LLC            string   `json:"llc,omitempty"`
-	ConfigKey      string   `json:"config_key,omitempty"`
-	LLCRepl        string   `json:"llc_repl,omitempty"`
-	DRAMGBps       float64  `json:"dram_gbps,omitempty"`
-	L1PQ           int      `json:"l1_pq,omitempty"`
-	L1MSHR         int      `json:"l1_mshr,omitempty"`
-	L1DWays        int      `json:"l1d_ways,omitempty"`
-	L2Sets         int      `json:"l2_sets,omitempty"`
-	LLCSetsPerCore int      `json:"llc_sets_per_core,omitempty"`
-	Seed           int64    `json:"seed,omitempty"`
-	TimeoutMS      int64    `json:"timeout_ms,omitempty"`
+	experiments.RunSpec
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// Spec is the request as the simulation layer's run identity.
-func (r *RunRequest) Spec() experiments.RunSpec {
-	return experiments.RunSpec{
-		Workloads: r.Workloads, Cores: r.Cores,
-		L1D: r.L1D, L2: r.L2, LLC: r.LLC, ConfigKey: r.ConfigKey,
-		LLCRepl: r.LLCRepl, DRAMGBps: r.DRAMGBps,
-		L1PQ: r.L1PQ, L1MSHR: r.L1MSHR, L1DWays: r.L1DWays,
-		L2Sets: r.L2Sets, LLCSetsPerCore: r.LLCSetsPerCore,
-		Seed: r.Seed,
-	}
-}
-
-// Validate rejects requests the simulator would only fail on later,
-// so bad input costs a 400 instead of a queued failing job.
+// Validate is the spec's own validation plus the timeout's.
 func (r *RunRequest) Validate() error {
-	if len(r.Workloads) == 0 {
-		return errors.New("workloads must be non-empty")
-	}
-	for _, w := range r.Workloads {
-		if _, err := workload.Named(w); err != nil {
-			return err
-		}
-	}
-	if r.Cores != 0 && r.Cores != len(r.Workloads) {
-		return fmt.Errorf("cores (%d) must be 0 or match the workload count (%d)", r.Cores, len(r.Workloads))
-	}
-	for _, p := range []string{r.L1D, r.L2, r.LLC} {
-		if _, err := prefetch.New(p, memsys.LevelL1D); err != nil {
-			return err
-		}
-	}
 	if r.TimeoutMS < 0 {
 		return errors.New("timeout_ms must be >= 0")
 	}
-	return nil
+	return r.RunSpec.Validate()
 }
 
 // experimentsRequest is the wire form of POST /v1/experiments.
@@ -874,10 +831,9 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := newJob(KindRun)
-	j.Spec = req.Spec()
-	j.Req = &req
+	j.Spec = &req
 	j.Timeout = s.timeout(req.TimeoutMS)
-	j.key = j.Spec.Key()
+	j.key = req.Key()
 	j.RequestID = telemetry.RequestIDFrom(r.Context())
 	j.parentSpan = httpSpan(r.Context()).ID()
 
@@ -1117,49 +1073,10 @@ type MetricsSnapshot struct {
 	} `json:"jobs"`
 
 	// Session counters: how run requests were satisfied underneath the
-	// job layer (memo, disk checkpoint, single-flight coalescing), plus
-	// the checkpoint store's durability counters.
-	Session struct {
-		Executed      int `json:"executed"`
-		MemoHits      int `json:"memo_hits"`
-		DiskHits      int `json:"disk_hits"`
-		Coalesced     int `json:"coalesced"`
-		Faults        int `json:"faults"`
-		StoreFailures int `json:"store_failures"`
-		Quarantined   int `json:"quarantined"`
-
-		// PendingSaves is a gauge: results and warmup spills published
-		// to their jobs but not yet on disk (write-behind; a drain waits
-		// for zero). BuildsRecycled counts simulated systems whose cache
-		// arrays were handed back for the next build.
-		PendingSaves   int `json:"pending_saves"`
-		BuildsRecycled int `json:"builds_recycled"`
-
-		// Shared-warmup dispositions (all zero unless the daemon runs
-		// with -shared-warmup): how warmup snapshots were satisfied,
-		// bytes spilled to disk, warmups coalesced onto an in-flight
-		// leader, and measure phases forked from a snapshot.
-		SnapshotMemHits  int   `json:"snapshot_mem_hits"`
-		SnapshotDiskHits int   `json:"snapshot_disk_hits"`
-		SnapshotMisses   int   `json:"snapshot_misses"`
-		SnapshotBytes    int64 `json:"snapshot_bytes"`
-		WarmupsCoalesced int   `json:"warmups_coalesced"`
-		ForkedRuns       int   `json:"forked_runs"`
-
-		// Remote blob traffic (all zero unless the daemon runs as a
-		// -worker attached to a coordinator blob store): local misses
-		// satisfied by the shared store and local writes pushed to it.
-		RemoteBlobHits int `json:"remote_blob_hits"`
-		RemoteBlobPuts int `json:"remote_blob_puts"`
-
-		// The simulator's scheduler self-profile, summed over every
-		// measured phase this daemon executed: cycles on which some
-		// component was clocked versus cycles jumped because none was
-		// due. Their ratio says how much of the simulated time the
-		// daemon actually paid for.
-		SimSteppedCycles uint64 `json:"sim_stepped_cycles"`
-		SimJumpedCycles  uint64 `json:"sim_jumped_cycles"`
-	} `json:"session"`
+	// job layer (memo, disk checkpoint, single-flight coalescing), the
+	// checkpoint store's durability counters, the shared-warmup and
+	// remote-blob dispositions and the scheduler self-profile.
+	Session experiments.SessionStats `json:"session"`
 
 	// Journal counters: the WAL's health this process life. AppendErrors
 	// rising means accepted jobs are not crash-durable right now.
@@ -1194,26 +1111,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	m.Jobs.Completed = s.completed.Value()
 	m.Jobs.Failed = s.failed.Value()
 	m.Jobs.Stalled = s.stalledC.Value()
-	st := s.session.Stats()
-	m.Session.Executed = st.Executed
-	m.Session.MemoHits = st.MemoHits
-	m.Session.DiskHits = st.DiskHits
-	m.Session.Coalesced = st.Coalesced
-	m.Session.Faults = st.Faults
-	m.Session.StoreFailures = st.StoreFailures
-	m.Session.Quarantined = st.Quarantined
-	m.Session.PendingSaves = st.PendingSaves
-	m.Session.BuildsRecycled = st.BuildsRecycled
-	m.Session.SnapshotMemHits = st.SnapshotMemHits
-	m.Session.SnapshotDiskHits = st.SnapshotDiskHits
-	m.Session.SnapshotMisses = st.SnapshotMisses
-	m.Session.SnapshotBytes = st.SnapshotBytes
-	m.Session.WarmupsCoalesced = st.WarmupsCoalesced
-	m.Session.ForkedRuns = st.ForkedRuns
-	m.Session.RemoteBlobHits = st.RemoteBlobHits
-	m.Session.RemoteBlobPuts = st.RemoteBlobPuts
-	m.Session.SimSteppedCycles = st.SteppedCycles
-	m.Session.SimJumpedCycles = st.JumpedCycles
+	m.Session = s.session.Stats()
 	if s.journal != nil {
 		m.Journal.Enabled = true
 		m.Journal.ReplayedJobs = s.journal.replayed.Load()

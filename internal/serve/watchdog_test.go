@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"ipcp/internal/experiments"
 )
 
 // TestWatchdogReapsStalledJob: a job whose simulation makes no progress
@@ -19,7 +21,7 @@ func TestWatchdogReapsStalledJob(t *testing.T) {
 		StallTimeout: 50 * time.Millisecond,
 		WatchdogTick: 5 * time.Millisecond,
 	})
-	req := RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "wedge"}
+	req := RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9001}}
 	v := s.submitRun(t, req, http.StatusAccepted)
 
 	j, ok := s.lookup(v.ID)
@@ -43,7 +45,7 @@ func TestWatchdogReapsStalledJob(t *testing.T) {
 
 	// Slot reclaimed: the single worker, whose previous simulation is
 	// still wedged on the gate, completes a healthy job.
-	hv := s.submitRun(t, RunRequest{Workloads: []string{"bwaves-98"}, ConfigKey: "healthy"}, http.StatusAccepted)
+	hv := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, Seed: 9002}}, http.StatusAccepted)
 	if job := s.await(t, hv.ID, 10*time.Second); job.Status != StateDone {
 		t.Fatalf("healthy job after reap = %+v", job)
 	}
@@ -65,12 +67,12 @@ func TestDeadlineSheddingRejects(t *testing.T) {
 
 	// Job 1 wedges the single worker; job 2 queues with a 20ms deadline
 	// it can never meet.
-	first := s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "shed-0"}, http.StatusAccepted)
+	first := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9003}}, http.StatusAccepted)
 	waitFor(t, time.Second, func() bool { return s.Metrics().InFlight == 1 })
-	s.submitRun(t, RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "shed-1", TimeoutMS: 20}, http.StatusAccepted)
+	s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9004}, TimeoutMS: 20}, http.StatusAccepted)
 
 	time.Sleep(40 * time.Millisecond) // let the queued deadline lapse
-	resp, body := s.post(t, "/v1/runs", RunRequest{Workloads: []string{"serve-gate"}, ConfigKey: "shed-2"})
+	resp, body := s.post(t, "/v1/runs", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9005}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("doomed-backlog submission = %d (%s), want 429", resp.StatusCode, body)
 	}

@@ -155,13 +155,20 @@ func PaperConfig(cores int) Config {
 	}
 }
 
-func (c Config) validate() error {
+// Validate reports a configuration Build would refuse, without building
+// it (experiments.RunSpec.Validate runs it on a request's config).
+func (c Config) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("sim: core count must be positive, got %d", c.Cores)
 	}
 	if c.LLC.Sets&(c.LLC.Sets-1) != 0 {
 		return fmt.Errorf("sim: LLC sets (%d) must be a power of two; "+
 			"PaperConfig requires a power-of-two core count", c.LLC.Sets)
+	}
+	for _, cc := range []cache.Config{c.L1I, c.L1D, c.L2, c.LLC} {
+		if err := cc.Validate(); err != nil {
+			return err
+		}
 	}
 	if c.CacheWarmOnly && c.Audit != nil {
 		return fmt.Errorf("sim: CacheWarmOnly and Audit are mutually exclusive " +

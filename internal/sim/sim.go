@@ -152,7 +152,7 @@ func (r *Result) TotalDemandMisses(level string) uint64 {
 
 // Build wires a system from cfg, one trace stream per core.
 func Build(cfg Config, streams []trace.Stream) (*System, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(streams) != cfg.Cores {

@@ -1,9 +1,11 @@
 package ipcp_test
 
 import (
+	"encoding/json"
 	"testing"
 
 	"ipcp"
+	"ipcp/internal/experiments"
 )
 
 func TestFacadeRunSingle(t *testing.T) {
@@ -101,5 +103,34 @@ func TestFacadeErrors(t *testing.T) {
 	}
 	if _, err := ipcp.Run(ipcp.RunConfig{Workload: "lbm-94", L1DPrefetcher: "bogus"}); err == nil {
 		t.Error("unknown prefetcher accepted")
+	}
+}
+
+// TestFacadeMatchesSession holds the two config assemblers together:
+// ipcp.Run and experiments.Session.Run, asked for the same run at the
+// same scale, return JSON-identical results — single-core and 2-core.
+// (The Engine self-profile is json:"-", so it is compared directly.)
+func TestFacadeMatchesSession(t *testing.T) {
+	scale := experiments.Scale{Warmup: 8_000, Measure: 20_000, Seed: 1}
+	for _, rc := range []ipcp.RunConfig{{Workload: "lbm-94"}, {Mix: []string{"mcf-994", "bwaves-98"}}} {
+		mix := rc.Mix
+		if rc.Workload != "" {
+			mix = []string{rc.Workload}
+		}
+		rc.L1DPrefetcher, rc.L2Prefetcher = "ipcp", "ipcp"
+		rc.Warmup, rc.Measure, rc.Seed = scale.Warmup, scale.Measure, 7
+		facade, err := ipcp.Run(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, err := experiments.NewSession(scale).Run(experiments.RunSpec{Workloads: mix, L1D: "ipcp", L2: "ipcp", Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fj, _ := json.Marshal(facade)
+		sj, _ := json.Marshal(session)
+		if string(fj) != string(sj) || facade.Engine != session.Engine {
+			t.Errorf("%v: facade and session results differ:\n%s\n%s", mix, fj, sj)
+		}
 	}
 }
