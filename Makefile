@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test benchmark-test pairs determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+.PHONY: check build fmt vet test benchmark-test pairs profile determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
 # Tier-1 gate: everything must pass before a change lands, and every
 # test runs once. `test` runs -race over every package — including the
@@ -46,14 +46,24 @@ pairs:
 	@test -n "$(W)" -a -n "$(BASE)" || { echo "usage: make pairs W=<workload> BASE=<rev> [N=10] [S=15]"; exit 2; }
 	bash scripts/pairs.sh $(W) $(BASE) $(N) $(S)
 
+# Where one of the benchmark's ipcpsim workloads (mix8, single_stream,
+# single_pointer) spends its time: its exact command line over SEEDS
+# seeds under -cpuprofile, merged (see scripts/profile.sh).
+#   make profile W=mix8 SEEDS=30
+SEEDS ?= 30
+profile:
+	@test -n "$(W)" || { echo "usage: make profile W=mix8|single_stream|single_pointer [SEEDS=30]"; exit 2; }
+	bash scripts/profile.sh $(W) $(SEEDS)
+
 # Golden equivalence: the wake-gated scheduler vs the clock-everything
 # reference, run-to-run repeatability, fork-vs-cold and the fork path
-# gated vs reference, on 1/2/4/8-core systems; then the per-component
-# gated-twin differentials that hold each NextEvent to its contract
-# cycle by cycle. Already part of `test`; kept as its own target so a
-# perf change can run just this, fast.
+# gated vs reference, on 1/2/4/8-core systems, and every reader of the
+# lazily settled per-cycle counters; then the per-component gated-twin
+# differentials that hold each NextEvent and each settle-on-touch to its
+# contract cycle by cycle. Already part of `test`; kept as its own
+# target so a perf change can run just this, fast.
 determinism:
-	$(GO) test ./internal/sim -run 'Determinism|FastForward|ForkGated' -count=1
+	$(GO) test ./internal/sim -run 'Determinism|FastForward|ForkGated|EveryStatsReaderSettles' -count=1
 	$(GO) test ./internal/dram ./internal/cache ./internal/cpu -run 'GatedTwin' -count=1
 
 # Differential audit: every bundled workload through the fully audited

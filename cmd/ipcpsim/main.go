@@ -245,9 +245,9 @@ func reportEngine(e *ipcp.EngineStats) {
 	}
 	fmt.Printf("engine: stepped %d of %d cycles (%.1f%%), %.2f component visits per step; %d jumps, mean span %.1f cycles\n",
 		e.SteppedCycles, total, 100*float64(e.SteppedCycles)/float64(total), e.VisitsPerStep(), e.Jumps, span)
-	fmt.Printf("        %-5s %10s %10s %10s %10s\n", "kind", "visits", "skipped", "waker", "sole")
+	fmt.Printf("        %-5s %10s %10s %10s %10s %10s\n", "kind", "visits", "idle", "skipped", "waker", "sole")
 	for k := sim.Kind(0); k < sim.NumKinds; k++ {
-		fmt.Printf("        %-5s %10d %10d %10d %10d\n", k, e.Visits[k], e.Skipped[k], e.Waker[k], e.Sole[k])
+		fmt.Printf("        %-5s %10d %10d %10d %10d %10d\n", k, e.Visits[k], e.Idle[k], e.Skipped[k], e.Waker[k], e.Sole[k])
 	}
 }
 

@@ -173,6 +173,18 @@ type Cache struct {
 	// and could not make progress (MSHR full, no merge): it cannot
 	// unblock before a fill completes, so the cache may sleep.
 	rqBlocked bool
+	// pqBlocked records the same of the prefetch-queue head. Every cycle
+	// it stays parked there bumps PrefetchMSHRStall, so a cache that
+	// sleeps on it books the span it slept when it is next clocked:
+	// stallFrom is the first cycle not yet booked.
+	pqBlocked bool
+	stallFrom int64
+
+	// work counts what Cycle accomplishes — fills installed, misses
+	// forwarded, queue heads popped; idle records that the last Cycle
+	// accomplished nothing.
+	work uint64
+	idle bool
 
 	setsMask uint64
 	now      int64
@@ -247,7 +259,13 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c.SetPrefetcher(nil)
 	c.iss = issuer{c}
-	c.installCb = func(req *memsys.Request) bool { return c.installFill(c.now, req) }
+	c.installCb = func(req *memsys.Request) bool {
+		if !c.installFill(c.now, req) {
+			return false
+		}
+		c.work++
+		return true
+	}
 	return c, nil
 }
 
@@ -295,8 +313,11 @@ func (c *Cache) SetTracer(tr *telemetry.Tracer, core int) {
 // SetAuditor attaches an architectural auditor (nil detaches).
 func (c *Cache) SetAuditor(a Auditor) { c.aud = a }
 
-// ResetStats zeroes the counters (end of warmup).
+// ResetStats zeroes the counters (end of warmup). Stall cycles the
+// cache slept through before the boundary are settled first, so none is
+// booked after it.
 func (c *Cache) ResetStats() {
+	c.Settle()
 	c.Stats = Stats{}
 	if c.aud != nil {
 		c.aud.OnResetStats()
@@ -337,21 +358,25 @@ func (c *Cache) ReturnData(ready int64, req *memsys.Request) {
 
 // Cycle advances the cache one cycle.
 func (c *Cache) Cycle(now int64) {
+	c.settleTo(now)
+	c.stallFrom = now + 1
 	c.now = now
 
 	// Idle fast path: with empty queues, no due fill, and nothing to
 	// forward, the full pass below is a no-op — only the prefetcher's
 	// clock remains. This is the common state for the L1-I and for
 	// lower levels between bursts.
-	if c.fills.minReady > now && c.mshr.pendingIssue == 0 &&
+	if c.fills.minReady > now && c.mshr.pendingIssue() == 0 &&
 		c.wq.size == 0 && c.rq.size == 0 && c.pq.size == 0 {
-		c.rqBlocked = false
+		c.rqBlocked, c.pqBlocked = false, false
+		c.idle = true
 		if !c.pfNil {
 			c.pf.Cycle(now)
 		}
 		return
 	}
 
+	work := c.work
 	c.fills.process(now, c.installCb)
 	c.issueMSHR(now)
 
@@ -359,6 +384,7 @@ func (c *Cache) Cycle(now int64) {
 	if r := c.wq.peek(); r != nil {
 		if c.handleWrite(now, r) {
 			c.wq.pop()
+			c.work++
 		}
 	}
 
@@ -376,11 +402,13 @@ func (c *Cache) Cycle(now int64) {
 				break // head blocked (MSHR full); retry next cycle
 			}
 			c.rq.pop()
+			c.work++
 			budget--
 			continue
 		}
 		break
 	}
+	c.pqBlocked = false
 	pfBudget := budget
 	if pfBudget < 1 {
 		pfBudget = 1
@@ -394,11 +422,41 @@ func (c *Cache) Cycle(now int64) {
 			break
 		}
 		c.pq.pop()
+		c.work++
 		pfBudget--
 	}
+	c.idle = c.work == work
 
 	if !c.pfNil {
 		c.pf.Cycle(now)
+	}
+}
+
+// Idle reports whether the last Cycle accomplished nothing: no fill
+// installed, no miss forwarded, no queue head popped (the scheduler's
+// self-profile counts such visits).
+func (c *Cache) Idle() bool { return c.idle }
+
+// Settle brings Stats up to the scheduler's clock: every cycle before
+// it is accounted. Whoever reads Stats of a cache that a scheduler may
+// have skipped calls it first; on a standalone cache it does nothing.
+func (c *Cache) Settle() {
+	if now, ok := c.Now(); ok {
+		c.settleTo(now)
+	}
+}
+
+// settleTo books the cycles [stallFrom, upTo) the cache slept with its
+// prefetch-queue head parked behind a full MSHR: clocked, each would
+// have retried the head, found the MSHR still full — only a fill frees
+// an entry, and a due fill wakes the cache — and bumped the stall
+// counter.
+func (c *Cache) settleTo(upTo int64) {
+	if c.stallFrom < upTo {
+		if c.pqBlocked {
+			c.Stats.PrefetchMSHRStall += uint64(upTo - c.stallFrom)
+		}
+		c.stallFrom = upTo
 	}
 }
 
@@ -409,17 +467,17 @@ func (c *Cache) Cycle(now int64) {
 // prefetch.NoEvent means the cache is idle until external input
 // arrives (which only happens inside some other component's event).
 func (c *Cache) NextEvent(now int64) int64 {
-	// Queued writebacks and prefetches are retried every cycle, and
-	// their handlers touch counters (e.g. PrefetchMSHRStall), so any
-	// occupancy pins the cache awake.
-	if c.wq.len() > 0 || c.pq.len() > 0 {
+	// A queued writeback is retried every cycle.
+	if c.wq.len() > 0 {
 		return now + 1
 	}
-	// A read-queue head that was not even tried this cycle (ports
-	// exhausted, or freshly pushed) must be tried next cycle; one that
+	// A read- or prefetch-queue head that was not even tried this cycle
+	// (ports exhausted, or freshly pushed) must be tried next cycle, and
+	// so must a pass-through prefetch the lower queue refused; one that
 	// bounced off a full MSHR can only unblock when a fill frees an
-	// entry, which the fill bound below covers.
-	if c.rq.len() > 0 && !c.rqBlocked {
+	// entry, which the fill bound below covers (settleTo books the
+	// prefetch head's stall cycles meanwhile).
+	if c.rq.len() > 0 && !c.rqBlocked || c.pq.len() > 0 && !c.pqBlocked {
 		return now + 1
 	}
 	next := int64(math.MaxInt64)
@@ -458,7 +516,7 @@ func (c *Cache) lookup(block uint64) (set, way int) {
 	set = int(block & c.setsMask)
 	base := set * c.cfg.Ways
 	for w := 0; w < c.cfg.Ways; w++ {
-		if l := &c.lines[base+w]; l.Valid && l.Tag == block {
+		if l := &c.lines[base+w]; l.Tag == block && l.Valid {
 			return set, w
 		}
 	}
@@ -564,6 +622,7 @@ func (c *Cache) service(now int64, r *memsys.Request, fromPQ bool) bool {
 	if c.mshr.full() {
 		if r.IsPrefetch() && fromPQ {
 			c.Stats.PrefetchMSHRStall++
+			c.pqBlocked = true
 		}
 		// Both demands and prefetches wait at their queue heads for an
 		// MSHR slot (as in ChampSim). A full PQ then drops newly
@@ -683,42 +742,50 @@ func (c *Cache) issuePrefetch(cand prefetch.Candidate) bool {
 	return true
 }
 
-// issueMSHR forwards unissued misses to the lower level.
+// issueMSHR forwards unissued misses to the lower level, in allocation
+// order.
 func (c *Cache) issueMSHR(now int64) {
-	c.mshr.unissued(func(e *mshrEntry) {
-		if e.readyToIssue > now {
-			return
+	m := c.mshr
+	for i := 0; i < len(m.unissued); {
+		e := &m.entries[m.unissued[i]]
+		if e.readyToIssue > now || !c.forward(e) {
+			i++
+			continue
 		}
-		first := e.waiters[0]
-		fwd := c.pool.Get()
-		*fwd = memsys.Request{
-			Addr:      e.block << memsys.BlockBits,
-			VAddr:     memsys.BlockAlign(first.VAddr),
-			IP:        first.IP,
-			CoreID:    first.CoreID,
-			FillLevel: e.fillLevel,
-			PfClass:   e.class,
-			PfMeta:    e.meta,
-			PfOrigin:  first.PfOrigin,
-			ReturnTo:  c,
-			Born:      e.born,
-		}
-		if e.prefetchOnly {
-			fwd.Type = memsys.Prefetch
-			if c.lower.AddPrefetch(fwd) {
-				c.mshr.markIssued(e)
-			} else {
-				c.pool.Put(fwd)
-			}
-			return
-		}
+		m.markIssued(i)
+		c.work++
+	}
+}
+
+// forward sends e's miss to the lower level and reports whether it had
+// room.
+func (c *Cache) forward(e *mshrEntry) bool {
+	first := e.waiters[0]
+	fwd := c.pool.Get()
+	*fwd = memsys.Request{
+		Addr:      e.block << memsys.BlockBits,
+		VAddr:     memsys.BlockAlign(first.VAddr),
+		IP:        first.IP,
+		CoreID:    first.CoreID,
+		FillLevel: e.fillLevel,
+		PfClass:   e.class,
+		PfMeta:    e.meta,
+		PfOrigin:  first.PfOrigin,
+		ReturnTo:  c,
+		Born:      e.born,
+	}
+	var ok bool
+	if e.prefetchOnly {
+		fwd.Type = memsys.Prefetch
+		ok = c.lower.AddPrefetch(fwd)
+	} else {
 		fwd.Type = firstDemandType(e.waiters)
-		if c.lower.AddRead(fwd) {
-			c.mshr.markIssued(e)
-		} else {
-			c.pool.Put(fwd)
-		}
-	})
+		ok = c.lower.AddRead(fwd)
+	}
+	if !ok {
+		c.pool.Put(fwd)
+	}
+	return ok
 }
 
 func firstDemandType(ws []*memsys.Request) memsys.AccessType {

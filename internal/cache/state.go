@@ -54,6 +54,6 @@ func (c *Cache) RestoreState(s State) error {
 	}
 	copy(c.lines, s.Lines)
 	c.Stats = s.Stats
-	c.rqBlocked = false
+	c.rqBlocked, c.pqBlocked = false, false
 	return nil
 }

@@ -13,8 +13,11 @@ import (
 // The NextEvent contract, checked the way the scheduler relies on it: a
 // cache clocked only when its wake time has come must be
 // indistinguishable, after every single cycle, from one clocked every
-// cycle — same counters, same occupancy, the same requests pushed down
-// and the same (ready, request) returns handed up, at the same cycles.
+// cycle — same counters (PrefetchMSHRStall once settled: a cache asleep
+// behind a parked prefetch-queue head owes it for the span, and books it
+// when next clocked or read), same occupancy, the same requests pushed
+// down and the same (ready, request) returns handed up, at the same
+// cycles.
 
 // twinEvent is one call the cache made on a neighbour.
 type twinEvent struct {
@@ -151,6 +154,11 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 			var now int64
 			ref := newCacheTwin(t, cfg, pf, &now)
 			gated := newCacheTwin(t, cfg, pf, &now)
+			// gated's wake time lives in the scheduler's table, and clock is
+			// the scheduler's: the cycle being stepped, and past it once the
+			// cycle's visits are over.
+			var wake, clock int64
+			gated.c.Bind(&wake, &clock)
 			rng := rand.New(rand.NewSource(7))
 
 			tag := int64(0)
@@ -177,23 +185,38 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 				}
 			}
 
-			checked, skipped, visited := 0, 0, 0
+			checked, skipped, visited, sleptParked := 0, 0, 0, 0
 			sawBlocked := false
 			const cycles = 40_000
 			for now = 0; now < cycles; now++ {
+				clock = now
 				ref.lower.Cycle(now)
 				ref.c.Cycle(now)
 
 				gated.lower.Cycle(now)
-				if gated.c.WakeAt() <= now {
+				if wake <= now {
 					gated.c.Cycle(now)
-					gated.c.ArmWake(gated.c.NextEvent(now))
+					wake = gated.c.NextEvent(now)
 					visited++
 				} else {
 					skipped++
+					if gated.c.pqBlocked {
+						sleptParked++
+					}
+				}
+				clock = now + 1
+				// A reader now and then, mid-span or not.
+				if now%13 == 0 {
+					gated.c.Settle()
 				}
 
-				if g, r := gated.observe(), ref.observe(); g != r {
+				g, r := gated.observe(), ref.observe()
+				if gated.c.stallFrom != now+1 {
+					// Asleep and not read: the stall span is still owed, and
+					// everything else must agree meanwhile.
+					g.Stats.PrefetchMSHRStall, r.Stats.PrefetchMSHRStall = 0, 0
+				}
+				if g != r {
 					t.Fatalf("cycle %d: gated twin diverged\n got %+v\nwant %+v", now, g, r)
 				}
 				if g, r := gated.log[checked:], ref.log[checked:]; !reflect.DeepEqual(g, r) {
@@ -242,6 +265,10 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 			}
 			if skipped < visited {
 				t.Errorf("gated twin was clocked %d cycles and skipped only %d", visited, skipped)
+			}
+			if sleptParked < 100 || st.PrefetchMSHRStall < uint64(sleptParked) {
+				t.Errorf("gated twin slept %d cycles behind a parked prefetch (%d stall cycles): the span settle is not exercised",
+					sleptParked, st.PrefetchMSHRStall)
 			}
 			if rq, wq, pq, mshr := ref.c.Occupancy(); rq+wq+pq+mshr != 0 {
 				t.Errorf("not drained at the end: rq=%d wq=%d pq=%d mshr=%d", rq, wq, pq, mshr)

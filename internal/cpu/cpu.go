@@ -131,6 +131,15 @@ type Core struct {
 	// it due, and the scheduler re-arms it from NextEvent.
 	memsys.Wake
 
+	// acct is the first cycle whose per-cycle counters (Stats.Cycles and
+	// the stall counters) are not in Stats yet. A core a scheduler skips
+	// is not told: it settles [acct, now) in closed form (AccountSkip)
+	// when it is next touched — before anything that changes what the
+	// closed form reads, and before anyone reads the counters. A core
+	// clocked every cycle always finds the span empty. Scheduler state,
+	// like the wake time: it is in no State.
+	acct int64
+
 	ID  int
 	cfg Config
 
@@ -145,6 +154,9 @@ type Core struct {
 	robTail  int
 	robCount int
 	seq      int64
+	// robMask is len(rob)-1 when that is a power of two above one (see
+	// robSlot), else 0.
+	robMask uint64
 
 	loadQ       loadRing
 	lastLoadSeq int64
@@ -161,6 +173,9 @@ type Core struct {
 	// fetchStopped gates dispatch during snapshot drain: the front-end
 	// stops feeding the ROB so in-flight work can retire to quiescence.
 	fetchStopped bool
+
+	// idle records that the last Cycle changed nothing (see Idle).
+	idle bool
 
 	// instr is the dispatch decode buffer: passing a stack variable's
 	// address through the trace.Stream interface would heap-allocate one
@@ -183,7 +198,7 @@ func New(id int, cfg Config, stream trace.Stream, alloc *vmem.PhysAllocator) (*C
 	if cfg.LoadPortsPerCycle <= 0 {
 		cfg.LoadPortsPerCycle = 1
 	}
-	return &Core{
+	c := &Core{
 		ID:      id,
 		cfg:     cfg,
 		stream:  stream,
@@ -192,7 +207,11 @@ func New(id int, cfg Config, stream trace.Stream, alloc *vmem.PhysAllocator) (*C
 		rob:     make([]robEntry, cfg.ROBSize),
 		bp:      newBimodal(12),
 		codeSeq: -1,
-	}, nil
+	}
+	if n := cfg.ROBSize; n&(n-1) == 0 {
+		c.robMask = uint64(n - 1)
+	}
+	return c, nil
 }
 
 // Attach wires the core to its L1 caches.
@@ -214,8 +233,29 @@ func (c *Core) PageTable() *vmem.PageTable { return c.pt }
 // Retired returns the number of retired instructions.
 func (c *Core) Retired() uint64 { return c.Stats.Retired }
 
-// ResetStats zeroes the counters (end of warmup).
-func (c *Core) ResetStats() { c.Stats = Stats{} }
+// ResetStats zeroes the counters (end of warmup). Cycles the core slept
+// through before the boundary are settled first, so none is booked
+// after it.
+func (c *Core) ResetStats() {
+	c.Settle()
+	c.Stats = Stats{}
+}
+
+// Settle brings Stats up to the scheduler's clock: every cycle before
+// it is accounted. Whoever reads Stats of a core that a scheduler may
+// have skipped calls it first; on a standalone core it does nothing.
+func (c *Core) Settle() {
+	if now, ok := c.Now(); ok {
+		c.settleTo(now)
+	}
+}
+
+// settleTo accounts the cycles [acct, upTo) the core was not clocked on.
+func (c *Core) settleTo(upTo int64) {
+	if c.acct < upTo {
+		c.AccountSkip(c.acct, upTo)
+	}
+}
 
 // Done reports whether a finite trace has been fully consumed and
 // drained.
@@ -225,6 +265,10 @@ func (c *Core) Done() bool { return c.streamEnded && c.robCount == 0 }
 // coming back from the L1s. The core created these requests, so it
 // recycles them here — the caller must not touch r afterwards.
 func (c *Core) ReturnData(ready int64, r *memsys.Request) {
+	// The cycles slept through so far saw the core as it was before this
+	// return. The current one sees it after, as the reference core does:
+	// its L1s are clocked before it.
+	c.Settle()
 	c.returnData(ready, r)
 	c.pool.Put(r)
 	// Nothing the return enables (retiring the entry, resolving a
@@ -247,11 +291,7 @@ func (c *Core) returnData(ready int64, r *memsys.Request) {
 		}
 		return
 	}
-	// Load return: locate the ROB entry by sequence number. Sequence
-	// numbers start at 1 and advance in lockstep with the tail, so
-	// seq s always lives in slot (s-1) mod size.
-	idx := int((r.Tag - 1) % int64(len(c.rob)))
-	e := &c.rob[idx]
+	e := c.robSlot(r.Tag)
 	if !e.valid || e.seq != r.Tag {
 		return // already retired (should not happen for loads)
 	}
@@ -264,10 +304,32 @@ func (c *Core) returnData(ready int64, r *memsys.Request) {
 // Cycle advances the core one cycle: retire, issue pending loads,
 // dispatch.
 func (c *Core) Cycle(now int64) {
+	c.settleTo(now)
+	c.acct = now + 1
 	c.Stats.Cycles++
+	retired, seq, queued := c.Stats.Retired, c.seq, c.loadQ.size
 	c.retire(now)
 	c.issueLoads(now)
 	c.dispatch(now)
+	c.idle = c.Stats.Retired == retired && c.seq == seq && c.loadQ.size == queued
+}
+
+// Idle reports whether the last Cycle changed nothing: no instruction
+// retired or dispatched, no load issued (the scheduler's self-profile
+// counts such visits).
+func (c *Core) Idle() bool { return c.idle }
+
+// robSlot locates the ROB entry of sequence number seq. Sequence
+// numbers start at 1 and advance in lockstep with the tail, so seq s
+// always lives in slot (s-1) mod size — a mask for a power-of-two ROB,
+// else an unsigned remainder (the signed one is several times dearer,
+// and depResolved runs on every load-issue attempt).
+func (c *Core) robSlot(seq int64) *robEntry {
+	i := uint64(seq - 1)
+	if c.robMask != 0 {
+		return &c.rob[i&c.robMask]
+	}
+	return &c.rob[i%uint64(len(c.rob))]
 }
 
 // NextEvent reports the earliest future cycle at which clocking the
@@ -302,7 +364,7 @@ func (c *Core) NextEvent(now int64) int64 {
 	if c.loadQ.size > 0 {
 		pl := c.loadQ.front()
 		if pl.depSeq != 0 && !c.depResolved(now, pl.depSeq) {
-			de := &c.rob[int((pl.depSeq-1)%int64(len(c.rob)))]
+			de := c.robSlot(pl.depSeq)
 			if de.pendingLoads == 0 && de.doneAt > now && de.doneAt < next {
 				next = de.doneAt
 			}
@@ -331,10 +393,11 @@ func (c *Core) NextEvent(now int64) int64 {
 }
 
 // AccountSkip replays the per-cycle statistics for the skipped cycles
-// [from, to). NextEvent's breakpoints guarantee each condition below is
-// constant across the span, so the closed form equals clocking every
-// cycle.
+// [from, to) and moves the accounted-to cycle to to. NextEvent's
+// breakpoints guarantee each condition below is constant across the
+// span, so the closed form equals clocking every cycle.
 func (c *Core) AccountSkip(from, to int64) {
+	c.acct = to
 	d := uint64(to - from)
 	c.Stats.Cycles += d
 	if c.loadQ.size > 0 {
@@ -360,7 +423,9 @@ func (c *Core) retire(now int64) {
 			return
 		}
 		e.valid = false
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		if c.robHead++; c.robHead == len(c.rob) {
+			c.robHead = 0
+		}
 		c.robCount--
 		c.Stats.Retired++
 	}
@@ -372,7 +437,7 @@ func (c *Core) depResolved(now, dep int64) bool {
 	if dep == 0 {
 		return true
 	}
-	e := &c.rob[int((dep-1)%int64(len(c.rob)))]
+	e := c.robSlot(dep)
 	if !e.valid || e.seq != dep {
 		return true // retired
 	}
@@ -447,7 +512,9 @@ func (c *Core) dispatch(now int64) {
 		seq := c.seq
 		e := &c.rob[c.robTail]
 		*e = robEntry{seq: seq, doneAt: now + 1, valid: true}
-		c.robTail = (c.robTail + 1) % len(c.rob)
+		if c.robTail++; c.robTail == len(c.rob) {
+			c.robTail = 0
+		}
 		c.robCount++
 
 		// Instruction fetch: one code read per new block.

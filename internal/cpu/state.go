@@ -41,6 +41,7 @@ func (c *Core) ResumeFetch() { c.setFetchStopped(false) }
 // answers (a drained core is inert; a re-opened one dispatches next
 // cycle), so the core is marked due.
 func (c *Core) setFetchStopped(stopped bool) {
+	c.Settle() // a gated core books no front-end stalls
 	c.fetchStopped = stopped
 	c.MarkDue()
 }
@@ -53,6 +54,7 @@ func (c *Core) Quiescent() bool {
 
 // CaptureState captures the core. The core must be quiescent.
 func (c *Core) CaptureState() (State, error) {
+	c.Settle()
 	if !c.Quiescent() {
 		return State{}, fmt.Errorf("cpu: core %d not quiescent (rob=%d loadq=%d code=%d)",
 			c.ID, c.robCount, c.loadQ.size, c.codeSeq)
@@ -79,8 +81,9 @@ func (c *Core) CaptureState() (State, error) {
 // allocator already replayed to the captured position) with s. The
 // stream is advanced by replaying Seq successful Next calls using
 // dispatch's exact consume pattern, so the generator's internal state
-// matches the original core's bit for bit.
-func (c *Core) RestoreState(s State) error {
+// matches the original core's bit for bit. now is the cycle the restored
+// system resumes at: s.Stats already accounts every cycle before it.
+func (c *Core) RestoreState(s State, now int64) error {
 	if len(s.BPTable) != len(c.bp.table) {
 		return fmt.Errorf("cpu: branch predictor geometry mismatch")
 	}
@@ -109,6 +112,7 @@ func (c *Core) RestoreState(s State) error {
 	c.tlb.SetState(s.TLB)
 	c.pt.SetState(s.PageTable)
 	c.Stats = s.Stats
+	c.acct = now
 	c.fetchStopped = false
 	return nil
 }

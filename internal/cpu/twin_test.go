@@ -11,10 +11,11 @@ import (
 
 // The NextEvent contract, checked the way the scheduler relies on it: a
 // core clocked only when its wake time has come — with the skipped
-// cycles replayed by AccountSkip — must be indistinguishable, after
-// every single cycle, from one clocked every cycle: same counters, same
-// ROB and load-queue occupancy, the same requests sent to the L1s at
-// the same cycles.
+// cycles replayed by AccountSkip, one at a time or, as the scheduler
+// leaves it to the core, in whole spans settled on touch — must be
+// indistinguishable, after every single cycle, from one clocked every
+// cycle: same counters, same ROB and load-queue occupancy, the same
+// requests sent to the L1s at the same cycles.
 
 // twinIssue is one request the core pushed to an L1.
 type twinIssue struct {
@@ -31,13 +32,10 @@ type twinIssue struct {
 // retried), and hands data back ready either now or two cycles out. It
 // is clocked every cycle, before the core, like a real L1.
 type twinL1 struct {
-	now  int64
-	pend []fakeFill
-	log  []twinIssue
-	// beforeReturn runs ahead of every ReturnData (the span twin settles
-	// its unaccounted cycles there, before the return mutates the core).
-	beforeReturn func(now int64)
-	rejects      int
+	now     int64
+	pend    []fakeFill
+	log     []twinIssue
+	rejects int
 }
 
 const twinL1Capacity = 6
@@ -73,9 +71,6 @@ func (m *twinL1) Cycle(now int64) {
 		if f.req.ReturnTo == nil {
 			continue // a store's RFO ends at the cache
 		}
-		if m.beforeReturn != nil {
-			m.beforeReturn(now)
-		}
 		f.req.ReturnTo.ReturnData(now+int64(f.req.Tag&1)*2, f.req)
 	}
 	m.pend = rest
@@ -86,13 +81,15 @@ type coreTwin struct {
 	l1 *twinL1
 }
 
-func newCoreTwin(t *testing.T, name string) *coreTwin {
+func newCoreTwin(t *testing.T, name string, robSize int) *coreTwin {
 	t.Helper()
 	spec, err := workload.Named(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(0, DefaultConfig(), spec.New(3), vmem.NewPhysAllocator(1))
+	cfg := DefaultConfig()
+	cfg.ROBSize = robSize
+	c, err := New(0, cfg, spec.New(3), vmem.NewPhysAllocator(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,36 +111,40 @@ func (w *coreTwin) observe() twinCoreObs {
 }
 
 func TestGatedTwinMatchesEveryCycle(t *testing.T) {
-	for _, name := range []string{"mcf-994", "lbm-94", "omnetpp-17"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			ref := newCoreTwin(t, name)   // clocked every cycle
-			gated := newCoreTwin(t, name) // clocked when due, else AccountSkip over the one cycle
-			span := newCoreTwin(t, name)  // clocked when due, each gap replayed by one AccountSkip
-			spanFrom := int64(0)          // first cycle span has not accounted for yet
-			settle := func(upTo int64) {
-				if spanFrom < upTo {
-					span.c.AccountSkip(spanFrom, upTo)
-					spanFrom = upTo
-				}
-			}
-			span.l1.beforeReturn = settle
+	for _, tc := range []struct {
+		name, workload string
+		rob            int
+	}{
+		{"mcf-994", "mcf-994", 256}, {"lbm-94", "lbm-94", 256}, {"omnetpp-17", "omnetpp-17", 256},
+		{"mcf-994-rob192", "mcf-994", 192}, // not a power of two: robSlot's remainder path
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			ref := newCoreTwin(t, tc.workload, tc.rob)   // clocked every cycle
+			gated := newCoreTwin(t, tc.workload, tc.rob) // clocked when due, else AccountSkip over the one cycle
+			// lazy is the scheduler's core: clocked when due and otherwise
+			// left alone, it settles each span it slept through itself, on
+			// the next Cycle, ReturnData or fetch-gate flip. clock is the
+			// scheduler's: the cycle being stepped, and past it once the
+			// cycle's visits are over.
+			lazy := newCoreTwin(t, tc.workload, tc.rob)
+			var lazyWake, clock int64
+			lazy.c.Bind(&lazyWake, &clock)
 
-			checked, skipped, visited := 0, 0, 0
+			checked, skipped, visited, spans, reads := 0, 0, 0, 0, 0
 			const cycles = 60_000
 			for now := int64(0); now < cycles; now++ {
+				clock = now
 				// The fetch gate, as a snapshot drain drives it.
 				switch now {
 				case 30_000:
-					settle(now)
 					ref.c.StopFetch()
 					gated.c.StopFetch()
-					span.c.StopFetch()
+					lazy.c.StopFetch()
 				case 31_000:
-					settle(now)
 					ref.c.ResumeFetch()
 					gated.c.ResumeFetch()
-					span.c.ResumeFetch()
+					lazy.c.ResumeFetch()
 				}
 
 				ref.l1.Cycle(now)
@@ -159,12 +160,19 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 					skipped++
 				}
 
-				span.l1.Cycle(now)
-				if span.c.WakeAt() <= now {
-					settle(now)
-					span.c.Cycle(now)
-					span.c.ArmWake(span.c.NextEvent(now))
-					spanFrom = now + 1
+				lazy.l1.Cycle(now)
+				if lazyWake <= now {
+					if lazy.c.acct < now-1 {
+						spans++
+					}
+					lazy.c.Cycle(now)
+					lazyWake = lazy.c.NextEvent(now)
+				}
+				clock = now + 1
+				// A reader now and then, mid-span or not.
+				if now%997 == 0 {
+					lazy.c.Settle()
+					reads++
 				}
 
 				want := ref.observe()
@@ -174,19 +182,19 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 				if g, r := gated.l1.log[checked:], ref.l1.log[checked:]; !reflect.DeepEqual(g, r) {
 					t.Fatalf("cycle %d: gated twin issued %+v, reference %+v", now, g, r)
 				}
-				if spanFrom == now+1 { // span is settled: comparable
-					if got := span.observe(); got != want {
-						t.Fatalf("cycle %d: span twin diverged\n got %+v\nwant %+v", now, got, want)
+				if lazy.c.acct == now+1 { // lazy is settled: comparable
+					if got := lazy.observe(); got != want {
+						t.Fatalf("cycle %d: lazy twin diverged\n got %+v\nwant %+v", now, got, want)
 					}
 				}
-				if g, r := span.l1.log[checked:], ref.l1.log[checked:]; !reflect.DeepEqual(g, r) {
-					t.Fatalf("cycle %d: span twin issued %+v, reference %+v", now, g, r)
+				if g, r := lazy.l1.log[checked:], ref.l1.log[checked:]; !reflect.DeepEqual(g, r) {
+					t.Fatalf("cycle %d: lazy twin issued %+v, reference %+v", now, g, r)
 				}
 				checked = len(ref.l1.log)
 			}
-			settle(cycles)
-			if got, want := span.observe(), ref.observe(); got != want {
-				t.Fatalf("end: span twin diverged\n got %+v\nwant %+v", got, want)
+			lazy.c.Settle()
+			if got, want := lazy.observe(), ref.observe(); got != want {
+				t.Fatalf("end: lazy twin diverged\n got %+v\nwant %+v", got, want)
 			}
 
 			st := ref.c.Stats
@@ -195,6 +203,9 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 			}
 			if skipped < visited/4 {
 				t.Errorf("gated twin was clocked %d cycles and skipped only %d", visited, skipped)
+			}
+			if spans < 100 {
+				t.Errorf("lazy twin settled only %d multi-cycle spans (%d reader settles)", spans, reads)
 			}
 		})
 	}

@@ -125,6 +125,13 @@ type Controller struct {
 	// nowApprox timestamps arrivals for the starvation cap: the last
 	// cycle the controller was clocked or accounted as skipped.
 	nowApprox int64
+	// acct is the first cycle not yet clocked or accounted as skipped. A
+	// controller a scheduler skips is not told: it settles [acct, now) in
+	// closed form (AccountSkip) when it is next touched. Scheduler state,
+	// like the wake time: it is in no ControllerState.
+	acct int64
+	// idle records that the last Cycle started no transaction.
+	idle bool
 	// pool recycles writeback requests once they are scheduled.
 	pool  *memsys.RequestPool
 	Stats Stats
@@ -202,6 +209,14 @@ func (c *Controller) AddPrefetch(r *memsys.Request) bool { return c.add(r, false
 func (c *Controller) AddWrite(r *memsys.Request) bool { return c.add(r, true) }
 
 func (c *Controller) add(r *memsys.Request, write bool) bool {
+	// The controller's slot precedes its producers': a request arriving
+	// in cycle now arrives after the controller's turn, so a controller
+	// asleep on that cycle settles through it first — the reference
+	// clocked cycle now on the queues as they were, and stamps the
+	// arrival with it.
+	if now, ok := c.Now(); ok {
+		c.settleTo(now + 1)
+	}
 	ch, bk, row := c.decode(r.Addr)
 	cn := &c.chans[ch]
 	p := pending{req: r, born: c.nowApprox, row: row, bank: bk, isWrite: write}
@@ -224,8 +239,11 @@ func (c *Controller) add(r *memsys.Request, write bool) bool {
 
 // Cycle advances the controller one CPU cycle.
 func (c *Controller) Cycle(now int64) {
+	c.settleTo(now)
+	c.acct = now + 1
 	c.nowApprox = now
 	c.Stats.Cycles++
+	started := c.Stats.Reads + c.Stats.Writes
 	busy := false
 	for i := range c.chans {
 		if c.cycleChannel(now, &c.chans[i]) {
@@ -234,6 +252,29 @@ func (c *Controller) Cycle(now int64) {
 	}
 	if busy {
 		c.Stats.BusBusyCycles++
+	}
+	c.idle = c.Stats.Reads+c.Stats.Writes == started
+}
+
+// Idle reports whether the last Cycle started no transaction (the
+// scheduler's self-profile counts such visits).
+func (c *Controller) Idle() bool { return c.idle }
+
+// Settle brings Stats and the drain mode up to the scheduler's clock:
+// every cycle before it is accounted. Whoever reads Stats of a
+// controller that a scheduler may have skipped calls it first; on a
+// standalone controller it does nothing.
+func (c *Controller) Settle() {
+	if now, ok := c.Now(); ok {
+		c.settleTo(now)
+	}
+}
+
+// settleTo accounts the cycles [acct, upTo) the controller was not
+// clocked on.
+func (c *Controller) settleTo(upTo int64) {
+	if c.acct < upTo {
+		c.AccountSkip(c.acct, upTo)
 	}
 }
 
@@ -404,8 +445,10 @@ func (c *Controller) NextEvent(now int64) int64 {
 // NextEvent guarantees no transaction could start and nothing arrived:
 // each clocked cycle would count Cycles, count BusBusyCycles while a
 // transfer drains, settle the drain mode for the (unchanged) queue
-// lengths, and stamp the arrival clock.
+// lengths, and stamp the arrival clock. The accounted-to cycle moves
+// to to.
 func (c *Controller) AccountSkip(from, to int64) {
+	c.acct = to
 	c.nowApprox = to - 1
 	c.Stats.Cycles += uint64(to - from)
 	var maxBusFree int64
@@ -425,8 +468,13 @@ func (c *Controller) AccountSkip(from, to int64) {
 	}
 }
 
-// ResetStats zeroes the counters (end of warmup).
-func (c *Controller) ResetStats() { c.Stats = Stats{} }
+// ResetStats zeroes the counters (end of warmup). Cycles the controller
+// slept through before the boundary are settled first, so none is
+// booked after it.
+func (c *Controller) ResetStats() {
+	c.Settle()
+	c.Stats = Stats{}
+}
 
 // QueueOccupancy returns total queued reads and writes (testing).
 func (c *Controller) QueueOccupancy() (reads, writes int) {

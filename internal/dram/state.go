@@ -35,6 +35,7 @@ func (c *Controller) Quiescent() bool {
 
 // CaptureState captures the controller. It must be quiescent.
 func (c *Controller) CaptureState() (ControllerState, error) {
+	c.Settle()
 	if !c.Quiescent() {
 		r, w := c.QueueOccupancy()
 		return ControllerState{}, fmt.Errorf("dram: not quiescent (reads=%d writes=%d)", r, w)
@@ -85,6 +86,7 @@ func (c *Controller) RestoreState(s ControllerState, now int64) error {
 		cn.writeQ = cn.writeQ[:0]
 	}
 	c.nowApprox = now
+	c.acct = now
 	c.Stats = s.Stats
 	return nil
 }

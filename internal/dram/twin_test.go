@@ -10,8 +10,10 @@ import (
 
 // The NextEvent contract, checked the way the scheduler relies on it:
 // a controller clocked only when its wake time has come — with the
-// skipped cycles replayed by AccountSkip — must be indistinguishable,
-// after every single cycle, from one clocked every cycle.
+// skipped cycles replayed by AccountSkip, one at a time or, as the
+// scheduler leaves it to the controller, in whole spans settled on
+// touch — must be indistinguishable, after every single cycle, from one
+// clocked every cycle.
 
 // twinReturn is one completed read as the receiver saw it.
 type twinReturn struct {
@@ -92,8 +94,14 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 
 	ref := newTwin(t, cfg)   // clocked every cycle
 	gated := newTwin(t, cfg) // clocked when due, else AccountSkip over the one cycle
-	span := newTwin(t, cfg)  // clocked when due, the gap replayed by one AccountSkip
-	spanFrom := int64(0)     // first cycle span has not accounted for yet
+	// lazy is the scheduler's controller: clocked when due and otherwise
+	// left alone, it settles each span it slept through itself, on the
+	// next Cycle or add. clock is the scheduler's: the cycle being stepped
+	// (traffic arrives during it, after the controller's slot), and past
+	// it once the cycle is over.
+	lazy := newTwin(t, cfg)
+	var lazyWake, clock int64
+	lazy.c.Bind(&lazyWake, &clock)
 
 	rng := rand.New(rand.NewSource(42))
 	rowStride := memsys.Addr(cfg.RowBytes * cfg.BanksPerChannel * cfg.Channels)
@@ -106,26 +114,30 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 
 	// What the traffic must have provoked in the reference by the end.
 	var sawDrainOn, sawDrainOff, sawBusGate, sawBankSplit, sawStarved bool
-	skipped, visited := 0, 0
+	skipped, visited, spans, lateArrivals := 0, 0, 0, 0
 	tag := int64(0)
 
 	inject := func(now int64, a memsys.Addr, write bool) {
 		tag++
-		// span settles its gap first: add stamps born from the arrival
-		// clock, which AccountSkip advances.
-		if spanFrom <= now {
-			span.c.AccountSkip(spanFrom, now+1)
-			spanFrom = now + 1
+		// An arrival in a cycle lazy slept through: add must settle
+		// through that cycle, not up to it (add stamps born from the
+		// arrival clock, which AccountSkip advances).
+		if lazy.c.acct <= now {
+			lateArrivals++
 		}
-		r, g, s := ref.add(a, tag, write), gated.add(a, tag, write), span.add(a, tag, write)
-		if r != g || r != s {
-			t.Fatalf("cycle %d: add accepted ref=%v gated=%v span=%v", now, r, g, s)
+		r, g, l := ref.add(a, tag, write), gated.add(a, tag, write), lazy.add(a, tag, write)
+		if r != g || r != l {
+			t.Fatalf("cycle %d: add accepted ref=%v gated=%v lazy=%v", now, r, g, l)
+		}
+		if lazy.c.acct != now+1 {
+			t.Fatalf("cycle %d: lazy twin accounted to %d after an arrival", now, lazy.c.acct)
 		}
 	}
 
 	const cycles = 60_000
 	hitCol, checked := 0, 0
 	for now := int64(0); now < cycles; now++ {
+		clock = now
 		ref.c.Cycle(now)
 
 		if gated.c.WakeAt() <= now {
@@ -136,13 +148,12 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 			gated.c.AccountSkip(now, now+1)
 			skipped++
 		}
-		if span.c.WakeAt() <= now {
-			if spanFrom < now {
-				span.c.AccountSkip(spanFrom, now)
+		if lazyWake <= now {
+			if lazy.c.acct < now-1 {
+				spans++
 			}
-			span.c.Cycle(now)
-			span.c.ArmWake(span.c.NextEvent(now))
-			spanFrom = now + 1
+			lazy.c.Cycle(now)
+			lazyWake = lazy.c.NextEvent(now)
 		}
 
 		want := ref.state()
@@ -152,13 +163,13 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 		if g, r := gated.sink.got[checked:], ref.sink.got[checked:]; !reflect.DeepEqual(g, r) {
 			t.Fatalf("cycle %d: gated twin returned %v, reference %v", now, g, r)
 		}
-		if spanFrom == now+1 { // span is settled: comparable
-			if got := span.state(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("cycle %d: span twin diverged\n got %+v\nwant %+v", now, got, want)
+		if lazy.c.acct == now+1 { // lazy is settled: comparable
+			if got := lazy.state(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycle %d: lazy twin diverged\n got %+v\nwant %+v", now, got, want)
 			}
 		}
-		if g, r := span.sink.got[checked:], ref.sink.got[checked:]; !reflect.DeepEqual(g, r) {
-			t.Fatalf("cycle %d: span twin returned %v, reference %v", now, g, r)
+		if g, r := lazy.sink.got[checked:], ref.sink.got[checked:]; !reflect.DeepEqual(g, r) {
+			t.Fatalf("cycle %d: lazy twin returned %v, reference %v", now, g, r)
 		}
 		checked = len(ref.sink.got) // the (ready, request) sequences agree so far
 
@@ -230,6 +241,16 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 			}
 		}
 		// 9,000 on: quiet.
+
+		clock = now + 1
+		// A reader now and then, mid-span or not.
+		if now%997 == 0 {
+			lazy.c.Settle()
+		}
+	}
+	lazy.c.Settle()
+	if got, want := lazy.state(), ref.state(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("end: lazy twin diverged\n got %+v\nwant %+v", got, want)
 	}
 
 	for name, saw := range map[string]bool{
@@ -248,6 +269,9 @@ func TestGatedTwinMatchesEveryCycle(t *testing.T) {
 	}
 	if skipped < 4*visited {
 		t.Errorf("gated twin was clocked %d cycles and skipped only %d: NextEvent is not sleeping through timings", visited, skipped)
+	}
+	if spans < 100 || lateArrivals < 100 {
+		t.Errorf("lazy twin settled only %d multi-cycle spans and took %d arrivals asleep", spans, lateArrivals)
 	}
 	if r, w := ref.c.QueueOccupancy(); r+w != 0 {
 		t.Errorf("queues not drained at the end: %d reads, %d writes", r, w)

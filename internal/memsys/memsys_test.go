@@ -194,3 +194,37 @@ func TestWakeZeroValueIsDue(t *testing.T) {
 		t.Errorf("MarkDue left the component asleep until %d", w.WakeAt())
 	}
 }
+
+// TestWakeBindMovesTheCell pins the handle: Bind carries the current
+// wake time into the scheduler's cell, from then on the component's
+// lowering and the scheduler's arming meet in that one word, and the
+// clock reads through; unbound, there is no clock.
+func TestWakeBindMovesTheCell(t *testing.T) {
+	var w Wake
+	if _, ok := w.Now(); ok {
+		t.Error("an unbound Wake reports a clock")
+	}
+	w.ArmWake(70)
+	table := []int64{-1, -1}
+	clock := int64(12)
+	w.Bind(&table[1], &clock)
+	if table[1] != 70 || w.WakeAt() != 70 {
+		t.Fatalf("Bind left cell %d, WakeAt %d; want the armed 70", table[1], w.WakeAt())
+	}
+	w.LowerWake(30)
+	if table[1] != 30 {
+		t.Errorf("LowerWake(30) left the cell at %d", table[1])
+	}
+	table[1] = 90 // the scheduler re-arms
+	if w.WakeAt() != 90 {
+		t.Errorf("WakeAt %d after the scheduler armed 90", w.WakeAt())
+	}
+	w.MarkDue()
+	if table[1] != 0 || table[0] != -1 {
+		t.Errorf("MarkDue left the table %v", table)
+	}
+	clock = 13
+	if now, ok := w.Now(); !ok || now != 13 {
+		t.Errorf("Now() = %d, %v; want 13", now, ok)
+	}
+}

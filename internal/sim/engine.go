@@ -65,6 +65,13 @@ type EngineStats struct {
 	// the whole machine skip the cycle).
 	Waker [NumKinds]uint64
 	Sole  [NumKinds]uint64
+
+	// Idle counts the visits whose Cycle changed nothing in the
+	// component (a cache: no fill installed, no miss forwarded, no queue
+	// popped; a core: nothing retired, issued or dispatched; the
+	// controller: no transaction started) — what a sharper NextEvent
+	// could still turn into skips.
+	Idle [NumKinds]uint64
 }
 
 // VisitsPerStep is the mean number of components clocked per stepped
@@ -113,18 +120,21 @@ func (s *System) checkVisitOrder() error {
 // every component whose wake time has come, then moves to the next
 // cycle — or, when nothing was due, straight to the earliest wake time.
 //
-// A visited component is re-armed with its own NextEvent, which names
-// the earliest cycle clocking it could change anything absent new
-// input; input lowers the wake time at the receiver (memsys.Wake). A
-// component that is not due is skipped in its slot: for a cache that is
-// a no-op, while cores and the DRAM controller replay the per-cycle
-// counters Cycle would have bumped (AccountSkip over exactly this
-// cycle, seeing exactly the state the reference's Cycle would see).
+// Wake times live in s.wake, one word per slot in visit order (each
+// component's memsys.Wake is a handle to its word), so finding what is
+// due is a scan of one small array. A visited component is re-armed
+// with its own NextEvent, which names the earliest cycle clocking it
+// could change anything absent new input; input lowers the wake time at
+// the receiver. A component that is not due costs the scan one compare
+// and nothing else: the per-cycle counters its Cycle would have bumped
+// are settled by the component itself, in closed form over the whole
+// span it slept, when it is next touched (DESIGN.md §10, rule 4).
 // Jumps are capped at the run deadline and the next interval-sample
 // boundary, so error cycles and telemetry samples land where the
 // reference puts them. Config.DisableFastForward turns the gate off —
-// every component clocked every cycle — and is the reference the
-// determinism suite holds the gated schedule bit-identical to.
+// every component clocked every cycle, so no span is ever left to
+// settle — and is the reference the determinism suite holds the gated
+// schedule bit-identical to.
 func (s *System) step(deadline int64) {
 	now := s.cycle
 	gate := !s.cfg.DisableFastForward
@@ -136,46 +146,37 @@ func (s *System) step(deadline int64) {
 	// lowered a wake time behind the scan's back.
 	next := int64(math.MaxInt64)
 
-	for i := range s.slots {
+	// The slice header is loop-invariant; the words are not (a visit
+	// lowers the wake times of the components it hands work to), so
+	// each is read when the scan reaches it.
+	wake := s.wake
+	for i := range wake {
+		if w := wake[i]; w > now && gate {
+			if w < next {
+				next = w
+			}
+			continue
+		}
 		sl := &s.slots[i]
+		var idle bool
 		switch sl.kind {
 		case KindDRAM:
-			m := s.mem
-			if w := m.WakeAt(); gate && w > now {
-				m.AccountSkip(now, now+1)
-				if w < next {
-					next = w
-				}
-				continue
-			}
-			m.Cycle(now)
+			s.mem.Cycle(now)
+			idle = s.mem.Idle()
 			if gate {
-				m.ArmWake(m.NextEvent(now))
+				wake[i] = s.mem.NextEvent(now)
 			}
 		case KindCore:
-			c := sl.core
-			if w := c.WakeAt(); gate && w > now {
-				c.AccountSkip(now, now+1)
-				if w < next {
-					next = w
-				}
-				continue
-			}
-			c.Cycle(now)
+			sl.core.Cycle(now)
+			idle = sl.core.Idle()
 			if gate {
-				c.ArmWake(c.NextEvent(now))
+				wake[i] = sl.core.NextEvent(now)
 			}
 		default:
-			c := sl.cache
-			if w := c.WakeAt(); gate && w > now {
-				if w < next {
-					next = w
-				}
-				continue
-			}
-			c.Cycle(now)
+			sl.cache.Cycle(now)
+			idle = sl.cache.Idle()
 			if gate {
-				c.ArmWake(c.NextEvent(now))
+				wake[i] = sl.cache.NextEvent(now)
 			}
 		}
 		if visited == 0 {
@@ -183,6 +184,9 @@ func (s *System) step(deadline int64) {
 		}
 		visited++
 		es.Visits[sl.kind]++
+		if idle {
+			es.Idle[sl.kind]++
+		}
 	}
 	s.cycle++
 
@@ -204,10 +208,6 @@ func (s *System) step(deadline int64) {
 			}
 		}
 		if next > s.cycle {
-			for _, c := range s.cores {
-				c.AccountSkip(s.cycle, next)
-			}
-			s.mem.AccountSkip(s.cycle, next)
 			s.cycle = next
 		}
 		es.Jumps++
@@ -215,6 +215,35 @@ func (s *System) step(deadline int64) {
 	}
 	if s.sampling && s.cycle-s.lastSample >= s.ilog.Every {
 		s.flushInterval()
+	}
+}
+
+// settle brings every component's per-cycle counters up to s.cycle.
+// Skipped cycles are booked by the component when it is next touched,
+// so whatever reads Stats fields between touches — an interval sample
+// inside the loop, the caller once a stepping loop returns — settles
+// first.
+func (s *System) settle() {
+	for _, sl := range s.slots {
+		s.component(sl).Settle()
+	}
+}
+
+// clocked is what the scheduler asks of a component outside the step
+// loop (which calls Cycle, NextEvent and Idle on the concrete types).
+type clocked interface {
+	Bind(cell, clock *int64)
+	Settle()
+}
+
+func (s *System) component(sl slot) clocked {
+	switch sl.kind {
+	case KindDRAM:
+		return s.mem
+	case KindCore:
+		return sl.core
+	default:
+		return sl.cache
 	}
 }
 
@@ -247,6 +276,7 @@ func (s *System) newLoopCtl(budget uint64) *loopCtl {
 // warmupLoop steps the system until every core has retired warmup
 // instructions. Shared by RunContext's warmup phase and RunWarmup.
 func (s *System) warmupLoop(ctx context.Context, warmup uint64, ctl *loopCtl, report func()) error {
+	defer s.settle()
 	for !s.allRetired(warmup) {
 		if s.cycle >= ctl.deadline {
 			return fmt.Errorf("sim: warmup exceeded %d cycles", ctl.maxCycles)
@@ -272,6 +302,7 @@ func (s *System) warmupLoop(ctx context.Context, warmup uint64, ctl *loopCtl, re
 // the last core finishes, as in the paper's methodology. Shared by
 // RunContext's measure phase and RunMeasure.
 func (s *System) measureLoop(ctx context.Context, measure uint64, ctl *loopCtl, report func()) ([]int64, error) {
+	defer s.settle()
 	finish := make([]int64, s.cfg.Cores)
 	finished := make([]bool, s.cfg.Cores)
 	done := 0

@@ -81,7 +81,9 @@ func TestOutOfBandMutatorsMarkDue(t *testing.T) {
 // TestEngineStatsAccounting checks the self-profile's own arithmetic:
 // stepped and jumped cycles partition the measured phase, every slot of
 // a stepped cycle is a visit or a skip, every stepped cycle has exactly
-// one waker, and the reference schedule reports no jumps and no skips.
+// one waker, idle visits are visits (and the reference schedule, which
+// clocks everything, has some of every kind), and the reference
+// schedule reports no jumps and no skips.
 // The profile stays out of the serialized result.
 func TestEngineStatsAccounting(t *testing.T) {
 	for _, d := range []detSpec{detMatrix[1], detMatrix[len(detMatrix)-1]} {
@@ -110,6 +112,9 @@ func TestEngineStatsAccounting(t *testing.T) {
 				}
 				if e.Sole[k] > e.Waker[k] {
 					t.Errorf("%s %v: sole %d > waker %d", d.name, k, e.Sole[k], e.Waker[k])
+				}
+				if e.Idle[k] > e.Visits[k] || disableFF && e.Idle[k] == 0 {
+					t.Errorf("%s ff-off=%v %v: %d idle visits of %d", d.name, disableFF, k, e.Idle[k], e.Visits[k])
 				}
 				if disableFF && e.Skipped[k] != 0 {
 					t.Errorf("%s %v: reference schedule skipped %d slots", d.name, k, e.Skipped[k])

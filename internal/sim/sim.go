@@ -33,8 +33,10 @@ type System struct {
 	cycle int64
 
 	// slots lists every clocked component in the order step visits
-	// them; engine is the scheduler's self-profile (see engine.go).
+	// them and wake holds their wake times in the same order; engine is
+	// the scheduler's self-profile (see engine.go).
 	slots  []slot
+	wake   []int64
 	engine EngineStats
 
 	// pool is the system-wide request free list Build wired into every
@@ -269,6 +271,10 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 	if err := s.checkVisitOrder(); err != nil {
 		return nil, err
 	}
+	s.wake = make([]int64, len(s.slots))
+	for i, sl := range s.slots {
+		s.component(sl).Bind(&s.wake[i], &s.cycle)
+	}
 	if cfg.Audit != nil {
 		cfg.Audit.Attach(s)
 	}
@@ -427,6 +433,7 @@ func (s *System) flushInterval() {
 	if s.cycle == s.lastSample {
 		return
 	}
+	s.settle()
 	cur := s.snapshotCum()
 	prev := s.prevCum
 	cycles := s.cycle - s.lastSample
@@ -675,6 +682,7 @@ func (s *System) minRetired() uint64 {
 // inner loop with all setup allocation already behind them; the
 // steady-state allocation tests are built on that.
 func (s *System) Advance(n uint64) error {
+	defer s.settle()
 	target := s.minRetired() + n
 	budget := int64(n)*500 + 1_000_000
 	deadline := s.cycle + budget

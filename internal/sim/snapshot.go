@@ -83,6 +83,7 @@ func (s *System) drain(ctx context.Context) error {
 			s.cores[i].ResumeFetch()
 		}
 	}()
+	defer s.settle()
 	deadline := s.cycle + drainMaxCycles
 	nextCancel := s.cycle
 	for !s.Quiescent() {
@@ -205,7 +206,7 @@ func (s *System) RestoreSnapshot(snap *Snapshot) error {
 	}
 	s.alloc.Replay(snap.Alloc)
 	for i := range s.cores {
-		if err := s.cores[i].RestoreState(snap.Cores[i]); err != nil {
+		if err := s.cores[i].RestoreState(snap.Cores[i], snap.Cycle); err != nil {
 			return err
 		}
 		if err := s.l1is[i].RestoreState(snap.L1Is[i]); err != nil {
