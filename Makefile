@@ -46,14 +46,17 @@ pairs:
 	@test -n "$(W)" -a -n "$(BASE)" || { echo "usage: make pairs W=<workload> BASE=<rev> [N=10] [S=15]"; exit 2; }
 	bash scripts/pairs.sh $(W) $(BASE) $(N) $(S)
 
-# Where one of the benchmark's ipcpsim workloads (mix8, single_stream,
-# single_pointer) spends its time: its exact command line over SEEDS
-# seeds under -cpuprofile, merged (see scripts/profile.sh).
+# Where one of the benchmark's workloads spends its time: for mix8,
+# single_stream and single_pointer, its exact command line over SEEDS
+# seeds under -cpuprofile, merged; for serve_repeat and serve_cold, the
+# daemon's /debug/pprof/profile over S seconds of the harness-shaped
+# client loop (see scripts/profile.sh).
 #   make profile W=mix8 SEEDS=30
+#   make profile W=serve_repeat S=15
 SEEDS ?= 30
 profile:
-	@test -n "$(W)" || { echo "usage: make profile W=mix8|single_stream|single_pointer [SEEDS=30]"; exit 2; }
-	bash scripts/profile.sh $(W) $(SEEDS)
+	@test -n "$(W)" || { echo "usage: make profile W=mix8|single_stream|single_pointer [SEEDS=30] | W=serve_repeat|serve_cold [S=15]"; exit 2; }
+	bash scripts/profile.sh $(W) $(if $(filter serve_%,$(W)),$(S),$(SEEDS))
 
 # Golden equivalence: the wake-gated scheduler vs the clock-everything
 # reference, run-to-run repeatability, fork-vs-cold and the fork path

@@ -145,6 +145,28 @@ func main() {
 		fatal(err)
 	}
 
+	if *debugAddr != "" {
+		// pprof lives on its own listener, in every mode, so profiling
+		// exposure is an explicit, separately-bindable decision (e.g.
+		// localhost-only while the API faces the network).
+		dmux := http.NewServeMux()
+		dmux.HandleFunc("/debug/pprof/", pprof.Index)
+		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			fatal(err)
+		}
+		logger.Info("pprof serving", "addr", "http://"+dln.Addr().String()+"/debug/pprof/")
+		go func() {
+			if err := http.Serve(dln, dmux); err != nil {
+				logger.Error("pprof server stopped", "err", err)
+			}
+		}()
+	}
+
 	if *coordinator {
 		if *workerOf != "" {
 			fatal(fmt.Errorf("-coordinator and -worker are mutually exclusive"))
@@ -213,28 +235,6 @@ func main() {
 		var actx context.Context
 		actx, agentCancel = context.WithCancel(context.Background())
 		coord.StartAgent(actx, *workerOf, "http://"+ln.Addr().String(), capacity, logger)
-	}
-
-	if *debugAddr != "" {
-		// pprof lives on its own listener so profiling exposure is an
-		// explicit, separately-bindable decision (e.g. localhost-only
-		// while the API faces the network).
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		logger.Info("pprof serving", "addr", "http://"+dln.Addr().String()+"/debug/pprof/")
-		go func() {
-			if err := http.Serve(dln, dmux); err != nil {
-				logger.Error("pprof server stopped", "err", err)
-			}
-		}()
 	}
 
 	httpSrv := &http.Server{Handler: srv.Handler()}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -245,6 +246,28 @@ func TestObsSmoke(t *testing.T) {
 	if err := d.wait(60 * time.Second); err != nil {
 		t.Fatalf("drain was not clean: %v", err)
 	}
+}
+
+// TestCoordinatorServesPprof: -debug-addr is honoured in every mode,
+// the coordinator's included — its listener is up by the time the
+// coordinator announces its own address.
+func TestCoordinatorServesPprof(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "ipcpd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building ipcpd: %v\n%s", err, out)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	debugAddr := ln.Addr().String()
+	ln.Close()
+	cd := startCoordinator(t, bin, []string{
+		"-coordinator", "-addr", "127.0.0.1:0", "-data-dir", t.TempDir(), "-debug-addr", debugAddr,
+	})
+	mustGet(t, "http://"+debugAddr+"/debug/pprof/", http.StatusOK)
+	mustGet(t, "http://"+debugAddr+"/debug/pprof/cmdline", http.StatusOK)
+	sigtermAndWait(t, cd)
 }
 
 // getBody fetches a URL (with optional headers) and returns the body.

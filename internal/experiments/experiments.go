@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"ipcp/internal/core" // also registers the "ipcp" prefetcher
-	"ipcp/internal/memsys"
 	"ipcp/internal/prefetch"
 	"ipcp/internal/sim"
 	"ipcp/internal/telemetry"
@@ -177,14 +176,24 @@ type RunSpec struct {
 // folded onto one: an IPCP variant always names l1d "ipcp", a variant
 // equal to the paper's configuration IS the registered "ipcp", "none"
 // is "", and a core count that restates the workload count is 0.
+//
+// It never turns a spec Validate refuses into one it accepts: a served
+// job is found by Key before its submission is validated, so equal keys
+// must mean equal validity. That is why a variant beside another l1d
+// ("none" included) is left as written.
 func (r RunSpec) normalised() RunSpec {
-	if r.IPCPL1 != nil {
+	switch {
+	case r.IPCPL1 == nil:
+		if r.L1D == "none" {
+			r.L1D = ""
+		}
+	case r.L1D == "" || r.L1D == "ipcp":
 		r.L1D = "ipcp"
 		if reflect.DeepEqual(*r.IPCPL1, core.DefaultL1Config()) {
 			r.IPCPL1 = nil
 		}
 	}
-	for _, name := range []*string{&r.L1D, &r.L2, &r.LLC} {
+	for _, name := range []*string{&r.L2, &r.LLC} {
 		if *name == "none" {
 			*name = ""
 		}
@@ -233,7 +242,7 @@ func (r RunSpec) Validate() error {
 		return fmt.Errorf("cores (%d) must be 0 or match the workload count (%d)", r.Cores, len(r.Workloads))
 	}
 	for _, p := range []string{r.L1D, r.L2, r.LLC} {
-		if _, err := prefetch.New(p, memsys.LevelL1D); err != nil {
+		if err := prefetch.Check(p); err != nil {
 			return err
 		}
 	}

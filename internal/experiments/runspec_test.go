@@ -229,9 +229,16 @@ func TestRunSpecValidate(t *testing.T) {
 		"temporal not 2^n":     {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.TemporalEntries = 1000 })},
 		"empty rst":            {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.RSTEntries = 0 })},
 	}
+	bad["paper variant beside spp"] = RunSpec{Workloads: one, L1D: "spp", IPCPL1: with(func(*core.L1Config) {})}
+	bad["variant beside none"] = RunSpec{Workloads: one, L1D: "none", IPCPL1: with(func(c *core.L1Config) { c.DegreeGS = 4 })}
 	for name, spec := range bad {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+		// A submission is coalesced by Key before it is validated, so no
+		// refused spec may share its identity with an accepted one.
+		if err := spec.normalised().Validate(); err == nil {
+			t.Errorf("%s: refused, but its normalised form %s is accepted", name, spec.Key())
 		}
 	}
 	s := NewSession(tiny)

@@ -44,3 +44,21 @@ func TestFillAtByName(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckAgreesWithNew: Check accepts exactly the names New builds,
+// refuses the rest with New's own error, and allocates nothing doing it.
+func TestCheckAgreesWithNew(t *testing.T) {
+	names := []string{"", "@l2", "none@llc", "ipstride@l9", "ipstride@", "warp-drive", "warp-drive@l2", "ipstride@l2@llc"}
+	for _, n := range Names() {
+		names = append(names, n, n+"@l1d", n+"@l2", n+"@llc")
+	}
+	for _, name := range names {
+		_, newErr := New(name, memsys.LevelL1D)
+		if err := Check(name); (err == nil) != (newErr == nil) || (err != nil && err.Error() != newErr.Error()) {
+			t.Errorf("Check(%q) = %v, New says %v", name, err, newErr)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Check("ipstride@l2") }); n != 0 {
+		t.Errorf("Check allocates %v times per call; it must construct nothing", n)
+	}
+}

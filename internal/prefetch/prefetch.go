@@ -153,25 +153,46 @@ var fillLevels = map[string]Level{"l1d": memsys.LevelL1D, "l2": memsys.LevelL2, 
 // <name> wrapped in FillAt — it learns at the cache it is attached to
 // and fills only up to the named level (the paper's Fig. 1).
 func New(name string, level Level) (Prefetcher, error) {
-	if name == "" || name == "none" {
-		return Nil{}, nil
+	f, fill, err := parse(name)
+	if err != nil {
+		return nil, err
 	}
-	if base, at, ok := strings.Cut(name, "@"); ok {
-		fill, known := fillLevels[at]
-		if !known {
-			return nil, fmt.Errorf("prefetch: unknown fill level in %q (want @l1d, @l2 or @llc)", name)
-		}
-		inner, err := New(base, level)
-		if err != nil {
-			return nil, err
-		}
-		return FillAt{Inner: inner, Level: fill}, nil
+	var p Prefetcher = Nil{}
+	if f != nil {
+		p = f(level)
 	}
-	f, ok := registry[name]
+	if fill != memsys.LevelCore {
+		p = FillAt{Inner: p, Level: fill}
+	}
+	return p, nil
+}
+
+// Check reports whether New accepts name, without constructing anything:
+// a factory cannot fail, so a name that parses is a name that builds.
+func Check(name string) error {
+	_, _, err := parse(name)
+	return err
+}
+
+// parse resolves a prefetcher name to its factory (nil for "none" or
+// empty) and, for "<name>@<level>", the level it fills up to (LevelCore,
+// never a fill level, when there is no suffix).
+func parse(name string) (Factory, Level, error) {
+	base, at, ok := strings.Cut(name, "@")
+	fill := memsys.LevelCore
+	if ok {
+		if fill, ok = fillLevels[at]; !ok {
+			return nil, 0, fmt.Errorf("prefetch: unknown fill level in %q (want @l1d, @l2 or @llc)", name)
+		}
+	}
+	if base == "" || base == "none" {
+		return nil, fill, nil
+	}
+	f, ok := registry[base]
 	if !ok {
-		return nil, fmt.Errorf("prefetch: unknown prefetcher %q (known: %v)", name, Names())
+		return nil, 0, fmt.Errorf("prefetch: unknown prefetcher %q (known: %v)", base, Names())
 	}
-	return f(level), nil
+	return f, fill, nil
 }
 
 // Names returns the sorted registered prefetcher names.

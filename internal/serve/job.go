@@ -73,6 +73,7 @@ type Job struct {
 	result     *sim.Result
 	report     *experiments.Report
 	replayRep  *reportView // journal-replayed report (original lost to the crash)
+	body       []byte      // the terminal view's GET body, once rendered (see render)
 	started    time.Time
 	finished   time.Time
 	events     []JobEvent
@@ -297,9 +298,29 @@ type failedView struct {
 	Error string `json:"error"`
 }
 
+// render is the job's GET body. A terminal view never changes, so the
+// first render of a terminal job encodes it and every later one serves
+// those bytes; a live view is encoded per call.
+func (j *Job) render() []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.body != nil {
+		return j.body
+	}
+	body := encodeJSON(j.viewLocked())
+	if j.state.terminal() {
+		j.body = body
+	}
+	return body
+}
+
 func (j *Job) view() jobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.viewLocked()
+}
+
+func (j *Job) viewLocked() jobView {
 	v := jobView{
 		ID:        j.ID,
 		Kind:      j.Kind,

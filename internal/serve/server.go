@@ -29,6 +29,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -227,9 +228,11 @@ func New(opts Options) (*Server, error) {
 		// Done and still-queued runs pin the coalescing key so
 		// identical submissions after the restart share them; stalled
 		// and failed replays don't (their retry semantics match the
-		// live eviction rules).
+		// live eviction rules). Neither does a spec today's rules
+		// refuse: a submission is coalesced before it is validated, so
+		// byKey may only hold specs that validate.
 		if st := j.State(); j.Kind == KindRun && j.key != "" &&
-			(st == StateQueued || st == StateDone) {
+			(st == StateQueued || st == StateDone) && j.Spec.Validate() == nil {
 			s.byKey[j.key] = j
 		}
 		if !j.State().terminal() {
@@ -383,22 +386,9 @@ var (
 // acknowledged, so the caller's 202 implies crash-durability.
 func (s *Server) submit(j *Job) (*Job, bool, error) {
 	s.mu.Lock()
-	if s.draining {
-		s.rejected.Inc()
+	if exist, err := s.coalesceLocked(j.key); err != nil || exist != nil {
 		s.mu.Unlock()
-		return nil, false, errDraining
-	}
-	if j.Kind == KindRun {
-		if exist, ok := s.byKey[j.key]; ok {
-			// HTTP-level coalescing: the identical run is already
-			// queued, running or done — share its job. Identical runs
-			// reached through *different* entry points (a run job and
-			// an experiment job touching the same spec) are coalesced
-			// one layer down, by the session's single-flight cache.
-			s.coalesced.Inc()
-			s.mu.Unlock()
-			return exist, true, nil
-		}
+		return exist, exist != nil, err
 	}
 	// Deadline-aware shedding: if any already-queued job has blown past
 	// its own absolute deadline while waiting, the backlog is doomed —
@@ -445,6 +435,26 @@ func (s *Server) submit(j *Job) (*Job, bool, error) {
 	_ = chaos.At("queue.handoff")
 	s.appendOrWarn(submitRecord(j, seq))
 	return j, false, nil
+}
+
+// coalesceLocked is admission's first step: refused while draining,
+// else the job already serving key (nil when none). Callers hold s.mu.
+// An experiments job's key is "", which byKey never holds.
+func (s *Server) coalesceLocked(key string) (*Job, error) {
+	if s.draining {
+		s.rejected.Inc()
+		return nil, errDraining
+	}
+	// HTTP-level coalescing: the identical run is already queued,
+	// running or done — share its job. Identical runs reached through
+	// *different* entry points (a run job and an experiment job touching
+	// the same spec) are coalesced one layer down, by the session's
+	// single-flight cache.
+	exist := s.byKey[key]
+	if exist != nil {
+		s.coalesced.Inc()
+	}
+	return exist, nil
 }
 
 // lookup finds a job by id.
@@ -684,10 +694,12 @@ type RunRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+var errNegativeTimeout = errors.New("timeout_ms must be >= 0")
+
 // Validate is the spec's own validation plus the timeout's.
 func (r *RunRequest) Validate() error {
 	if r.TimeoutMS < 0 {
-		return errors.New("timeout_ms must be >= 0")
+		return errNegativeTimeout
 	}
 	return r.RunSpec.Validate()
 }
@@ -728,11 +740,26 @@ func (s *Server) Handler() http.Handler {
 // coordinator's HTTP surface shares it (and WriteError, DecodeRequest,
 // WantsPrometheus) so both daemons speak one dialect.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	writeBody(w, code, encodeJSON(v))
+}
+
+// encodeJSON renders v the way WriteJSON sends it: indented one space,
+// newline-terminated (empty if v does not encode).
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", " ")
 	_ = enc.Encode(v)
+	return buf.Bytes()
+}
+
+// writeBody answers with an encoded JSON body under status code.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
 }
 
 // WriteError answers with {"error": err} under status code.
@@ -826,18 +853,31 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, code, err)
 		return
 	}
-	if err := req.Validate(); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	if req.TimeoutMS < 0 {
+		WriteError(w, http.StatusBadRequest, errNegativeTimeout)
 		return
 	}
-	j := newJob(KindRun)
-	j.Spec = &req
-	j.Timeout = s.timeout(req.TimeoutMS)
-	j.key = req.Key()
-	j.RequestID = telemetry.RequestIDFrom(r.Context())
-	j.parentSpan = httpSpan(r.Context()).ID()
-
-	admitted, coalesced, err := s.submit(j)
+	// A run's identity is its content and byKey holds only specs that
+	// validate, so a submission whose key is already served is valid
+	// too: it is answered before it is validated or a job is built.
+	key := req.Key()
+	s.mu.Lock()
+	admitted, err := s.coalesceLocked(key)
+	s.mu.Unlock()
+	coalesced := admitted != nil
+	if err == nil && !coalesced {
+		if err := req.RunSpec.Validate(); err != nil {
+			WriteError(w, http.StatusBadRequest, err)
+			return
+		}
+		j := newJob(KindRun)
+		j.Spec = &req
+		j.Timeout = s.timeout(req.TimeoutMS)
+		j.key = key
+		j.RequestID = telemetry.RequestIDFrom(r.Context())
+		j.parentSpan = httpSpan(r.Context()).ID()
+		admitted, coalesced, err = s.submit(j)
+	}
 	if err != nil {
 		writeAdmissionError(w, err)
 		return
@@ -904,7 +944,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	WriteJSON(w, http.StatusOK, j.view())
+	writeBody(w, http.StatusOK, j.render())
 }
 
 // progressLine is the JSONL rendering of a live progress report, both

@@ -103,15 +103,29 @@ func TestVariantRunsOverHTTP(t *testing.T) {
 // panic — and validating means assembling the sim.Config (specConfig)
 // and putting it through the simulator's own Validate, so that leg runs
 // on every input that gets that far. Whatever validates has an identity
-// (Key, WarmupKey) that survives its own re-encoding.
+// (Key, WarmupKey) that survives its own re-encoding. And because a
+// submission is coalesced by Key before it is validated, a body and its
+// normalised form (the spec its Key decodes to) validate alike.
 func FuzzRunRequest(f *testing.F) {
 	f.Add([]byte(benchRunBody))
 	f.Add([]byte(`{"l1d":["","nl","ipstride","ipcp","spp","bop"],"l2":["","ipcp"],"seed":7,"workloads":["mcf-994","lbm-94","gcc-2226","bwaves-2931"]}`))
 	f.Add([]byte(`{"workloads":["mcf-994"],"l2":"ipcp","ipcp_l1":{"degree_cplx":4,"signature_bits":9,"cspt_entries":512,"priority":["CS","GS","CPLX","NL"]}}`))
 	f.Add([]byte(`{"workloads":["lbm-94","mcf-994"],"l1d":"ipstride@l2","llc_sets_per_core":1024,"timeout_ms":5}`))
+	f.Add([]byte(`{"workloads":["mcf-994"],"l1d":"none","ipcp_l1":{"degree_gs":4}}`))
+	f.Add([]byte(`{"workloads":["mcf-994"],"l1d":"spp","ipcp_l1":{}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req RunRequest
-		if json.Unmarshal(body, &req) != nil || req.Validate() != nil {
+		if json.Unmarshal(body, &req) != nil {
+			return
+		}
+		var norm experiments.RunSpec
+		if err := json.Unmarshal([]byte(req.Key()), &norm); err != nil {
+			t.Fatalf("key %s does not decode: %v", req.Key(), err)
+		}
+		if valid, normValid := req.RunSpec.Validate() == nil, norm.Validate() == nil; valid != normValid {
+			t.Fatalf("%s validates %v, its normalised form %s validates %v", body, valid, req.Key(), normValid)
+		}
+		if req.Validate() != nil {
 			return
 		}
 		key, wkey := req.Key(), experiments.WarmupKey(tiny, req.RunSpec)
