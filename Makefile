@@ -50,13 +50,16 @@ pairs:
 # single_stream and single_pointer, its exact command line over SEEDS
 # seeds under -cpuprofile, merged; for serve_repeat and serve_cold, the
 # daemon's /debug/pprof/profile over S seconds of the harness-shaped
-# client loop (see scripts/profile.sh).
+# client loop; for sweep_grid, the coordinator's and both workers'
+# profiles over S seconds of back-to-back 48-point sweeps (see
+# scripts/profile.sh).
 #   make profile W=mix8 SEEDS=30
 #   make profile W=serve_repeat S=15
+#   make profile W=sweep_grid S=15
 SEEDS ?= 30
 profile:
-	@test -n "$(W)" || { echo "usage: make profile W=mix8|single_stream|single_pointer [SEEDS=30] | W=serve_repeat|serve_cold [S=15]"; exit 2; }
-	bash scripts/profile.sh $(W) $(if $(filter serve_%,$(W)),$(S),$(SEEDS))
+	@test -n "$(W)" || { echo "usage: make profile W=mix8|single_stream|single_pointer [SEEDS=30] | W=serve_repeat|serve_cold|sweep_grid [S=15]"; exit 2; }
+	bash scripts/profile.sh $(W) $(if $(filter serve_% sweep_grid,$(W)),$(S),$(SEEDS))
 
 # Golden equivalence: the wake-gated scheduler vs the clock-everything
 # reference, run-to-run repeatability, fork-vs-cold and the fork path
@@ -80,15 +83,18 @@ audit:
 
 # Brief fuzz passes (longer runs: raise -fuzztime): the trace reader,
 # the two frame codecs every durable file goes through (internal/store),
-# the checkpoint entry decoder on top of them, and the one request body
-# both daemons decode (POST /v1/runs, every /v1/sweeps point: decode →
-# validate → derived keys). `go test -fuzz` takes one fuzz target per
-# run.
+# the checkpoint entry decoder on top of them, the warmup snapshot a fork
+# decodes and restores, and the one request body both daemons decode
+# (POST /v1/runs, every /v1/sweeps point: decode → validate → derived
+# keys). `go test -fuzz` takes one fuzz target per run. The snapshot
+# seeds are ~20 KB, so minimizing each new input is capped: uncapped, it
+# takes the whole pass.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReader$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzUnframe$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzNextRecord$$' -fuzztime=10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime=10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime=10s
 
 # End-to-end daemon smoke: build the real ipcpd binary, boot it on an

@@ -9,12 +9,15 @@ import (
 
 // Snapshot/restore support. A core is only captured at quiescence —
 // empty ROB, empty load queue, no in-flight code read — so the state is
-// pure data plus the trace-stream position, which is restored by
-// replaying the deterministic stream (exactly mirroring dispatch's
-// Next/Reset pattern) rather than serializing generator closures.
+// pure data, the trace stream's position included: a core can be
+// captured only if its stream is a trace.Seeker, and restore seeks a
+// fresh stream there instead of regenerating what came before.
 
 // State captures a quiescent core.
 type State struct {
+	// Stream is where the core's stream reads next, after Seq
+	// instructions.
+	Stream          trace.Position
 	Seq             int64
 	SeqCode         int64
 	StreamEnded     bool
@@ -59,7 +62,12 @@ func (c *Core) CaptureState() (State, error) {
 		return State{}, fmt.Errorf("cpu: core %d not quiescent (rob=%d loadq=%d code=%d)",
 			c.ID, c.robCount, c.loadQ.size, c.codeSeq)
 	}
+	sk, ok := c.stream.(trace.Seeker)
+	if !ok {
+		return State{}, fmt.Errorf("cpu: core %d: stream %T cannot report its position", c.ID, c.stream)
+	}
 	return State{
+		Stream:          sk.Position(),
 		Seq:             c.seq,
 		SeqCode:         c.seqCode,
 		StreamEnded:     c.streamEnded,
@@ -76,25 +84,30 @@ func (c *Core) CaptureState() (State, error) {
 	}, nil
 }
 
+// SeekStream moves a fresh stream — the same generator and seed the
+// captured core read — to the position s records.
+func (s State) SeekStream(stream trace.Stream) error {
+	sk, ok := stream.(trace.Seeker)
+	if !ok {
+		return fmt.Errorf("cpu: stream %T cannot seek", stream)
+	}
+	return sk.Seek(s.Stream, s.Seq)
+}
+
 // RestoreState overwrites a freshly constructed core (same config, a
-// fresh deterministic stream from the same generator and seed, and an
-// allocator already replayed to the captured position) with s. The
-// stream is advanced by replaying Seq successful Next calls using
-// dispatch's exact consume pattern, so the generator's internal state
-// matches the original core's bit for bit. now is the cycle the restored
-// system resumes at: s.Stats already accounts every cycle before it.
+// fresh stream from the same generator and seed, and an allocator
+// already replayed to the captured position) with s, seeking the stream
+// to the captured position. now is the cycle the restored system resumes
+// at: s.Stats already accounts every cycle before it.
 func (c *Core) RestoreState(s State, now int64) error {
 	if len(s.BPTable) != len(c.bp.table) {
 		return fmt.Errorf("cpu: branch predictor geometry mismatch")
 	}
-	var in trace.Instr
-	for i := int64(0); i < s.Seq; i++ {
-		if !c.stream.Next(&in) {
-			c.stream.Reset()
-			if !c.stream.Next(&in) {
-				return fmt.Errorf("cpu: stream exhausted at replay %d/%d", i, s.Seq)
-			}
-		}
+	if err := s.SeekStream(c.stream); err != nil {
+		return fmt.Errorf("cpu: core %d: %w", c.ID, err)
+	}
+	if err := c.tlb.SetState(s.TLB); err != nil {
+		return fmt.Errorf("cpu: core %d: %w", c.ID, err)
 	}
 	c.seq = s.Seq
 	c.seqCode = s.SeqCode
@@ -109,7 +122,6 @@ func (c *Core) RestoreState(s State, now int64) error {
 	c.lastFetchBlock = s.LastFetchBlock
 	c.codeIssuedAt = s.CodeIssuedAt
 	copy(c.bp.table, s.BPTable)
-	c.tlb.SetState(s.TLB)
 	c.pt.SetState(s.PageTable)
 	c.Stats = s.Stats
 	c.acct = now

@@ -333,13 +333,15 @@ const parentResultJSON = `{"Cores":1,"Instructions":20000,"CyclesPerCore":null,"
 // quarantined. (The spec string inside the entry, and the address
 // derived from it, follow RunSpec.Key: the content-derived key replaced
 // the 14-verb format, so a checkpoint written under that format is
-// simply never looked up — the layout and framing are what is pinned.)
+// simply never looked up — the layout and framing are what is pinned.
+// Likewise the spill sits at its `ipcp-snap-v2` address: a v1 spill,
+// whose streams were replayed rather than sought, is never looked up.)
 func TestCacheDirReadsParentLayout(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
 		"b8/b8f684310ab9583665c0a36558a30857d530a1f3a85af4510d641a7d4dd545aa.json": "ipcp-ckpt-v2 733 53516ad0\n" +
 			`{"spec":"{\"workloads\":[\"bwaves-98\"]}","result":` + parentResultJSON + `}`,
-		"5c/5c7d91d7f8a074266835dda1155decb167ca130856b4a58cbe181cd6fa399e86.blob": "ipcp-blob-v1 21 c0b6f627\nwarmup snapshot bytes",
+		"5f/5fad0d027bdef372557223a329d0fb5cabca647a41239b06480683d29d901d34.blob": "ipcp-blob-v1 21 c0b6f627\nwarmup snapshot bytes",
 	}
 	for rel, data := range files {
 		p := filepath.Join(dir, rel)

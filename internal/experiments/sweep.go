@@ -10,6 +10,7 @@ import (
 
 	"ipcp/internal/sim"
 	"ipcp/internal/telemetry"
+	"ipcp/internal/trace"
 )
 
 // --- Shared-warmup sweep scheduling --------------------------------------
@@ -68,8 +69,10 @@ func (s *Session) warmupKey(spec RunSpec) string {
 }
 
 // snapDiskKey is the content address of a warmup snapshot's disk spill.
+// The version names the snapshot layout: v2 carries stream positions, so
+// a v1 spill (replayed streams) hashes to an address nothing asks for.
 func (s *Session) snapDiskKey(wkey string) string {
-	h := sha256.Sum256(fmt.Appendf(nil, "ipcp-snap-v1|%s", wkey))
+	h := sha256.Sum256(fmt.Appendf(nil, "ipcp-snap-v2|%s", wkey))
 	return hex.EncodeToString(h[:])
 }
 
@@ -154,15 +157,20 @@ func (s *Session) executeShared(ctx context.Context, spec RunSpec) (*sim.Result,
 		s.executed++
 		s.forkedRuns++
 		s.mu.Unlock()
+		// A fork's trace reads restore | measure.
+		_, rsp := telemetry.StartSpan(runCtx, "sim.restore")
 		sys, err := s.buildShared(spec)
+		if err == nil {
+			defer s.release(sys)
+			if err = sys.RestoreSnapshot(snap); err == nil {
+				err = sys.AttachPrefetchers()
+			}
+		}
 		if err != nil {
-			return nil, err
+			rsp.SetAttr("error", err.Error())
 		}
-		defer s.release(sys)
-		if err := sys.RestoreSnapshot(snap); err != nil {
-			return nil, err
-		}
-		if err := sys.AttachPrefetchers(); err != nil {
+		rsp.End()
+		if err != nil {
 			return nil, err
 		}
 		return sys.RunMeasure(runCtx, s.Scale.Measure)
@@ -235,7 +243,7 @@ func (s *Session) snapshotFor(ctx context.Context, spec RunSpec) (*sim.Snapshot,
 			}
 			// Evicted from memory: re-load the disk spill.
 			s.snapMu.Unlock()
-			if snap, ok := s.loadSnapshotSpill(ctx, wkey); ok {
+			if snap, ok := s.loadSnapshotSpill(ctx, spec, wkey); ok {
 				return snap, nil
 			}
 			// The spill is gone (cache wiped, quarantined, or no cache
@@ -282,7 +290,7 @@ func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *
 	if err := firstError(ctx.Err(), s.ctx.Err()); err != nil {
 		return resolve(nil, err, false)
 	}
-	if snap, ok := s.loadSnapshotSpill(ctx, wkey); ok {
+	if snap, ok := s.loadSnapshotSpill(ctx, spec, wkey); ok {
 		return resolve(snap, nil, true)
 	}
 
@@ -328,17 +336,24 @@ func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *
 	return snap, nil
 }
 
-// loadSnapshotSpill loads and decodes a spilled snapshot. A blob that
-// fails its frame check or its gob decoding is quarantined by the disk
-// cache (never trusted) and reads as a miss.
-func (s *Session) loadSnapshotSpill(ctx context.Context, wkey string) (snap *sim.Snapshot, ok bool) {
+// loadSnapshotSpill loads and decodes a spilled snapshot of spec's
+// warmup. A blob that fails its frame check, its gob decoding, or whose
+// stream positions spec's own streams refuse to seek to is quarantined
+// by the disk cache (never trusted) and reads as a miss.
+func (s *Session) loadSnapshotSpill(ctx context.Context, spec RunSpec, wkey string) (snap *sim.Snapshot, ok bool) {
 	if s.disk == nil {
 		return nil, false
 	}
 	_, lsp := telemetry.StartSpan(ctx, "snapshot.load")
 	defer lsp.End()
 	ok = s.disk.loadBlob(s.snapDiskKey(wkey), func(data []byte) (err error) {
-		if snap, err = sim.DecodeSnapshot(data); err != nil {
+		if snap, err = sim.DecodeSnapshot(data); err == nil {
+			var streams []trace.Stream
+			if streams, err = s.specStreams(spec); err == nil {
+				err = snap.SeekStreams(streams)
+			}
+		}
+		if err != nil {
 			lsp.SetAttr("error", err.Error())
 		}
 		return err

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"log/slog"
 	"testing"
 
 	"ipcp/internal/chaos"
@@ -173,6 +175,49 @@ func TestSweepSnapshotSpillResume(t *testing.T) {
 	}
 	if st.ForkedRuns != 1 {
 		t.Errorf("ForkedRuns = %d, want 1", st.ForkedRuns)
+	}
+}
+
+// TestSweepSpillWithUnreachablePositionRewarms: a spill that decodes but
+// whose stream position the spec's own streams refuse to seek to (a loop
+// slot past the loop body) is quarantined inside the spill's accept
+// callback, and the warmup re-runs instead of forking from it.
+func TestSweepSpillWithUnreachablePositionRewarms(t *testing.T) {
+	dir := t.TempDir()
+	spec := RunSpec{Workloads: []string{"mcf-994"}, L1D: "ipcp"}
+	s1 := NewSession(sweepScale)
+	if err := s1.SetCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.RunShared(spec); err != nil {
+		t.Fatal(err)
+	}
+	s1.Flush()
+	key := s1.snapDiskKey(s1.warmupKey(spec))
+	var snap *sim.Snapshot
+	if !s1.disk.loadBlob(key, func(p []byte) (err error) { snap, err = sim.DecodeSnapshot(p); return err }) {
+		t.Fatal("the warmup was not spilled")
+	}
+	snap.Cores[0].Stream.Cursor[0] = 1 << 40
+	data, err := sim.EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.disk.storeBlob(key, data)
+
+	s2 := NewSession(sweepScale)
+	s2.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	if err := s2.SetCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	novel := spec
+	novel.L1D = "spp"
+	if _, err := s2.RunShared(novel); err != nil {
+		t.Fatal(err)
+	}
+	s2.Flush()
+	if st := s2.Stats(); st.Quarantined != 1 || st.SnapshotDiskHits != 0 || st.SnapshotMisses != 1 || st.ForkedRuns != 1 {
+		t.Errorf("stats = %+v, want the spill quarantined (1), no snapshot disk hit, one re-run warmup and one fork", st)
 	}
 }
 

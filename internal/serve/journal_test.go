@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -476,5 +477,63 @@ func TestJournalAppendFailureDegradesGracefully(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Journal.AppendErrors == 0 {
 		t.Fatalf("append errors not surfaced: %+v", m.Journal)
+	}
+}
+
+// TestFinishWaitsForTheCheckpointOnlyWhenJournaled parks job 1's
+// checkpoint write at its chaos point on a one-worker server. A
+// journaling worker must not write job 1's finish record before that
+// checkpoint lands, so job 2 waits in the queue; a worker with no
+// journal has nothing to order and runs job 2 while the write is parked.
+func TestFinishWaitsForTheCheckpointOnlyWhenJournaled(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		t.Run("journaled="+strconv.FormatBool(journaled), func(t *testing.T) {
+			held, letGo := make(chan struct{}), make(chan struct{})
+			var once, release sync.Once
+			in := chaos.New(1)
+			in.Add(chaos.Rule{Point: "checkpoint.save", Kind: chaos.KindCrash})
+			// The first "crash" parks the writer in front of job 1's file;
+			// later saves pass.
+			in.SetCrashFunc(func(string) { once.Do(func() { close(held); <-letGo }) })
+			chaos.Enable(in)
+			t.Cleanup(func() { chaos.Enable(nil) })
+
+			opts := Options{Workers: 1, CacheDir: t.TempDir()}
+			if journaled {
+				opts.JournalDir = t.TempDir()
+			}
+			s := newTestServer(t, opts)
+			letGoNow := func() { release.Do(func() { close(letGo) }) }
+			t.Cleanup(letGoNow) // before Close, whose flush would wait on the parked write
+
+			run := func(seed int64) string {
+				req := RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, Seed: seed}}
+				return s.submitRun(t, req, http.StatusAccepted).ID
+			}
+			s.await(t, run(9101), 10*time.Second)
+			select {
+			case <-held:
+			case <-time.After(30 * time.Second):
+				t.Fatal("job 1's checkpoint write never reached its chaos point")
+			}
+			second := run(9102)
+			if !journaled {
+				if v := s.await(t, second, 10*time.Second); v.Status != StateDone {
+					t.Fatalf("job 2 = %+v", v)
+				}
+				if got := s.Session().Stats().PendingSaves; got != 2 {
+					t.Errorf("pending saves with job 1's write parked = %d, want 2 (job 1's and job 2's)", got)
+				}
+				return
+			}
+			time.Sleep(100 * time.Millisecond)
+			if _, body := s.get(t, "/v1/runs/"+second); !bytes.Contains(body, []byte(`"status": "queued"`)) {
+				t.Fatalf("job 2 left the queue while job 1's checkpoint was parked: %s", body)
+			}
+			letGoNow()
+			if v := s.await(t, second, 10*time.Second); v.Status != StateDone {
+				t.Fatalf("job 2 = %+v", v)
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ipcp/internal/experiments"
+	"ipcp/internal/telemetry"
 	"ipcp/internal/trace"
 	"ipcp/internal/workload"
 )
@@ -482,6 +483,30 @@ func TestSharedWarmupServer(t *testing.T) {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("prometheus exposition lacks %q", want)
 		}
+	}
+
+	// The forked job's session.run reads restore | measure: a sim.restore
+	// child that ends before its sim.measure sibling starts.
+	var run, restore, measure *telemetry.Span
+	for _, sp := range s.Spans().Snapshot() {
+		if sp.JobID != b.ID {
+			continue
+		}
+		switch sp := sp; sp.Name {
+		case "session.run":
+			run = &sp
+		case "sim.restore":
+			restore = &sp
+		case "sim.measure":
+			measure = &sp
+		}
+	}
+	if run == nil || restore == nil || measure == nil {
+		t.Fatalf("forked job %s lacks a session.run, sim.restore or sim.measure span", b.ID)
+	}
+	if restore.Parent != run.ID || measure.Parent != run.ID || measure.Start.Before(restore.Start.Add(restore.Dur)) {
+		t.Errorf("sim.restore (parent %d, %v+%v) and sim.measure (parent %d, start %v) are not consecutive children of session.run %d",
+			restore.Parent, restore.Start, restore.Dur, measure.Parent, measure.Start, run.ID)
 	}
 
 	// Both jobs' spans are tagged as shared-warmup runs.

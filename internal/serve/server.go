@@ -632,17 +632,15 @@ func (s *Server) runJob(j *Job) {
 		s.mu.Unlock()
 	}
 	// The job is terminal and visible; what follows is off its latency.
-	// The worker waits out the session's write-behind queue before it
-	// journals the finish, for two reasons. Order: a finish record then
-	// implies its checkpoint is on disk, so a crash in between re-runs
-	// the job as a disk hit instead of leaving a finished job whose
-	// result lives only in the journal. And CPU: on a host whose
-	// processors are all simulating, a writer goroutine coming back from
-	// an fsync finds none free for up to a scheduler quantum per
-	// syscall; this worker blocking here is what frees one, so the file
-	// lands an fsync after `done`, not tens of milliseconds. It also
-	// bounds the checkpoints in flight by the worker count.
-	s.session.Flush()
+	// A journaling worker waits out the session's write-behind queue
+	// before it journals the finish, so a finish record implies its
+	// checkpoint is on disk: a crash in between re-runs the job as a disk
+	// hit instead of leaving a finished job whose result lives only in
+	// the journal. Without a journal there is nothing to order, so the
+	// worker takes its next job and the checkpoint's fsync overlaps it.
+	if s.journal != nil {
+		s.session.Flush()
+	}
 	s.journalFinish(j, st, err)
 }
 

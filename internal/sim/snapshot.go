@@ -11,6 +11,7 @@ import (
 	"ipcp/internal/dram"
 	"ipcp/internal/memsys"
 	"ipcp/internal/telemetry"
+	"ipcp/internal/trace"
 	"ipcp/internal/vmem"
 )
 
@@ -184,10 +185,11 @@ func (s *System) Snapshot() (*Snapshot, error) {
 
 // RestoreSnapshot forks a freshly built CacheWarmOnly system from snap:
 // after it returns, the system is in exactly the state the snapshotted
-// system was in at its drain point, including the trace generators'
-// positions (replayed, not copied — the streams must be fresh instances
-// of the same deterministic generators). Continue with
-// AttachPrefetchers + RunMeasure.
+// system was in at its drain point, including the trace streams'
+// positions (sought, not regenerated — the streams must be fresh
+// instances of the same generators). Continue with AttachPrefetchers +
+// RunMeasure. A snapshot the system could not have produced — decoded
+// from damaged bytes, say — is an error, never a panic.
 func (s *System) RestoreSnapshot(snap *Snapshot) error {
 	if !s.cfg.CacheWarmOnly {
 		return fmt.Errorf("sim: RestoreSnapshot requires Config.CacheWarmOnly")
@@ -201,8 +203,18 @@ func (s *System) RestoreSnapshot(snap *Snapshot) error {
 	if sig := ConfigSignature(s.cfg); sig != snap.Sig {
 		return fmt.Errorf("sim: snapshot signature mismatch:\n  snapshot: %s\n  system:   %s", snap.Sig, sig)
 	}
-	if len(snap.Cores) != len(s.cores) {
+	n := len(s.cores)
+	if len(snap.Cores) != n || len(snap.L1Is) != n || len(snap.L1Ds) != n || len(snap.L2s) != n {
 		return fmt.Errorf("sim: snapshot core count mismatch")
+	}
+	// Only a page-table miss allocates a frame, so the allocator's
+	// position is the mapped page count; checking it bounds the replay.
+	pages := uint64(0)
+	for i := range snap.Cores {
+		pages += uint64(len(snap.Cores[i].PageTable.Pages))
+	}
+	if snap.Alloc.Allocs != pages {
+		return fmt.Errorf("sim: snapshot allocator at %d frames, page tables map %d", snap.Alloc.Allocs, pages)
 	}
 	s.alloc.Replay(snap.Alloc)
 	for i := range s.cores {
@@ -226,6 +238,21 @@ func (s *System) RestoreSnapshot(snap *Snapshot) error {
 		return err
 	}
 	s.cycle = snap.Cycle
+	return nil
+}
+
+// SeekStreams moves fresh streams, one per core, to the positions snap
+// recorded — RestoreSnapshot's stream half, without a system. A position
+// the streams could not have reached is an error.
+func (snap *Snapshot) SeekStreams(streams []trace.Stream) error {
+	if len(streams) != len(snap.Cores) {
+		return fmt.Errorf("sim: snapshot has %d cores, %d streams given", len(snap.Cores), len(streams))
+	}
+	for i, st := range streams {
+		if err := snap.Cores[i].SeekStream(st); err != nil {
+			return fmt.Errorf("sim: core %d: %w", i, err)
+		}
+	}
 	return nil
 }
 

@@ -60,6 +60,31 @@ type Stream interface {
 	Reset()
 }
 
+// Position is where a stream's next Next reads from, as plain data: what
+// a fresh instance of the same stream (same constructor, same seed) needs
+// to resume there without producing anything before it.
+type Position struct {
+	// Seed is the generator's seed (0 for a stream that draws nothing).
+	Seed int64
+	// Draws counts the random numbers the stream has consumed.
+	Draws uint64
+	// Cursor is the stream's own state, in an order the stream defines.
+	Cursor []uint64
+}
+
+// Seeker is a Stream whose position is data. A warmup snapshot records
+// each core's Position; a fork Seeks a fresh stream there instead of
+// regenerating the warmup's instructions.
+type Seeker interface {
+	Stream
+	// Position reports where the next Next reads from.
+	Position() Position
+	// Seek moves a fresh stream to p, reported by a stream built the
+	// same way after n successful Next calls. A position that stream
+	// could not have reported is an error, and leaves the stream reset.
+	Seek(p Position, n int64) error
+}
+
 // --- Binary file format -------------------------------------------------
 //
 // Header:  magic "IPCPTRC1" (8 bytes), little-endian uint64 count
@@ -284,6 +309,22 @@ func (s *SliceStream) Next(in *Instr) bool {
 
 // Reset implements Stream.
 func (s *SliceStream) Reset() { s.pos = 0 }
+
+// Position implements Seeker: a slice stream's cursor is its index.
+func (s *SliceStream) Position() Position {
+	return Position{Cursor: []uint64{uint64(s.pos)}}
+}
+
+// Seek implements Seeker.
+func (s *SliceStream) Seek(p Position, n int64) error {
+	s.pos = 0
+	if p.Seed != 0 || p.Draws != 0 || len(p.Cursor) != 1 || p.Cursor[0] > uint64(len(s.Instrs)) || n < 0 {
+		return fmt.Errorf("trace: position (seed %d, %d draws, %d cursor words) is not one of a %d-instruction slice",
+			p.Seed, p.Draws, len(p.Cursor), len(s.Instrs))
+	}
+	s.pos = int(p.Cursor[0])
+	return nil
+}
 
 // Collect drains up to n instructions from a stream into a slice
 // (useful for tests and for writing trace files from generators).

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -135,6 +136,24 @@ func TestSliceStreamLoop(t *testing.T) {
 	for i, w := range wantIPs {
 		if got[i].IP != w {
 			t.Errorf("loop[%d].IP = %d, want %d", i, got[i].IP, w)
+		}
+	}
+}
+
+func TestSliceStreamSeek(t *testing.T) {
+	instrs := []Instr{{IP: 1}, {IP: 2}, {IP: 3}}
+	a := &SliceStream{Instrs: instrs, Loop: true}
+	Collect(a, 5)
+	b := &SliceStream{Instrs: instrs, Loop: true}
+	if err := b.Seek(a.Position(), 5); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := Collect(b, 4), Collect(a, 4); !reflect.DeepEqual(got, want) {
+		t.Errorf("after Seek: %+v, want %+v", got, want)
+	}
+	for _, p := range []Position{{Cursor: []uint64{4}}, {Cursor: nil}, {Seed: 1, Cursor: []uint64{0}}, {Draws: 1, Cursor: []uint64{0}}} {
+		if err := b.Seek(p, 5); err == nil {
+			t.Errorf("Seek accepted %+v", p)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package vmem
 
+import "fmt"
+
 // Snapshot/restore support. The virtual-memory state is pure data (page
 // maps, TLB arrays) except for the allocator's shuffle RNG, whose
 // internal state math/rand does not expose. Rather than serializing RNG
@@ -81,10 +83,10 @@ func (t *TLB) State() TLBState {
 }
 
 // SetState restores the TLB contents. The geometry must match the
-// capture; mismatched entry counts panic rather than silently corrupt.
-func (t *TLB) SetState(s TLBState) {
+// capture; a mismatched entry count is refused before anything changes.
+func (t *TLB) SetState(s TLBState) error {
 	if len(s.Entries) != len(t.entries) {
-		panic("vmem: TLB state geometry mismatch")
+		return fmt.Errorf("vmem: TLB state has %d entries, TLB has %d", len(s.Entries), len(t.entries))
 	}
 	for i, e := range s.Entries {
 		t.entries[i] = tlbEntry{vpage: e.VPage, valid: e.Valid, lru: e.LRU}
@@ -92,6 +94,7 @@ func (t *TLB) SetState(s TLBState) {
 	t.tick = s.Tick
 	t.Hits = s.Hits
 	t.Misses = s.Misses
+	return nil
 }
 
 // HierarchyState captures both TLB levels.
@@ -106,7 +109,9 @@ func (h *Hierarchy) State() HierarchyState {
 }
 
 // SetState restores the TLB hierarchy.
-func (h *Hierarchy) SetState(s HierarchyState) {
-	h.DTLB.SetState(s.DTLB)
-	h.STLB.SetState(s.STLB)
+func (h *Hierarchy) SetState(s HierarchyState) error {
+	if err := h.DTLB.SetState(s.DTLB); err != nil {
+		return err
+	}
+	return h.STLB.SetState(s.STLB)
 }

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 
 	"ipcp/internal/memsys"
 )
@@ -44,6 +46,20 @@ func newStrideSource(strideBlocks []int, footprint uint64) *strideSource {
 func (s *strideSource) reset(_ *rand.Rand) {
 	for i := range s.streams {
 		s.streams[i].cur = s.streams[i].base
+	}
+}
+
+func (s *strideSource) save(w []uint64) []uint64 {
+	for _, st := range s.streams {
+		w = append(w, st.cur)
+	}
+	return w
+}
+
+func (s *strideSource) load(c *cursor) {
+	for i := range s.streams {
+		st := &s.streams[i]
+		st.cur = c.addr(st.base, st.base+st.footprint, "stride cursor")
 	}
 }
 
@@ -101,7 +117,9 @@ func (s *cplxSource) reset(_ *rand.Rand) {
 	s.walkers = make(map[int]*cplxStream)
 }
 
-func (s *cplxSource) next(_ *rand.Rand, site int) uint64 {
+// walker returns site's walker, starting a new one at the base of the
+// site's area on first use.
+func (s *cplxSource) walker(site int) *cplxStream {
 	st := s.walkers[site]
 	if st == nil {
 		fp := s.footprint
@@ -116,6 +134,42 @@ func (s *cplxSource) next(_ *rand.Rand, site int) uint64 {
 		st.cur = st.base
 		s.walkers[site] = st
 	}
+	return st
+}
+
+// save writes the walkers in site order: a map's own order is random.
+func (s *cplxSource) save(w []uint64) []uint64 {
+	sites := make([]int, 0, len(s.walkers))
+	for site := range s.walkers {
+		sites = append(sites, site)
+	}
+	sort.Ints(sites)
+	w = append(w, uint64(len(sites)))
+	for _, site := range sites {
+		st := s.walkers[site]
+		w = append(w, uint64(site), st.cur, uint64(st.pos))
+	}
+	return w
+}
+
+func (s *cplxSource) load(c *cursor) {
+	n := c.index(c.sites+1, "cplx walker count")
+	prev := -1
+	for i := 0; i < n && c.err == nil; i++ {
+		site := c.index(c.sites, "cplx site")
+		if site <= prev {
+			c.fail("cplx site %d after site %d", site, prev)
+			return
+		}
+		prev = site
+		st := s.walker(site)
+		st.cur = c.addr(st.base, st.base+st.footprint, "cplx cursor")
+		st.pos = c.index(len(st.pattern), "cplx pattern index")
+	}
+}
+
+func (s *cplxSource) next(_ *rand.Rand, site int) uint64 {
+	st := s.walker(site)
 	addr := st.cur
 	st.cur += uint64(st.pattern[st.pos])
 	st.pos = (st.pos + 1) % len(st.pattern)
@@ -198,6 +252,18 @@ func (s *gsSource) fillRegion(rng *rand.Rand) {
 	s.qpos = 0
 }
 
+func (s *gsSource) save(w []uint64) []uint64 {
+	w = append(w, s.regionStart, uint64(len(s.queue)))
+	w = append(w, s.queue...)
+	return append(w, uint64(s.qpos))
+}
+
+func (s *gsSource) load(c *cursor) {
+	s.regionStart = c.addr(s.base, s.base+s.footprint, "gs region")
+	s.queue = c.addrs(s.queue, gsRegionLines, s.regionStart, s.regionStart+gsRegionBytes, "gs queue")
+	s.qpos = c.index(len(s.queue)+1, "gs queue position")
+}
+
 func (s *gsSource) next(rng *rand.Rand, _ int) uint64 {
 	if s.qpos >= len(s.queue) {
 		// Advance to the next region (wrapping within the footprint).
@@ -247,6 +313,16 @@ func (s *irregularSource) reset(_ *rand.Rand) {
 	s.pos = 0
 }
 
+func (s *irregularSource) save(w []uint64) []uint64 {
+	w = append(w, uint64(s.pos), uint64(len(s.hist)))
+	return append(w, s.hist...)
+}
+
+func (s *irregularSource) load(c *cursor) {
+	s.pos = c.index(math.MaxInt, "irregular history cursor")
+	s.hist = c.addrs(s.hist, s.histCap, s.base, s.base+s.footprint, "irregular history")
+}
+
 func (s *irregularSource) next(rng *rand.Rand, _ int) uint64 {
 	if len(s.hist) > 8 && rng.Float64() < s.reuse {
 		return s.hist[rng.Intn(len(s.hist))]
@@ -277,6 +353,10 @@ func newHotSource(footprint uint64) *hotSource {
 }
 
 func (s *hotSource) reset(_ *rand.Rand) { s.cur = s.base }
+
+func (s *hotSource) save(w []uint64) []uint64 { return append(w, s.cur) }
+
+func (s *hotSource) load(c *cursor) { s.cur = c.addr(s.base, s.base+s.footprint, "hot cursor") }
 
 func (s *hotSource) next(_ *rand.Rand, _ int) uint64 {
 	addr := s.cur
@@ -310,6 +390,22 @@ func (s *phaseSource) reset(rng *rand.Rand) {
 	s.cur, s.count = 0, 0
 	for _, c := range s.children {
 		c.reset(rng)
+	}
+}
+
+func (s *phaseSource) save(w []uint64) []uint64 {
+	w = append(w, uint64(s.cur), uint64(s.count))
+	for _, c := range s.children {
+		w = c.save(w)
+	}
+	return w
+}
+
+func (s *phaseSource) load(c *cursor) {
+	s.cur = c.index(len(s.children), "phase")
+	s.count = c.index(s.phaseLen+1, "phase count")
+	for _, ch := range s.children {
+		ch.load(c)
 	}
 }
 
@@ -348,6 +444,19 @@ func (m *mixSource) reset(rng *rand.Rand) {
 	}
 }
 
+func (m *mixSource) save(w []uint64) []uint64 {
+	for _, c := range m.children {
+		w = c.save(w)
+	}
+	return w
+}
+
+func (m *mixSource) load(c *cursor) {
+	for _, ch := range m.children {
+		ch.load(c)
+	}
+}
+
 func (m *mixSource) next(rng *rand.Rand, site int) uint64 {
 	c := m.children[m.order[site%len(m.order)]]
 	return c.next(rng, site)
@@ -379,6 +488,16 @@ func (s *manyIPSource) reset(_ *rand.Rand) {
 	per := s.footprint / uint64(s.numStreams)
 	for i := range s.curs {
 		s.curs[i] = s.base + uint64(i)*per
+	}
+}
+
+func (s *manyIPSource) save(w []uint64) []uint64 { return append(w, s.curs...) }
+
+func (s *manyIPSource) load(c *cursor) {
+	per := s.footprint / uint64(s.numStreams)
+	for i := range s.curs {
+		lo := s.base + uint64(i)*per
+		s.curs[i] = c.addr(lo, lo+per, "manyIP cursor")
 	}
 }
 

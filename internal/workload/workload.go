@@ -136,6 +136,8 @@ func Names(ss []Spec) []string {
 type gen struct {
 	seed int64
 	rng  *rand.Rand
+	// draws is rng's source: it counts what rng has drawn (see Position).
+	draws *countingSource
 
 	// memEvery makes every memEvery-th loop slot a memory instruction
 	// (≥2 so branch slots exist; 1 is clamped to 2).
@@ -183,9 +185,14 @@ type gen struct {
 // one of its internal streams — giving every instruction pointer a
 // consistent access pattern, as in real loop nests. reset must fully
 // reinitialize internal state (rng is freshly seeded by the caller).
+// save appends every piece of state reset initializes to w, and load
+// reads it back into a reset source, refusing values the source could
+// not have held.
 type source interface {
 	next(rng *rand.Rand, site int) (addr uint64)
 	reset(rng *rand.Rand)
+	save(w []uint64) []uint64
+	load(c *cursor)
 }
 
 func newGen(seed int64, memEvery, branchEvery int, storeFrac float64) *gen {
@@ -212,7 +219,8 @@ func max(a, b int) int {
 
 // Reset reinitializes the stream.
 func (g *gen) Reset() {
-	g.rng = rand.New(rand.NewSource(g.seed))
+	g.draws = newCountingSource(g.seed)
+	g.rng = rand.New(g.draws)
 	g.slot = 0
 	g.memIdx = 0
 	g.curLine = 0

@@ -18,8 +18,17 @@
 # SECONDS. The client is curl, not the harness's Go client, so runs/s is
 # lower than the benchmark's; the daemon's split is what to read.
 #
+# sweep_grid: builds ipcpd, boots a coordinator and two -workers 1
+# workers with the benchmark's flags (150,000 + 30,000 instructions per
+# point, a cache dir each) plus -debug-addr, and POSTs the benchmark's
+# 48-point /v1/sweeps grid back to back — a fresh seed each time, so no
+# sweep finds another's checkpoints — following each to its end, while
+# all three daemons' /debug/pprof/profile sample for SECONDS. It prints
+# the two workers' profiles merged, then the coordinator's.
+#
 #   make profile W=mix8 [SEEDS=30] [SEED=1]
 #   make profile W=serve_repeat [S=15]
+#   make profile W=sweep_grid [S=15]
 #   scripts/profile.sh mix8 30 1 [pprof flags, default -top -nodecount=45]
 #   scripts/profile.sh serve_cold 15 1 [pprof flags]
 #
@@ -28,7 +37,7 @@
 # binaries).
 set -euo pipefail
 
-w=${1:?usage: profile.sh mix8|single_stream|single_pointer|serve_repeat|serve_cold [SEEDS|SECONDS] [SEED] [pprof flags]}
+w=${1:?usage: profile.sh mix8|single_stream|single_pointer|serve_repeat|serve_cold|sweep_grid [SEEDS|SECONDS] [SEED] [pprof flags]}
 n=${2:-}
 seed=${3:-1}
 shift $(($# < 3 ? $# : 3))
@@ -42,14 +51,89 @@ case $w in
 single_stream) args=(-workload lbm-94 -warmup 100000 -measure 600000) ;;
 single_pointer) args=(-workload mcf-994 -warmup 20000 -measure 100000) ;;
 mix8) args=(-mix lbm-94,mcf-1536,bwaves-2931,exchange2-387,roms-1070,omnetpp-17,gcc-2226,xalancbmk-165 -warmup 2000 -measure 6000) ;;
-serve_repeat | serve_cold) ;;
+serve_repeat | serve_cold | sweep_grid) ;;
 *)
-	echo "profile.sh: unknown workload $w (mix8, single_stream, single_pointer, serve_repeat, serve_cold)" >&2
+	echo "profile.sh: unknown workload $w (mix8, single_stream, single_pointer, serve_repeat, serve_cold, sweep_grid)" >&2
 	exit 2
 	;;
 esac
 mkdir -p "$out"
 rm -f "$out"/*.pprof
+
+if [ "$w" = sweep_grid ]; then
+	secs=${n:-15}
+	bin="$root/.bench_build/bin/ipcpd"
+	(cd "$root" && go build -o "$bin" ./cmd/ipcpd)
+	tmp=$(mktemp -d)
+	pids=()
+	trap 'for p in "${pids[@]}"; do kill "$p" 2>/dev/null || true; wait "$p" 2>/dev/null || true; done; rm -rf "$tmp"' EXIT
+	# up NAME PATTERN: wait for daemon NAME to print its URL (stdout line
+	# PATTERN) and its pprof URL (stderr), leaving them in base / dbg.
+	up() {
+		base= dbg=
+		for _ in $(seq 100); do
+			base=$(sed -n "s/^$2 //p" "$tmp/$1.out")
+			dbg=$(grep -o 'http://[0-9.:]*/debug/pprof/' "$tmp/$1.err" | head -n 1 || true)
+			if [ -n "$base" ] && [ -n "$dbg" ]; then return; fi
+			sleep 0.1
+		done
+		echo "profile.sh: $1 did not come up" >&2
+		cat "$tmp/$1.err" >&2
+		exit 1
+	}
+	"$bin" -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -coordinator -data-dir "$tmp/coord" \
+		>"$tmp/coord.out" 2>"$tmp/coord.err" &
+	pids+=($!)
+	up coord 'ipcpd coordinator listening on'
+	coord=$base
+	dbgs=("$dbg")
+	for i in 1 2; do
+		"$bin" -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -worker "$coord" -workers 1 \
+			-warmup 150000 -measure 30000 -cache-dir "$tmp/cache$i" >"$tmp/w$i.out" 2>"$tmp/w$i.err" &
+		pids+=($!)
+		up "w$i" 'ipcpd listening on'
+		dbgs+=("$dbg")
+	done
+	for _ in $(seq 100); do
+		[ "$(curl -sf "$coord/v1/workers" | grep -c '"lost": false')" -ge 2 ] && break
+		sleep 0.1
+	done
+
+	sweep() {
+		local body id report
+		body=$(printf '{"workloads":["mcf-994","lbm-94","gcc-2226","bwaves-2931"],"l1d":["","nl","ipstride","ipcp","spp","bop"],"l2":["","ipcp"],"seed":%d}' \
+			$((seed * 1000000 + $1 + 1)))
+		id=$(curl -sf -X POST "$coord/v1/sweeps" -d "$body" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -n 1)
+		curl -sfN "$coord/v1/sweeps/$id/events" >/dev/null
+		report=$(curl -sf "$coord/v1/sweeps/$id")
+		case $report in
+		*'"failed": 0,'*) ;;
+		*)
+			echo "profile.sh: sweep $id had failed points" >&2
+			exit 1
+			;;
+		esac
+	}
+	cpids=()
+	for i in 0 1 2; do
+		curl -sf -o "$out/daemon$i.pprof" "${dbgs[$i]}profile?seconds=$secs" &
+		cpids+=($!)
+	done
+	sweeps=0
+	while kill -0 "${cpids[0]}" 2>/dev/null; do
+		sweep "$sweeps"
+		sweeps=$((sweeps + 1))
+	done
+	wait "${cpids[@]}"
+	echo "== workers (two profiles merged)"
+	go tool pprof "$@" "$bin" "$out/daemon1.pprof" "$out/daemon2.pprof"
+	echo
+	echo "== coordinator"
+	go tool pprof "$@" "$bin" "$out/daemon0.pprof"
+	echo
+	echo "$sweeps sweeps of 48 points in ${secs}s"
+	exit 0
+fi
 
 if [[ $w == serve_* ]]; then
 	secs=${n:-15}
