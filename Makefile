@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test benchmark-test pairs profile determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+.PHONY: check build fmt vet test benchmark-test pairs profile pgo determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
 # Tier-1 gate: everything must pass before a change lands, and every
 # test runs once. `test` runs -race over every package — including the
@@ -48,7 +48,8 @@ pairs:
 
 # Where one of the benchmark's workloads spends its time: for mix8,
 # single_stream and single_pointer, its exact command line over SEEDS
-# seeds under -cpuprofile, merged; for serve_repeat and serve_cold, the
+# seeds under -cpuprofile, merged (paper_figs: SEEDS repetitions of the
+# experiments CLI's); for serve_repeat and serve_cold, the
 # daemon's /debug/pprof/profile over S seconds of the harness-shaped
 # client loop; for sweep_grid, the coordinator's and both workers'
 # profiles over S seconds of back-to-back 48-point sweeps (see
@@ -58,8 +59,15 @@ pairs:
 #   make profile W=sweep_grid S=15
 SEEDS ?= 30
 profile:
-	@test -n "$(W)" || { echo "usage: make profile W=mix8|single_stream|single_pointer [SEEDS=30] | W=serve_repeat|serve_cold|sweep_grid [S=15]"; exit 2; }
+	@test -n "$(W)" || { echo "usage: make profile W=mix8|single_stream|single_pointer|paper_figs [SEEDS=30] | W=serve_repeat|serve_cold|sweep_grid [S=15]"; exit 2; }
 	bash scripts/profile.sh $(W) $(if $(filter serve_% sweep_grid,$(W)),$(S),$(SEEDS))
+
+# Refresh the profile-guided build: profile single_stream, single_pointer,
+# mix8 and paper_figs with the commands above, merge, and write the one
+# profile to cmd/{ipcpsim,experiments,ipcpd}/default.pgo, which plain
+# `go build` picks up (see scripts/pgo.sh). Seconds; commit the result.
+pgo:
+	bash scripts/pgo.sh
 
 # Golden equivalence: the wake-gated scheduler vs the clock-everything
 # reference, run-to-run repeatability, fork-vs-cold and the fork path

@@ -136,7 +136,12 @@ type Cache struct {
 
 	cfg   Config
 	lines []Line
-	pol   repl.Policy
+	// tags mirrors lines for the tag scans: tags[i] is lines[i].Tag+1
+	// when lines[i] is valid, 0 when it is not. install and RestoreState
+	// are its only writers, as they are the only writers of a line's tag
+	// and valid bit.
+	tags []uint64
+	pol  repl.Policy
 
 	lower memsys.Sink
 	pf    prefetch.Prefetcher
@@ -200,19 +205,24 @@ type Cache struct {
 	Stats Stats
 }
 
-// lineArrays recycles line arrays — the largest allocation of a system
-// build — between caches of the same geometry.
-var lineArrays memsys.ArrayPool[Line]
+// lineArrays and tagArrays recycle line arrays — the largest allocation
+// of a system build — and their tag mirrors between caches of the same
+// geometry.
+var (
+	lineArrays memsys.ArrayPool[Line]
+	tagArrays  memsys.ArrayPool[uint64]
+)
 
-// Release hands the line array and the replacement policy's per-line
-// array back to the free lists New draws from. The cache must never be
-// used again (a later access faults on the nil array instead of
-// reading another system's lines), and the caller must be the only
-// goroutine that could still touch it. State and Stats taken earlier
-// are copies and stay valid.
+// Release hands the line array, its tag mirror and the replacement
+// policy's per-line array back to the free lists New draws from. The
+// cache must never be used again (a later access faults on the nil
+// arrays instead of reading another system's lines), and the caller must
+// be the only goroutine that could still touch it. State and Stats taken
+// earlier are copies and stay valid.
 func (c *Cache) Release() {
 	lineArrays.Put(c.lines)
-	c.lines = nil
+	tagArrays.Put(c.tags)
+	c.lines, c.tags = nil, nil
 	repl.Release(c.pol)
 }
 
@@ -249,6 +259,7 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{
 		cfg:      cfg,
 		lines:    lineArrays.Get(cfg.Sets * cfg.Ways),
+		tags:     tagArrays.Get(cfg.Sets * cfg.Ways),
 		pol:      pol,
 		rq:       newQueue(cfg.RQSize),
 		wq:       newQueue(cfg.WQSize),
@@ -515,8 +526,9 @@ func (c *Cache) NextEvent(now int64) int64 {
 func (c *Cache) lookup(block uint64) (set, way int) {
 	set = int(block & c.setsMask)
 	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if l := &c.lines[base+w]; l.Tag == block && l.Valid {
+	tag := block + 1
+	for w, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
 			return set, w
 		}
 	}
@@ -717,18 +729,17 @@ func (c *Cache) issuePrefetch(cand prefetch.Candidate) bool {
 	if fl == 0 {
 		fl = c.cfg.Level
 	}
-	r := c.pool.Get()
-	*r = memsys.Request{
-		Addr:      memsys.BlockAlign(paddr),
-		VAddr:     memsys.BlockAlign(vaddr),
-		IP:        cand.IP,
-		Type:      memsys.Prefetch,
-		FillLevel: fl,
-		PfClass:   cand.Class,
-		PfMeta:    cand.Meta,
-		PfOrigin:  c.cfg.Level,
-		Born:      c.now,
-	}
+	r := c.pool.Get() // stale: every field written (see memsys.RequestPool)
+	r.Addr = memsys.BlockAlign(paddr)
+	r.VAddr = memsys.BlockAlign(vaddr)
+	r.IP = cand.IP
+	r.Type = memsys.Prefetch
+	r.CoreID = 0
+	r.FillLevel = fl
+	r.PfClass, r.PfMeta, r.PfOrigin = cand.Class, cand.Meta, c.cfg.Level
+	r.ReturnTo = nil
+	r.Tag = 0
+	r.Born = c.now
 	c.pq.push(r)
 	c.Stats.PrefetchIssued++
 	c.Stats.IssuedByClass[cand.Class]++
@@ -761,19 +772,16 @@ func (c *Cache) issueMSHR(now int64) {
 // room.
 func (c *Cache) forward(e *mshrEntry) bool {
 	first := e.waiters[0]
-	fwd := c.pool.Get()
-	*fwd = memsys.Request{
-		Addr:      e.block << memsys.BlockBits,
-		VAddr:     memsys.BlockAlign(first.VAddr),
-		IP:        first.IP,
-		CoreID:    first.CoreID,
-		FillLevel: e.fillLevel,
-		PfClass:   e.class,
-		PfMeta:    e.meta,
-		PfOrigin:  first.PfOrigin,
-		ReturnTo:  c,
-		Born:      e.born,
-	}
+	fwd := c.pool.Get() // stale: every field written (see memsys.RequestPool)
+	fwd.Addr = e.block << memsys.BlockBits
+	fwd.VAddr = memsys.BlockAlign(first.VAddr)
+	fwd.IP = first.IP
+	fwd.CoreID = first.CoreID
+	fwd.FillLevel = e.fillLevel
+	fwd.PfClass, fwd.PfMeta, fwd.PfOrigin = e.class, e.meta, first.PfOrigin
+	fwd.ReturnTo = c
+	fwd.Tag = 0
+	fwd.Born = e.born
 	var ok bool
 	if e.prefetchOnly {
 		fwd.Type = memsys.Prefetch
@@ -856,8 +864,8 @@ func (c *Cache) install(now int64, req *memsys.Request, prefetched bool, class m
 	set := int(block & c.setsMask)
 	base := set * c.cfg.Ways
 	way := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.lines[base+w].Valid {
+	for w, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == 0 {
 			way = w
 			break
 		}
@@ -896,6 +904,7 @@ func (c *Cache) install(now int64, req *memsys.Request, prefetched bool, class m
 		Prefetched: prefetched,
 		Class:      class,
 	}
+	c.tags[base+way] = block + 1
 	c.pol.Fill(set, way, req)
 	if c.aud != nil {
 		c.aud.OnInstall(now, req.Addr, req.Type, prefetched, class,

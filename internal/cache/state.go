@@ -53,6 +53,12 @@ func (c *Cache) RestoreState(s State) error {
 		return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
 	}
 	copy(c.lines, s.Lines)
+	for i, l := range s.Lines {
+		c.tags[i] = 0
+		if l.Valid {
+			c.tags[i] = l.Tag + 1
+		}
+	}
 	c.Stats = s.Stats
 	c.rqBlocked, c.pqBlocked = false, false
 	return nil

@@ -95,12 +95,16 @@ type loadRing struct {
 	size int
 }
 
-func (q *loadRing) push(pl pendingLoad) {
+// push appends an entry and returns it for the caller to fill in place.
+// The slot holds whatever was popped from it last: every field must be
+// written.
+func (q *loadRing) push() *pendingLoad {
 	if q.size == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.size)&(len(q.buf)-1)] = pl
+	pl := &q.buf[(q.head+q.size)&(len(q.buf)-1)]
 	q.size++
+	return pl
 }
 
 func (q *loadRing) grow() {
@@ -461,21 +465,20 @@ func (c *Core) issueLoads(now int64) {
 		if pl.readyAt > now {
 			return
 		}
-		r := c.pool.Get()
-		*r = memsys.Request{
-			Addr:     pl.paddr,
-			VAddr:    pl.vaddr,
-			IP:       pl.ipVal,
-			Type:     memsys.Load,
-			CoreID:   c.ID,
-			ReturnTo: c,
-			Tag:      pl.seq,
-			Born:     now,
-		}
+		r := c.pool.Get() // stale: every field written (see memsys.RequestPool)
+		r.Addr = pl.paddr
+		r.VAddr = pl.vaddr
+		r.IP = pl.ipVal
 		if pl.isStore {
-			r.Type = memsys.RFO
-			r.ReturnTo = nil
+			r.Type, r.ReturnTo = memsys.RFO, nil
+		} else {
+			r.Type, r.ReturnTo = memsys.Load, c
 		}
+		r.CoreID = c.ID
+		r.FillLevel = 0
+		r.PfClass, r.PfMeta, r.PfOrigin = 0, 0, 0
+		r.Tag = pl.seq
+		r.Born = now
 		if !c.l1d.AddRead(r) {
 			c.pool.Put(r)
 			return
@@ -537,14 +540,14 @@ func (c *Core) dispatch(now int64) {
 			if in.DepPrev && c.lastLoadSeq != seq {
 				dep = c.lastLoadSeq
 			}
-			c.loadQ.push(pendingLoad{
-				seq:     seq,
-				vaddr:   v,
-				paddr:   c.pt.Translate(v),
-				readyAt: now + 1 + int64(lat),
-				ipVal:   in.IP,
-				depSeq:  dep,
-			})
+			pl := c.loadQ.push()
+			pl.seq = seq
+			pl.vaddr = v
+			pl.paddr = c.pt.Translate(v)
+			pl.ipVal = in.IP
+			pl.readyAt = now + 1 + int64(lat)
+			pl.depSeq = dep
+			pl.isStore = false
 			c.lastLoadSeq = seq
 		}
 
@@ -558,14 +561,14 @@ func (c *Core) dispatch(now int64) {
 			}
 			c.Stats.Stores++
 			lat := c.tlb.AccessLatency(v)
-			c.loadQ.push(pendingLoad{
-				seq:     seq,
-				vaddr:   v,
-				paddr:   c.pt.Translate(v),
-				readyAt: now + 1 + int64(lat),
-				ipVal:   in.IP,
-				isStore: true,
-			})
+			pl := c.loadQ.push()
+			pl.seq = seq
+			pl.vaddr = v
+			pl.paddr = c.pt.Translate(v)
+			pl.ipVal = in.IP
+			pl.readyAt = now + 1 + int64(lat)
+			pl.depSeq = 0
+			pl.isStore = true
 		}
 
 		// Branches.
@@ -592,17 +595,17 @@ func (c *Core) fetchBlock(now int64, ip memsys.Addr) {
 		return
 	}
 	c.seqCode++
-	r := c.pool.Get()
-	*r = memsys.Request{
-		Addr:     memsys.BlockAlign(ip), // code: identity-mapped
-		VAddr:    memsys.BlockAlign(ip),
-		IP:       ip,
-		Type:     memsys.CodeRead,
-		CoreID:   c.ID,
-		ReturnTo: c,
-		Tag:      c.seqCode,
-		Born:     now,
-	}
+	r := c.pool.Get() // stale: every field written (see memsys.RequestPool)
+	r.Addr = memsys.BlockAlign(ip)
+	r.VAddr = memsys.BlockAlign(ip) // code is identity-mapped
+	r.IP = ip
+	r.Type = memsys.CodeRead
+	r.CoreID = c.ID
+	r.FillLevel = 0
+	r.PfClass, r.PfMeta, r.PfOrigin = 0, 0, 0
+	r.ReturnTo = c
+	r.Tag = c.seqCode
+	r.Born = now
 	if c.l1i.AddRead(r) {
 		c.codeSeq = c.seqCode
 		c.codeIssuedAt = now

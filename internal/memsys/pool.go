@@ -15,8 +15,11 @@ import "fmt"
 // back, a cache recycles the forwarded requests it created once their
 // fill installs (and any waiter whose ReturnTo is nil), and the DRAM
 // controller recycles writebacks when they are scheduled. Get returns
-// a dirty Request; every creation site must overwrite the whole struct
-// (a full composite-literal assignment), never field-by-field.
+// a dirty Request; every creation site must write every field. The hot
+// ones (a core's loads and code reads, a cache's prefetches and
+// forwarded misses) store field by field, because a composite literal
+// of this size is built aside and block-copied; tests hand each of them
+// a poisoned request and check that nothing of it survives.
 //
 // A nil *RequestPool is valid and degrades to plain allocation, so
 // components constructed outside sim.Build (unit tests, tools) work

@@ -45,12 +45,14 @@ func (pt *PageTable) State() PageTableState {
 	return PageTableState{Pages: pages}
 }
 
-// SetState replaces the page map with a copy of s.
+// SetState replaces the page map with a copy of s and empties the front
+// that caches the old one.
 func (pt *PageTable) SetState(s PageTableState) {
 	pt.pages = make(map[uint64]uint64, len(s.Pages))
 	for v, p := range s.Pages {
 		pt.pages[v] = p
 	}
+	pt.front = [frontSize]frontEntry{}
 }
 
 // TLBEntryState is one captured TLB slot.

@@ -58,6 +58,18 @@ func (a *PhysAllocator) Alloc() uint64 {
 type PageTable struct {
 	alloc *PhysAllocator
 	pages map[uint64]uint64
+	// front caches recent mappings in front of the map, direct-mapped by
+	// vpage. A mapping never changes once made, so an entry can only be
+	// stale by being empty; SetState, which replaces the map, clears it.
+	front [frontSize]frontEntry
+}
+
+// frontSize is the page-table front's entry count (a power of two).
+const frontSize = 64
+
+// frontEntry is one page-table front slot; tag is vpage+1, 0 when empty.
+type frontEntry struct {
+	tag, ppage uint64
 }
 
 // NewPageTable returns an empty page table drawing frames from alloc.
@@ -69,23 +81,32 @@ func NewPageTable(alloc *PhysAllocator) *PageTable {
 // allocating a frame on first touch.
 func (pt *PageTable) Translate(v memsys.Addr) memsys.Addr {
 	vpage := memsys.PageNumber(v)
-	ppage, ok := pt.pages[vpage]
-	if !ok {
-		ppage = pt.alloc.Alloc()
-		pt.pages[vpage] = ppage
+	f := &pt.front[vpage&(frontSize-1)]
+	if f.tag != vpage+1 {
+		ppage, ok := pt.pages[vpage]
+		if !ok {
+			ppage = pt.alloc.Alloc()
+			pt.pages[vpage] = ppage
+		}
+		*f = frontEntry{tag: vpage + 1, ppage: ppage}
 	}
-	return ppage<<memsys.PageBits | v&(memsys.PageSize-1)
+	return f.ppage<<memsys.PageBits | v&(memsys.PageSize-1)
 }
 
 // TranslateExisting is like Translate but reports whether the page was
 // already mapped instead of allocating. Prefetchers use it so that a
 // bogus prefetch address does not fault in pages.
 func (pt *PageTable) TranslateExisting(v memsys.Addr) (memsys.Addr, bool) {
-	ppage, ok := pt.pages[memsys.PageNumber(v)]
-	if !ok {
-		return 0, false
+	vpage := memsys.PageNumber(v)
+	f := &pt.front[vpage&(frontSize-1)]
+	if f.tag != vpage+1 {
+		ppage, ok := pt.pages[vpage]
+		if !ok {
+			return 0, false
+		}
+		*f = frontEntry{tag: vpage + 1, ppage: ppage}
 	}
-	return ppage<<memsys.PageBits | v&(memsys.PageSize-1), true
+	return f.ppage<<memsys.PageBits | v&(memsys.PageSize-1), true
 }
 
 // Mapped returns the number of mapped pages (the footprint in pages).
@@ -108,6 +129,10 @@ type TLB struct {
 	ways    int
 	entries []tlbEntry
 	tick    uint64
+	// last is the slot of the latest hit or fill, probed before the set
+	// scan: a vpage sits in at most one way of its own set, so finding it
+	// there is the hit the scan would find.
+	last int
 
 	Hits   uint64
 	Misses uint64
@@ -131,12 +156,20 @@ func (t *TLB) Lookup(vpage uint64) bool {
 	t.tick++
 	set := int(vpage) & (t.sets - 1)
 	base := set * t.ways
+	// The slot must also lie in vpage's set: a restored state is only as
+	// well placed as the bytes it came from.
+	if e := &t.entries[t.last]; e.vpage == vpage && e.valid && uint(t.last-base) < uint(t.ways) {
+		e.lru = t.tick
+		t.Hits++
+		return true
+	}
 	victim, victimLRU := base, t.entries[base].lru
 	for i := base; i < base+t.ways; i++ {
 		e := &t.entries[i]
 		if e.valid && e.vpage == vpage {
 			e.lru = t.tick
 			t.Hits++
+			t.last = i
 			return true
 		}
 		if !e.valid {
@@ -147,6 +180,7 @@ func (t *TLB) Lookup(vpage uint64) bool {
 	}
 	t.Misses++
 	t.entries[victim] = tlbEntry{vpage: vpage, valid: true, lru: t.tick}
+	t.last = victim
 	return false
 }
 

@@ -176,8 +176,22 @@ type gen struct {
 	dwellPos int
 	depState bool
 
+	// kinds is the loop body's slot-kind table, one entry per slot, built
+	// by Reset from memEvery, branchEvery and codeBlocks.
+	kinds []slotKind
+
 	src source
 }
+
+// slotKind is what a loop slot holds.
+type slotKind uint8
+
+const (
+	slotPlain    slotKind = iota // no memory operand, no branch
+	slotMem                      // a load or store
+	slotBranch                   // an in-loop branch, mostly not taken
+	slotLoopBack                 // the loop-back branch, always taken
+)
 
 // source produces memory addresses; concrete pattern generators
 // implement it. site identifies the memory instruction slot (dwell
@@ -227,6 +241,19 @@ func (g *gen) Reset() {
 	g.dwellPos = 0
 	g.depState = false
 	g.src.reset(g.rng)
+	g.kinds = g.kinds[:0]
+	for s, n := 0, g.loopSlots(); s < n; s++ {
+		k := slotPlain
+		switch {
+		case s == n-1:
+			k = slotLoopBack
+		case s%g.memEvery == g.memEvery-1:
+			k = slotMem
+		case g.branchEvery > 0 && s%g.branchEvery == g.branchEvery-1:
+			k = slotBranch
+		}
+		g.kinds = append(g.kinds, k)
+	}
 }
 
 // loopSlots is the number of instruction slots in the loop body.
@@ -237,19 +264,13 @@ func (g *gen) Next(in *trace.Instr) bool {
 	if g.rng == nil {
 		g.Reset()
 	}
-	in.Reset()
-	slots := g.loopSlots()
-	in.IP = g.codeBase + uint64(g.slot)*4
-
-	last := g.slot == slots-1
-	isMem := !last && g.slot%g.memEvery == g.memEvery-1
-	switch {
-	case last:
-		// Loop-back branch, always taken.
-		in.IsBranch = true
-		in.Taken = true
-		in.Target = g.codeBase
-	case isMem:
+	ip := g.codeBase + uint64(g.slot)*4
+	switch g.kinds[g.slot] {
+	case slotPlain:
+		*in = trace.Instr{IP: ip}
+	case slotLoopBack:
+		*in = trace.Instr{IP: ip, IsBranch: true, Taken: true, Target: g.codeBase}
+	case slotMem:
 		firstTouch := g.dwellPos == 0
 		if firstTouch {
 			site := g.memIdx / g.dwell
@@ -280,23 +301,20 @@ func (g *gen) Next(in *trace.Instr) bool {
 			g.depState = true
 		}
 		if g.storeFrac > 0 && g.rng.Float64() < g.storeFrac {
-			in.Stores[0] = addr
+			*in = trace.Instr{IP: ip, Stores: [trace.MaxStores]uint64{addr}}
 		} else {
-			in.Loads[0] = addr
 			// Every access of a dependent line waits: they are all
 			// fields behind the not-yet-loaded pointer. (Siblings
 			// chain through each other, which resolves immediately
 			// once the line's fill returns.)
-			in.DepPrev = g.depState
+			*in = trace.Instr{IP: ip, Loads: [trace.MaxLoads]uint64{addr}, DepPrev: g.depState}
 		}
-	case g.branchEvery > 0 && g.slot%g.branchEvery == g.branchEvery-1:
+	case slotBranch:
 		// In-loop branch (an if that mostly falls through).
-		in.IsBranch = true
-		in.Taken = g.rng.Float64() < g.takenBias
-		in.Target = in.IP + 8
+		*in = trace.Instr{IP: ip, IsBranch: true, Taken: g.rng.Float64() < g.takenBias, Target: ip + 8}
 	}
 	g.slot++
-	if g.slot >= slots {
+	if g.slot >= len(g.kinds) {
 		g.slot = 0
 		g.memIdx = 0
 		g.dwellPos = 0

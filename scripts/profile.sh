@@ -8,6 +8,12 @@
 # `go tool pprof -top` and the first seed's engine: table. One process
 # is ~0.4 s, 40 samples; thirty make a profile worth reading.
 #
+# paper_figs: builds the experiments CLI, runs the benchmark's command
+# line (seven tables, 260 simulations at -scale quick -warmup 5000
+# -measure 10000; ~0.5 s) SEEDS times — the CLI has no seed, so these
+# are plain repetitions — each under -cpuprofile, then prints the merged
+# top and the last repetition's simulation count.
+#
 # ipcpd workloads (serve_repeat, serve_cold): builds ipcpd, boots it with
 # the benchmark's daemon flags (benchmark/daemons.go: two workers, a
 # cache dir, a journal, 2,000 + 8,000 instructions per run) plus a
@@ -27,6 +33,7 @@
 # the two workers' profiles merged, then the coordinator's.
 #
 #   make profile W=mix8 [SEEDS=30] [SEED=1]
+#   make profile W=paper_figs [SEEDS=30]
 #   make profile W=serve_repeat [S=15]
 #   make profile W=sweep_grid [S=15]
 #   scripts/profile.sh mix8 30 1 [pprof flags, default -top -nodecount=45]
@@ -34,10 +41,10 @@
 #
 # The profiles stay in .bench_build/profile/<workload>/ for
 # `go tool pprof -list` and the like (.bench_build/bin/ holds the
-# binaries).
+# binaries); scripts/pgo.sh merges them into the build's PGO profile.
 set -euo pipefail
 
-w=${1:?usage: profile.sh mix8|single_stream|single_pointer|serve_repeat|serve_cold|sweep_grid [SEEDS|SECONDS] [SEED] [pprof flags]}
+w=${1:?usage: profile.sh mix8|single_stream|single_pointer|paper_figs|serve_repeat|serve_cold|sweep_grid [SEEDS|SECONDS] [SEED] [pprof flags]}
 n=${2:-}
 seed=${3:-1}
 shift $(($# < 3 ? $# : 3))
@@ -51,14 +58,27 @@ case $w in
 single_stream) args=(-workload lbm-94 -warmup 100000 -measure 600000) ;;
 single_pointer) args=(-workload mcf-994 -warmup 20000 -measure 100000) ;;
 mix8) args=(-mix lbm-94,mcf-1536,bwaves-2931,exchange2-387,roms-1070,omnetpp-17,gcc-2226,xalancbmk-165 -warmup 2000 -measure 6000) ;;
+paper_figs) args=(-run fig7,fig8,fig10,fig12,fig13a,fig13b,tab1 -scale quick -warmup 5000 -measure 10000) ;;
 serve_repeat | serve_cold | sweep_grid) ;;
 *)
-	echo "profile.sh: unknown workload $w (mix8, single_stream, single_pointer, serve_repeat, serve_cold, sweep_grid)" >&2
+	echo "profile.sh: unknown workload $w (mix8, single_stream, single_pointer, paper_figs, serve_repeat, serve_cold, sweep_grid)" >&2
 	exit 2
 	;;
 esac
 mkdir -p "$out"
 rm -f "$out"/*.pprof
+
+if [ "$w" = paper_figs ]; then
+	bin="$root/.bench_build/bin/experiments"
+	(cd "$root" && go build -o "$bin" ./cmd/experiments)
+	for i in $(seq 1 "${n:-30}"); do
+		"$bin" "${args[@]}" -cpuprofile "$out/rep$i.pprof" >/dev/null 2>"$out/stderr"
+	done
+	go tool pprof "$@" "$bin" "$out"/*.pprof
+	echo
+	tail -n 1 "$out/stderr"
+	exit 0
+fi
 
 if [ "$w" = sweep_grid ]; then
 	secs=${n:-15}
