@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test benchmark-test pairs profile pgo determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+.PHONY: check build fmt vet test benchmark-test lines pairs profile pgo determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
 # Tier-1 gate: everything must pass before a change lands, and every
 # test runs once. `test` runs -race over every package — including the
@@ -34,6 +34,11 @@ test:
 # CLI flag or to a result field breaks here.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
+
+# Non-test Go lines outside benchmark/: the number ROADMAP's line budget
+# and every simplicity change quote.
+lines:
+	@find . \( -path ./benchmark -o -name .bench_build -o -name .git \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # The claim procedure for a speed change: N alternating pairs of one
 # benchmark workload on the committed files of BASE and on this

@@ -215,6 +215,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// A script that reads the address below may signal at once: catch
+	// the signal from here on.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	// The resolved address goes to stdout so scripts driving an
 	// ephemeral port (-addr 127.0.0.1:0) can find the server.
 	fmt.Printf("ipcpd listening on http://%s\n", ln.Addr())
@@ -240,9 +244,6 @@ func main() {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
 	select {
 	case err := <-errc:
@@ -285,6 +286,8 @@ func runCoordinator(addr, dataDir string, heartbeat time.Duration, logger *slog.
 	if err != nil {
 		fatal(err)
 	}
+	sigc := make(chan os.Signal, 1) // before the address, as in main
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	// Same stdout contract as the daemon: scripts driving an ephemeral
 	// port parse the resolved address from this line.
 	fmt.Printf("ipcpd coordinator listening on http://%s\n", ln.Addr())
@@ -295,8 +298,6 @@ func runCoordinator(addr, dataDir string, heartbeat time.Duration, logger *slog.
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		fatal(err)

@@ -86,15 +86,9 @@ func newRecorder(k *Checker, inner prefetch.Prefetcher, name string) *recorder {
 	switch t := target.(type) {
 	case *core.L1IPCP:
 		r.l1 = t
-		// The oracle models the paper's four spatial classes; the
-		// optional temporal extension issues ClassNone candidates the
-		// reference cannot reproduce, so its presence limits the
-		// recorder to the inline invariants.
-		if t.Config().TemporalEntries == 0 {
-			r.ora = newL1Oracle(t)
-			if t.Config().UseRRFilter {
-				r.rr = newRefRR()
-			}
+		r.ora = newL1Oracle(t)
+		if t.Config().UseRRFilter {
+			r.rr = newRefRR()
 		}
 	case *core.L2IPCP:
 		r.l2 = t
@@ -252,13 +246,13 @@ func (ri *recIssuer) Issue(c prefetch.Candidate) bool {
 	// Invariant (§IV): an IPCP prefetch never crosses the page boundary
 	// of its triggering access. Checked before forwarding so even a
 	// rejected candidate is flagged.
-	if r.ipcp && c.Class != memsys.ClassNone && r.trigger != 0 && !memsys.SamePage(r.trigger, c.Addr) {
+	if r.ipcp && r.trigger != 0 && !memsys.SamePage(r.trigger, c.Addr) {
 		r.vio(r.now, "page-cross",
 			fmt.Sprintf("class %v candidate %#x crosses page of trigger %#x", c.Class, c.Addr, r.trigger))
 	}
 	// Invariant (§V): the RR filter must have dropped a candidate whose
 	// tag is resident — seeing one here means the filter was bypassed.
-	if r.rr != nil && c.Class != memsys.ClassNone && r.rr.hit(c.Addr) {
+	if r.rr != nil && r.rr.hit(c.Addr) {
 		r.vio(r.now, "rr-readmit",
 			fmt.Sprintf("class %v candidate %#x readmitted past a resident RR-filter tag", c.Class, c.Addr))
 	}

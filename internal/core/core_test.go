@@ -125,6 +125,39 @@ func TestCPLXFollowsPattern(t *testing.T) {
 	}
 }
 
+func TestCPLXDistanceSkipsNearCandidates(t *testing.T) {
+	cfg := DefaultL1Config()
+	cfg.CPLXDistance = 2
+	cfg.UseRRFilter = false
+	p := NewL1IPCP(cfg)
+	rec := &recorder{}
+	const ip = 0x460000
+	addr := uint64(0x6_0000_0000)
+	deltas := []uint64{1, 2}
+	for i := 0; i < 50; i++ { // ends mid-page so distance-shifted candidates fit
+		demand(p, rec, int64(i), ip, addr, false)
+		addr += deltas[i%2] * memsys.BlockSize
+	}
+	rec.reset()
+	demand(p, rec, 100, ip, addr, false)
+	cplx := rec.byClass(memsys.ClassCPLX)
+	if len(cplx) == 0 {
+		t.Fatal("no CPLX candidates")
+	}
+	// With distance 2, the nearest candidate must be at least 3 pattern
+	// steps ahead (the first two were skipped).
+	minDelta := int64(1 << 30)
+	for _, c := range cplx {
+		d := int64(memsys.BlockNumber(c.Addr)) - int64(memsys.BlockNumber(addr))
+		if d < minDelta {
+			minDelta = d
+		}
+	}
+	if minDelta < 4 { // skipping 1,2 puts the first issue at ≥ +4 blocks
+		t.Errorf("nearest CPLX candidate at +%d blocks; distance not applied", minDelta)
+	}
+}
+
 func TestSignatureAdvance(t *testing.T) {
 	p := NewL1IPCP(DefaultL1Config())
 	// signature = (signature << 1) XOR stride, masked to 7 bits.

@@ -206,16 +206,26 @@ func TestL1ConfigIsData(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, def) {
 		t.Errorf("round trip = %+v, %v", back, err)
 	}
-	if err := json.Unmarshal([]byte(`{"enable_gs":false,"temporal_entries":1024}`), &sparse); err != nil {
+	if err := json.Unmarshal([]byte(`{"enable_gs":false,"cplx_distance":2}`), &sparse); err != nil {
 		t.Fatal(err)
 	}
 	want := def
-	want.EnableGS, want.TemporalEntries = false, 1024
+	want.EnableGS, want.CPLXDistance = false, 2
 	if !reflect.DeepEqual(sparse, want) || sparse.Validate() != nil {
 		t.Errorf("sparse variant = %+v (%v)", sparse, sparse.Validate())
 	}
-	if NewL1IPCP(sparse).temporal == nil || NewL1IPCP(def).temporal != nil {
-		t.Error("TemporalEntries does not decide whether the temporal table exists")
+	// A field L1Config lacks decodes, is refused, and re-encodes as
+	// written.
+	const unknown = `{"degree_gs":4,"no_such_knob":1}`
+	var stale L1Config
+	if err := json.Unmarshal([]byte(unknown), &stale); err != nil {
+		t.Fatalf("an unknown field does not decode: %v", err)
+	}
+	if stale.Validate() == nil {
+		t.Error("a configuration naming an unknown field validates")
+	}
+	if b, err := json.Marshal(stale); err != nil || string(b) != unknown {
+		t.Errorf("re-encoded as %s (%v), want %s", b, err, unknown)
 	}
 	if err := json.Unmarshal([]byte(`{"priority":["GS","CS","CPLX","??"]}`), &sparse); err == nil {
 		t.Error("an unknown class name decoded")

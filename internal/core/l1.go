@@ -7,6 +7,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"unsafe"
@@ -72,14 +73,16 @@ type L1Config struct {
 	// payload (§VI-B2 studies turning it off).
 	EmitMetadata bool `json:"emit_metadata"`
 
-	// TemporalEntries sizes the §VII future-work temporal table (a power
-	// of two); 0, the paper's configuration, leaves it out. It is not
-	// part of Table I's 895 bytes.
-	TemporalEntries int `json:"temporal_entries"`
+	// asWritten is the object this configuration was decoded from, kept
+	// when it names a field L1Config lacks (a knob an earlier build had):
+	// Validate refuses it, and it encodes as written, never as one that runs.
+	asWritten []byte
 }
 
 // UnmarshalJSON decodes on top of DefaultL1Config, so {"degree_cplx":4}
-// is the paper's IPCP with one parameter changed.
+// is the paper's IPCP with one parameter changed. An unknown field
+// still decodes and is refused by Validate instead: a decode error
+// would cost a journal the rest of the segment holding it.
 func (c *L1Config) UnmarshalJSON(b []byte) error {
 	type plain L1Config
 	v := plain(DefaultL1Config())
@@ -87,7 +90,22 @@ func (c *L1Config) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	*c = L1Config(v)
+	strict := json.NewDecoder(bytes.NewReader(b))
+	strict.DisallowUnknownFields()
+	if strict.Decode(new(plain)) != nil {
+		c.asWritten = bytes.Clone(b)
+	}
 	return nil
+}
+
+// MarshalJSON encodes a configuration that named an unknown field as
+// the object it was decoded from.
+func (c L1Config) MarshalJSON() ([]byte, error) {
+	if c.asWritten != nil {
+		return c.asWritten, nil
+	}
+	type plain L1Config
+	return json.Marshal(plain(c))
 }
 
 // maxTableBytes caps the tables one configuration may allocate, so a
@@ -106,10 +124,9 @@ func (c L1Config) Validate() (err error) {
 	between := func(name string, v, lo, hi int) {
 		check(v >= lo && v <= hi, "%s = %d, want %d..%d", name, v, lo, hi)
 	}
+	check(c.asWritten == nil, "%s names a field L1Config does not have", c.asWritten)
 	between("ip_table_entries", c.IPTableEntries, 1, maxTableBytes/int(unsafe.Sizeof(ipEntry{})))
 	between("rst_entries", c.RSTEntries, 1, maxTableBytes/int(unsafe.Sizeof(rstEntry{})))
-	between("temporal_entries", c.TemporalEntries, 0, maxTableBytes/int(unsafe.Sizeof(temporalEntry{})))
-	check(c.TemporalEntries&(c.TemporalEntries-1) == 0, "temporal_entries = %d, want a power of two", c.TemporalEntries)
 	between("signature_bits", c.SignatureBits, 1, 16)
 	if err != nil {
 		return err // the shift below needs a sane width
@@ -224,9 +241,6 @@ type L1IPCP struct {
 	cspt    []csptEntry
 	rst     []rstEntry
 	rr      *rrFilter
-	// temporal is the optional future-work temporal component
-	// (cfg.TemporalEntries); nil by default.
-	temporal *TemporalTable
 
 	classes [memsys.NumClasses]classState
 
@@ -289,9 +303,6 @@ func NewL1IPCP(cfg L1Config) *L1IPCP {
 	p.classes[memsys.ClassCPLX] = classState{degree: cfg.DegreeCPLX, defDegree: cfg.DegreeCPLX, accuracy: 1}
 	p.classes[memsys.ClassGS] = classState{degree: cfg.DegreeGS, defDegree: cfg.DegreeGS, accuracy: 1}
 	p.classes[memsys.ClassNL] = classState{degree: 1, defDegree: 1, accuracy: 1}
-	if cfg.TemporalEntries > 0 {
-		p.temporal = NewTemporalTable(cfg.TemporalEntries)
-	}
 	return p
 }
 
@@ -579,15 +590,7 @@ func (p *L1IPCP) prefetchFor(e *ipEntry, a *prefetch.Access, v memsys.Addr, iss 
 		}
 		e.lastClass = chosen
 	}
-	if chosen == memsys.ClassNone {
-		p.temporalIssue(a, v, iss)
-		return
-	}
-	p.issueClass(chosen, e, a.IP, v, iss)
-	if chosen == memsys.ClassNL {
-		// The temporal extension complements NL on irregular streams.
-		p.temporalIssue(a, v, iss)
-	}
+	p.issueClass(chosen, e, a.IP, v, iss) // ClassNone issues nothing
 
 	if chosen == memsys.ClassGS {
 		st := &p.classes[memsys.ClassGS]

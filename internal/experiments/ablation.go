@@ -141,30 +141,3 @@ func init() {
 		},
 	})
 }
-
-func init() {
-	register(Experiment{
-		ID:    "abl-temporal",
-		Title: "Extension: IPCP + temporal component (§VII future work)",
-		Paper: "(future work) The paper proposes a temporal component for " +
-			"covering temporal/irregular accesses on top of the spatial " +
-			"bouquet.",
-		Run: func(s *Session) (*Table, error) {
-			t := &Table{ID: "abl-temporal",
-				Title:   "Geomean speedup with and without the temporal extension",
-				Columns: []string{"speedup"}}
-			for _, entries := range []int{0, 1024} {
-				g, err := geomeanSpeedup(s, s.memIntensive(), variantSpec(true, func(c *core.L1Config) { c.TemporalEntries = entries }))
-				if err != nil {
-					return nil, err
-				}
-				label := "IPCP (paper)"
-				if entries > 0 {
-					label = fmt.Sprintf("IPCP + temporal (%d entries)", entries)
-				}
-				t.AddRow(label, g)
-			}
-			return t, nil
-		},
-	})
-}

@@ -79,6 +79,9 @@ func TestRunSpecEveryFieldIsKeyed(t *testing.T) {
 	base.L1D, base.IPCPL1 = "", &variant
 	ctyp := reflect.TypeOf(variant)
 	for i := 0; i < ctyp.NumField(); i++ {
+		if !ctyp.Field(i).IsExported() {
+			continue // not configuration: what the object was decoded from
+		}
 		cfg := variant
 		perturb(t, reflect.ValueOf(&cfg).Elem().Field(i))
 		spec := base
@@ -103,7 +106,7 @@ func TestRunSpecEveryFieldIsKeyed(t *testing.T) {
 	}
 }
 
-// TestEqualContentRunsOnce: the eleven ways `-run all` used to spell the
+// TestEqualContentRunsOnce: the ten ways `-run all` used to spell the
 // default L1+L2 IPCP point — each under its own hand-typed key, each a
 // separate simulation — built the way their experiments build them now,
 // are one simulation.
@@ -126,9 +129,6 @@ func TestEqualContentRunsOnce(t *testing.T) {
 		"region-11": variantSpec(true, func(c *core.L1Config) { c.RegionBits = 11 }),
 		"sig-7":     variantSpec(true, func(c *core.L1Config) { c.SignatureBits, c.CSPTEntries = 7, 1<<7 }),
 		"rr-on":     variantSpec(true, func(c *core.L1Config) { c.UseRRFilter = true }),
-		"temporal-off": variantSpec(true, func(c *core.L1Config) {
-			c.TemporalEntries = 0
-		}),
 		"throttle-high=0.75 low=0.40": variantSpec(true, func(c *core.L1Config) {
 			c.ThrottleHigh, c.ThrottleLow = paper.ThrottleHigh, paper.ThrottleLow
 		}),
@@ -226,11 +226,15 @@ func TestRunSpecValidate(t *testing.T) {
 		"negative signature":   {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.SignatureBits = -1 })},
 		"watermarks crossed":   {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.ThrottleLow = 0.9 })},
 		"degree 0":             {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.DegreeCS = 0 })},
-		"temporal not 2^n":     {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.TemporalEntries = 1000 })},
 		"empty rst":            {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.RSTEntries = 0 })},
 	}
 	bad["paper variant beside spp"] = RunSpec{Workloads: one, L1D: "spp", IPCPL1: with(func(*core.L1Config) {})}
 	bad["variant beside none"] = RunSpec{Workloads: one, L1D: "none", IPCPL1: with(func(c *core.L1Config) { c.DegreeGS = 4 })}
+	var unknownKnob RunSpec
+	if err := json.Unmarshal([]byte(`{"workloads":["mcf-994"],"ipcp_l1":{"no_such_knob":1}}`), &unknownKnob); err != nil {
+		t.Fatal(err)
+	}
+	bad["unknown ipcp_l1 field"] = unknownKnob
 	for name, spec := range bad {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -246,7 +250,7 @@ func TestRunSpecValidate(t *testing.T) {
 		"plain":    {Workloads: one},
 		"ceilings": {Workloads: one, L1PQ: 1 << 10, L1MSHR: 1 << 10, L1DWays: 1 << 6, L2Sets: 1 << 15, LLCSetsPerCore: 1 << 15, DRAMGBps: 1024, LLCRepl: "mpppb"},
 		"variant at its edges": {Workloads: []string{"mcf-994", "lbm-94"}, L2: "ipcp", IPCPL1: with(func(c *core.L1Config) {
-			c.SignatureBits, c.CSPTEntries, c.RegionBits, c.TemporalEntries = 16, 1<<16, 12, 1<<15
+			c.SignatureBits, c.CSPTEntries, c.RegionBits = 16, 1<<16, 12
 			c.ThrottleHigh, c.ThrottleLow = 1.01, -0.01
 		})},
 		"fill at l2": {Workloads: one, L1D: "bingo@l2", L2: "none"},

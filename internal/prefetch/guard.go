@@ -8,31 +8,19 @@ import (
 	"ipcp/internal/telemetry"
 )
 
-// GuardConfig bounds a guarded prefetcher's behaviour. The defaults are
-// deliberately loose — far beyond anything a healthy prefetcher does —
-// so wrapping never perturbs a correct run; they exist to contain a
-// buggy or hostile implementation, not to throttle a working one.
-type GuardConfig struct {
-	// MaxPerOperate caps candidates issued from one Operate call; the
-	// largest legitimate burst (Bingo replaying a full 4KB footprint)
-	// is 64 lines, well below the default of 256.
-	MaxPerOperate int
-	// MaxPageDistance caps how many pages a candidate may sit from its
-	// triggering access; 0 leaves the distance unbounded. Hardware
-	// spatial prefetchers are page-local (the paper clamps at the 4KB
-	// boundary), but the temporal extension legitimately correlates
-	// across the whole working set, so the default is unbounded and
-	// strict configurations opt in.
-	MaxPageDistance uint64
-	// MaxStrikes is how many budget violations are tolerated before the
+// The guard's bounds are deliberately loose — far beyond anything a
+// healthy prefetcher does — so wrapping never perturbs a correct run;
+// they exist to contain a buggy or hostile implementation, not to
+// throttle a working one.
+const (
+	// maxPerOperate caps candidates issued from one Operate call; the
+	// largest legitimate burst (Bingo replaying a full 4KB footprint) is
+	// 64 lines.
+	maxPerOperate = 256
+	// maxStrikes is how many budget violations are tolerated before the
 	// prefetcher is disabled (a panic disables immediately).
-	MaxStrikes int
-}
-
-// DefaultGuardConfig returns the loose production bounds.
-func DefaultGuardConfig() GuardConfig {
-	return GuardConfig{MaxPerOperate: 256, MaxStrikes: 8}
-}
+	maxStrikes = 8
+)
 
 // GuardStats counts a guard's interventions.
 type GuardStats struct {
@@ -55,7 +43,6 @@ type GuardStats struct {
 type Guard struct {
 	inner Prefetcher
 	level memsys.Level
-	cfg   GuardConfig
 
 	disabled bool
 	reason   string
@@ -76,23 +63,10 @@ type Guard struct {
 	Stack []byte
 }
 
-// NewGuard wraps inner for the given cache level with the default
-// bounds. Wrapping the no-op prefetcher is pointless but harmless.
+// NewGuard wraps inner for the given cache level. Wrapping the no-op
+// prefetcher is pointless but harmless.
 func NewGuard(inner Prefetcher, level memsys.Level) *Guard {
-	return NewGuardConfigured(inner, level, DefaultGuardConfig())
-}
-
-// NewGuardConfigured wraps inner with explicit bounds. Non-positive
-// fields fall back to the defaults.
-func NewGuardConfigured(inner Prefetcher, level memsys.Level, cfg GuardConfig) *Guard {
-	def := DefaultGuardConfig()
-	if cfg.MaxPerOperate <= 0 {
-		cfg.MaxPerOperate = def.MaxPerOperate
-	}
-	if cfg.MaxStrikes <= 0 {
-		cfg.MaxStrikes = def.MaxStrikes
-	}
-	g := &Guard{inner: inner, level: level, cfg: cfg, trCore: -1}
+	g := &Guard{inner: inner, level: level, trCore: -1}
 	g.innerNext, _ = inner.(NextEventer)
 	return g
 }
@@ -131,12 +105,12 @@ func (g *Guard) recovered(now int64, hook string) {
 	}
 }
 
-// strike records one budget violation; MaxStrikes of them trip the
+// strike records one budget violation; maxStrikes of them trip the
 // guard.
 func (g *Guard) strike(now int64, what string) {
 	g.Stats.BudgetViolations++
 	g.strikes++
-	if g.strikes >= g.cfg.MaxStrikes {
+	if g.strikes >= maxStrikes {
 		g.trip(now, fmt.Sprintf("budget violations in %s (last: %s)", g.inner.Name(), what))
 	}
 }
@@ -156,17 +130,8 @@ func (g *Guard) Operate(now int64, a *Access, iss Issuer) {
 	// into the Issuer interface and heap-allocate on every access. Safe
 	// because Operate never re-enters the same guard (issuing a
 	// candidate enqueues it; it is serviced on a later cycle).
-	g.gi = guardIssuer{g: g, inner: iss, now: now, trigger: triggerAddr(a)}
+	g.gi = guardIssuer{g: g, inner: iss, now: now}
 	g.inner.Operate(now, a, &g.gi)
-}
-
-// triggerAddr picks the address space candidates are checked against:
-// virtual where the prefetcher trains virtually (L1-D), else physical.
-func triggerAddr(a *Access) memsys.Addr {
-	if a.VAddr != 0 {
-		return a.VAddr
-	}
-	return a.Addr
 }
 
 // Fill implements Prefetcher.
@@ -214,11 +179,10 @@ func (g *Guard) ResetStats() {
 // guardIssuer enforces the guard's budgets between the inner prefetcher
 // and the cache's real issuer.
 type guardIssuer struct {
-	g       *Guard
-	inner   Issuer
-	now     int64
-	trigger memsys.Addr
-	issued  int
+	g      *Guard
+	inner  Issuer
+	now    int64
+	issued int
 }
 
 // Issue implements Issuer: candidates beyond the bounds are dropped and
@@ -228,20 +192,9 @@ func (gi *guardIssuer) Issue(c Candidate) bool {
 	if g.disabled {
 		return false
 	}
-	if gi.issued >= g.cfg.MaxPerOperate {
-		g.strike(gi.now, fmt.Sprintf("more than %d candidates from one Operate", g.cfg.MaxPerOperate))
+	if gi.issued >= maxPerOperate {
+		g.strike(gi.now, fmt.Sprintf("more than %d candidates from one Operate", maxPerOperate))
 		return false
-	}
-	if g.cfg.MaxPageDistance > 0 && gi.trigger != 0 {
-		tp, cp := memsys.PageNumber(gi.trigger), memsys.PageNumber(c.Addr)
-		dist := tp - cp
-		if cp > tp {
-			dist = cp - tp
-		}
-		if dist > g.cfg.MaxPageDistance {
-			g.strike(gi.now, fmt.Sprintf("candidate %d pages from trigger", dist))
-			return false
-		}
 	}
 	gi.issued++
 	return gi.inner.Issue(c)

@@ -78,53 +78,31 @@ func TestGuardRecoversPanicAndDisables(t *testing.T) {
 }
 
 func TestGuardCapsRunawayIssuer(t *testing.T) {
-	f := &flood{n: 100_000}
-	g := NewGuardConfigured(f, memsys.LevelL2, GuardConfig{MaxPerOperate: 256, MaxStrikes: 1})
+	// 256 candidates from one Operate pass; each one beyond is a strike.
+	g := NewGuard(&flood{n: 256 + 7}, memsys.LevelL2)
 	var iss sink
 	g.Operate(0, &Access{Addr: 0x1000}, &iss)
-	if iss.n != 256 {
-		t.Errorf("issued %d candidates past the guard, want 256", iss.n)
+	if iss.n != 256 || g.Stats.BudgetViolations != 7 {
+		t.Errorf("issued %d candidates past the guard with %d violations, want 256 and 7", iss.n, g.Stats.BudgetViolations)
 	}
-	if dis, _ := g.Disabled(); !dis {
-		t.Error("guard did not trip after the violation")
+	if dis, _ := g.Disabled(); dis {
+		t.Fatal("guard tripped on 7 strikes")
 	}
-	if g.Stats.BudgetViolations == 0 {
-		t.Error("no budget violations counted")
+	// The eighth strike trips it.
+	g.Operate(1, &Access{Addr: 0x1000}, &iss)
+	if dis, _ := g.Disabled(); !dis || iss.n != 512 || g.Stats.BudgetViolations != 8 {
+		t.Errorf("after the eighth strike: disabled %v, issued %d, violations %d; want true, 512, 8",
+			dis, iss.n, g.Stats.BudgetViolations)
 	}
 }
 
 func TestGuardPageDistanceOptIn(t *testing.T) {
-	// Default config: distance unbounded — far candidates pass.
-	f := &flood{n: 4, far: true}
-	g := NewGuard(f, memsys.LevelL1D)
+	// Page distance is not a guard bound: far candidates pass untouched.
+	g := NewGuard(&flood{n: 4, far: true}, memsys.LevelL1D)
 	var iss sink
 	g.Operate(0, &Access{Addr: 0x1000}, &iss)
-	if iss.n != 4 {
-		t.Errorf("unbounded guard issued %d, want 4", iss.n)
-	}
-
-	// Strict config: far candidates are struck down.
-	g2 := NewGuardConfigured(&flood{n: 4, far: true}, memsys.LevelL1D,
-		GuardConfig{MaxPageDistance: 2, MaxStrikes: 100})
-	var iss2 sink
-	g2.Operate(0, &Access{Addr: 0x1000}, &iss2)
-	if iss2.n != 0 {
-		t.Errorf("strict guard issued %d far candidates, want 0", iss2.n)
-	}
-	if g2.Stats.BudgetViolations != 4 {
-		t.Errorf("BudgetViolations = %d, want 4", g2.Stats.BudgetViolations)
-	}
-	if dis, _ := g2.Disabled(); dis {
-		t.Error("guard tripped below MaxStrikes")
-	}
-
-	// Near candidates always pass under the strict config too.
-	g3 := NewGuardConfigured(&flood{n: 4}, memsys.LevelL1D,
-		GuardConfig{MaxPageDistance: 2, MaxStrikes: 100})
-	var iss3 sink
-	g3.Operate(0, &Access{Addr: 0x1000}, &iss3)
-	if iss3.n != 4 {
-		t.Errorf("strict guard issued %d near candidates, want 4", iss3.n)
+	if iss.n != 4 || g.Stats.BudgetViolations != 0 {
+		t.Errorf("guard issued %d far candidates with %d violations, want 4 and 0", iss.n, g.Stats.BudgetViolations)
 	}
 }
 

@@ -113,6 +113,7 @@ func FuzzRunRequest(f *testing.F) {
 	f.Add([]byte(`{"workloads":["lbm-94","mcf-994"],"l1d":"ipstride@l2","llc_sets_per_core":1024,"timeout_ms":5}`))
 	f.Add([]byte(`{"workloads":["mcf-994"],"l1d":"none","ipcp_l1":{"degree_gs":4}}`))
 	f.Add([]byte(`{"workloads":["mcf-994"],"l1d":"spp","ipcp_l1":{}}`))
+	f.Add([]byte(`{"workloads":["mcf-994"],"ipcp_l1":{"degree_gs":4,"no_such_knob":1}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req RunRequest
 		if json.Unmarshal(body, &req) != nil {
