@@ -36,9 +36,13 @@ benchmark-test:
 	cd benchmark && $(GO) test ./...
 
 # Non-test Go lines outside benchmark/: the number ROADMAP's line budget
-# and every simplicity change quote.
+# and every simplicity change quote; then the same count per top-level
+# package directory (internal/serve, cmd/ipcpd, . for the root package),
+# largest first, so a change can quote its per-package delta.
+LINES_FIND = find . \( -path ./benchmark -o -name .bench_build -o -name .git \) -prune -o -name '*.go' ! -name '*_test.go' -print
 lines:
-	@find . \( -path ./benchmark -o -name .bench_build -o -name .git \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+	@$(LINES_FIND) | xargs cat | wc -l
+	@$(LINES_FIND) | xargs wc -l | awk '$$2 != "total" { split($$2, p, "/"); n[p[3] == "" || p[2] ~ /\.go$$/ ? "." : p[2] "/" p[3]] += $$1 } END { for (d in n) print n[d], d }' | sort -rn
 
 # The claim procedure for a speed change: N alternating pairs of one
 # benchmark workload on the committed files of BASE and on this

@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ipcp/internal/telemetry"
@@ -37,10 +36,6 @@ type Options struct {
 	// HeartbeatTimeout is how long a silent worker stays schedulable;
 	// workers are told to beat at a third of it. Default 5s.
 	HeartbeatTimeout time.Duration
-	// MaxPoints caps one sweep's expanded grid. Default 4096.
-	MaxPoints int
-	// SpanBuf is the trace ring capacity (0 = telemetry default).
-	SpanBuf int
 	// Log receives structured logs (nil = discard).
 	Log *slog.Logger
 }
@@ -61,22 +56,10 @@ type Coordinator struct {
 	mu      sync.Mutex
 	workers map[string]*worker
 	sweeps  map[string]*sweep
-	nextW   int           // worker id allocator
-	nextS   int           // sweep id allocator
-	joined  chan struct{} // closed and replaced by every register
-
-	// Fleet and fan-out counters, surfaced on /metrics (JSON and
-	// Prometheus). Reassigned counts points re-fanned-out after their
-	// worker was lost; retries counts 429-backpressure resubmissions.
-	workersRegistered atomic.Uint64
-	workersLost       atomic.Uint64
-	sweepsAccepted    atomic.Uint64
-	sweepsCompleted   atomic.Uint64
-	pointsDone        atomic.Uint64
-	pointsFailed      atomic.Uint64
-	pointsReassigned  atomic.Uint64
-	fanoutSubmitted   atomic.Uint64
-	fanoutRetries     atomic.Uint64
+	nextW   int             // worker id allocator
+	nextS   int             // sweep id allocator
+	joined  chan struct{}   // closed and replaced by every register
+	stats   MetricsSnapshot // the fleet and fan-out counters the coordinator owns
 }
 
 // worker is one registered daemon. Mutable fields are guarded by the
@@ -105,9 +88,6 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 5 * time.Second
 	}
-	if opts.MaxPoints <= 0 {
-		opts.MaxPoints = 4096
-	}
 	blobs, err := NewBlobStore(opts.DataDir, opts.Log)
 	if err != nil {
 		return nil, err
@@ -117,7 +97,7 @@ func New(opts Options) (*Coordinator, error) {
 		opts:    opts,
 		log:     opts.Log,
 		blobs:   blobs,
-		spans:   telemetry.NewSpanTracer(opts.SpanBuf),
+		spans:   telemetry.NewSpanTracer(telemetry.DefaultSpanCapacity),
 		hc:      &http.Client{Timeout: 30 * time.Second},
 		tail:    &http.Client{},
 		ctx:     ctx,
@@ -168,9 +148,16 @@ func (c *Coordinator) register(url string, capacity int) *worker {
 	c.workers[w.ID] = w
 	close(c.joined)
 	c.joined = make(chan struct{})
-	c.workersRegistered.Add(1)
+	c.stats.Workers.Registered++
 	c.log.Info("worker registered", "worker", w.ID, "url", w.URL, "capacity", capacity)
 	return w
+}
+
+// count adds n to one of the coordinator's own counters.
+func (c *Coordinator) count(p *uint64, n int) {
+	c.mu.Lock()
+	*p += uint64(n)
+	c.mu.Unlock()
 }
 
 // heartbeat refreshes a worker's liveness; unknown or already-lost ids
@@ -199,7 +186,7 @@ func (c *Coordinator) markDeadLocked(w *worker, reason string) {
 	}
 	w.dead = true
 	w.cancel()
-	c.workersLost.Add(1)
+	c.stats.Workers.Lost++
 	c.log.Warn("worker lost", "worker", w.ID, "url", w.URL, "reason", reason)
 }
 

@@ -216,40 +216,46 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "workers": live})
 }
 
-// MetricsSnapshot is the JSON shape of the coordinator's GET /metrics.
+// MetricsSnapshot is the coordinator's GET /metrics: its JSON shape and,
+// through the prom tags, its Prometheus series (see
+// telemetry.WritePrometheus).
 type MetricsSnapshot struct {
 	Workers struct {
-		Registered uint64 `json:"registered"`
-		Live       int    `json:"live"`
-		Lost       uint64 `json:"lost"`
+		Registered uint64 `json:"registered" prom:"ipcpc_workers_registered_total,counter" help:"Workers ever registered."`
+		Live       int    `json:"live" prom:"ipcpc_workers_live,gauge" help:"Workers currently schedulable."`
+		Lost       uint64 `json:"lost" prom:"ipcpc_workers_lost_total,counter" help:"Workers declared lost (missed heartbeats or dropped connections)."`
 	} `json:"workers"`
 	Sweeps struct {
-		Accepted  uint64 `json:"accepted"`
-		Active    int    `json:"active"`
-		Completed uint64 `json:"completed"`
+		Accepted  uint64 `json:"accepted" prom:"ipcpc_sweeps_total{stage=accepted},counter" help:"Sweeps by lifecycle stage."`
+		Active    int    `json:"active" prom:"ipcpc_sweeps_active,gauge" help:"Sweeps currently scheduling."`
+		Completed uint64 `json:"completed" prom:"ipcpc_sweeps_total{stage=completed},counter"`
 	} `json:"sweeps"`
+	// Points by outcome; Reassigned counts points re-fanned-out after
+	// their worker was lost.
 	Points struct {
-		Done       uint64 `json:"done"`
-		Failed     uint64 `json:"failed"`
-		Reassigned uint64 `json:"reassigned"`
+		Done       uint64 `json:"done" prom:"ipcpc_points_total{outcome=done},counter" help:"Sweep points by outcome; reassigned counts points re-fanned-out after worker loss."`
+		Failed     uint64 `json:"failed" prom:"ipcpc_points_total{outcome=failed},counter"`
+		Reassigned uint64 `json:"reassigned" prom:"ipcpc_points_total{outcome=reassigned},counter"`
 	} `json:"points"`
+	// Fanout counts point submissions; Retries are 429-backpressure
+	// resubmissions.
 	Fanout struct {
-		Submitted uint64 `json:"submitted"`
-		Retries   uint64 `json:"retries"`
+		Submitted uint64 `json:"submitted" prom:"ipcpc_fanout_total{kind=submitted},counter" help:"Point submissions to workers; retries are 429-backpressure resubmissions."`
+		Retries   uint64 `json:"retries" prom:"ipcpc_fanout_total{kind=retry},counter"`
 	} `json:"fanout"`
 	Blobs struct {
-		Gets        uint64 `json:"gets"`
-		Hits        uint64 `json:"hits"`
-		Puts        uint64 `json:"puts"`
-		Rejected    uint64 `json:"rejected"`
-		Quarantined uint64 `json:"quarantined"`
+		Gets        uint64 `json:"gets" prom:"ipcpc_blob_requests_total{op=get},counter" help:"Shared blob store traffic by operation."`
+		Hits        uint64 `json:"hits" prom:"ipcpc_blob_requests_total{op=hit},counter"`
+		Puts        uint64 `json:"puts" prom:"ipcpc_blob_requests_total{op=put},counter"`
+		Rejected    uint64 `json:"rejected" prom:"ipcpc_blob_requests_total{op=rejected},counter"`
+		Quarantined uint64 `json:"quarantined" prom:"ipcpc_blob_requests_total{op=quarantined},counter"`
 	} `json:"blobs"`
 }
 
 // Metrics assembles a point-in-time snapshot.
 func (c *Coordinator) Metrics() MetricsSnapshot {
-	var m MetricsSnapshot
 	c.mu.Lock()
+	m := c.stats
 	for _, wk := range c.workers {
 		if !wk.dead {
 			m.Workers.Live++
@@ -263,15 +269,6 @@ func (c *Coordinator) Metrics() MetricsSnapshot {
 		sw.mu.Unlock()
 	}
 	c.mu.Unlock()
-	m.Workers.Registered = c.workersRegistered.Load()
-	m.Workers.Lost = c.workersLost.Load()
-	m.Sweeps.Accepted = c.sweepsAccepted.Load()
-	m.Sweeps.Completed = c.sweepsCompleted.Load()
-	m.Points.Done = c.pointsDone.Load()
-	m.Points.Failed = c.pointsFailed.Load()
-	m.Points.Reassigned = c.pointsReassigned.Load()
-	m.Fanout.Submitted = c.fanoutSubmitted.Load()
-	m.Fanout.Retries = c.fanoutRetries.Load()
 	m.Blobs.Gets = c.blobs.gets.Load()
 	m.Blobs.Hits = c.blobs.getHits.Load()
 	m.Blobs.Puts = c.blobs.puts.Load()
@@ -285,48 +282,12 @@ func (c *Coordinator) Metrics() MetricsSnapshot {
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if serve.WantsPrometheus(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", telemetry.PrometheusContentType)
-		w.WriteHeader(http.StatusOK)
-		c.writePrometheus(w)
+		if err := telemetry.WritePrometheus(w, c.Metrics()); err != nil {
+			serve.WriteError(w, http.StatusInternalServerError, err)
+		}
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, c.Metrics())
-}
-
-func (c *Coordinator) writePrometheus(w io.Writer) {
-	m := c.Metrics()
-	telemetry.WritePrometheusValue(w, "ipcpc_workers_registered_total", "counter",
-		"Workers ever registered.", float64(m.Workers.Registered))
-	telemetry.WritePrometheusValue(w, "ipcpc_workers_live", "gauge",
-		"Workers currently schedulable.", float64(m.Workers.Live))
-	telemetry.WritePrometheusValue(w, "ipcpc_workers_lost_total", "counter",
-		"Workers declared lost (missed heartbeats or dropped connections).",
-		float64(m.Workers.Lost))
-
-	telemetry.WritePrometheusHeader(w, "ipcpc_sweeps_total", "counter",
-		"Sweeps by lifecycle stage.")
-	fmt.Fprintf(w, "ipcpc_sweeps_total{stage=\"accepted\"} %d\n", m.Sweeps.Accepted)
-	fmt.Fprintf(w, "ipcpc_sweeps_total{stage=\"completed\"} %d\n", m.Sweeps.Completed)
-	telemetry.WritePrometheusValue(w, "ipcpc_sweeps_active", "gauge",
-		"Sweeps currently scheduling.", float64(m.Sweeps.Active))
-
-	telemetry.WritePrometheusHeader(w, "ipcpc_points_total", "counter",
-		"Sweep points by outcome; reassigned counts points re-fanned-out after worker loss.")
-	fmt.Fprintf(w, "ipcpc_points_total{outcome=\"done\"} %d\n", m.Points.Done)
-	fmt.Fprintf(w, "ipcpc_points_total{outcome=\"failed\"} %d\n", m.Points.Failed)
-	fmt.Fprintf(w, "ipcpc_points_total{outcome=\"reassigned\"} %d\n", m.Points.Reassigned)
-
-	telemetry.WritePrometheusHeader(w, "ipcpc_fanout_total", "counter",
-		"Point submissions to workers; retries are 429-backpressure resubmissions.")
-	fmt.Fprintf(w, "ipcpc_fanout_total{kind=\"submitted\"} %d\n", m.Fanout.Submitted)
-	fmt.Fprintf(w, "ipcpc_fanout_total{kind=\"retry\"} %d\n", m.Fanout.Retries)
-
-	telemetry.WritePrometheusHeader(w, "ipcpc_blob_requests_total", "counter",
-		"Shared blob store traffic by operation.")
-	fmt.Fprintf(w, "ipcpc_blob_requests_total{op=\"get\"} %d\n", m.Blobs.Gets)
-	fmt.Fprintf(w, "ipcpc_blob_requests_total{op=\"hit\"} %d\n", m.Blobs.Hits)
-	fmt.Fprintf(w, "ipcpc_blob_requests_total{op=\"put\"} %d\n", m.Blobs.Puts)
-	fmt.Fprintf(w, "ipcpc_blob_requests_total{op=\"rejected\"} %d\n", m.Blobs.Rejected)
-	fmt.Fprintf(w, "ipcpc_blob_requests_total{op=\"quarantined\"} %d\n", m.Blobs.Quarantined)
 }
 
 // handleDebugTrace exports the coordinator's spans as Chrome

@@ -19,6 +19,9 @@ import (
 
 // --- sweep request & grid expansion ---------------------------------------
 
+// maxPoints caps one sweep's expanded grid.
+const maxPoints = 4096
+
 // SweepRequest is the wire form of POST /v1/sweeps: a parameter grid,
 // expanded to the cross product workloads × l1d × l2 × llc (an empty
 // axis contributes one "off"/default element), plus optional explicit
@@ -260,7 +263,7 @@ func (sw *sweep) view(withPoints bool) sweepView {
 // scheduler. The returned sweep is already running. requestID is the
 // submitting client's X-Request-ID ("" when it sent none).
 func (c *Coordinator) acceptSweep(req SweepRequest, requestID string) (*sweep, error) {
-	pts, err := req.expand(c.opts.MaxPoints)
+	pts, err := req.expand(maxPoints)
 	if err != nil {
 		return nil, err
 	}
@@ -291,11 +294,11 @@ func (c *Coordinator) acceptSweep(req SweepRequest, requestID string) (*sweep, e
 	c.nextS++
 	sw.ID = fmt.Sprintf("s%06d", c.nextS)
 	c.sweeps[sw.ID] = sw
+	c.stats.Sweeps.Accepted++
 	c.mu.Unlock()
 	if sw.RequestID == "" {
 		sw.RequestID = sw.ID
 	}
-	c.sweepsAccepted.Add(1)
 
 	sw.mu.Lock()
 	sw.eventLocked("accepted", 0, "", fmt.Sprintf("%d points in %d warmup groups", len(pts), len(order)))
@@ -320,7 +323,7 @@ func (c *Coordinator) acceptSweep(req SweepRequest, requestID string) (*sweep, e
 		sw.eventLocked("done", 0, "", "")
 		done, failed := sw.done, sw.failed
 		sw.mu.Unlock()
-		c.sweepsCompleted.Add(1)
+		c.count(&c.stats.Sweeps.Completed, 1)
 		c.log.Info("sweep done", "sweep", sw.ID, "done", done, "failed", failed)
 	}()
 	return sw, nil
@@ -352,14 +355,14 @@ func (c *Coordinator) runGroup(sw *sweep, pts []*point) {
 			// Coordinator shutting down: fail what's left.
 			for _, pt := range remaining {
 				sw.finish(pt, nil, "coordinator shut down: "+err.Error())
-				c.pointsFailed.Add(1)
+				c.count(&c.stats.Points.Failed, 1)
 			}
 			return
 		}
 		lost := c.runGroupOn(sw, w, remaining)
 		c.release(w, len(remaining))
 		if len(lost) > 0 {
-			c.pointsReassigned.Add(uint64(len(lost)))
+			c.count(&c.stats.Points.Reassigned, len(lost))
 			sw.mu.Lock()
 			sw.eventLocked("reassign", lost[0].Index, w.ID,
 				fmt.Sprintf("%d points reassigned from lost worker %s", len(lost), w.ID))
@@ -398,10 +401,10 @@ func (c *Coordinator) runGroupOn(sw *sweep, w *worker, pts []*point) (lost []*po
 					return
 				}
 				sw.finish(pt, nil, err.Error())
-				c.pointsFailed.Add(1)
+				c.count(&c.stats.Points.Failed, 1)
 				return
 			}
-			c.pointsDone.Add(1)
+			c.count(&c.stats.Points.Done, 1)
 		}(pt)
 	}
 	wg.Wait()
@@ -551,7 +554,7 @@ func (c *Coordinator) submitPoint(sw *sweep, w *worker, pt *point) (string, erro
 		if w.ctx.Err() != nil {
 			return "", errWorkerLost
 		}
-		c.fanoutSubmitted.Add(1)
+		c.count(&c.stats.Fanout.Submitted, 1)
 		resp, err := c.fanout(c.hc, sw, w, http.MethodPost, w.URL+"/v1/runs", body)
 		if err != nil {
 			return "", c.workerLost(w, "submit failed: "+err.Error())
@@ -571,7 +574,7 @@ func (c *Coordinator) submitPoint(sw *sweep, w *worker, pt *point) (string, erro
 			// a missing hint spins nor a dying worker's stalls the sweep.
 			ra, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
 			drain(resp.Body)
-			c.fanoutRetries.Add(1)
+			c.count(&c.stats.Fanout.Retries, 1)
 			select {
 			case <-time.After(time.Duration(min(max(ra, 1), 2)) * time.Second):
 			case <-w.ctx.Done():

@@ -317,38 +317,39 @@ type outcome struct {
 
 // SessionStats counts how the session's Run calls were satisfied. It is
 // also the "session" object of ipcpd's GET /metrics, so the JSON names
+// and the prom tags (the Prometheus series, see telemetry.WritePrometheus)
 // are API.
 type SessionStats struct {
-	// Executed is how many simulations actually ran.
-	Executed int `json:"executed"`
-	// MemoHits were served from the in-memory memo cache.
-	MemoHits int `json:"memo_hits"`
-	// DiskHits were loaded from the disk checkpoint cache.
-	DiskHits int `json:"disk_hits"`
-	// Coalesced callers found an identical run already in flight and
-	// waited for its outcome instead of executing (single-flight).
-	Coalesced int `json:"coalesced"`
-	// Faults is the number of degraded (failed but non-fatal) runs.
-	Faults int `json:"faults"`
+	// Executed is how many simulations actually ran. MemoHits were
+	// served from the in-memory memo cache, DiskHits loaded from the disk
+	// checkpoint cache. Coalesced callers found an identical run already
+	// in flight and waited for its outcome instead of executing
+	// (single-flight). Faults is the number of degraded (failed but
+	// non-fatal) runs.
+	Executed  int `json:"executed" prom:"ipcpd_session_runs_total{disposition=executed},counter" help:"Session run dispositions underneath the job layer."`
+	MemoHits  int `json:"memo_hits" prom:"ipcpd_session_runs_total{disposition=memo_hit},counter"`
+	DiskHits  int `json:"disk_hits" prom:"ipcpd_session_runs_total{disposition=disk_hit},counter"`
+	Coalesced int `json:"coalesced" prom:"ipcpd_session_runs_total{disposition=coalesced},counter"`
+	Faults    int `json:"faults" prom:"ipcpd_session_runs_total{disposition=fault},counter"`
 	// StoreFailures counts disk-checkpoint writes that failed. Store
 	// failures are deliberately non-fatal (the cache degrades to a
 	// no-op) but surfaced here so a dying disk is visible.
-	StoreFailures int `json:"store_failures"`
+	StoreFailures int `json:"store_failures" prom:"ipcpd_checkpoint_store_failures_total,counter" help:"Checkpoint writes that failed (results still served from memory)."`
 	// Quarantined counts corrupt checkpoint files detected on load and
 	// moved to the cache's corrupt/ subdirectory instead of decoded.
-	Quarantined int `json:"quarantined"`
+	Quarantined int `json:"quarantined" prom:"ipcpd_checkpoints_quarantined,counter" help:"Corrupt checkpoint files detected on load and moved to the corrupt/ subdirectory."`
 	// Abandoned counts concurrency slots reclaimed from cancelled runs
 	// that failed to unwind within the abandon grace (simulations
 	// wedged beyond cooperative cancellation).
-	Abandoned int `json:"abandoned"`
+	Abandoned int `json:"abandoned" prom:"ipcpd_sim_runs_abandoned_total,counter" help:"Cancelled simulations abandoned after failing to unwind within the grace; their concurrency slots were reclaimed."`
 
 	// PendingSaves is a gauge: checkpoints and snapshot spills whose run
 	// has returned but whose write has not finished (see Flush).
 	// BuildsRecycled counts simulated systems this session released
 	// once their run had returned, handing their cache arrays to the
 	// next build (sim.System.Release).
-	PendingSaves   int `json:"pending_saves"`
-	BuildsRecycled int `json:"builds_recycled"`
+	PendingSaves   int `json:"pending_saves" prom:"ipcpd_checkpoint_saves_pending,gauge" help:"Results and warmup spills published to their jobs but not yet on disk (write-behind)."`
+	BuildsRecycled int `json:"builds_recycled" prom:"ipcpd_sim_builds_recycled_total,counter" help:"Simulated systems whose cache arrays were handed back for the next build."`
 
 	// Shared-warmup (RunShared/RunSweep) dispositions.
 	//
@@ -359,26 +360,26 @@ type SessionStats struct {
 	// an in-flight warmup instead of running their own. ForkedRuns
 	// counts measure phases that ran from a snapshot (the fallback
 	// cold path counts under Executed only).
-	SnapshotMemHits  int   `json:"snapshot_mem_hits"`
-	SnapshotDiskHits int   `json:"snapshot_disk_hits"`
-	SnapshotMisses   int   `json:"snapshot_misses"`
-	SnapshotBytes    int64 `json:"snapshot_bytes"`
-	WarmupsCoalesced int   `json:"warmups_coalesced"`
-	ForkedRuns       int   `json:"forked_runs"`
+	SnapshotMemHits  int   `json:"snapshot_mem_hits" prom:"ipcpd_snapshot_store_total{disposition=mem_hit},counter" help:"Shared-warmup snapshot dispositions: forks served from memory or the disk spill, and warmups that had to simulate."`
+	SnapshotDiskHits int   `json:"snapshot_disk_hits" prom:"ipcpd_snapshot_store_total{disposition=disk_hit},counter"`
+	SnapshotMisses   int   `json:"snapshot_misses" prom:"ipcpd_snapshot_store_total{disposition=miss},counter"`
+	SnapshotBytes    int64 `json:"snapshot_bytes" prom:"ipcpd_snapshot_bytes_total,counter" help:"Warmup snapshot bytes spilled to the disk cache."`
+	WarmupsCoalesced int   `json:"warmups_coalesced" prom:"ipcpd_warmups_coalesced_total,counter" help:"Run jobs that reused an in-flight shared warmup instead of running their own."`
+	ForkedRuns       int   `json:"forked_runs" prom:"ipcpd_forked_runs_total,counter" help:"Measure phases forked from a warmup snapshot."`
 
 	// RemoteBlobHits counts local cache misses satisfied from the
 	// shared remote blob store (checkpoints and warmup spills alike);
 	// RemoteBlobPuts counts local writes pushed to it.
-	RemoteBlobHits int `json:"remote_blob_hits"`
-	RemoteBlobPuts int `json:"remote_blob_puts"`
+	RemoteBlobHits int `json:"remote_blob_hits" prom:"ipcpd_remote_blob_total{op=hit},counter" help:"Shared blob-store traffic: local misses served remotely and local writes pushed."`
+	RemoteBlobPuts int `json:"remote_blob_puts" prom:"ipcpd_remote_blob_total{op=put},counter"`
 
 	// SteppedCycles and JumpedCycles total the scheduler self-profile
 	// (sim.EngineStats) of every measured phase this session executed:
 	// simulated cycles on which some component was clocked, and cycles
 	// crossed in a jump because none was due. Recalled results (memo,
 	// disk) simulated nothing and add nothing.
-	SteppedCycles uint64 `json:"sim_stepped_cycles"`
-	JumpedCycles  uint64 `json:"sim_jumped_cycles"`
+	SteppedCycles uint64 `json:"sim_stepped_cycles" prom:"ipcpd_sim_cycles_total{mode=stepped},counter" help:"Simulated cycles of executed measure phases: stepped (some component clocked) or jumped (none due)."`
+	JumpedCycles  uint64 `json:"sim_jumped_cycles" prom:"ipcpd_sim_cycles_total{mode=jumped},counter"`
 }
 
 // Session memoizes simulation results for one Scale.
@@ -389,23 +390,11 @@ type Session struct {
 	disk *diskCache
 	log  *slog.Logger
 
-	mu           sync.Mutex
-	cache        map[string]*outcome
-	faults       []RunFault
-	executed     int
-	memoHits     int
-	diskHits     int
-	coalesced    int
-	abandoned    int
-	snapMisses   int
-	snapDiskHits int
-	snapBytes    int64
-	forkedRuns   int
-	// steppedCycles/jumpedCycles sum Result.Engine over executed runs.
-	steppedCycles uint64
-	jumpedCycles  uint64
-	recycled      int
-	sem           chan struct{}
+	mu     sync.Mutex
+	cache  map[string]*outcome
+	faults []RunFault
+	stats  SessionStats // the counters the session owns; Stats adds the rest
+	sem    chan struct{}
 
 	// saves persists results and snapshot spills behind the runs that
 	// produced them (see writebehind.go).
@@ -414,11 +403,9 @@ type Session struct {
 	// Shared-warmup snapshot store (see sweep.go): one single-flight
 	// entry per warmup identity, with a residency list bounding how
 	// many snapshots stay in memory.
-	snapMu           sync.Mutex
-	snaps            map[string]*snapEntry
-	snapResident     []string
-	snapMemHits      int
-	warmupsCoalesced int
+	snapMu       sync.Mutex
+	snaps        map[string]*snapEntry
+	snapResident []string
 
 	// testWarmupErr, when set (tests only), injects a non-fatal
 	// snapshot failure for matching specs so the shared-warmup
@@ -501,34 +488,17 @@ func (s *Session) Faults() []RunFault {
 func (s *Session) Executed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.executed
+	return s.stats.Executed
 }
 
 // Stats returns the session's run-disposition counters; the serve
 // layer surfaces them on /metrics.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
-	st := SessionStats{
-		Executed:         s.executed,
-		MemoHits:         s.memoHits,
-		DiskHits:         s.diskHits,
-		Coalesced:        s.coalesced,
-		Faults:           len(s.faults),
-		Abandoned:        s.abandoned,
-		SnapshotMisses:   s.snapMisses,
-		SnapshotDiskHits: s.snapDiskHits,
-		SnapshotBytes:    s.snapBytes,
-		ForkedRuns:       s.forkedRuns,
-		SteppedCycles:    s.steppedCycles,
-		JumpedCycles:     s.jumpedCycles,
-		BuildsRecycled:   s.recycled,
-	}
+	st := s.stats
+	st.Faults = len(s.faults)
 	s.mu.Unlock()
 	st.PendingSaves = s.saves.depth()
-	s.snapMu.Lock()
-	st.SnapshotMemHits = s.snapMemHits
-	st.WarmupsCoalesced = s.warmupsCoalesced
-	s.snapMu.Unlock()
 	if s.disk != nil {
 		st.StoreFailures = int(s.disk.storeFails.Load())
 		st.Quarantined = int(s.disk.local.Quarantined())
@@ -575,13 +545,13 @@ func (s *Session) run(ctx context.Context, spec RunSpec, prefix string, diskKey 
 		if o, ok := s.cache[k]; ok {
 			select {
 			case <-o.done: // resolved: a plain memo hit
-				s.memoHits++
+				s.stats.MemoHits++
 				s.mu.Unlock()
 				span.SetAttr("outcome", "memo-hit")
 				return o.res, o.err
 			default: // in flight: coalesce onto the leader
 			}
-			s.coalesced++
+			s.stats.Coalesced++
 			s.mu.Unlock()
 			span.SetAttr("outcome", "coalesced")
 			select {
@@ -644,7 +614,7 @@ func (s *Session) lead(ctx context.Context, spec RunSpec, k, dk string, o *outco
 		lsp.End()
 		if ok {
 			s.mu.Lock()
-			s.diskHits++
+			s.stats.DiskHits++
 			s.mu.Unlock()
 			span.SetAttr("outcome", "disk-hit")
 			return resolve(res, nil)
@@ -657,8 +627,8 @@ func (s *Session) lead(ctx context.Context, spec RunSpec, k, dk string, o *outco
 		return resolve(nil, err)
 	}
 	s.mu.Lock()
-	s.steppedCycles += res.Engine.SteppedCycles
-	s.jumpedCycles += res.Engine.JumpedCycles
+	s.stats.SteppedCycles += res.Engine.SteppedCycles
+	s.stats.JumpedCycles += res.Engine.JumpedCycles
 	s.mu.Unlock()
 	resolve(res, nil)
 	if s.disk != nil {
@@ -734,7 +704,7 @@ func (s *Session) runContext(ctx context.Context) (context.Context, context.Canc
 func (s *Session) execute(ctx context.Context, spec RunSpec) (res *sim.Result, err error) {
 	return runSlot(s, ctx, func(runCtx context.Context) (*sim.Result, error) {
 		s.mu.Lock()
-		s.executed++
+		s.stats.Executed++
 		s.mu.Unlock()
 		return s.buildAndRun(runCtx, spec)
 	})
@@ -798,7 +768,7 @@ func runSlot[T any](s *Session, ctx context.Context, body func(context.Context) 
 		case <-time.After(abandonGrace):
 			<-s.sem
 			s.mu.Lock()
-			s.abandoned++
+			s.stats.Abandoned++
 			s.mu.Unlock()
 			return zero, fmt.Errorf("simulation abandoned after cancellation: %w", runCtx.Err())
 		}
@@ -895,7 +865,7 @@ func (s *Session) buildAndRun(runCtx context.Context, spec RunSpec) (*sim.Result
 func (s *Session) release(sys *sim.System) {
 	sys.Release()
 	s.mu.Lock()
-	s.recycled++
+	s.stats.BuildsRecycled++
 	s.mu.Unlock()
 }
 

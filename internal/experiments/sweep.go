@@ -142,7 +142,7 @@ func (s *Session) executeShared(ctx context.Context, spec RunSpec) (*sim.Result,
 			"spec", spec.Key(), "err", err)
 		return runSlot(s, ctx, func(runCtx context.Context) (*sim.Result, error) {
 			s.mu.Lock()
-			s.executed++
+			s.stats.Executed++
 			s.mu.Unlock()
 			sys, err := s.buildShared(spec)
 			if err != nil {
@@ -154,8 +154,8 @@ func (s *Session) executeShared(ctx context.Context, spec RunSpec) (*sim.Result,
 	}
 	return runSlot(s, ctx, func(runCtx context.Context) (*sim.Result, error) {
 		s.mu.Lock()
-		s.executed++
-		s.forkedRuns++
+		s.stats.Executed++
+		s.stats.ForkedRuns++
 		s.mu.Unlock()
 		// A fork's trace reads restore | measure.
 		_, rsp := telemetry.StartSpan(runCtx, "sim.restore")
@@ -205,8 +205,10 @@ func (s *Session) snapshotFor(ctx context.Context, spec RunSpec) (*sim.Snapshot,
 			select {
 			case <-e.done: // resolved
 			default: // warmup in flight: coalesce
-				s.warmupsCoalesced++
 				s.snapMu.Unlock()
+				s.mu.Lock()
+				s.stats.WarmupsCoalesced++
+				s.mu.Unlock()
 				select {
 				case <-e.done:
 				case <-ctx.Done():
@@ -237,8 +239,10 @@ func (s *Session) snapshotFor(ctx context.Context, spec RunSpec) (*sim.Snapshot,
 				// and the caller must get the still-valid snapshot,
 				// never a nil read racing the eviction.
 				snap := e.snap
-				s.snapMemHits++
 				s.snapMu.Unlock()
+				s.mu.Lock()
+				s.stats.SnapshotMemHits++
+				s.mu.Unlock()
 				return snap, nil
 			}
 			// Evicted from memory: re-load the disk spill.
@@ -298,7 +302,7 @@ func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *
 		runCtx, wsp := telemetry.StartSpan(runCtx, "session.warmup")
 		defer wsp.End()
 		s.mu.Lock()
-		s.snapMisses++
+		s.stats.SnapshotMisses++
 		s.mu.Unlock()
 		sys, err := s.buildShared(spec)
 		if err != nil {
@@ -324,7 +328,7 @@ func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *
 		if data, err := sim.EncodeSnapshot(snap); err == nil {
 			s.disk.storeBlob(s.snapDiskKey(wkey), data)
 			s.mu.Lock()
-			s.snapBytes += int64(len(data))
+			s.stats.SnapshotBytes += int64(len(data))
 			s.mu.Unlock()
 		} else {
 			s.log.Warn("snapshot encode failed; not spilled", "warmup", wkey, "err", err)
@@ -363,7 +367,7 @@ func (s *Session) loadSnapshotSpill(ctx context.Context, spec RunSpec, wkey stri
 		return nil, false
 	}
 	s.mu.Lock()
-	s.snapDiskHits++
+	s.stats.SnapshotDiskHits++
 	s.mu.Unlock()
 	return snap, true
 }

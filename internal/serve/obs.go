@@ -16,9 +16,9 @@ import (
 )
 
 // This file is the daemon's observability seam: request-id propagation
-// and per-request spans (instrument), the Prometheus text exposition of
-// the /metrics counters, and build identification for /v1/buildinfo and
-// run metadata.
+// and per-request spans (instrument), /metrics content negotiation and
+// its Prometheus text exposition, and build identification for
+// /v1/buildinfo and run metadata.
 
 // --- request correlation --------------------------------------------------
 
@@ -166,102 +166,13 @@ func containsToken(header, token string) bool {
 	return false
 }
 
-// writePrometheus renders one consistent metrics snapshot in the text
-// exposition format: queue/in-flight gauges, job and session counters
-// by outcome, the three latency histograms, trace-ring accounting and
-// build identification.
-func (s *Server) writePrometheus(w io.Writer) {
-	m := s.Metrics()
-
-	telemetry.WritePrometheusValue(w, "ipcpd_queue_depth", "gauge",
-		"Jobs admitted but not yet started.", float64(m.QueueDepth))
-	telemetry.WritePrometheusValue(w, "ipcpd_queue_capacity", "gauge",
-		"Bounded queue capacity; a full queue rejects with 429.", float64(m.QueueCapacity))
-	telemetry.WritePrometheusValue(w, "ipcpd_in_flight_jobs", "gauge",
-		"Jobs currently executing.", float64(m.InFlight))
-	draining := 0.0
-	if m.Draining {
-		draining = 1
+// WritePrometheus renders m in the text exposition format, then the
+// one series whose value lives in its labels: the build identification.
+func WritePrometheus(w io.Writer, m MetricsSnapshot, b BuildInfo) error {
+	if err := telemetry.WritePrometheus(w, m); err != nil {
+		return err
 	}
-	telemetry.WritePrometheusValue(w, "ipcpd_draining", "gauge",
-		"1 while admission is closed for graceful shutdown.", draining)
-
-	telemetry.WritePrometheusHeader(w, "ipcpd_jobs_total", "counter",
-		"Jobs by admission/terminal outcome.")
-	fmt.Fprintf(w, "ipcpd_jobs_total{outcome=\"admitted\"} %d\n", m.Jobs.Admitted)
-	fmt.Fprintf(w, "ipcpd_jobs_total{outcome=\"rejected\"} %d\n", m.Jobs.Rejected)
-	fmt.Fprintf(w, "ipcpd_jobs_total{outcome=\"shed\"} %d\n", m.Jobs.Shed)
-	fmt.Fprintf(w, "ipcpd_jobs_total{outcome=\"coalesced\"} %d\n", m.Jobs.Coalesced)
-	fmt.Fprintf(w, "ipcpd_jobs_total{outcome=\"completed\"} %d\n", m.Jobs.Completed)
-	fmt.Fprintf(w, "ipcpd_jobs_total{outcome=\"failed\"} %d\n", m.Jobs.Failed)
-	fmt.Fprintf(w, "ipcpd_jobs_total{outcome=\"stalled\"} %d\n", m.Jobs.Stalled)
-
-	telemetry.WritePrometheusHeader(w, "ipcpd_session_runs_total", "counter",
-		"Session run dispositions underneath the job layer.")
-	fmt.Fprintf(w, "ipcpd_session_runs_total{disposition=\"executed\"} %d\n", m.Session.Executed)
-	fmt.Fprintf(w, "ipcpd_session_runs_total{disposition=\"memo_hit\"} %d\n", m.Session.MemoHits)
-	fmt.Fprintf(w, "ipcpd_session_runs_total{disposition=\"disk_hit\"} %d\n", m.Session.DiskHits)
-	fmt.Fprintf(w, "ipcpd_session_runs_total{disposition=\"coalesced\"} %d\n", m.Session.Coalesced)
-	fmt.Fprintf(w, "ipcpd_session_runs_total{disposition=\"fault\"} %d\n", m.Session.Faults)
-
-	telemetry.WritePrometheusHeader(w, "ipcpd_snapshot_store_total", "counter",
-		"Shared-warmup snapshot dispositions: forks served from memory or "+
-			"the disk spill, and warmups that had to simulate.")
-	fmt.Fprintf(w, "ipcpd_snapshot_store_total{disposition=\"mem_hit\"} %d\n", m.Session.SnapshotMemHits)
-	fmt.Fprintf(w, "ipcpd_snapshot_store_total{disposition=\"disk_hit\"} %d\n", m.Session.SnapshotDiskHits)
-	fmt.Fprintf(w, "ipcpd_snapshot_store_total{disposition=\"miss\"} %d\n", m.Session.SnapshotMisses)
-	telemetry.WritePrometheusValue(w, "ipcpd_snapshot_bytes_total", "counter",
-		"Warmup snapshot bytes spilled to the disk cache.", float64(m.Session.SnapshotBytes))
-	telemetry.WritePrometheusValue(w, "ipcpd_warmups_coalesced_total", "counter",
-		"Run jobs that reused an in-flight shared warmup instead of running their own.",
-		float64(m.Session.WarmupsCoalesced))
-	telemetry.WritePrometheusValue(w, "ipcpd_forked_runs_total", "counter",
-		"Measure phases forked from a warmup snapshot.", float64(m.Session.ForkedRuns))
-
-	telemetry.WritePrometheusHeader(w, "ipcpd_remote_blob_total", "counter",
-		"Shared blob-store traffic: local misses served remotely and local writes pushed.")
-	fmt.Fprintf(w, "ipcpd_remote_blob_total{op=\"hit\"} %d\n", m.Session.RemoteBlobHits)
-	fmt.Fprintf(w, "ipcpd_remote_blob_total{op=\"put\"} %d\n", m.Session.RemoteBlobPuts)
-
-	telemetry.WritePrometheusHeader(w, "ipcpd_sim_cycles_total", "counter",
-		"Simulated cycles of executed measure phases: stepped (some component clocked) or jumped (none due).")
-	fmt.Fprintf(w, "ipcpd_sim_cycles_total{mode=\"stepped\"} %d\n", m.Session.SteppedCycles)
-	fmt.Fprintf(w, "ipcpd_sim_cycles_total{mode=\"jumped\"} %d\n", m.Session.JumpedCycles)
-
-	telemetry.WritePrometheusValue(w, "ipcpd_checkpoints_quarantined", "counter",
-		"Corrupt checkpoint files detected on load and moved to the corrupt/ subdirectory.",
-		float64(m.Session.Quarantined))
-	telemetry.WritePrometheusValue(w, "ipcpd_checkpoint_store_failures_total", "counter",
-		"Checkpoint writes that failed (results still served from memory).",
-		float64(m.Session.StoreFailures))
-	telemetry.WritePrometheusValue(w, "ipcpd_checkpoint_saves_pending", "gauge",
-		"Results and warmup spills published to their jobs but not yet on disk (write-behind).",
-		float64(m.Session.PendingSaves))
-	telemetry.WritePrometheusValue(w, "ipcpd_sim_builds_recycled_total", "counter",
-		"Simulated systems whose cache arrays were handed back for the next build.",
-		float64(m.Session.BuildsRecycled))
-
-	telemetry.WritePrometheusHeader(w, "ipcpd_journal_records_total", "counter",
-		"Job-journal WAL appends this process life, by result.")
-	fmt.Fprintf(w, "ipcpd_journal_records_total{result=\"appended\"} %d\n", m.Journal.Appended)
-	fmt.Fprintf(w, "ipcpd_journal_records_total{result=\"error\"} %d\n", m.Journal.AppendErrors)
-	telemetry.WritePrometheusValue(w, "ipcpd_journal_replayed_jobs", "gauge",
-		"Jobs restored from the journal at startup.", float64(m.Journal.ReplayedJobs))
-	telemetry.WritePrometheusValue(w, "ipcpd_journal_damaged_frames_total", "counter",
-		"Damaged WAL frames discarded during replay.", float64(m.Journal.DamagedFrames))
-
-	m.QueueWait.WritePrometheus(w, "ipcpd_job_queue_wait_seconds",
-		"Time from admission to a worker picking the job up.")
-	m.Execution.WritePrometheus(w, "ipcpd_job_execution_seconds",
-		"Time from worker pickup to job completion.")
-	m.JobLatency.WritePrometheus(w, "ipcpd_job_duration_seconds",
-		"End-to-end job latency (queue wait + execution).")
-
-	telemetry.WritePrometheusValue(w, "ipcpd_trace_spans_dropped_total", "counter",
-		"Spans overwritten in the bounded trace ring.", float64(s.spans.Dropped()))
-
-	telemetry.WritePrometheusHeader(w, "ipcpd_build_info", "gauge",
-		"Build identification; value is always 1.")
-	fmt.Fprintf(w, "ipcpd_build_info{version=%q,revision=%q,goversion=%q} 1\n",
-		s.build.Version, s.build.Revision, s.build.GoVersion)
+	io.WriteString(w, "# HELP ipcpd_build_info Build identification; value is always 1.\n# TYPE ipcpd_build_info gauge\n")
+	_, err := fmt.Fprintf(w, "ipcpd_build_info{version=%q,revision=%q,goversion=%q} 1\n", b.Version, b.Revision, b.GoVersion)
+	return err
 }

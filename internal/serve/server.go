@@ -92,17 +92,10 @@ type Options struct {
 	// is reclaimed (even if the simulation itself is wedged beyond
 	// cancellation). 0 disables the watchdog.
 	StallTimeout time.Duration
-	// WatchdogTick overrides the stall-scan cadence (default
-	// StallTimeout/4, clamped to [10ms, 1s]). Tests shrink it.
-	WatchdogTick time.Duration
 	// Log receives structured operational logs (admissions, completions,
 	// drain) with request_id/job_id/kind/duration attributes. Nil
 	// discards.
 	Log *slog.Logger
-	// SpanBuf bounds the in-memory span ring backing /debug/trace
-	// (default telemetry.DefaultSpanCapacity). Oldest spans are
-	// overwritten, never blocked on.
-	SpanBuf int
 }
 
 // Server owns the session, the job queue and the worker pool. Create
@@ -123,19 +116,12 @@ type Server struct {
 	queuedDL map[string]time.Time // queued jobs' absolute deadlines (load shedding)
 	seq      int
 	draining bool
+	stats    MetricsSnapshot // the counters the server owns: InFlight and Jobs
 
 	queue chan *Job
 	wg    sync.WaitGroup // workers
 	bg    sync.WaitGroup // watchdog
 
-	inFlight  telemetry.Gauge
-	admitted  telemetry.Counter
-	rejected  telemetry.Counter
-	shed      telemetry.Counter // deadline-aware load shedding refusals
-	coalesced telemetry.Counter
-	completed telemetry.Counter
-	failed    telemetry.Counter
-	stalledC  telemetry.Counter    // watchdog-reaped jobs
 	queueWait *telemetry.Histogram // admission → worker pickup
 	execution *telemetry.Histogram // worker pickup → finish
 	latency   *telemetry.Histogram // admission → finish (end to end)
@@ -154,9 +140,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.Log == nil {
 		opts.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if opts.SpanBuf <= 0 {
-		opts.SpanBuf = telemetry.DefaultSpanCapacity
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	session := experiments.NewSessionContext(ctx, opts.Scale)
@@ -185,7 +168,7 @@ func New(opts Options) (*Server, error) {
 		ctx:       ctx,
 		cancel:    cancel,
 		log:       opts.Log,
-		spans:     telemetry.NewSpanTracer(opts.SpanBuf),
+		spans:     telemetry.NewSpanTracer(telemetry.DefaultSpanCapacity),
 		build:     ReadBuildInfo(),
 		jobs:      make(map[string]*Job),
 		byKey:     make(map[string]*Job),
@@ -261,17 +244,7 @@ func New(opts Options) (*Server, error) {
 // worker-slot reclaim). Exits when the server's context does.
 func (s *Server) watchdog() {
 	defer s.bg.Done()
-	tick := s.opts.WatchdogTick
-	if tick <= 0 {
-		tick = s.opts.StallTimeout / 4
-		if tick < 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-		if tick > time.Second {
-			tick = time.Second
-		}
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(min(max(s.opts.StallTimeout/4, 10*time.Millisecond), time.Second))
 	defer t.Stop()
 	for {
 		select {
@@ -397,7 +370,7 @@ func (s *Server) submit(j *Job) (*Job, bool, error) {
 	now := time.Now()
 	for _, dl := range s.queuedDL {
 		if now.After(dl) {
-			s.shed.Inc()
+			s.stats.Jobs.Shed++
 			s.mu.Unlock()
 			return nil, false, errBacklogDoomed
 		}
@@ -412,7 +385,7 @@ func (s *Server) submit(j *Job) (*Job, bool, error) {
 	case s.queue <- j:
 	default:
 		s.seq--
-		s.rejected.Inc()
+		s.stats.Jobs.Rejected++
 		s.mu.Unlock()
 		return nil, false, errQueueFull
 	}
@@ -423,7 +396,7 @@ func (s *Server) submit(j *Job) (*Job, bool, error) {
 	if j.Timeout > 0 {
 		s.queuedDL[j.ID] = j.submitted.Add(j.Timeout)
 	}
-	s.admitted.Inc()
+	s.stats.Jobs.Admitted++
 	seq := s.seq
 	s.log.Info("job admitted",
 		"job_id", j.ID, "kind", string(j.Kind), "request_id", j.RequestID,
@@ -442,7 +415,7 @@ func (s *Server) submit(j *Job) (*Job, bool, error) {
 // An experiments job's key is "", which byKey never holds.
 func (s *Server) coalesceLocked(key string) (*Job, error) {
 	if s.draining {
-		s.rejected.Inc()
+		s.stats.Jobs.Rejected++
 		return nil, errDraining
 	}
 	// HTTP-level coalescing: the identical run is already queued,
@@ -452,7 +425,7 @@ func (s *Server) coalesceLocked(key string) (*Job, error) {
 	// single-flight cache.
 	exist := s.byKey[key]
 	if exist != nil {
-		s.coalesced.Inc()
+		s.stats.Jobs.Coalesced++
 	}
 	return exist, nil
 }
@@ -489,12 +462,16 @@ var errStalled = errors.New("stalled: no simulation progress within the stall ti
 const stallGrace = 250 * time.Millisecond
 
 func (s *Server) runJob(j *Job) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
 	start := time.Now()
 	s.mu.Lock()
+	s.stats.InFlight++
 	delete(s.queuedDL, j.ID)
 	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.stats.InFlight--
+		s.mu.Unlock()
+	}()
 	wait := start.Sub(j.submitted)
 	s.queueWait.Observe(wait.Seconds())
 	// The queue wait already happened by the time a worker sees the job,
@@ -594,6 +571,7 @@ func (s *Server) runJob(j *Job) {
 	s.execution.Observe(elapsed.Seconds())
 	s.latency.Observe(time.Since(j.submitted).Seconds())
 	st, err := j.State(), j.Err()
+	counter := &s.stats.Jobs.Completed // bumped under mu below
 	switch st {
 	case StateStalled:
 		jobSpan.SetAttr("outcome", "stalled")
@@ -601,7 +579,7 @@ func (s *Server) runJob(j *Job) {
 			jobSpan.SetAttr("error", err.Error())
 		}
 		jobSpan.End()
-		s.stalledC.Inc()
+		counter = &s.stats.Jobs.Stalled
 		s.log.Error("job stalled; worker slot reclaimed",
 			"job_id", j.ID, "kind", string(j.Kind), "request_id", j.RequestID,
 			"queue_wait", wait, "duration", elapsed, "err", err)
@@ -609,14 +587,13 @@ func (s *Server) runJob(j *Job) {
 		jobSpan.SetAttr("outcome", "failed")
 		jobSpan.SetAttr("error", err.Error())
 		jobSpan.End()
-		s.failed.Inc()
+		counter = &s.stats.Jobs.Failed
 		s.log.Error("job failed",
 			"job_id", j.ID, "kind", string(j.Kind), "request_id", j.RequestID,
 			"queue_wait", wait, "duration", elapsed, "err", err)
 	default:
 		jobSpan.SetAttr("outcome", "done")
 		jobSpan.End()
-		s.completed.Inc()
 		s.log.Info("job done",
 			"job_id", j.ID, "kind", string(j.Kind), "request_id", j.RequestID,
 			"queue_wait", wait, "duration", elapsed)
@@ -624,13 +601,12 @@ func (s *Server) runJob(j *Job) {
 	// Neither a stalled nor a cancelled/timed-out run is memoized by
 	// the session, so don't pin later identical submissions to a dead
 	// job.
-	if j.Kind == KindRun && (st == StateStalled || (err != nil && interrupted(err))) {
-		s.mu.Lock()
-		if s.byKey[j.key] == j {
-			delete(s.byKey, j.key)
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	*counter++
+	if j.Kind == KindRun && (st == StateStalled || (err != nil && interrupted(err))) && s.byKey[j.key] == j {
+		delete(s.byKey, j.key)
 	}
+	s.mu.Unlock()
 	// The job is terminal and visible; what follows is off its latency.
 	// A journaling worker waits out the session's write-behind queue
 	// before it journals the finish, so a finish record implies its
@@ -1093,21 +1069,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// MetricsSnapshot is the JSON shape of GET /metrics.
+// MetricsSnapshot is GET /metrics: its JSON shape, and through the prom
+// tags (see telemetry.WritePrometheus) its Prometheus series — each
+// metric is declared once, here.
 type MetricsSnapshot struct {
-	QueueDepth    int   `json:"queue_depth"`
-	QueueCapacity int   `json:"queue_capacity"`
-	InFlight      int64 `json:"in_flight"`
-	Draining      bool  `json:"draining"`
+	QueueDepth    int   `json:"queue_depth" prom:"ipcpd_queue_depth,gauge" help:"Jobs admitted but not yet started."`
+	QueueCapacity int   `json:"queue_capacity" prom:"ipcpd_queue_capacity,gauge" help:"Bounded queue capacity; a full queue rejects with 429."`
+	InFlight      int64 `json:"in_flight" prom:"ipcpd_in_flight_jobs,gauge" help:"Jobs currently executing."`
+	Draining      bool  `json:"draining" prom:"ipcpd_draining,gauge" help:"1 while admission is closed for graceful shutdown."`
 
+	// Jobs by admission and terminal outcome; Shed counts deadline-aware
+	// load-shedding refusals, Stalled watchdog-reaped jobs.
 	Jobs struct {
-		Admitted  uint64 `json:"admitted"`
-		Rejected  uint64 `json:"rejected"`
-		Shed      uint64 `json:"shed"`
-		Coalesced uint64 `json:"coalesced"`
-		Completed uint64 `json:"completed"`
-		Failed    uint64 `json:"failed"`
-		Stalled   uint64 `json:"stalled"`
+		Admitted  uint64 `json:"admitted" prom:"ipcpd_jobs_total{outcome=admitted},counter" help:"Jobs by admission/terminal outcome."`
+		Rejected  uint64 `json:"rejected" prom:"ipcpd_jobs_total{outcome=rejected},counter"`
+		Shed      uint64 `json:"shed" prom:"ipcpd_jobs_total{outcome=shed},counter"`
+		Coalesced uint64 `json:"coalesced" prom:"ipcpd_jobs_total{outcome=coalesced},counter"`
+		Completed uint64 `json:"completed" prom:"ipcpd_jobs_total{outcome=completed},counter"`
+		Failed    uint64 `json:"failed" prom:"ipcpd_jobs_total{outcome=failed},counter"`
+		Stalled   uint64 `json:"stalled" prom:"ipcpd_jobs_total{outcome=stalled},counter"`
 	} `json:"jobs"`
 
 	// Session counters: how run requests were satisfied underneath the
@@ -1119,36 +1099,32 @@ type MetricsSnapshot struct {
 	// Journal counters: the WAL's health this process life. AppendErrors
 	// rising means accepted jobs are not crash-durable right now.
 	Journal struct {
-		Enabled       bool   `json:"enabled"`
-		ReplayedJobs  uint64 `json:"replayed_jobs"`
-		Appended      uint64 `json:"appended"`
-		AppendErrors  uint64 `json:"append_errors"`
-		DamagedFrames uint64 `json:"damaged_frames"`
+		Enabled       bool   `json:"enabled" prom:"ipcpd_journal_enabled,gauge" help:"1 when jobs are write-ahead journaled (-journal-dir)."`
+		ReplayedJobs  uint64 `json:"replayed_jobs" prom:"ipcpd_journal_replayed_jobs,gauge" help:"Jobs restored from the journal at startup."`
+		Appended      uint64 `json:"appended" prom:"ipcpd_journal_records_total{result=appended},counter" help:"Job-journal WAL appends this process life, by result."`
+		AppendErrors  uint64 `json:"append_errors" prom:"ipcpd_journal_records_total{result=error},counter"`
+		DamagedFrames uint64 `json:"damaged_frames" prom:"ipcpd_journal_damaged_frames_total,counter" help:"Damaged WAL frames discarded during replay."`
 	} `json:"journal"`
 
 	// QueueWait is admission → worker pickup, Execution is pickup →
 	// finish, and JobLatency is the end-to-end sum of the two — all in
 	// seconds, observed when the respective boundary is crossed. The
 	// split tells queue backpressure apart from slow simulations.
-	QueueWait  telemetry.HistogramSnapshot `json:"queue_wait_s"`
-	Execution  telemetry.HistogramSnapshot `json:"execution_s"`
-	JobLatency telemetry.HistogramSnapshot `json:"job_latency_s"`
+	QueueWait  telemetry.HistogramSnapshot `json:"queue_wait_s" prom:"ipcpd_job_queue_wait_seconds,histogram" help:"Time from admission to a worker picking the job up."`
+	Execution  telemetry.HistogramSnapshot `json:"execution_s" prom:"ipcpd_job_execution_seconds,histogram" help:"Time from worker pickup to job completion."`
+	JobLatency telemetry.HistogramSnapshot `json:"job_latency_s" prom:"ipcpd_job_duration_seconds,histogram" help:"End-to-end job latency (queue wait + execution)."`
+
+	TraceSpansDropped uint64 `json:"trace_spans_dropped" prom:"ipcpd_trace_spans_dropped_total,counter" help:"Spans overwritten in the bounded trace ring."`
 }
 
 // Metrics assembles a point-in-time snapshot.
 func (s *Server) Metrics() MetricsSnapshot {
-	var m MetricsSnapshot
+	s.mu.Lock()
+	m := s.stats
+	m.Draining = s.draining
+	s.mu.Unlock()
 	m.QueueDepth = len(s.queue)
 	m.QueueCapacity = cap(s.queue)
-	m.InFlight = s.inFlight.Value()
-	m.Draining = s.Draining()
-	m.Jobs.Admitted = s.admitted.Value()
-	m.Jobs.Rejected = s.rejected.Value()
-	m.Jobs.Shed = s.shed.Value()
-	m.Jobs.Coalesced = s.coalesced.Value()
-	m.Jobs.Completed = s.completed.Value()
-	m.Jobs.Failed = s.failed.Value()
-	m.Jobs.Stalled = s.stalledC.Value()
 	m.Session = s.session.Stats()
 	if s.journal != nil {
 		m.Journal.Enabled = true
@@ -1160,6 +1136,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	m.QueueWait = s.queueWait.Snapshot()
 	m.Execution = s.execution.Snapshot()
 	m.JobLatency = s.latency.Snapshot()
+	m.TraceSpansDropped = s.spans.Dropped()
 	return m
 }
 
@@ -1169,8 +1146,9 @@ func (s *Server) Metrics() MetricsSnapshot {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if WantsPrometheus(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", telemetry.PrometheusContentType)
-		w.WriteHeader(http.StatusOK)
-		s.writePrometheus(w)
+		if err := WritePrometheus(w, s.Metrics(), s.build); err != nil {
+			WriteError(w, http.StatusInternalServerError, err)
+		}
 		return
 	}
 	WriteJSON(w, http.StatusOK, s.Metrics())

@@ -18,8 +18,7 @@ func TestWatchdogReapsStalledJob(t *testing.T) {
 	gateJobs(t) // never released until cleanup: the simulation is wedged
 	s := newTestServer(t, Options{
 		Workers: 1, QueueSize: 8,
-		StallTimeout: 50 * time.Millisecond,
-		WatchdogTick: 5 * time.Millisecond,
+		StallTimeout: 50 * time.Millisecond, // scanned every 12.5ms
 	})
 	req := RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9001}}
 	v := s.submitRun(t, req, http.StatusAccepted)

@@ -4,39 +4,14 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// This file is the serving-side metrics surface: lock-free counters
-// and gauges plus a bucketed latency histogram, built for ipcpd's
+// This file is the serving-side latency histogram, built for ipcpd's
 // /metrics endpoint but usable by any long-running harness. Unlike the
-// event tracer and interval log — which observe one simulation — these
-// aggregate across a process lifetime and many concurrent jobs, so
-// every type here is safe for concurrent use.
-
-// Counter is a monotonically increasing metric.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous signed value (queue depth, in-flight jobs).
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add shifts the value by d (negative to decrement).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+// event tracer and interval log — which observe one simulation — it
+// aggregates across a process lifetime and many concurrent jobs, so it
+// is safe for concurrent use. Counters are plain fields of a daemon's
+// metrics snapshot, kept under the daemon's own lock (prometheus.go).
 
 // DefaultLatencyBuckets spans sub-millisecond cache hits to minutes-long
 // default-scale experiment jobs.

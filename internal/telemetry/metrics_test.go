@@ -7,34 +7,6 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeConcurrent(t *testing.T) {
-	var c Counter
-	var g Gauge
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-				g.Add(1)
-				g.Add(-1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 8000 {
-		t.Errorf("Counter = %d, want 8000", c.Value())
-	}
-	if g.Value() != 0 {
-		t.Errorf("Gauge = %d, want 0", g.Value())
-	}
-	g.Set(42)
-	if g.Value() != 42 {
-		t.Errorf("Gauge = %d after Set, want 42", g.Value())
-	}
-}
-
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	h := NewHistogram(0.1, 1, 10)
 	for _, v := range []float64{0.05, 0.07, 0.5, 2, 3, 4, 5, 6, 7, 50} {

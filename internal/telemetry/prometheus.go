@@ -3,29 +3,123 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
+	"strings"
 )
 
-// Prometheus text exposition (format version 0.0.4) for the serving
-// metrics. Each metric type knows how to render itself as one family;
-// callers composing labeled families (one name, several label sets)
-// write the header once with WritePrometheusHeader and the samples
-// themselves.
+// Prometheus text exposition (format version 0.0.4), rendered from a
+// daemon's typed metrics snapshot — the very struct it serves as JSON —
+// so a metric is declared once, as a field. Every numeric or bool leaf
+// carries a tag naming its series and type, and one member of each
+// family (by convention the first) its help text:
+//
+//	Admitted uint64 `json:"admitted" prom:"ipcpd_jobs_total{outcome=admitted},counter" help:"Jobs by outcome."`
+//
+// Fields naming one family are rendered together under one # HELP /
+// # TYPE, wherever they sit in the struct. A bool is a 0/1 gauge, a
+// HistogramSnapshot field a histogram family; untagged structs are
+// walked.
 
 // PrometheusContentType is the Content-Type of the text exposition
 // format this file emits.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// WritePrometheusHeader writes one family's # HELP / # TYPE preamble.
-// typ is one of "counter", "gauge", "histogram", "untyped".
-func WritePrometheusHeader(w io.Writer, name, typ, help string) error {
-	if help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
-			return err
+var histogramType = reflect.TypeOf(HistogramSnapshot{})
+
+// quoteLabels turns a tag's {k=v,k2=v2} into the exposition's
+// {k="v",k2="v2"}.
+var quoteLabels = strings.NewReplacer("=", `="`, ",", `",`, "}", `"}`)
+
+// promFamily is one family's header and rendered samples.
+type promFamily struct {
+	name, typ, help string
+	samples         strings.Builder
+}
+
+// WritePrometheus renders snapshot, a struct or a pointer to one, as
+// text exposition. An untagged numeric, bool or histogram leaf, a
+// malformed tag, and a family whose members disagree on type or none of
+// which carries help are errors, and then nothing is written.
+func WritePrometheus(w io.Writer, snapshot any) error {
+	var fams []*promFamily
+	byName := map[string]*promFamily{}
+	var walk func(v reflect.Value, path string) error
+	walk = func(v reflect.Value, path string) error {
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			path := path + "." + f.Name
+			tag, ok := f.Tag.Lookup("prom")
+			hist := fv.Type() == histogramType
+			switch {
+			case !ok && fv.Kind() == reflect.Struct && !hist:
+				if err := walk(fv, path); err != nil {
+					return err
+				}
+				continue
+			case !ok && (hist || fv.Kind() == reflect.Bool || fv.CanInt() || fv.CanUint() || fv.CanFloat()):
+				return fmt.Errorf("telemetry: metric %s has no prom tag", path)
+			case !ok:
+				continue
+			}
+			cut := strings.LastIndexByte(tag, ',')
+			if cut < 0 {
+				return fmt.Errorf("telemetry: %s: prom tag %q is not family{labels},type", path, tag)
+			}
+			series, typ := tag[:cut], tag[cut+1:]
+			name, _, _ := strings.Cut(series, "{")
+			if (typ == "histogram") != hist || (typ != "counter" && typ != "gauge" && !hist) {
+				return fmt.Errorf("telemetry: %s: type %q does not fit a %s", path, typ, fv.Type())
+			}
+			fam := byName[name]
+			if fam == nil {
+				fam = &promFamily{name: name, typ: typ}
+				byName[name] = fam
+				fams = append(fams, fam)
+			}
+			if fam.typ != typ {
+				return fmt.Errorf("telemetry: %s: family %s is both %s and %s", path, name, fam.typ, typ)
+			}
+			if h := f.Tag.Get("help"); h != "" {
+				fam.help = h
+			}
+			if hist {
+				writeHistogram(&fam.samples, name, fv.Interface().(HistogramSnapshot))
+				continue
+			}
+			fam.samples.WriteString(quoteLabels.Replace(series) + " " + promValue(fv) + "\n")
 		}
+		return nil
 	}
-	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+	if err := walk(reflect.Indirect(reflect.ValueOf(snapshot)), ""); err != nil {
+		return err
+	}
+	var out strings.Builder
+	for _, f := range fams {
+		if f.help == "" {
+			return fmt.Errorf("telemetry: family %s has no help tag", f.name)
+		}
+		fmt.Fprintf(&out, "# HELP %s %s\n# TYPE %s %s\n%s", f.name, f.help, f.name, f.typ, f.samples.String())
+	}
+	_, err := io.WriteString(w, out.String())
 	return err
+}
+
+// promValue renders a numeric or bool leaf: integers exactly, floats the
+// shortest round-trip way, bools as 0/1.
+func promValue(v reflect.Value) string {
+	switch {
+	case v.Kind() == reflect.Bool:
+		if v.Bool() {
+			return "1"
+		}
+		return "0"
+	case v.CanInt():
+		return strconv.FormatInt(v.Int(), 10)
+	case v.CanUint():
+		return strconv.FormatUint(v.Uint(), 10)
+	}
+	return promFloat(v.Float())
 }
 
 // promFloat renders a float the way Prometheus clients expect: shortest
@@ -34,51 +128,12 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheusValue writes a complete single-sample family.
-func WritePrometheusValue(w io.Writer, name, typ, help string, v float64) error {
-	if err := WritePrometheusHeader(w, name, typ, help); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", name, promFloat(v))
-	return err
-}
-
-// WritePrometheus renders the counter as one family.
-func (c *Counter) WritePrometheus(w io.Writer, name, help string) error {
-	return WritePrometheusValue(w, name, "counter", help, float64(c.Value()))
-}
-
-// WritePrometheus renders the gauge as one family.
-func (g *Gauge) WritePrometheus(w io.Writer, name, help string) error {
-	return WritePrometheusValue(w, name, "gauge", help, float64(g.Value()))
-}
-
-// WritePrometheus renders the histogram as one family: cumulative
+// writeHistogram renders a histogram family's samples: cumulative
 // _bucket{le="..."} samples (including the mandatory le="+Inf"), _sum,
 // and _count.
-func (h *Histogram) WritePrometheus(w io.Writer, name, help string) error {
-	s := h.Snapshot()
-	return s.WritePrometheus(w, name, help)
-}
-
-// WritePrometheus renders a captured snapshot (same output as
-// Histogram.WritePrometheus; split out so a consistent snapshot can be
-// rendered alongside its JSON form).
-func (s HistogramSnapshot) WritePrometheus(w io.Writer, name, help string) error {
-	if err := WritePrometheusHeader(w, name, "histogram", help); err != nil {
-		return err
+func writeHistogram(b *strings.Builder, name string, s HistogramSnapshot) {
+	for _, bk := range s.Buckets {
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, promFloat(bk.LE), bk.Count)
 	}
-	for _, b := range s.Buckets {
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, promFloat(b.LE), b.Count); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(s.Sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
-	return err
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n", name, s.Count, name, promFloat(s.Sum), name, s.Count)
 }
