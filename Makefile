@@ -4,7 +4,7 @@ GO ?= go
 
 # Tier-1 gate: everything must pass before a change lands, and every
 # test runs once. `test` runs -race over every package — including the
-# determinism goldens, the gated-twin differentials and the four
+# determinism goldens, the gated-twin differentials and the five
 # real-binary ipcpd smokes in cmd/ipcpd, so the standalone determinism /
 # *-smoke targets below are for running one gate alone and are not
 # prerequisites here. benchmark-test runs the benchmark module's own
@@ -101,9 +101,11 @@ audit:
 # Brief fuzz passes (longer runs: raise -fuzztime): the trace reader,
 # the two frame codecs every durable file goes through (internal/store),
 # the checkpoint entry decoder on top of them, the warmup snapshot a fork
-# decodes and restores, and the one request body both daemons decode
+# decodes and restores, the one request body both daemons decode
 # (POST /v1/runs, every /v1/sweeps point: decode → validate → derived
-# keys). `go test -fuzz` takes one fuzz target per run. The snapshot
+# keys), and the journaled grid body (POST /v1/sweeps: decode → expand →
+# submit record → expand again). `go test -fuzz` takes one fuzz target
+# per run. The snapshot
 # seeds are ~20 KB, so minimizing each new input is capped: uncapped, it
 # takes the whole pass.
 fuzz:
@@ -113,6 +115,7 @@ fuzz:
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime=10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime=10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime=10s
 
 # End-to-end daemon smoke: build the real ipcpd binary, boot it on an
 # ephemeral port with a cache dir, drive the API, SIGTERM it mid-job
@@ -138,6 +141,8 @@ chaos-smoke:
 # End-to-end distributed smoke: boot a real coordinator and two real
 # workers, submit one parameter grid via POST /v1/sweeps, kill -9 a
 # worker mid-sweep, and demand every acknowledged point still reach a
-# result — with the reassignment visible on the coordinator's metrics.
+# result — with the reassignment visible on the coordinator's metrics;
+# then kill -9 a journaling coordinator mid-sweep instead, restart it
+# on the same address, and demand the same sweep finish every point.
 dist-smoke:
-	$(GO) test ./cmd/ipcpd -run '^TestDistSmoke$$' -count=1 -v
+	$(GO) test ./cmd/ipcpd -run '^(TestDistSmoke|TestCoordinatorCrashSmoke)$$' -count=1 -v

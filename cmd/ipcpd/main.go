@@ -6,20 +6,26 @@
 // It also hosts the distributed sweep tier. One process runs the
 // coordinator; any number run as workers that register with it:
 //
-//	ipcpd -coordinator -addr 127.0.0.1:8800 -data-dir .ipcp-coord
+//	ipcpd -coordinator -addr 127.0.0.1:8800 -data-dir .ipcp-coord -journal-dir .ipcp-coord/journal
 //	ipcpd -addr 127.0.0.1:0 -worker http://127.0.0.1:8800
 //
 //	curl -s -X POST localhost:8800/v1/sweeps \
 //	    -d '{"workloads":["mcf-994","gcc-13"],"l1d":["off","ipcp"]}'
-//	curl -s localhost:8800/v1/sweeps/s000001          # merged report
-//	curl -sN localhost:8800/v1/sweeps/s000001/events  # partial aggregation
+//	curl -s localhost:8800/v1/sweeps/j000001          # merged report
+//	curl -sN localhost:8800/v1/sweeps/j000001/events  # partial aggregation
 //
 // A worker forces -shared-warmup (the sweep methodology), registers
 // over HTTP, heartbeats, and attaches the coordinator's shared blob
 // store behind its disk cache so any worker's checkpoint is every
-// worker's disk hit. The coordinator shards each sweep's grid by
-// warmup identity, fans points out through the workers' /v1/runs API,
-// and reassigns points when a worker misses heartbeats.
+// worker's disk hit. The coordinator is the same daemon with no
+// simulator: a sweep is one of its jobs — admitted under -queue, run by
+// one of its -workers, capped by -job-timeout, journaled under
+// -journal-dir (a restarted coordinator resumes every acknowledged
+// sweep), drained within -drain-timeout — whose points it shards by
+// warmup identity and fans out through the workers' /v1/runs API,
+// reassigning them when a worker is lost. It refuses the flags that
+// configure a simulation (-cache-dir, -shared-warmup, -scale, -warmup,
+// -measure).
 //
 //	curl -s localhost:8799/healthz
 //	curl -s -X POST localhost:8799/v1/runs -H 'X-Request-ID: demo' \
@@ -167,12 +173,25 @@ func main() {
 		}()
 	}
 
+	// Coordinator mode: the daemon's sweep jobs run on a fleet of
+	// workers, so it simulates nothing and the simulation flags would be
+	// silently ignored — refuse them instead.
+	var fleet *coord.Coordinator
 	if *coordinator {
 		if *workerOf != "" {
 			fatal(fmt.Errorf("-coordinator and -worker are mutually exclusive"))
 		}
-		runCoordinator(*addr, *dataDir, *heartbeat, logger, fatal)
-		return
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "cache-dir", "shared-warmup", "scale", "warmup", "measure":
+				fatal(fmt.Errorf("-coordinator runs no simulations: -%s does not apply", f.Name))
+			}
+		})
+		var err error
+		if fleet, err = coord.New(coord.Options{DataDir: *dataDir, HeartbeatTimeout: *heartbeat, Log: logger}); err != nil {
+			fatal(err)
+		}
+		defer fleet.Close()
 	}
 
 	// Worker mode: sweep points arrive as ordinary /v1/runs jobs, but
@@ -195,7 +214,7 @@ func main() {
 		remoteBlobs = coord.NewBlobClient(*workerOf, logger)
 	}
 
-	srv, err := serve.New(serve.Options{
+	opts := serve.Options{
 		Scale:        sc,
 		CacheDir:     *cacheDir,
 		QueueSize:    *queueSize,
@@ -206,7 +225,12 @@ func main() {
 		SharedWarmup: *sharedWarmup,
 		RemoteBlobs:  remoteBlobs,
 		Log:          logger,
-	})
+	}
+	role := "ipcpd"
+	if fleet != nil {
+		opts.Fleet, role = fleet, "ipcpd coordinator"
+	}
+	srv, err := serve.New(opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -221,7 +245,7 @@ func main() {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	// The resolved address goes to stdout so scripts driving an
 	// ephemeral port (-addr 127.0.0.1:0) can find the server.
-	fmt.Printf("ipcpd listening on http://%s\n", ln.Addr())
+	fmt.Printf("%s listening on http://%s\n", role, ln.Addr())
 	build := srv.Build()
 	logger.Info("serving",
 		"addr", "http://"+ln.Addr().String(), "scale", *scale, "queue", *queueSize,
@@ -270,45 +294,4 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("drained cleanly")
-}
-
-// runCoordinator serves the sweep coordinator until SIGINT/SIGTERM.
-func runCoordinator(addr, dataDir string, heartbeat time.Duration, logger *slog.Logger, fatal func(error)) {
-	c, err := coord.New(coord.Options{
-		DataDir:          dataDir,
-		HeartbeatTimeout: heartbeat,
-		Log:              logger,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(err)
-	}
-	sigc := make(chan os.Signal, 1) // before the address, as in main
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	// Same stdout contract as the daemon: scripts driving an ephemeral
-	// port parse the resolved address from this line.
-	fmt.Printf("ipcpd coordinator listening on http://%s\n", ln.Addr())
-	logger.Info("coordinating",
-		"addr", "http://"+ln.Addr().String(), "data_dir", dataDir, "heartbeat", heartbeat)
-
-	httpSrv := &http.Server{Handler: c.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		fatal(err)
-	case sig := <-sigc:
-		logger.Info("signal received, shutting down", "signal", sig.String())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		httpSrv.Close()
-	}
-	c.Close()
-	logger.Info("coordinator stopped")
 }

@@ -11,12 +11,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"ipcp/internal/sim"
 )
 
 // TestServeSmoke is the end-to-end daemon exercise behind `make
@@ -449,4 +452,62 @@ func waitState(t *testing.T, base, id, state string, timeout time.Duration) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestCoordinatorRefusesSimulationFlags: a coordinator simulates
+// nothing, so each flag that only configures a simulation is refused
+// when set explicitly (exit 1, naming it) instead of silently ignored.
+func TestCoordinatorRefusesSimulationFlags(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "ipcpd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building ipcpd: %v\n%s", err, out)
+	}
+	for _, arg := range []string{"-cache-dir=x", "-shared-warmup", "-scale=quick", "-warmup=1000", "-measure=1000"} {
+		cmd := exec.Command(bin, "-coordinator", "-addr", "127.0.0.1:0", "-data-dir", t.TempDir(), arg)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("ipcpd -coordinator %s: %v, want exit status 1\n%s", arg, err, out)
+			continue
+		}
+		if name, _, _ := strings.Cut(arg, "="); !strings.Contains(string(out), name+" does not apply") {
+			t.Errorf("ipcpd -coordinator %s refused without naming %s:\n%s", arg, name, out)
+		}
+	}
+}
+
+// TestIpcpsimAgreesWithDaemon: the serving stack must not change what
+// the simulator computes. ipcpsim -json and ipcpd's GET /v1/runs/{id}
+// result for the same run (lbm-94, IPCP at L1-D and L2, same sizes and
+// seed) decode to deeply equal sim.Results.
+func TestIpcpsimAgreesWithDaemon(t *testing.T) {
+	dir := t.TempDir()
+	daemonBin, simBin := filepath.Join(dir, "ipcpd"), filepath.Join(dir, "ipcpsim")
+	for _, b := range [][2]string{{daemonBin, "."}, {simBin, "../ipcpsim"}} {
+		if out, err := exec.Command("go", "build", "-o", b[0], b[1]).CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", b[1], err, out)
+		}
+	}
+	const warmup, measure, seed = "2000", "8000", "7"
+	out, err := exec.Command(simBin, "-workload", "lbm-94", "-l1", "ipcp", "-l2", "ipcp",
+		"-warmup", warmup, "-measure", measure, "-seed", seed, "-json").Output()
+	if err != nil {
+		t.Fatalf("ipcpsim: %v", err)
+	}
+	var cli sim.Result
+	if err := json.Unmarshal(out, &cli); err != nil || cli.Instructions != 8000 || len(cli.IPC) != 1 {
+		t.Fatalf("ipcpsim -json: %v (%d instructions, %d IPCs)", err, cli.Instructions, len(cli.IPC))
+	}
+
+	d := startDaemon(t, daemonBin, []string{"-addr", "127.0.0.1:0", "-warmup", warmup, "-measure", measure})
+	id := submitRun(t, d.base, `{"workloads":["lbm-94"],"l1d":"ipcp","l2":"ipcp","seed":`+seed+`}`)
+	waitState(t, d.base, id, "done", 60*time.Second)
+	var job struct {
+		Result *sim.Result `json:"result"`
+	}
+	getJSON(t, d.base+"/v1/runs/"+id, &job)
+	if job.Result == nil || !reflect.DeepEqual(*job.Result, cli) {
+		t.Errorf("ipcpd and ipcpsim disagree on lbm-94 seed %s:\n ipcpd   %+v\n ipcpsim %+v", seed, job.Result, cli)
+	}
+	sigtermAndWait(t, d)
 }

@@ -1,20 +1,22 @@
-// Package coord is the distributed sweep tier: a coordinator that
-// shards parameter grids across self-registered ipcpd workers.
+// Package coord is the distributed half of the sweep tier: the fleet a
+// coordinator's sweep jobs run on.
 //
-// Topology: one coordinator, N workers. Workers are ordinary ipcpd
-// daemons (run with -worker <coord-url>) that register over HTTP and
-// heartbeat; the coordinator accepts a whole parameter grid as one
-// POST /v1/sweeps, shards it by warmup identity (experiments.WarmupKey)
-// so each group's shared warmup is simulated — and its snapshot forked
-// — on exactly one worker, fans the points out through the workers'
-// existing /v1/runs API — submit, follow the job's event stream to its
-// end, fetch the result; no timer paces a sweep — and merges results. A
-// worker that misses heartbeats, drops a connection or breaks an event
-// stream before its job is terminal is declared lost and its
-// outstanding points are reassigned; a point's simulation failure, by
-// contrast, is deterministic and final. Results flow back through a
-// shared content-addressed blob store (blobs.go) so nothing is ever
-// recomputed twice across the fleet.
+// Topology: one coordinator, N workers. The coordinator is an ipcpd
+// whose serve.Server has a Coordinator as its serve.Fleet: serve owns
+// the sweep job's admission, queue, journal, events and views, and
+// hands each job to RunSweep. Workers are ordinary ipcpd daemons (run
+// with -worker <coord-url>) that register over HTTP and heartbeat.
+// RunSweep runs each of the sweep's warmup-identity groups on one
+// worker, so the group's shared warmup is simulated — and its snapshot
+// forked — once, and fans the points out through the workers' existing
+// /v1/runs API: submit, follow the job's event stream to its end, fetch
+// the result; no timer paces a sweep. A worker that misses heartbeats,
+// drops a connection, breaks an event stream before its job is terminal
+// or shuts down under a job is declared lost and its outstanding points
+// are reassigned; a point's simulation failure, by contrast, is
+// deterministic and final. Results flow back through a shared
+// content-addressed blob store (blobs.go) so nothing is ever recomputed
+// twice across the fleet.
 package coord
 
 import (
@@ -25,8 +27,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"ipcp/internal/telemetry"
 )
 
 // Options configures a Coordinator.
@@ -40,13 +40,13 @@ type Options struct {
 	Log *slog.Logger
 }
 
-// Coordinator owns the worker registry, the sweep scheduler and the
-// blob store. Create with New, serve Handler(), Close when done.
+// Coordinator owns the worker registry, the fan-out executor and the
+// blob store: it is the serve.Fleet a coordinator daemon's sweeps run
+// on. Create with New, pass as serve.Options.Fleet, Close when done.
 type Coordinator struct {
 	opts  Options
 	log   *slog.Logger
 	blobs *BlobStore
-	spans *telemetry.SpanTracer
 	hc    *http.Client // submit and fetch: bounded whole-request
 	tail  *http.Client // event-stream follows: bounded only by the worker's ctx
 	ctx   context.Context
@@ -55,9 +55,7 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers map[string]*worker
-	sweeps  map[string]*sweep
 	nextW   int             // worker id allocator
-	nextS   int             // sweep id allocator
 	joined  chan struct{}   // closed and replaced by every register
 	stats   MetricsSnapshot // the fleet and fan-out counters the coordinator owns
 }
@@ -97,13 +95,11 @@ func New(opts Options) (*Coordinator, error) {
 		opts:    opts,
 		log:     opts.Log,
 		blobs:   blobs,
-		spans:   telemetry.NewSpanTracer(telemetry.DefaultSpanCapacity),
 		hc:      &http.Client{Timeout: 30 * time.Second},
 		tail:    &http.Client{},
 		ctx:     ctx,
 		stop:    cancel,
 		workers: make(map[string]*worker),
-		sweeps:  make(map[string]*sweep),
 		joined:  make(chan struct{}),
 	}
 	c.wg.Add(1)
@@ -111,7 +107,8 @@ func New(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the reaper and aborts in-flight sweep scheduling.
+// Close stops the reaper and aborts every sweep still running on the
+// fleet (RunSweep returns; the daemon's journal replays it next life).
 func (c *Coordinator) Close() {
 	c.stop()
 	c.wg.Wait()
@@ -216,11 +213,11 @@ func (c *Coordinator) reap() {
 
 // pickWorker returns the live worker with the least assigned load,
 // reserving n points of load on it, or blocks until register admits
-// one. Closing the coordinator aborts the wait.
-func (c *Coordinator) pickWorker(n int) (*worker, error) {
+// one. The end of ctx (the sweep's) aborts the wait.
+func (c *Coordinator) pickWorker(ctx context.Context, n int) (*worker, error) {
 	for {
-		// First: handing a closing coordinator's worker out spins runGroup.
-		if err := c.ctx.Err(); err != nil {
+		// First: handing an ended sweep a worker spins runGroup.
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		c.mu.Lock()
@@ -241,7 +238,7 @@ func (c *Coordinator) pickWorker(n int) (*worker, error) {
 		joined := c.joined
 		c.mu.Unlock()
 		select {
-		case <-c.ctx.Done():
+		case <-ctx.Done():
 		case <-joined:
 		}
 	}
@@ -254,7 +251,20 @@ func (c *Coordinator) release(w *worker, n int) {
 	c.mu.Unlock()
 }
 
-// workerViews snapshots the registry for GET /v1/workers and /metrics.
+// Live is the number of schedulable workers (serve.Fleet: /healthz).
+func (c *Coordinator) Live() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	live := 0
+	for _, w := range c.workers {
+		if !w.dead {
+			live++
+		}
+	}
+	return live
+}
+
+// workerViews snapshots the registry for GET /v1/workers.
 func (c *Coordinator) workerViews() []workerView {
 	c.mu.Lock()
 	defer c.mu.Unlock()

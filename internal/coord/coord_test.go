@@ -24,60 +24,107 @@ func discardLog() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// newTestCoord returns a coordinator with fast test timings and its
-// httptest front end.
-func newTestCoord(t *testing.T) (*Coordinator, *httptest.Server) {
+// testCoord is a coordinator daemon under test: the serve.Server whose
+// sweep jobs run on the embedded Coordinator, and its listener.
+type testCoord struct {
+	*Coordinator
+	srv *serve.Server
+	ts  *httptest.Server
+}
+
+// startCoord boots a coordinator daemon over opts (a temp data dir and
+// a discarding logger unless set), journaling to journalDir when set.
+func startCoord(t *testing.T, opts Options, journalDir string) *testCoord {
 	t.Helper()
-	c, err := New(Options{
-		DataDir:          t.TempDir(),
-		HeartbeatTimeout: 600 * time.Millisecond,
-		Log:              discardLog(),
-	})
+	if opts.DataDir == "" {
+		opts.DataDir = t.TempDir()
+	}
+	opts.Log = discardLog()
+	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(c.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		c.Close()
-	})
-	return c, ts
+	srv, err := serve.New(serve.Options{Fleet: c, JournalDir: journalDir, Log: discardLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &testCoord{Coordinator: c, srv: srv, ts: httptest.NewServer(srv.Handler())}
+	t.Cleanup(tc.close)
+	return tc
+}
+
+// close shuts the daemon down the way ipcpd does: the server (which
+// ends every sweep job), its listener, then the fleet. Idempotent.
+func (tc *testCoord) close() {
+	tc.srv.Close()
+	tc.ts.Close()
+	tc.Coordinator.Close()
+}
+
+// newTestCoord returns a coordinator with fast test timings and its
+// httptest front end.
+func newTestCoord(t *testing.T) (*testCoord, *httptest.Server) {
+	tc := startCoord(t, Options{HeartbeatTimeout: 600 * time.Millisecond}, "")
+	return tc, tc.ts
+}
+
+// postSweep POSTs req (any JSON-encodable body) to /v1/sweeps and
+// returns the status code and the submit view's id.
+func postSweep(t *testing.T, coordURL string, req any) (int, string) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(coordURL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sv struct {
+		ID string `json:"id"`
+	}
+	json.NewDecoder(resp.Body).Decode(&sv)
+	return resp.StatusCode, sv.ID
 }
 
 // --- grid expansion ---------------------------------------------------------
 
+// The grid tests POST to a coordinator with no workers: the sweep is
+// admitted and expanded, and its points wait in pickWorker, where the
+// cleanup's Close leaves them.
+
 func TestSweepExpandCrossProduct(t *testing.T) {
-	req := SweepRequest{
+	_, ts := newTestCoord(t)
+	req := serve.SweepRequest{
 		RunSpec:   experiments.RunSpec{Workloads: []string{"mcf-994", "bwaves-98"}},
 		L1D:       []string{"", "ipcp", "spp"},
 		L2:        []string{"", "ipcp"},
 		TimeoutMS: 5000,
 	}
-	pts, err := req.expand(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 12 {
-		t.Fatalf("expanded to %d points, want 12", len(pts))
+	v := getSweep(t, ts.URL, submitSweep(t, ts.URL, req))
+	pts := v.Points
+	if len(pts) != 12 || v.Total != 12 {
+		t.Fatalf("expanded to %d points (total %d), want 12", len(pts), v.Total)
 	}
 	// Expansion order is workload-outermost, so points sharing a warmup
 	// identity are contiguous; the first six belong to mcf-994.
 	for i, pt := range pts[:6] {
-		if pt.Workloads[0] != "mcf-994" {
-			t.Errorf("point %d workload = %s, want mcf-994", i, pt.Workloads[0])
+		if pt.Spec.Workloads[0] != "mcf-994" {
+			t.Errorf("point %d workload = %s, want mcf-994", i, pt.Spec.Workloads[0])
 		}
 	}
-	if pts[0].L1D != "" || pts[1].L2 != "ipcp" || pts[2].L1D != "ipcp" {
-		t.Errorf("unexpected expansion order: %+v %+v %+v", pts[0], pts[1], pts[2])
+	if pts[0].Spec.L1D != "" || pts[1].Spec.L2 != "ipcp" || pts[2].Spec.L1D != "ipcp" {
+		t.Errorf("unexpected expansion order: %+v %+v %+v", pts[0].Spec, pts[1].Spec, pts[2].Spec)
 	}
 	// Exactly two warmup-identity groups: the prefetcher axes never
 	// enter the group key.
 	groups := map[string]bool{}
 	for _, pt := range pts {
-		groups[groupKey(pt)] = true
+		groups[pt.Group] = true
 	}
-	if len(groups) != 2 {
-		t.Errorf("grid groups into %d warmup identities, want 2", len(groups))
+	if len(groups) != 2 || v.Groups != 2 {
+		t.Errorf("grid groups into %d warmup identities (groups %d), want 2", len(groups), v.Groups)
 	}
 }
 
@@ -88,20 +135,21 @@ func TestSweepExpandCrossProduct(t *testing.T) {
 // fields now, not a second list, and a knob the grid never heard of
 // (an IPCP variant) reaches every point.
 func TestSweepWireGolden(t *testing.T) {
+	_, ts := newTestCoord(t)
 	const body = `{"l1d":["","nl","ipstride","ipcp","spp","bop"],"l2":["","ipcp"],"seed":7,` +
 		`"workloads":["mcf-994","lbm-94","gcc-2226","bwaves-2931"]}`
-	var req SweepRequest
+	var req serve.SweepRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	pts, err := req.expand(4096)
-	if err != nil || len(pts) != 48 {
-		t.Fatalf("expand = %d points, %v; want 48", len(pts), err)
+	pts := getSweep(t, ts.URL, submitSweep(t, ts.URL, json.RawMessage(body))).Points
+	if len(pts) != 48 {
+		t.Fatalf("expand = %d points; want 48", len(pts))
 	}
-	if p := pts[7]; p.Seed != 7 || len(p.Workloads) != 1 || p.L1D != "ipcp" || p.L2 != "ipcp" {
+	if p := pts[7].Spec; p.Seed != 7 || len(p.Workloads) != 1 || p.L1D != "ipcp" || p.L2 != "ipcp" {
 		t.Errorf("point 7 = %+v", p.RunSpec)
 	}
-	if out, _ := json.Marshal(pts[7]); string(out) != `{"workloads":["mcf-994"],"l1d":"ipcp","l2":"ipcp","seed":7}` {
+	if out, _ := json.Marshal(pts[7].Spec); string(out) != `{"workloads":["mcf-994"],"l1d":"ipcp","l2":"ipcp","seed":7}` {
 		t.Errorf("fan-out body = %s", out)
 	}
 	var sent, back map[string]any
@@ -112,55 +160,49 @@ func TestSweepWireGolden(t *testing.T) {
 		t.Errorf("re-encoded grid\n %s\nwant the fields of\n %s", out, body)
 	}
 
-	var variant SweepRequest
-	if err := json.Unmarshal([]byte(`{"workloads":["mcf-994"],"l2":["","ipcp"],"l1_pq":4,"ipcp_l1":{"degree_gs":4}}`), &variant); err != nil {
-		t.Fatal(err)
-	}
-	pts, err = variant.expand(4096)
-	if err != nil || len(pts) != 2 || pts[1].IPCPL1 == nil || pts[1].IPCPL1.DegreeGS != 4 || pts[1].L1PQ != 4 || pts[1].L2 != "ipcp" {
-		t.Fatalf("variant grid = %+v, %v", pts, err)
+	pts = getSweep(t, ts.URL, submitSweep(t, ts.URL, json.RawMessage(`{"workloads":["mcf-994"],"l2":["","ipcp"],"l1_pq":4,"ipcp_l1":{"degree_gs":4}}`))).Points
+	if len(pts) != 2 || pts[1].Spec.IPCPL1 == nil || pts[1].Spec.IPCPL1.DegreeGS != 4 || pts[1].Spec.L1PQ != 4 || pts[1].Spec.L2 != "ipcp" {
+		t.Fatalf("variant grid = %+v", pts)
 	}
 }
 
 func TestSweepExpandValidates(t *testing.T) {
+	_, ts := newTestCoord(t)
 	cases := []struct {
 		name string
-		req  SweepRequest
+		req  serve.SweepRequest
 	}{
-		{"empty", SweepRequest{}},
-		{"unknown workload", SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"no-such-trace"}}}},
-		{"unknown prefetcher", SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, L1D: []string{"warp-drive"}}},
-		{"negative timeout", SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, TimeoutMS: -1}},
-		{"bad explicit point", SweepRequest{Points: []PointSpec{{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}, Cores: 3}}}}},
+		{"empty", serve.SweepRequest{}},
+		{"unknown workload", serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"no-such-trace"}}}},
+		{"unknown prefetcher", serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, L1D: []string{"warp-drive"}}},
+		{"negative timeout", serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, TimeoutMS: -1}},
+		{"bad explicit point", serve.SweepRequest{Points: []serve.RunRequest{{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}, Cores: 3}}}}},
 	}
 	for _, tc := range cases {
-		if _, err := tc.req.expand(4096); err == nil {
-			t.Errorf("%s: expand accepted an invalid request", tc.name)
+		if code, _ := postSweep(t, ts.URL, tc.req); code != http.StatusBadRequest {
+			t.Errorf("%s: POST /v1/sweeps = %d, want 400", tc.name, code)
 		}
 	}
-	big := SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, L1D: []string{"", "ipcp"}}
-	if _, err := big.expand(1); err == nil {
-		t.Error("expand accepted a grid beyond the point cap")
+	// 1 × 65 × 64 = 4160 points, past the cap.
+	axis := make([]string, 65)
+	big := serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, L1D: axis, L2: axis[:64]}
+	if code, _ := postSweep(t, ts.URL, big); code != http.StatusBadRequest {
+		t.Errorf("POST of a grid beyond the point cap = %d, want 400", code)
 	}
 }
 
 func TestSweepExpandTimeoutInheritance(t *testing.T) {
-	req := SweepRequest{
+	req := serve.SweepRequest{
 		RunSpec:   experiments.RunSpec{Workloads: []string{"mcf-994"}},
-		Points:    []PointSpec{{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}, TimeoutMS: 99}},
+		Points:    []serve.RunRequest{{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}, TimeoutMS: 99}},
 		TimeoutMS: 1234,
 	}
-	c, _ := newTestCoord(t)
-	sw, err := c.acceptSweep(req, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if got := sw.points[0].Spec.TimeoutMS; got != 1234 {
+	_, ts := newTestCoord(t)
+	pts := getSweep(t, ts.URL, submitSweep(t, ts.URL, req)).Points
+	if got := pts[0].Spec.TimeoutMS; got != 1234 {
 		t.Errorf("grid point timeout = %d, want inherited 1234", got)
 	}
-	if got := sw.points[1].Spec.TimeoutMS; got != 99 {
+	if got := pts[1].Spec.TimeoutMS; got != 99 {
 		t.Errorf("explicit point timeout = %d, want its own 99", got)
 	}
 }
@@ -276,12 +318,7 @@ func TestBlobStoreReadsParentLayout(t *testing.T) {
 	if err := os.WriteFile(p, frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Options{DataDir: dir, Log: discardLog()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(c.Handler())
-	defer func() { ts.Close(); c.Close() }()
+	ts := startCoord(t, Options{DataDir: dir}, "").ts
 
 	resp, err := http.Get(ts.URL + "/v1/blobs/" + key)
 	if err != nil {
@@ -395,7 +432,7 @@ func TestAgentReregisters(t *testing.T) {
 }
 
 // waitLiveWorker polls until a live worker other than exclude exists.
-func waitLiveWorker(t *testing.T, c *Coordinator, exclude string) string {
+func waitLiveWorker(t *testing.T, c *testCoord, exclude string) string {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -16,31 +16,37 @@ import (
 // the hop. Every request the coordinator fans out to a real worker
 // shows up on that worker's /debug/trace under the X-Request-ID the
 // client sent with POST /v1/sweeps — or, when it sent none, under the
-// sweep id — and so do the job spans those requests caused.
+// one minted for the POST, the sweep's request_id — and so do the job
+// spans those requests caused.
 func TestE2ERequestIDReachesWorkers(t *testing.T) {
 	c, cts := newTestCoord(t)
 	w := startWorker(t, cts.URL)
 	waitWorkers(t, c, 1)
 
-	body, _ := json.Marshal(SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, L1D: []string{"", "ipcp"}})
+	body, _ := json.Marshal(serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, L1D: []string{"", "ipcp"}})
 	req, _ := http.NewRequest(http.MethodPost, cts.URL+"/v1/sweeps", bytes.NewReader(body))
 	req.Header.Set(serve.RequestIDHeader, "demo-sweep")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sv sweepSubmitView
+	var sv struct {
+		ID string `json:"id"`
+	}
 	err = json.NewDecoder(resp.Body).Decode(&sv)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /v1/sweeps = %d, %v", resp.StatusCode, err)
 	}
 	tagged := sv.ID
-	untagged := submitSweep(t, cts.URL, SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}, L1D: []string{"", "ipcp"}})
-	for _, id := range []string{tagged, untagged} {
-		if v := waitSweep(t, cts.URL, id, 60*time.Second); v.Done != 2 {
+	untaggedID := submitSweep(t, cts.URL, serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}, L1D: []string{"", "ipcp"}})
+	var untagged string
+	for _, id := range []string{tagged, untaggedID} {
+		v := waitSweep(t, cts.URL, id, 60*time.Second)
+		if v.Done != 2 {
 			t.Fatalf("sweep %s done=%d failed=%d, want 2/0", id, v.Done, v.Failed)
 		}
+		untagged = v.RequestID
 	}
 
 	resp, err = http.Get(w.ts.URL + "/debug/trace")

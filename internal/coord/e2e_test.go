@@ -123,7 +123,7 @@ func (w *testWorker) kill() {
 }
 
 // waitWorkers blocks until n workers are live on the coordinator.
-func waitWorkers(t *testing.T, c *Coordinator, n int) {
+func waitWorkers(t *testing.T, c *testCoord, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -135,26 +135,27 @@ func waitWorkers(t *testing.T, c *Coordinator, n int) {
 	t.Fatalf("never saw %d live workers", n)
 }
 
-// submitSweep posts a sweep and returns its id.
-func submitSweep(t *testing.T, coordURL string, req SweepRequest) string {
+// submitSweep posts a sweep (a serve.SweepRequest, or a raw body) and
+// returns its id.
+func submitSweep(t *testing.T, coordURL string, req any) string {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
+	code, id := postSweep(t, coordURL, req)
+	if code != http.StatusAccepted || id == "" {
+		t.Fatalf("POST /v1/sweeps = %d (id %q), want 202", code, id)
 	}
-	resp, err := http.Post(coordURL+"/v1/sweeps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sv sweepSubmitView
-	if err := json.NewDecoder(resp.Body).Decode(&sv); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted || sv.ID == "" {
-		t.Fatalf("POST /v1/sweeps = %d (%+v), want 202", resp.StatusCode, sv)
-	}
-	return sv.ID
+	return id
+}
+
+// sweepView is the part of GET /v1/sweeps/{id} these tests read.
+type sweepView struct {
+	ID        string        `json:"id"`
+	Status    string        `json:"status"`
+	RequestID string        `json:"request_id"`
+	Total     int           `json:"total"`
+	Done      int           `json:"done"`
+	Failed    int           `json:"failed"`
+	Groups    int           `json:"groups"`
+	Points    []serve.Point `json:"points"`
 }
 
 // getSweep fetches the merged report.
@@ -204,24 +205,24 @@ func TestE2EDistributedSweepMatchesSingleNode(t *testing.T) {
 	}
 	waitWorkers(t, c, 3)
 
-	req := SweepRequest{
+	req := serve.SweepRequest{
 		RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994", "bwaves-98"}},
 		L1D:     []string{"", "ipcp", "spp"},
 		L2:      []string{"", "ipcp"},
 	}
 	id := submitSweep(t, cts.URL, req)
 
-	// Follow the events stream while the sweep runs: the aggregation
-	// counts must be monotonic and the final line must be the terminal
-	// "done" event carrying the full tally.
-	events := make(chan []sweepEvent, 1)
+	// Follow the events stream while the sweep runs: every line carries
+	// the tally, its counts must be monotonic and the final line must be
+	// the terminal "done" event carrying the full tally.
+	events := make(chan []serve.JobEvent, 1)
 	go func() {
-		var got []sweepEvent
+		var got []serve.JobEvent
 		resp, err := http.Get(cts.URL + "/v1/sweeps/" + id + "/events")
 		if err == nil {
 			sc := bufio.NewScanner(resp.Body)
 			for sc.Scan() {
-				var ev sweepEvent
+				var ev serve.JobEvent
 				if json.Unmarshal(sc.Bytes(), &ev) == nil {
 					got = append(got, ev)
 				}
@@ -286,11 +287,14 @@ func TestE2EDistributedSweepMatchesSingleNode(t *testing.T) {
 
 	// Partial aggregation arrived on the follow-stream.
 	evs := <-events
-	if len(evs) < 14 { // accepted + 12 points + done
-		t.Fatalf("events stream delivered %d lines, want >= 14", len(evs))
+	if len(evs) < 15 { // queued + started + 12 points + done
+		t.Fatalf("events stream delivered %d lines, want >= 15", len(evs))
 	}
 	last := 0
 	for _, ev := range evs {
+		if ev.Tally == nil {
+			t.Fatalf("event %+v carries no tally", ev)
+		}
 		if ev.Done < last {
 			t.Errorf("aggregation went backwards: done=%d after %d", ev.Done, last)
 		}
@@ -337,7 +341,7 @@ func TestE2EDistributedSweepMatchesSingleNode(t *testing.T) {
 	// Per-worker span lanes: every point span is stamped with its
 	// worker's id.
 	lanes := map[string]int{}
-	for _, sp := range c.Spans().Snapshot() {
+	for _, sp := range c.srv.Spans().Snapshot() {
 		if sp.Name == "sweep.point" {
 			lanes[sp.JobID]++
 		}
@@ -398,7 +402,7 @@ func TestE2EWorkerKillMidSweepReassigns(t *testing.T) {
 	waitWorkers(t, c, 3)
 
 	release := gatePoints(t)
-	req := SweepRequest{
+	req := serve.SweepRequest{
 		RunSpec: experiments.RunSpec{Workloads: []string{"coord-gate-0", "coord-gate-1", "coord-gate-2", "coord-gate-3"}},
 		L1D:     []string{"", "ipcp", "spp"},
 		L2:      []string{"", "ipcp"},

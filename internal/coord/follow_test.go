@@ -1,7 +1,9 @@
 package coord
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -25,6 +27,7 @@ import (
 type fakeJob struct {
 	id          string
 	status      string // what GET /v1/runs/{id} answers
+	err         string // ... and, when set, as the job's error
 	follows     int    // GET …/events received
 	gets        int    // GET /v1/runs/{id} received
 	streamsOpen int    // …/events handlers that have not returned
@@ -76,7 +79,7 @@ func startFakeWorker(t *testing.T, events func(*fakeWorker, http.ResponseWriter,
 }
 
 func (fw *fakeWorker) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec PointSpec
+	var spec serve.RunRequest
 	if code, err := serve.DecodeRequest(w, r, &spec); err != nil {
 		serve.WriteError(w, code, err)
 		return
@@ -90,7 +93,7 @@ func (fw *fakeWorker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &fakeJob{id: fmt.Sprintf("j%06d", fw.posts), status: "queued"}
 	fw.jobs[j.id] = j
 	fw.mu.Unlock()
-	serve.WriteJSON(w, http.StatusAccepted, submitView{ID: j.id, Status: "queued"})
+	serve.WriteJSON(w, http.StatusAccepted, map[string]string{"id": j.id, "status": "queued"})
 }
 
 func (fw *fakeWorker) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -108,6 +111,9 @@ func (fw *fakeWorker) handleGet(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{"id": j.id, "status": j.status}
 	if j.status == "done" {
 		body["result"] = map[string]any{}
+	}
+	if j.err != "" {
+		body["error"] = j.err
 	}
 	fw.mu.Unlock()
 	serve.WriteJSON(w, http.StatusOK, body)
@@ -155,31 +161,33 @@ func (fw *fakeWorker) setStatus(j *fakeJob, status string) {
 // newFakeFleetCoord returns a coordinator whose reaper stays out of the
 // way (fake workers do not heartbeat): with a one-minute timeout, only
 // an in-band signal can declare a worker lost inside a test.
-func newFakeFleetCoord(t *testing.T) *Coordinator {
+func newFakeFleetCoord(t *testing.T) *testCoord {
 	t.Helper()
-	c, err := New(Options{DataDir: t.TempDir(), HeartbeatTimeout: time.Minute, Log: discardLog()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return c
+	return startCoord(t, Options{HeartbeatTimeout: time.Minute}, "")
 }
 
-// awaitSweep blocks on the sweep's own change channel until it is done.
-func awaitSweep(t *testing.T, sw *sweep, timeout time.Duration) sweepView {
+// acceptSweep submits req to c and returns the sweep's id.
+func (c *testCoord) acceptSweep(t *testing.T, req serve.SweepRequest) string {
 	t.Helper()
-	deadline := time.After(timeout)
-	for {
-		_, changed, terminal := sw.eventsSince(0)
-		if terminal {
-			return sw.view(true)
-		}
-		select {
-		case <-changed:
-		case <-deadline:
-			t.Fatalf("sweep %s not done within %s: %+v", sw.ID, timeout, sw.view(false))
-		}
+	return submitSweep(t, c.ts.URL, req)
+}
+
+// awaitSweep follows the sweep's event stream to its end (the sweep's
+// end) and returns the merged report, which must be done.
+func awaitSweep(t *testing.T, c *testCoord, id string, timeout time.Duration) sweepView {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, c.ts.URL+"/v1/sweeps/"+id+"/events", nil)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
+	v := getSweep(t, c.ts.URL, id)
+	if v.Status != "done" {
+		t.Fatalf("sweep %s not done within %s: %s, %d/%d done", id, timeout, v.Status, v.Done, v.Total)
+	}
+	return v
 }
 
 // await receives from ch or fails the test.
@@ -192,7 +200,7 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-var onePoint = SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}}
+var onePoint = serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}}
 
 // TestFollowOnePostOneStreamOneGet pins the per-point conversation: one
 // POST, one event-stream follow, one GET — the GET only after the
@@ -203,15 +211,13 @@ func TestFollowOnePostOneStreamOneGet(t *testing.T) {
 	fw := startFakeWorker(t, nil)
 	c.register(fw.ts.URL, 2)
 
-	sw, err := c.acceptSweep(SweepRequest{
+	id := c.acceptSweep(t, serve.SweepRequest{
 		RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994", "bwaves-98"}},
 		L1D:     []string{"", "ipcp", "spp"},
-	}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := awaitSweep(t, sw, 10*time.Second); v.Done != 6 || v.Failed != 0 {
-		t.Fatalf("sweep done=%d failed=%d, want 6/0", v.Done, v.Failed)
+	})
+	sw := awaitSweep(t, c, id, 10*time.Second)
+	if sw.Done != 6 || sw.Failed != 0 {
+		t.Fatalf("sweep done=%d failed=%d, want 6/0", sw.Done, sw.Failed)
 	}
 
 	fw.mu.Lock()
@@ -231,13 +237,13 @@ func TestFollowOnePostOneStreamOneGet(t *testing.T) {
 		t.Errorf("worker saw %d requests, want 18 (3 per point)", len(fw.requestIDs))
 	}
 	for _, rid := range fw.requestIDs {
-		if rid != sw.ID {
-			t.Errorf("fan-out request carried X-Request-ID %q, want the sweep id %q", rid, sw.ID)
+		if rid != sw.RequestID || rid == "" {
+			t.Errorf("fan-out request carried X-Request-ID %q, want the sweep's %q", rid, sw.RequestID)
 		}
 	}
 
 	points := 0
-	for _, sp := range c.Spans().Snapshot() {
+	for _, sp := range c.srv.Spans().Snapshot() {
 		if sp.Name != "sweep.point" {
 			continue
 		}
@@ -257,8 +263,8 @@ func TestFollowOnePostOneStreamOneGet(t *testing.T) {
 		if durMS := sp.Dur.Seconds() * 1e3; sum > durMS+0.01 { // each attr is rounded to 1 µs
 			t.Errorf("sweep.point phases sum to %.3f ms, more than the span's %.3f ms", sum, durMS)
 		}
-		if sp.RequestID != sw.ID {
-			t.Errorf("sweep.point span request id = %q, want %q", sp.RequestID, sw.ID)
+		if sp.RequestID != sw.RequestID {
+			t.Errorf("sweep.point span request id = %q, want %q", sp.RequestID, sw.RequestID)
 		}
 	}
 	if points != 6 {
@@ -288,22 +294,19 @@ func TestBrokenStreamReassignsAtOnce(t *testing.T) {
 	})
 	wa := c.register(a.ts.URL, 1)
 
-	sw, err := c.acceptSweep(onePoint, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := c.acceptSweep(t, onePoint)
 	await(t, following, "the follow of the first attempt")
 	b := startFakeWorker(t, nil)
 	wb := c.register(b.ts.URL, 1)
 
 	start := time.Now()
 	close(sever)
-	v := awaitSweep(t, sw, 10*time.Second)
+	v := awaitSweep(t, c, id, 10*time.Second)
 	if took := time.Since(start); took > time.Second {
 		t.Errorf("point finished %s after the stream broke, want well under a second", took)
 	}
 	pt := v.Points[0]
-	if pt.Status != pointDone || pt.Worker != wb.ID || pt.Attempts != 2 {
+	if pt.Status != serve.PointDone || pt.Worker != wb.ID || pt.Attempts != 2 {
 		t.Errorf("point = %s on %s after %d attempts, want done on %s after 2", pt.Status, pt.Worker, pt.Attempts, wb.ID)
 	}
 	select {
@@ -332,12 +335,8 @@ func TestCleanStreamEndIsNotCompletion(t *testing.T) {
 	})
 	c.register(fw.ts.URL, 1)
 
-	sw, err := c.acceptSweep(onePoint, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := awaitSweep(t, sw, 10*time.Second)
-	if pt := v.Points[0]; pt.Status != pointDone || pt.Attempts != 1 {
+	v := awaitSweep(t, c, c.acceptSweep(t, onePoint), 10*time.Second)
+	if pt := v.Points[0]; pt.Status != serve.PointDone || pt.Attempts != 1 {
 		t.Errorf("point = %s after %d attempts, want done after 1", pt.Status, pt.Attempts)
 	}
 	fw.mu.Lock()
@@ -361,16 +360,13 @@ func TestVanishedStreamIsWorkerLoss(t *testing.T) {
 		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job"))
 	})
 	c.register(amnesiac.ts.URL, 1)
-	sw, err := c.acceptSweep(onePoint, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := c.acceptSweep(t, onePoint)
 	await(t, asked, "the follow of the first attempt")
 	healthy := startFakeWorker(t, nil)
 	wh := c.register(healthy.ts.URL, 1)
 
-	v := awaitSweep(t, sw, 10*time.Second)
-	if pt := v.Points[0]; pt.Status != pointDone || pt.Worker != wh.ID || pt.Attempts != 2 {
+	v := awaitSweep(t, c, id, 10*time.Second)
+	if pt := v.Points[0]; pt.Status != serve.PointDone || pt.Worker != wh.ID || pt.Attempts != 2 {
 		t.Errorf("point = %s on %s after %d attempts, want done on the healthy worker %s after 2",
 			pt.Status, pt.Worker, pt.Attempts, wh.ID)
 	}
@@ -392,10 +388,7 @@ func TestBackpressureWaitRacesWorkerLoss(t *testing.T) {
 		refused <- struct{}{}
 	}
 	wf := c.register(full.ts.URL, 1)
-	sw, err := c.acceptSweep(onePoint, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := c.acceptSweep(t, onePoint)
 	await(t, refused, "the 429")
 	for deadline := time.Now().Add(10 * time.Second); c.Metrics().Fanout.Retries == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -407,11 +400,11 @@ func TestBackpressureWaitRacesWorkerLoss(t *testing.T) {
 
 	start := time.Now()
 	c.markDead(wf, "test kill")
-	v := awaitSweep(t, sw, 10*time.Second)
+	v := awaitSweep(t, c, id, 10*time.Second)
 	if took := time.Since(start); took > time.Second {
 		t.Errorf("point finished %s after its backpressuring worker was lost, want at once", took)
 	}
-	if pt := v.Points[0]; pt.Status != pointDone || pt.Worker != wi.ID {
+	if pt := v.Points[0]; pt.Status != serve.PointDone || pt.Worker != wi.ID {
 		t.Errorf("point = %s on %s, want done on %s", pt.Status, pt.Worker, wi.ID)
 	}
 	if m := c.Metrics(); m.Fanout.Retries != 1 || len(refused) != 0 {
@@ -424,29 +417,29 @@ func TestBackpressureWaitRacesWorkerLoss(t *testing.T) {
 // parks in pickWorker and completes once a worker registers.
 func TestSweepWaitsForFirstWorker(t *testing.T) {
 	c := newFakeFleetCoord(t)
-	sw, err := c.acceptSweep(onePoint, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := sw.view(true); v.Status != "running" || v.Points[0].Status != pointPending {
-		t.Fatalf("sweep on an empty fleet = %s, point %s; want running and pending", v.Status, v.Points[0].Status)
+	id := c.acceptSweep(t, onePoint)
+	v := waitStatus(t, c.ts.URL, id, "running")
+	if v.Points[0].Status != serve.PointPending {
+		t.Fatalf("sweep on an empty fleet: point %s; want pending", v.Points[0].Status)
 	}
 	fw := startFakeWorker(t, nil)
 	c.register(fw.ts.URL, 1)
-	if v := awaitSweep(t, sw, 10*time.Second); v.Done != 1 {
+	if v := awaitSweep(t, c, id, 10*time.Second); v.Done != 1 {
 		t.Fatalf("sweep done=%d failed=%d after a worker registered, want 1/0", v.Done, v.Failed)
 	}
 }
 
 // TestCloseAbortsBlockedSchedulers: Close returns promptly, and leaves
 // no scheduler goroutine behind, whichever of its two blocking points a
-// sweep is parked in. (Two coordinators, because the two cannot coexist
+// sweep is parked in. The sweep is left unfinished, for the next life's
+// journal to replay. (Two coordinators, because the two cannot coexist
 // in one: pickWorker blocks only while no worker is live, and a follow
 // needs a live one.)
 func TestCloseAbortsBlockedSchedulers(t *testing.T) {
 	for _, parkedIn := range []string{"pickWorker", "getJob"} {
 		t.Run(parkedIn, func(t *testing.T) {
-			c := newFakeFleetCoord(t)
+			journal := t.TempDir()
+			c := startCoord(t, Options{HeartbeatTimeout: time.Minute}, journal)
 			if parkedIn == "getJob" {
 				fw := startFakeWorker(t, func(fw *fakeWorker, w http.ResponseWriter, r *http.Request, j *fakeJob, n int) {
 					openStream(w)
@@ -454,10 +447,7 @@ func TestCloseAbortsBlockedSchedulers(t *testing.T) {
 				})
 				c.register(fw.ts.URL, 1)
 			}
-			sw, err := c.acceptSweep(onePoint, "")
-			if err != nil {
-				t.Fatal(err)
-			}
+			id := c.acceptSweep(t, onePoint)
 			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 				if gs := schedulerGoroutines(); len(gs) > 0 && strings.Contains(strings.Join(gs, ""), "coord.(*Coordinator)."+parkedIn) {
 					break
@@ -469,7 +459,7 @@ func TestCloseAbortsBlockedSchedulers(t *testing.T) {
 
 			closed := make(chan struct{})
 			go func() {
-				c.Close()
+				c.close()
 				close(closed)
 			}()
 			select {
@@ -480,13 +470,13 @@ func TestCloseAbortsBlockedSchedulers(t *testing.T) {
 			if gs := schedulerGoroutines(); len(gs) != 0 {
 				t.Errorf("%d scheduler goroutines outlived Close:\n%s", len(gs), strings.Join(gs, "\n\n"))
 			}
-			v := sw.view(true)
-			if v.Status != "done" || v.Failed != 1 || !strings.Contains(v.Points[0].Error, "coordinator shut down") {
-				t.Errorf("sweep after Close = %s failed=%d (%q), want done with its point failed by the shutdown",
-					v.Status, v.Failed, v.Points[0].Error)
-			}
 			if lost := c.Metrics().Workers.Lost; lost != 0 {
 				t.Errorf("Close declared %d workers lost; an aborted request is not a worker's death", lost)
+			}
+			next := startCoord(t, Options{HeartbeatTimeout: time.Minute}, journal)
+			if v := getSweep(t, next.ts.URL, id); v.Status == "done" || v.Status == "failed" || v.Total != 1 || v.Points[0].Status != serve.PointPending {
+				t.Errorf("sweep in the next life = %s with %d points (first %s), want it replayed unfinished with its point pending",
+					v.Status, v.Total, v.Points[0].Status)
 			}
 		})
 	}
@@ -500,16 +490,13 @@ func TestFanoutReusesConnections(t *testing.T) {
 	c := newFakeFleetCoord(t)
 	fw := startFakeWorker(t, nil)
 	c.register(fw.ts.URL, 1)
-	sw, err := c.acceptSweep(SweepRequest{
+	id := c.acceptSweep(t, serve.SweepRequest{
 		RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}},
 		L1D:     []string{"", "nl", "ipstride", "ipcp", "spp", "bop"},
 		L2:      []string{"", "ipcp"},
 		LLC:     []string{"", "nl"},
-	}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := awaitSweep(t, sw, 20*time.Second); v.Done != 24 || v.Groups != 1 {
+	})
+	if v := awaitSweep(t, c, id, 20*time.Second); v.Done != 24 || v.Groups != 1 {
 		t.Fatalf("sweep done=%d groups=%d, want 24 points in 1 group", v.Done, v.Groups)
 	}
 	fw.mu.Lock()
@@ -520,6 +507,54 @@ func TestFanoutReusesConnections(t *testing.T) {
 	if fw.conns > 4 {
 		t.Errorf("72 sequential requests opened %d connections, want a handful (<= 4)", fw.conns)
 	}
+}
+
+// TestWorkerShutdownIsWorkerLoss: a worker whose own shutdown ends a
+// point's job (serve.ErrShutdown, on a drain timeout or Close) has left
+// the fleet; the simulation gave no verdict. The point reassigns to a
+// live worker instead of failing for good.
+func TestWorkerShutdownIsWorkerLoss(t *testing.T) {
+	c := newFakeFleetCoord(t)
+	following, shutdown := make(chan struct{}), make(chan struct{})
+	closing := startFakeWorker(t, func(fw *fakeWorker, w http.ResponseWriter, r *http.Request, j *fakeJob, n int) {
+		openStream(w)
+		close(following)
+		<-shutdown
+		fw.mu.Lock()
+		j.status, j.err = "failed", serve.ErrShutdown.Error()
+		fw.mu.Unlock()
+	})
+	wc := c.register(closing.ts.URL, 1)
+	id := c.acceptSweep(t, onePoint)
+	await(t, following, "the follow of the first attempt")
+	live := startFakeWorker(t, nil)
+	wl := c.register(live.ts.URL, 1)
+
+	close(shutdown)
+	v := awaitSweep(t, c, id, 10*time.Second)
+	if pt := v.Points[0]; pt.Status != serve.PointDone || pt.Worker != wl.ID || pt.Attempts != 2 || v.Failed != 0 {
+		t.Errorf("point = %s on %s after %d attempts (%q), want done on %s after 2", pt.Status, pt.Worker, pt.Attempts, pt.Error, wl.ID)
+	}
+	select {
+	case <-wc.ctx.Done():
+	default:
+		t.Error("the worker that shut down under its job was not declared lost")
+	}
+	if m := c.Metrics(); m.Points.Failed != 0 || m.Points.Reassigned != 1 {
+		t.Errorf("failed=%d reassigned=%d, want 0 and 1", m.Points.Failed, m.Points.Reassigned)
+	}
+}
+
+// waitStatus polls the sweep until its status is status.
+func waitStatus(t *testing.T, coordURL, id, status string) sweepView {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if v := getSweep(t, coordURL, id); v.Status == status {
+			return v
+		}
+	}
+	t.Fatalf("sweep %s never reached %s", id, status)
+	return sweepView{}
 }
 
 // schedulerGoroutines returns the stacks of goroutines inside a point

@@ -21,8 +21,8 @@ import (
 )
 
 // This file holds both daemons' /metrics surfaces — ipcpd's
-// serve.MetricsSnapshot and the coordinator's MetricsSnapshot — to their
-// recorded wire forms, JSON and Prometheus alike.
+// serve.MetricsSnapshot and the coordinator's MetricsSnapshot, which
+// embeds it — to their recorded wire forms, JSON and Prometheus alike.
 
 var update = flag.Bool("update", false, "rewrite testdata/*_metrics.{prom,json} from the current snapshots")
 
@@ -145,10 +145,11 @@ func TestMetricsMatchRecorded(t *testing.T) {
 	var cm MetricsSnapshot
 	fill(reflect.ValueOf(&cm).Elem(), "")
 	var ipcpd, ipcpc bytes.Buffer
-	if err := serve.WritePrometheus(&ipcpd, sm, serve.BuildInfo{Version: "v1.2.3", Revision: "0123abcd", GoVersion: "go1.24.0"}); err != nil {
+	build := serve.BuildInfo{Version: "v1.2.3", Revision: "0123abcd", GoVersion: "go1.24.0"}
+	if err := serve.WritePrometheus(&ipcpd, sm, build); err != nil {
 		t.Fatal(err)
 	}
-	if err := telemetry.WritePrometheus(&ipcpc, cm); err != nil {
+	if err := serve.WritePrometheus(&ipcpc, cm, build); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {

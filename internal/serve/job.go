@@ -11,7 +11,7 @@ import (
 	"ipcp/internal/telemetry"
 )
 
-// JobKind distinguishes the two job shapes ipcpd serves.
+// JobKind distinguishes the three job shapes ipcpd serves.
 type JobKind string
 
 const (
@@ -19,6 +19,8 @@ const (
 	KindRun JobKind = "run"
 	// KindExperiments is a batch of named paper experiments.
 	KindExperiments JobKind = "experiments"
+	// KindSweep is a parameter grid run on a Fleet (see sweep.go).
+	KindSweep JobKind = "sweep"
 )
 
 // JobState is a job's lifecycle position. Transitions are strictly
@@ -44,12 +46,13 @@ func (st JobState) terminal() bool {
 }
 
 // JobEvent is one line of a job's progress stream, delivered as JSONL
-// on GET /v1/runs/{id}/events.
+// on GET /v1/runs/{id}/events (and /v1/sweeps/{id}/events).
 type JobEvent struct {
-	Seq  int       `json:"seq"`
-	Time time.Time `json:"time"`
-	Kind string    `json:"kind"`
-	Msg  string    `json:"msg,omitempty"`
+	Seq    int       `json:"seq"`
+	Time   time.Time `json:"time"`
+	Kind   string    `json:"kind"`
+	Msg    string    `json:"msg,omitempty"`
+	*Tally           // sweep jobs: the aggregation after this event
 }
 
 // Job is one unit of admitted work. The immutable identity fields are
@@ -60,12 +63,14 @@ type Job struct {
 	Kind       JobKind
 	Spec       *RunRequest   // KindRun: the run, as submitted and as echoed in views
 	ExpIDs     []string      // KindExperiments
+	Sweep      *SweepRequest // KindSweep: the grid as submitted
 	Timeout    time.Duration // 0 = no per-job deadline
 	key        string        // coalescing key (KindRun only)
 	RequestID  string        // X-Request-ID of the submitting request
 	Revision   string        // daemon VCS revision, stamped at admission
 	parentSpan uint64        // submitting request's span, parents queue.wait
-	submitted  time.Time     // set once in newJob, before publication
+	submitted  time.Time     // set once in queued, before publication
+	groups     [][]*Point    // KindSweep: points by warmup identity (see Groups)
 
 	mu         sync.Mutex
 	state      JobState
@@ -77,6 +82,7 @@ type Job struct {
 	started    time.Time
 	finished   time.Time
 	events     []JobEvent
+	points     []*Point      // KindSweep, in index order
 	changed    chan struct{} // closed and replaced on every mutation
 	progress   telemetry.Progress
 	progressAt time.Time
@@ -92,18 +98,27 @@ type Job struct {
 }
 
 func newJob(kind JobKind) *Job {
-	j := &Job{
-		Kind:      kind,
-		state:     StateQueued,
-		submitted: time.Now(),
-		changed:   make(chan struct{}),
-	}
-	j.events = append(j.events, JobEvent{Seq: 0, Time: j.submitted, Kind: "queued"})
+	j := &Job{Kind: kind}
+	j.queued(time.Now())
 	return j
 }
 
-// notifyLocked wakes every waiter; callers hold j.mu.
-func (j *Job) notifyLocked() {
+// queued starts a new (or journal-rebuilt) job's lifecycle at its
+// submission time.
+func (j *Job) queued(at time.Time) {
+	j.state, j.submitted, j.changed = StateQueued, at, make(chan struct{})
+	j.eventLocked(at, "queued", "")
+}
+
+// eventLocked appends one event, stamped with a sweep's aggregation,
+// and wakes every waiter; callers hold j.mu (or own the unpublished job).
+func (j *Job) eventLocked(at time.Time, kind, msg string) {
+	ev := JobEvent{Seq: len(j.events), Time: at, Kind: kind, Msg: msg}
+	if j.Kind == KindSweep {
+		t := j.tallyLocked()
+		ev.Tally = &t
+	}
+	j.events = append(j.events, ev)
 	close(j.changed)
 	j.changed = make(chan struct{})
 }
@@ -111,8 +126,7 @@ func (j *Job) notifyLocked() {
 // Event appends one progress event and wakes streamers.
 func (j *Job) Event(kind, msg string) {
 	j.mu.Lock()
-	j.events = append(j.events, JobEvent{Seq: len(j.events), Time: time.Now(), Kind: kind, Msg: msg})
-	j.notifyLocked()
+	j.eventLocked(time.Now(), kind, msg)
 	j.mu.Unlock()
 }
 
@@ -124,8 +138,7 @@ func (j *Job) begin(cancel func()) {
 	j.lastMove = j.started
 	j.cancel = cancel
 	j.abandon = make(chan struct{})
-	j.events = append(j.events, JobEvent{Seq: len(j.events), Time: j.started, Kind: "started"})
-	j.notifyLocked()
+	j.eventLocked(j.started, "started", "")
 	j.mu.Unlock()
 }
 
@@ -136,24 +149,19 @@ func (j *Job) finish(res *sim.Result, rep *experiments.Report, err error) {
 	j.mu.Lock()
 	j.result, j.report, j.err = res, rep, err
 	j.finished = time.Now()
-	ev := JobEvent{Seq: len(j.events), Time: j.finished, Kind: "done"}
+	j.state = StateDone
 	switch {
 	case j.stalled:
 		j.state = StateStalled
-		ev.Kind = "stalled"
-		if err != nil {
-			ev.Msg = err.Error()
-		}
 	case err != nil:
 		j.state = StateFailed
-		ev.Kind = "failed"
-		ev.Msg = err.Error()
-	default:
-		j.state = StateDone
 	}
-	j.events = append(j.events, ev)
+	msg := ""
+	if err != nil {
+		msg = err.Error()
+	}
+	j.eventLocked(j.finished, string(j.state), msg)
 	j.cancel = nil
-	j.notifyLocked()
 	j.mu.Unlock()
 }
 
@@ -169,11 +177,7 @@ func (j *Job) markStalled() bool {
 	j.stalled = true
 	cancel := j.cancel
 	close(j.abandon)
-	j.events = append(j.events, JobEvent{
-		Seq: len(j.events), Time: time.Now(), Kind: "stall-detected",
-		Msg: "no simulation progress within the stall timeout; cancelling",
-	})
-	j.notifyLocked()
+	j.eventLocked(time.Now(), "stall-detected", "no simulation progress within the stall timeout; cancelling")
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
@@ -204,11 +208,12 @@ func (j *Job) Result() *sim.Result {
 }
 
 // stalledFor returns how long the running job has gone without
-// demonstrable progress (zero for non-running jobs).
+// demonstrable progress (zero for non-running jobs, and for sweeps:
+// their simulations are judged by the workers' own watchdogs).
 func (j *Job) stalledFor(now time.Time) time.Duration {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning || j.stalled {
+	if j.state != StateRunning || j.stalled || j.Kind == KindSweep {
 		return 0
 	}
 	return now.Sub(j.lastMove)
@@ -284,6 +289,7 @@ type jobView struct {
 	ExpIDs    []string    `json:"experiment_ids,omitempty"`
 	RequestID string      `json:"request_id,omitempty"`
 	Revision  string      `json:"revision,omitempty"`
+	*sweepView
 }
 
 // reportView is the JSON shape of a completed experiments job.
@@ -357,53 +363,67 @@ func (j *Job) viewLocked() jobView {
 	} else if j.replayRep != nil {
 		v.Report = j.replayRep
 	}
+	if j.Kind == KindSweep {
+		v.sweepView = &sweepView{Tally: j.tallyLocked(), Groups: len(j.groups), Points: make([]Point, len(j.points))}
+		for i, pt := range j.points {
+			v.Points[i] = *pt
+		}
+	}
 	return v
 }
 
 // newReplayedJob rebuilds a Job from its journal history. Finished
 // jobs come back terminal with their original result; unfinished ones
 // come back queued (the caller re-enqueues them) — their start in the
-// previous life, if any, died with the process.
+// previous life, if any, died with the process. An unfinished sweep
+// comes back with every point pending: its grid is expanded again, and
+// the points that finished before the crash come back to it as
+// coalesced, memo, disk or blob hits on the workers.
 func newReplayedJob(h *jobHistory) *Job {
-	sub := &h.submit
+	sub, fin := &h.submit, h.finish
 	j := &Job{
 		ID:        sub.Job,
 		Kind:      sub.Kind,
 		Spec:      sub.Spec,
 		ExpIDs:    sub.ExpIDs,
+		Sweep:     sub.Sweep,
 		Timeout:   time.Duration(sub.TimeoutMS) * time.Millisecond,
 		RequestID: sub.RequestID,
 		Revision:  sub.Revision,
-		submitted: sub.Time,
-		state:     StateQueued,
-		changed:   make(chan struct{}),
 	}
 	if sub.Spec != nil {
 		j.key = sub.Spec.Key()
 	}
-	j.events = append(j.events, JobEvent{Seq: 0, Time: sub.Time, Kind: "queued"})
-	fin := h.finish
-	if fin == nil {
+	var err error
+	if sub.Kind == KindSweep {
+		var pts []*Point
+		if fin != nil {
+			for i := range fin.Points {
+				pts = append(pts, &fin.Points[i])
+			}
+		} else if specs, xerr := sub.Sweep.expand(); xerr == nil {
+			pts = newPoints(specs)
+		} else {
+			err = fmt.Errorf("replayed sweep no longer expands: %w", xerr)
+		}
+		j.setPoints(pts)
+	}
+	j.queued(sub.Time)
+	switch {
+	case fin != nil:
+		j.state, j.finished, j.result, j.replayRep = fin.Outcome, fin.Time, fin.Result, fin.Report
+		j.stalled = fin.Outcome == StateStalled
+		if fin.Error != "" {
+			j.err = errors.New(fin.Error)
+		}
+		j.eventLocked(fin.Time, string(fin.Outcome), fin.Error)
+	case err != nil:
+		j.state, j.finished, j.err = StateFailed, time.Now(), err
+		j.eventLocked(j.finished, string(StateFailed), err.Error())
+	default:
 		// Unfinished: back to the queue with a visible marker that the
 		// daemon restarted underneath the job.
-		j.events = append(j.events, JobEvent{
-			Seq: 1, Time: time.Now(), Kind: "replayed",
-			Msg: "daemon restarted; job re-enqueued from the journal",
-		})
-		return j
+		j.eventLocked(time.Now(), "replayed", "daemon restarted; job re-enqueued from the journal")
 	}
-	j.state = fin.Outcome
-	j.finished = fin.Time
-	j.result = fin.Result
-	j.replayRep = fin.Report
-	j.stalled = fin.Outcome == StateStalled
-	ev := JobEvent{Seq: len(j.events), Time: fin.Time, Kind: string(fin.Outcome), Msg: fin.Error}
-	if fin.Outcome == StateDone {
-		ev.Kind = "done"
-	}
-	if fin.Error != "" {
-		j.err = errors.New(fin.Error)
-	}
-	j.events = append(j.events, ev)
 	return j
 }

@@ -47,19 +47,21 @@ type journalRecord struct {
 	Job  string    `json:"job"`
 
 	// submit fields: everything needed to rebuild the job's identity.
-	Seq       int         `json:"seq,omitempty"`
-	Kind      JobKind     `json:"kind,omitempty"`
-	Spec      *RunRequest `json:"spec,omitempty"`
-	ExpIDs    []string    `json:"exp_ids,omitempty"`
-	TimeoutMS int64       `json:"timeout_ms,omitempty"`
-	RequestID string      `json:"request_id,omitempty"`
-	Revision  string      `json:"revision,omitempty"`
+	Seq       int           `json:"seq,omitempty"`
+	Kind      JobKind       `json:"kind,omitempty"`
+	Spec      *RunRequest   `json:"spec,omitempty"`
+	ExpIDs    []string      `json:"exp_ids,omitempty"`
+	Sweep     *SweepRequest `json:"sweep,omitempty"`
+	TimeoutMS int64         `json:"timeout_ms,omitempty"`
+	RequestID string        `json:"request_id,omitempty"`
+	Revision  string        `json:"revision,omitempty"`
 
 	// finish fields.
 	Outcome JobState    `json:"outcome,omitempty"` // done | failed | stalled
 	Error   string      `json:"error,omitempty"`
 	Result  *sim.Result `json:"result,omitempty"`
 	Report  *reportView `json:"report,omitempty"`
+	Points  []Point     `json:"points,omitempty"` // a sweep's every point
 }
 
 // walMaxSegment rotates the active segment when it grows past this.
@@ -162,6 +164,11 @@ func (j *journal) append(rec journalRecord) error {
 		return err
 	}
 	payload, err := json.Marshal(rec)
+	if err == nil && len(payload) > store.MaxRecord {
+		// Replay would read the frame as damage and drop every record
+		// after it (a sweep's finish can grow this large).
+		err = fmt.Errorf("serve: %d-byte journal record exceeds the frame cap", len(payload))
+	}
 	if err != nil {
 		j.appendErrs.Add(1)
 		return err
@@ -281,7 +288,8 @@ func mergeReplay(recs []journalRecord, log *slog.Logger) []*jobHistory {
 	}
 	out := make([]*jobHistory, 0, len(byID))
 	for id, r := range byID {
-		if r.submit.Time.IsZero() || (r.submit.Kind == KindRun && r.submit.Spec == nil) {
+		if r.submit.Time.IsZero() || (r.submit.Kind == KindRun && r.submit.Spec == nil) ||
+			(r.submit.Kind == KindSweep && r.submit.Sweep == nil) {
 			log.Warn("journal: dropping job with incomplete history", "job_id", id)
 			continue
 		}
@@ -321,7 +329,7 @@ func writeCompacted(path string, jobs []*jobHistory) error {
 func submitRecord(j *Job, seq int) journalRecord {
 	return journalRecord{
 		Type: "submit", Time: j.submitted, Job: j.ID, Seq: seq,
-		Kind: j.Kind, Spec: j.Spec, ExpIDs: j.ExpIDs,
+		Kind: j.Kind, Spec: j.Spec, ExpIDs: j.ExpIDs, Sweep: j.Sweep,
 		TimeoutMS: int64(j.Timeout / time.Millisecond),
 		RequestID: j.RequestID, Revision: j.Revision,
 	}

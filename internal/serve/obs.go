@@ -166,9 +166,10 @@ func containsToken(header, token string) bool {
 	return false
 }
 
-// WritePrometheus renders m in the text exposition format, then the
-// one series whose value lives in its labels: the build identification.
-func WritePrometheus(w io.Writer, m MetricsSnapshot, b BuildInfo) error {
+// WritePrometheus renders m, a MetricsSnapshot or a struct embedding
+// one, in the text exposition format, then the one series whose value
+// lives in its labels: the build identification.
+func WritePrometheus(w io.Writer, m any, b BuildInfo) error {
 	if err := telemetry.WritePrometheus(w, m); err != nil {
 		return err
 	}

@@ -5,7 +5,9 @@
 // admission control (bounded queue, 429 + Retry-After on overload),
 // request coalescing (N clients asking for the same run share one
 // simulation and one job), per-job deadlines, streamed progress, and
-// graceful drain on shutdown.
+// graceful drain on shutdown. The same job lifecycle serves the sweep
+// coordinator: given a Fleet, a Server runs parameter-grid jobs on
+// other daemons instead of simulations on its own session.
 //
 // Everything is stdlib net/http; the API surface is small and
 // versioned under /v1:
@@ -22,6 +24,9 @@
 //	GET  /v1/runs/{id}/trace    Chrome trace_event JSON for one job
 //	POST /v1/experiments        run named paper experiments
 //	GET  /v1/experiments        list experiment ids
+//	POST /v1/sweeps             submit a parameter grid (coordinator only)
+//	GET  /v1/sweeps/{id}        sweep status, per-point results
+//	GET  /v1/sweeps/{id}/events streamed JSONL with the running tally
 //	GET  /v1/buildinfo          binary version/revision/toolchain
 //	GET  /healthz               liveness (503 while draining)
 //	GET  /metrics               counters (JSON, or Prometheus text via Accept)
@@ -96,6 +101,9 @@ type Options struct {
 	// drain) with request_id/job_id/kind/duration attributes. Nil
 	// discards.
 	Log *slog.Logger
+	// Fleet, when set, makes the server a sweep coordinator: sweep jobs
+	// run on it, and runs and experiments are refused (see Fleet).
+	Fleet Fleet
 }
 
 // Server owns the session, the job queue and the worker pool. Create
@@ -456,6 +464,13 @@ func interrupted(err error) bool {
 // wedged beyond cancellation and had to be abandoned outright.
 var errStalled = errors.New("stalled: no simulation progress within the stall timeout")
 
+// ErrShutdown is the terminal error of a job the daemon's own shutdown
+// interrupted (a drain timeout or Close; not the job's own timeout_ms).
+// Such a job gets no journaled finish, so the next life runs it again,
+// and a coordinator that finds it on a worker reassigns the point as it
+// would for a lost worker. It is an interruption: interrupted reports it.
+var ErrShutdown = fmt.Errorf("interrupted by daemon shutdown: %w", context.Canceled)
+
 // stallGrace is how long a stall-cancelled job gets to unwind cleanly
 // (surfacing the session's own cancellation error) before the worker
 // abandons the simulation goroutine and reclaims the slot anyway.
@@ -548,6 +563,8 @@ func (s *Server) runJob(j *Job) {
 				err = fmt.Errorf("experiments interrupted: %w", firstNonNil(ctx.Err(), context.Canceled))
 			}
 			outc <- outcome{rep: rep, err: err}
+		case KindSweep:
+			outc <- outcome{err: s.opts.Fleet.RunSweep(ctx, j)}
 		}
 	}()
 	var out outcome
@@ -564,6 +581,9 @@ func (s *Server) runJob(j *Job) {
 			out = outcome{err: errStalled}
 		}
 		grace.Stop()
+	}
+	if interrupted(out.err) && !(errors.Is(out.err, context.DeadlineExceeded) && j.Timeout > 0) && !j.Stalled() {
+		out.err = ErrShutdown
 	}
 	j.finish(out.res, out.rep, out.err)
 
@@ -621,28 +641,26 @@ func (s *Server) runJob(j *Job) {
 }
 
 // journalFinish decides which terminal states earn a WAL finish
-// record. Shutdown-interrupted jobs deliberately get none — mirroring
-// the session's refusal to memoize cancellation, replay re-enqueues
-// them. A job's own blown deadline, a stall verdict, and genuine
-// failures are final outcomes the next life must re-serve as-is.
+// record. Shutdown-interrupted jobs (ErrShutdown) deliberately get none —
+// mirroring the session's refusal to memoize cancellation, replay
+// re-enqueues them. A job's own blown deadline, a stall verdict, and
+// genuine failures are final outcomes the next life must re-serve as-is.
 func (s *Server) journalFinish(j *Job, st JobState, err error) {
-	if s.journal == nil {
-		return
-	}
-	if st == StateFailed && interrupted(err) &&
-		!(errors.Is(err, context.DeadlineExceeded) && j.Timeout > 0) {
+	if s.journal == nil || errors.Is(err, ErrShutdown) {
 		return
 	}
 	rec := journalRecord{Type: "finish", Time: time.Now(), Job: j.ID, Outcome: st}
 	if err != nil {
 		rec.Error = err.Error()
 	}
-	if st == StateDone {
-		if j.Kind == KindRun {
-			rec.Result = j.Result()
-		} else {
-			rec.Report = j.view().Report
-		}
+	switch {
+	case j.Kind == KindSweep:
+		rec.Points = j.view().Points
+	case st != StateDone:
+	case j.Kind == KindRun:
+		rec.Result = j.Result()
+	default:
+		rec.Report = j.view().Report
 	}
 	s.appendOrWarn(rec)
 }
@@ -659,8 +677,8 @@ func firstNonNil(errs ...error) error {
 // --- HTTP layer ----------------------------------------------------------
 
 // RunRequest is the wire form of POST /v1/runs: the run itself plus a
-// per-job timeout. The coordinator's sweep points are this same type,
-// so fan-out is a direct re-encode. Unknown fields are ignored, so a body
+// per-job timeout. A sweep's points are this same type, so fan-out is a
+// direct re-encode. Unknown fields are ignored, so a body
 // (or an old journal record) still carrying a hand-typed identity label
 // decodes, and the label no longer splits the cache.
 type RunRequest struct {
@@ -690,18 +708,29 @@ type submitView struct {
 	Status    JobState `json:"status"`
 	Location  string   `json:"location"`
 	Coalesced bool     `json:"coalesced,omitempty"`
+	Points    int      `json:"points,omitempty"` // sweeps
+	Groups    int      `json:"groups,omitempty"` // sweeps
 }
 
 // Handler returns the daemon's HTTP handler, wrapped in the
-// observability middleware (request ids, spans, access log).
+// observability middleware (request ids, spans, access log). A
+// coordinator mounts POST /v1/sweeps and its fleet's endpoints where a
+// simulation daemon mounts POST /v1/runs and /v1/experiments.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
-	mux.HandleFunc("GET /v1/runs/{id}", s.handleGetJob)
-	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleJobEvents)
+	if s.opts.Fleet != nil {
+		mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
+		s.opts.Fleet.Mount(mux)
+	} else {
+		mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
+		mux.HandleFunc("POST /v1/experiments", s.handleSubmitExperiments)
+	}
+	for _, kind := range []string{"runs", "sweeps"} {
+		mux.HandleFunc("GET /v1/"+kind+"/{id}", s.handleGetJob)
+		mux.HandleFunc("GET /v1/"+kind+"/{id}/events", s.handleJobEvents)
+	}
 	mux.HandleFunc("GET /v1/runs/{id}/progress", s.handleJobProgress)
 	mux.HandleFunc("GET /v1/runs/{id}/trace", s.handleJobTrace)
-	mux.HandleFunc("POST /v1/experiments", s.handleSubmitExperiments)
 	mux.HandleFunc("GET /v1/experiments", s.handleListExperiments)
 	mux.HandleFunc("GET /v1/buildinfo", s.handleBuildinfo)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -711,8 +740,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // WriteJSON answers with v as indented JSON under status code. The
-// coordinator's HTTP surface shares it (and WriteError, DecodeRequest,
-// WantsPrometheus) so both daemons speak one dialect.
+// fleet's endpoints share it (and WriteError, DecodeRequest) so every
+// route speaks one dialect.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	writeBody(w, code, encodeJSON(v))
 }
@@ -836,37 +865,46 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	// too: it is answered before it is validated or a job is built.
 	key := req.Key()
 	s.mu.Lock()
-	admitted, err := s.coalesceLocked(key)
+	exist, err := s.coalesceLocked(key)
 	s.mu.Unlock()
-	coalesced := admitted != nil
-	if err == nil && !coalesced {
-		if err := req.RunSpec.Validate(); err != nil {
-			WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		j := newJob(KindRun)
-		j.Spec = &req
-		j.Timeout = s.timeout(req.TimeoutMS)
-		j.key = key
-		j.RequestID = telemetry.RequestIDFrom(r.Context())
-		j.parentSpan = httpSpan(r.Context()).ID()
-		admitted, coalesced, err = s.submit(j)
+	if err != nil || exist != nil {
+		s.answer(w, r, exist, true, err, submitView{Location: "/v1/runs/"})
+		return
 	}
+	if err := req.RunSpec.Validate(); err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	j := newJob(KindRun)
+	j.Spec = &req
+	j.Timeout = s.timeout(req.TimeoutMS)
+	j.key = key
+	s.admit(w, r, j, submitView{Location: "/v1/runs/"})
+}
+
+// admit submits j on behalf of request r and answers with v, the
+// kind's submit view (its location prefix and any extra fields).
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, j *Job, v submitView) {
+	j.RequestID = telemetry.RequestIDFrom(r.Context())
+	j.parentSpan = httpSpan(r.Context()).ID()
+	admitted, coalesced, err := s.submit(j)
+	s.answer(w, r, admitted, coalesced, err, v)
+}
+
+// answer reports a submission: 429 for an admission refusal, else 202
+// with the admitted job, or 200 with the job it coalesced onto.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, j *Job, coalesced bool, err error, v submitView) {
 	if err != nil {
 		writeAdmissionError(w, err)
 		return
 	}
-	httpSpan(r.Context()).SetJobID(admitted.ID)
+	httpSpan(r.Context()).SetJobID(j.ID)
 	code := http.StatusAccepted
 	if coalesced {
 		code = http.StatusOK
 	}
-	WriteJSON(w, code, submitView{
-		ID:        admitted.ID,
-		Status:    admitted.State(),
-		Location:  "/v1/runs/" + admitted.ID,
-		Coalesced: coalesced,
-	})
+	v.ID, v.Status, v.Location, v.Coalesced = j.ID, j.State(), v.Location+j.ID, coalesced
+	WriteJSON(w, code, v)
 }
 
 func (s *Server) handleSubmitExperiments(w http.ResponseWriter, r *http.Request) {
@@ -896,20 +934,7 @@ func (s *Server) handleSubmitExperiments(w http.ResponseWriter, r *http.Request)
 	j := newJob(KindExperiments)
 	j.ExpIDs = ids
 	j.Timeout = s.timeout(req.TimeoutMS)
-	j.RequestID = telemetry.RequestIDFrom(r.Context())
-	j.parentSpan = httpSpan(r.Context()).ID()
-
-	admitted, _, err := s.submit(j)
-	if err != nil {
-		writeAdmissionError(w, err)
-		return
-	}
-	httpSpan(r.Context()).SetJobID(admitted.ID)
-	WriteJSON(w, http.StatusAccepted, submitView{
-		ID:       admitted.ID,
-		Status:   admitted.State(),
-		Location: "/v1/runs/" + admitted.ID,
-	})
+	s.admit(w, r, j, submitView{Location: "/v1/runs/"})
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -1061,12 +1086,17 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
+// handleHealthz is liveness: 503 while draining. A coordinator adds its
+// count of schedulable workers.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	code, body := http.StatusOK, map[string]any{"status": "ok"}
 	if s.Draining() {
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
+		code, body["status"] = http.StatusServiceUnavailable, "draining"
 	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	if s.opts.Fleet != nil {
+		body["workers"] = s.opts.Fleet.Live()
+	}
+	WriteJSON(w, code, body)
 }
 
 // MetricsSnapshot is GET /metrics: its JSON shape, and through the prom
@@ -1142,14 +1172,21 @@ func (s *Server) Metrics() MetricsSnapshot {
 
 // handleMetrics negotiates the representation: scrapers asking for the
 // text exposition formats get Prometheus 0.0.4 text; everything else
-// (curl, the CLI, existing tooling) keeps the JSON snapshot.
+// (curl, the CLI, existing tooling) keeps the JSON snapshot. A
+// coordinator's snapshot carries its fleet's counters beside the
+// daemon's.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	snap := s.Metrics()
+	var m any = snap
+	if s.opts.Fleet != nil {
+		m = s.opts.Fleet.Snapshot(snap)
+	}
 	if WantsPrometheus(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", telemetry.PrometheusContentType)
-		if err := WritePrometheus(w, s.Metrics(), s.build); err != nil {
+		if err := WritePrometheus(w, m, s.build); err != nil {
 			WriteError(w, http.StatusInternalServerError, err)
 		}
 		return
 	}
-	WriteJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, m)
 }
