@@ -78,7 +78,8 @@ profile:
 pgo:
 	bash scripts/pgo.sh
 
-# Golden equivalence: the wake-gated scheduler vs the clock-everything
+# Golden equivalence: the committed result digests (the absolute
+# golden), the wake-gated scheduler vs the clock-everything
 # reference, run-to-run repeatability, fork-vs-cold and the fork path
 # gated vs reference, on 1/2/4/8-core systems, and every reader of the
 # lazily settled per-cycle counters; then the per-component gated-twin
@@ -86,7 +87,7 @@ pgo:
 # contract cycle by cycle. Already part of `test`; kept as its own
 # target so a perf change can run just this, fast.
 determinism:
-	$(GO) test ./internal/sim -run 'Determinism|FastForward|ForkGated|EveryStatsReaderSettles' -count=1
+	$(GO) test ./internal/sim -run 'Determinism|FastForward|ForkGated|EveryStatsReaderSettles|ResultDigests' -count=1
 	$(GO) test ./internal/dram ./internal/cache ./internal/cpu -run 'GatedTwin' -count=1
 
 # Differential audit: every bundled workload through the fully audited

@@ -159,32 +159,10 @@ func main() {
 	// from.
 	session.Flush()
 
-	var b strings.Builder
-	for _, res := range rep.Results {
-		if res.Err != nil {
-			continue
-		}
-		b.WriteString(res.Table.Markdown())
-		if e, err := experiments.ByID(res.ID); err == nil && e.Paper != "" {
-			b.WriteString("\nPaper: " + e.Paper + "\n")
-		}
-		b.WriteString("\n")
-	}
-	if failed := rep.Failed(); len(failed) > 0 {
-		b.WriteString("### failed experiments\n\n")
-		for _, res := range failed {
-			fmt.Fprintf(&b, "- %s: %v\n", res.ID, res.Err)
-		}
-		b.WriteString("\n")
-	}
-	if rep.Interrupted {
-		b.WriteString("> run interrupted: the tables above are the completed subset; " +
-			"rerun with the same -cache-dir to resume.\n")
-	}
-
+	md := rep.Markdown()
 	if *out == "" {
-		fmt.Print(b.String())
-	} else if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
+		fmt.Print(md)
+	} else if err := os.WriteFile(*out, []byte(md), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	} else {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os/exec"
 	"path/filepath"
@@ -77,5 +78,26 @@ func TestListAndTab1(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "| total | 895.000 |") {
 		t.Errorf("tab1 lacks the 895-byte total:\n%s", out)
+	}
+}
+
+// TestStdoutIsReportMarkdown: the CLI prints exactly Report.Markdown —
+// the renderer POST /v1/experiments returns too — so the two carry the
+// same tables and the same "Paper:" lines.
+func TestStdoutIsReportMarkdown(t *testing.T) {
+	bin := build(t)
+	out, err := exec.Command(bin, "-run", "tab1").Output()
+	if err != nil {
+		t.Fatalf("experiments -run tab1: %v", err)
+	}
+	rep, err := experiments.RunIDs(context.Background(), experiments.NewSession(experiments.Quick), []string{"tab1"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := rep.Markdown(); string(out) != want {
+		t.Errorf("experiments -run tab1 stdout:\n%s\nwant Report.Markdown:\n%s", out, want)
+	}
+	if !strings.Contains(string(out), "\nPaper: ") {
+		t.Errorf("tab1 report lacks its Paper line:\n%s", out)
 	}
 }

@@ -2,11 +2,13 @@ package audit
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
 
 	"ipcp/internal/core"
+	"ipcp/internal/experiments"
 	"ipcp/internal/memsys"
 	"ipcp/internal/prefetch"
 	"ipcp/internal/sim"
@@ -47,6 +49,30 @@ func TestDifferentialSuite(t *testing.T) {
 	}
 	if rep.Runs != 2*len(suiteNames()) {
 		t.Fatalf("expected %d runs, got %d", 2*len(suiteNames()), rep.Runs)
+	}
+}
+
+// TestAuditDoesNotChangeResults: the differential suites read their
+// conclusions off audited runs, so the harness must observe without
+// perturbing. For the same RunSpec and seed, RunWorkload's Result is
+// byte-identical (as JSON) to the plain run a session executes.
+func TestAuditDoesNotChangeResults(t *testing.T) {
+	opt := RunOptions{}.withDefaults()
+	s := experiments.NewSession(experiments.Scale{Warmup: opt.Warmup, Measure: opt.Measure, Seed: opt.Seed})
+	for _, name := range []string{"lbm-94", "mcf-994", "gcc-2226", "roms-1070"} {
+		audited, err := RunWorkload(context.Background(), name, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := s.Run(experiments.RunSpec{Workloads: []string{name}, L1D: "ipcp", L2: "ipcp"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		aj, _ := json.Marshal(audited.Result)
+		pj, _ := json.Marshal(plain)
+		if string(aj) != string(pj) {
+			t.Errorf("%s: the audited result differs from the plain run:\naudited: %s\nplain:   %s", name, aj, pj)
+		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"fmt"
 
 	"ipcp/internal/sim"
-	"ipcp/internal/trace"
-	"ipcp/internal/workload"
 )
 
 // --- Fork-vs-cold differential -------------------------------------------
@@ -28,7 +26,7 @@ import (
 
 // forkCold runs one workload cold through the shared-warmup phases.
 func forkCold(ctx context.Context, name string, opt RunOptions) (*sim.Result, error) {
-	sys, err := buildWarmOnly(name, opt)
+	sys, err := build(name, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +37,7 @@ func forkCold(ctx context.Context, name string, opt RunOptions) (*sim.Result, er
 // second system restored from the encoded snapshot, exercising the same
 // gob spill path the sweep scheduler's disk cache uses.
 func forkForked(ctx context.Context, name string, opt RunOptions) (*sim.Result, error) {
-	warm, err := buildWarmOnly(name, opt)
+	warm, err := build(name, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +57,7 @@ func forkForked(ctx context.Context, name string, opt RunOptions) (*sim.Result, 
 		return nil, err
 	}
 
-	sys, err := buildWarmOnly(name, opt)
+	sys, err := build(name, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -70,22 +68,6 @@ func forkForked(ctx context.Context, name string, opt RunOptions) (*sim.Result, 
 		return nil, err
 	}
 	return sys.RunMeasure(ctx, opt.Measure)
-}
-
-// buildWarmOnly builds the standard audited configuration (paper
-// single-core, IPCP at L1-D and L2) in CacheWarmOnly mode.
-func buildWarmOnly(name string, opt RunOptions) (*sim.System, error) {
-	spec, err := workload.Named(name)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.PaperConfig(1)
-	cfg.Seed = opt.Seed
-	cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: "ipcp"}
-	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: "ipcp"}
-	cfg.DisableFastForward = opt.DisableFastForward
-	cfg.CacheWarmOnly = true
-	return sim.Build(cfg, []trace.Stream{spec.New(opt.Seed)})
 }
 
 // RunForkSuite runs the fork-vs-cold differential over the named

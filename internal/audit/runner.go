@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"sort"
 
+	"ipcp/internal/experiments"
 	"ipcp/internal/sim"
-	"ipcp/internal/trace"
-	"ipcp/internal/workload"
 )
 
 // RunOptions parametrizes one audited run.
@@ -59,20 +58,8 @@ func (o *Outcome) mode() string {
 // returned outcome's Checker.
 func RunWorkload(ctx context.Context, name string, opt RunOptions) (*Outcome, error) {
 	opt = opt.withDefaults()
-	spec, err := workload.Named(name)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.PaperConfig(1)
-	cfg.Seed = opt.Seed
-	cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: "ipcp"}
-	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: "ipcp"}
-	cfg.DisableFastForward = opt.DisableFastForward
-
 	k := NewWithOptions(Options{RecordStreams: true})
-	cfg.Audit = k
-
-	sys, err := sim.Build(cfg, []trace.Stream{spec.New(opt.Seed)})
+	sys, err := build(name, opt, k)
 	if err != nil {
 		return nil, err
 	}
@@ -87,6 +74,26 @@ func RunWorkload(ctx context.Context, name string, opt RunOptions) (*Outcome, er
 		Checker:     k,
 		Result:      res,
 	}, nil
+}
+
+// build assembles the audited configuration — the paper's single-core
+// system with IPCP at L1-D and L2, the same RunSpec an ipcpd client
+// would submit — with the audit harness k attached, or, for k nil, in
+// CacheWarmOnly mode for the fork-vs-cold differential.
+func build(name string, opt RunOptions, k *Checker) (*sim.System, error) {
+	spec := experiments.RunSpec{Workloads: []string{name}, L1D: "ipcp", L2: "ipcp"}
+	streams, err := spec.Streams(opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	cfg := spec.Config(opt.Seed)
+	cfg.DisableFastForward = opt.DisableFastForward
+	if k != nil {
+		cfg.Audit = k
+	} else {
+		cfg.CacheWarmOnly = true
+	}
+	return sim.Build(cfg, streams)
 }
 
 func boolMode(disableFF bool) string {

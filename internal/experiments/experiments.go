@@ -270,7 +270,7 @@ func (r RunSpec) Validate() error {
 	}
 	// Geometry (power-of-two sets and core count, known policy names) is
 	// the simulator's own rule; ask it.
-	return specConfig(r, 1).Validate()
+	return r.Config(1).Validate()
 }
 
 // PanicError wraps a panic recovered in a simulation worker: the
@@ -525,19 +525,19 @@ func (s *Session) Run(spec RunSpec) (*sim.Result, error) {
 // memo-hit, coalesced, disk-hit or executed — plus admission and
 // checkpoint child spans on the paths that have them.
 func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*sim.Result, error) {
-	return s.run(ctx, spec, "", s.diskKey, s.execute, false)
+	return s.run(ctx, spec, false)
 }
 
 // run is the single-flight loop behind RunContext and RunSharedContext.
-// The two methodologies differ only in what the caller passes: the memo
-// key prefix and disk-key function that keep their results apart, the
-// exec that actually simulates, and whether the span says so.
-func (s *Session) run(ctx context.Context, spec RunSpec, prefix string, diskKey func(string) string,
-	exec func(context.Context, RunSpec) (*sim.Result, error), shared bool) (*sim.Result, error) {
-	k := prefix + spec.Key()
+// The two methodologies differ only in shared: it keeps their results
+// apart (the "sw|" memo-key prefix and diskKeyShared), selects how
+// execute simulates, and marks the span.
+func (s *Session) run(ctx context.Context, spec RunSpec, shared bool) (*sim.Result, error) {
+	k, diskKey := spec.Key(), s.diskKey
 	ctx, span := telemetry.StartSpan(ctx, "session.run")
 	defer span.End()
 	if shared {
+		k, diskKey = "sw|"+k, s.diskKeyShared
 		span.SetAttr("warmup_shared", "true")
 	}
 	for {
@@ -575,7 +575,7 @@ func (s *Session) run(ctx context.Context, spec RunSpec, prefix string, diskKey 
 		o := &outcome{done: make(chan struct{})}
 		s.cache[k] = o
 		s.mu.Unlock()
-		return s.lead(ctx, spec, k, diskKey(k), o, span, exec)
+		return s.lead(ctx, spec, k, diskKey(k), o, span, shared)
 	}
 }
 
@@ -584,10 +584,10 @@ func (s *Session) run(ctx context.Context, spec RunSpec, prefix string, diskKey 
 // waiter, and only then queues the checkpoint write behind them.
 // Exactly one goroutine leads each in-flight entry. span is the
 // caller's session.run span; lead stamps the outcome onto it. dk is the
-// disk-cache address for this entry and exec the path that actually
-// simulates (classic warmup+measure, or a forked measure phase).
+// disk-cache address for this entry and shared the methodology execute
+// simulates it under.
 func (s *Session) lead(ctx context.Context, spec RunSpec, k, dk string, o *outcome, span *telemetry.ActiveSpan,
-	exec func(context.Context, RunSpec) (*sim.Result, error)) (*sim.Result, error) {
+	shared bool) (*sim.Result, error) {
 	resolve := func(res *sim.Result, err error) (*sim.Result, error) {
 		s.mu.Lock()
 		o.res, o.err = res, err
@@ -621,7 +621,7 @@ func (s *Session) lead(ctx context.Context, spec RunSpec, k, dk string, o *outco
 		}
 	}
 	span.SetAttr("outcome", "executed")
-	res, err := exec(ctx, spec)
+	res, err := s.execute(ctx, spec, shared)
 	if err != nil {
 		span.SetAttr("error", err.Error())
 		return resolve(nil, err)
@@ -701,15 +701,6 @@ func (s *Session) runContext(ctx context.Context) (context.Context, context.Canc
 	return merged, func() { stop(); cancel() }
 }
 
-func (s *Session) execute(ctx context.Context, spec RunSpec) (res *sim.Result, err error) {
-	return runSlot(s, ctx, func(runCtx context.Context) (*sim.Result, error) {
-		s.mu.Lock()
-		s.stats.Executed++
-		s.mu.Unlock()
-		return s.buildAndRun(runCtx, spec)
-	})
-}
-
 // runSlot runs body under one concurrency slot. It is the one gate
 // every simulation phase passes through — classic runs, shared
 // warmups, and forked measure phases alike — so direct Run calls, the
@@ -787,53 +778,54 @@ func (s *Session) specSeed(spec RunSpec) int64 {
 	return s.Scale.Seed
 }
 
-// specConfig assembles the sim.Config a spec describes (shared by the
-// classic path, warmup leaders and forked measure phases — the three
-// must agree exactly for forked runs to be bit-identical to cold ones).
-// A system knob is one RunSpec field and one line here.
-func specConfig(spec RunSpec, seed int64) sim.Config {
-	cores := spec.Cores
+// Config assembles the sim.Config the spec describes under seed (the
+// spec's own Seed, resolved by the caller). It is the one place a spec
+// becomes a system configuration — session runs, warmup leaders, forked
+// measure phases, the ipcp facade and the audit runner all build from
+// it, so a forked run is bit-identical to a cold one and ipcpsim to
+// ipcpd. A system knob is one RunSpec field and one line here.
+func (r RunSpec) Config(seed int64) sim.Config {
+	cores := r.Cores
 	if cores == 0 {
-		cores = len(spec.Workloads)
+		cores = len(r.Workloads)
 	}
 	cfg := sim.PaperConfig(cores)
-	if spec.LLCRepl != "" {
-		cfg.LLC.Repl = spec.LLCRepl
+	if r.LLCRepl != "" {
+		cfg.LLC.Repl = r.LLCRepl
 	}
-	if spec.DRAMGBps > 0 {
-		cfg.DRAM = cfg.DRAM.WithBandwidthGBps(spec.DRAMGBps / float64(cfg.DRAM.Channels))
+	if r.DRAMGBps > 0 {
+		cfg.DRAM = cfg.DRAM.WithBandwidthGBps(r.DRAMGBps / float64(cfg.DRAM.Channels))
 	}
-	if spec.L1PQ > 0 {
-		cfg.L1D.PQSize = spec.L1PQ
+	if r.L1PQ > 0 {
+		cfg.L1D.PQSize = r.L1PQ
 	}
-	if spec.L1MSHR > 0 {
-		cfg.L1D.MSHRs = spec.L1MSHR
+	if r.L1MSHR > 0 {
+		cfg.L1D.MSHRs = r.L1MSHR
 	}
-	if spec.L1DWays > 0 {
-		cfg.L1D.Ways = spec.L1DWays
+	if r.L1DWays > 0 {
+		cfg.L1D.Ways = r.L1DWays
 	}
-	if spec.L2Sets > 0 {
-		cfg.L2.Sets = spec.L2Sets
+	if r.L2Sets > 0 {
+		cfg.L2.Sets = r.L2Sets
 	}
-	if spec.LLCSetsPerCore > 0 {
-		cfg.LLC.Sets = spec.LLCSetsPerCore * cores
+	if r.LLCSetsPerCore > 0 {
+		cfg.LLC.Sets = r.LLCSetsPerCore * cores
 	}
-	cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: spec.L1D}
-	if spec.IPCPL1 != nil {
-		l1 := *spec.IPCPL1
+	cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: r.L1D}
+	if r.IPCPL1 != nil {
+		l1 := *r.IPCPL1
 		cfg.L1DPrefetcher.New = func() (prefetch.Prefetcher, error) { return core.NewL1IPCP(l1), nil }
 	}
-	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: spec.L2}
-	cfg.LLCPrefetcher = sim.PrefetcherSpec{Name: spec.LLC}
+	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: r.L2}
+	cfg.LLCPrefetcher = sim.PrefetcherSpec{Name: r.LLC}
 	cfg.Seed = seed
 	return cfg
 }
 
-// specStreams builds the spec's per-core trace streams.
-func (s *Session) specStreams(spec RunSpec) ([]trace.Stream, error) {
-	seed := s.specSeed(spec)
-	streams := make([]trace.Stream, 0, len(spec.Workloads))
-	for _, name := range spec.Workloads {
+// Streams builds the spec's per-core trace streams under seed.
+func (r RunSpec) Streams(seed int64) ([]trace.Stream, error) {
+	streams := make([]trace.Stream, 0, len(r.Workloads))
+	for _, name := range r.Workloads {
 		w, err := workload.Named(name)
 		if err != nil {
 			return nil, err
@@ -843,19 +835,48 @@ func (s *Session) specStreams(spec RunSpec) ([]trace.Stream, error) {
 	return streams, nil
 }
 
-// buildAndRun is the simulation body of execute: config assembly,
-// stream construction, system build and the cycle loop.
-func (s *Session) buildAndRun(runCtx context.Context, spec RunSpec) (*sim.Result, error) {
-	streams, err := s.specStreams(spec)
+// build assembles spec's system under the session's seed resolution;
+// warmOnly selects the shared-warmup methodology (sim.Config's
+// CacheWarmOnly).
+func (s *Session) build(spec RunSpec, warmOnly bool) (*sim.System, error) {
+	seed := s.specSeed(spec)
+	streams, err := spec.Streams(seed)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := sim.Build(specConfig(spec, s.specSeed(spec)), streams)
-	if err != nil {
-		return nil, err
+	cfg := spec.Config(seed)
+	cfg.CacheWarmOnly = warmOnly
+	return sim.Build(cfg, streams)
+}
+
+// execute simulates spec, the leader's work in lead. A classic run is
+// cold. A shared-warmup run forks from its warmup's snapshot; when none
+// can be had non-fatally (e.g. the workload never drains to
+// quiescence) it runs cold through the identical CacheWarmOnly phases,
+// so its result semantics are unchanged — only the warmup sharing is
+// lost.
+func (s *Session) execute(ctx context.Context, spec RunSpec, shared bool) (*sim.Result, error) {
+	if shared {
+		snap, err := s.snapshotFor(ctx, spec)
+		if err == nil {
+			return s.runForked(ctx, spec, snap)
+		}
+		if fatal(err) {
+			return nil, err
+		}
+		s.log.Warn("shared warmup unavailable; falling back to cold run", "spec", spec.Key(), "err", err)
 	}
-	defer s.release(sys)
-	return sys.RunContext(runCtx, s.Scale.Warmup, s.Scale.Measure)
+	return runSlot(s, ctx, func(runCtx context.Context) (*sim.Result, error) {
+		s.mu.Lock()
+		s.stats.Executed++
+		s.mu.Unlock()
+		sys, err := s.build(spec, shared)
+		if err != nil {
+			return nil, err
+		}
+		defer s.release(sys)
+		return sys.RunContext(runCtx, s.Scale.Warmup, s.Scale.Measure)
+	})
 }
 
 // release recycles a system's arrays once its simulation has returned.

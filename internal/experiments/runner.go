@@ -39,9 +39,11 @@ func (r *Report) Failed() []ExperimentResult {
 	return out
 }
 
-// Markdown renders every completed table, the failure list, and an
-// interruption note, in a stable order — two runs over the same session
-// state produce byte-identical output.
+// Markdown renders every completed table with the paper's figure for
+// it, the failure list, and an interruption note, in a stable order —
+// two runs over the same session state produce byte-identical output.
+// It is the one report renderer: the experiments CLI prints it and
+// POST /v1/experiments returns it.
 func (r *Report) Markdown() string {
 	var b strings.Builder
 	for _, res := range r.Results {
@@ -49,6 +51,9 @@ func (r *Report) Markdown() string {
 			continue
 		}
 		b.WriteString(res.Table.Markdown())
+		if e, err := ByID(res.ID); err == nil && e.Paper != "" {
+			b.WriteString("\nPaper: " + e.Paper + "\n")
+		}
 		b.WriteString("\n")
 	}
 	if failed := r.Failed(); len(failed) > 0 {

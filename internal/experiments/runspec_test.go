@@ -259,11 +259,11 @@ func TestRunSpecValidate(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		streams, err := s.specStreams(spec)
+		streams, err := spec.Streams(s.specSeed(spec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := sim.Build(specConfig(spec, 1), streams)
+		sys, err := sim.Build(spec.Config(1), streams)
 		if err != nil {
 			t.Errorf("%s validates but does not build: %v", name, err)
 			continue

@@ -103,7 +103,7 @@ func (s *Session) RunShared(spec RunSpec) (*sim.Result, error) {
 // CacheWarmOnly phases, so the result semantics are unchanged; only
 // the warmup sharing is lost.
 func (s *Session) RunSharedContext(ctx context.Context, spec RunSpec) (*sim.Result, error) {
-	return s.run(ctx, spec, "sw|", s.diskKeyShared, s.executeShared, true)
+	return s.run(ctx, spec, true)
 }
 
 // RunSweep executes a sweep grid with shared warmups, returning results
@@ -126,32 +126,9 @@ func (s *Session) RunSweep(specs []RunSpec) ([]*sim.Result, []error) {
 	return results, errs
 }
 
-// executeShared is the shared-warmup execution body behind lead: fork
-// from the warmup snapshot when one can be had, cold-run through the
-// same phases when not.
-func (s *Session) executeShared(ctx context.Context, spec RunSpec) (*sim.Result, error) {
-	snap, err := s.snapshotFor(ctx, spec)
-	if err != nil {
-		if fatal(err) {
-			return nil, err
-		}
-		// Snapshot path degraded (e.g. the workload never drains to
-		// quiescence): cold-run this point through the identical
-		// CacheWarmOnly phases so its result semantics are unchanged.
-		s.log.Warn("shared warmup unavailable; falling back to cold run",
-			"spec", spec.Key(), "err", err)
-		return runSlot(s, ctx, func(runCtx context.Context) (*sim.Result, error) {
-			s.mu.Lock()
-			s.stats.Executed++
-			s.mu.Unlock()
-			sys, err := s.buildShared(spec)
-			if err != nil {
-				return nil, err
-			}
-			defer s.release(sys)
-			return sys.RunContext(runCtx, s.Scale.Warmup, s.Scale.Measure)
-		})
-	}
+// runForked restores a fresh CacheWarmOnly system from the warmup
+// snapshot and runs only its measure phase.
+func (s *Session) runForked(ctx context.Context, spec RunSpec, snap *sim.Snapshot) (*sim.Result, error) {
 	return runSlot(s, ctx, func(runCtx context.Context) (*sim.Result, error) {
 		s.mu.Lock()
 		s.stats.Executed++
@@ -159,7 +136,7 @@ func (s *Session) executeShared(ctx context.Context, spec RunSpec) (*sim.Result,
 		s.mu.Unlock()
 		// A fork's trace reads restore | measure.
 		_, rsp := telemetry.StartSpan(runCtx, "sim.restore")
-		sys, err := s.buildShared(spec)
+		sys, err := s.build(spec, true)
 		if err == nil {
 			defer s.release(sys)
 			if err = sys.RestoreSnapshot(snap); err == nil {
@@ -175,17 +152,6 @@ func (s *Session) executeShared(ctx context.Context, spec RunSpec) (*sim.Result,
 		}
 		return sys.RunMeasure(runCtx, s.Scale.Measure)
 	})
-}
-
-// buildShared builds the spec's system in CacheWarmOnly mode.
-func (s *Session) buildShared(spec RunSpec) (*sim.System, error) {
-	streams, err := s.specStreams(spec)
-	if err != nil {
-		return nil, err
-	}
-	cfg := specConfig(spec, s.specSeed(spec))
-	cfg.CacheWarmOnly = true
-	return sim.Build(cfg, streams)
 }
 
 // snapshotFor returns the warmup snapshot for spec's warmup identity,
@@ -304,7 +270,7 @@ func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *
 		s.mu.Lock()
 		s.stats.SnapshotMisses++
 		s.mu.Unlock()
-		sys, err := s.buildShared(spec)
+		sys, err := s.build(spec, true)
 		if err != nil {
 			return nil, err
 		}
@@ -353,7 +319,7 @@ func (s *Session) loadSnapshotSpill(ctx context.Context, spec RunSpec, wkey stri
 	ok = s.disk.loadBlob(s.snapDiskKey(wkey), func(data []byte) (err error) {
 		if snap, err = sim.DecodeSnapshot(data); err == nil {
 			var streams []trace.Stream
-			if streams, err = s.specStreams(spec); err == nil {
+			if streams, err = spec.Streams(s.specSeed(spec)); err == nil {
 				err = snap.SeekStreams(streams)
 			}
 		}

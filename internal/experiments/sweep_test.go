@@ -81,7 +81,7 @@ func TestRunSharedMatchesColdSharedRun(t *testing.T) {
 		t.Fatalf("ForkedRuns = %d, want 1 (the run did not fork)", st.ForkedRuns)
 	}
 
-	sys, err := s.buildShared(spec)
+	sys, err := s.build(spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}

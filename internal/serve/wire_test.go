@@ -100,7 +100,7 @@ func TestVariantRunsOverHTTP(t *testing.T) {
 }
 
 // FuzzRunRequest: whatever bytes arrive, decoding and validating never
-// panic — and validating means assembling the sim.Config (specConfig)
+// panic — and validating means assembling the sim.Config (RunSpec.Config)
 // and putting it through the simulator's own Validate, so that leg runs
 // on every input that gets that far. Whatever validates has an identity
 // (Key, WarmupKey) that survives its own re-encoding. And because a

@@ -73,13 +73,13 @@ type Config struct {
 	// every prefetcher detached (the no-op Nil), so the warmup phase
 	// warms caches, TLBs and branch predictors only, making the
 	// post-warmup architectural state independent of the prefetcher
-	// configuration. AttachPrefetchers installs the configured
-	// prefetchers cold at the measure boundary; RunContext then routes
-	// through RunWarmup (which drains to quiescence) + AttachPrefetchers
-	// + RunMeasure. This is what lets one warmup be snapshotted once and
-	// forked across every sweep point that differs only in prefetchers.
-	// Off (the default), warmup trains prefetchers too and the classic
-	// single-phase RunContext path is used, byte for byte.
+	// configuration. The warmup phase then ends with a drain to
+	// quiescence and AttachPrefetchers installs the configured
+	// prefetchers cold at the measure boundary. This is what lets one
+	// warmup be snapshotted once and forked across every sweep point
+	// that differs only in prefetchers. Off (the default), Build attaches
+	// the prefetchers, warmup trains them too, and the measure phase
+	// follows the warmup without a drain.
 	CacheWarmOnly bool
 
 	// MaxCycles aborts a run that fails to make progress (a deadlock

@@ -8,6 +8,7 @@ import (
 	"ipcp/internal/cache"
 	"ipcp/internal/cpu"
 	"ipcp/internal/memsys"
+	"ipcp/internal/telemetry"
 )
 
 // This file holds the scheduler — System.step, the one way simulated
@@ -249,8 +250,8 @@ func (s *System) component(sl slot) clocked {
 
 // loopCtl is one run's loop bookkeeping. RunContext threads a single
 // ctl through warmup and measurement (one shared cycle budget, one
-// cancellation cadence across the phase boundary); the split-phase
-// paths (RunWarmup, RunMeasure) each build their own.
+// cancellation cadence across the phase boundary); RunWarmup and
+// RunMeasure, which run one phase each, each build their own.
 type loopCtl struct {
 	maxCycles  int64
 	deadline   int64
@@ -273,8 +274,66 @@ func (s *System) newLoopCtl(budget uint64) *loopCtl {
 	}
 }
 
+// warmupPhase is the warmup half of every run: the sim.warmup span and
+// the warmup progress reports around warmupLoop, then — on a
+// CacheWarmOnly system — the drain to quiescence, so the measure phase
+// starts from the state a snapshot would capture.
+func (s *System) warmupPhase(ctx context.Context, warmup uint64, ctl *loopCtl) (err error) {
+	report := s.reporter(ctx, "warmup", warmup)
+	_, span := telemetry.StartSpan(ctx, "sim.warmup")
+	defer endPhaseSpan(span, &err)
+	report()
+	if err := s.warmupLoop(ctx, warmup, ctl, report); err != nil {
+		return err
+	}
+	report()
+	if s.cfg.CacheWarmOnly {
+		return s.drain(ctx)
+	}
+	return nil
+}
+
+// measurePhase is the measure half of every run: statistics reset at
+// the boundary, the sim.measure span and the measure progress reports
+// around measureLoop, and the Result.
+func (s *System) measurePhase(ctx context.Context, measure uint64, ctl *loopCtl) (res *Result, err error) {
+	report := s.reporter(ctx, "measure", measure)
+	_, span := telemetry.StartSpan(ctx, "sim.measure")
+	defer endPhaseSpan(span, &err)
+	s.resetStats()
+	start := s.cycle
+	report()
+	finish, err := s.measureLoop(ctx, measure, ctl, report)
+	if err != nil {
+		return nil, err
+	}
+	report()
+	return s.buildResult(measure, start, finish), nil
+}
+
+// reporter returns the phase's progress report: a no-op unless ctx
+// carries a telemetry.ProgressFunc.
+func (s *System) reporter(ctx context.Context, phase string, target uint64) func() {
+	progress := telemetry.ProgressFrom(ctx)
+	if progress == nil {
+		return func() {}
+	}
+	return func() {
+		progress(telemetry.Progress{Phase: phase, Retired: s.minRetired(), Target: target, Cycle: s.cycle})
+	}
+}
+
+// endPhaseSpan closes a phase span, tagged with the error that cut the
+// phase short (End on a nil span no-ops).
+func endPhaseSpan(span *telemetry.ActiveSpan, err *error) {
+	if *err != nil {
+		span.SetAttr("error", (*err).Error())
+	}
+	span.End()
+}
+
 // warmupLoop steps the system until every core has retired warmup
-// instructions. Shared by RunContext's warmup phase and RunWarmup.
+// instructions.
 func (s *System) warmupLoop(ctx context.Context, warmup uint64, ctl *loopCtl, report func()) error {
 	defer s.settle()
 	for !s.allRetired(warmup) {
@@ -299,8 +358,7 @@ func (s *System) warmupLoop(ctx context.Context, warmup uint64, ctl *loopCtl, re
 // measureLoop steps the system until every core has retired measure
 // further instructions, recording each core's finish cycle. Cores that
 // finish early keep executing (contending for shared resources) until
-// the last core finishes, as in the paper's methodology. Shared by
-// RunContext's measure phase and RunMeasure.
+// the last core finishes, as in the paper's methodology.
 func (s *System) measureLoop(ctx context.Context, measure uint64, ctl *loopCtl, report func()) ([]int64, error) {
 	defer s.settle()
 	finish := make([]int64, s.cfg.Cores)

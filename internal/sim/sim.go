@@ -578,62 +578,24 @@ const cancelCheckInterval = 4096
 // gets one span per phase (sim.warmup, sim.measure). Both ride the
 // existing per-few-thousand-cycles branch, so a context carrying
 // neither costs the cycle loop nothing.
-func (s *System) RunContext(ctx context.Context, warmup, measure uint64) (res *Result, err error) {
-	// The shared-warmup methodology decomposes the run into the same
-	// phases a forked run uses, so cold and forked runs execute
-	// identical code from the measure boundary on.
+//
+// Every run is the same two phases RunWarmup and RunMeasure drive; a
+// CacheWarmOnly system drains at the end of its warmup and attaches its
+// prefetchers at the measure boundary, so cold and forked runs execute
+// identical code from there on. Warmup and measurement share one cycle
+// budget and one cancellation cadence (a fast-forward-heavy warmup must
+// not eat the measure phase's error margin twice).
+func (s *System) RunContext(ctx context.Context, warmup, measure uint64) (*Result, error) {
+	ctl := s.newLoopCtl(warmup + measure)
+	if err := s.warmupPhase(ctx, warmup, ctl); err != nil {
+		return nil, err
+	}
 	if s.cfg.CacheWarmOnly {
-		if err := s.RunWarmup(ctx, warmup); err != nil {
-			return nil, err
-		}
 		if err := s.AttachPrefetchers(); err != nil {
 			return nil, err
 		}
-		return s.RunMeasure(ctx, measure)
 	}
-	progress := telemetry.ProgressFrom(ctx)
-	report := func(phase string, target uint64) {
-		if progress != nil {
-			progress(telemetry.Progress{
-				Phase: phase, Retired: s.minRetired(), Target: target, Cycle: s.cycle,
-			})
-		}
-	}
-	// One span per phase; the deferred End closes whichever phase a
-	// cancellation or cycle-limit error leaves open (End on an ended or
-	// nil span no-ops).
-	var phaseSpan *telemetry.ActiveSpan
-	defer func() {
-		if err != nil {
-			phaseSpan.SetAttr("error", err.Error())
-		}
-		phaseSpan.End()
-	}()
-
-	// Warmup and measurement share one cycle budget and one
-	// cancellation cadence (a fast-forward-heavy warmup must not eat
-	// the measure phase's error margin twice).
-	ctl := s.newLoopCtl(warmup + measure)
-
-	_, phaseSpan = telemetry.StartSpan(ctx, "sim.warmup")
-	report("warmup", warmup)
-	if err := s.warmupLoop(ctx, warmup, ctl, func() { report("warmup", warmup) }); err != nil {
-		return nil, err
-	}
-	s.resetStats()
-	start := s.cycle
-	phaseSpan.End()
-
-	_, phaseSpan = telemetry.StartSpan(ctx, "sim.measure")
-	report("measure", measure)
-	finish, err := s.measureLoop(ctx, measure, ctl, func() { report("measure", measure) })
-	if err != nil {
-		return nil, err
-	}
-	report("measure", measure)
-	phaseSpan.End()
-
-	return s.buildResult(measure, start, finish), nil
+	return s.measurePhase(ctx, measure, ctl)
 }
 
 // snapshotOf returns the cache's prefetcher introspection snapshot, or

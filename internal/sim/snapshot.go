@@ -10,7 +10,6 @@ import (
 	"ipcp/internal/cpu"
 	"ipcp/internal/dram"
 	"ipcp/internal/memsys"
-	"ipcp/internal/telemetry"
 	"ipcp/internal/trace"
 	"ipcp/internal/vmem"
 )
@@ -102,40 +101,16 @@ func (s *System) drain(ctx context.Context) error {
 	return nil
 }
 
-// RunWarmup executes the warmup phase (allRetired gate, identical to
-// RunContext's warmup loop) and then drains the system to quiescence,
-// leaving it ready to be snapshotted or to continue into
-// AttachPrefetchers + RunMeasure. Only valid on CacheWarmOnly systems:
-// sharing a warmup across prefetcher configurations requires the warmup
-// to be prefetcher-independent.
-func (s *System) RunWarmup(ctx context.Context, warmup uint64) (err error) {
+// RunWarmup executes the warmup phase — the same phase RunContext
+// runs — and so ends drained to quiescence, ready to be snapshotted or
+// to continue into AttachPrefetchers + RunMeasure. Only valid on
+// CacheWarmOnly systems: sharing a warmup across prefetcher
+// configurations requires the warmup to be prefetcher-independent.
+func (s *System) RunWarmup(ctx context.Context, warmup uint64) error {
 	if !s.cfg.CacheWarmOnly {
 		return fmt.Errorf("sim: RunWarmup requires Config.CacheWarmOnly")
 	}
-	progress := telemetry.ProgressFrom(ctx)
-	report := func() {
-		if progress != nil {
-			progress(telemetry.Progress{
-				Phase: "warmup", Retired: s.minRetired(), Target: warmup, Cycle: s.cycle,
-			})
-		}
-	}
-	var phaseSpan *telemetry.ActiveSpan
-	_, phaseSpan = telemetry.StartSpan(ctx, "sim.warmup")
-	defer func() {
-		if err != nil {
-			phaseSpan.SetAttr("error", err.Error())
-		}
-		phaseSpan.End()
-	}()
-
-	ctl := s.newLoopCtl(warmup)
-	report()
-	if err := s.warmupLoop(ctx, warmup, ctl, report); err != nil {
-		return err
-	}
-	report()
-	return s.drain(ctx)
+	return s.warmupPhase(ctx, warmup, s.newLoopCtl(warmup))
 }
 
 // Snapshot captures the drained system. The system must be quiescent
@@ -295,45 +270,17 @@ func (s *System) AttachPrefetchers() error {
 	return nil
 }
 
-// RunMeasure resets statistics at the measure boundary and runs the
-// measured phase, mirroring RunContext's measure loop exactly. Valid
-// after RunWarmup (cold) or RestoreSnapshot (forked), in both cases
-// after AttachPrefetchers.
-func (s *System) RunMeasure(ctx context.Context, measure uint64) (res *Result, err error) {
+// RunMeasure runs the measure phase — the same phase RunContext runs,
+// statistics reset at its boundary. Valid after RunWarmup (cold) or
+// RestoreSnapshot (forked), in both cases after AttachPrefetchers.
+func (s *System) RunMeasure(ctx context.Context, measure uint64) (*Result, error) {
 	if !s.cfg.CacheWarmOnly {
 		return nil, fmt.Errorf("sim: RunMeasure requires Config.CacheWarmOnly")
 	}
 	if !s.pfAttached {
 		return nil, fmt.Errorf("sim: RunMeasure requires AttachPrefetchers first")
 	}
-	progress := telemetry.ProgressFrom(ctx)
-	report := func() {
-		if progress != nil {
-			progress(telemetry.Progress{
-				Phase: "measure", Retired: s.minRetired(), Target: measure, Cycle: s.cycle,
-			})
-		}
-	}
-	var phaseSpan *telemetry.ActiveSpan
-	_, phaseSpan = telemetry.StartSpan(ctx, "sim.measure")
-	defer func() {
-		if err != nil {
-			phaseSpan.SetAttr("error", err.Error())
-		}
-		phaseSpan.End()
-	}()
-
-	s.resetStats()
-	start := s.cycle
-
-	ctl := s.newLoopCtl(measure)
-	report()
-	finish, err := s.measureLoop(ctx, measure, ctl, report)
-	if err != nil {
-		return nil, err
-	}
-	report()
-	return s.buildResult(measure, start, finish), nil
+	return s.measurePhase(ctx, measure, s.newLoopCtl(measure))
 }
 
 // EncodeSnapshot serializes snap (gob) for the disk spill path.

@@ -24,11 +24,11 @@ import (
 
 	"ipcp/internal/audit"
 	"ipcp/internal/core"
+	"ipcp/internal/experiments"
 	"ipcp/internal/memsys"
 	"ipcp/internal/prefetch"
 	"ipcp/internal/sim"
 	"ipcp/internal/telemetry"
-	"ipcp/internal/trace"
 	"ipcp/internal/workload"
 )
 
@@ -41,14 +41,6 @@ type Result = sim.Result
 // scheduler's visit order (DRAM, LLC, L2, L1D, L1I, core), how often it
 // was clocked, skipped, and the one keeping the machine awake.
 type EngineStats = sim.EngineStats
-
-// SystemConfig is the full simulated-system configuration; see
-// PaperSystem for the paper's Table II values.
-type SystemConfig = sim.Config
-
-// PaperSystem returns the paper's Table II system for the given core
-// count.
-func PaperSystem(cores int) SystemConfig { return sim.PaperConfig(cores) }
 
 // L1Config and L2Config parametrize IPCP at the two levels.
 type L1Config = core.L1Config
@@ -108,7 +100,8 @@ type RunConfig struct {
 
 	// CustomL1D plugs an explicit prefetcher instance into the L1-D
 	// (overrides L1DPrefetcher) — the hook for user-written
-	// prefetchers and configured IPCP variants.
+	// prefetchers and configured IPCP variants. One instance serves one
+	// core, so it is refused on a multi-core Mix.
 	CustomL1D Prefetcher
 
 	// Warmup and Measure are per-core instruction budgets; zero values
@@ -117,10 +110,6 @@ type RunConfig struct {
 
 	// Seed drives workload randomness and page allocation.
 	Seed int64
-
-	// System optionally overrides the whole system configuration
-	// (defaults to PaperSystem for the mix size).
-	System *SystemConfig
 
 	// Tracer, when non-nil, records structured telemetry events
 	// (prefetch lifecycle, class transitions, throttle decisions) for
@@ -159,40 +148,27 @@ func RunContext(ctx context.Context, rc RunConfig) (*Result, error) {
 		}
 		mix = []string{rc.Workload}
 	}
-	var cfg SystemConfig
-	if rc.System != nil {
-		cfg = *rc.System
-	} else {
-		cfg = sim.PaperConfig(len(mix))
-	}
-	if rc.CustomL1D != nil {
-		p := rc.CustomL1D
-		cfg.L1DPrefetcher = sim.PrefetcherSpec{New: func() (Prefetcher, error) { return p, nil }}
-	} else if rc.L1DPrefetcher != "" {
-		cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: rc.L1DPrefetcher}
-	}
-	if rc.L2Prefetcher != "" {
-		cfg.L2Prefetcher = sim.PrefetcherSpec{Name: rc.L2Prefetcher}
-	}
-	if rc.LLCPrefetcher != "" {
-		cfg.LLCPrefetcher = sim.PrefetcherSpec{Name: rc.LLCPrefetcher}
-	}
-	if rc.Audit != nil {
-		cfg.Audit = rc.Audit
+	if rc.CustomL1D != nil && len(mix) > 1 {
+		return nil, fmt.Errorf("ipcp: RunConfig.CustomL1D is one prefetcher instance, so it cannot serve a %d-core Mix", len(mix))
 	}
 	seed := rc.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	cfg.Seed = seed
-
-	streams := make([]trace.Stream, len(mix))
-	for i, name := range mix {
-		w, err := workload.Named(name)
-		if err != nil {
-			return nil, err
-		}
-		streams[i] = w.New(seed)
+	// The same RunSpec an ipcpd POST /v1/runs body decodes to, built by
+	// the same code.
+	spec := experiments.RunSpec{Workloads: mix, L1D: rc.L1DPrefetcher, L2: rc.L2Prefetcher, LLC: rc.LLCPrefetcher}
+	streams, err := spec.Streams(seed)
+	if err != nil {
+		return nil, err
+	}
+	cfg := spec.Config(seed)
+	if rc.CustomL1D != nil {
+		p := rc.CustomL1D
+		cfg.L1DPrefetcher = sim.PrefetcherSpec{New: func() (Prefetcher, error) { return p, nil }}
+	}
+	if rc.Audit != nil {
+		cfg.Audit = rc.Audit
 	}
 	sys, err := sim.Build(cfg, streams)
 	if err != nil {

@@ -2,6 +2,8 @@ package ipcp_test
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ipcp"
@@ -131,6 +133,57 @@ func TestFacadeMatchesSession(t *testing.T) {
 		sj, _ := json.Marshal(session)
 		if string(fj) != string(sj) || facade.Engine != session.Engine {
 			t.Errorf("%v: facade and session results differ:\n%s\n%s", mix, fj, sj)
+		}
+	}
+}
+
+// TestFacadeRefusesCustomL1DOnMix: CustomL1D is one prefetcher
+// instance, and a system builds one L1-D prefetcher per core, so on a
+// multi-core mix every core would share (and double-count into) it. The
+// facade refuses the combination and names the field.
+func TestFacadeRefusesCustomL1DOnMix(t *testing.T) {
+	_, err := ipcp.Run(ipcp.RunConfig{
+		Mix:       []string{"lbm-94", "mcf-994"},
+		CustomL1D: ipcp.NewL1IPCP(ipcp.DefaultL1Config()),
+		Warmup:    5_000,
+		Measure:   20_000,
+	})
+	if err == nil || !strings.Contains(err.Error(), "CustomL1D") {
+		t.Fatalf("CustomL1D on a 2-core mix: err = %v, want a refusal naming CustomL1D", err)
+	}
+}
+
+// TestFacadeEqualsSession: the facade builds its system from the same
+// RunSpec the session runs, so the two agree on the whole sim.Result —
+// on a 2-core mix, and on an IPCP variant given to the facade as an
+// instance and to the session as a configuration.
+func TestFacadeEqualsSession(t *testing.T) {
+	scale := experiments.Scale{Warmup: 5_000, Measure: 20_000, Seed: 3}
+	variant := ipcp.DefaultL1Config()
+	variant.EnableGS = false
+	for _, c := range []struct {
+		name string
+		rc   ipcp.RunConfig
+		spec experiments.RunSpec
+	}{
+		{"2-core mix",
+			ipcp.RunConfig{Mix: []string{"lbm-94", "mcf-994"}, L1DPrefetcher: "ipcp", L2Prefetcher: "ipcp"},
+			experiments.RunSpec{Workloads: []string{"lbm-94", "mcf-994"}, L1D: "ipcp", L2: "ipcp"}},
+		{"IPCP variant",
+			ipcp.RunConfig{Workload: "gcc-2226", CustomL1D: ipcp.NewL1IPCP(variant)},
+			experiments.RunSpec{Workloads: []string{"gcc-2226"}, IPCPL1: &variant}},
+	} {
+		c.rc.Warmup, c.rc.Measure, c.rc.Seed = scale.Warmup, scale.Measure, scale.Seed
+		facade, err := ipcp.Run(c.rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, err := experiments.NewSession(scale).Run(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(facade, session) {
+			t.Errorf("%s: facade and session results differ:\n facade  %+v\n session %+v", c.name, facade, session)
 		}
 	}
 }
