@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test benchmark-test lines pairs profile pgo determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+.PHONY: check build fmt vet test benchmark-test lines pairs profile stress pgo determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
 # Tier-1 gate: everything must pass before a change lands, and every
 # test runs once. `test` runs -race over every package — including the
@@ -70,6 +70,23 @@ SEEDS ?= 30
 profile:
 	@test -n "$(W)" || { echo "usage: make profile W=mix8|single_stream|single_pointer|paper_figs [SEEDS=30] | W=serve_repeat|serve_cold|sweep_grid [S=15]"; exit 2; }
 	bash scripts/profile.sh $(W) $(if $(filter serve_% sweep_grid,$(W)),$(S),$(SEEDS))
+
+# The concurrency-sensitive tests, repeated: the session's single-flight
+# memo (join, hand-over from a cancelled leader, eviction against
+# concurrent forks, write-behind) and the daemon's watchdog and
+# coalescing. -race reports only the interleavings a run actually takes,
+# and the windows these tests guard are microseconds wide (a terminal
+# event against its counter bump, a leader's cancel against a waiter's
+# join), so one `make test` pass almost always takes the benign order;
+# COUNT passes give the scheduler COUNT chances at the other. One
+# experiments pass takes ~10 s under -race on 2 vCPUs, so the deadline
+# scales with COUNT (30 s a pass) instead of go test's fixed 10 min.
+# Not part of `check`.
+#   make stress COUNT=200
+COUNT ?= 50
+stress:
+	$(GO) test -race -count=$(COUNT) -timeout=$$(($(COUNT) * 30))s ./internal/experiments -run 'Flight|Coalesce|Evict|Cancelled|WrittenBehind'
+	$(GO) test -race -count=$(COUNT) -timeout=$$(($(COUNT) * 30))s ./internal/serve -run 'Watchdog|Coalesce'
 
 # Refresh the profile-guided build: profile single_stream, single_pointer,
 # mix8 and paper_figs with the commands above, merge, and write the one

@@ -298,23 +298,6 @@ func fatal(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// outcome is one memoized run: a result or its (non-fatal) error.
-// Errors are memoized too, so a failing spec reports the same fault
-// everywhere it appears instead of recomputing the failure.
-//
-// An outcome enters the cache the moment a caller commits to running
-// its spec, before the simulation starts: done is closed once res/err
-// are valid, and every later caller of the same spec waits on it
-// instead of redundantly executing (single-flight). A fatal (cancelled
-// or deadline-exceeded) outcome is removed from the cache before done
-// closes, so waiters whose own context is still live retry as the new
-// leader rather than inheriting an interruption that wasn't theirs.
-type outcome struct {
-	done chan struct{}
-	res  *sim.Result
-	err  error
-}
-
 // SessionStats counts how the session's Run calls were satisfied. It is
 // also the "session" object of ipcpd's GET /metrics, so the JSON names
 // and the prom tags (the Prometheus series, see telemetry.WritePrometheus)
@@ -391,20 +374,22 @@ type Session struct {
 	log  *slog.Logger
 
 	mu     sync.Mutex
-	cache  map[string]*outcome
 	faults []RunFault
 	stats  SessionStats // the counters the session owns; Stats adds the rest
 	sem    chan struct{}
+
+	// memo is the single-flight result cache (see flight.go), keyed by
+	// memo key: RunSpec.Key, "sw|"-prefixed for shared-warmup runs.
+	memo flight[*sim.Result]
 
 	// saves persists results and snapshot spills behind the runs that
 	// produced them (see writebehind.go).
 	saves writeBehind
 
 	// Shared-warmup snapshot store (see sweep.go): one single-flight
-	// entry per warmup identity, with a residency list bounding how
-	// many snapshots stay in memory.
-	snapMu       sync.Mutex
-	snaps        map[string]*snapEntry
+	// entry per warmup identity, with a residency list (guarded by mu)
+	// bounding how many snapshots stay in memory.
+	snaps        flight[*sim.Snapshot]
 	snapResident []string
 
 	// testWarmupErr, when set (tests only), injects a non-fatal
@@ -430,8 +415,6 @@ func NewSessionContext(ctx context.Context, s Scale) *Session {
 		Scale: s,
 		ctx:   ctx,
 		log:   slog.Default(),
-		cache: make(map[string]*outcome),
-		snaps: make(map[string]*snapEntry),
 		sem:   make(chan struct{}, n),
 	}
 }
@@ -528,10 +511,12 @@ func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*sim.Result, er
 	return s.run(ctx, spec, false)
 }
 
-// run is the single-flight loop behind RunContext and RunSharedContext.
-// The two methodologies differ only in shared: it keeps their results
-// apart (the "sw|" memo-key prefix and diskKeyShared), selects how
-// execute simulates, and marks the span.
+// run is the one path behind RunContext and RunSharedContext: the
+// session.run span, the memo (single-flight per key), and the
+// checkpoint written behind a leader that executed. The two
+// methodologies differ only in shared: it keeps their results apart
+// (the "sw|" memo-key prefix and diskKeyShared), selects how execute
+// simulates, and marks the span.
 func (s *Session) run(ctx context.Context, spec RunSpec, shared bool) (*sim.Result, error) {
 	k, diskKey := spec.Key(), s.diskKey
 	ctx, span := telemetry.StartSpan(ctx, "session.run")
@@ -540,98 +525,51 @@ func (s *Session) run(ctx context.Context, spec RunSpec, shared bool) (*sim.Resu
 		k, diskKey = "sw|"+k, s.diskKeyShared
 		span.SetAttr("warmup_shared", "true")
 	}
-	for {
+	var dk string
+	executed := false
+	res, how, err := s.memo.do(ctx, s.ctx, k, func() {
 		s.mu.Lock()
-		if o, ok := s.cache[k]; ok {
-			select {
-			case <-o.done: // resolved: a plain memo hit
-				s.stats.MemoHits++
+		s.stats.Coalesced++
+		s.mu.Unlock()
+		span.SetAttr("outcome", "coalesced")
+	}, func() (*sim.Result, error) {
+		dk = diskKey(k)
+		if s.disk != nil {
+			_, lsp := telemetry.StartSpan(ctx, "checkpoint.load")
+			res, ok := s.disk.load(dk, k)
+			lsp.SetAttr("hit", strconv.FormatBool(ok))
+			lsp.End()
+			if ok {
+				s.mu.Lock()
+				s.stats.DiskHits++
 				s.mu.Unlock()
-				span.SetAttr("outcome", "memo-hit")
-				return o.res, o.err
-			default: // in flight: coalesce onto the leader
+				span.SetAttr("outcome", "disk-hit")
+				return res, nil
 			}
-			s.stats.Coalesced++
-			s.mu.Unlock()
-			span.SetAttr("outcome", "coalesced")
-			select {
-			case <-o.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-s.ctx.Done():
-				return nil, s.ctx.Err()
-			}
-			if o.err != nil && fatal(o.err) {
-				// The leader was interrupted and its entry removed; our
-				// own context may still be live, so retry as the new
-				// leader instead of inheriting the interruption.
-				if err := firstError(ctx.Err(), s.ctx.Err()); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			return o.res, o.err
 		}
-		o := &outcome{done: make(chan struct{})}
-		s.cache[k] = o
-		s.mu.Unlock()
-		return s.lead(ctx, spec, k, diskKey(k), o, span, shared)
-	}
-}
-
-// lead resolves an in-flight cache entry as its leader: it loads or
-// executes the run, publishes the outcome, wakes every coalesced
-// waiter, and only then queues the checkpoint write behind them.
-// Exactly one goroutine leads each in-flight entry. span is the
-// caller's session.run span; lead stamps the outcome onto it. dk is the
-// disk-cache address for this entry and shared the methodology execute
-// simulates it under.
-func (s *Session) lead(ctx context.Context, spec RunSpec, k, dk string, o *outcome, span *telemetry.ActiveSpan,
-	shared bool) (*sim.Result, error) {
-	resolve := func(res *sim.Result, err error) (*sim.Result, error) {
+		span.SetAttr("outcome", "executed")
+		res, err := s.execute(ctx, spec, shared)
 		s.mu.Lock()
-		o.res, o.err = res, err
-		switch {
-		case err != nil && fatal(err):
-			// Cancellation is not memoized: a resumed session must
-			// re-run the interrupted spec, not replay the interruption.
-			delete(s.cache, k)
-		case err != nil:
-			s.faults = append(s.faults, RunFault{Spec: k, Workloads: spec.Workloads, Err: err})
+		defer s.mu.Unlock()
+		if err != nil {
+			span.SetAttr("error", err.Error())
+			if !fatal(err) {
+				s.faults = append(s.faults, RunFault{Spec: k, Workloads: spec.Workloads, Err: err})
+			}
+			return nil, err
 		}
+		s.stats.SteppedCycles += res.Engine.SteppedCycles
+		s.stats.JumpedCycles += res.Engine.JumpedCycles
+		executed = true
+		return res, nil
+	})
+	switch {
+	case how == flightHit:
+		s.mu.Lock()
+		s.stats.MemoHits++
 		s.mu.Unlock()
-		close(o.done)
-		return res, err
-	}
-
-	if err := firstError(ctx.Err(), s.ctx.Err()); err != nil {
-		return resolve(nil, err)
-	}
-	if s.disk != nil {
-		_, lsp := telemetry.StartSpan(ctx, "checkpoint.load")
-		res, ok := s.disk.load(dk, k)
-		lsp.SetAttr("hit", strconv.FormatBool(ok))
-		lsp.End()
-		if ok {
-			s.mu.Lock()
-			s.stats.DiskHits++
-			s.mu.Unlock()
-			span.SetAttr("outcome", "disk-hit")
-			return resolve(res, nil)
-		}
-	}
-	span.SetAttr("outcome", "executed")
-	res, err := s.execute(ctx, spec, shared)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		return resolve(nil, err)
-	}
-	s.mu.Lock()
-	s.stats.SteppedCycles += res.Engine.SteppedCycles
-	s.stats.JumpedCycles += res.Engine.JumpedCycles
-	s.mu.Unlock()
-	resolve(res, nil)
-	if s.disk != nil {
+		span.SetAttr("outcome", "memo-hit")
+	case executed && s.disk != nil:
 		// The save span is a child of session.run but starts after it
 		// has ended (run's deferred End then no-ops): the trace shows the
 		// write overlapping whatever runs next, not inside the run.
@@ -642,7 +580,7 @@ func (s *Session) lead(ctx context.Context, spec RunSpec, k, dk string, o *outco
 			ssp.End()
 		})
 	}
-	return res, nil
+	return res, err
 }
 
 // RunAll executes the specs concurrently and returns results in order;
@@ -674,6 +612,14 @@ func (s *Session) RunAll(specs []RunSpec) ([]*sim.Result, error) {
 // error, so callers can degrade failed runs to n/a cells while keeping
 // the healthy ones.
 func (s *Session) RunAllPartial(specs []RunSpec) ([]*sim.Result, []error) {
+	return fanOut(specs, s.Run)
+}
+
+// fanOut runs every spec through run concurrently and returns results
+// and errors in spec order. Admission control lives in runSlot, not
+// here: memo and disk hits (and coalesced waits) don't occupy a CPU
+// slot.
+func fanOut(specs []RunSpec, run func(RunSpec) (*sim.Result, error)) ([]*sim.Result, []error) {
 	results := make([]*sim.Result, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -681,9 +627,7 @@ func (s *Session) RunAllPartial(specs []RunSpec) ([]*sim.Result, []error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Admission control lives in execute, not here: memo and
-			// disk hits (and coalesced waits) don't occupy a CPU slot.
-			results[i], errs[i] = s.Run(specs[i])
+			results[i], errs[i] = run(specs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -849,7 +793,7 @@ func (s *Session) build(spec RunSpec, warmOnly bool) (*sim.System, error) {
 	return sim.Build(cfg, streams)
 }
 
-// execute simulates spec, the leader's work in lead. A classic run is
+// execute simulates spec, the memo leader's work in run. A classic run is
 // cold. A shared-warmup run forks from its warmup's snapshot; when none
 // can be had non-fatally (e.g. the workload never drains to
 // quiescence) it runs cold through the identical CacheWarmOnly phases,

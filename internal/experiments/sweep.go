@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"ipcp/internal/sim"
 	"ipcp/internal/telemetry"
@@ -19,13 +18,16 @@ import (
 // once per grid point, although only the measure phase differs. The
 // shared-warmup path eliminates that: grid points are grouped by
 // warmup identity — the spec minus its prefetcher fields — each
-// distinct warmup runs exactly once under single-flight, its
-// post-warmup architectural state is snapshotted, and every sweep
-// point sharing the prefix forks from the snapshot and runs only its
-// measure phase. Forked runs are bit-identical to cold runs of the
-// same configuration through the CacheWarmOnly phase decomposition
-// (internal/sim, held to that by the fork determinism goldens and
-// `audit -fork`).
+// distinct warmup runs once, its post-warmup architectural state is
+// snapshotted, and every sweep point sharing the prefix forks from the
+// snapshot and runs only its measure phase. The snapshots live in the
+// same single-flight memo as results (flight.go), keyed by WarmupKey;
+// the residency cap evicts by forgetting a resolved entry, so the next
+// fork of that identity leads again — reading the spill, or re-warming
+// when there is none — and the snapshot is resident again. Forked runs
+// are bit-identical to cold runs of the same configuration through the
+// CacheWarmOnly phase decomposition (internal/sim, held to that by the
+// fork determinism goldens and `audit -fork`).
 //
 // Results from this path are memoized and checkpointed under their own
 // namespace ("sw|" keys, a distinct disk-key version): the
@@ -34,18 +36,11 @@ import (
 // and the two must never cross-pollinate a cache.
 
 // snapMemCap bounds how many warmup snapshots stay resident: beyond
-// it, the oldest in-memory copy is dropped (re-loadable from its disk
-// spill when a cache directory is attached; re-warmed otherwise). A
-// multi-core snapshot is a few MB, so the cap bounds sweep memory at a
-// few tens of MB.
+// it, the oldest is forgotten (re-loaded from its disk spill when a
+// cache directory is attached; re-warmed otherwise). A multi-core
+// snapshot is a few MB, so the cap bounds sweep memory at a few tens of
+// MB.
 const snapMemCap = 16
-
-// snapEntry is one warmup identity's single-flight slot.
-type snapEntry struct {
-	done chan struct{}
-	snap *sim.Snapshot // may be nil after eviction (spilled to disk)
-	err  error
-}
 
 // WarmupKey is a spec's warmup identity under scale: the spec's identity
 // (Key) with the prefetcher fields — which attach only at the measure
@@ -112,18 +107,7 @@ func (s *Session) RunSharedContext(ctx context.Context, spec RunSpec) (*sim.Resu
 // workload — run one warmup between them and fork the rest; distinct
 // identities warm concurrently under the session's admission cap.
 func (s *Session) RunSweep(specs []RunSpec) ([]*sim.Result, []error) {
-	results := make([]*sim.Result, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = s.RunShared(specs[i])
-		}(i)
-	}
-	wg.Wait()
-	return results, errs
+	return fanOut(specs, s.RunShared)
 }
 
 // runForked restores a fresh CacheWarmOnly system from the warmup
@@ -154,10 +138,12 @@ func (s *Session) runForked(ctx context.Context, spec RunSpec, snap *sim.Snapsho
 	})
 }
 
-// snapshotFor returns the warmup snapshot for spec's warmup identity,
-// running the warmup (exactly once per identity, under single-flight)
-// or recalling it from memory or the disk spill. The returned snapshot
-// is shared and immutable; RestoreSnapshot deep-copies out of it.
+// snapshotFor returns the warmup snapshot for spec's warmup identity
+// from the snapshot store's single-flight memo. Its leader reads the
+// disk spill or, failing that, runs the warmup — exactly once per
+// identity while the snapshot stays resident — then publishes it and
+// spills it behind the waiters. The returned snapshot is shared and
+// immutable; RestoreSnapshot deep-copies out of it.
 func (s *Session) snapshotFor(ctx context.Context, spec RunSpec) (*sim.Snapshot, error) {
 	if s.testWarmupErr != nil {
 		if err := s.testWarmupErr(spec); err != nil {
@@ -165,106 +151,51 @@ func (s *Session) snapshotFor(ctx context.Context, spec RunSpec) (*sim.Snapshot,
 		}
 	}
 	wkey := s.warmupKey(spec)
-	for {
-		s.snapMu.Lock()
-		if e, ok := s.snaps[wkey]; ok {
-			select {
-			case <-e.done: // resolved
-			default: // warmup in flight: coalesce
-				s.snapMu.Unlock()
-				s.mu.Lock()
-				s.stats.WarmupsCoalesced++
-				s.mu.Unlock()
-				select {
-				case <-e.done:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				case <-s.ctx.Done():
-					return nil, s.ctx.Err()
-				}
-				if e.err != nil && fatal(e.err) {
-					// The leader was interrupted and its entry removed;
-					// retry as the new leader if we are still live.
-					if err := firstError(ctx.Err(), s.ctx.Err()); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				if e.err != nil {
-					return nil, e.err
-				}
-				s.snapMu.Lock()
-			}
-			if e.err != nil {
-				s.snapMu.Unlock()
-				return nil, e.err
-			}
-			if e.snap != nil {
-				// Copy the pointer out under the lock: a concurrent
-				// eviction may null e.snap the moment snapMu releases,
-				// and the caller must get the still-valid snapshot,
-				// never a nil read racing the eviction.
-				snap := e.snap
-				s.snapMu.Unlock()
-				s.mu.Lock()
-				s.stats.SnapshotMemHits++
-				s.mu.Unlock()
-				return snap, nil
-			}
-			// Evicted from memory: re-load the disk spill.
-			s.snapMu.Unlock()
-			if snap, ok := s.loadSnapshotSpill(ctx, spec, wkey); ok {
-				return snap, nil
-			}
-			// The spill is gone (cache wiped, quarantined, or no cache
-			// directory): forget the entry and re-lead the warmup.
-			s.snapMu.Lock()
-			if cur, ok := s.snaps[wkey]; ok && cur == e {
-				delete(s.snaps, wkey)
-			}
-			s.snapMu.Unlock()
-			continue
+	loaded := false
+	snap, how, err := s.snaps.do(ctx, s.ctx, wkey, func() {
+		s.mu.Lock()
+		s.stats.WarmupsCoalesced++
+		s.mu.Unlock()
+	}, func() (*sim.Snapshot, error) {
+		if snap, ok := s.loadSnapshotSpill(ctx, spec, wkey); ok {
+			loaded = true
+			return snap, nil
 		}
-		e := &snapEntry{done: make(chan struct{})}
-		s.snaps[wkey] = e
-		s.snapMu.Unlock()
-		return s.leadWarmup(ctx, spec, wkey, e)
+		return s.warmup(ctx, spec)
+	})
+	switch {
+	case err != nil:
+	case how != flightLed:
+		s.mu.Lock()
+		s.stats.SnapshotMemHits++
+		s.mu.Unlock()
+	case loaded || s.disk == nil:
+		// Dropping it costs a disk read, or nothing can be done about it.
+		s.resident(wkey)
+	default:
+		// It joins the residency list once its spill has been attempted:
+		// evicting it before the write lands would re-warm.
+		s.saves.enqueue(func() {
+			_, ssp := telemetry.StartSpan(ctx, "snapshot.spill")
+			defer ssp.End()
+			if data, err := sim.EncodeSnapshot(snap); err == nil {
+				s.disk.storeBlob(s.snapDiskKey(wkey), data)
+				s.mu.Lock()
+				s.stats.SnapshotBytes += int64(len(data))
+				s.mu.Unlock()
+			} else {
+				s.log.Warn("snapshot encode failed; not spilled", "warmup", wkey, "err", err)
+			}
+			s.resident(wkey)
+		})
 	}
+	return snap, err
 }
 
-// leadWarmup resolves a snapshot entry as its leader: disk spill if
-// present, else run the warmup under a concurrency slot, snapshot,
-// publish it to the siblings blocked on the group, and spill behind
-// them. Fatal outcomes are removed before publishing so later callers
-// retry rather than inherit an interruption.
-func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *snapEntry) (*sim.Snapshot, error) {
-	// evictable says the snapshot may be dropped from memory under the
-	// residency cap: true when dropping it costs a disk read (its spill
-	// is there) or nothing can be done about it (no cache directory).
-	// A snapshot whose spill is still queued joins the residency list
-	// when the write lands — evicting it earlier would re-warm.
-	resolve := func(snap *sim.Snapshot, err error, evictable bool) (*sim.Snapshot, error) {
-		s.snapMu.Lock()
-		e.snap, e.err = snap, err
-		if err != nil && fatal(err) {
-			delete(s.snaps, wkey)
-		}
-		if snap != nil && evictable {
-			s.evictSnapshotsLocked(wkey)
-		}
-		s.snapMu.Unlock()
-		close(e.done)
-		return snap, err
-	}
-
-	if err := firstError(ctx.Err(), s.ctx.Err()); err != nil {
-		return resolve(nil, err, false)
-	}
-	if snap, ok := s.loadSnapshotSpill(ctx, spec, wkey); ok {
-		return resolve(snap, nil, true)
-	}
-
-	snap, err := runSlot(s, ctx, func(runCtx context.Context) (*sim.Snapshot, error) {
+// warmup runs spec's warmup phase under a concurrency slot and
+// snapshots the post-warmup state.
+func (s *Session) warmup(ctx context.Context, spec RunSpec) (*sim.Snapshot, error) {
+	return runSlot(s, ctx, func(runCtx context.Context) (*sim.Snapshot, error) {
 		runCtx, wsp := telemetry.StartSpan(runCtx, "session.warmup")
 		defer wsp.End()
 		s.mu.Lock()
@@ -281,29 +212,6 @@ func (s *Session) leadWarmup(ctx context.Context, spec RunSpec, wkey string, e *
 		}
 		return sys.Snapshot()
 	})
-	if err != nil {
-		return resolve(nil, err, false)
-	}
-	if s.disk == nil {
-		return resolve(snap, nil, true)
-	}
-	resolve(snap, nil, false)
-	s.saves.enqueue(func() {
-		_, ssp := telemetry.StartSpan(ctx, "snapshot.spill")
-		defer ssp.End()
-		if data, err := sim.EncodeSnapshot(snap); err == nil {
-			s.disk.storeBlob(s.snapDiskKey(wkey), data)
-			s.mu.Lock()
-			s.stats.SnapshotBytes += int64(len(data))
-			s.mu.Unlock()
-		} else {
-			s.log.Warn("snapshot encode failed; not spilled", "warmup", wkey, "err", err)
-		}
-		s.snapMu.Lock()
-		s.evictSnapshotsLocked(wkey)
-		s.snapMu.Unlock()
-	})
-	return snap, nil
 }
 
 // loadSnapshotSpill loads and decodes a spilled snapshot of spec's
@@ -338,29 +246,18 @@ func (s *Session) loadSnapshotSpill(ctx context.Context, spec RunSpec, wkey stri
 	return snap, true
 }
 
-// evictSnapshotsLocked appends wkey to the residency list and drops the
-// oldest in-memory snapshots beyond the cap (their entries stay — the
-// warmup is done — only the resident copy goes; a later fork reloads
-// the spill or, with no cache directory, re-warms). Only a snapshot
-// whose spill has been attempted is ever on the list (see leadWarmup),
-// so the resident count can exceed the cap by the spills still queued.
-// Callers hold snapMu.
-func (s *Session) evictSnapshotsLocked(wkey string) {
+// resident appends wkey to the residency list and forgets the oldest
+// snapshots beyond the cap: the next fork of a forgotten identity leads
+// its warmup entry again, reading the spill or, with none, re-warming.
+// Only a snapshot whose spill has been attempted is ever on the list
+// (see snapshotFor), so the resident count can exceed the cap by the
+// spills still queued.
+func (s *Session) resident(wkey string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.snapResident = append(s.snapResident, wkey)
 	for len(s.snapResident) > snapMemCap {
-		oldest := s.snapResident[0]
+		s.snaps.forget(s.snapResident[0])
 		s.snapResident = s.snapResident[1:]
-		if e, ok := s.snaps[oldest]; ok {
-			select {
-			case <-e.done:
-				e.snap = nil
-			default:
-				// Still in flight (shouldn't happen — residency is
-				// recorded at resolve — but never evict an unresolved
-				// entry).
-				s.snapResident = append(s.snapResident, oldest)
-				return
-			}
-		}
 	}
 }

@@ -399,6 +399,22 @@ func TestSnapshotEvictionServesSpillWithCache(t *testing.T) {
 	if st.SnapshotDiskHits != 1 {
 		t.Errorf("SnapshotDiskHits = %d, want 1", st.SnapshotDiskHits)
 	}
+
+	// The reload made the identity resident again: three more
+	// prefetcher points fork from memory, and the spill is read once.
+	for _, l1d := range []string{"bop", "nl", "ipstride"} {
+		point := first
+		point.L1D = l1d
+		if _, err := s.RunShared(point); err != nil {
+			t.Fatalf("fork %s: %v", l1d, err)
+		}
+	}
+	s.Flush()
+	after := s.Stats()
+	if after.SnapshotDiskHits != 1 || after.SnapshotMemHits != st.SnapshotMemHits+3 {
+		t.Errorf("three more forks: disk=%d mem=+%d, want disk=1 mem=+3 (an evicted identity's spill is read once)",
+			after.SnapshotDiskHits, after.SnapshotMemHits-st.SnapshotMemHits)
+	}
 }
 
 // TestSnapshotNotEvictedBeforeItsSpillLands: the residency cap drops a

@@ -585,13 +585,29 @@ func (s *Server) runJob(j *Job) {
 	if interrupted(out.err) && !(errors.Is(out.err, context.DeadlineExceeded) && j.Timeout > 0) && !j.Stalled() {
 		out.err = ErrShutdown
 	}
-	j.finish(out.res, out.rep, out.err)
-
 	elapsed := time.Since(start)
 	s.execution.Observe(elapsed.Seconds())
 	s.latency.Observe(time.Since(j.submitted).Seconds())
+	// Terminal state, outcome counter and coalescing key change under one
+	// hold of mu (mu → j.mu, as in reapStalled): whoever the terminal event
+	// wakes finds the bookkeeping done, and no POST coalesces onto a dead
+	// run job (stalled or interrupted, so not memoized by the session).
+	s.mu.Lock()
+	j.finish(out.res, out.rep, out.err)
 	st, err := j.State(), j.Err()
-	counter := &s.stats.Jobs.Completed // bumped under mu below
+	switch st {
+	case StateStalled:
+		s.stats.Jobs.Stalled++
+	case StateFailed:
+		s.stats.Jobs.Failed++
+	default:
+		s.stats.Jobs.Completed++
+	}
+	if j.Kind == KindRun && (st == StateStalled || (err != nil && interrupted(err))) && s.byKey[j.key] == j {
+		delete(s.byKey, j.key)
+	}
+	s.mu.Unlock()
+
 	switch st {
 	case StateStalled:
 		jobSpan.SetAttr("outcome", "stalled")
@@ -599,7 +615,6 @@ func (s *Server) runJob(j *Job) {
 			jobSpan.SetAttr("error", err.Error())
 		}
 		jobSpan.End()
-		counter = &s.stats.Jobs.Stalled
 		s.log.Error("job stalled; worker slot reclaimed",
 			"job_id", j.ID, "kind", string(j.Kind), "request_id", j.RequestID,
 			"queue_wait", wait, "duration", elapsed, "err", err)
@@ -607,7 +622,6 @@ func (s *Server) runJob(j *Job) {
 		jobSpan.SetAttr("outcome", "failed")
 		jobSpan.SetAttr("error", err.Error())
 		jobSpan.End()
-		counter = &s.stats.Jobs.Failed
 		s.log.Error("job failed",
 			"job_id", j.ID, "kind", string(j.Kind), "request_id", j.RequestID,
 			"queue_wait", wait, "duration", elapsed, "err", err)
@@ -618,15 +632,6 @@ func (s *Server) runJob(j *Job) {
 			"job_id", j.ID, "kind", string(j.Kind), "request_id", j.RequestID,
 			"queue_wait", wait, "duration", elapsed)
 	}
-	// Neither a stalled nor a cancelled/timed-out run is memoized by
-	// the session, so don't pin later identical submissions to a dead
-	// job.
-	s.mu.Lock()
-	*counter++
-	if j.Kind == KindRun && (st == StateStalled || (err != nil && interrupted(err))) && s.byKey[j.key] == j {
-		delete(s.byKey, j.key)
-	}
-	s.mu.Unlock()
 	// The job is terminal and visible; what follows is off its latency.
 	// A journaling worker waits out the session's write-behind queue
 	// before it journals the finish, so a finish record implies its

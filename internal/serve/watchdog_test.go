@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bufio"
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"testing"
@@ -54,6 +56,59 @@ func TestWatchdogReapsStalledJob(t *testing.T) {
 	again := s.submitRun(t, req, http.StatusAccepted)
 	if again.Coalesced || again.ID == v.ID {
 		t.Fatalf("resubmission after stall = %+v, want a fresh job", again)
+	}
+}
+
+// TestWatchdogTerminalEventFollowsBookkeeping: a job's terminal event
+// is published only after its outcome counter, its execution histogram
+// and (for a stalled run) the release of its coalescing key. A follower
+// of /events woken by the terminal line reads /metrics and finds all of
+// it already done — for a stalled job and then for a healthy one.
+func TestWatchdogTerminalEventFollowsBookkeeping(t *testing.T) {
+	gateJobs(t) // never released until cleanup: the first job stalls
+	s := newTestServer(t, Options{Workers: 1, QueueSize: 8, StallTimeout: 50 * time.Millisecond})
+
+	// follow streams id's events until the terminal kind, then scrapes.
+	follow := func(id, terminal string) MetricsSnapshot {
+		t.Helper()
+		resp, err := http.Get(s.ts.URL + "/v1/runs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+			var e JobEvent
+			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+				t.Fatalf("event line %q: %v", sc.Text(), err)
+			}
+			if e.Kind != terminal {
+				continue
+			}
+			_, body := s.get(t, "/metrics")
+			var m MetricsSnapshot
+			if err := json.Unmarshal(body, &m); err != nil {
+				t.Fatalf("decoding /metrics: %v", err)
+			}
+			return m
+		}
+		t.Fatalf("job %s: event stream ended without %q", id, terminal)
+		return MetricsSnapshot{}
+	}
+
+	req := RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"serve-gate"}, Seed: 9011}}
+	stalled := s.submitRun(t, req, http.StatusAccepted)
+	if m := follow(stalled.ID, string(StateStalled)); m.Jobs.Stalled != 1 || m.Execution.Count != 1 {
+		t.Fatalf("woken by %q: stalled counter = %d, execution count = %d, want 1/1", StateStalled, m.Jobs.Stalled, m.Execution.Count)
+	}
+	if again := s.submitRun(t, req, http.StatusAccepted); again.Coalesced || again.ID == stalled.ID {
+		t.Fatalf("resubmission right after the stalled event = %+v, want a fresh job", again)
+	}
+
+	// The single worker runs the resubmission first (it stalls too).
+	healthy := s.submitRun(t, RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, Seed: 9012}}, http.StatusAccepted)
+	if m := follow(healthy.ID, string(StateDone)); m.Jobs.Completed != 1 || m.Jobs.Stalled != 2 || m.Execution.Count != 3 {
+		t.Fatalf("woken by %q: completed = %d, stalled = %d, execution count = %d, want 1/2/3",
+			StateDone, m.Jobs.Completed, m.Jobs.Stalled, m.Execution.Count)
 	}
 }
 
