@@ -73,20 +73,21 @@ profile:
 
 # The concurrency-sensitive tests, repeated: the session's single-flight
 # memo (join, hand-over from a cancelled leader, eviction against
-# concurrent forks, write-behind) and the daemon's watchdog and
-# coalescing. -race reports only the interleavings a run actually takes,
-# and the windows these tests guard are microseconds wide (a terminal
-# event against its counter bump, a leader's cancel against a waiter's
-# join), so one `make test` pass almost always takes the benign order;
-# COUNT passes give the scheduler COUNT chances at the other. One
-# experiments pass takes ~10 s under -race on 2 vCPUs, so the deadline
-# scales with COUNT (30 s a pass) instead of go test's fixed 10 min.
-# Not part of `check`.
+# concurrent forks, write-behind) and the daemon's watchdog, coalescing
+# and experiments-job cancellation. -race reports only the interleavings
+# a run actually takes, and the windows these tests guard are
+# microseconds wide (a terminal event against its counter bump, a
+# leader's cancel against a waiter's join, a job's deadline against the
+# simulations it is fanning out), so one `make test` pass almost always
+# takes the benign order; COUNT passes give the scheduler COUNT chances
+# at the other. One pass of either package takes ~10 s under -race on
+# 2 vCPUs, so the deadline scales with COUNT (30 s a pass) instead of go
+# test's fixed 10 min. Not part of `check`.
 #   make stress COUNT=200
 COUNT ?= 50
 stress:
 	$(GO) test -race -count=$(COUNT) -timeout=$$(($(COUNT) * 30))s ./internal/experiments -run 'Flight|Coalesce|Evict|Cancelled|WrittenBehind'
-	$(GO) test -race -count=$(COUNT) -timeout=$$(($(COUNT) * 30))s ./internal/serve -run 'Watchdog|Coalesce'
+	$(GO) test -race -count=$(COUNT) -timeout=$$(($(COUNT) * 30))s ./internal/serve -run 'Watchdog|Coalesce|ExperimentsJob'
 
 # Refresh the profile-guided build: profile single_stream, single_pointer,
 # mix8 and paper_figs with the commands above, merge, and write the one

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
+
 	"ipcp/internal/core"
 	"ipcp/internal/memsys"
+	"ipcp/internal/stats"
 )
 
 // variantSpec is IPCP with one mutation of the paper's L1 configuration,
@@ -30,7 +33,7 @@ func init() {
 	})
 }
 
-func runFig13a(s *Session) (*Table, error) {
+func runFig13a(ctx context.Context, s *Session) (*Table, error) {
 	names := s.memIntensive()
 	variants := []struct {
 		label  string
@@ -61,11 +64,11 @@ func runFig13a(s *Session) (*Table, error) {
 		Columns: []string{"speedup"},
 	}
 	for _, v := range variants {
-		g, err := geomeanSpeedup(s, names, variantSpec(v.withL2, v.mut))
+		sp, err := Speedups(ctx, s, names, variantSpec(v.withL2, v.mut))
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(v.label, g)
+		t.AddRow(v.label, stats.Geomean(sp))
 	}
 	t.Notes = append(t.Notes,
 		"Paper Fig. 13a: the bouquet beats every class in isolation, and the L2 IPCP adds on top.")
@@ -84,7 +87,7 @@ func init() {
 	})
 }
 
-func runFig13b(s *Session) (*Table, error) {
+func runFig13b(ctx context.Context, s *Session) (*Table, error) {
 	names := s.memIntensive()
 	orders := []struct {
 		label string
@@ -101,22 +104,22 @@ func runFig13b(s *Session) (*Table, error) {
 		Columns: []string{"speedup"},
 	}
 	for _, o := range orders {
-		g, err := geomeanSpeedup(s, names, variantSpec(true, func(c *core.L1Config) {
+		sp, err := Speedups(ctx, s, names, variantSpec(true, func(c *core.L1Config) {
 			c.Priority = o.order
 		}))
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(o.label, g)
+		t.AddRow(o.label, stats.Geomean(sp))
 	}
 	// Metadata off.
-	g, err := geomeanSpeedup(s, names, variantSpec(true, func(c *core.L1Config) {
+	sp, err := Speedups(ctx, s, names, variantSpec(true, func(c *core.L1Config) {
 		c.EmitMetadata = false
 	}))
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("paper order, metadata off", g)
+	t.AddRow("paper order, metadata off", stats.Geomean(sp))
 	t.Notes = append(t.Notes,
 		"Paper Fig. 13b: the GS-first order wins; disabling metadata costs ~3.1% on memory-intensive traces.")
 	return t, nil

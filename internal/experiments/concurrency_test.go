@@ -248,7 +248,7 @@ func TestRunIDsRecordsInterruptedExperiment(t *testing.T) {
 	s := NewSessionContext(ctx, tiny)
 	n := len(registry)
 	register(Experiment{ID: "rob-interrupt", Title: "interrupted mid-flight",
-		Run: func(s *Session) (*Table, error) {
+		Run: func(_ context.Context, s *Session) (*Table, error) {
 			cancel() // the SIGINT arrives while this experiment is running
 			_, err := s.Run(RunSpec{Workloads: []string{"bwaves-98"}, Seed: 7004})
 			return nil, err

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"ipcp/internal/memsys"
 	"ipcp/internal/sim"
 	"ipcp/internal/stats"
@@ -8,12 +10,12 @@ import (
 
 // ipcpPairs runs every workload without prefetching and with IPCP:
 // results[2i] is names[i]'s baseline, results[2i+1] its IPCP run.
-func ipcpPairs(s *Session, names []string) ([]*sim.Result, error) {
+func ipcpPairs(ctx context.Context, s *Session, names []string) ([]*sim.Result, error) {
 	specs := make([]RunSpec, 0, 2*len(names))
 	for _, n := range names {
 		specs = append(specs, baseline.on(n), ipcpCombo.on(n))
 	}
-	return s.RunAll(specs)
+	return s.RunAll(ctx, specs)
 }
 
 // --- Fig. 10: demand misses covered by IPCP at each level --------------------
@@ -28,9 +30,9 @@ func init() {
 	})
 }
 
-func runFig10(s *Session) (*Table, error) {
+func runFig10(ctx context.Context, s *Session) (*Table, error) {
 	names := s.memIntensive()
-	results, err := ipcpPairs(s, names)
+	results, err := ipcpPairs(ctx, s, names)
 	if err != nil {
 		return nil, err
 	}
@@ -68,9 +70,9 @@ func init() {
 	})
 }
 
-func runFig11(s *Session) (*Table, error) {
+func runFig11(ctx context.Context, s *Session) (*Table, error) {
 	names := s.memIntensive()
-	results, err := ipcpPairs(s, names)
+	results, err := ipcpPairs(ctx, s, names)
 	if err != nil {
 		return nil, err
 	}
@@ -110,13 +112,13 @@ func init() {
 	})
 }
 
-func runFig12(s *Session) (*Table, error) {
+func runFig12(ctx context.Context, s *Session) (*Table, error) {
 	names := s.memIntensive()
 	specs := make([]RunSpec, len(names))
 	for i, n := range names {
 		specs[i] = ipcpCombo.on(n)
 	}
-	results, err := s.RunAll(specs)
+	results, err := s.RunAll(ctx, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -116,7 +116,10 @@ type Experiment struct {
 	Title string
 	// Paper summarizes what the paper reports, for EXPERIMENTS.md.
 	Paper string
-	Run   func(s *Session) (*Table, error)
+	// Run builds the table. Every simulation it asks for runs under ctx:
+	// cancelling ctx ends them, and ctx's span tracer and progress sink
+	// see each one.
+	Run func(ctx context.Context, s *Session) (*Table, error)
 }
 
 var registry []Experiment
@@ -291,10 +294,13 @@ type RunFault struct {
 	Err       error
 }
 
-// fatal reports whether err must abort the session (cancellation)
-// rather than degrade to an n/a cell (everything else: panics, corrupt
-// traces, cycle-limit blowups, bad configs).
-func fatal(err error) bool {
+// Interrupted reports whether err is an interruption (cancellation or a
+// deadline) rather than a fault. An interruption aborts the experiment
+// instead of degrading to an n/a cell, is never memoized, and earns a
+// served job no journaled finish unless it is the job's own deadline;
+// every other error (panics, corrupt traces, cycle-limit blowups, bad
+// configs) is a fault.
+func Interrupted(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
@@ -553,7 +559,7 @@ func (s *Session) run(ctx context.Context, spec RunSpec, shared bool) (*sim.Resu
 		defer s.mu.Unlock()
 		if err != nil {
 			span.SetAttr("error", err.Error())
-			if !fatal(err) {
+			if !Interrupted(err) {
 				s.faults = append(s.faults, RunFault{Spec: k, Workloads: spec.Workloads, Err: err})
 			}
 			return nil, err
@@ -583,18 +589,18 @@ func (s *Session) run(ctx context.Context, spec RunSpec, shared bool) (*sim.Resu
 	return res, err
 }
 
-// RunAll executes the specs concurrently and returns results in order;
-// any run's failure fails the whole call (cancellation reported in
-// preference to incidental errors). Experiments that can degrade
-// per-run use RunAllPartial instead.
-func (s *Session) RunAll(specs []RunSpec) ([]*sim.Result, error) {
-	results, errs := s.RunAllPartial(specs)
+// RunAll executes the specs concurrently under ctx and returns results
+// in order; any run's failure fails the whole call (cancellation
+// reported in preference to incidental errors). Experiments that can
+// degrade per-run use RunAllPartial instead.
+func (s *Session) RunAll(ctx context.Context, specs []RunSpec) ([]*sim.Result, error) {
+	results, errs := s.RunAllPartial(ctx, specs)
 	var first error
 	for _, err := range errs {
 		if err == nil {
 			continue
 		}
-		if fatal(err) {
+		if Interrupted(err) {
 			return nil, err
 		}
 		if first == nil {
@@ -607,19 +613,19 @@ func (s *Session) RunAll(specs []RunSpec) ([]*sim.Result, error) {
 	return results, nil
 }
 
-// RunAllPartial executes the specs concurrently and returns results and
-// errors in spec order: entry i holds either a result or that run's
-// error, so callers can degrade failed runs to n/a cells while keeping
-// the healthy ones.
-func (s *Session) RunAllPartial(specs []RunSpec) ([]*sim.Result, []error) {
-	return fanOut(specs, s.Run)
+// RunAllPartial executes the specs concurrently under ctx (each one
+// through RunContext) and returns results and errors in spec order:
+// entry i holds either a result or that run's error, so callers can
+// degrade failed runs to n/a cells while keeping the healthy ones.
+func (s *Session) RunAllPartial(ctx context.Context, specs []RunSpec) ([]*sim.Result, []error) {
+	return fanOut(ctx, specs, s.RunContext)
 }
 
-// fanOut runs every spec through run concurrently and returns results
-// and errors in spec order. Admission control lives in runSlot, not
-// here: memo and disk hits (and coalesced waits) don't occupy a CPU
+// fanOut runs every spec through run under ctx concurrently and returns
+// results and errors in spec order. Admission control lives in runSlot,
+// not here: memo and disk hits (and coalesced waits) don't occupy a CPU
 // slot.
-func fanOut(specs []RunSpec, run func(RunSpec) (*sim.Result, error)) ([]*sim.Result, []error) {
+func fanOut(ctx context.Context, specs []RunSpec, run func(context.Context, RunSpec) (*sim.Result, error)) ([]*sim.Result, []error) {
 	results := make([]*sim.Result, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -627,7 +633,7 @@ func fanOut(specs []RunSpec, run func(RunSpec) (*sim.Result, error)) ([]*sim.Res
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = run(specs[i])
+			results[i], errs[i] = run(ctx, specs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -635,9 +641,11 @@ func fanOut(specs []RunSpec, run func(RunSpec) (*sim.Result, error)) ([]*sim.Res
 }
 
 // runContext returns a context cancelled when either the session's
-// context or the per-call ctx is done, plus its release function.
+// context or the per-call ctx is done, plus its release function. A
+// ctx that is the session's own (the experiments CLI hands its one
+// context to both) needs no merging.
 func (s *Session) runContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == context.Background() {
+	if ctx == context.Background() || ctx == s.ctx {
 		return s.ctx, func() {}
 	}
 	merged, cancel := context.WithCancel(ctx)
@@ -805,7 +813,7 @@ func (s *Session) execute(ctx context.Context, spec RunSpec, shared bool) (*sim.
 		if err == nil {
 			return s.runForked(ctx, spec, snap)
 		}
-		if fatal(err) {
+		if Interrupted(err) {
 			return nil, err
 		}
 		s.log.Warn("shared warmup unavailable; falling back to cold run", "spec", spec.Key(), "err", err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -69,7 +70,7 @@ func TestTableMarkdown(t *testing.T) {
 
 func TestTab1Storage(t *testing.T) {
 	e, _ := ByID("tab1")
-	tab, err := e.Run(NewSession(tiny))
+	tab, err := e.Run(context.Background(), NewSession(tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFig8SmallScale(t *testing.T) {
 	}
 	s := NewSession(tiny)
 	e, _ := ByID("fig8")
-	tab, err := e.Run(s)
+	tab, err := e.Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestFig12ClassShares(t *testing.T) {
 	}
 	s := NewSession(tiny)
 	e, _ := ByID("fig12")
-	tab, err := e.Run(s)
+	tab, err := e.Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestFig10CoverageBounds(t *testing.T) {
 	}
 	s := NewSession(tiny)
 	e, _ := ByID("fig10")
-	tab, err := e.Run(s)
+	tab, err := e.Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 //   - a resolved entry is a hit;
 //   - an entry in flight is joined: the caller waits until it resolves,
 //     or until its own context or the session's ends;
-//   - a fatal outcome (cancellation, deadline) is removed before it is
+//   - an interruption (see Interrupted) is removed before it is
 //     published, so a waiter whose contexts are still live retries as
 //     the new leader instead of inheriting an interruption that wasn't
 //     its own — cancellation is never memoized;
@@ -70,7 +70,7 @@ func (f *flight[V]) do(ctx, sctx context.Context, key string, join func(), lead 
 		case <-sctx.Done():
 			return zero, flightJoined, sctx.Err()
 		}
-		if !fatal(e.err) {
+		if !Interrupted(e.err) {
 			return e.val, flightJoined, e.err
 		}
 		if err := firstError(ctx.Err(), sctx.Err()); err != nil {
@@ -91,7 +91,7 @@ func (f *flight[V]) do(ctx, sctx context.Context, key string, join func(), lead 
 	f.mu.Unlock()
 
 	e.val, e.err = lead()
-	if fatal(e.err) {
+	if Interrupted(e.err) {
 		f.forget(key)
 	}
 	close(e.done)

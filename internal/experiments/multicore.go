@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,7 +16,7 @@ import (
 // trace with the same prefetchers on an equivalent machine (the
 // N-core LLC capacity and aggregate DRAM bandwidth; the paper runs
 // alone on the N-core system).
-func weightedSpeedup(s *Session, mix []string, c Combo) (float64, error) {
+func weightedSpeedup(ctx context.Context, s *Session, mix []string, c Combo) (float64, error) {
 	n := len(mix)
 	specs := []RunSpec{c.on(mix...)}
 	for _, w := range mix {
@@ -24,11 +25,11 @@ func weightedSpeedup(s *Session, mix []string, c Combo) (float64, error) {
 		alone.DRAMGBps = 12.8 * 2 // the multi-core system's two channels
 		specs = append(specs, alone)
 	}
-	results, errs := s.RunAllPartial(specs)
+	results, errs := s.RunAllPartial(ctx, specs)
 	if err := firstError(errs...); err != nil {
 		// A failed run degrades this mix's metric to NaN (an n/a cell);
 		// only cancellation aborts the experiment.
-		if fatal(err) {
+		if Interrupted(err) {
 			return 0, err
 		}
 		return math.NaN(), nil
@@ -42,12 +43,12 @@ func weightedSpeedup(s *Session, mix []string, c Combo) (float64, error) {
 }
 
 // normalizedWS returns WS(combo)/WS(no-prefetch) for a mix.
-func normalizedWS(s *Session, mix []string, c Combo) (float64, error) {
-	ws, err := weightedSpeedup(s, mix, c)
+func normalizedWS(ctx context.Context, s *Session, mix []string, c Combo) (float64, error) {
+	ws, err := weightedSpeedup(ctx, s, mix, c)
 	if err != nil {
 		return 0, err
 	}
-	base, err := weightedSpeedup(s, mix, baseline)
+	base, err := weightedSpeedup(ctx, s, mix, baseline)
 	if err != nil {
 		return 0, err
 	}
@@ -59,7 +60,7 @@ func normalizedWS(s *Session, mix []string, c Combo) (float64, error) {
 
 // normalizedWSAll evaluates normalizedWS for many mixes concurrently
 // (each mix's runs already fan out; this overlaps the mixes too).
-func normalizedWSAll(s *Session, mixes [][]string, c Combo) ([]float64, error) {
+func normalizedWSAll(ctx context.Context, s *Session, mixes [][]string, c Combo) ([]float64, error) {
 	out := make([]float64, len(mixes))
 	errs := make([]error, len(mixes))
 	var wg sync.WaitGroup
@@ -67,7 +68,7 @@ func normalizedWSAll(s *Session, mixes [][]string, c Combo) ([]float64, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i], errs[i] = normalizedWS(s, mixes[i], c)
+			out[i], errs[i] = normalizedWS(ctx, s, mixes[i], c)
 		}(i)
 	}
 	wg.Wait()
@@ -77,12 +78,6 @@ func normalizedWSAll(s *Session, mixes [][]string, c Combo) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// multicoreCombos are the prefetchers compared in the paper's
-// multi-core study.
-func multicoreCombos() []Combo {
-	return Combos()
 }
 
 // heterogeneousMixes draws deterministic random mixes from the pool.
@@ -111,8 +106,8 @@ func init() {
 	})
 }
 
-func runFig14a(s *Session) (*Table, error) {
-	combos := multicoreCombos()
+func runFig14a(ctx context.Context, s *Session) (*Table, error) {
+	combos := Combos()
 	t := &Table{
 		ID:      "fig14a",
 		Title:   "Normalized weighted speedup, 4-core CloudSuite (homogeneous)",
@@ -123,7 +118,7 @@ func runFig14a(s *Session) (*Table, error) {
 	for i, w := range names {
 		mixes[i] = []string{w, w, w, w}
 	}
-	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return normalizedWSAll(s, mixes, c) })
+	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return normalizedWSAll(ctx, s, mixes, c) })
 	if err != nil {
 		return nil, err
 	}
@@ -144,15 +139,15 @@ func init() {
 	})
 }
 
-func runFig14b(s *Session) (*Table, error) {
-	combos := multicoreCombos()
+func runFig14b(ctx context.Context, s *Session) (*Table, error) {
+	combos := Combos()
 	names := workload.Names(workload.Suite("nn"))
 	t := &Table{
 		ID:      "fig14b",
 		Title:   "Speedup on CNN/RNN workloads (single core)",
 		Columns: comboNames(combos),
 	}
-	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return Speedups(s, names, c) })
+	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return Speedups(ctx, s, names, c.on()) })
 	if err != nil {
 		return nil, err
 	}
@@ -173,8 +168,8 @@ func init() {
 	})
 }
 
-func runFig15(s *Session) (*Table, error) {
-	combos := multicoreCombos()
+func runFig15(ctx context.Context, s *Session) (*Table, error) {
+	combos := Combos()
 	t := &Table{
 		ID:      "fig15",
 		Title:   "Normalized weighted speedup by workload category",
@@ -201,7 +196,7 @@ func runFig15(s *Session) (*Table, error) {
 	for _, cat := range categories {
 		row := make([]float64, len(combos))
 		for j, c := range combos {
-			vals, err := normalizedWSAll(s, cat.mixes, c)
+			vals, err := normalizedWSAll(ctx, s, cat.mixes, c)
 			if err != nil {
 				return nil, err
 			}

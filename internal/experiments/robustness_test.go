@@ -11,6 +11,7 @@ import (
 
 	"ipcp/internal/chaos"
 	"ipcp/internal/prefetch"
+	"ipcp/internal/stats"
 	"ipcp/internal/trace"
 	"ipcp/internal/workload"
 )
@@ -117,14 +118,14 @@ func TestDeadStreamDegrades(t *testing.T) {
 	if err == nil {
 		t.Fatal("dead stream produced a result")
 	}
-	if fatal(err) {
+	if Interrupted(err) {
 		t.Errorf("dead stream error is fatal: %v", err)
 	}
 }
 
 func TestSpeedupsDegradeToNaN(t *testing.T) {
 	s := NewSession(tiny)
-	sp, err := Speedups(s, []string{"fi-panic-stream", "bwaves-98"}, Combo{Name: "none"})
+	sp, err := Speedups(context.Background(), s, []string{"fi-panic-stream", "bwaves-98"}, Combo{Name: "none"}.on())
 	if err != nil {
 		t.Fatalf("Speedups aborted on a degradable fault: %v", err)
 	}
@@ -133,6 +134,45 @@ func TestSpeedupsDegradeToNaN(t *testing.T) {
 	}
 	if math.IsNaN(sp[1]) || sp[1] <= 0 {
 		t.Errorf("healthy workload speedup = %v", sp[1])
+	}
+}
+
+// TestGeomeanDegradesToNA: a geomean column is built like every
+// registered one (IPCP beside its no-prefetch baseline, one pair per
+// trace), over a trace list holding the panicking stream. The geomean
+// cell reads n/a and the experiment completes; the other rows stay.
+func TestGeomeanDegradesToNA(t *testing.T) {
+	n := len(registry)
+	register(Experiment{ID: "rob-geomean", Title: "geomean over a faulty trace",
+		Run: func(ctx context.Context, s *Session) (*Table, error) {
+			tab := &Table{ID: "rob-geomean", Title: "geomean probe", Columns: []string{"speedup"}}
+			for _, names := range [][]string{{"fi-panic-stream", "bwaves-98"}, {"bwaves-98"}} {
+				sp, err := Speedups(ctx, s, names, ipcpCombo.on())
+				if err != nil {
+					return nil, err
+				}
+				tab.AddRow(strings.Join(names, "+"), stats.Geomean(sp))
+			}
+			return tab, nil
+		}})
+	t.Cleanup(func() { registry = registry[:n] })
+
+	rep, err := RunIDs(context.Background(), NewSession(tiny), []string{"rob-geomean"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed := rep.Failed(); len(failed) != 0 {
+		t.Fatalf("geomean experiment failed on a degradable fault: %v", failed[0].Err)
+	}
+	tab := rep.Results[0].Table
+	if v := tab.Rows[0].Values[0]; !math.IsNaN(v) {
+		t.Errorf("geomean over the faulty trace = %v, want NaN", v)
+	}
+	if v := tab.Rows[1].Values[0]; math.IsNaN(v) || v <= 0 {
+		t.Errorf("healthy geomean = %v", v)
+	}
+	if md := rep.Markdown(); !strings.Contains(md, "| n/a |") || !strings.Contains(md, "n/a: run [fi-panic-stream] failed") {
+		t.Errorf("report lacks the n/a cell or its fault note:\n%s", md)
 	}
 }
 
@@ -159,8 +199,8 @@ func TestCancellationAbortsPromptly(t *testing.T) {
 func registerTestExperiments(t *testing.T) (idA, idB string) {
 	t.Helper()
 	n := len(registry)
-	run := func(w string) func(*Session) (*Table, error) {
-		return func(s *Session) (*Table, error) {
+	run := func(w string) func(context.Context, *Session) (*Table, error) {
+		return func(_ context.Context, s *Session) (*Table, error) {
 			res, err := s.Run(RunSpec{Workloads: []string{w}})
 			if err != nil {
 				return nil, err
@@ -209,7 +249,7 @@ func TestRunIDsIsolatesExperimentFailure(t *testing.T) {
 	idA, _ := registerTestExperiments(t)
 	n := len(registry)
 	register(Experiment{ID: "rob-boom", Title: "panicking experiment",
-		Run: func(*Session) (*Table, error) { panic("experiment bug") }})
+		Run: func(context.Context, *Session) (*Table, error) { panic("experiment bug") }})
 	t.Cleanup(func() { registry = registry[:n] })
 
 	s := NewSession(tiny)

@@ -72,11 +72,12 @@ func (r *Report) Markdown() string {
 
 // RunIDs runs the named experiments against the session, isolating each
 // one: a panic or error inside an experiment becomes that experiment's
-// error entry and the rest continue. Cancellation (of ctx or of the
-// session's own context) stops the loop and returns the completed
-// prefix with Interrupted set. progress, when non-nil, is called before
-// and after each experiment (table nil on the "before" call and on
-// failures).
+// error entry and the rest continue. Every simulation runs under ctx, so
+// it carries ctx's tracer and progress sink, and cancellation (of ctx or
+// of the session's own context) ends the experiment in flight and
+// returns the completed prefix with Interrupted set. progress, when
+// non-nil, is called before and after each experiment (table nil on the
+// "before" call and on failures).
 func RunIDs(ctx context.Context, s *Session, ids []string, progress func(res ExperimentResult, done bool)) (*Report, error) {
 	rep := &Report{}
 	for _, id := range ids {
@@ -94,9 +95,9 @@ func RunIDs(ctx context.Context, s *Session, ids []string, progress func(res Exp
 		}
 		start := time.Now()
 		before := len(s.Faults())
-		res.Table, res.Err = runExperiment(s, e)
+		res.Table, res.Err = runExperiment(ctx, s, e)
 		res.Elapsed = time.Since(start)
-		if res.Err != nil && fatal(res.Err) {
+		if res.Err != nil && Interrupted(res.Err) {
 			rep.Interrupted = true
 			// The interrupted experiment is part of the record: it must
 			// show up in Failed() and the rendered report, not silently
@@ -125,11 +126,11 @@ func RunIDs(ctx context.Context, s *Session, ids []string, progress func(res Exp
 // runExperiment invokes one experiment with panic isolation: a panic in
 // the experiment body (as opposed to in a simulation worker, which
 // Session.Run already contains) degrades to an error.
-func runExperiment(s *Session, e Experiment) (t *Table, err error) {
+func runExperiment(ctx context.Context, s *Session, e Experiment) (t *Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			t, err = nil, fmt.Errorf("experiment %s panicked: %v", e.ID, r)
 		}
 	}()
-	return e.Run(s)
+	return e.Run(ctx, s)
 }

@@ -111,7 +111,7 @@ func TestRunSpecEveryFieldIsKeyed(t *testing.T) {
 // separate simulation — built the way their experiments build them now,
 // are one simulation.
 func TestEqualContentRunsOnce(t *testing.T) {
-	sens := func(mutate func(*RunSpec)) RunSpec { // sensGeomean's spec
+	sens := func(mutate func(*RunSpec)) RunSpec { // a sens-* study's spec (sensitivity.go)
 		spec := ipcpCombo.on()
 		mutate(&spec)
 		return spec

@@ -1,35 +1,34 @@
 package experiments
 
-import "fmt"
+import (
+	"context"
+	"fmt"
 
-// sensGeomean runs IPCP (and the baseline) with the spec mutation
-// applied to both, returning the geomean speedup.
-func sensGeomean(s *Session, names []string, mutate func(*RunSpec)) (float64, error) {
-	spec := ipcpCombo.on()
-	mutate(&spec)
-	return geomeanSpeedup(s, names, spec)
-}
+	"ipcp/internal/stats"
+)
+
+// Each study here runs IPCP (ipcpCombo) with one system knob changed;
+// Speedups changes it on the baseline too.
 
 func init() {
 	register(Experiment{
 		ID:    "sens-repl",
 		Title: "LLC replacement policy sensitivity (§VI-C)",
 		Paper: "IPCP is resilient to the LLC policy (differences < 1%).",
-		Run: func(s *Session) (*Table, error) {
+		Run: func(ctx context.Context, s *Session) (*Table, error) {
 			t := &Table{ID: "sens-repl", Title: "IPCP geomean speedup per LLC replacement policy (512KB/core LLC)",
 				Columns: []string{"speedup"}}
 			for _, pol := range []string{"lru", "srrip", "drrip", "ship", "hawkeye", "mpppb"} {
 				// A small LLC so replacement is actually exercised at
 				// sub-million-instruction scales (the paper's 2MB LLC
 				// does not fill within a short run).
-				g, err := sensGeomean(s, s.memIntensive(), func(r *RunSpec) {
-					r.LLCRepl = pol
-					r.LLCSetsPerCore = 512
-				})
+				spec := ipcpCombo.on()
+				spec.LLCRepl, spec.LLCSetsPerCore = pol, 512
+				sp, err := Speedups(ctx, s, s.memIntensive(), spec)
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow(pol, g)
+				t.AddRow(pol, stats.Geomean(sp))
 			}
 			t.Notes = append(t.Notes, "Paper §VI-C: < 1% spread across policies; MPPPB costs every prefetcher a few percent.")
 			return t, nil
@@ -41,7 +40,7 @@ func init() {
 		Title: "Cache size sensitivity (§VI-C)",
 		Paper: "IPCP is resilient across L1/L2/LLC sizes (≤ ~1% difference; " +
 			"~3% absolute drop with an extremely small LLC, for every prefetcher).",
-		Run: func(s *Session) (*Table, error) {
+		Run: func(ctx context.Context, s *Session) (*Table, error) {
 			t := &Table{ID: "sens-cache", Title: "IPCP geomean speedup per cache configuration",
 				Columns: []string{"speedup"}}
 			configs := []struct {
@@ -57,11 +56,13 @@ func init() {
 				{"LLC 512KB/core (tiny)", func(r *RunSpec) { r.LLCSetsPerCore = 512 }},
 			}
 			for _, c := range configs {
-				g, err := sensGeomean(s, s.memIntensive(), c.mut)
+				spec := ipcpCombo.on()
+				c.mut(&spec)
+				sp, err := Speedups(ctx, s, s.memIntensive(), spec)
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow(c.label, g)
+				t.AddRow(c.label, stats.Geomean(sp))
 			}
 			return t, nil
 		},
@@ -72,21 +73,23 @@ func init() {
 		Title: "DRAM bandwidth sensitivity (§VI-C)",
 		Paper: "IPCP beats the second best by ~1% at 3.2GB/s and ~1.5% at " +
 			"25GB/s; absolute speedups grow with bandwidth.",
-		Run: func(s *Session) (*Table, error) {
+		Run: func(ctx context.Context, s *Session) (*Table, error) {
 			t := &Table{ID: "sens-dram", Title: "Geomean speedup per DRAM bandwidth",
 				Columns: []string{"IPCP", "MLOP"}}
 			names := s.memIntensive()
 			for _, bw := range []float64{3.2, 12.8, 25.6} {
-				ipcpG, err := sensGeomean(s, names, func(r *RunSpec) { r.DRAMGBps = bw })
+				ipcp := ipcpCombo.on()
+				ipcp.DRAMGBps = bw
+				ipcpSp, err := Speedups(ctx, s, names, ipcp)
 				if err != nil {
 					return nil, err
 				}
 				// MLOP comparison at the same bandwidth.
-				mlopG, err := geomeanSpeedup(s, names, RunSpec{L1D: "mlop", L2: "nl", LLC: "nl-miss", DRAMGBps: bw})
+				mlopSp, err := Speedups(ctx, s, names, RunSpec{L1D: "mlop", L2: "nl", LLC: "nl-miss", DRAMGBps: bw})
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow(fmt.Sprintf("%.1f GB/s", bw), ipcpG, mlopG)
+				t.AddRow(fmt.Sprintf("%.1f GB/s", bw), stats.Geomean(ipcpSp), stats.Geomean(mlopSp))
 			}
 			return t, nil
 		},
@@ -97,15 +100,17 @@ func init() {
 		Title: "L1 PQ/MSHR sensitivity (§VI-C)",
 		Paper: "(2,4) loses only ~2.7% vs the (8,16) baseline; high-MLP traces " +
 			"are affected most.",
-		Run: func(s *Session) (*Table, error) {
+		Run: func(ctx context.Context, s *Session) (*Table, error) {
 			t := &Table{ID: "sens-pq", Title: "IPCP geomean speedup per (PQ, MSHR) pair",
 				Columns: []string{"speedup"}}
 			for _, pair := range [][2]int{{2, 4}, {4, 8}, {8, 16}, {16, 32}} {
-				g, err := sensGeomean(s, s.memIntensive(), func(r *RunSpec) { r.L1PQ, r.L1MSHR = pair[0], pair[1] })
+				spec := ipcpCombo.on()
+				spec.L1PQ, spec.L1MSHR = pair[0], pair[1]
+				sp, err := Speedups(ctx, s, s.memIntensive(), spec)
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow(fmt.Sprintf("PQ=%d MSHR=%d", pair[0], pair[1]), g)
+				t.AddRow(fmt.Sprintf("PQ=%d MSHR=%d", pair[0], pair[1]), stats.Geomean(sp))
 			}
 			return t, nil
 		},

@@ -1,27 +1,36 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"ipcp/internal/stats"
 )
 
-// Speedups runs the given combo over the workload list and returns the
-// per-trace speedups over the shared no-prefetching baseline. A failed
-// run (panic, corrupt trace, cycle-limit blowup) degrades that trace's
-// entry to NaN — rendered as n/a, recorded in Session.Faults() — while
-// the remaining traces stay exact; only cancellation aborts the call.
-func Speedups(s *Session, names []string, c Combo) ([]float64, error) {
+// Speedups runs spec on each named workload (spec.Workloads is
+// ignored), beside the same system with every prefetcher off, and
+// returns the per-trace speedups in names order. It is the one pairing
+// of a prefetched run with its baseline: a geomean column is
+// stats.Geomean of its result. A failed run (panic, corrupt trace,
+// cycle-limit blowup) degrades that trace's entry to NaN — rendered as
+// n/a, recorded in Session.Faults(), and carried into any geomean over
+// the entries — while the remaining traces stay exact; only an
+// interruption aborts the call.
+func Speedups(ctx context.Context, s *Session, names []string, spec RunSpec) ([]float64, error) {
 	specs := make([]RunSpec, 0, 2*len(names))
 	for _, n := range names {
-		specs = append(specs, baseline.on(n), c.on(n))
+		pf := spec
+		pf.Workloads = []string{n}
+		base := pf
+		base.L1D, base.L2, base.LLC, base.IPCPL1 = "", "", "", nil
+		specs = append(specs, base, pf)
 	}
-	results, errs := s.RunAllPartial(specs)
+	results, errs := s.RunAllPartial(ctx, specs)
 	out := make([]float64, len(names))
 	for i := range names {
 		if err := firstError(errs[2*i], errs[2*i+1]); err != nil {
-			if fatal(err) {
+			if Interrupted(err) {
 				return nil, err
 			}
 			out[i] = math.NaN()
@@ -40,29 +49,6 @@ func firstError(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-// geomeanSpeedup runs spec on each workload, beside the same system with
-// every prefetcher off, and returns the geomean speedup. Any failed run
-// fails the call.
-func geomeanSpeedup(s *Session, names []string, spec RunSpec) (float64, error) {
-	specs := make([]RunSpec, 0, 2*len(names))
-	for _, n := range names {
-		pf := spec
-		pf.Workloads = []string{n}
-		base := pf
-		base.L1D, base.L2, base.LLC, base.IPCPL1 = "", "", "", nil
-		specs = append(specs, base, pf)
-	}
-	results, err := s.RunAll(specs)
-	if err != nil {
-		return 0, err
-	}
-	sp := make([]float64, len(names))
-	for i := range names {
-		sp[i] = stats.Speedup(results[2*i+1].IPC[0], results[2*i].IPC[0])
-	}
-	return stats.Geomean(sp), nil
 }
 
 // perTraceRows fills t with one row per label and one column per combo
@@ -101,7 +87,7 @@ func init() {
 	})
 }
 
-func runFig1(s *Session) (*Table, error) {
+func runFig1(ctx context.Context, s *Session) (*Table, error) {
 	names := s.memIntensive()
 	t := &Table{
 		ID:      "fig1",
@@ -111,11 +97,11 @@ func runFig1(s *Session) (*Table, error) {
 	for _, pf := range []string{"ipstride", "bingo", "mlop"} {
 		row := make([]float64, 0, 3)
 		for _, placed := range []RunSpec{{L2: pf}, {L1D: pf + "@l2"}, {L1D: pf}} {
-			g, err := geomeanSpeedup(s, names, placed)
+			sp, err := Speedups(ctx, s, names, placed)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, g)
+			row = append(row, stats.Geomean(sp))
 		}
 		t.AddRow(pf, row...)
 	}
@@ -135,7 +121,7 @@ func init() {
 	})
 }
 
-func runFig7(s *Session) (*Table, error) {
+func runFig7(ctx context.Context, s *Session) (*Table, error) {
 	names := s.memIntensive()
 	var combos []Combo
 	for _, pf := range []string{"nl", "ipstride", "stream", "bop", "spp", "mlop", "bingo", "bingo119", "tskid", "ipcp"} {
@@ -146,7 +132,7 @@ func runFig7(s *Session) (*Table, error) {
 		Title:   "Per-trace speedup with L1-only prefetching (L2/LLC off)",
 		Columns: comboNames(combos),
 	}
-	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return Speedups(s, names, c) })
+	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return Speedups(ctx, s, names, c.on()) })
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +153,7 @@ func init() {
 	})
 }
 
-func runFig8(s *Session) (*Table, error) {
+func runFig8(ctx context.Context, s *Session) (*Table, error) {
 	combos := Combos()
 	names := s.memIntensive()
 	t := &Table{
@@ -175,7 +161,7 @@ func runFig8(s *Session) (*Table, error) {
 		Title:   "Per-trace speedup with multi-level prefetching",
 		Columns: comboNames(combos),
 	}
-	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return Speedups(s, names, c) })
+	geo, err := perTraceRows(t, names, combos, func(c Combo) ([]float64, error) { return Speedups(ctx, s, names, c.on()) })
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +169,7 @@ func runFig8(s *Session) (*Table, error) {
 
 	// Full-suite geomean (no per-trace rows).
 	full := s.fullSuite()
-	geoFull, err := perTraceRows(t, nil, combos, func(c Combo) ([]float64, error) { return Speedups(s, full, c) })
+	geoFull, err := perTraceRows(t, nil, combos, func(c Combo) ([]float64, error) { return Speedups(ctx, s, full, c.on()) })
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +199,7 @@ func init() {
 	})
 }
 
-func runFig9(s *Session) (*Table, error) {
+func runFig9(ctx context.Context, s *Session) (*Table, error) {
 	names := s.memIntensive()
 	combos := append([]Combo{baseline}, Combos()...)
 	t := &Table{
@@ -227,7 +213,7 @@ func runFig9(s *Session) (*Table, error) {
 		for i, n := range names {
 			specs[i] = c.on(n)
 		}
-		results, err := s.RunAll(specs)
+		results, err := s.RunAll(ctx, specs)
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +241,7 @@ func init() {
 	})
 }
 
-func runTab4(s *Session) (*Table, error) {
+func runTab4(ctx context.Context, s *Session) (*Table, error) {
 	names := s.memIntensive()
 	t := &Table{
 		ID:      "tab4",
@@ -266,7 +252,7 @@ func runTab4(s *Session) (*Table, error) {
 	for i, n := range names {
 		baseSpecs[i] = baseline.on(n)
 	}
-	baseResults, err := s.RunAll(baseSpecs)
+	baseResults, err := s.RunAll(ctx, baseSpecs)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +261,7 @@ func runTab4(s *Session) (*Table, error) {
 		for i, n := range names {
 			specs[i] = c.on(n)
 		}
-		results, err := s.RunAll(specs)
+		results, err := s.RunAll(ctx, specs)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +297,7 @@ func init() {
 	})
 }
 
-func runTab1(s *Session) (*Table, error) {
+func runTab1(ctx context.Context, s *Session) (*Table, error) {
 	t := &Table{
 		ID:      "tab1",
 		Title:   "IPCP storage budget in bytes (computed from the hardware widths)",

@@ -107,7 +107,7 @@ func (s *Session) RunSharedContext(ctx context.Context, spec RunSpec) (*sim.Resu
 // workload — run one warmup between them and fork the rest; distinct
 // identities warm concurrently under the session's admission cap.
 func (s *Session) RunSweep(specs []RunSpec) ([]*sim.Result, []error) {
-	return fanOut(specs, s.RunShared)
+	return fanOut(context.Background(), specs, s.RunSharedContext)
 }
 
 // runForked restores a fresh CacheWarmOnly system from the warmup

@@ -332,10 +332,11 @@ func TestSnapshotEvictionRefillsWithoutCache(t *testing.T) {
 	}
 }
 
-// TestSnapshotEvictionRacesLeaders stresses evictSnapshotsLocked
-// against concurrent leadWarmup calls: a sweep over 3× snapMemCap
-// warmup identities (×2 prefetcher points each) continuously evicts
-// while leaders resolve and followers fork. Run under -race, this is
+// TestSnapshotEvictionRacesLeaders stresses the residency cap's
+// eviction (resident forgetting the oldest snapshot entry) against
+// concurrent snapshotFor leaders: a sweep over 3× snapMemCap warmup
+// identities (×2 prefetcher points each) continuously evicts while
+// leaders resolve and followers fork. Run under -race, this is
 // the torn-snapshot detector; functionally, every point must succeed
 // and sampled results must match an eviction-free session.
 func TestSnapshotEvictionRacesLeaders(t *testing.T) {

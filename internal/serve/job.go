@@ -94,7 +94,6 @@ type Job struct {
 	cancel   func()
 	stalled  bool
 	lastMove time.Time
-	abandon  chan struct{} // closed by markStalled; wakes the worker's select
 }
 
 func newJob(kind JobKind) *Job {
@@ -137,25 +136,24 @@ func (j *Job) begin(cancel func()) {
 	j.started = time.Now()
 	j.lastMove = j.started
 	j.cancel = cancel
-	j.abandon = make(chan struct{})
 	j.eventLocked(j.started, "started", "")
 	j.mu.Unlock()
 }
 
 // finish resolves the job into its terminal state. A watchdog-marked
-// job terminates as stalled regardless of the error the cancellation
-// surfaced as.
+// job terminates as stalled, with errStalled, whatever error the
+// cancellation surfaced as.
 func (j *Job) finish(res *sim.Result, rep *experiments.Report, err error) {
 	j.mu.Lock()
-	j.result, j.report, j.err = res, rep, err
 	j.finished = time.Now()
 	j.state = StateDone
 	switch {
 	case j.stalled:
-		j.state = StateStalled
+		j.state, err = StateStalled, errStalled
 	case err != nil:
 		j.state = StateFailed
 	}
+	j.result, j.report, j.err = res, rep, err
 	msg := ""
 	if err != nil {
 		msg = err.Error()
@@ -176,28 +174,12 @@ func (j *Job) markStalled() bool {
 	}
 	j.stalled = true
 	cancel := j.cancel
-	close(j.abandon)
 	j.eventLocked(time.Now(), "stall-detected", "no simulation progress within the stall timeout; cancelling")
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
 	return true
-}
-
-// Stalled reports whether the watchdog marked this job.
-func (j *Job) Stalled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.stalled
-}
-
-// abandonCh returns the channel markStalled closes — the worker's cue
-// to stop waiting on a wedged simulation. Valid once begin has run.
-func (j *Job) abandonCh() <-chan struct{} {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.abandon
 }
 
 // Result returns the job's terminal result (nil otherwise).

@@ -93,9 +93,11 @@ type Options struct {
 	JournalDir string
 	// StallTimeout arms the hung-job watchdog: a running job whose
 	// simulation progress counters stop moving for this long is
-	// cancelled, terminates as outcome "stalled", and its worker slot
-	// is reclaimed (even if the simulation itself is wedged beyond
-	// cancellation). 0 disables the watchdog.
+	// cancelled and terminates as outcome "stalled". An experiments
+	// job's progress is the latest report from any of its simulations.
+	// The worker is freed even if a simulation is wedged beyond
+	// cancellation: the session abandons it after its 100 ms grace and
+	// reclaims its concurrency slot. 0 disables the watchdog.
 	StallTimeout time.Duration
 	// Log receives structured operational logs (admissions, completions,
 	// drain) with request_id/job_id/kind/duration attributes. Nil
@@ -453,28 +455,16 @@ func (s *Server) worker() {
 	}
 }
 
-// interrupted reports a cancellation-shaped error (per-job deadline or
-// server shutdown) — the kind the session deliberately does not
-// memoize, so a retried job re-runs.
-func interrupted(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// errStalled is a reaped job's terminal error when its simulation was
-// wedged beyond cancellation and had to be abandoned outright.
+// errStalled is the terminal error of a job the watchdog reaped.
 var errStalled = errors.New("stalled: no simulation progress within the stall timeout")
 
 // ErrShutdown is the terminal error of a job the daemon's own shutdown
 // interrupted (a drain timeout or Close; not the job's own timeout_ms).
 // Such a job gets no journaled finish, so the next life runs it again,
 // and a coordinator that finds it on a worker reassigns the point as it
-// would for a lost worker. It is an interruption: interrupted reports it.
+// would for a lost worker. It is an interruption: experiments.Interrupted
+// reports it.
 var ErrShutdown = fmt.Errorf("interrupted by daemon shutdown: %w", context.Canceled)
-
-// stallGrace is how long a stall-cancelled job gets to unwind cleanly
-// (surfacing the session's own cancellation error) before the worker
-// abandons the simulation goroutine and reclaims the slot anyway.
-const stallGrace = 250 * time.Millisecond
 
 func (s *Server) runJob(j *Job) {
 	start := time.Now()
@@ -523,67 +513,45 @@ func (s *Server) runJob(j *Job) {
 	defer cancel()
 	j.begin(cancel)
 
-	// The session call runs in a child goroutine so the worker can
-	// abandon a simulation the watchdog's cancellation cannot unwind
-	// (wedged outside the cycle loop's cancellation checks): the worker
-	// slot is reclaimed either way. The abandoned goroutine parks on
-	// the buffered channel send and unwinds whenever the simulation
-	// eventually returns.
-	type outcome struct {
+	// The job calls the session (or the fleet) directly: every simulation
+	// runs under ctx, and the session's runSlot gives up one wedged beyond
+	// cancellation, so the call returns soon after ctx is cancelled.
+	var (
 		res *sim.Result
 		rep *experiments.Report
 		err error
-	}
-	outc := make(chan outcome, 1)
-	go func() {
-		switch j.Kind {
-		case KindRun:
-			var res *sim.Result
-			var err error
-			if s.opts.SharedWarmup {
-				jobSpan.SetAttr("warmup_shared", "true")
-				res, err = s.session.RunSharedContext(ctx, j.Spec.RunSpec)
-			} else {
-				res, err = s.session.RunContext(ctx, j.Spec.RunSpec)
-			}
-			outc <- outcome{res: res, err: err}
-		case KindExperiments:
-			rep, err := experiments.RunIDs(ctx, s.session, j.ExpIDs,
-				func(res experiments.ExperimentResult, done bool) {
-					switch {
-					case !done:
-						j.Event("experiment-start", res.ID)
-					case res.Err != nil:
-						j.Event("experiment-failed", fmt.Sprintf("%s: %v", res.ID, res.Err))
-					default:
-						j.Event("experiment-done", fmt.Sprintf("%s (%.1fs)", res.ID, res.Elapsed.Seconds()))
-					}
-				})
-			if err == nil && rep.Interrupted {
-				err = fmt.Errorf("experiments interrupted: %w", firstNonNil(ctx.Err(), context.Canceled))
-			}
-			outc <- outcome{rep: rep, err: err}
-		case KindSweep:
-			outc <- outcome{err: s.opts.Fleet.RunSweep(ctx, j)}
+	)
+	switch j.Kind {
+	case KindRun:
+		if s.opts.SharedWarmup {
+			jobSpan.SetAttr("warmup_shared", "true")
+			res, err = s.session.RunSharedContext(ctx, j.Spec.RunSpec)
+		} else {
+			res, err = s.session.RunContext(ctx, j.Spec.RunSpec)
 		}
-	}()
-	var out outcome
-	select {
-	case out = <-outc:
-	case <-j.abandonCh():
-		// Watchdog verdict: the context is already cancelled. Give the
-		// cancellation a grace period to unwind cleanly, then abandon
-		// the goroutine outright.
-		grace := time.NewTimer(stallGrace)
-		select {
-		case out = <-outc:
-		case <-grace.C:
-			out = outcome{err: errStalled}
+	case KindExperiments:
+		rep, err = experiments.RunIDs(ctx, s.session, j.ExpIDs,
+			func(e experiments.ExperimentResult, done bool) {
+				switch {
+				case !done:
+					j.Event("experiment-start", e.ID)
+				case e.Err != nil:
+					j.Event("experiment-failed", fmt.Sprintf("%s: %v", e.ID, e.Err))
+				default:
+					j.Event("experiment-done", fmt.Sprintf("%s (%.1fs)", e.ID, e.Elapsed.Seconds()))
+				}
+			})
+		if err == nil && rep.Interrupted {
+			err = fmt.Errorf("experiments interrupted: %w", firstNonNil(ctx.Err(), context.Canceled))
 		}
-		grace.Stop()
+	case KindSweep:
+		err = s.opts.Fleet.RunSweep(ctx, j)
 	}
-	if interrupted(out.err) && !(errors.Is(out.err, context.DeadlineExceeded) && j.Timeout > 0) && !j.Stalled() {
-		out.err = ErrShutdown
+	// An interruption other than the job's own deadline is the daemon's
+	// shutdown, unless the watchdog cancelled the job: finish then
+	// records errStalled instead.
+	if experiments.Interrupted(err) && !(errors.Is(err, context.DeadlineExceeded) && j.Timeout > 0) {
+		err = ErrShutdown
 	}
 	elapsed := time.Since(start)
 	s.execution.Observe(elapsed.Seconds())
@@ -593,7 +561,7 @@ func (s *Server) runJob(j *Job) {
 	// wakes finds the bookkeeping done, and no POST coalesces onto a dead
 	// run job (stalled or interrupted, so not memoized by the session).
 	s.mu.Lock()
-	j.finish(out.res, out.rep, out.err)
+	j.finish(res, rep, err)
 	st, err := j.State(), j.Err()
 	switch st {
 	case StateStalled:
@@ -603,7 +571,7 @@ func (s *Server) runJob(j *Job) {
 	default:
 		s.stats.Jobs.Completed++
 	}
-	if j.Kind == KindRun && (st == StateStalled || (err != nil && interrupted(err))) && s.byKey[j.key] == j {
+	if j.Kind == KindRun && (st == StateStalled || experiments.Interrupted(err)) && s.byKey[j.key] == j {
 		delete(s.byKey, j.key)
 	}
 	s.mu.Unlock()
