@@ -73,8 +73,9 @@ profile:
 
 # The concurrency-sensitive tests, repeated: the session's single-flight
 # memo (join, hand-over from a cancelled leader, eviction against
-# concurrent forks, write-behind) and the daemon's watchdog, coalescing
-# and experiments-job cancellation. -race reports only the interleavings
+# concurrent forks, write-behind), the concurrent experiments runner
+# (RunIDs: a cancellation landing while several experiments fan out) and
+# the daemon's watchdog, coalescing and experiments-job cancellation. -race reports only the interleavings
 # a run actually takes, and the windows these tests guard are
 # microseconds wide (a terminal event against its counter bump, a
 # leader's cancel against a waiter's join, a job's deadline against the
@@ -86,7 +87,7 @@ profile:
 #   make stress COUNT=200
 COUNT ?= 50
 stress:
-	$(GO) test -race -count=$(COUNT) -timeout=$$(($(COUNT) * 30))s ./internal/experiments -run 'Flight|Coalesce|Evict|Cancelled|WrittenBehind'
+	$(GO) test -race -count=$(COUNT) -timeout=$$(($(COUNT) * 30))s ./internal/experiments -run 'Flight|Coalesce|Evict|Cancelled|WrittenBehind|RunIDs'
 	$(GO) test -race -count=$(COUNT) -timeout=$$(($(COUNT) * 30))s ./internal/serve -run 'Watchdog|Coalesce|ExperimentsJob'
 
 # Refresh the profile-guided build: profile single_stream, single_pointer,

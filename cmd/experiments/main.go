@@ -137,19 +137,20 @@ func main() {
 	}
 
 	start := time.Now()
+	// The experiments run concurrently, so each gets one line, printed as
+	// it finishes.
 	rep, err := experiments.RunIDs(ctx, session, ids,
 		func(res experiments.ExperimentResult, done bool) {
 			switch {
 			case !done:
-				fmt.Fprintf(os.Stderr, "running %s (%s)...", res.ID, res.Title)
 			case res.Err != nil:
-				fmt.Fprintf(os.Stderr, " failed after %.1fs: %v\n", res.Elapsed.Seconds(), res.Err)
+				fmt.Fprintf(os.Stderr, "%s (%s) failed after %.1fs: %v\n", res.ID, res.Title, res.Elapsed.Seconds(), res.Err)
 			default:
-				fmt.Fprintf(os.Stderr, " done in %.1fs\n", res.Elapsed.Seconds())
+				fmt.Fprintf(os.Stderr, "%s (%s) done in %.1fs\n", res.ID, res.Title, res.Elapsed.Seconds())
 			}
 		})
 	if err != nil {
-		// Only an unknown experiment id aborts before the loop finishes.
+		// Only an unknown experiment id fails the call, before anything runs.
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

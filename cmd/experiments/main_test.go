@@ -6,7 +6,9 @@ import (
 	"errors"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -99,5 +101,40 @@ func TestStdoutIsReportMarkdown(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "\nPaper: ") {
 		t.Errorf("tab1 report lacks its Paper line:\n%s", out)
+	}
+}
+
+// TestProgressLinesAndSummary: with the experiments running at once,
+// stderr carries one complete line per experiment as it finishes and the
+// summary line the benchmark harness parses for its simulation count.
+func TestProgressLinesAndSummary(t *testing.T) {
+	bin := build(t)
+	cmd := exec.Command(bin, "-run", "tab1,fig12", "-traces", "1", "-warmup", "2000", "-measure", "4000")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("experiments -run tab1,fig12: %v\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("stderr = %q, want one line per experiment and the summary", lines)
+	}
+	for _, id := range []string{"tab1", "fig12"} {
+		n := 0
+		for _, l := range lines[:2] {
+			if strings.HasPrefix(l, id+" (") && strings.Contains(l, ") done in ") {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("stderr %q has %d done lines for %s, want 1", lines, n, id)
+		}
+	}
+	m := regexp.MustCompile(`\((\d+) simulations executed\)`).FindStringSubmatch(lines[2])
+	if m == nil || !strings.HasPrefix(lines[2], "2 experiments in ") {
+		t.Fatalf("summary line %q does not match the harness's format", lines[2])
+	}
+	if n, _ := strconv.Atoi(m[1]); n == 0 {
+		t.Errorf("summary line %q counts no simulations for fig12", lines[2])
 	}
 }

@@ -3,8 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -274,5 +277,84 @@ func TestRunIDsRecordsInterruptedExperiment(t *testing.T) {
 	}
 	if !strings.Contains(md, "interrupted") {
 		t.Errorf("interruption note missing:\n%s", md)
+	}
+}
+
+// TestRunIDsOverlapsExperiments: RunIDs starts every requested
+// experiment at once. Each of the two waits, bounded, for the other to
+// have started, which only experiments running concurrently can satisfy.
+func TestRunIDsOverlapsExperiments(t *testing.T) {
+	n := len(registry)
+	started := map[string]chan struct{}{"rob-left": make(chan struct{}), "rob-right": make(chan struct{})}
+	for id, other := range map[string]string{"rob-left": "rob-right", "rob-right": "rob-left"} {
+		register(Experiment{ID: id, Title: "waits for " + other,
+			Run: func(context.Context, *Session) (*Table, error) {
+				close(started[id])
+				select {
+				case <-started[other]:
+				case <-time.After(10 * time.Second):
+					return nil, errors.New(other + " never started")
+				}
+				return &Table{ID: id, Title: "overlap probe"}, nil
+			}})
+	}
+	t.Cleanup(func() { registry = registry[:n] })
+
+	rep, err := RunIDs(context.Background(), NewSession(tiny), []string{"rob-left", "rob-right"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed := rep.Failed(); len(failed) != 0 {
+		t.Fatalf("experiments ran one after another: %s: %v", failed[0].ID, failed[0].Err)
+	}
+}
+
+// TestRunIDsProgressNeverOverlaps: progress is called once per
+// experiment before any starts and once as each finishes, and never
+// from two goroutines at once, however many experiments finish together.
+func TestRunIDsProgressNeverOverlaps(t *testing.T) {
+	n := len(registry)
+	var ids []string
+	for i := 0; i < 8; i++ {
+		id := "rob-progress-" + string(rune('a'+i))
+		ids = append(ids, id)
+		register(Experiment{ID: id, Title: "finishes at once",
+			Run: func(context.Context, *Session) (*Table, error) {
+				return &Table{ID: id, Title: "progress probe"}, nil
+			}})
+	}
+	t.Cleanup(func() { registry = registry[:n] })
+
+	var (
+		inside, overlaps atomic.Int32
+		calls            []string // appended inside the callback, unlocked: -race checks the claim too
+	)
+	rep, err := RunIDs(context.Background(), NewSession(tiny), ids, func(res ExperimentResult, done bool) {
+		if inside.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		time.Sleep(time.Millisecond)
+		calls = append(calls, fmt.Sprintf("%s %v", res.ID, done))
+		inside.Add(-1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := overlaps.Load(); got != 0 {
+		t.Errorf("%d progress calls overlapped another", got)
+	}
+	if len(calls) != 2*len(ids) {
+		t.Fatalf("progress calls = %v, want one start and one finish per experiment", calls)
+	}
+	for i, id := range ids {
+		if want := id + " false"; calls[i] != want {
+			t.Errorf("call %d = %q, want %q: every start comes first, in request order", i, calls[i], want)
+		}
+		if !slices.Contains(calls[len(ids):], id+" true") {
+			t.Errorf("no finish call for %s in %v", id, calls)
+		}
+		if rep.Results[i].ID != id {
+			t.Errorf("result %d = %s, want %s (request order)", i, rep.Results[i].ID, id)
+		}
 	}
 }

@@ -519,10 +519,12 @@ func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*sim.Result, er
 
 // run is the one path behind RunContext and RunSharedContext: the
 // session.run span, the memo (single-flight per key), and the
-// checkpoint written behind a leader that executed. The two
-// methodologies differ only in shared: it keeps their results apart
-// (the "sw|" memo-key prefix and diskKeyShared), selects how execute
-// simulates, and marks the span.
+// checkpoint written behind a leader that executed. A fault it returns
+// is noted in the caller's experiment whether this call led, joined or
+// recalled the run (see faultSink); Faults records only the leader's.
+// The two methodologies differ only in shared: it keeps their results
+// apart (the "sw|" memo-key prefix and diskKeyShared), selects how
+// execute simulates, and marks the span.
 func (s *Session) run(ctx context.Context, spec RunSpec, shared bool) (*sim.Result, error) {
 	k, diskKey := spec.Key(), s.diskKey
 	ctx, span := telemetry.StartSpan(ctx, "session.run")
@@ -569,6 +571,9 @@ func (s *Session) run(ctx context.Context, spec RunSpec, shared bool) (*sim.Resu
 		executed = true
 		return res, nil
 	})
+	if err != nil && !Interrupted(err) {
+		noteFault(ctx, RunFault{Spec: k, Workloads: spec.Workloads, Err: err})
+	}
 	switch {
 	case how == flightHit:
 		s.mu.Lock()

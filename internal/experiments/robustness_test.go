@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ipcp/internal/chaos"
 	"ipcp/internal/prefetch"
@@ -216,13 +217,30 @@ func registerTestExperiments(t *testing.T) (idA, idB string) {
 	return "rob-a", "rob-b"
 }
 
+// TestRunIDsFlushesCompletedOnCancel: the experiments run at once, and a
+// cancellation keeps every completed table, records each experiment cut
+// short with its interruption error, and leaves the results in request
+// order. The second experiment is gated on the cancellation, so it is
+// the one cut short whatever the scheduler does.
 func TestRunIDsFlushesCompletedOnCancel(t *testing.T) {
-	idA, idB := registerTestExperiments(t)
+	idA, _ := registerTestExperiments(t)
+	n := len(registry)
+	register(Experiment{ID: "rob-gated", Title: "gated on the cancellation",
+		Run: func(ctx context.Context, s *Session) (*Table, error) {
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Second):
+				return nil, errors.New("never cancelled")
+			}
+			_, err := s.RunContext(ctx, RunSpec{Workloads: []string{"lbm-94"}})
+			return nil, err
+		}})
+	t.Cleanup(func() { registry = registry[:n] })
+
 	ctx, cancel := context.WithCancel(context.Background())
 	s := NewSessionContext(ctx, tiny)
-	// Cancel as soon as the first experiment finishes: the second must
-	// not run, and the first's table must still be in the report.
-	rep, err := RunIDs(ctx, s, []string{idA, idB}, func(res ExperimentResult, done bool) {
+	// Cancel as soon as the first experiment finishes.
+	rep, err := RunIDs(ctx, s, []string{idA, "rob-gated"}, func(res ExperimentResult, done bool) {
 		if done && res.ID == idA {
 			cancel()
 		}
@@ -233,15 +251,86 @@ func TestRunIDsFlushesCompletedOnCancel(t *testing.T) {
 	if !rep.Interrupted {
 		t.Error("report not marked interrupted")
 	}
-	if len(rep.Results) != 1 || rep.Results[0].ID != idA || rep.Results[0].Err != nil {
-		t.Fatalf("results = %+v, want the completed first experiment only", rep.Results)
+	if len(rep.Results) != 2 || rep.Results[0].ID != idA || rep.Results[1].ID != "rob-gated" {
+		t.Fatalf("results = %+v, want both experiments in request order", rep.Results)
+	}
+	if rep.Results[0].Err != nil || rep.Results[0].Table == nil {
+		t.Errorf("completed experiment = %+v, want its table", rep.Results[0])
+	}
+	if err := rep.Results[1].Err; !Interrupted(err) {
+		t.Errorf("gated experiment err = %v, want its interruption", err)
 	}
 	md := rep.Markdown()
 	if !strings.Contains(md, "robustness probe bwaves-98") {
 		t.Errorf("completed table missing from flushed report:\n%s", md)
 	}
-	if !strings.Contains(md, "interrupted") {
-		t.Errorf("interruption note missing:\n%s", md)
+	if !strings.Contains(md, "- rob-gated: context canceled") || !strings.Contains(md, "interrupted") {
+		t.Errorf("interrupted experiment or interruption note missing:\n%s", md)
+	}
+}
+
+// TestFaultNotesBelongToTheExperiment: each experiment's table notes the
+// failed runs it asked for — whether it ran them or another experiment
+// did — once each and in a stable order.
+func TestFaultNotesBelongToTheExperiment(t *testing.T) {
+	n := len(registry)
+	run := func(id string, workloads ...string) {
+		register(Experiment{ID: id, Title: "fault notes " + id,
+			Run: func(ctx context.Context, s *Session) (*Table, error) {
+				specs := make([]RunSpec, len(workloads))
+				for i, w := range workloads {
+					specs[i] = RunSpec{Workloads: []string{w}}
+				}
+				results, _ := s.RunAllPartial(ctx, specs)
+				tab := &Table{ID: id, Title: "fault notes", Columns: []string{"ipc"}}
+				for i, res := range results {
+					ipc := math.NaN()
+					if res != nil {
+						ipc = res.IPC[0]
+					}
+					tab.AddRow(workloads[i], ipc)
+				}
+				return tab, nil
+			}})
+	}
+	run("rob-notes-a", "fi-panic-stream", "fi-dead-stream", "bwaves-98")
+	run("rob-notes-b", "bwaves-98", "fi-panic-stream")
+	t.Cleanup(func() { registry = registry[:n] })
+
+	var first string
+	for i := 0; i < 20; i++ {
+		s := NewSession(tiny)
+		rep, err := RunIDs(context.Background(), s, []string{"rob-notes-a", "rob-notes-b"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range rep.Results {
+			if res.Err != nil {
+				t.Fatalf("%s failed: %v", res.ID, res.Err)
+			}
+		}
+		notes := func(r ExperimentResult) (panics, deads int) {
+			for _, note := range r.Table.Notes {
+				panics += strings.Count(note, "n/a: run [fi-panic-stream] failed")
+				deads += strings.Count(note, "n/a: run [fi-dead-stream] failed")
+			}
+			return panics, deads
+		}
+		if p, d := notes(rep.Results[0]); p != 1 || d != 1 {
+			t.Fatalf("rob-notes-a notes %q, want one note per failed run", rep.Results[0].Table.Notes)
+		}
+		if p, d := notes(rep.Results[1]); p != 1 || d != 0 {
+			t.Fatalf("rob-notes-b notes %q, want the panicking run's note only", rep.Results[1].Table.Notes)
+		}
+		if got := len(s.Faults()); got != 2 {
+			t.Errorf("session Faults = %d, want each failed simulation once", got)
+		}
+		md := rep.Markdown()
+		if i == 0 {
+			first = md
+		} else if md != first {
+			t.Fatalf("repetition %d rendered differently:\n--- first\n%s\n--- now\n%s", i, first, md)
+		}
 	}
 }
 

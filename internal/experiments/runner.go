@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -18,11 +20,12 @@ type ExperimentResult struct {
 	Elapsed time.Duration
 }
 
-// Report is the outcome of running a list of experiments: everything
-// that completed (in request order), everything that failed, and
-// whether the run was cut short by cancellation. On interruption the
-// completed tables are all still present — the report is exactly what
-// a SIGINT'd CLI flushes.
+// Report is the outcome of running a list of experiments: one result
+// per requested experiment, in request order — a table for each that
+// completed, an error for each that failed or was cut short — and
+// whether the run was cut short by cancellation. On interruption every
+// completed table is still present — the report is exactly what a
+// SIGINT'd CLI flushes.
 type Report struct {
 	Results     []ExperimentResult
 	Interrupted bool
@@ -70,67 +73,120 @@ func (r *Report) Markdown() string {
 	return b.String()
 }
 
-// RunIDs runs the named experiments against the session, isolating each
-// one: a panic or error inside an experiment becomes that experiment's
-// error entry and the rest continue. Every simulation runs under ctx, so
-// it carries ctx's tracer and progress sink, and cancellation (of ctx or
-// of the session's own context) ends the experiment in flight and
-// returns the completed prefix with Interrupted set. progress, when
-// non-nil, is called before and after each experiment (table nil on the
-// "before" call and on failures).
+// RunIDs runs the named experiments against the session, all at once:
+// each in its own goroutine, so their simulations queue together on the
+// session's one admission semaphore and the memo coalesces the runs they
+// share. A panic or error inside an experiment becomes that experiment's
+// error entry and the rest continue. The report lists the results in
+// request order whatever order they finish in, so its markdown does not
+// depend on scheduling. An unknown id fails the call before anything
+// runs.
+//
+// Every simulation runs under ctx, so it carries ctx's tracer and
+// progress sink, and cancellation (of ctx or of the session's own
+// context) cuts short every experiment still running: the report keeps
+// each completed table, records each experiment cut short with its
+// interruption error, and sets Interrupted.
+//
+// progress, when non-nil, is called for every experiment with done
+// false (table nil) in request order before any of them starts, then
+// with done true as each one finishes (table nil on failures). Every
+// call is made on the caller's goroutine, so none overlap.
 func RunIDs(ctx context.Context, s *Session, ids []string, progress func(res ExperimentResult, done bool)) (*Report, error) {
-	rep := &Report{}
-	for _, id := range ids {
+	exps := make([]Experiment, len(ids))
+	for i, id := range ids {
 		e, err := ByID(strings.TrimSpace(id))
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
-		if err := firstError(ctx.Err(), s.ctx.Err()); err != nil {
+		exps[i] = e
+	}
+	if firstError(ctx.Err(), s.ctx.Err()) != nil {
+		return &Report{Interrupted: true}, nil
+	}
+	if progress == nil {
+		progress = func(ExperimentResult, bool) {}
+	}
+	rep := &Report{Results: make([]ExperimentResult, len(exps))}
+	for _, e := range exps {
+		progress(ExperimentResult{ID: e.ID, Title: e.Title}, false)
+	}
+	// Each experiment hands its index back when its result is in place,
+	// so progress runs here, on the caller's goroutine, one call at a time.
+	finished := make(chan int, len(exps))
+	for i, e := range exps {
+		go func() {
+			rep.Results[i] = runExperiment(ctx, s, e)
+			finished <- i
+		}()
+	}
+	for range exps {
+		res := rep.Results[<-finished]
+		if Interrupted(res.Err) {
 			rep.Interrupted = true
-			return rep, nil
 		}
-		res := ExperimentResult{ID: e.ID, Title: e.Title}
-		if progress != nil {
-			progress(res, false)
-		}
-		start := time.Now()
-		before := len(s.Faults())
-		res.Table, res.Err = runExperiment(ctx, s, e)
-		res.Elapsed = time.Since(start)
-		if res.Err != nil && Interrupted(res.Err) {
-			rep.Interrupted = true
-			// The interrupted experiment is part of the record: it must
-			// show up in Failed() and the rendered report, not silently
-			// vanish as if it was never started.
-			rep.Results = append(rep.Results, res)
-			if progress != nil {
-				progress(res, true)
-			}
-			return rep, nil
-		}
-		if res.Table != nil {
-			// Degraded runs surface next to the n/a cells they caused.
-			for _, f := range s.Faults()[before:] {
-				res.Table.Notes = append(res.Table.Notes,
-					fmt.Sprintf("n/a: run %v failed: %v", f.Workloads, f.Err))
-			}
-		}
-		rep.Results = append(rep.Results, res)
-		if progress != nil {
-			progress(res, true)
-		}
+		progress(res, true)
 	}
 	return rep, nil
 }
 
-// runExperiment invokes one experiment with panic isolation: a panic in
+// runExperiment runs one experiment with panic isolation — a panic in
 // the experiment body (as opposed to in a simulation worker, which
-// Session.Run already contains) degrades to an error.
-func runExperiment(ctx context.Context, s *Session, e Experiment) (t *Table, err error) {
+// runSlot already contains) degrades to its error — and notes on its
+// table every failed run it asked for (see faultSink).
+func runExperiment(ctx context.Context, s *Session, e Experiment) (res ExperimentResult) {
+	res = ExperimentResult{ID: e.ID, Title: e.Title}
+	faults := &faultSink{faults: make(map[string]RunFault)}
+	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			t, err = nil, fmt.Errorf("experiment %s panicked: %v", e.ID, r)
+			res.Table, res.Err = nil, fmt.Errorf("experiment %s panicked: %v", e.ID, r)
 		}
+		res.Elapsed = time.Since(start)
 	}()
-	return e.Run(ctx, s)
+	res.Table, res.Err = e.Run(context.WithValue(ctx, faultSinkKey{}, faults), s)
+	if res.Table != nil {
+		// Degraded runs surface next to the n/a cells they caused.
+		res.Table.Notes = append(res.Table.Notes, faults.notes()...)
+	}
+	return res
+}
+
+// faultSink collects one experiment's failed runs: every distinct run it
+// asked for that ended in a fault, whether it led the run, joined it in
+// flight or recalled it from the memo. Session.run finds it in the run's
+// context.
+type faultSink struct {
+	mu     sync.Mutex
+	faults map[string]RunFault // by memo key
+}
+
+type faultSinkKey struct{}
+
+// noteFault records f in ctx's fault sink, if it carries one.
+func noteFault(ctx context.Context, f RunFault) {
+	fs, ok := ctx.Value(faultSinkKey{}).(*faultSink)
+	if !ok {
+		return
+	}
+	fs.mu.Lock()
+	fs.faults[f.Spec] = f
+	fs.mu.Unlock()
+}
+
+// notes renders the collected faults as table notes, in memo-key order.
+func (fs *faultSink) notes() []string {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	keys := make([]string, 0, len(fs.faults))
+	for k := range fs.faults {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		f := fs.faults[k]
+		out[i] = fmt.Sprintf("n/a: run %v failed: %v", f.Workloads, f.Err)
+	}
+	return out
 }

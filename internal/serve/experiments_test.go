@@ -72,12 +72,41 @@ func TestWatchdogSparesHealthyExperimentsJob(t *testing.T) {
 }
 
 // TestExperimentsJobTracedWithProgress: an experiments job's
-// simulations are traced under the job and report progress to it.
+// simulations are traced under the job and report progress to it, and
+// its events announce every experiment's start before any finishes,
+// then one terminal event per experiment.
 func TestExperimentsJobTracedWithProgress(t *testing.T) {
 	s := newTestServer(t, Options{Scale: experiments.Scale{Warmup: 2_000, Measure: 5_000, MaxTraces: 1, Mixes: 1, Seed: 1}})
-	j := s.submitExperiments(t, experimentsRequest{IDs: []string{"fig10"}})
+	ids := []string{"fig10", "tab1", "fig12"}
+	j := s.submitExperiments(t, experimentsRequest{IDs: ids})
 	if v := s.await(t, j.ID, 30*time.Second); v.Status != StateDone {
-		t.Fatalf("fig10 job = %+v", v)
+		t.Fatalf("experiments job = %+v", v)
+	}
+
+	events, _, _ := j.eventsSince(0)
+	starts, ends := map[string]int{}, map[string]int{}
+	var order []string
+	for _, e := range events {
+		switch e.Kind {
+		case "experiment-start":
+			starts[e.Msg]++
+		case "experiment-done", "experiment-failed":
+			ends[strings.TrimSuffix(strings.Fields(e.Msg)[0], ":")]++
+		default:
+			continue
+		}
+		order = append(order, e.Kind)
+	}
+	for _, id := range ids {
+		if starts[id] != 1 || ends[id] != 1 {
+			t.Errorf("%s: %d start and %d terminal events, want 1 and 1 (events %+v)", id, starts[id], ends[id], events)
+		}
+	}
+	for i, kind := range order {
+		if (i < len(ids)) != (kind == "experiment-start") {
+			t.Errorf("experiment events %v: want every start before any terminal event", order)
+			break
+		}
 	}
 
 	_, body := s.get(t, "/v1/runs/"+j.ID+"/trace")

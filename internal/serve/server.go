@@ -530,6 +530,8 @@ func (s *Server) runJob(j *Job) {
 			res, err = s.session.RunContext(ctx, j.Spec.RunSpec)
 		}
 	case KindExperiments:
+		// The experiments run at once: every start event comes first,
+		// then one terminal event per experiment as it finishes.
 		rep, err = experiments.RunIDs(ctx, s.session, j.ExpIDs,
 			func(e experiments.ExperimentResult, done bool) {
 				switch {
