@@ -103,11 +103,14 @@ pgo:
 # gated vs reference, on 1/2/4/8-core systems, and every reader of the
 # lazily settled per-cycle counters; then the per-component gated-twin
 # differentials that hold each NextEvent and each settle-on-touch to its
-# contract cycle by cycle. Already part of `test`; kept as its own
-# target so a perf change can run just this, fast.
+# contract cycle by cycle; then every registered experiment's rendered
+# table against its committed digest (ReportDigests). Already part of
+# `test`; kept as its own target so a perf or refactor change can run
+# just this, fast.
 determinism:
 	$(GO) test ./internal/sim -run 'Determinism|FastForward|ForkGated|EveryStatsReaderSettles|ResultDigests' -count=1
 	$(GO) test ./internal/dram ./internal/cache ./internal/cpu -run 'GatedTwin' -count=1
+	$(GO) test ./internal/experiments -run 'ReportDigests' -count=1
 
 # Differential audit: every bundled workload through the fully audited
 # system (shadow caches + paper-faithful IPCP oracles in lockstep),

@@ -159,8 +159,8 @@ func TestConcurrentDuplicateErrorsCoalesce(t *testing.T) {
 	if s.Executed() != 1 {
 		t.Errorf("Executed = %d, want 1", s.Executed())
 	}
-	if got := s.Faults(); len(got) != 1 {
-		t.Errorf("Faults = %+v, want exactly one recorded fault", got)
+	if got := s.Stats().Faults; got != 1 {
+		t.Errorf("Faults = %d, want exactly one recorded fault", got)
 	}
 }
 
@@ -251,11 +251,11 @@ func TestRunIDsRecordsInterruptedExperiment(t *testing.T) {
 	s := NewSessionContext(ctx, tiny)
 	n := len(registry)
 	register(Experiment{ID: "rob-interrupt", Title: "interrupted mid-flight",
-		Run: func(_ context.Context, s *Session) (*Table, error) {
+		Plan: func(Scale) []RunSpec {
 			cancel() // the SIGINT arrives while this experiment is running
-			_, err := s.Run(RunSpec{Workloads: []string{"bwaves-98"}, Seed: 7004})
-			return nil, err
-		}})
+			return []RunSpec{{Workloads: []string{"bwaves-98"}, Seed: 7004}}
+		},
+		Table: func(Scale, Results) (*Table, error) { return nil, errors.New("rendered an interrupted plan") }})
 	t.Cleanup(func() { registry = registry[:n] })
 
 	rep, err := RunIDs(ctx, s, []string{"rob-interrupt"}, nil)
@@ -288,15 +288,16 @@ func TestRunIDsOverlapsExperiments(t *testing.T) {
 	started := map[string]chan struct{}{"rob-left": make(chan struct{}), "rob-right": make(chan struct{})}
 	for id, other := range map[string]string{"rob-left": "rob-right", "rob-right": "rob-left"} {
 		register(Experiment{ID: id, Title: "waits for " + other,
-			Run: func(context.Context, *Session) (*Table, error) {
+			Plan: func(Scale) []RunSpec {
 				close(started[id])
 				select {
 				case <-started[other]:
 				case <-time.After(10 * time.Second):
-					return nil, errors.New(other + " never started")
+					panic(other + " never started")
 				}
-				return &Table{ID: id, Title: "overlap probe"}, nil
-			}})
+				return nil
+			},
+			Table: func(Scale, Results) (*Table, error) { return &Table{ID: id, Title: "overlap probe"}, nil }})
 	}
 	t.Cleanup(func() { registry = registry[:n] })
 
@@ -319,9 +320,8 @@ func TestRunIDsProgressNeverOverlaps(t *testing.T) {
 		id := "rob-progress-" + string(rune('a'+i))
 		ids = append(ids, id)
 		register(Experiment{ID: id, Title: "finishes at once",
-			Run: func(context.Context, *Session) (*Table, error) {
-				return &Table{ID: id, Title: "progress probe"}, nil
-			}})
+			Plan:  func(Scale) []RunSpec { return nil },
+			Table: func(Scale, Results) (*Table, error) { return &Table{ID: id, Title: "progress probe"}, nil }})
 	}
 	t.Cleanup(func() { registry = registry[:n] })
 

@@ -110,16 +110,17 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Experiment reproduces one paper artifact.
+// Experiment reproduces one paper artifact as a plan and a render.
 type Experiment struct {
 	ID    string
 	Title string
 	// Paper summarizes what the paper reports, for EXPERIMENTS.md.
 	Paper string
-	// Run builds the table. Every simulation it asks for runs under ctx:
-	// cancelling ctx ends them, and ctx's span tracer and progress sink
-	// see each one.
-	Run func(ctx context.Context, s *Session) (*Table, error)
+	// Plan lists every simulation the table reads; runExperiment runs
+	// them at once under the experiment's context.
+	Plan func(Scale) []RunSpec
+	// Table renders the table from the plan's outcomes, running nothing.
+	Table func(Scale, Results) (*Table, error)
 }
 
 var registry []Experiment
@@ -287,13 +288,6 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("run panicked: %v", e.Value) }
 
-// RunFault records one degraded (failed but non-fatal) simulation run.
-type RunFault struct {
-	Spec      string // memoization key of the failed run
-	Workloads []string
-	Err       error
-}
-
 // Interrupted reports whether err is an interruption (cancellation or a
 // deadline) rather than a fault. An interruption aborts the experiment
 // instead of degrading to an n/a cell, is never memoized, and earns a
@@ -379,10 +373,9 @@ type Session struct {
 	disk *diskCache
 	log  *slog.Logger
 
-	mu     sync.Mutex
-	faults []RunFault
-	stats  SessionStats // the counters the session owns; Stats adds the rest
-	sem    chan struct{}
+	mu    sync.Mutex
+	stats SessionStats // the counters the session owns; Stats adds the rest
+	sem   chan struct{}
 
 	// memo is the single-flight result cache (see flight.go), keyed by
 	// memo key: RunSpec.Key, "sw|"-prefixed for shared-warmup runs.
@@ -464,14 +457,6 @@ func (s *Session) SetRemoteBlobs(r RemoteBlobs) error {
 	return nil
 }
 
-// Faults returns the degraded runs recorded so far (rendered as n/a
-// cells in tables).
-func (s *Session) Faults() []RunFault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]RunFault(nil), s.faults...)
-}
-
 // Executed returns how many simulations actually ran (memoization and
 // disk-cache hits excluded); tests use it to prove resume works.
 func (s *Session) Executed() int {
@@ -485,7 +470,6 @@ func (s *Session) Executed() int {
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	st := s.stats
-	st.Faults = len(s.faults)
 	s.mu.Unlock()
 	st.PendingSaves = s.saves.depth()
 	if s.disk != nil {
@@ -519,9 +503,8 @@ func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*sim.Result, er
 
 // run is the one path behind RunContext and RunSharedContext: the
 // session.run span, the memo (single-flight per key), and the
-// checkpoint written behind a leader that executed. A fault it returns
-// is noted in the caller's experiment whether this call led, joined or
-// recalled the run (see faultSink); Faults records only the leader's.
+// checkpoint written behind a leader that executed; a leader's fault
+// counts once in SessionStats.Faults, however many callers it reaches.
 // The two methodologies differ only in shared: it keeps their results
 // apart (the "sw|" memo-key prefix and diskKeyShared), selects how
 // execute simulates, and marks the span.
@@ -562,7 +545,7 @@ func (s *Session) run(ctx context.Context, spec RunSpec, shared bool) (*sim.Resu
 		if err != nil {
 			span.SetAttr("error", err.Error())
 			if !Interrupted(err) {
-				s.faults = append(s.faults, RunFault{Spec: k, Workloads: spec.Workloads, Err: err})
+				s.stats.Faults++
 			}
 			return nil, err
 		}
@@ -571,9 +554,6 @@ func (s *Session) run(ctx context.Context, spec RunSpec, shared bool) (*sim.Resu
 		executed = true
 		return res, nil
 	})
-	if err != nil && !Interrupted(err) {
-		noteFault(ctx, RunFault{Spec: k, Workloads: spec.Workloads, Err: err})
-	}
 	switch {
 	case how == flightHit:
 		s.mu.Lock()
@@ -592,30 +572,6 @@ func (s *Session) run(ctx context.Context, spec RunSpec, shared bool) (*sim.Resu
 		})
 	}
 	return res, err
-}
-
-// RunAll executes the specs concurrently under ctx and returns results
-// in order; any run's failure fails the whole call (cancellation
-// reported in preference to incidental errors). Experiments that can
-// degrade per-run use RunAllPartial instead.
-func (s *Session) RunAll(ctx context.Context, specs []RunSpec) ([]*sim.Result, error) {
-	results, errs := s.RunAllPartial(ctx, specs)
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if Interrupted(err) {
-			return nil, err
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		return nil, first
-	}
-	return results, nil
 }
 
 // RunAllPartial executes the specs concurrently under ctx (each one
@@ -660,10 +616,10 @@ func (s *Session) runContext(ctx context.Context) (context.Context, context.Canc
 
 // runSlot runs body under one concurrency slot. It is the one gate
 // every simulation phase passes through — classic runs, shared
-// warmups, and forked measure phases alike — so direct Run calls, the
-// multicore helpers and the serve layer all honor the cap, not just
-// RunAllPartial. The admission span makes NumCPU-saturation waits
-// visible in a job's trace next to its queue wait.
+// warmups, and forked measure phases alike — so direct Run calls,
+// experiment plans and the serve layer all honor the cap. The admission
+// span makes NumCPU-saturation waits visible in a job's trace next to
+// its queue wait.
 //
 // The body runs in a child goroutine that never touches the semaphore;
 // the slot is released exactly once — when the body finishes, or when
@@ -863,16 +819,16 @@ func capSpread(names []string, cap int) []string {
 }
 
 // memIntensive returns the (possibly capped) memory-intensive list.
-func (s *Session) memIntensive() []string {
-	return capSpread(workload.Names(workload.MemoryIntensive()), s.Scale.MaxTraces)
+func (sc Scale) memIntensive() []string {
+	return capSpread(workload.Names(workload.MemoryIntensive()), sc.MaxTraces)
 }
 
 // fullSuite returns the whole SPEC-like list (possibly capped,
 // preserving the memory-intensive / compute mix).
-func (s *Session) fullSuite() []string {
+func (sc Scale) fullSuite() []string {
 	names := workload.Names(workload.Suite("spec"))
-	if s.Scale.MaxTraces > 0 {
-		return capSpread(names, s.Scale.MaxTraces*3/2)
+	if sc.MaxTraces > 0 {
+		return capSpread(names, sc.MaxTraces*3/2)
 	}
 	return names
 }

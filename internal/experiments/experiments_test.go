@@ -68,12 +68,22 @@ func TestTableMarkdown(t *testing.T) {
 	}
 }
 
-func TestTab1Storage(t *testing.T) {
-	e, _ := ByID("tab1")
-	tab, err := e.Run(context.Background(), NewSession(tiny))
+// runOne runs the registered experiment id through RunIDs on a fresh
+// session at sc and returns its table.
+func runOne(t *testing.T, id string, sc Scale) *Table {
+	t.Helper()
+	rep, err := RunIDs(context.Background(), NewSession(sc), []string{id}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := rep.Results[0].Err; err != nil {
+		t.Fatal(err)
+	}
+	return rep.Results[0].Table
+}
+
+func TestTab1Storage(t *testing.T) {
+	tab := runOne(t, "tab1", tiny)
 	total, ok := tab.Find("total")
 	if !ok || total.Values[0] != 895 {
 		t.Errorf("tab1 total = %v, want 895 bytes", total.Values)
@@ -84,12 +94,7 @@ func TestFig8SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	s := NewSession(tiny)
-	e, _ := ByID("fig8")
-	tab, err := e.Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runOne(t, "fig8", tiny)
 	geo, ok := tab.Find("geomean (mem-intensive)")
 	if !ok {
 		t.Fatal("geomean row missing")
@@ -105,12 +110,7 @@ func TestFig12ClassShares(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	s := NewSession(tiny)
-	e, _ := ByID("fig12")
-	tab, err := e.Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runOne(t, "fig12", tiny)
 	row, ok := tab.Find("overall")
 	if !ok {
 		t.Fatal("overall row missing")
@@ -131,12 +131,7 @@ func TestFig10CoverageBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	s := NewSession(tiny)
-	e, _ := ByID("fig10")
-	tab, err := e.Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runOne(t, "fig10", tiny)
 	for _, r := range tab.Rows {
 		for _, v := range r.Values {
 			if v > 1.0 {
@@ -194,8 +189,7 @@ func TestCapSpreadKeepsDiversity(t *testing.T) {
 }
 
 func TestMemIntensiveSubsetIncludesIrregular(t *testing.T) {
-	s := NewSession(Scale{MaxTraces: 18})
-	names := s.memIntensive()
+	names := Scale{MaxTraces: 18}.memIntensive()
 	hasIrregular := false
 	for _, n := range names {
 		if n == "mcf-994" || n == "omnetpp-17" || n == "omnetpp-874" ||

@@ -95,8 +95,8 @@ func TestUnguardedPrefetcherPanicDegrades(t *testing.T) {
 	if len(pe.Stack) == 0 || !strings.Contains(pe.Error(), "stream panic") {
 		t.Errorf("PanicError = %q (stack %d bytes)", pe.Error(), len(pe.Stack))
 	}
-	if got := s.Faults(); len(got) != 1 {
-		t.Errorf("Faults = %+v, want the one degraded run", got)
+	if got := s.Stats().Faults; got != 1 {
+		t.Errorf("Faults = %d, want the one degraded run", got)
 	}
 	// The error is memoized: re-running the spec replays the fault
 	// without executing again.
@@ -126,10 +126,12 @@ func TestDeadStreamDegrades(t *testing.T) {
 
 func TestSpeedupsDegradeToNaN(t *testing.T) {
 	s := NewSession(tiny)
-	sp, err := Speedups(context.Background(), s, []string{"fi-panic-stream", "bwaves-98"}, Combo{Name: "none"}.on())
+	names, spec := []string{"fi-panic-stream", "bwaves-98"}, Combo{Name: "none"}.on()
+	r, err := s.runPlan(context.Background(), speedupPlan(names, spec))
 	if err != nil {
-		t.Fatalf("Speedups aborted on a degradable fault: %v", err)
+		t.Fatalf("the plan aborted on a degradable fault: %v", err)
 	}
+	sp := r.speedups(names, spec)[0]
 	if !math.IsNaN(sp[0]) {
 		t.Errorf("faulty workload speedup = %v, want NaN", sp[0])
 	}
@@ -144,15 +146,19 @@ func TestSpeedupsDegradeToNaN(t *testing.T) {
 // cell reads n/a and the experiment completes; the other rows stay.
 func TestGeomeanDegradesToNA(t *testing.T) {
 	n := len(registry)
+	lists := [][]string{{"fi-panic-stream", "bwaves-98"}, {"bwaves-98"}}
 	register(Experiment{ID: "rob-geomean", Title: "geomean over a faulty trace",
-		Run: func(ctx context.Context, s *Session) (*Table, error) {
+		Plan: func(Scale) []RunSpec {
+			var plan []RunSpec
+			for _, names := range lists {
+				plan = append(plan, speedupPlan(names, ipcpCombo.on())...)
+			}
+			return plan
+		},
+		Table: func(_ Scale, r Results) (*Table, error) {
 			tab := &Table{ID: "rob-geomean", Title: "geomean probe", Columns: []string{"speedup"}}
-			for _, names := range [][]string{{"fi-panic-stream", "bwaves-98"}, {"bwaves-98"}} {
-				sp, err := Speedups(ctx, s, names, ipcpCombo.on())
-				if err != nil {
-					return nil, err
-				}
-				tab.AddRow(strings.Join(names, "+"), stats.Geomean(sp))
+			for _, names := range lists {
+				tab.AddRow(strings.Join(names, "+"), stats.Geomean(r.speedups(names, ipcpCombo.on())[0]))
 			}
 			return tab, nil
 		}})
@@ -200,19 +206,22 @@ func TestCancellationAbortsPromptly(t *testing.T) {
 func registerTestExperiments(t *testing.T) (idA, idB string) {
 	t.Helper()
 	n := len(registry)
-	run := func(w string) func(context.Context, *Session) (*Table, error) {
-		return func(_ context.Context, s *Session) (*Table, error) {
-			res, err := s.Run(RunSpec{Workloads: []string{w}})
-			if err != nil {
-				return nil, err
-			}
-			tab := &Table{ID: "rob-" + w, Title: "robustness probe " + w, Columns: []string{"ipc"}}
-			tab.AddRow(w, res.IPC[0])
-			return tab, nil
-		}
+	probe := func(id, title, w string) Experiment {
+		spec := RunSpec{Workloads: []string{w}}
+		return Experiment{ID: id, Title: title,
+			Plan: func(Scale) []RunSpec { return []RunSpec{spec} },
+			Table: func(_ Scale, r Results) (*Table, error) {
+				res, err := r.Get(spec)
+				if err != nil {
+					return nil, err
+				}
+				tab := &Table{ID: "rob-" + w, Title: "robustness probe " + w, Columns: []string{"ipc"}}
+				tab.AddRow(w, res.IPC[0])
+				return tab, nil
+			}}
 	}
-	register(Experiment{ID: "rob-a", Title: "probe a", Run: run("bwaves-98")})
-	register(Experiment{ID: "rob-b", Title: "probe b", Run: run("lbm-94")})
+	register(probe("rob-a", "probe a", "bwaves-98"))
+	register(probe("rob-b", "probe b", "lbm-94"))
 	t.Cleanup(func() { registry = registry[:n] })
 	return "rob-a", "rob-b"
 }
@@ -224,20 +233,20 @@ func registerTestExperiments(t *testing.T) (idA, idB string) {
 // the one cut short whatever the scheduler does.
 func TestRunIDsFlushesCompletedOnCancel(t *testing.T) {
 	idA, _ := registerTestExperiments(t)
+	ctx, cancel := context.WithCancel(context.Background())
 	n := len(registry)
 	register(Experiment{ID: "rob-gated", Title: "gated on the cancellation",
-		Run: func(ctx context.Context, s *Session) (*Table, error) {
+		Plan: func(Scale) []RunSpec {
 			select {
 			case <-ctx.Done():
 			case <-time.After(10 * time.Second):
-				return nil, errors.New("never cancelled")
+				panic("never cancelled")
 			}
-			_, err := s.RunContext(ctx, RunSpec{Workloads: []string{"lbm-94"}})
-			return nil, err
-		}})
+			return []RunSpec{{Workloads: []string{"lbm-94"}}}
+		},
+		Table: func(Scale, Results) (*Table, error) { return nil, errors.New("rendered an interrupted plan") }})
 	t.Cleanup(func() { registry = registry[:n] })
 
-	ctx, cancel := context.WithCancel(context.Background())
 	s := NewSessionContext(ctx, tiny)
 	// Cancel as soon as the first experiment finishes.
 	rep, err := RunIDs(ctx, s, []string{idA, "rob-gated"}, func(res ExperimentResult, done bool) {
@@ -275,17 +284,17 @@ func TestRunIDsFlushesCompletedOnCancel(t *testing.T) {
 func TestFaultNotesBelongToTheExperiment(t *testing.T) {
 	n := len(registry)
 	run := func(id string, workloads ...string) {
+		specs := make([]RunSpec, len(workloads))
+		for i, w := range workloads {
+			specs[i] = RunSpec{Workloads: []string{w}}
+		}
 		register(Experiment{ID: id, Title: "fault notes " + id,
-			Run: func(ctx context.Context, s *Session) (*Table, error) {
-				specs := make([]RunSpec, len(workloads))
-				for i, w := range workloads {
-					specs[i] = RunSpec{Workloads: []string{w}}
-				}
-				results, _ := s.RunAllPartial(ctx, specs)
+			Plan: func(Scale) []RunSpec { return specs },
+			Table: func(_ Scale, r Results) (*Table, error) {
 				tab := &Table{ID: id, Title: "fault notes", Columns: []string{"ipc"}}
-				for i, res := range results {
+				for i, spec := range specs {
 					ipc := math.NaN()
-					if res != nil {
+					if res, err := r.Get(spec); err == nil {
 						ipc = res.IPC[0]
 					}
 					tab.AddRow(workloads[i], ipc)
@@ -322,7 +331,7 @@ func TestFaultNotesBelongToTheExperiment(t *testing.T) {
 		if p, d := notes(rep.Results[1]); p != 1 || d != 0 {
 			t.Fatalf("rob-notes-b notes %q, want the panicking run's note only", rep.Results[1].Table.Notes)
 		}
-		if got := len(s.Faults()); got != 2 {
+		if got := s.Stats().Faults; got != 2 {
 			t.Errorf("session Faults = %d, want each failed simulation once", got)
 		}
 		md := rep.Markdown()
@@ -334,11 +343,83 @@ func TestFaultNotesBelongToTheExperiment(t *testing.T) {
 	}
 }
 
+// TestTableReadOutsideThePlanFails: a Table that reads a run its Plan
+// never listed fails the experiment with an error naming the run, even
+// when the Table degrades the lookup to an n/a cell — no panic, no
+// table, and the unlisted run is never simulated.
+func TestTableReadOutsideThePlanFails(t *testing.T) {
+	n := len(registry)
+	planned, unplanned := RunSpec{Workloads: []string{"bwaves-98"}}, RunSpec{Workloads: []string{"lbm-94"}}
+	register(Experiment{ID: "rob-unplanned", Title: "reads outside its plan",
+		Plan: func(Scale) []RunSpec { return []RunSpec{planned} },
+		Table: func(_ Scale, r Results) (*Table, error) {
+			tab := &Table{ID: "rob-unplanned", Title: "unplanned probe", Columns: []string{"ipc"}}
+			for _, spec := range []RunSpec{planned, unplanned} {
+				ipc := math.NaN()
+				if res, err := r.Get(spec); err == nil {
+					ipc = res.IPC[0]
+				}
+				tab.AddRow(spec.Workloads[0], ipc)
+			}
+			return tab, nil
+		}})
+	t.Cleanup(func() { registry = registry[:n] })
+
+	s := NewSession(tiny)
+	rep, err := RunIDs(context.Background(), s, []string{"rob-unplanned"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rep.Results[0]
+	if res.Err == nil || !strings.Contains(res.Err.Error(), unplanned.Key()) || strings.Contains(res.Err.Error(), "panicked") {
+		t.Fatalf("err = %v, want an error naming the unplanned run %s", res.Err, unplanned.Key())
+	}
+	if res.Table != nil {
+		t.Errorf("a table was rendered from a read outside the plan:\n%s", res.Table.Markdown())
+	}
+	if got := s.Executed(); got != 1 {
+		t.Errorf("Executed = %d, want only the planned run", got)
+	}
+}
+
+// TestPlanRunsARepeatedSpecOnce: a plan that lists one spec three times
+// — fig8's shape, the same baseline under every combo — hands it to the
+// session once, so no copy even reaches the memo.
+func TestPlanRunsARepeatedSpecOnce(t *testing.T) {
+	n := len(registry)
+	spec := RunSpec{Workloads: []string{"bwaves-98"}}
+	register(Experiment{ID: "rob-repeat", Title: "one spec listed three times",
+		Plan: func(Scale) []RunSpec { return []RunSpec{spec, spec, spec} },
+		Table: func(_ Scale, r Results) (*Table, error) {
+			res, err := r.Get(spec)
+			if err != nil {
+				return nil, err
+			}
+			tab := &Table{ID: "rob-repeat", Title: "repeat probe", Columns: []string{"ipc"}}
+			tab.AddRow("bwaves-98", res.IPC[0])
+			return tab, nil
+		}})
+	t.Cleanup(func() { registry = registry[:n] })
+
+	s := NewSession(tiny)
+	rep, err := RunIDs(context.Background(), s, []string{"rob-repeat"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Results[0].Err; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Executed != 1 || st.Coalesced != 0 || st.MemoHits != 0 {
+		t.Errorf("Executed = %d, Coalesced = %d, MemoHits = %d; want the spec run once and no copy reaching the memo",
+			st.Executed, st.Coalesced, st.MemoHits)
+	}
+}
+
 func TestRunIDsIsolatesExperimentFailure(t *testing.T) {
 	idA, _ := registerTestExperiments(t)
 	n := len(registry)
 	register(Experiment{ID: "rob-boom", Title: "panicking experiment",
-		Run: func(context.Context, *Session) (*Table, error) { panic("experiment bug") }})
+		Plan: func(Scale) []RunSpec { panic("experiment bug") }})
 	t.Cleanup(func() { registry = registry[:n] })
 
 	s := NewSession(tiny)

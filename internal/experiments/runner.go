@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
+
+	"ipcp/internal/sim"
 )
 
 // ExperimentResult is one experiment's outcome within a Report: the
@@ -131,12 +132,11 @@ func RunIDs(ctx context.Context, s *Session, ids []string, progress func(res Exp
 }
 
 // runExperiment runs one experiment with panic isolation — a panic in
-// the experiment body (as opposed to in a simulation worker, which
-// runSlot already contains) degrades to its error — and notes on its
-// table every failed run it asked for (see faultSink).
+// its Plan or Table (as opposed to in a simulation worker, which runSlot
+// already contains) degrades to its error. It runs the plan, renders the
+// table from the outcomes, and notes on it every failed run of the plan.
 func runExperiment(ctx context.Context, s *Session, e Experiment) (res ExperimentResult) {
 	res = ExperimentResult{ID: e.ID, Title: e.Title}
-	faults := &faultSink{faults: make(map[string]RunFault)}
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
@@ -144,49 +144,105 @@ func runExperiment(ctx context.Context, s *Session, e Experiment) (res Experimen
 		}
 		res.Elapsed = time.Since(start)
 	}()
-	res.Table, res.Err = e.Run(context.WithValue(ctx, faultSinkKey{}, faults), s)
-	if res.Table != nil {
-		// Degraded runs surface next to the n/a cells they caused.
-		res.Table.Notes = append(res.Table.Notes, faults.notes()...)
+	r, err := s.runPlan(ctx, e.Plan(s.Scale))
+	if err == nil {
+		res.Table, err = e.Table(s.Scale, r)
 	}
+	if *r.unplanned != "" {
+		err = fmt.Errorf("experiment %s read a run outside its plan: %s", e.ID, *r.unplanned)
+	}
+	if err != nil {
+		res.Table, res.Err = nil, err
+		return res
+	}
+	// Degraded runs surface next to the n/a cells they caused.
+	res.Table.Notes = append(res.Table.Notes, r.faultNotes()...)
 	return res
 }
 
-// faultSink collects one experiment's failed runs: every distinct run it
-// asked for that ended in a fault, whether it led the run, joined it in
-// flight or recalled it from the memo. Session.run finds it in the run's
-// context.
-type faultSink struct {
-	mu     sync.Mutex
-	faults map[string]RunFault // by memo key
+// Results is the outcome of every run of one experiment's plan, looked
+// up by RunSpec.Key.
+type Results struct {
+	runs      map[string]outcome
+	unplanned *string // the first key read that the plan never listed
 }
 
-type faultSinkKey struct{}
-
-// noteFault records f in ctx's fault sink, if it carries one.
-func noteFault(ctx context.Context, f RunFault) {
-	fs, ok := ctx.Value(faultSinkKey{}).(*faultSink)
-	if !ok {
-		return
-	}
-	fs.mu.Lock()
-	fs.faults[f.Spec] = f
-	fs.mu.Unlock()
+type outcome struct {
+	spec RunSpec
+	res  *sim.Result
+	err  error
 }
 
-// notes renders the collected faults as table notes, in memo-key order.
-func (fs *faultSink) notes() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	keys := make([]string, 0, len(fs.faults))
-	for k := range fs.faults {
+// runPlan runs the plan's distinct specs at once under ctx — a spec the
+// plan lists twice runs once, the memo coalescing only across plans —
+// and returns their outcomes. An interrupted run is the error: a
+// partial plan renders no table.
+func (s *Session) runPlan(ctx context.Context, plan []RunSpec) (Results, error) {
+	r := Results{runs: make(map[string]outcome, len(plan)), unplanned: new(string)}
+	var keys []string
+	var specs []RunSpec
+	for _, spec := range plan {
+		k := spec.Key()
+		if _, dup := r.runs[k]; dup {
+			continue
+		}
+		r.runs[k] = outcome{}
 		keys = append(keys, k)
+		specs = append(specs, spec)
 	}
-	sort.Strings(keys)
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		f := fs.faults[k]
-		out[i] = fmt.Sprintf("n/a: run %v failed: %v", f.Workloads, f.Err)
+	results, errs := s.RunAllPartial(ctx, specs)
+	for i, spec := range specs {
+		if Interrupted(errs[i]) {
+			return r, errs[i]
+		}
+		r.runs[keys[i]] = outcome{spec: spec, res: results[i], err: errs[i]}
 	}
-	return out
+	return r, nil
+}
+
+// Get returns spec's result, or the error its run ended in. A spec the
+// plan never listed is an error too, and fails the experiment whatever
+// its Table makes of it.
+func (r Results) Get(spec RunSpec) (*sim.Result, error) {
+	k := spec.Key()
+	o, ok := r.runs[k]
+	if !ok {
+		if *r.unplanned == "" {
+			*r.unplanned = k
+		}
+		return nil, fmt.Errorf("run %s is not in the plan", k)
+	}
+	return o.res, o.err
+}
+
+// all returns the specs' results in order, or the first failed run's
+// error: for tables that have no n/a rendering.
+func (r Results) all(specs []RunSpec) ([]*sim.Result, error) {
+	out := make([]*sim.Result, len(specs))
+	for i, spec := range specs {
+		res, err := r.Get(spec)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
+// faultNotes renders every failed run of the plan as a table note, in
+// key order.
+func (r Results) faultNotes() []string {
+	var failed []string
+	for k, o := range r.runs {
+		if o.err != nil {
+			failed = append(failed, k)
+		}
+	}
+	sort.Strings(failed)
+	notes := make([]string, len(failed))
+	for i, k := range failed {
+		o := r.runs[k]
+		notes[i] = fmt.Sprintf("n/a: run %v failed: %v", o.spec.Workloads, o.err)
+	}
+	return notes
 }
