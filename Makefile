@@ -1,16 +1,18 @@
 GO ?= go
 
-.PHONY: check build fmt vet test benchmark-test lines pairs profile stress pgo determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+.PHONY: check build fmt vet test allocs benchmark-test lines pairs profile stress pgo determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
-# Tier-1 gate: everything must pass before a change lands, and every
-# test runs once. `test` runs -race over every package — including the
-# determinism goldens, the gated-twin differentials and the five
-# real-binary ipcpd smokes in cmd/ipcpd, so the standalone determinism /
-# *-smoke targets below are for running one gate alone and are not
-# prerequisites here. benchmark-test runs the benchmark module's own
-# tests, which `test` does not reach; audit runs the full differential
-# suite (AUDIT_FULL=1), which `test` runs only a subset of.
-check: build fmt vet test benchmark-test audit fuzz
+# Tier-1 gate: everything must pass before a change lands. `test` runs
+# -race over every package — including the determinism goldens, the
+# gated-twin differentials and the five real-binary ipcpd smokes in
+# cmd/ipcpd, so the standalone determinism / *-smoke targets below are
+# for running one gate alone and are not prerequisites here. allocs
+# runs the allocation gates a -race build leaves out; benchmark-test
+# runs the benchmark module's own tests, which `test` does not reach.
+# Some tests run twice: audit runs the full differential suite
+# (AUDIT_FULL=1), of which `test` runs a subset, and fuzz replays each
+# target's seed corpus before fuzzing.
+check: build fmt vet test allocs benchmark-test audit fuzz
 
 build:
 	$(GO) build ./...
@@ -25,6 +27,12 @@ vet:
 
 test:
 	$(GO) test -race ./...
+
+# The zero-allocation and allocation-budget gates of internal/sim are
+# //go:build !race (the race detector allocates on its own), so `test`
+# never builds them.
+allocs:
+	$(GO) test ./internal/sim -run 'ZeroAllocs|AllocationBudget' -count=1
 
 # The benchmark is its own Go module (benchmark/go.mod), so `go test
 # ./...` at the root never builds it. Its layer drivers construct

@@ -99,35 +99,23 @@ func RunForkSuite(ctx context.Context, names []string, opt RunOptions) (*SuiteRe
 			return rep, err
 		}
 		if string(cj) != string(fj) {
-			rep.Divergences = append(rep.Divergences, diffResults(name, cold, forked)...)
+			rep.Divergences = append(rep.Divergences, diffColdForked(name, cold, forked)...)
 		}
 	}
 	return rep, nil
 }
 
-// diffResults names what diverged between a cold and a forked run,
-// reusing the field-level comparisons of DiffOutcomes where they apply
-// and falling back to the raw JSON.
-func diffResults(name string, cold, forked *sim.Result) []string {
+// diffColdForked names what diverged between a cold and a forked run:
+// the headline numbers DiffOutcomes compares, falling back to the raw
+// JSON.
+func diffColdForked(name string, cold, forked *sim.Result) []string {
 	var diffs []string
 	add := func(format string, args ...any) {
 		if len(diffs) < maxDiffs {
 			diffs = append(diffs, fmt.Sprintf("%s: cold vs forked: %s", name, fmt.Sprintf(format, args...)))
 		}
 	}
-	for i := range cold.CyclesPerCore {
-		if cold.CyclesPerCore[i] != forked.CyclesPerCore[i] {
-			add("core %d measured %d cycles vs %d", i, cold.CyclesPerCore[i], forked.CyclesPerCore[i])
-		}
-	}
-	for i := range cold.L1D {
-		if cold.L1D[i].Miss != forked.L1D[i].Miss {
-			add("core %d L1D misses %v vs %v", i, cold.L1D[i].Miss, forked.L1D[i].Miss)
-		}
-	}
-	if cold.LLC.Miss != forked.LLC.Miss {
-		add("LLC misses %v vs %v", cold.LLC.Miss, forked.LLC.Miss)
-	}
+	diffResults(cold, forked, add)
 	if len(diffs) == 0 {
 		// The headline counters agree but some other field differs;
 		// point at the JSON so the divergence is never silent.

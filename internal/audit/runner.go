@@ -120,20 +120,7 @@ func DiffOutcomes(a, b *Outcome) []string {
 		}
 	}
 
-	ra, rb := a.Result, b.Result
-	for i := range ra.CyclesPerCore {
-		if ra.CyclesPerCore[i] != rb.CyclesPerCore[i] {
-			add("core %d measured %d cycles vs %d", i, ra.CyclesPerCore[i], rb.CyclesPerCore[i])
-		}
-	}
-	for i := range ra.L1D {
-		if ra.L1D[i].Miss != rb.L1D[i].Miss {
-			add("core %d L1D misses %v vs %v", i, ra.L1D[i].Miss, rb.L1D[i].Miss)
-		}
-	}
-	if ra.LLC.Miss != rb.LLC.Miss {
-		add("LLC misses %v vs %v", ra.LLC.Miss, rb.LLC.Miss)
-	}
+	diffResults(a.Result, b.Result, add)
 
 	sa, sb := a.Checker.Streams(), b.Checker.Streams()
 	for _, name := range sortedKeys(sa) {
@@ -166,6 +153,25 @@ func DiffOutcomes(a, b *Outcome) []string {
 		}
 	}
 	return diffs
+}
+
+// diffResults reports, through add, where two results' headline
+// numbers differ: each core's measured cycles and L1-D misses, and the
+// LLC's misses.
+func diffResults(a, b *sim.Result, add func(format string, args ...any)) {
+	for i := range a.CyclesPerCore {
+		if a.CyclesPerCore[i] != b.CyclesPerCore[i] {
+			add("core %d measured %d cycles vs %d", i, a.CyclesPerCore[i], b.CyclesPerCore[i])
+		}
+	}
+	for i := range a.L1D {
+		if a.L1D[i].Miss != b.L1D[i].Miss {
+			add("core %d L1D misses %v vs %v", i, a.L1D[i].Miss, b.L1D[i].Miss)
+		}
+	}
+	if a.LLC.Miss != b.LLC.Miss {
+		add("LLC misses %v vs %v", a.LLC.Miss, b.LLC.Miss)
+	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

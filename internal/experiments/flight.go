@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"sync"
 )
@@ -73,13 +74,13 @@ func (f *flight[V]) do(ctx, sctx context.Context, key string, join func(), lead 
 		if !Interrupted(e.err) {
 			return e.val, flightJoined, e.err
 		}
-		if err := firstError(ctx.Err(), sctx.Err()); err != nil {
+		if err := cmp.Or(ctx.Err(), sctx.Err()); err != nil {
 			return zero, flightJoined, err
 		}
 	}
 	// Still holding mu: nothing is in flight for key, so lead it — unless
 	// this caller is already dead.
-	if err := firstError(ctx.Err(), sctx.Err()); err != nil {
+	if err := cmp.Or(ctx.Err(), sctx.Err()); err != nil {
 		f.mu.Unlock()
 		return zero, flightLed, err
 	}

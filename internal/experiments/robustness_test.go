@@ -82,10 +82,10 @@ func TestRunawayPrefetcherIsGuarded(t *testing.T) {
 }
 
 func TestUnguardedPrefetcherPanicDegrades(t *testing.T) {
-	// With the guard off (DisableGuard is only reachable through sim
-	// configs, so simulate the equivalent: a panic outside prefetcher
-	// hooks) a worker panic must become a PanicError, not a crash. The
-	// panicking stream exercises exactly that path.
+	// Every prefetcher runs guarded, so the panic that reaches the
+	// worker is one outside prefetcher hooks: it must become a
+	// PanicError, not a crash. The panicking stream exercises exactly
+	// that path.
 	s := NewSession(tiny)
 	_, err := s.Run(RunSpec{Workloads: []string{"fi-panic-stream"}})
 	var pe *PanicError

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -102,7 +103,7 @@ func RunIDs(ctx context.Context, s *Session, ids []string, progress func(res Exp
 		}
 		exps[i] = e
 	}
-	if firstError(ctx.Err(), s.ctx.Err()) != nil {
+	if cmp.Or(ctx.Err(), s.ctx.Err()) != nil {
 		return &Report{Interrupted: true}, nil
 	}
 	if progress == nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -45,7 +46,7 @@ func (r Results) speedups(names []string, specs ...RunSpec) [][]float64 {
 			base, pf := speedupPair(spec, n)
 			b, errB := r.Get(base)
 			p, errP := r.Get(pf)
-			if firstError(errB, errP) != nil {
+			if cmp.Or(errB, errP) != nil {
 				cols[j][i] = math.NaN()
 				continue
 			}
@@ -74,16 +75,6 @@ func geomeans(cols [][]float64) []float64 {
 		out[j] = stats.Geomean(col)
 	}
 	return out
-}
-
-// firstError returns the first non-nil error.
-func firstError(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // speedupRow is one row of a speedupGrid: its label and one spec per

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"time"
 
 	"ipcp/internal/telemetry"
@@ -148,18 +149,7 @@ func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
 // original JSON shape for compatibility.
 func WantsPrometheus(accept string) bool {
 	for _, marker := range []string{"text/plain", "openmetrics", "text/*"} {
-		if containsToken(accept, marker) {
-			return true
-		}
-	}
-	return false
-}
-
-// containsToken is a dependency-free substring check (Accept headers
-// are comma-separated media ranges; an exact parser buys nothing here).
-func containsToken(header, token string) bool {
-	for i := 0; i+len(token) <= len(header); i++ {
-		if header[i:i+len(token)] == token {
+		if strings.Contains(accept, marker) {
 			return true
 		}
 	}

@@ -35,6 +35,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -544,7 +545,7 @@ func (s *Server) runJob(j *Job) {
 				}
 			})
 		if err == nil && rep.Interrupted {
-			err = fmt.Errorf("experiments interrupted: %w", firstNonNil(ctx.Err(), context.Canceled))
+			err = fmt.Errorf("experiments interrupted: %w", cmp.Or(ctx.Err(), context.Canceled))
 		}
 	case KindSweep:
 		err = s.opts.Fleet.RunSweep(ctx, j)
@@ -638,15 +639,6 @@ func (s *Server) journalFinish(j *Job, st JobState, err error) {
 		rec.Report = j.view().Report
 	}
 	s.appendOrWarn(rec)
-}
-
-func firstNonNil(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- HTTP layer ----------------------------------------------------------

@@ -51,23 +51,17 @@ type Config struct {
 	DRAM              dram.Config
 
 	// Prefetchers per level. Each private level gets one instance per
-	// core; the LLC gets a single shared instance. The L1-I prefetcher
-	// sees code reads (next-line helps big-code server workloads).
-	L1IPrefetcher PrefetcherSpec
+	// core; the LLC gets a single shared instance. Every attached
+	// prefetcher runs inside the fail-safe prefetch.Guard: a panicking or
+	// budget-violating prefetcher is disabled for the rest of the run
+	// (recorded in Result.PrefetcherFaults) and the simulation continues
+	// unprefetched, mirroring hardware fail-safety.
 	L1DPrefetcher PrefetcherSpec
 	L2Prefetcher  PrefetcherSpec
 	LLCPrefetcher PrefetcherSpec
 
 	// Seed drives physical page allocation.
 	Seed int64
-
-	// DisableGuard turns off the fail-safe prefetch.Guard wrapper that
-	// Build places around every attached prefetcher. Guarded is the
-	// default: a panicking or budget-violating prefetcher is disabled
-	// for the rest of the run (recorded in Result.PrefetcherFaults)
-	// and the simulation continues unprefetched, mirroring hardware
-	// fail-safety. Tests that want raw panics opt out.
-	DisableGuard bool
 
 	// CacheWarmOnly selects the shared-warmup methodology: Build leaves
 	// every prefetcher detached (the no-op Nil), so the warmup phase
@@ -81,11 +75,6 @@ type Config struct {
 	// the prefetchers, warmup trains them too, and the measure phase
 	// follows the warmup without a drain.
 	CacheWarmOnly bool
-
-	// MaxCycles aborts a run that fails to make progress (a deadlock
-	// guard; 0 means a generous default is derived from the
-	// instruction budget).
-	MaxCycles int64
 
 	// DisableFastForward forces the scheduler to clock every component
 	// on every cycle instead of only those whose wake time has come

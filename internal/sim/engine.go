@@ -12,7 +12,7 @@ import (
 )
 
 // This file holds the scheduler — System.step, the one way simulated
-// time advances — and the unified phase loops every run path
+// time advances — and stepUntil, the one loop every run path
 // (RunContext, RunWarmup, RunMeasure, Advance, drain) drives it from.
 
 // Kind names a class of clocked component.
@@ -250,40 +250,70 @@ func (s *System) component(sl slot) clocked {
 
 // loopCtl is one run's loop bookkeeping. RunContext threads a single
 // ctl through warmup and measurement (one shared cycle budget, one
-// cancellation cadence across the phase boundary); RunWarmup and
-// RunMeasure, which run one phase each, each build their own.
+// cancellation cadence across the phase boundary); RunWarmup,
+// RunMeasure, Advance and the drain, which run one phase each, each
+// build their own.
 type loopCtl struct {
 	maxCycles  int64
 	deadline   int64
 	nextCancel int64
 }
 
-// newLoopCtl derives the cycle budget from the instruction budget
-// unless the config pins one.
-func (s *System) newLoopCtl(budget uint64) *loopCtl {
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles == 0 {
-		// A generous bound: no workload should average > 500
-		// cycles/instruction.
-		maxCycles = int64(budget)*500 + 1_000_000
+// newLoopCtl budgets a loop that retires instrs instructions per core:
+// a generous bound, as no workload should average > 500
+// cycles/instruction.
+func (s *System) newLoopCtl(instrs uint64) *loopCtl {
+	return s.cycleCtl(int64(instrs)*500 + 1_000_000)
+}
+
+// cycleCtl budgets a loop maxCycles cycles from now.
+func (s *System) cycleCtl(maxCycles int64) *loopCtl {
+	return &loopCtl{maxCycles: maxCycles, deadline: s.cycle + maxCycles, nextCancel: s.cycle}
+}
+
+// stepUntil is the one stepping loop every phase runs: it steps the
+// system until done reports true, failing once ctl's cycle budget is
+// spent and — every cancelCheckInterval cycles — polling ctx and
+// reporting progress. phase names the loop in its errors, plus a detail
+// for the budget error; it is called only on an error path, so a loop
+// that ends well formats nothing (the steady-state Advance is held to
+// zero allocations).
+func (s *System) stepUntil(ctx context.Context, ctl *loopCtl, phase func() (name, detail string), done func() bool, report func()) error {
+	defer s.settle()
+	for !done() {
+		if s.cycle >= ctl.deadline {
+			name, detail := phase()
+			return fmt.Errorf("sim: %s exceeded %d cycles%s", name, ctl.maxCycles, detail)
+		}
+		if s.cycle >= ctl.nextCancel {
+			ctl.nextCancel = s.cycle + cancelCheckInterval
+			if err := ctx.Err(); err != nil {
+				name, _ := phase()
+				return fmt.Errorf("sim: %s cancelled at cycle %d: %w", name, s.cycle, err)
+			}
+			report()
+		}
+		// A step that clocks anything advances exactly one cycle (it
+		// jumps only when no component was due), so done sees the exact
+		// cycle a core retired its last instruction on.
+		s.step(ctl.deadline)
 	}
-	return &loopCtl{
-		maxCycles:  maxCycles,
-		deadline:   s.cycle + maxCycles,
-		nextCancel: s.cycle,
-	}
+	return nil
 }
 
 // warmupPhase is the warmup half of every run: the sim.warmup span and
-// the warmup progress reports around warmupLoop, then — on a
-// CacheWarmOnly system — the drain to quiescence, so the measure phase
-// starts from the state a snapshot would capture.
+// the warmup progress reports around stepping until every core has
+// retired warmup instructions, then — on a CacheWarmOnly system — the
+// drain to quiescence, so the measure phase starts from the state a
+// snapshot would capture.
 func (s *System) warmupPhase(ctx context.Context, warmup uint64, ctl *loopCtl) (err error) {
 	report := s.reporter(ctx, "warmup", warmup)
 	_, span := telemetry.StartSpan(ctx, "sim.warmup")
 	defer endPhaseSpan(span, &err)
 	report()
-	if err := s.warmupLoop(ctx, warmup, ctl, report); err != nil {
+	err = s.stepUntil(ctx, ctl, func() (string, string) { return "warmup", "" },
+		func() bool { return s.allRetired(warmup) }, report)
+	if err != nil {
 		return err
 	}
 	report()
@@ -295,7 +325,10 @@ func (s *System) warmupPhase(ctx context.Context, warmup uint64, ctl *loopCtl) (
 
 // measurePhase is the measure half of every run: statistics reset at
 // the boundary, the sim.measure span and the measure progress reports
-// around measureLoop, and the Result.
+// around stepping until every core has retired measure further
+// instructions, and the Result. Cores that finish early keep executing
+// (contending for shared resources) until the last core finishes, as in
+// the paper's methodology.
 func (s *System) measurePhase(ctx context.Context, measure uint64, ctl *loopCtl) (res *Result, err error) {
 	report := s.reporter(ctx, "measure", measure)
 	_, span := telemetry.StartSpan(ctx, "sim.measure")
@@ -303,7 +336,28 @@ func (s *System) measurePhase(ctx context.Context, measure uint64, ctl *loopCtl)
 	s.resetStats()
 	start := s.cycle
 	report()
-	finish, err := s.measureLoop(ctx, measure, ctl, report)
+	finish := make([]int64, s.cfg.Cores)
+	finished := make([]bool, s.cfg.Cores)
+	n := 0
+	err = s.stepUntil(ctx, ctl,
+		func() (string, string) {
+			return "measurement", fmt.Sprintf(" (%d/%d cores finished)", n, s.cfg.Cores)
+		},
+		func() bool {
+			// A core finishes on a stepped cycle, never on the boundary
+			// itself (not even with measure 0).
+			if s.cycle != start {
+				n += scanFinished(s.cores, s.cycle, measure, finish, finished)
+			}
+			return n == s.cfg.Cores
+		}, report)
+	// Close the last (partial) interval on every exit, so the timeline's
+	// deltas sum exactly to the end-of-run totals and flushed telemetry
+	// stays consistent after an error.
+	if s.sampling {
+		s.flushInterval()
+		s.sampling = false
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -330,69 +384,6 @@ func endPhaseSpan(span *telemetry.ActiveSpan, err *error) {
 		span.SetAttr("error", (*err).Error())
 	}
 	span.End()
-}
-
-// warmupLoop steps the system until every core has retired warmup
-// instructions.
-func (s *System) warmupLoop(ctx context.Context, warmup uint64, ctl *loopCtl, report func()) error {
-	defer s.settle()
-	for !s.allRetired(warmup) {
-		if s.cycle >= ctl.deadline {
-			return fmt.Errorf("sim: warmup exceeded %d cycles", ctl.maxCycles)
-		}
-		if s.cycle >= ctl.nextCancel {
-			ctl.nextCancel = s.cycle + cancelCheckInterval
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: warmup cancelled at cycle %d: %w", s.cycle, err)
-			}
-			report()
-		}
-		// A step that retires anything advances exactly one cycle (it
-		// jumps only when no component was due), so the retirement check
-		// sees the exact cycle the last core got there.
-		s.step(ctl.deadline)
-	}
-	return nil
-}
-
-// measureLoop steps the system until every core has retired measure
-// further instructions, recording each core's finish cycle. Cores that
-// finish early keep executing (contending for shared resources) until
-// the last core finishes, as in the paper's methodology.
-func (s *System) measureLoop(ctx context.Context, measure uint64, ctl *loopCtl, report func()) ([]int64, error) {
-	defer s.settle()
-	finish := make([]int64, s.cfg.Cores)
-	finished := make([]bool, s.cfg.Cores)
-	done := 0
-	for done < s.cfg.Cores {
-		if s.cycle >= ctl.deadline {
-			return nil, fmt.Errorf("sim: measurement exceeded %d cycles (%d/%d cores finished)",
-				ctl.maxCycles, done, s.cfg.Cores)
-		}
-		if s.cycle >= ctl.nextCancel {
-			ctl.nextCancel = s.cycle + cancelCheckInterval
-			if err := ctx.Err(); err != nil {
-				if s.sampling {
-					s.flushInterval()
-					s.sampling = false
-				}
-				return nil, fmt.Errorf("sim: measurement cancelled at cycle %d: %w", s.cycle, err)
-			}
-			report()
-		}
-		// A finishing core's recorded cycle is the stepped cycle, never
-		// a jump target: a step that clocks a core does not jump.
-		s.step(ctl.deadline)
-		done += scanFinished(s.cores, s.cycle, measure, finish, finished)
-	}
-
-	// Close the last (partial) interval so the timeline's deltas sum
-	// exactly to the end-of-run totals.
-	if s.sampling {
-		s.flushInterval()
-		s.sampling = false
-	}
-	return finish, nil
 }
 
 // scanFinished records the finish cycle of each core that has just

@@ -111,31 +111,3 @@ func TestPrefetchClassBitsFlow(t *testing.T) {
 		t.Errorf("attributed %d != useful %d", attributed, l1.PrefetchUseful)
 	}
 }
-
-// TestL1IPrefetcherHelpsBigCode wires next-line into the L1-I and
-// checks it reduces instruction-side misses on a cloud-like workload
-// whose loop body exceeds the 32KB L1-I.
-func TestL1IPrefetcherHelpsBigCode(t *testing.T) {
-	run := func(l1i string) *Result {
-		cfg := PaperConfig(1)
-		cfg.L1IPrefetcher = PrefetcherSpec{Name: l1i}
-		sys, err := Build(cfg, streamsFor(t, []string{"cassandra"}, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(10000, 40000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run("")
-	nl := run("nl")
-	if base.L1I[0].DemandMisses() == 0 {
-		t.Fatal("cloud workload produced no L1I misses")
-	}
-	if nl.L1I[0].DemandMisses() >= base.L1I[0].DemandMisses() {
-		t.Errorf("L1I next-line did not reduce I-misses: %d -> %d",
-			base.L1I[0].DemandMisses(), nl.L1I[0].DemandMisses())
-	}
-}

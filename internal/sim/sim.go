@@ -51,8 +51,8 @@ type System struct {
 	// CacheWarmOnly measure boundary is one-shot).
 	pfAttached bool
 
-	// guards are the fail-safe wrappers Build placed around the
-	// attached prefetchers (empty when cfg.DisableGuard).
+	// guards are the fail-safe wrappers placed around the attached
+	// prefetchers.
 	guards []guardRef
 
 	// Telemetry (all nil/false when disabled — the step fast path
@@ -175,13 +175,6 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 		return nil, err
 	}
 	llc.SetLower(mem)
-	if !cfg.CacheWarmOnly {
-		llcPf, err := cfg.LLCPrefetcher.build(memsys.LevelLLC)
-		if err != nil {
-			return nil, err
-		}
-		llc.SetPrefetcher(s.guardPf(llcPf, memsys.LevelLLC, -1))
-	}
 	s.llc = llc
 
 	alloc := vmem.NewPhysAllocator(cfg.Seed)
@@ -195,13 +188,6 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 			return nil, err
 		}
 		l2.SetLower(llc)
-		if !cfg.CacheWarmOnly {
-			l2Pf, err := cfg.L2Prefetcher.build(memsys.LevelL2)
-			if err != nil {
-				return nil, err
-			}
-			l2.SetPrefetcher(s.guardPf(l2Pf, memsys.LevelL2, i))
-		}
 
 		l1dCfg := cfg.L1D
 		l1dCfg.Name = fmt.Sprintf("L1D.%d", i)
@@ -210,13 +196,6 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 			return nil, err
 		}
 		l1d.SetLower(l2)
-		if !cfg.CacheWarmOnly {
-			l1dPf, err := cfg.L1DPrefetcher.build(memsys.LevelL1D)
-			if err != nil {
-				return nil, err
-			}
-			l1d.SetPrefetcher(s.guardPf(l1dPf, memsys.LevelL1D, i))
-		}
 
 		l1iCfg := cfg.L1I
 		l1iCfg.Name = fmt.Sprintf("L1I.%d", i)
@@ -225,13 +204,6 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 			return nil, err
 		}
 		l1i.SetLower(l2)
-		if !cfg.CacheWarmOnly {
-			l1iPf, err := cfg.L1IPrefetcher.build(memsys.LevelL1I)
-			if err != nil {
-				return nil, err
-			}
-			l1i.SetPrefetcher(s.guardPf(l1iPf, memsys.LevelL1I, i))
-		}
 
 		core, err := cpu.New(i, cfg.Core, streams[i], alloc)
 		if err != nil {
@@ -275,6 +247,11 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 	for i, sl := range s.slots {
 		s.component(sl).Bind(&s.wake[i], &s.cycle)
 	}
+	if !cfg.CacheWarmOnly {
+		if err := s.attachPrefetchers(); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Audit != nil {
 		cfg.Audit.Attach(s)
 	}
@@ -304,19 +281,40 @@ func (s *System) Release() {
 	}
 }
 
-// guardPf wraps a prefetcher in the fail-safe Guard unless guarding is
-// disabled or the prefetcher is the no-op (whose Nil type the cache's
-// fast path keys on).
-func (s *System) guardPf(p prefetch.Prefetcher, level memsys.Level, core int) prefetch.Prefetcher {
-	if s.cfg.DisableGuard {
-		return p
+// attachPrefetchers builds the configured prefetchers — the shared
+// LLC's, then each core's L2 and L1-D — and attaches each to its cache
+// inside the fail-safe Guard. Build calls it on a classic system,
+// AttachPrefetchers at a CacheWarmOnly system's measure boundary.
+func (s *System) attachPrefetchers() error {
+	if err := s.attach(s.llc, s.cfg.LLCPrefetcher, memsys.LevelLLC, -1); err != nil {
+		return err
 	}
-	if _, isNil := p.(prefetch.Nil); isNil {
-		return p
+	for i := range s.cores {
+		if err := s.attach(s.l2s[i], s.cfg.L2Prefetcher, memsys.LevelL2, i); err != nil {
+			return err
+		}
+		if err := s.attach(s.l1ds[i], s.cfg.L1DPrefetcher, memsys.LevelL1D, i); err != nil {
+			return err
+		}
 	}
-	g := prefetch.NewGuard(p, level)
-	s.guards = append(s.guards, guardRef{g: g, core: core})
-	return g
+	return nil
+}
+
+// attach builds spec's prefetcher for level and attaches it to c,
+// wrapped in a Guard unless it is the no-op (whose Nil type the cache's
+// fast path keys on). core is c's core, -1 for the shared LLC.
+func (s *System) attach(c *cache.Cache, spec PrefetcherSpec, level memsys.Level, core int) error {
+	p, err := spec.build(level)
+	if err != nil {
+		return err
+	}
+	if _, isNil := p.(prefetch.Nil); !isNil {
+		g := prefetch.NewGuard(p, level)
+		s.guards = append(s.guards, guardRef{g: g, core: core})
+		p = g
+	}
+	c.SetPrefetcher(p)
+	return nil
 }
 
 // PrefetcherFaults reports the guards that have tripped so far.
@@ -644,15 +642,8 @@ func (s *System) minRetired() uint64 {
 // inner loop with all setup allocation already behind them; the
 // steady-state allocation tests are built on that.
 func (s *System) Advance(n uint64) error {
-	defer s.settle()
 	target := s.minRetired() + n
-	budget := int64(n)*500 + 1_000_000
-	deadline := s.cycle + budget
-	for !s.allRetired(target) {
-		if s.cycle >= deadline {
-			return fmt.Errorf("sim: Advance(%d) exceeded %d cycles", n, budget)
-		}
-		s.step(deadline)
-	}
-	return nil
+	return s.stepUntil(context.TODO(), s.newLoopCtl(n),
+		func() (string, string) { return fmt.Sprintf("Advance(%d)", n), "" },
+		func() bool { return s.allRetired(target) }, func() {})
 }

@@ -168,15 +168,25 @@ func TestPrefetcherSpecByName(t *testing.T) {
 	}
 }
 
+// TestMaxCyclesGuard trips the run's deadlock guard — the cycle budget
+// derived from the instruction budget — on a system that can never
+// retire (an empty trace), in each phase: the error names the phase and
+// the budget, and a stuck measurement says how many cores finished.
 func TestMaxCyclesGuard(t *testing.T) {
-	cfg := PaperConfig(1)
-	cfg.MaxCycles = 100 // absurdly small
-	sys, err := Build(cfg, streamsFor(t, []string{"mcf-994"}, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(1000, 1000); err == nil {
-		t.Fatal("deadline guard did not fire")
+	for _, c := range []struct {
+		warmup, measure uint64
+		want            string
+	}{
+		{1000, 1000, "sim: warmup exceeded 2000000 cycles"},
+		{0, 1000, "sim: measurement exceeded 1500000 cycles (0/1 cores finished)"},
+	} {
+		sys, err := Build(PaperConfig(1), []trace.Stream{&trace.SliceStream{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(c.warmup, c.measure); err == nil || err.Error() != c.want {
+			t.Errorf("Run(%d, %d) on a system that cannot retire: got %v, want %q", c.warmup, c.measure, err, c.want)
+		}
 	}
 }
 

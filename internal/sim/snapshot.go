@@ -9,7 +9,6 @@ import (
 	"ipcp/internal/cache"
 	"ipcp/internal/cpu"
 	"ipcp/internal/dram"
-	"ipcp/internal/memsys"
 	"ipcp/internal/trace"
 	"ipcp/internal/vmem"
 )
@@ -83,22 +82,8 @@ func (s *System) drain(ctx context.Context) error {
 			s.cores[i].ResumeFetch()
 		}
 	}()
-	defer s.settle()
-	deadline := s.cycle + drainMaxCycles
-	nextCancel := s.cycle
-	for !s.Quiescent() {
-		if s.cycle >= deadline {
-			return fmt.Errorf("sim: drain exceeded %d cycles", drainMaxCycles)
-		}
-		if s.cycle >= nextCancel {
-			nextCancel = s.cycle + cancelCheckInterval
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: drain cancelled at cycle %d: %w", s.cycle, err)
-			}
-		}
-		s.step(deadline)
-	}
-	return nil
+	return s.stepUntil(ctx, s.cycleCtl(drainMaxCycles), func() (string, string) { return "drain", "" },
+		s.Quiescent, func() {})
 }
 
 // RunWarmup executes the warmup phase — the same phase RunContext
@@ -241,27 +226,8 @@ func (s *System) AttachPrefetchers() error {
 	if s.pfAttached {
 		return fmt.Errorf("sim: prefetchers already attached")
 	}
-	llcPf, err := s.cfg.LLCPrefetcher.build(memsys.LevelLLC)
-	if err != nil {
+	if err := s.attachPrefetchers(); err != nil {
 		return err
-	}
-	s.llc.SetPrefetcher(s.guardPf(llcPf, memsys.LevelLLC, -1))
-	for i := range s.cores {
-		l2Pf, err := s.cfg.L2Prefetcher.build(memsys.LevelL2)
-		if err != nil {
-			return err
-		}
-		s.l2s[i].SetPrefetcher(s.guardPf(l2Pf, memsys.LevelL2, i))
-		l1dPf, err := s.cfg.L1DPrefetcher.build(memsys.LevelL1D)
-		if err != nil {
-			return err
-		}
-		s.l1ds[i].SetPrefetcher(s.guardPf(l1dPf, memsys.LevelL1D, i))
-		l1iPf, err := s.cfg.L1IPrefetcher.build(memsys.LevelL1I)
-		if err != nil {
-			return err
-		}
-		s.l1is[i].SetPrefetcher(s.guardPf(l1iPf, memsys.LevelL1I, i))
 	}
 	s.pfAttached = true
 	if s.tracer != nil {

@@ -53,19 +53,6 @@ func WeightedSpeedup(together, alone []float64) (float64, error) {
 	return ws, nil
 }
 
-// NormalizedWeightedSpeedup divides WeightedSpeedup by the core count,
-// giving the per-core average used to compare against a baseline.
-func NormalizedWeightedSpeedup(together, alone []float64) (float64, error) {
-	if len(together) == 0 {
-		return 0, nil
-	}
-	ws, err := WeightedSpeedup(together, alone)
-	if err != nil {
-		return 0, err
-	}
-	return ws / float64(len(together)), nil
-}
-
 // Coverage is the paper's prefetch coverage: the fraction of the
 // baseline's demand misses removed by prefetching.
 //
@@ -101,6 +88,3 @@ func Ratio(num, den uint64) float64 {
 	}
 	return float64(num) / float64(den)
 }
-
-// Pct formats a fraction as a percentage string with one decimal.
-func Pct(x float64) string { return fmt.Sprintf("%.1f%%", x*100) }

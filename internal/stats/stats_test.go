@@ -60,21 +60,11 @@ func TestWeightedSpeedup(t *testing.T) {
 	if !almost(ws, 1.0) {
 		t.Errorf("WeightedSpeedup = %f, want 1.0", ws)
 	}
-	n, err := NormalizedWeightedSpeedup([]float64{2, 2}, []float64{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(n, 1.0) {
-		t.Errorf("NormalizedWeightedSpeedup = %f, want 1.0", n)
-	}
 }
 
 func TestWeightedSpeedupLengthMismatch(t *testing.T) {
 	if _, err := WeightedSpeedup([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("length mismatch did not return an error")
-	}
-	if _, err := NormalizedWeightedSpeedup([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("normalized length mismatch did not return an error")
 	}
 }
 
@@ -114,22 +104,6 @@ func TestSpeedupAndRatio(t *testing.T) {
 	}
 	if r := Ratio(1, 0); r != 0 {
 		t.Errorf("Ratio/0 = %f", r)
-	}
-}
-
-func TestPct(t *testing.T) {
-	if got := Pct(0.451); got != "45.1%" {
-		t.Errorf("Pct = %q", got)
-	}
-}
-
-func TestNormalizedWeightedSpeedupEmpty(t *testing.T) {
-	got, err := NormalizedWeightedSpeedup(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Errorf("empty NWS = %f", got)
 	}
 }
 

@@ -47,7 +47,7 @@ type Span struct {
 // part of a long-running daemon) and Dropped counts the overwritten
 // ones. The hot path is lock-free — publishing a span is one atomic
 // slot reservation plus one atomic pointer store — and readers
-// (Snapshot, the trace exports) see a best-effort consistent copy
+// (Snapshot, the Chrome trace export) see a best-effort consistent copy
 // without stalling writers.
 type SpanTracer struct {
 	slots []atomic.Pointer[Span]
@@ -67,10 +67,6 @@ func NewSpanTracer(capacity int) *SpanTracer {
 	}
 	return &SpanTracer{slots: make([]atomic.Pointer[Span], capacity), epoch: time.Now()}
 }
-
-// Epoch is the tracer's time origin; exported trace timestamps are
-// offsets from it.
-func (t *SpanTracer) Epoch() time.Time { return t.epoch }
 
 // NextID allocates a fresh span id (exported for retroactive spans
 // built outside StartSpan).
@@ -124,19 +120,6 @@ func (t *SpanTracer) Snapshot() []Span {
 		}
 		return out[i].ID < out[j].ID
 	})
-	return out
-}
-
-// SpansFor returns the retained spans stamped with the given job id,
-// ordered by start time.
-func (t *SpanTracer) SpansFor(jobID string) []Span {
-	all := t.Snapshot()
-	out := all[:0]
-	for _, s := range all {
-		if s.JobID == jobID {
-			out = append(out, s)
-		}
-	}
 	return out
 }
 
@@ -296,22 +279,6 @@ func (a *ActiveSpan) End() {
 }
 
 // --- export ---------------------------------------------------------------
-
-// WriteSpansJSONL writes spans (all retained, or only jobID's when
-// non-empty) one JSON object per line, oldest first.
-func (t *SpanTracer) WriteSpansJSONL(w io.Writer, jobID string) error {
-	spans := t.Snapshot()
-	enc := json.NewEncoder(w)
-	for _, s := range spans {
-		if jobID != "" && s.JobID != jobID {
-			continue
-		}
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // WriteChromeTrace writes the retained spans (all, or only jobID's when
 // non-empty) as Chrome trace_event JSON, loadable in chrome://tracing

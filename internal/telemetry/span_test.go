@@ -92,7 +92,8 @@ func TestSpanTracerConcurrency(t *testing.T) {
 	const perWriter = 500
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Concurrent readers: snapshots and both exports.
+	// Concurrent readers: snapshots and the Chrome trace export, whole
+	// and filtered to one job.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -109,7 +110,7 @@ func TestSpanTracerConcurrency(t *testing.T) {
 				case 1:
 					tr.WriteChromeTrace(new(bytes.Buffer), "")
 				case 2:
-					tr.WriteSpansJSONL(new(bytes.Buffer), "j5")
+					tr.WriteChromeTrace(new(bytes.Buffer), "j5")
 				}
 			}
 		}(r)
@@ -192,16 +193,5 @@ func TestSpanChromeTraceExport(t *testing.T) {
 	}
 	if len(complete) != 2 {
 		t.Errorf("filtered export has %d complete events, want 2 (j000002 excluded)", len(complete))
-	}
-}
-
-func TestSpansForFiltersByJob(t *testing.T) {
-	tr := NewSpanTracer(16)
-	tr.Emit(Span{Name: "a", JobID: "j1", Start: time.Unix(1, 0)})
-	tr.Emit(Span{Name: "b", JobID: "j2", Start: time.Unix(2, 0)})
-	tr.Emit(Span{Name: "c", JobID: "j1", Start: time.Unix(3, 0)})
-	got := tr.SpansFor("j1")
-	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "c" {
-		t.Fatalf("SpansFor(j1) = %+v", got)
 	}
 }
