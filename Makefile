@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: check build fmt vet test allocs benchmark-test lines pairs profile stress pgo determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+.PHONY: check build fmt vet test allocs fidelity benchmark-test lines pairs profile stress pgo determinism audit fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
 
 # Tier-1 gate: everything must pass before a change lands. `test` runs
 # -race over every package — including the determinism goldens, the
 # gated-twin differentials and the five real-binary ipcpd smokes in
 # cmd/ipcpd, so the standalone determinism / *-smoke targets below are
 # for running one gate alone and are not prerequisites here. allocs
-# runs the allocation gates a -race build leaves out; benchmark-test
+# runs the allocation gates a -race build leaves out, and fidelity the
+# paper-shape gate, too slow under the race detector; benchmark-test
 # runs the benchmark module's own tests, which `test` does not reach.
 # Some tests run twice: audit runs the full differential suite
 # (AUDIT_FULL=1), of which `test` runs a subset, and fuzz replays each
 # target's seed corpus before fuzzing.
-check: build fmt vet test allocs benchmark-test audit fuzz
+check: build fmt vet test allocs fidelity benchmark-test audit fuzz
 
 build:
 	$(GO) build ./...
@@ -33,6 +34,13 @@ test:
 # never builds them.
 allocs:
 	$(GO) test ./internal/sim -run 'ZeroAllocs|AllocationBudget' -count=1
+
+# The paper's shape as a gate (internal/experiments/shape_test.go): a
+# dozen experiments at Quick scale, each table held to the shape the
+# paper reports, bar the recorded expected failures (~20 s). It is
+# //go:build !race, like the allocation gates, so `test` never builds it.
+fidelity:
+	$(GO) test ./internal/experiments -run '^TestShape$$' -count=1
 
 # The benchmark is its own Go module (benchmark/go.mod), so `go test
 # ./...` at the root never builds it. Its layer drivers construct

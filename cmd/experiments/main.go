@@ -9,8 +9,7 @@
 // stop within a few thousand cycles, completed tables are flushed, and
 // the process exits 130. With -cache-dir every finished simulation is
 // checkpointed (before the process exits, on either path), so rerunning
-// the same command resumes instead of recomputing (-resume is shorthand
-// for the default cache directory).
+// the same command resumes instead of recomputing.
 package main
 
 import (
@@ -39,7 +38,6 @@ func main() {
 		measure  = flag.Uint64("measure", 0, "override measured instructions")
 		list     = flag.Bool("list", false, "list experiments")
 		cacheDir = flag.String("cache-dir", "", "checkpoint finished simulations here and resume from them")
-		resume   = flag.Bool("resume", false, "shorthand for -cache-dir .ipcp-cache")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the harness to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -125,9 +123,6 @@ func main() {
 	defer stop()
 
 	session := experiments.NewSessionContext(ctx, sc)
-	if *resume && *cacheDir == "" {
-		*cacheDir = ".ipcp-cache"
-	}
 	if *cacheDir != "" {
 		if err := session.SetCacheDir(*cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -1,14 +1,10 @@
-// Command tracegen serializes a synthetic workload into the binary
-// trace format, so runs can be replayed byte-identically or inspected:
+// Command tracegen writes a synthetic workload's first n instructions
+// in the compact v1 trace format (IPCPTRC1), or prints them as text:
 //
 //	tracegen -workload mcf-994 -n 1000000 -o mcf-994.trc
-//	tracegen -workload mcf-994 -n 1000000 -binary -o mcf-994.trb
 //	tracegen -workload mcf-994 -n 20 -dump
 //
-// -binary emits the fixed-width pre-decoded format (IPCPTRB2), which
-// the simulator replays without any per-record parsing; the default is
-// the compact v1 format, which trace.Open converts transparently
-// through a .bin sidecar on first use.
+// trace.ReadAll reads the file back as a looping stream.
 package main
 
 import (
@@ -27,7 +23,6 @@ func main() {
 		out  = flag.String("o", "", "output trace file")
 		seed = flag.Int64("seed", 1, "workload seed")
 		dump = flag.Bool("dump", false, "print records as text instead of writing a file")
-		bin  = flag.Bool("binary", false, "emit the pre-decoded fixed-width format (zero-parse replay)")
 	)
 	flag.Parse()
 
@@ -69,27 +64,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer f.Close()
-
-	if *bin {
-		tw, err := trace.NewBinaryWriter(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		var in trace.Instr
-		for i := 0; i < *n && stream.Next(&in); i++ {
-			if err := tw.Write(&in); err != nil {
-				fmt.Fprintln(os.Stderr, "tracegen:", err)
-				os.Exit(1)
-			}
-		}
-		if err := tw.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d instructions to %s (binary)\n", tw.Count(), *out)
-		return
-	}
 
 	tw, err := trace.NewWriter(f)
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -65,79 +64,6 @@ func TestTableMarkdown(t *testing.T) {
 	}
 	if _, ok := tab.Find("nope"); ok {
 		t.Error("Find invented a row")
-	}
-}
-
-// runOne runs the registered experiment id through RunIDs on a fresh
-// session at sc and returns its table.
-func runOne(t *testing.T, id string, sc Scale) *Table {
-	t.Helper()
-	rep, err := RunIDs(context.Background(), NewSession(sc), []string{id}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Results[0].Err; err != nil {
-		t.Fatal(err)
-	}
-	return rep.Results[0].Table
-}
-
-func TestTab1Storage(t *testing.T) {
-	tab := runOne(t, "tab1", tiny)
-	total, ok := tab.Find("total")
-	if !ok || total.Values[0] != 895 {
-		t.Errorf("tab1 total = %v, want 895 bytes", total.Values)
-	}
-}
-
-func TestFig8SmallScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	tab := runOne(t, "fig8", tiny)
-	geo, ok := tab.Find("geomean (mem-intensive)")
-	if !ok {
-		t.Fatal("geomean row missing")
-	}
-	// IPCP is the last column; it must show a speedup at any scale.
-	ipcp := geo.Values[len(geo.Values)-1]
-	if ipcp <= 1.0 {
-		t.Errorf("IPCP geomean speedup = %.3f, want > 1", ipcp)
-	}
-}
-
-func TestFig12ClassShares(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	tab := runOne(t, "fig12", tiny)
-	row, ok := tab.Find("overall")
-	if !ok {
-		t.Fatal("overall row missing")
-	}
-	sum := 0.0
-	for _, v := range row.Values {
-		if v < 0 || v > 1 {
-			t.Errorf("class share out of range: %v", row.Values)
-		}
-		sum += v
-	}
-	if sum < 0.99 || sum > 1.01 {
-		t.Errorf("class shares sum to %.3f, want 1", sum)
-	}
-}
-
-func TestFig10CoverageBounds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	tab := runOne(t, "fig10", tiny)
-	for _, r := range tab.Rows {
-		for _, v := range r.Values {
-			if v > 1.0 {
-				t.Errorf("%s: coverage > 1: %v", r.Label, r.Values)
-			}
-		}
 	}
 }
 

@@ -4,8 +4,8 @@
 // quarantine that moves damage aside instead of decoding it. The job
 // journal (serve), the checkpoint cache and its snapshot spills
 // (experiments) and the coordinator's blob store (coord) are policy on
-// top of it. Not here, on purpose: the v2 trace block trailer (verified
-// lazily over an mmap, not a whole-payload frame) and the snapshot gob
+// top of it. Not here, on purpose: the v2 trace block trailer (one CRC
+// per record block, not a whole-payload frame) and the snapshot gob
 // inside a blob (payloads are opaque here). See DESIGN §14.
 package store
 

@@ -5,18 +5,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
-	"sync/atomic"
 )
 
 // --- Pre-decoded binary format (version 2) -------------------------------
 //
 // The v1 format (IPCPTRC1) optimizes for size: variable-width records
-// whose flag byte says which operands follow. Replaying it costs a
-// branch-heavy decode per instruction. This format optimizes for replay:
-// fixed-width 48-byte records that memory-map cleanly and decode with
-// five unconditional loads, so measure-phase replay does no tokenizing
-// at all and record i lives at a computable offset.
+// whose flag byte says which operands follow. This format optimizes for
+// replay: fixed-width 48-byte records that decode with five
+// unconditional loads, so record i lives at a computable offset.
 //
 // Layout (all integers little-endian):
 //
@@ -24,9 +20,7 @@ import (
 //	offset  8: count       uint64 — number of records
 //	offset 16: recordSize  uint32 — 48 (self-describing for evolution)
 //	offset 20: blockRecords uint32 — records per CRC block (4096)
-//	offset 24: sourceHash  [32]byte — SHA-256 of the source trace this
-//	           file was derived from (zero when written directly); the
-//	           .bin sidecar cache keys its validity on this field
+//	offset 24: reserved    [32]byte — written as zeros, ignored on read
 //	offset 56: headerCRC   uint32 — CRC-32C of bytes [0,56)
 //	offset 60: pad         uint32 — zero
 //	offset 64: count × 48-byte records
@@ -37,11 +31,9 @@ import (
 // uint64, then a flags byte (bit0 IsBranch, bit1 Taken, bit2 DepPrev;
 // the rest reserved and zero), then 7 zero pad bytes.
 //
-// Integrity: the header is covered by its own CRC; record blocks are
-// verified lazily — the first cursor to touch a block checks its CRC
-// and publishes the result in a shared atomic bitset, so a trace opened
-// by many concurrent forks pays each block's verification once. Any
-// damage (bad magic, size mismatch, CRC failure, reserved bits) wraps
+// Integrity: NewBinary checks the header's CRC, the size the header
+// implies and every block's CRC before it returns; cursors check each
+// record's reserved flag bits as they decode it. Any damage wraps
 // ErrCorrupt.
 
 var magic2 = [8]byte{'I', 'P', 'C', 'P', 'T', 'R', 'B', '2'}
@@ -61,13 +53,13 @@ const (
 // framing; hardware-accelerated on every platform Go targets).
 var binCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeRecord serializes in into dst (len >= binRecordSize).
-func encodeRecord(dst []byte, in *Instr) {
-	binary.LittleEndian.PutUint64(dst[0:], in.IP)
-	binary.LittleEndian.PutUint64(dst[8:], in.Loads[0])
-	binary.LittleEndian.PutUint64(dst[16:], in.Loads[1])
-	binary.LittleEndian.PutUint64(dst[24:], in.Stores[0])
-	binary.LittleEndian.PutUint64(dst[32:], in.Target)
+// appendRecord appends in's 48-byte record to dst.
+func appendRecord(dst []byte, in *Instr) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, in.IP)
+	dst = binary.LittleEndian.AppendUint64(dst, in.Loads[0])
+	dst = binary.LittleEndian.AppendUint64(dst, in.Loads[1])
+	dst = binary.LittleEndian.AppendUint64(dst, in.Stores[0])
+	dst = binary.LittleEndian.AppendUint64(dst, in.Target)
 	var flags byte
 	if in.IsBranch {
 		flags |= binFlagBranch
@@ -78,10 +70,7 @@ func encodeRecord(dst []byte, in *Instr) {
 	if in.DepPrev {
 		flags |= binFlagDepPrev
 	}
-	dst[40] = flags
-	for i := 41; i < binRecordSize; i++ {
-		dst[i] = 0
-	}
+	return append(dst, flags, 0, 0, 0, 0, 0, 0, 0)
 }
 
 // decodeRecord deserializes src (len >= binRecordSize) into in. It
@@ -104,127 +93,72 @@ func decodeRecord(src []byte, in *Instr) bool {
 
 // --- writer ---------------------------------------------------------------
 
-// BinaryWriter emits the pre-decoded format. It needs an io.WriteSeeker
-// because the header (count, source hash) is patched at Close.
+// BinaryWriter emits the pre-decoded format. The header's count and the
+// CRC trailer are known only at the end, so it keeps the records in
+// memory and writes the whole file at Close.
 type BinaryWriter struct {
-	ws     io.WriteSeeker
-	block  []byte
-	crcs   []uint32
-	count  uint64
-	srcSHA [32]byte
+	w      io.Writer
+	buf    []byte // a zeroed header, then every record written so far
 	closed bool
 }
 
-// NewBinaryWriter writes a placeholder header and returns a writer.
-func NewBinaryWriter(ws io.WriteSeeker) (*BinaryWriter, error) {
-	var hdr [binHeaderSize]byte
-	if _, err := ws.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	return &BinaryWriter{
-		ws:    ws,
-		block: make([]byte, 0, binBlockRecords*binRecordSize),
-	}, nil
+// NewBinaryWriter returns a writer that emits to w at Close. It never
+// fails; the error is part of the signature callers already check.
+func NewBinaryWriter(w io.Writer) (*BinaryWriter, error) {
+	return &BinaryWriter{w: w, buf: make([]byte, binHeaderSize)}, nil
 }
-
-// SetSourceHash records the SHA-256 of the source trace this file is
-// derived from (the sidecar invalidation key). Call any time before
-// Close; the zero hash means "no source".
-func (w *BinaryWriter) SetSourceHash(h [32]byte) { w.srcSHA = h }
-
-// Count returns the number of records written so far.
-func (w *BinaryWriter) Count() uint64 { return w.count }
 
 // Write appends one record.
 func (w *BinaryWriter) Write(in *Instr) error {
 	if w.closed {
 		return fmt.Errorf("trace: write on closed BinaryWriter")
 	}
-	off := len(w.block)
-	w.block = w.block[:off+binRecordSize]
-	encodeRecord(w.block[off:], in)
-	w.count++
-	if len(w.block) == cap(w.block) {
-		if err := w.flushBlock(); err != nil {
-			return err
-		}
-	}
+	w.buf = appendRecord(w.buf, in)
 	return nil
 }
 
-func (w *BinaryWriter) flushBlock() error {
-	if len(w.block) == 0 {
-		return nil
-	}
-	w.crcs = append(w.crcs, crc32.Checksum(w.block, binCRCTable))
-	if _, err := w.ws.Write(w.block); err != nil {
-		return err
-	}
-	w.block = w.block[:0]
-	return nil
-}
-
-// Close flushes the last block, writes the CRC trailer, and patches the
-// final header. It does not close the underlying file.
+// Close fills in the header, appends the CRC trailer and writes the
+// file. It does not close the underlying writer.
 func (w *BinaryWriter) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
-	if err := w.flushBlock(); err != nil {
-		return err
+	recs := w.buf[binHeaderSize:]
+	for off := 0; off < len(recs); off += binBlockRecords * binRecordSize {
+		block := recs[off:min(off+binBlockRecords*binRecordSize, len(recs))]
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(block, binCRCTable))
 	}
-	trailer := make([]byte, 4*len(w.crcs))
-	for i, c := range w.crcs {
-		binary.LittleEndian.PutUint32(trailer[4*i:], c)
-	}
-	if _, err := w.ws.Write(trailer); err != nil {
-		return err
-	}
-	if _, err := w.ws.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	var hdr [binHeaderSize]byte
-	copy(hdr[0:], magic2[:])
-	binary.LittleEndian.PutUint64(hdr[8:], w.count)
+	hdr := w.buf[:binHeaderSize]
+	copy(hdr, magic2[:])
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(recs)/binRecordSize))
 	binary.LittleEndian.PutUint32(hdr[16:], binRecordSize)
 	binary.LittleEndian.PutUint32(hdr[20:], binBlockRecords)
-	copy(hdr[24:], w.srcSHA[:])
 	binary.LittleEndian.PutUint32(hdr[56:], crc32.Checksum(hdr[:56], binCRCTable))
-	if _, err := w.ws.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.ws.Seek(0, io.SeekEnd)
+	_, err := w.w.Write(w.buf)
+	w.buf = nil
 	return err
 }
 
 // --- reader ---------------------------------------------------------------
 
-// Binary is an opened pre-decoded trace, shareable across any number of
-// concurrent cursors (Stream() hands out independent ones). Backed
-// either by a memory mapping (zero-copy) or a plain io.ReaderAt.
+// Binary is a pre-decoded trace held in memory: record bytes that were
+// verified when it was opened and are never written again, so any
+// number of cursors (Stream hands out independent ones) may read it
+// concurrently.
 type Binary struct {
-	ra     io.ReaderAt
-	mapped []byte // non-nil: zero-copy mapping of the whole file
-	count  uint64
-	blkRec uint32
-	crcs   []uint32
-	// verified is an atomic bitset, one bit per block: set once the
-	// block's CRC has been checked, so concurrent cursors verify each
-	// block exactly once between them (duplicated checks are benign).
-	verified []uint32
-	srcSHA   [32]byte
-	closers  []func() error
+	recs []byte
 }
 
-// NewBinary validates the header and trailer of a pre-decoded trace
-// held behind ra (size is the total byte length) and returns a Binary.
-// Record blocks are verified lazily as cursors touch them.
-func NewBinary(ra io.ReaderAt, size int64) (*Binary, error) {
-	var hdr [binHeaderSize]byte
-	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("trace: reading binary header: %w: %v", ErrCorrupt, err)
+// NewBinary validates a whole pre-decoded trace image — magic, header
+// CRC, geometry, the size the header implies, and every block's CRC —
+// and returns a Binary over its records. The Binary keeps data, which
+// the caller must not modify afterwards.
+func NewBinary(data []byte) (*Binary, error) {
+	if len(data) < binHeaderSize {
+		return nil, fmt.Errorf("trace: binary header truncated at byte %d: %w", len(data), ErrCorrupt)
 	}
+	hdr := data[:binHeaderSize]
 	if [8]byte(hdr[:8]) != magic2 {
 		return nil, ErrBadMagic
 	}
@@ -232,178 +166,70 @@ func NewBinary(ra io.ReaderAt, size int64) (*Binary, error) {
 		return nil, fmt.Errorf("trace: binary header CRC mismatch (%08x != %08x): %w", got, want, ErrCorrupt)
 	}
 	recSize := binary.LittleEndian.Uint32(hdr[16:])
-	blkRec := binary.LittleEndian.Uint32(hdr[20:])
+	blkRec := uint64(binary.LittleEndian.Uint32(hdr[20:]))
 	if recSize != binRecordSize || blkRec == 0 {
 		return nil, fmt.Errorf("trace: unsupported binary geometry (record=%d block=%d): %w", recSize, blkRec, ErrCorrupt)
 	}
-	count := binary.LittleEndian.Uint64(hdr[8:])
-	if size < binHeaderSize || count > uint64(size-binHeaderSize)/binRecordSize {
+	count, size := binary.LittleEndian.Uint64(hdr[8:]), uint64(len(data))
+	if count > (size-binHeaderSize)/binRecordSize {
 		return nil, fmt.Errorf("trace: binary count %d exceeds file size %d: %w", count, size, ErrCorrupt)
 	}
-	nBlocks := (count + uint64(blkRec) - 1) / uint64(blkRec)
-	expect := binHeaderSize + int64(count)*binRecordSize + int64(nBlocks)*4
-	if expect != size {
+	nBlocks := (count + blkRec - 1) / blkRec
+	end := binHeaderSize + count*binRecordSize
+	if expect := end + nBlocks*4; expect != size {
 		return nil, fmt.Errorf("trace: binary size mismatch (declared layout %d bytes, file %d): %w", expect, size, ErrCorrupt)
 	}
-	b := &Binary{
-		ra:       ra,
-		count:    count,
-		blkRec:   blkRec,
-		crcs:     make([]uint32, nBlocks),
-		verified: make([]uint32, (nBlocks+31)/32),
-	}
-	copy(b.srcSHA[:], hdr[24:56])
-	trailer := make([]byte, 4*nBlocks)
-	if nBlocks > 0 {
-		if _, err := ra.ReadAt(trailer, binHeaderSize+int64(count)*binRecordSize); err != nil {
-			return nil, fmt.Errorf("trace: reading binary CRC trailer: %w: %v", ErrCorrupt, err)
+	recs, trailer := data[binHeaderSize:end], data[end:]
+	blockLen := blkRec * binRecordSize
+	for i := uint64(0); i < nBlocks; i++ {
+		off := i * blockLen
+		got := crc32.Checksum(recs[off:min(off+blockLen, uint64(len(recs)))], binCRCTable)
+		if want := binary.LittleEndian.Uint32(trailer[4*i:]); got != want {
+			return nil, fmt.Errorf("trace: binary block %d CRC mismatch (%08x != %08x) at byte %d: %w",
+				i, got, want, binHeaderSize+off, ErrCorrupt)
 		}
 	}
-	for i := range b.crcs {
-		b.crcs[i] = binary.LittleEndian.Uint32(trailer[4*i:])
-	}
-	if c, ok := ra.(io.Closer); ok {
-		b.closers = append(b.closers, c.Close)
-	}
-	return b, nil
+	return &Binary{recs: recs}, nil
 }
 
 // Count returns the record count.
-func (b *Binary) Count() uint64 { return b.count }
+func (b *Binary) Count() uint64 { return uint64(len(b.recs) / binRecordSize) }
 
-// SourceHash returns the header's source-trace SHA-256 (zero when the
-// file was written directly from a generator).
-func (b *Binary) SourceHash() [32]byte { return b.srcSHA }
-
-// Close releases the mapping / underlying file. Cursors must not be
-// used afterwards.
-func (b *Binary) Close() error {
-	var first error
-	for _, c := range b.closers {
-		if err := c(); err != nil && first == nil {
-			first = err
-		}
-	}
-	b.closers = nil
-	return first
-}
-
-// blockChecked reports whether block i has already been verified.
-func (b *Binary) blockChecked(i uint64) bool {
-	return atomic.LoadUint32(&b.verified[i/32])&(1<<(i%32)) != 0
-}
-
-// markChecked publishes block i as verified.
-func (b *Binary) markChecked(i uint64) {
-	word := &b.verified[i/32]
-	for {
-		old := atomic.LoadUint32(word)
-		if old&(1<<(i%32)) != 0 || atomic.CompareAndSwapUint32(word, old, old|1<<(i%32)) {
-			return
-		}
-	}
-}
-
-// blockExtent returns block i's byte offset and length.
-func (b *Binary) blockExtent(i uint64) (off int64, n int) {
-	off = binHeaderSize + int64(i)*int64(b.blkRec)*binRecordSize
-	recs := uint64(b.blkRec)
-	if rem := b.count - i*uint64(b.blkRec); rem < recs {
-		recs = rem
-	}
-	return off, int(recs) * binRecordSize
-}
-
-// loadBlock returns block i's bytes, verifying its CRC the first time
-// any cursor touches it. buf is the cursor's scratch (used only on the
-// ReaderAt path; the mmap path returns a sub-slice of the mapping).
-func (b *Binary) loadBlock(i uint64, buf []byte) ([]byte, error) {
-	off, n := b.blockExtent(i)
-	var data []byte
-	if b.mapped != nil {
-		data = b.mapped[off : off+int64(n)]
-	} else {
-		data = buf[:n]
-		if _, err := b.ra.ReadAt(data, off); err != nil {
-			return nil, fmt.Errorf("trace: reading binary block %d: %w: %v", i, ErrCorrupt, err)
-		}
-	}
-	if !b.blockChecked(i) {
-		if got := crc32.Checksum(data, binCRCTable); got != b.crcs[i] {
-			return nil, fmt.Errorf("trace: binary block %d CRC mismatch (%08x != %08x) at byte %d: %w",
-				i, got, b.crcs[i], off, ErrCorrupt)
-		}
-		b.markChecked(i)
-	}
-	return data, nil
-}
-
-// Verify eagerly checks every block (tools and tests; cursors normally
-// verify lazily).
-func (b *Binary) Verify() error {
-	buf := make([]byte, int(b.blkRec)*binRecordSize)
-	for i := uint64(0); i < uint64(len(b.crcs)); i++ {
-		if _, err := b.loadBlock(i, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Close releases nothing: the trace is plain memory. It pairs with Open
+// for callers that close what they open.
+func (b *Binary) Close() error { return nil }
 
 // Stream returns a fresh independent cursor positioned at record 0.
 // Cursors are not safe for concurrent use individually, but any number
 // may read the same Binary concurrently.
-func (b *Binary) Stream() *BinaryStream {
-	s := &BinaryStream{b: b, blockIdx: math.MaxUint64}
-	if b.mapped == nil {
-		s.buf = make([]byte, int(b.blkRec)*binRecordSize)
-	}
-	return s
-}
+func (b *Binary) Stream() *BinaryStream { return &BinaryStream{recs: b.recs} }
 
 // BinaryStream is one cursor over a Binary. It implements Stream: Next
 // returns false at end of trace (callers Reset to replay, exactly like
-// the simulator's cores do) and false-with-sticky-error on corruption,
-// distinguishable via Err.
+// the simulator's cores do) and false-with-sticky-error on a record
+// with reserved flag bits, distinguishable via Err.
 type BinaryStream struct {
-	b        *Binary
-	pos      uint64
-	blockIdx uint64 // currently loaded block (MaxUint64: none)
-	block    []byte
-	buf      []byte
-	err      error
+	recs []byte
+	off  int // byte offset of the next record
+	err  error
 }
 
 // Next implements Stream.
 func (s *BinaryStream) Next(in *Instr) bool {
-	if s.err != nil || s.pos >= s.b.count {
+	if s.err != nil || s.off >= len(s.recs) {
 		return false
 	}
-	blk := s.pos / uint64(s.b.blkRec)
-	if blk != s.blockIdx {
-		data, err := s.b.loadBlock(blk, s.buf)
-		if err != nil {
-			s.err = err
-			return false
-		}
-		s.block = data
-		s.blockIdx = blk
-	}
-	off := int(s.pos%uint64(s.b.blkRec)) * binRecordSize
-	if !decodeRecord(s.block[off:off+binRecordSize], in) {
-		s.err = fmt.Errorf("trace: binary record %d has reserved flag bits: %w", s.pos, ErrCorrupt)
+	if !decodeRecord(s.recs[s.off:s.off+binRecordSize], in) {
+		s.err = fmt.Errorf("trace: binary record %d has reserved flag bits: %w", s.off/binRecordSize, ErrCorrupt)
 		return false
 	}
-	s.pos++
+	s.off += binRecordSize
 	return true
 }
 
 // Reset implements Stream. A corruption error is sticky across Reset —
 // a damaged trace must not silently replay as a shorter loop.
-func (s *BinaryStream) Reset() {
-	s.pos = 0
-	s.blockIdx = math.MaxUint64
-}
+func (s *BinaryStream) Reset() { s.off = 0 }
 
-// Err returns the sticky corruption/IO error, nil after clean EOF.
+// Err returns the sticky corruption error, nil after clean EOF.
 func (s *BinaryStream) Err() error { return s.err }

@@ -41,8 +41,8 @@ func genInstrs(n int, seed int64) []Instr {
 // writeBinary serializes instrs into an in-memory binary image.
 func writeBinary(t *testing.T, instrs []Instr) []byte {
 	t.Helper()
-	var ws memWriteSeeker
-	bw, err := NewBinaryWriter(&ws)
+	var buf bytes.Buffer
+	bw, err := NewBinaryWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func writeBinary(t *testing.T, instrs []Instr) []byte {
 	if err := bw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return ws.buf
+	return buf.Bytes()
 }
 
 // drainBinary reads every record through a fresh cursor.
@@ -89,7 +89,7 @@ func equalInstrs(a, b []Instr) bool {
 func TestBinaryRoundTrip(t *testing.T) {
 	instrs := genInstrs(3*binBlockRecords/2, 42)
 	buf := writeBinary(t, instrs)
-	b, err := NewBinary(bytes.NewReader(buf), int64(len(buf)))
+	b, err := NewBinary(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestBinaryEmpty(t *testing.T) {
 	if len(buf) != binHeaderSize {
 		t.Fatalf("empty trace is %d bytes, want %d", len(buf), binHeaderSize)
 	}
-	b, err := NewBinary(bytes.NewReader(buf), int64(len(buf)))
+	b, err := NewBinary(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +137,16 @@ func TestBinaryEmpty(t *testing.T) {
 func TestBinaryTruncated(t *testing.T) {
 	buf := writeBinary(t, genInstrs(100, 7))
 	for _, cut := range []int{len(buf) - 1, len(buf) - 4, binHeaderSize + 10, binHeaderSize, 40, 8, 0} {
-		if _, err := NewBinary(bytes.NewReader(buf[:cut]), int64(cut)); !errors.Is(err, ErrCorrupt) {
+		if _, err := NewBinary(buf[:cut]); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("truncation at %d: got %v, want ErrCorrupt", cut, err)
 		}
 	}
 }
 
 // TestBinaryBitFlips damages each structural region in turn and demands
-// ErrCorrupt — from open for header damage, from the cursor for record
-// or trailer damage.
+// ErrCorrupt — from open for header, record and trailer damage, and from
+// the cursor for a record whose reserved flag bits were forged past the
+// block CRC.
 func TestBinaryBitFlips(t *testing.T) {
 	pristine := writeBinary(t, genInstrs(binBlockRecords+100, 9))
 	recEnd := binHeaderSize + (binBlockRecords+100)*binRecordSize
@@ -158,44 +159,41 @@ func TestBinaryBitFlips(t *testing.T) {
 
 	t.Run("magic", func(t *testing.T) {
 		buf := flip(0)
-		if _, err := NewBinary(bytes.NewReader(buf), int64(len(buf))); !errors.Is(err, ErrBadMagic) {
+		if _, err := NewBinary(buf); !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("got %v, want ErrBadMagic", err)
 		}
 	})
 	t.Run("header", func(t *testing.T) {
 		for _, off := range []int{8, 16, 20, 24, 56} { // count, recordSize, blockRecords, sourceHash, headerCRC
 			buf := flip(off)
-			if _, err := NewBinary(bytes.NewReader(buf), int64(len(buf))); !errors.Is(err, ErrCorrupt) {
+			if _, err := NewBinary(buf); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("flip at %d: got %v, want ErrCorrupt", off, err)
 			}
 		}
 	})
+	// atOpen demands ErrCorrupt from NewBinary over buf and from
+	// OpenBinary over a file holding it.
+	atOpen := func(t *testing.T, buf []byte) {
+		t.Helper()
+		if _, err := NewBinary(buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("NewBinary: got %v, want ErrCorrupt", err)
+		}
+		path := filepath.Join(t.TempDir(), "flip.trb")
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenBinary(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("OpenBinary: got %v, want ErrCorrupt", err)
+		}
+	}
 	t.Run("record", func(t *testing.T) {
-		// One flip in each CRC block; caught lazily by the cursor.
+		// One flip in each CRC block; every block is checked at open.
 		for _, off := range []int{binHeaderSize + 5, binHeaderSize + binBlockRecords*binRecordSize + 5} {
-			buf := flip(off)
-			b, err := NewBinary(bytes.NewReader(buf), int64(len(buf)))
-			if err != nil {
-				t.Fatalf("flip at %d rejected at open: %v", off, err)
-			}
-			s := b.Stream()
-			var in Instr
-			for s.Next(&in) {
-			}
-			if err := s.Err(); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("flip at %d: cursor error %v, want ErrCorrupt", off, err)
-			}
+			atOpen(t, flip(off))
 		}
 	})
 	t.Run("trailer", func(t *testing.T) {
-		buf := flip(recEnd + 1)
-		b, err := NewBinary(bytes.NewReader(buf), int64(len(buf)))
-		if err != nil {
-			t.Fatalf("trailer flip rejected at open: %v", err)
-		}
-		if err := b.Verify(); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("Verify: got %v, want ErrCorrupt", err)
-		}
+		atOpen(t, flip(recEnd+1))
 	})
 	t.Run("reserved-flags", func(t *testing.T) {
 		// Set a reserved flag bit and forge the block CRC so only the
@@ -205,7 +203,7 @@ func TestBinaryBitFlips(t *testing.T) {
 		blockLen := binBlockRecords * binRecordSize
 		crc := crc32.Checksum(buf[binHeaderSize:binHeaderSize+blockLen], binCRCTable)
 		binary.LittleEndian.PutUint32(buf[recEnd:], crc)
-		b, err := NewBinary(bytes.NewReader(buf), int64(len(buf)))
+		b, err := NewBinary(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +224,7 @@ func TestBinaryBitFlips(t *testing.T) {
 func TestBinaryConcurrentCursors(t *testing.T) {
 	instrs := genInstrs(2*binBlockRecords+17, 11)
 	buf := writeBinary(t, instrs)
-	b, err := NewBinary(bytes.NewReader(buf), int64(len(buf)))
+	b, err := NewBinary(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +280,8 @@ func writeV1File(t *testing.T, path string, instrs []Instr) {
 }
 
 // TestOpenAutoDetect pins Open's magic routing: a binary file opens
-// directly, a v1 file converts through a sidecar, garbage is rejected.
+// directly, a v1 file converts in memory and leaves no file behind,
+// garbage is rejected.
 func TestOpenAutoDetect(t *testing.T) {
 	dir := t.TempDir()
 	instrs := genInstrs(500, 3)
@@ -308,10 +307,10 @@ func TestOpenAutoDetect(t *testing.T) {
 	}
 	defer v.Close()
 	if !equalInstrs(drainBinary(t, v), instrs) {
-		t.Fatal("v1 open via sidecar altered records")
+		t.Fatal("v1 open altered records")
 	}
-	if _, err := os.Stat(v1Path + ".bin"); err != nil {
-		t.Fatalf("sidecar not created: %v", err)
+	if _, err := os.Stat(v1Path + ".bin"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("opening a v1 trace left %s.bin behind (stat: %v)", v1Path, err)
 	}
 
 	bad := filepath.Join(dir, "bad")
@@ -320,98 +319,6 @@ func TestOpenAutoDetect(t *testing.T) {
 	}
 	if _, err := Open(bad); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("garbage open: got %v, want ErrBadMagic", err)
-	}
-}
-
-// TestOpenSidecarInvalidation proves the sidecar is keyed on the source
-// hash: reusing a fresh sidecar, rebuilding a stale one.
-func TestOpenSidecarInvalidation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "w.trc")
-	sidecar := path + ".bin"
-
-	first := genInstrs(300, 21)
-	writeV1File(t, path, first)
-	b1, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash1 := b1.SourceHash()
-	b1.Close()
-
-	// A second open must reuse the sidecar byte for byte.
-	before, err := os.ReadFile(sidecar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.SourceHash() != hash1 {
-		t.Fatal("reopen changed source hash")
-	}
-	b2.Close()
-	after, err := os.ReadFile(sidecar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("clean reopen rewrote the sidecar")
-	}
-
-	// Changing the source must rebuild it.
-	second := genInstrs(301, 22)
-	writeV1File(t, path, second)
-	b3, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b3.Close()
-	if b3.SourceHash() == hash1 {
-		t.Fatal("stale sidecar was trusted after the source changed")
-	}
-	if !equalInstrs(drainBinary(t, b3), second) {
-		t.Fatal("rebuilt sidecar has wrong records")
-	}
-
-	// A corrupt sidecar (right hash position, damaged records) must also
-	// be rebuilt rather than trusted.
-	sc, err := os.ReadFile(sidecar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc[len(sc)-1] ^= 0xff
-	if err := os.WriteFile(sidecar, sc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b4, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b4.Close()
-	if !equalInstrs(drainBinary(t, b4), second) {
-		t.Fatal("corrupt sidecar produced wrong records")
-	}
-}
-
-// TestOpenSidecarUnwritable blocks the sidecar path (a directory is
-// squatting on it) and demands the in-memory conversion fallback.
-func TestOpenSidecarUnwritable(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "w.trc")
-	instrs := genInstrs(200, 5)
-	writeV1File(t, path, instrs)
-	if err := os.MkdirAll(path+".bin/block", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if !equalInstrs(drainBinary(t, b), instrs) {
-		t.Fatal("in-memory fallback altered records")
 	}
 }
 

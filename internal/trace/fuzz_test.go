@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -58,19 +60,19 @@ func FuzzReader(f *testing.F) {
 		{IP: 0x400008, Stores: [MaxStores]uint64{0x20000}, DepPrev: true},
 	}
 	binValid := func() []byte {
-		var ws memWriteSeeker
-		w, _ := NewBinaryWriter(&ws)
+		var buf bytes.Buffer
+		w, _ := NewBinaryWriter(&buf)
 		for i := range binInstrs {
 			w.Write(&binInstrs[i])
 		}
 		w.Close()
-		return ws.buf
+		return buf.Bytes()
 	}()
 	binEmpty := func() []byte {
-		var ws memWriteSeeker
-		w, _ := NewBinaryWriter(&ws)
+		var buf bytes.Buffer
+		w, _ := NewBinaryWriter(&buf)
 		w.Close()
-		return ws.buf
+		return buf.Bytes()
 	}()
 	f.Add(binEmpty)
 	f.Add(binValid)
@@ -146,10 +148,11 @@ func FuzzReader(f *testing.F) {
 }
 
 // fuzzBinary is FuzzReader's harness for IPCPTRB2 inputs: open, drain a
-// cursor, and round-trip whatever parsed cleanly. The binary format is
-// exact — no normalization — so the round trip must be byte-identical.
+// cursor, and round-trip whatever parsed cleanly through a file. The
+// binary format is exact — no normalization — so the round trip must be
+// byte-identical.
 func fuzzBinary(t *testing.T, data []byte) {
-	b, err := NewBinary(bytes.NewReader(data), int64(len(data)))
+	b, err := NewBinary(data)
 	if err != nil {
 		return // damaged input, correctly rejected
 	}
@@ -169,8 +172,12 @@ func fuzzBinary(t *testing.T, data []byte) {
 		t.Fatalf("clean cursor read %d records of a declared %d", len(parsed), b.Count())
 	}
 
-	var ws memWriteSeeker
-	w, err := NewBinaryWriter(&ws)
+	path := filepath.Join(t.TempDir(), "roundtrip.trb")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewBinaryWriter(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +189,10 @@ func fuzzBinary(t *testing.T, data []byte) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := NewBinary(bytes.NewReader(ws.buf), int64(len(ws.buf)))
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := OpenBinary(path)
 	if err != nil {
 		t.Fatalf("re-reading own output: %v", err)
 	}

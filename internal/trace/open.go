@@ -1,227 +1,51 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 )
 
-// OpenBinary opens a pre-decoded (IPCPTRB2) trace file. The file is
-// memory-mapped when the platform allows it, so concurrent cursors
-// share one read-only copy of the records; otherwise cursors read
-// through the file with per-cursor block buffers.
+// OpenBinary reads a pre-decoded (IPCPTRB2) trace file into memory and
+// validates all of it (see NewBinary).
 func OpenBinary(path string) (*Binary, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	fi, err := f.Stat()
+	b, err := NewBinary(data)
 	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	size := fi.Size()
-
-	if mapped, munmap, merr := mmapFile(f, size); merr == nil && mapped != nil {
-		b, err := NewBinary(bytes.NewReader(mapped), size)
-		if err != nil {
-			munmap()
-			f.Close()
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		b.mapped = mapped
-		b.closers = []func() error{munmap}
-		f.Close() // the mapping outlives the descriptor
-		return b, nil
-	}
-
-	b, err := NewBinary(f, size)
-	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return b, nil
 }
 
-// Open opens a trace file in either format, always returning the
-// zero-parse *Binary representation:
-//
-//   - A pre-decoded (IPCPTRB2) file is opened directly.
-//   - A v1 (IPCPTRC1) file is transparently converted through a ".bin"
-//     sidecar next to the source: the sidecar embeds the SHA-256 of the
-//     source it was derived from, so a stale or foreign sidecar is
-//     rebuilt, never trusted. The sidecar is written to a temp file and
-//     renamed into place, so concurrent opens race benignly. If the
-//     directory is unwritable the conversion happens in memory instead.
-//
-// Either way the caller replays fixed-width records; the text decode
-// cost is paid at most once per source trace, not once per run.
+// Open reads a trace file in either format into a *Binary, routing by
+// magic: a pre-decoded (IPCPTRB2) file opens as with OpenBinary, and a
+// v1 (IPCPTRC1) file is decoded with ReadAll and re-encoded in memory.
+// It writes nothing.
 func Open(path string) (*Binary, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w (%v)", path, ErrBadMagic, err)
-	}
-	switch head {
-	case magic2:
-		f.Close()
-		return OpenBinary(path)
-	case magic:
-		defer f.Close()
-		return openV1(f, path)
-	default:
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, ErrBadMagic)
-	}
-}
-
-// openV1 resolves a v1 source through its sidecar cache. f is the open
-// source file (position irrelevant; it is re-seeked).
-func openV1(f *os.File, path string) (*Binary, error) {
-	srcHash, err := hashFile(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: hashing source trace: %w", path, err)
-	}
-	sidecar := path + ".bin"
-	if b, err := OpenBinary(sidecar); err == nil {
-		// The sidecar is a cache: reuse it only if it was derived from
-		// exactly this source AND its blocks verify. Stale or damaged,
-		// it is rebuilt from the source, never trusted.
-		if b.SourceHash() == srcHash && b.Verify() == nil {
-			return b, nil
+	var b *Binary
+	switch {
+	case bytes.HasPrefix(data, magic2[:]):
+		b, err = NewBinary(data)
+	case bytes.HasPrefix(data, magic[:]):
+		var s *SliceStream
+		if s, err = ReadAll(bytes.NewReader(data)); err == nil {
+			b = &Binary{recs: make([]byte, 0, len(s.Instrs)*binRecordSize)}
+			for i := range s.Instrs {
+				b.recs = appendRecord(b.recs, &s.Instrs[i])
+			}
 		}
-		b.Close()
+	default:
+		err = ErrBadMagic
 	}
-	if b, err := buildSidecar(f, path, sidecar, srcHash); err == nil {
-		return b, nil
-	} else if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrBadMagic) {
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	// Unwritable directory (or a rename race we lost to a writer that
-	// then vanished): convert in memory.
-	return convertInMemory(f, srcHash)
-}
-
-// hashFile returns the SHA-256 of f's full contents.
-func hashFile(f *os.File) ([32]byte, error) {
-	var zero [32]byte
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return zero, err
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return zero, err
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out, nil
-}
-
-// convertV1 streams every record of the v1 source into bw.
-func convertV1(f *os.File, bw *BinaryWriter) error {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	r, err := NewReader(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		return err
-	}
-	var in Instr
-	for {
-		if err := r.Read(&in); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return err
-		}
-		if err := bw.Write(&in); err != nil {
-			return err
-		}
-	}
-	return bw.Close()
-}
-
-// buildSidecar converts the v1 source into a temp file and renames it
-// over the sidecar path, then opens the result.
-func buildSidecar(f *os.File, path, sidecar string, srcHash [32]byte) (*Binary, error) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(sidecar)+".tmp-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	bw, err := NewBinaryWriter(tmp)
-	if err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	bw.SetSourceHash(srcHash)
-	if err := convertV1(f, bw); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, err
-	}
-	if err := os.Rename(tmp.Name(), sidecar); err != nil {
-		return nil, err
-	}
-	return OpenBinary(sidecar)
-}
-
-// convertInMemory converts the v1 source into an in-memory binary image.
-func convertInMemory(f *os.File, srcHash [32]byte) (*Binary, error) {
-	var ws memWriteSeeker
-	bw, err := NewBinaryWriter(&ws)
-	if err != nil {
-		return nil, err
-	}
-	bw.SetSourceHash(srcHash)
-	if err := convertV1(f, bw); err != nil {
-		return nil, err
-	}
-	return NewBinary(bytes.NewReader(ws.buf), int64(len(ws.buf)))
-}
-
-// memWriteSeeker is the minimal in-memory io.WriteSeeker BinaryWriter
-// needs for the no-sidecar fallback.
-type memWriteSeeker struct {
-	buf []byte
-	off int
-}
-
-func (m *memWriteSeeker) Write(p []byte) (int, error) {
-	if need := m.off + len(p); need > len(m.buf) {
-		m.buf = append(m.buf, make([]byte, need-len(m.buf))...)
-	}
-	copy(m.buf[m.off:], p)
-	m.off += len(p)
-	return len(p), nil
-}
-
-func (m *memWriteSeeker) Seek(offset int64, whence int) (int64, error) {
-	var abs int64
-	switch whence {
-	case io.SeekStart:
-		abs = offset
-	case io.SeekCurrent:
-		abs = int64(m.off) + offset
-	case io.SeekEnd:
-		abs = int64(len(m.buf)) + offset
-	default:
-		return 0, fmt.Errorf("trace: bad seek whence %d", whence)
-	}
-	if abs < 0 {
-		return 0, fmt.Errorf("trace: negative seek offset")
-	}
-	m.off = int(abs)
-	return abs, nil
+	return b, nil
 }
