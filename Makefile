@@ -37,10 +37,14 @@ allocs:
 
 # The paper's shape as a gate (internal/experiments/shape_test.go): a
 # dozen experiments at Quick scale, each table held to the shape the
-# paper reports, bar the recorded expected failures (~20 s). It is
-# //go:build !race, like the allocation gates, so `test` never builds it.
+# paper reports, bar the recorded expected failures (~20 s); and knob
+# liveness (liveness_test.go): every sensitivity/ablation row's count of
+# runs that differ from the default row, held to
+# testdata/liveness.golden (~5 s more, sharing the Quick session). Both
+# are //go:build !race, like the allocation gates, so `test` never
+# builds them.
 fidelity:
-	$(GO) test ./internal/experiments -run '^TestShape$$' -count=1
+	$(GO) test ./internal/experiments -run '^(TestShape|TestKnobsMove)$$' -count=1
 
 # The benchmark is its own Go module (benchmark/go.mod), so `go test
 # ./...` at the root never builds it. Its layer drivers construct

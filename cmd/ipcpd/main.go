@@ -262,7 +262,7 @@ func main() {
 		}
 		var actx context.Context
 		actx, agentCancel = context.WithCancel(context.Background())
-		coord.StartAgent(actx, *workerOf, "http://"+ln.Addr().String(), capacity, logger)
+		coord.StartAgent(actx, *workerOf, "http://"+ln.Addr().String(), capacity, sc, logger)
 	}
 
 	httpSrv := &http.Server{Handler: srv.Handler()}

@@ -98,3 +98,46 @@ func TestWrittenTraceReadsBack(t *testing.T) {
 		t.Error("the written records are not the generator's")
 	}
 }
+
+// TestCutTraceIsCorrupt: -o writes the record count into the header, so
+// a file cut at a record boundary — a shorter trace that is valid
+// record by record — reads as corrupt rather than as a shorter trace.
+func TestCutTraceIsCorrupt(t *testing.T) {
+	bin := build(t)
+	path := filepath.Join(t.TempDir(), "lbm.trc")
+	if out, err := exec.Command(bin, "-workload", "lbm-94", "-n", "500", "-seed", "3", "-o", path).CombinedOutput(); err != nil {
+		t.Fatalf("tracegen -o: %v\n%s", err, out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Declared() != 500 {
+		t.Fatalf("header declares %d records, want 500", r.Declared())
+	}
+	// The first 250 records' bytes, as a streamed writer lays them out.
+	w, err := workload.Named("lbm-94")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var half bytes.Buffer
+	tw, err := trace.NewWriter(&half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range trace.Collect(w.New(3), 250) {
+		if err := tw.Write(&in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.ReadAll(bytes.NewReader(data[:half.Len()])); !errors.Is(err, trace.ErrCorrupt) {
+		t.Errorf("a trace cut after record 250 of 500 read back with error %v, want ErrCorrupt", err)
+	}
+}

@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"ipcp/internal/experiments"
 )
 
 // Agent is the worker-side registration client: it announces the
-// worker's URL and capacity to the coordinator, then heartbeats at the
+// worker's URL, capacity and scale to the coordinator, then heartbeats at the
 // interval the coordinator dictates. Registration retries until it
 // succeeds (the worker may come up before the coordinator), and a
 // heartbeat answered 404 — this incarnation was declared lost, or the
@@ -24,17 +26,18 @@ type Agent struct {
 	coord    string // coordinator base URL
 	self     string // this worker's advertised URL
 	capacity int
+	scale    experiments.Scale
 	hc       *http.Client
 	log      *slog.Logger
 
 	done chan struct{}
 }
 
-// StartAgent registers selfURL (capacity concurrent points) with the
-// coordinator at coordURL and keeps the registration alive until ctx
-// ends. Returns immediately; registration and heartbeats run in the
-// background.
-func StartAgent(ctx context.Context, coordURL, selfURL string, capacity int, log *slog.Logger) *Agent {
+// StartAgent registers selfURL (capacity concurrent points, simulated
+// at scale) with the coordinator at coordURL and keeps the registration
+// alive until ctx ends. Returns immediately; registration and
+// heartbeats run in the background.
+func StartAgent(ctx context.Context, coordURL, selfURL string, capacity int, scale experiments.Scale, log *slog.Logger) *Agent {
 	if log == nil {
 		log = slog.Default()
 	}
@@ -45,6 +48,7 @@ func StartAgent(ctx context.Context, coordURL, selfURL string, capacity int, log
 		coord:    strings.TrimRight(coordURL, "/"),
 		self:     strings.TrimRight(selfURL, "/"),
 		capacity: capacity,
+		scale:    scale,
 		hc:       &http.Client{Timeout: 10 * time.Second},
 		log:      log,
 		done:     make(chan struct{}),
@@ -88,7 +92,7 @@ func (a *Agent) run(ctx context.Context) {
 // register announces the worker once; returns the assigned id and the
 // heartbeat interval the coordinator wants.
 func (a *Agent) register(ctx context.Context) (string, time.Duration, error) {
-	body, _ := json.Marshal(registerRequest{URL: a.self, Capacity: a.capacity})
+	body, _ := json.Marshal(registerRequest{URL: a.self, Capacity: a.capacity, Scale: a.scale})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		a.coord+"/v1/workers", bytes.NewReader(body))
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -55,6 +56,12 @@ func (b *BlobStore) get(key string) ([]byte, bool) {
 		b.getHits.Add(1)
 	}
 	return frame, ok
+}
+
+// has reports whether a blob is stored under key, without reading it.
+func (b *BlobStore) has(key string) bool {
+	_, err := os.Stat(b.dir.Path(store.Blob, key))
+	return err == nil
 }
 
 // put verifies and persists one frame. The key is the run identity's

@@ -5,28 +5,37 @@
 // whose serve.Server has a Coordinator as its serve.Fleet: serve owns
 // the sweep job's admission, queue, journal, events and views, and
 // hands each job to RunSweep. Workers are ordinary ipcpd daemons (run
-// with -worker <coord-url>) that register over HTTP and heartbeat.
-// RunSweep runs each of the sweep's warmup-identity groups on one
-// worker, so the group's shared warmup is simulated — and its snapshot
-// forked — once, and fans the points out through the workers' existing
-// /v1/runs API: submit, follow the job's event stream to its end, fetch
-// the result; no timer paces a sweep. A worker that misses heartbeats,
-// drops a connection, breaks an event stream before its job is terminal
-// or shuts down under a job is declared lost and its outstanding points
-// are reassigned; a point's simulation failure, by contrast, is
-// deterministic and final. Results flow back through a shared
-// content-addressed blob store (blobs.go) so nothing is ever recomputed
-// twice across the fleet.
+// with -worker <coord-url>) that register over HTTP, with their
+// capacity and simulation scale, and heartbeat. RunSweep places a
+// sweep's points one at a time on whichever worker slot frees up: a
+// slot first takes a point of a warmup group its worker already holds
+// (the group's snapshot is resident there), then a point of the started
+// group with the most remaining work once that group's warmup spill is
+// in the shared blob store (the worker forks the spill, so the fleet
+// never warms a group twice), then the first point of a group no worker
+// holds. Each point goes through the worker's existing /v1/runs API:
+// submit, follow the job's event stream to its end (which frees the
+// slot), fetch the result; no timer paces a sweep. A worker that misses
+// heartbeats, drops a connection, breaks an event stream before its job
+// is terminal or shuts down under a job is declared lost and its
+// in-flight points return to the pool; a point's simulation failure,
+// by contrast, is deterministic and final. Results and warmup spills
+// flow through a shared content-addressed blob store (blobs.go) so
+// nothing is ever recomputed twice across the fleet.
 package coord
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
+
+	"ipcp/internal/experiments"
 )
 
 // Options configures a Coordinator.
@@ -55,8 +64,9 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers map[string]*worker
+	order   []*worker       // live workers in registration order: placement's scan order
 	nextW   int             // worker id allocator
-	joined  chan struct{}   // closed and replaced by every register
+	changed chan struct{}   // closed and replaced whenever a placement could change (kickLocked)
 	stats   MetricsSnapshot // the fleet and fan-out counters the coordinator owns
 }
 
@@ -65,17 +75,38 @@ type Coordinator struct {
 // when the worker is declared lost, waking every scheduler goroutine
 // blocked on it and aborting every request in flight to it.
 type worker struct {
-	ID       string    `json:"id"`
-	URL      string    `json:"url"`
-	Capacity int       `json:"capacity"`
-	Since    time.Time `json:"registered"`
+	ID       string
+	URL      string
+	Capacity int
+	Scale    experiments.Scale
+	Since    time.Time
 
 	lastBeat time.Time
 	dead     bool
 	ctx      context.Context
 	cancel   context.CancelFunc
-	assigned int           // points currently assigned (load metric)
-	slots    chan struct{} // capacity semaphore
+	busy     int             // slots running a point, at most Capacity
+	holds    map[string]bool // warmup groups (serve.Point.Group) it has run or runs a point of
+	held     []string        // holds' keys, oldest first
+}
+
+// holdCap bounds a worker's holds: a worker keeps at most 16 warmup
+// snapshots resident (experiments' snapMemCap), so an older hold names
+// a snapshot it has likely dropped.
+const holdCap = 16
+
+// hold records that w holds group, forgetting its oldest hold past
+// holdCap.
+func (w *worker) hold(group string) {
+	if w.holds[group] {
+		return
+	}
+	w.holds[group] = true
+	w.held = append(w.held, group)
+	if len(w.held) > holdCap {
+		delete(w.holds, w.held[0])
+		w.held = w.held[1:]
+	}
 }
 
 // New creates a coordinator with its blob store under opts.DataDir.
@@ -91,16 +122,22 @@ func New(opts Options) (*Coordinator, error) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	// A slot's result fetch overlaps its next point's submit and follow,
+	// so a worker sees up to three requests per slot at once: keep more
+	// idle connections per worker than the default two, or each overlap
+	// closes one and the next point dials again.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 16
 	c := &Coordinator{
 		opts:    opts,
 		log:     opts.Log,
 		blobs:   blobs,
-		hc:      &http.Client{Timeout: 30 * time.Second},
-		tail:    &http.Client{},
+		hc:      &http.Client{Transport: tr, Timeout: 30 * time.Second},
+		tail:    &http.Client{Transport: tr},
 		ctx:     ctx,
 		stop:    cancel,
 		workers: make(map[string]*worker),
-		joined:  make(chan struct{}),
+		changed: make(chan struct{}),
 	}
 	c.wg.Add(1)
 	go c.reap()
@@ -116,19 +153,30 @@ func (c *Coordinator) Close() {
 
 // --- worker registry -------------------------------------------------------
 
+// errScaleMismatch refuses a worker whose scale differs from the live
+// fleet's: points of one warmup group cross workers, so a mixed-scale
+// fleet would mix methodologies inside one group.
+var errScaleMismatch = errors.New("worker scale differs from the fleet's")
+
 // register admits (or replaces) a worker. A re-registration from a URL
 // we already know supersedes the old entry: the previous incarnation —
 // typically a crashed daemon that came back — is declared lost so its
-// points reassign, and the new one starts clean.
-func (c *Coordinator) register(url string, capacity int) *worker {
+// points reassign, and the new one starts clean. Every live worker runs
+// at one scale, the first live registrant's; another is refused.
+func (c *Coordinator) register(url string, capacity int, scale experiments.Scale) (*worker, error) {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	url = strings.TrimRight(url, "/") // before comparing: stored URLs are trimmed
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, w := range c.workers {
-		if w.URL == url && !w.dead {
+	for _, w := range c.order {
+		if w.URL != url && w.Scale != scale {
+			return nil, fmt.Errorf("%w: %+v, fleet runs %+v", errScaleMismatch, scale, w.Scale)
+		}
+	}
+	for _, w := range slices.Clone(c.order) {
+		if w.URL == url {
 			c.markDeadLocked(w, "superseded by re-registration")
 		}
 	}
@@ -137,17 +185,32 @@ func (c *Coordinator) register(url string, capacity int) *worker {
 		ID:       fmt.Sprintf("w%06d", c.nextW),
 		URL:      url,
 		Capacity: capacity,
+		Scale:    scale,
 		Since:    time.Now(),
 		lastBeat: time.Now(),
-		slots:    make(chan struct{}, capacity),
+		holds:    make(map[string]bool),
 	}
 	w.ctx, w.cancel = context.WithCancel(c.ctx)
 	c.workers[w.ID] = w
-	close(c.joined)
-	c.joined = make(chan struct{})
+	c.order = append(c.order, w)
+	c.kickLocked()
 	c.stats.Workers.Registered++
 	c.log.Info("worker registered", "worker", w.ID, "url", w.URL, "capacity", capacity)
-	return w
+	return w, nil
+}
+
+// kickLocked wakes every placement waiting for a change: a worker
+// joined or left, a slot freed, a point ended or a blob landed.
+func (c *Coordinator) kickLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
+// kick is kickLocked for a caller not holding mu.
+func (c *Coordinator) kick() {
+	c.mu.Lock()
+	c.kickLocked()
+	c.mu.Unlock()
 }
 
 // count adds n to one of the coordinator's own counters.
@@ -183,6 +246,8 @@ func (c *Coordinator) markDeadLocked(w *worker, reason string) {
 	}
 	w.dead = true
 	w.cancel()
+	c.order = slices.DeleteFunc(c.order, func(o *worker) bool { return o == w })
+	c.kickLocked()
 	c.stats.Workers.Lost++
 	c.log.Warn("worker lost", "worker", w.ID, "url", w.URL, "reason", reason)
 }
@@ -211,57 +276,11 @@ func (c *Coordinator) reap() {
 	}
 }
 
-// pickWorker returns the live worker with the least assigned load,
-// reserving n points of load on it, or blocks until register admits
-// one. The end of ctx (the sweep's) aborts the wait.
-func (c *Coordinator) pickWorker(ctx context.Context, n int) (*worker, error) {
-	for {
-		// First: handing an ended sweep a worker spins runGroup.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		var best *worker
-		for _, w := range c.workers {
-			if w.dead {
-				continue
-			}
-			if best == nil || w.assigned < best.assigned {
-				best = w
-			}
-		}
-		if best != nil {
-			best.assigned += n
-			c.mu.Unlock()
-			return best, nil
-		}
-		joined := c.joined
-		c.mu.Unlock()
-		select {
-		case <-ctx.Done():
-		case <-joined:
-		}
-	}
-}
-
-// release returns reserved load to a worker.
-func (c *Coordinator) release(w *worker, n int) {
-	c.mu.Lock()
-	w.assigned -= n
-	c.mu.Unlock()
-}
-
 // Live is the number of schedulable workers (serve.Fleet: /healthz).
 func (c *Coordinator) Live() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	live := 0
-	for _, w := range c.workers {
-		if !w.dead {
-			live++
-		}
-	}
-	return live
+	return len(c.order)
 }
 
 // workerViews snapshots the registry for GET /v1/workers.
@@ -273,7 +292,7 @@ func (c *Coordinator) workerViews() []workerView {
 		out = append(out, workerView{
 			ID: w.ID, URL: w.URL, Capacity: w.Capacity,
 			Since: w.Since, LastBeat: w.lastBeat, Dead: w.dead,
-			Assigned: w.assigned,
+			Assigned: w.busy,
 		})
 	}
 	return out

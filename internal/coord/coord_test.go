@@ -61,6 +61,16 @@ func (tc *testCoord) close() {
 	tc.Coordinator.Close()
 }
 
+// join registers url with c at the e2e workers' scale.
+func (c *testCoord) join(t *testing.T, url string, capacity int) *worker {
+	t.Helper()
+	w, err := c.register(url, capacity, e2eScale)
+	if err != nil {
+		t.Errorf("register %s: %v", url, err)
+	}
+	return w
+}
+
 // newTestCoord returns a coordinator with fast test timings and its
 // httptest front end.
 func newTestCoord(t *testing.T) (*testCoord, *httptest.Server) {
@@ -369,12 +379,12 @@ func TestSubmitSweepBodyTooLarge(t *testing.T) {
 
 func TestWorkerRegistryLifecycle(t *testing.T) {
 	c, _ := newTestCoord(t)
-	w1 := c.register("http://127.0.0.1:1111", 2)
+	w1 := c.join(t, "http://127.0.0.1:1111", 2)
 	if !c.heartbeat(w1.ID) {
 		t.Fatal("heartbeat for a live worker refused")
 	}
 	// Re-registration from the same URL supersedes the old entry.
-	w2 := c.register("http://127.0.0.1:1111", 2)
+	w2 := c.join(t, "http://127.0.0.1:1111", 2)
 	if c.heartbeat(w1.ID) {
 		t.Error("heartbeat for a superseded worker accepted")
 	}
@@ -383,7 +393,7 @@ func TestWorkerRegistryLifecycle(t *testing.T) {
 	}
 	// A trailing slash is the same worker: stored URLs are trimmed, so
 	// the comparison must be too.
-	w3 := c.register("http://127.0.0.1:1111/", 2)
+	w3 := c.join(t, "http://127.0.0.1:1111/", 2)
 	if c.heartbeat(w2.ID) {
 		t.Error("re-registration with a trailing slash did not supersede")
 	}
@@ -398,7 +408,7 @@ func TestWorkerRegistryLifecycle(t *testing.T) {
 
 func TestReaperDeclaresSilentWorkersLost(t *testing.T) {
 	c, _ := newTestCoord(t)
-	w := c.register("http://127.0.0.1:2222", 1)
+	w := c.join(t, "http://127.0.0.1:2222", 1)
 	// Observe via the worker's ctx, not heartbeat(): a heartbeat is a
 	// liveness refresh and would keep the worker alive forever.
 	select {
@@ -418,7 +428,7 @@ func TestAgentReregisters(t *testing.T) {
 	c, ts := newTestCoord(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	StartAgent(ctx, ts.URL, "http://127.0.0.1:3333", 1, discardLog())
+	StartAgent(ctx, ts.URL, "http://127.0.0.1:3333", 1, e2eScale, discardLog())
 
 	firstID := waitLiveWorker(t, c, "")
 	c.mu.Lock()

@@ -209,7 +209,7 @@ var onePoint = serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []stri
 func TestFollowOnePostOneStreamOneGet(t *testing.T) {
 	c := newFakeFleetCoord(t)
 	fw := startFakeWorker(t, nil)
-	c.register(fw.ts.URL, 2)
+	c.join(t, fw.ts.URL, 2)
 
 	id := c.acceptSweep(t, serve.SweepRequest{
 		RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994", "bwaves-98"}},
@@ -292,12 +292,12 @@ func TestBrokenStreamReassignsAtOnce(t *testing.T) {
 		}
 		conn.Close()
 	})
-	wa := c.register(a.ts.URL, 1)
+	wa := c.join(t, a.ts.URL, 1)
 
 	id := c.acceptSweep(t, onePoint)
 	await(t, following, "the follow of the first attempt")
 	b := startFakeWorker(t, nil)
-	wb := c.register(b.ts.URL, 1)
+	wb := c.join(t, b.ts.URL, 1)
 
 	start := time.Now()
 	close(sever)
@@ -333,7 +333,7 @@ func TestCleanStreamEndIsNotCompletion(t *testing.T) {
 		}
 		fw.setStatus(j, "done")
 	})
-	c.register(fw.ts.URL, 1)
+	c.join(t, fw.ts.URL, 1)
 
 	v := awaitSweep(t, c, c.acceptSweep(t, onePoint), 10*time.Second)
 	if pt := v.Points[0]; pt.Status != serve.PointDone || pt.Attempts != 1 {
@@ -359,11 +359,11 @@ func TestVanishedStreamIsWorkerLoss(t *testing.T) {
 		close(asked)
 		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job"))
 	})
-	c.register(amnesiac.ts.URL, 1)
+	c.join(t, amnesiac.ts.URL, 1)
 	id := c.acceptSweep(t, onePoint)
 	await(t, asked, "the follow of the first attempt")
 	healthy := startFakeWorker(t, nil)
-	wh := c.register(healthy.ts.URL, 1)
+	wh := c.join(t, healthy.ts.URL, 1)
 
 	v := awaitSweep(t, c, id, 10*time.Second)
 	if pt := v.Points[0]; pt.Status != serve.PointDone || pt.Worker != wh.ID || pt.Attempts != 2 {
@@ -387,7 +387,7 @@ func TestBackpressureWaitRacesWorkerLoss(t *testing.T) {
 		serve.WriteError(w, http.StatusTooManyRequests, fmt.Errorf("job queue full"))
 		refused <- struct{}{}
 	}
-	wf := c.register(full.ts.URL, 1)
+	wf := c.join(t, full.ts.URL, 1)
 	id := c.acceptSweep(t, onePoint)
 	await(t, refused, "the 429")
 	for deadline := time.Now().Add(10 * time.Second); c.Metrics().Fanout.Retries == 0; time.Sleep(time.Millisecond) {
@@ -396,7 +396,7 @@ func TestBackpressureWaitRacesWorkerLoss(t *testing.T) {
 		}
 	}
 	idle := startFakeWorker(t, nil)
-	wi := c.register(idle.ts.URL, 1)
+	wi := c.join(t, idle.ts.URL, 1)
 
 	start := time.Now()
 	c.markDead(wf, "test kill")
@@ -423,7 +423,7 @@ func TestSweepWaitsForFirstWorker(t *testing.T) {
 		t.Fatalf("sweep on an empty fleet: point %s; want pending", v.Points[0].Status)
 	}
 	fw := startFakeWorker(t, nil)
-	c.register(fw.ts.URL, 1)
+	c.join(t, fw.ts.URL, 1)
 	if v := awaitSweep(t, c, id, 10*time.Second); v.Done != 1 {
 		t.Fatalf("sweep done=%d failed=%d after a worker registered, want 1/0", v.Done, v.Failed)
 	}
@@ -445,7 +445,7 @@ func TestCloseAbortsBlockedSchedulers(t *testing.T) {
 					openStream(w)
 					<-r.Context().Done() // a job that never ends
 				})
-				c.register(fw.ts.URL, 1)
+				c.join(t, fw.ts.URL, 1)
 			}
 			id := c.acceptSweep(t, onePoint)
 			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -489,7 +489,7 @@ func TestCloseAbortsBlockedSchedulers(t *testing.T) {
 func TestFanoutReusesConnections(t *testing.T) {
 	c := newFakeFleetCoord(t)
 	fw := startFakeWorker(t, nil)
-	c.register(fw.ts.URL, 1)
+	c.join(t, fw.ts.URL, 1)
 	id := c.acceptSweep(t, serve.SweepRequest{
 		RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}},
 		L1D:     []string{"", "nl", "ipstride", "ipcp", "spp", "bop"},
@@ -524,11 +524,11 @@ func TestWorkerShutdownIsWorkerLoss(t *testing.T) {
 		j.status, j.err = "failed", serve.ErrShutdown.Error()
 		fw.mu.Unlock()
 	})
-	wc := c.register(closing.ts.URL, 1)
+	wc := c.join(t, closing.ts.URL, 1)
 	id := c.acceptSweep(t, onePoint)
 	await(t, following, "the follow of the first attempt")
 	live := startFakeWorker(t, nil)
-	wl := c.register(live.ts.URL, 1)
+	wl := c.join(t, live.ts.URL, 1)
 
 	close(shutdown)
 	v := awaitSweep(t, c, id, 10*time.Second)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"ipcp/internal/experiments"
 	"ipcp/internal/serve"
 	"ipcp/internal/store"
 )
@@ -33,6 +34,10 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 type registerRequest struct {
 	URL      string `json:"url"`
 	Capacity int    `json:"capacity,omitempty"`
+	// Scale is the scale the worker simulates at. The coordinator needs
+	// it to find a group's warmup spill in the blob store
+	// (experiments.SnapshotKey), and every live worker must share it.
+	Scale experiments.Scale `json:"scale"`
 }
 
 type registerResponse struct {
@@ -50,7 +55,11 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, errors.New("url must be non-empty"))
 		return
 	}
-	wk := c.register(req.URL, req.Capacity)
+	wk, err := c.register(req.URL, req.Capacity, req.Scale)
+	if err != nil {
+		serve.WriteError(w, http.StatusConflict, err)
+		return
+	}
 	serve.WriteJSON(w, http.StatusCreated, registerResponse{
 		ID:          wk.ID,
 		HeartbeatMS: (c.opts.HeartbeatTimeout / 3).Milliseconds(),
@@ -111,6 +120,7 @@ func (c *Coordinator) handlePutBlob(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
+	c.kick() // a landed warmup spill lets other workers fork its group
 	serve.WriteJSON(w, http.StatusCreated, map[string]string{"status": "stored"})
 }
 

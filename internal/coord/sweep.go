@@ -8,29 +8,37 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"ipcp/internal/experiments"
 	"ipcp/internal/serve"
 	"ipcp/internal/sim"
 	"ipcp/internal/telemetry"
 )
 
-// RunSweep is serve.Fleet's execution of a sweep job: each warmup
-// group runs concurrently on its own worker, and RunSweep returns when
-// every point is final, or early with the error of ctx — the job's, or
-// the coordinator's when Close ends it — leaving the rest unfinished.
+// RunSweep is serve.Fleet's execution of a sweep job: its points are
+// placed one at a time on whichever worker slot frees up (pickWorker),
+// and RunSweep returns when every point is final, or early with the
+// error of ctx — the job's, or the coordinator's when Close ends it —
+// leaving the rest unfinished.
 func (c *Coordinator) RunSweep(ctx context.Context, j *serve.Job) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	defer context.AfterFunc(c.ctx, cancel)()
+	p := newPlan(j)
 	var wg sync.WaitGroup
-	for _, pts := range j.Groups() {
+	for {
+		w, g, pt := c.pickWorker(ctx, p)
+		if pt == nil {
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.runGroup(ctx, j, pts)
+			c.runOn(ctx, j, p, w, g, pt)
 		}()
 	}
 	wg.Wait()
@@ -42,72 +50,206 @@ func (c *Coordinator) RunSweep(ctx context.Context, j *serve.Job) error {
 // pending and must be reassigned.
 var errWorkerLost = errors.New("worker lost")
 
-// runGroup drives one warmup-identity group to completion. The whole
-// group is assigned to a single worker so its shared warmup simulates
-// once and every other point forks the snapshot locally; when that
-// worker is lost mid-group, the surviving points reassign (as a group)
-// to the next one. The end of ctx leaves the rest unfinished.
-func (c *Coordinator) runGroup(ctx context.Context, j *serve.Job, pts []*serve.Point) {
-	for remaining := pts; len(remaining) > 0; {
-		w, err := c.pickWorker(ctx, len(remaining))
-		if err != nil {
-			return
+// plan is one sweep's placement state, guarded by the coordinator's mu.
+type plan struct {
+	groups []*group
+	left   int // points not yet final
+}
+
+// group is one warmup-identity group of a sweep.
+type group struct {
+	id      string // serve.Point.Group
+	spec    experiments.RunSpec
+	pending []*serve.Point // not yet placed, in index order
+
+	// key is the content address of the group's warmup spill under the
+	// fleet's scale keyScale; spilled latches once the blob store has it.
+	key      string
+	keyScale experiments.Scale
+	spilled  bool
+
+	// runs points took spent worker-slot time in all: the group's
+	// observed mean point time.
+	runs  int
+	spent time.Duration
+}
+
+func newPlan(j *serve.Job) *plan {
+	p := &plan{}
+	for _, pts := range j.Groups() {
+		p.groups = append(p.groups, &group{id: pts[0].Group, spec: pts[0].Spec.RunSpec, pending: slices.Clone(pts)})
+		p.left += len(pts)
+	}
+	return p
+}
+
+// meanPoint is the sweep's observed mean point time (1 before any).
+func (p *plan) meanPoint() float64 {
+	runs, spent := 0, time.Duration(0)
+	for _, g := range p.groups {
+		runs, spent = runs+g.runs, spent+g.spent
+	}
+	if runs == 0 {
+		return 1
+	}
+	return float64(spent) / float64(runs)
+}
+
+// work is g's remaining work: its pending points times its observed
+// mean point time, or mean, the sweep's, when none of its points has
+// finished yet.
+func (g *group) work(mean float64) float64 {
+	if g.runs > 0 {
+		mean = float64(g.spent) / float64(g.runs)
+	}
+	return float64(len(g.pending)) * mean
+}
+
+// pickWorker places the sweep's next point: it returns a worker with a
+// free slot, reserved, and the point that slot is to run, or blocks
+// until a point ends, a slot frees, a blob lands or a worker joins or
+// leaves. It returns a nil point once every point is final or ctx (the
+// sweep's) has ended.
+func (c *Coordinator) pickWorker(ctx context.Context, p *plan) (*worker, *group, *serve.Point) {
+	for {
+		// First: handing an ended sweep a worker spins RunSweep.
+		if ctx.Err() != nil {
+			return nil, nil, nil
 		}
-		lost := c.runGroupOn(ctx, j, w, remaining)
-		c.release(w, len(remaining))
-		if len(lost) > 0 && ctx.Err() == nil {
-			c.count(&c.stats.Points.Reassigned, len(lost))
-			j.Reassigned(len(lost), w.ID)
+		c.mu.Lock()
+		if p.left == 0 {
+			c.mu.Unlock()
+			return nil, nil, nil
 		}
-		remaining = lost
+		for _, w := range c.order {
+			if w.busy >= w.Capacity {
+				continue
+			}
+			if g := c.chooseLocked(p, w); g != nil {
+				pt := g.pending[0]
+				g.pending = g.pending[1:]
+				w.busy++
+				w.hold(g.id)
+				c.mu.Unlock()
+				return w, g, pt
+			}
+		}
+		changed := c.changed
+		c.mu.Unlock()
+		select {
+		case <-ctx.Done():
+		case <-changed:
+		}
 	}
 }
 
-// runGroupOn fans a group's points onto one worker, bounded by its
-// capacity semaphore (shared across all groups assigned to it), and
-// returns the points that were lost with the worker, or with ctx.
-func (c *Coordinator) runGroupOn(ctx context.Context, j *serve.Job, w *worker, pts []*serve.Point) (lost []*serve.Point) {
-	// Every request to w ends with w (declared lost) or with the sweep.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	defer context.AfterFunc(w.ctx, cancel)()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i, pt := range pts {
-		select {
-		case w.slots <- struct{}{}:
-		case <-ctx.Done():
-			// Everything not yet scheduled is lost with the worker.
-			mu.Lock()
-			lost = append(lost, pts[i:]...)
-			mu.Unlock()
-			wg.Wait()
-			return lost
+// chooseLocked picks the group a free slot of w takes its next point
+// from, or nil to wait. In order of preference:
+//  1. a group w holds, its snapshot resident (or warming) there;
+//  2. a group whose warmup spill is in the blob store, which w forks
+//     without warming it again;
+//  3. the first group no live worker holds, which w warms.
+//
+// Within the first two, the group with the most remaining work wins.
+func (c *Coordinator) chooseLocked(p *plan, w *worker) *group {
+	var best *group
+	bestRule, bestWork, mean := 4, 0.0, p.meanPoint()
+	for _, g := range p.groups {
+		if len(g.pending) == 0 {
+			continue
 		}
-		wg.Add(1)
-		go func(pt *serve.Point) {
-			defer wg.Done()
-			defer func() { <-w.slots }()
-			if err := c.runPoint(ctx, j, w, pt); err != nil {
-				if errors.Is(err, errWorkerLost) {
-					mu.Lock()
-					lost = append(lost, pt)
-					mu.Unlock()
-					return
-				}
-				j.FinishPoint(pt, nil, err)
-				c.count(&c.stats.Points.Failed, 1)
-				return
-			}
-			c.count(&c.stats.Points.Done, 1)
-		}(pt)
+		held := c.heldLocked(g)
+		rule := 3
+		switch {
+		case w.holds[g.id]:
+			rule = 1
+		case c.spilledLocked(g, w.Scale, held):
+			rule = 2
+		case held:
+			continue
+		}
+		work := g.work(mean)
+		if rule < bestRule || rule < 3 && rule == bestRule && work > bestWork {
+			best, bestRule, bestWork = g, rule, work
+		}
 	}
-	wg.Wait()
-	return lost
+	return best
+}
+
+// heldLocked reports whether a live worker holds g.
+func (c *Coordinator) heldLocked(g *group) bool {
+	for _, w := range c.order {
+		if w.holds[g.id] {
+			return true
+		}
+	}
+	return false
+}
+
+// spilledLocked reports whether g's warmup spill at scale is in the
+// blob store. The store is asked once per group — a spill from an
+// earlier sweep or life — and again only while a live worker holds the
+// group, which is when its spill can land.
+func (c *Coordinator) spilledLocked(g *group, scale experiments.Scale, held bool) bool {
+	switch {
+	case g.key == "" || g.keyScale != scale:
+		g.key, g.keyScale = experiments.SnapshotKey(scale, g.spec), scale
+		g.spilled = c.blobs.has(g.key)
+	case !g.spilled && held:
+		g.spilled = c.blobs.has(g.key)
+	}
+	return g.spilled
+}
+
+// runOn runs pt, placed on w by pickWorker, and books its outcome: a
+// result or a simulation failure is final; a point lost with its worker
+// goes back to the front of its group's pending points.
+func (c *Coordinator) runOn(ctx context.Context, j *serve.Job, p *plan, w *worker, g *group, pt *serve.Point) {
+	start := time.Now()
+	freed := false
+	// free returns w's slot, once: when the point's event stream ends
+	// (its job is over; the result fetch overlaps the slot's next
+	// point), or when the attempt fails.
+	free := func(observed bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if freed {
+			return
+		}
+		freed = true
+		w.busy--
+		if observed {
+			g.runs++
+			g.spent += time.Since(start)
+		}
+		c.kickLocked()
+	}
+	err := c.runPoint(ctx, j, w, pt, func() { free(true) })
+	free(false)
+	lost := errors.Is(err, errWorkerLost)
+	switch {
+	case err == nil:
+		c.count(&c.stats.Points.Done, 1)
+	case !lost:
+		j.FinishPoint(pt, nil, err)
+		c.count(&c.stats.Points.Failed, 1)
+	case ctx.Err() == nil:
+		c.count(&c.stats.Points.Reassigned, 1)
+		j.Reassigned(pt, w.ID)
+	}
+	c.mu.Lock()
+	if lost {
+		g.pending = append([]*serve.Point{pt}, g.pending...)
+	} else {
+		p.left--
+	}
+	c.kickLocked()
+	c.mu.Unlock()
 }
 
 // runPoint runs one point on a worker: submit, follow the job's event
-// stream to its end, fetch the result. Returns errWorkerLost when the
+// stream to its end — then ended frees the worker's slot — and fetch
+// the result. Returns errWorkerLost when the
 // attempt died with the worker (reassign), any other error for a
 // permanent point failure, nil after j.FinishPoint recorded a result.
 // Each attempt is one "sweep.point" span stamped with the worker id as
@@ -115,7 +257,11 @@ func (c *Coordinator) runGroupOn(ctx context.Context, j *serve.Job, w *worker, p
 // submit_ms / follow_ms / fetch_ms, so the trace itself says how much
 // of a point was the worker's job (the follow) and how much was
 // transport.
-func (c *Coordinator) runPoint(ctx context.Context, j *serve.Job, w *worker, pt *serve.Point) (err error) {
+func (c *Coordinator) runPoint(ctx context.Context, j *serve.Job, w *worker, pt *serve.Point, ended func()) (err error) {
+	// Every request to w ends with w (declared lost) or with the sweep.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(w.ctx, cancel)()
 	attempt := j.BeginPoint(pt, w.ID)
 	_, sp := telemetry.StartSpan(ctx, "sweep.point")
 	sp.SetJobID(w.ID)
@@ -157,6 +303,7 @@ func (c *Coordinator) runPoint(ctx context.Context, j *serve.Job, w *worker, pt 
 		if err != nil {
 			return err
 		}
+		ended()
 		var jv jobView
 		t = time.Now()
 		err = c.getJob(ctx, c.hc, j, w, url, func(r io.Reader) error {
@@ -207,7 +354,7 @@ type jobView struct {
 
 // fanout sends one of j's requests to w. It carries the sweep's
 // request id, so one sweep is one id across every worker's logs and
-// spans, and ctx (runGroupOn's), so losing the worker or ending the
+// spans, and ctx (runPoint's), so losing the worker or ending the
 // sweep aborts it.
 func (c *Coordinator) fanout(ctx context.Context, hc *http.Client, j *serve.Job, method, url string, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))

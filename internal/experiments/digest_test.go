@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-var updateReport = flag.Bool("update", false, "rewrite testdata/report.digest from this tree")
+var updateReport = flag.Bool("update", false, "rewrite the golden the selected test holds (testdata/report.digest, testdata/liveness.golden) from this tree")
 
 // reportDigestFile pins every registered experiment's rendered table at
 // reportDigestScale: one line per experiment, its ID and the SHA-256 of

@@ -334,14 +334,15 @@ const parentResultJSON = `{"Cores":1,"Instructions":20000,"CyclesPerCore":null,"
 // derived from it, follow RunSpec.Key: the content-derived key replaced
 // the 14-verb format, so a checkpoint written under that format is
 // simply never looked up — the layout and framing are what is pinned.
-// Likewise the spill sits at its `ipcp-snap-v2` address: a v1 spill,
-// whose streams were replayed rather than sought, is never looked up.)
+// Likewise the spill sits at its `ipcp-snap-v3` address: an older
+// spill — v1 replayed its streams rather than seeking them, v2 encoded
+// line arrays field by field — is never looked up.)
 func TestCacheDirReadsParentLayout(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
 		"b8/b8f684310ab9583665c0a36558a30857d530a1f3a85af4510d641a7d4dd545aa.json": "ipcp-ckpt-v2 733 53516ad0\n" +
 			`{"spec":"{\"workloads\":[\"bwaves-98\"]}","result":` + parentResultJSON + `}`,
-		"5f/5fad0d027bdef372557223a329d0fb5cabca647a41239b06480683d29d901d34.blob": "ipcp-blob-v1 21 c0b6f627\nwarmup snapshot bytes",
+		"53/5376673312813c615a648a83ca491185b5820d5daf0879ab7258458a42104d14.blob": "ipcp-blob-v1 21 c0b6f627\nwarmup snapshot bytes",
 	}
 	for rel, data := range files {
 		p := filepath.Join(dir, rel)
@@ -366,7 +367,7 @@ func TestCacheDirReadsParentLayout(t *testing.T) {
 		t.Fatalf("parent-written checkpoint not served from disk: stats %+v, result %+v", st, res)
 	}
 	var spill string
-	if !s.disk.loadBlob(s.snapDiskKey("wk"), func(p []byte) error { spill = string(p); return nil }) ||
+	if !s.disk.loadBlob(snapshotKey("wk"), func(p []byte) error { spill = string(p); return nil }) ||
 		spill != "warmup snapshot bytes" {
 		t.Fatalf("parent-written spill = %q", spill)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,6 +21,10 @@ import (
 // "Within noise" is a fixed 1 % (shapeNoise) until each table carries a
 // measured seed spread. The race detector multiplies the cost of these
 // simulations, so the file is built without it (make fidelity).
+
+// quickSession is the one Quick session the fidelity tests share
+// (TestShape, TestKnobsMove), so a run both read simulates once.
+var quickSession = sync.OnceValue(func() *Session { return NewSession(Quick) })
 
 // shapeNoise is the fixed relative margin that counts as "within noise".
 const shapeNoise = 0.01
@@ -216,7 +221,7 @@ func TestShape(t *testing.T) {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	rep, err := RunIDs(context.Background(), NewSession(Quick), ids, nil)
+	rep, err := RunIDs(context.Background(), quickSession(), ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

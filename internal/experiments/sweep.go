@@ -9,7 +9,6 @@ import (
 
 	"ipcp/internal/sim"
 	"ipcp/internal/telemetry"
-	"ipcp/internal/trace"
 )
 
 // --- Shared-warmup sweep scheduling --------------------------------------
@@ -46,9 +45,10 @@ const snapMemCap = 16
 // (Key) with the prefetcher fields — which attach only at the measure
 // boundary under CacheWarmOnly — cleared, the seed resolved against the
 // scale, and the warmup length. Two specs with equal warmup keys share
-// one warmup. The coordinator uses it to shard sweep grids so each
-// warmup-identity group lands on exactly one worker (where its snapshot
-// is forked locally).
+// one warmup. A sweep job groups its points by it; the coordinator
+// places the points of a group on any worker, warming it once on the
+// first and letting the others fork its spill (SnapshotKey) from the
+// shared blob store.
 func WarmupKey(scale Scale, spec RunSpec) string {
 	spec = spec.normalised()
 	spec.L1D, spec.L2, spec.LLC, spec.IPCPL1 = "", "", "", nil
@@ -63,11 +63,19 @@ func (s *Session) warmupKey(spec RunSpec) string {
 	return WarmupKey(s.Scale, spec)
 }
 
-// snapDiskKey is the content address of a warmup snapshot's disk spill.
-// The version names the snapshot layout: v2 carries stream positions, so
-// a v1 spill (replayed streams) hashes to an address nothing asks for.
-func (s *Session) snapDiskKey(wkey string) string {
-	h := sha256.Sum256(fmt.Appendf(nil, "ipcp-snap-v2|%s", wkey))
+// SnapshotKey is the content address of the disk spill of spec's warmup
+// under scale: the key a session spills the snapshot under, locally and
+// to a remote blob store, and so the key a coordinator looks for to know
+// that a group's warmup can be forked elsewhere. The version names the
+// snapshot layout: v2 carried stream positions, v3 packs line arrays
+// (cache.Lines), so an older spill hashes to an address nothing asks
+// for.
+func SnapshotKey(scale Scale, spec RunSpec) string {
+	return snapshotKey(WarmupKey(scale, spec))
+}
+
+func snapshotKey(wkey string) string {
+	h := sha256.Sum256(fmt.Appendf(nil, "ipcp-snap-v3|%s", wkey))
 	return hex.EncodeToString(h[:])
 }
 
@@ -179,7 +187,7 @@ func (s *Session) snapshotFor(ctx context.Context, spec RunSpec) (*sim.Snapshot,
 			_, ssp := telemetry.StartSpan(ctx, "snapshot.spill")
 			defer ssp.End()
 			if data, err := sim.EncodeSnapshot(snap); err == nil {
-				s.disk.storeBlob(s.snapDiskKey(wkey), data)
+				s.disk.storeBlob(snapshotKey(wkey), data)
 				s.mu.Lock()
 				s.stats.SnapshotBytes += int64(len(data))
 				s.mu.Unlock()
@@ -215,21 +223,18 @@ func (s *Session) warmup(ctx context.Context, spec RunSpec) (*sim.Snapshot, erro
 }
 
 // loadSnapshotSpill loads and decodes a spilled snapshot of spec's
-// warmup. A blob that fails its frame check, its gob decoding, or whose
-// stream positions spec's own streams refuse to seek to is quarantined
-// by the disk cache (never trusted) and reads as a miss.
+// warmup and adopts it. A blob that fails its frame check, its gob
+// decoding, or a restore into spec's own system is quarantined by the
+// disk cache (never trusted) and reads as a miss.
 func (s *Session) loadSnapshotSpill(ctx context.Context, spec RunSpec, wkey string) (snap *sim.Snapshot, ok bool) {
 	if s.disk == nil {
 		return nil, false
 	}
 	_, lsp := telemetry.StartSpan(ctx, "snapshot.load")
 	defer lsp.End()
-	ok = s.disk.loadBlob(s.snapDiskKey(wkey), func(data []byte) (err error) {
+	ok = s.disk.loadBlob(snapshotKey(wkey), func(data []byte) (err error) {
 		if snap, err = sim.DecodeSnapshot(data); err == nil {
-			var streams []trace.Stream
-			if streams, err = spec.Streams(s.specSeed(spec)); err == nil {
-				err = snap.SeekStreams(streams)
-			}
+			snap, err = s.adopt(spec, snap)
 		}
 		if err != nil {
 			lsp.SetAttr("error", err.Error())
@@ -244,6 +249,23 @@ func (s *Session) loadSnapshotSpill(ctx context.Context, spec RunSpec, wkey stri
 	s.stats.SnapshotDiskHits++
 	s.mu.Unlock()
 	return snap, true
+}
+
+// adopt restores a snapshot decoded from bytes into a fresh system of
+// spec's — the validated path, and the only one bytes take: streams
+// sought, allocator replayed, every state checked against the system —
+// and captures it again. The capture carries live state, so every fork
+// of the resident snapshot copies it instead of replaying.
+func (s *Session) adopt(spec RunSpec, decoded *sim.Snapshot) (*sim.Snapshot, error) {
+	sys, err := s.build(spec, true)
+	if err != nil {
+		return nil, err
+	}
+	defer s.release(sys)
+	if err := sys.RestoreSnapshot(decoded); err != nil {
+		return nil, err
+	}
+	return sys.Snapshot()
 }
 
 // resident appends wkey to the residency list and forgets the oldest

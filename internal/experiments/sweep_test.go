@@ -193,7 +193,7 @@ func TestSweepSpillWithUnreachablePositionRewarms(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Flush()
-	key := s1.snapDiskKey(s1.warmupKey(spec))
+	key := snapshotKey(s1.warmupKey(spec))
 	var snap *sim.Snapshot
 	if !s1.disk.loadBlob(key, func(p []byte) (err error) { snap, err = sim.DecodeSnapshot(p); return err }) {
 		t.Fatal("the warmup was not spilled")

@@ -131,7 +131,7 @@ const (
 type Point struct {
 	Index    int         `json:"index"`
 	Spec     RunRequest  `json:"spec"`
-	Group    string      `json:"group"` // warmup identity: a group runs on one worker
+	Group    string      `json:"group"` // warmup identity: the group's points share one warmup
 	Status   PointStatus `json:"status"`
 	Worker   string      `json:"worker,omitempty"`
 	JobID    string      `json:"job_id,omitempty"` // the worker's job for the current attempt
@@ -210,8 +210,8 @@ type sweepView struct {
 }
 
 // Groups returns the sweep's points partitioned by warmup identity, in
-// order of first appearance. The fleet runs each group on one worker,
-// so its shared warmup simulates once and its siblings fork it.
+// order of first appearance. The fleet warms each group once and forks
+// its snapshot for the rest of its points, on whichever workers run them.
 func (j *Job) Groups() [][]*Point { return j.groups }
 
 // BeginPoint records an attempt of pt on worker and returns its number.
@@ -246,11 +246,11 @@ func (j *Job) FinishPoint(pt *Point, res *sim.Result, err error) {
 	j.eventLocked(time.Now(), "point", msg)
 }
 
-// Reassigned notes on the event stream that n points left worker with
-// its loss; each re-enters through BeginPoint on the next one.
-func (j *Job) Reassigned(n int, worker string) {
+// Reassigned notes on the event stream that pt left worker with its
+// loss; it re-enters through BeginPoint on the next worker.
+func (j *Job) Reassigned(pt *Point, worker string) {
 	j.mu.Lock()
-	j.eventLocked(time.Now(), "reassign", fmt.Sprintf("%d points reassigned from lost worker %s", n, worker))
+	j.eventLocked(time.Now(), "reassign", fmt.Sprintf("point %d reassigned from lost worker %s", pt.Index, worker))
 	j.mu.Unlock()
 }
 

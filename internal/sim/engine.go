@@ -40,6 +40,7 @@ type slot struct {
 	kind  Kind
 	cache *cache.Cache
 	core  *cpu.Core
+	id    int // KindCore: the core's index
 }
 
 // EngineStats is the scheduler's self-profile: counters only, reset at
@@ -173,6 +174,13 @@ func (s *System) step(deadline int64) {
 			if gate {
 				wake[i] = sl.core.NextEvent(now)
 			}
+			// A core retires only when visited, so this is the cycle it
+			// reaches the watch's target on.
+			if !s.finished[sl.id] && sl.core.Retired() >= s.target {
+				s.finished[sl.id] = true
+				s.finish[sl.id] = now + 1
+				s.unfinished--
+			}
 		default:
 			sl.cache.Cycle(now)
 			idle = sl.cache.Idle()
@@ -271,16 +279,54 @@ func (s *System) cycleCtl(maxCycles int64) *loopCtl {
 	return &loopCtl{maxCycles: maxCycles, deadline: s.cycle + maxCycles, nextCancel: s.cycle}
 }
 
+// watch arms the retire watch for a phase that ends once every core
+// has retired target instructions. A core already there has finished at
+// entry — a phase every core has finished steps zero cycles — unless
+// late: a measured core finishes on a stepped cycle, never on the
+// phase's boundary, so one already there (measure 0) finishes when the
+// first step ends.
+func (s *System) watch(target uint64, late bool) {
+	s.target, s.unfinished, s.late = target, 0, false
+	for i, c := range s.cores {
+		met := c.Retired() >= target
+		s.finished[i] = met && !late
+		if !s.finished[i] {
+			s.unfinished++
+			s.late = s.late || met
+		}
+	}
+}
+
+// phaseDone is stepUntil's done test: every watched core has finished
+// and, while draining, nothing is in flight.
+func (s *System) phaseDone() bool {
+	return s.unfinished == 0 && (!s.draining || s.Quiescent())
+}
+
+// finishLate finishes, at the cycle the first step ended on, the cores
+// that met the watch's target at a late phase's entry.
+func (s *System) finishLate() {
+	s.late = false
+	for i, c := range s.cores {
+		if !s.finished[i] && c.Retired() >= s.target {
+			s.finished[i] = true
+			s.finish[i] = s.cycle
+			s.unfinished--
+		}
+	}
+}
+
 // stepUntil is the one stepping loop every phase runs: it steps the
-// system until done reports true, failing once ctl's cycle budget is
-// spent and — every cancelCheckInterval cycles — polling ctx and
-// reporting progress. phase names the loop in its errors, plus a detail
-// for the budget error; it is called only on an error path, so a loop
-// that ends well formats nothing (the steady-state Advance is held to
-// zero allocations).
-func (s *System) stepUntil(ctx context.Context, ctl *loopCtl, phase func() (name, detail string), done func() bool, report func()) error {
+// system until the phase is done (phaseDone: the retire watch, plus
+// quiescence while draining), failing once ctl's cycle budget is spent
+// and — every cancelCheckInterval cycles — polling ctx and reporting
+// progress. phase names the loop in its errors, plus a detail for the
+// budget error; it is called only on an error path, so a loop that ends
+// well formats nothing (the steady-state Advance is held to zero
+// allocations).
+func (s *System) stepUntil(ctx context.Context, ctl *loopCtl, phase func() (name, detail string), report func()) error {
 	defer s.settle()
-	for !done() {
+	for !s.phaseDone() {
 		if s.cycle >= ctl.deadline {
 			name, detail := phase()
 			return fmt.Errorf("sim: %s exceeded %d cycles%s", name, ctl.maxCycles, detail)
@@ -294,9 +340,12 @@ func (s *System) stepUntil(ctx context.Context, ctl *loopCtl, phase func() (name
 			report()
 		}
 		// A step that clocks anything advances exactly one cycle (it
-		// jumps only when no component was due), so done sees the exact
-		// cycle a core retired its last instruction on.
+		// jumps only when no component was due), so the watch records
+		// the exact cycle a core retired its last instruction on.
 		s.step(ctl.deadline)
+		if s.late {
+			s.finishLate()
+		}
 	}
 	return nil
 }
@@ -311,8 +360,8 @@ func (s *System) warmupPhase(ctx context.Context, warmup uint64, ctl *loopCtl) (
 	_, span := telemetry.StartSpan(ctx, "sim.warmup")
 	defer endPhaseSpan(span, &err)
 	report()
-	err = s.stepUntil(ctx, ctl, func() (string, string) { return "warmup", "" },
-		func() bool { return s.allRetired(warmup) }, report)
+	s.watch(warmup, false)
+	err = s.stepUntil(ctx, ctl, func() (string, string) { return "warmup", "" }, report)
 	if err != nil {
 		return err
 	}
@@ -336,20 +385,10 @@ func (s *System) measurePhase(ctx context.Context, measure uint64, ctl *loopCtl)
 	s.resetStats()
 	start := s.cycle
 	report()
-	finish := make([]int64, s.cfg.Cores)
-	finished := make([]bool, s.cfg.Cores)
-	n := 0
+	s.watch(measure, true)
 	err = s.stepUntil(ctx, ctl,
 		func() (string, string) {
-			return "measurement", fmt.Sprintf(" (%d/%d cores finished)", n, s.cfg.Cores)
-		},
-		func() bool {
-			// A core finishes on a stepped cycle, never on the boundary
-			// itself (not even with measure 0).
-			if s.cycle != start {
-				n += scanFinished(s.cores, s.cycle, measure, finish, finished)
-			}
-			return n == s.cfg.Cores
+			return "measurement", fmt.Sprintf(" (%d/%d cores finished)", s.cfg.Cores-s.unfinished, s.cfg.Cores)
 		}, report)
 	// Close the last (partial) interval on every exit, so the timeline's
 	// deltas sum exactly to the end-of-run totals and flushed telemetry
@@ -362,7 +401,7 @@ func (s *System) measurePhase(ctx context.Context, measure uint64, ctl *loopCtl)
 		return nil, err
 	}
 	report()
-	return s.buildResult(measure, start, finish), nil
+	return s.buildResult(measure, start), nil
 }
 
 // reporter returns the phase's progress report: a no-op unless ctx
@@ -386,27 +425,9 @@ func endPhaseSpan(span *telemetry.ActiveSpan, err *error) {
 	span.End()
 }
 
-// scanFinished records the finish cycle of each core that has just
-// reached its measured-instruction target, returning how many finished
-// on this call. finished is the explicit has-finished flag: the
-// recorded cycle value cannot double as one, because a core can
-// legitimately finish at any cycle number (a forked system restores
-// mid-timeline), so a zero sentinel could re-count it.
-func scanFinished(cores []*cpu.Core, cycle int64, measure uint64, finish []int64, finished []bool) int {
-	n := 0
-	for i, c := range cores {
-		if !finished[i] && c.Retired() >= measure {
-			finished[i] = true
-			finish[i] = cycle
-			n++
-		}
-	}
-	return n
-}
-
 // buildResult assembles the Result of a measured phase that started at
-// start and finished per-core at finish.
-func (s *System) buildResult(measure uint64, start int64, finish []int64) *Result {
+// start and finished per-core where the retire watch recorded.
+func (s *System) buildResult(measure uint64, start int64) *Result {
 	res := &Result{
 		Cores:            s.cfg.Cores,
 		Instructions:     measure,
@@ -426,7 +447,7 @@ func (s *System) buildResult(measure uint64, start int64, finish []int64) *Resul
 		res.Engine.Skipped[k] -= v
 	}
 	for i := range s.cores {
-		cyc := finish[i] - start
+		cyc := s.finish[i] - start
 		res.CyclesPerCore[i] = cyc
 		res.IPC[i] = float64(measure) / float64(cyc)
 		res.CoreStats = append(res.CoreStats, s.cores[i].Stats)

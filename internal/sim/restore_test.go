@@ -20,10 +20,17 @@ func (c *nextCounter) Next(in *trace.Instr) bool {
 	return c.Seeker.Next(in)
 }
 
+// discarder is a stream that counts the random numbers its seeks threw
+// away (workload generators).
+type discarder interface{ Discarded() uint64 }
+
 // TestRestoreReplaysNothing: a fork seeks its streams to the snapshot's
 // positions. Restoring a million-instruction warmup regenerates none of
 // it — the fresh stream's Next is never called — and leaves the stream
-// exactly where the warmed one stopped.
+// exactly where the warmed one stopped. A fork of the resident snapshot
+// goes further: it copies the live random state the capture kept, so
+// it discards no draw and replays no frame of the allocator, where a
+// fork of the same snapshot decoded from bytes re-draws both.
 func TestRestoreReplaysNothing(t *testing.T) {
 	const warmup = 1_000_000
 	w, err := workload.Named("exchange2-387")
@@ -60,6 +67,44 @@ func TestRestoreReplaysNothing(t *testing.T) {
 	}
 	if got := fresh.Position(); !reflect.DeepEqual(got, snap.Cores[0].Stream) {
 		t.Errorf("restored stream at %+v, snapshot recorded %+v", got, snap.Cores[0].Stream)
+	}
+	if n := fresh.Seeker.(discarder).Discarded(); n != 0 {
+		t.Errorf("a resident fork discarded %d draws, want 0", n)
+	}
+	if n := sys.alloc.Replayed(); n != 0 {
+		t.Errorf("a resident fork replayed %d allocator frames, want 0", n)
+	}
+
+	// The same snapshot through bytes takes the validated path, and
+	// lands in the same state.
+	data, err := EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := w.New(3)
+	csys, err := Build(cfg, []trace.Stream{cold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := csys.RestoreSnapshot(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if cold.(discarder).Discarded() == 0 || csys.alloc.Replayed() != snap.Alloc.Allocs {
+		t.Errorf("a fork from bytes discarded %d draws and replayed %d of %d frames, want both re-drawn",
+			cold.(discarder).Discarded(), csys.alloc.Replayed(), snap.Alloc.Allocs)
+	}
+	// Captured again, the decoded fork is the resident snapshot, live
+	// state included: what a session adopting a spill keeps resident.
+	again, err := csys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, snap) {
+		t.Error("a snapshot restored from bytes and captured again differs from the resident one")
 	}
 }
 

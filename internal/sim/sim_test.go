@@ -234,37 +234,42 @@ func TestPaperConfigMatchesTableII(t *testing.T) {
 	}
 }
 
-// TestScanFinishedSentinel pins the explicit finished flag: a core
-// whose finish cycle is recorded as 0 (legitimate — the scan runs at
+// TestWatchFinishedSentinel pins the retire watch's explicit finished
+// flag: a core whose finish cycle is recorded as 0 (legitimate — a
+// forked system restores mid-timeline, and a late finish lands at
 // whatever cycle the loop is at) must not be re-counted on later
-// scans, which the old `finish[i] == 0` encoding could not guarantee.
-func TestScanFinishedSentinel(t *testing.T) {
-	cores := []*cpu.Core{{}, {}}
-	cores[0].Stats.Retired = 10
+// passes, which a `finish[i] == 0` encoding could not guarantee. A
+// phase that is not late counts a core already at its target as
+// finished at entry.
+func TestWatchFinishedSentinel(t *testing.T) {
+	s := &System{cores: []*cpu.Core{{}, {}}, finish: make([]int64, 2), finished: make([]bool, 2)}
+	s.cores[0].Stats.Retired = 10
 
-	finish := make([]int64, 2)
-	finished := make([]bool, 2)
-
-	if n := scanFinished(cores, 0, 10, finish, finished); n != 1 {
-		t.Fatalf("first scan counted %d cores, want 1", n)
-	}
-	if !finished[0] || finish[0] != 0 {
-		t.Fatalf("core 0 should be finished at cycle 0: finished=%v finish=%d", finished[0], finish[0])
-	}
-	// Core 0's recorded cycle is 0 — the exact value the old sentinel
-	// used for "not yet finished". It must not be counted again.
-	if n := scanFinished(cores, 7, 10, finish, finished); n != 0 {
-		t.Fatalf("rescan re-counted an already finished core (%d)", n)
-	}
-	if finish[0] != 0 {
-		t.Fatalf("rescan moved core 0's finish cycle to %d", finish[0])
+	s.watch(10, false)
+	if !s.finished[0] || s.finished[1] || s.unfinished != 1 || s.late {
+		t.Fatalf("watch: finished=%v unfinished=%d late=%v, want core 0 finished at entry", s.finished, s.unfinished, s.late)
 	}
 
-	cores[1].Stats.Retired = 12
-	if n := scanFinished(cores, 9, 10, finish, finished); n != 1 {
-		t.Fatalf("core 1 scan counted %d cores, want 1", n)
+	s.watch(10, true)
+	if s.finished[0] || s.unfinished != 2 || !s.late {
+		t.Fatalf("late watch: finished=%v unfinished=%d late=%v, want core 0 deferred", s.finished, s.unfinished, s.late)
 	}
-	if finish[1] != 9 || !finished[1] {
-		t.Fatalf("core 1 finish not recorded: finished=%v finish=%d", finished[1], finish[1])
+	s.finishLate()
+	if !s.finished[0] || s.finish[0] != 0 || s.unfinished != 1 {
+		t.Fatalf("core 0 should be finished at cycle 0: finished=%v finish=%d", s.finished[0], s.finish[0])
+	}
+	// Core 0's recorded cycle is 0 — the exact value a sentinel would
+	// use for "not yet finished". It must not be counted again.
+	s.cycle = 7
+	s.finishLate()
+	if s.unfinished != 1 || s.finish[0] != 0 {
+		t.Fatalf("a second pass re-counted core 0: unfinished=%d finish=%d", s.unfinished, s.finish[0])
+	}
+
+	s.cores[1].Stats.Retired = 12
+	s.cycle = 9
+	s.finishLate()
+	if s.finish[1] != 9 || !s.finished[1] || s.unfinished != 0 {
+		t.Fatalf("core 1 finish not recorded: finished=%v finish=%d", s.finished[1], s.finish[1])
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"ipcp/internal/cache"
 	"ipcp/internal/cpu"
 	"ipcp/internal/dram"
-	"ipcp/internal/trace"
 	"ipcp/internal/vmem"
 )
 
@@ -77,13 +76,14 @@ func (s *System) drain(ctx context.Context) error {
 	for i := range s.cores {
 		s.cores[i].StopFetch()
 	}
+	s.unfinished, s.late, s.draining = 0, false, true
 	defer func() {
+		s.draining = false
 		for i := range s.cores {
 			s.cores[i].ResumeFetch()
 		}
 	}()
-	return s.stepUntil(ctx, s.cycleCtl(drainMaxCycles), func() (string, string) { return "drain", "" },
-		s.Quiescent, func() {})
+	return s.stepUntil(ctx, s.cycleCtl(drainMaxCycles), func() (string, string) { return "drain", "" }, func() {})
 }
 
 // RunWarmup executes the warmup phase — the same phase RunContext
@@ -148,8 +148,13 @@ func (s *System) Snapshot() (*Snapshot, error) {
 // system was in at its drain point, including the trace streams'
 // positions (sought, not regenerated — the streams must be fresh
 // instances of the same generators). Continue with AttachPrefetchers +
-// RunMeasure. A snapshot the system could not have produced — decoded
-// from damaged bytes, say — is an error, never a panic.
+// RunMeasure. A snapshot taken in this process carries live copies of
+// its random state (stream sources, the frame allocator) and its tag
+// mirrors, and the restore copies them: it discards no draw and replays
+// no frame. A decoded snapshot has none, so its streams seek by
+// re-drawing and its allocator replays, every step validated: a
+// snapshot the system could not have produced — decoded from damaged
+// bytes, say — is an error, never a panic.
 func (s *System) RestoreSnapshot(snap *Snapshot) error {
 	if !s.cfg.CacheWarmOnly {
 		return fmt.Errorf("sim: RestoreSnapshot requires Config.CacheWarmOnly")
@@ -198,21 +203,6 @@ func (s *System) RestoreSnapshot(snap *Snapshot) error {
 		return err
 	}
 	s.cycle = snap.Cycle
-	return nil
-}
-
-// SeekStreams moves fresh streams, one per core, to the positions snap
-// recorded — RestoreSnapshot's stream half, without a system. A position
-// the streams could not have reached is an error.
-func (snap *Snapshot) SeekStreams(streams []trace.Stream) error {
-	if len(streams) != len(snap.Cores) {
-		return fmt.Errorf("sim: snapshot has %d cores, %d streams given", len(snap.Cores), len(streams))
-	}
-	for i, st := range streams {
-		if err := snap.Cores[i].SeekStream(st); err != nil {
-			return fmt.Errorf("sim: core %d: %w", i, err)
-		}
-	}
 	return nil
 }
 

@@ -70,7 +70,24 @@ type Position struct {
 	Draws uint64
 	// Cursor is the stream's own state, in an order the stream defines.
 	Cursor []uint64
+
+	// live is the stream's random state at this position as a value (see
+	// WithLive). It is unexported, so never encoded: a position decoded
+	// from bytes has none.
+	live any
 }
+
+// WithLive returns p carrying live, the reporting stream's own copy of
+// its state at p. A fresh instance of that stream in this process seeks
+// to p by copying live instead of re-drawing Draws random numbers.
+func (p Position) WithLive(live any) Position {
+	p.live = live
+	return p
+}
+
+// Live returns what WithLive attached: nil for a position decoded from
+// bytes, which a stream seeks the validated, re-drawing way.
+func (p Position) Live() any { return p.live }
 
 // Seeker is a Stream whose position is data. A warmup snapshot records
 // each core's Position; a fork Seeks a fresh stream there instead of
@@ -121,20 +138,33 @@ const maxPreallocRecords = 1 << 20
 type Writer struct {
 	w     *bufio.Writer
 	count uint64
+
+	// seeker is the underlying writer when it can seek (a file), and
+	// start the offset its header begins at: Flush patches the record
+	// count there. Nil leaves the trace streamed.
+	seeker io.WriteSeeker
+	start  int64
 }
 
-// NewWriter writes a header and returns a Writer. The count in the
-// header is written as 0 (streamed).
+// NewWriter writes a header and returns a Writer. The header's record
+// count is written as 0 (streamed); when w is an io.WriteSeeker that
+// can seek — a file — every Flush patches it to the records written so
+// far, so a reader detects a file cut short.
 func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
+	tw := &Writer{w: bufio.NewWriter(w)}
+	if ws, ok := w.(io.WriteSeeker); ok {
+		if start, err := ws.Seek(0, io.SeekCurrent); err == nil {
+			tw.seeker, tw.start = ws, start
+		}
+	}
+	if _, err := tw.w.Write(magic[:]); err != nil {
 		return nil, err
 	}
 	var cnt [8]byte
-	if _, err := bw.Write(cnt[:]); err != nil {
+	if _, err := tw.w.Write(cnt[:]); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw}, nil
+	return tw, nil
 }
 
 // Write appends one instruction record.
@@ -183,8 +213,24 @@ func (w *Writer) Write(in *Instr) error {
 	return nil
 }
 
-// Flush flushes buffered records to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
+// Flush flushes buffered records to the underlying writer and, when it
+// can seek, writes their count into the header.
+func (w *Writer) Flush() error {
+	if err := w.w.Flush(); err != nil || w.seeker == nil {
+		return err
+	}
+	end, err := w.seeker.Seek(0, io.SeekCurrent)
+	if err == nil {
+		_, err = w.seeker.Seek(w.start+int64(len(magic)), io.SeekStart)
+	}
+	if err == nil {
+		_, err = w.seeker.Write(binary.LittleEndian.AppendUint64(nil, w.count))
+	}
+	if err == nil {
+		_, err = w.seeker.Seek(end, io.SeekStart)
+	}
+	return err
+}
 
 // Count returns the number of records written so far.
 func (w *Writer) Count() uint64 { return w.count }

@@ -1,33 +1,65 @@
 package vmem
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+
+	"ipcp/internal/memsys"
+)
 
 // Snapshot/restore support. The virtual-memory state is pure data (page
 // maps, TLB arrays) except for the allocator's shuffle RNG, whose
-// internal state math/rand does not expose. Rather than serializing RNG
-// internals we record the number of Alloc draws and replay them against
-// a freshly seeded allocator on restore — deterministic because the
-// allocator's output is a pure function of (seed, draw count).
+// internal state math/rand does not expose. A capture records the
+// number of Alloc draws, which a restore from bytes replays against a
+// freshly seeded allocator — deterministic because the allocator's
+// output is a pure function of (seed, draw count) — and, in this
+// process, a live copy of the allocator that a restore copies instead.
 
-// PhysAllocatorState captures a PhysAllocator for replay-based restore.
+// PhysAllocatorState captures a PhysAllocator for restore.
 type PhysAllocatorState struct {
 	Allocs uint64
+
+	// live is a copy of the captured allocator; unexported, so never
+	// encoded: a state decoded from bytes replays.
+	live *PhysAllocator
 }
 
 // Allocs returns the number of Alloc calls made so far.
 func (a *PhysAllocator) Allocs() uint64 { return a.allocs }
 
-// State captures the allocator's position in its deterministic stream.
+// Replayed returns the number of Alloc draws Replay has re-drawn: zero
+// for an allocator only ever restored from live states.
+func (a *PhysAllocator) Replayed() uint64 { return a.replayed }
+
+// State captures the allocator's position in its deterministic stream,
+// with a live copy of it.
 func (a *PhysAllocator) State() PhysAllocatorState {
-	return PhysAllocatorState{Allocs: a.allocs}
+	return PhysAllocatorState{Allocs: a.allocs, live: a.clone()}
+}
+
+// clone is an independent copy of a.
+func (a *PhysAllocator) clone() *PhysAllocator {
+	src := memsys.CloneSource(a.src)
+	return &PhysAllocator{next: a.next, src: src, rng: rand.New(src),
+		window: slices.Clone(a.window), allocs: a.allocs}
 }
 
 // Replay advances a freshly constructed allocator (same seed as the
-// captured one) to the captured position by re-drawing; after Replay the
-// allocator's future output is identical to the original's.
+// captured one) to the captured position: by copying the live copy when
+// s has one, else by re-drawing. Either way its future output is
+// identical to the original's.
 func (a *PhysAllocator) Replay(s PhysAllocatorState) {
+	if l := s.live; l != nil && l.allocs == s.Allocs {
+		a.src = memsys.CloneSource(l.src)
+		a.rng = rand.New(a.src)
+		a.next, a.window, a.allocs = l.next, append(a.window[:0], l.window...), l.allocs
+		return
+	}
 	for a.allocs < s.Allocs {
 		a.Alloc()
+		a.replayed++
 	}
 }
 
@@ -38,20 +70,17 @@ type PageTableState struct {
 
 // State copies the page map.
 func (pt *PageTable) State() PageTableState {
-	pages := make(map[uint64]uint64, len(pt.pages))
-	for v, p := range pt.pages {
-		pages[v] = p
-	}
+	pages := make(map[uint64]uint64, pt.Mapped())
+	maps.Copy(pages, pt.base)
+	maps.Copy(pages, pt.pages)
 	return PageTableState{Pages: pages}
 }
 
-// SetState replaces the page map with a copy of s and empties the front
-// that caches the old one.
+// SetState replaces the page map with s's and empties the front that
+// caches the old one. s's map becomes the table's read-only base, shared
+// with every other table restored from it, so s must not change after.
 func (pt *PageTable) SetState(s PageTableState) {
-	pt.pages = make(map[uint64]uint64, len(s.Pages))
-	for v, p := range s.Pages {
-		pt.pages[v] = p
-	}
+	pt.base, pt.pages = s.Pages, make(map[uint64]uint64)
 	pt.front = [frontSize]frontEntry{}
 }
 

@@ -21,17 +21,20 @@ import (
 // matching how a real OS's free list behaves after some uptime.
 type PhysAllocator struct {
 	next uint64
+	src  rand.Source // rng's source: what a live capture clones
 	rng  *rand.Rand
 	// window holds a small shuffle buffer of upcoming frame numbers.
 	window []uint64
 	// allocs counts Alloc calls: the allocator's output is a pure
 	// function of (seed, allocs), which is what snapshot restore replays.
-	allocs uint64
+	allocs   uint64
+	replayed uint64 // Alloc draws Replay re-drew
 }
 
 // NewPhysAllocator returns an allocator seeded deterministically.
 func NewPhysAllocator(seed int64) *PhysAllocator {
-	return &PhysAllocator{next: 1, rng: rand.New(rand.NewSource(seed))}
+	src := rand.NewSource(seed)
+	return &PhysAllocator{next: 1, src: src, rng: rand.New(src)}
 }
 
 // Alloc returns the next free physical page number.
@@ -57,6 +60,10 @@ func (a *PhysAllocator) Alloc() uint64 {
 // allocating on first touch.
 type PageTable struct {
 	alloc *PhysAllocator
+	// base is the page map of the snapshot the table was restored from,
+	// shared and never written; pages holds what the table mapped since
+	// (the two are disjoint). A fork so costs no copy of the warmup's map.
+	base  map[uint64]uint64
 	pages map[uint64]uint64
 	// front caches recent mappings in front of the map, direct-mapped by
 	// vpage. A mapping never changes once made, so an entry can only be
@@ -83,7 +90,7 @@ func (pt *PageTable) Translate(v memsys.Addr) memsys.Addr {
 	vpage := memsys.PageNumber(v)
 	f := &pt.front[vpage&(frontSize-1)]
 	if f.tag != vpage+1 {
-		ppage, ok := pt.pages[vpage]
+		ppage, ok := pt.lookup(vpage)
 		if !ok {
 			ppage = pt.alloc.Alloc()
 			pt.pages[vpage] = ppage
@@ -100,7 +107,7 @@ func (pt *PageTable) TranslateExisting(v memsys.Addr) (memsys.Addr, bool) {
 	vpage := memsys.PageNumber(v)
 	f := &pt.front[vpage&(frontSize-1)]
 	if f.tag != vpage+1 {
-		ppage, ok := pt.pages[vpage]
+		ppage, ok := pt.lookup(vpage)
 		if !ok {
 			return 0, false
 		}
@@ -109,8 +116,17 @@ func (pt *PageTable) TranslateExisting(v memsys.Addr) (memsys.Addr, bool) {
 	return f.ppage<<memsys.PageBits | v&(memsys.PageSize-1), true
 }
 
+// lookup returns vpage's frame, if mapped.
+func (pt *PageTable) lookup(vpage uint64) (uint64, bool) {
+	if ppage, ok := pt.base[vpage]; ok {
+		return ppage, true
+	}
+	ppage, ok := pt.pages[vpage]
+	return ppage, ok
+}
+
 // Mapped returns the number of mapped pages (the footprint in pages).
-func (pt *PageTable) Mapped() int { return len(pt.pages) }
+func (pt *PageTable) Mapped() int { return len(pt.base) + len(pt.pages) }
 
 // --- TLBs ----------------------------------------------------------------
 

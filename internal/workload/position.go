@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ipcp/internal/memsys"
 	"ipcp/internal/trace"
 )
 
@@ -11,7 +12,10 @@ import (
 // random numbers it has drawn, its loop cursor and each source's cursor.
 // Seeking reseeds a fresh generator, loads the cursors and discards the
 // recorded number of draws — a couple of nanoseconds each — instead of
-// regenerating every instruction before the position.
+// regenerating every instruction before the position. A position taken
+// in this process also carries a clone of the random source
+// (trace.Position.Live), and seeking to it copies the clone instead of
+// discarding anything.
 
 // countingSource is a generator's random source: it counts the numbers
 // drawn through it, so a position can say how far into its random
@@ -19,6 +23,13 @@ import (
 type countingSource struct {
 	src rand.Source64
 	n   uint64
+	// discarded counts the numbers discard drew to reach a position.
+	discarded uint64
+}
+
+// clone is an independent copy of s at its current draw.
+func (s *countingSource) clone() *countingSource {
+	return &countingSource{src: memsys.CloneSource(s.src), n: s.n}
 }
 
 func newCountingSource(seed int64) *countingSource {
@@ -35,6 +46,7 @@ func (s *countingSource) Seed(seed int64) { s.src.Seed(seed); s.n = 0 }
 func (s *countingSource) discard(n uint64) {
 	for ; s.n < n; s.n++ {
 		s.src.Uint64()
+		s.discarded++
 	}
 }
 
@@ -54,7 +66,18 @@ func (g *gen) Position() trace.Position {
 	if g.depState {
 		w[4] = 1
 	}
-	return trace.Position{Seed: g.seed, Draws: g.draws.n, Cursor: g.src.save(w)}
+	p := trace.Position{Seed: g.seed, Draws: g.draws.n, Cursor: g.src.save(w)}
+	return p.WithLive(g.draws.clone())
+}
+
+// Discarded counts the random numbers this stream's seeks have drawn
+// and thrown away: zero for a stream that only ever sought to positions
+// carrying a live source.
+func (g *gen) Discarded() uint64 {
+	if g.draws == nil {
+		return 0
+	}
+	return g.draws.discarded
 }
 
 // Seek implements trace.Seeker.
@@ -88,6 +111,14 @@ func (g *gen) seek(p trace.Position, n int64) error {
 	g.src.load(&c)
 	if err := c.done(); err != nil {
 		return err
+	}
+	if live, ok := p.Live().(*countingSource); ok {
+		if live.n != p.Draws {
+			return fmt.Errorf("workload: live source at %d draws, position at %d", live.n, p.Draws)
+		}
+		// g.rng draws through g.draws, so it goes on from the copy.
+		*g.draws = *live.clone()
+		return nil
 	}
 	g.draws.discard(p.Draws)
 	return nil

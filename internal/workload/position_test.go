@@ -10,21 +10,37 @@ import (
 // TestSeekMatchesReplay holds Seek to the replay it replaces: for every
 // workload, a fresh stream sought to the position another stream
 // reported after n instructions produces exactly what that stream
-// produces next, and ends up reporting the same position.
+// produces next, and ends up reporting the same position. Both ways to
+// the position are held to it: copying the live source a position taken
+// in this process carries, and re-drawing, which a position decoded
+// from bytes (no live source) takes.
 func TestSeekMatchesReplay(t *testing.T) {
 	const seed, follow = 11, 20_000
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, at := range []int{0, 1, 4_095, 150_000} {
+			for i, at := range []int{0, 1, 4_095, 150_000, 0, 1, 4_095, 150_000} {
 				ref := w.New(seed)
 				if got := len(trace.Collect(ref, at)); got != at {
 					t.Fatalf("stream ended after %d of %d instructions", got, at)
 				}
 				fresh := w.New(seed)
-				if err := fresh.(trace.Seeker).Seek(ref.(trace.Seeker).Position(), int64(at)); err != nil {
+				p := ref.(trace.Seeker).Position()
+				live := i < 4
+				if !live {
+					p = p.WithLive(nil)
+				}
+				if err := fresh.(trace.Seeker).Seek(p, int64(at)); err != nil {
 					t.Fatalf("@%d: %v", at, err)
+				}
+				// Reset draws what the sources' resets draw; the rest is the seek's.
+				discards := p.Draws - w.New(seed).(trace.Seeker).Position().Draws
+				if live {
+					discards = 0
+				}
+				if d := fresh.(*gen).Discarded(); d != discards {
+					t.Errorf("@%d live=%v: the seek discarded %d draws, want %d", at, live, d, discards)
 				}
 				want, got := trace.Collect(ref, follow), trace.Collect(fresh, follow)
 				for i := range want {
