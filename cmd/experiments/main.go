@@ -30,7 +30,7 @@ import (
 func main() {
 	var (
 		run      = flag.String("run", "", "comma-separated experiment ids, or 'all'")
-		scale    = flag.String("scale", "quick", "quick | default | full")
+		scale    = flag.String("scale", "quick", "quick | default")
 		out      = flag.String("out", "", "write markdown to this file (default stdout)")
 		traces   = flag.Int("traces", 0, "override the trace cap (0 = scale default)")
 		mixes    = flag.Int("mixes", 0, "override the multi-core mix count")
@@ -81,18 +81,9 @@ func main() {
 		return
 	}
 
-	var sc experiments.Scale
-	switch *scale {
-	case "quick":
-		sc = experiments.Quick
-	case "default":
-		sc = experiments.Default
-	case "full":
-		sc = experiments.Default
-		sc.Measure *= 4
-		sc.Mixes *= 2
-	default:
-		fmt.Fprintln(os.Stderr, "unknown scale", *scale)
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if *traces != 0 {

@@ -14,18 +14,18 @@
 //	curl -s localhost:8800/v1/sweeps/j000001          # merged report
 //	curl -sN localhost:8800/v1/sweeps/j000001/events  # partial aggregation
 //
-// A worker forces -shared-warmup (the sweep methodology), registers
-// over HTTP, heartbeats, and attaches the coordinator's shared blob
-// store behind its disk cache so any worker's checkpoint is every
-// worker's disk hit. The coordinator is the same daemon with no
+// A worker runs every point with shared warmups (the sweep
+// methodology: the points of one warmup group fork one snapshot),
+// registers over HTTP, heartbeats, and attaches the coordinator's
+// shared blob store behind its disk cache so any worker's checkpoint is
+// every worker's disk hit. The coordinator is the same daemon with no
 // simulator: a sweep is one of its jobs — admitted under -queue, run by
 // one of its -workers, capped by -job-timeout, journaled under
 // -journal-dir (a restarted coordinator resumes every acknowledged
 // sweep), drained within -drain-timeout — whose points it shards by
 // warmup identity and fans out through the workers' /v1/runs API,
 // reassigning them when a worker is lost. It refuses the flags that
-// configure a simulation (-cache-dir, -shared-warmup, -scale, -warmup,
-// -measure).
+// configure a simulation (-cache-dir, -scale, -warmup, -measure).
 //
 //	curl -s localhost:8799/healthz
 //	curl -s -X POST localhost:8799/v1/runs -H 'X-Request-ID: demo' \
@@ -90,7 +90,6 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 0, "cap on per-job deadlines (0 = unbounded)")
 		journalDir   = flag.String("journal-dir", "", "write-ahead journal every job here; on restart, acknowledged jobs are replayed (finished ones re-served, unfinished ones re-run)")
 		stallTimeout = flag.Duration("stall-timeout", 0, "reap running jobs whose simulation progress stalls this long (0 = no watchdog)")
-		sharedWarmup = flag.Bool("shared-warmup", false, "share warmup simulations across run jobs that differ only in prefetcher configuration (cache-warm-only methodology; forked measure phases)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long a SIGTERM drain may take before in-flight work is cancelled")
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat    = flag.String("log-format", "text", "log encoding: text | json")
@@ -99,7 +98,7 @@ func main() {
 		coordinator = flag.Bool("coordinator", false, "run as the sweep coordinator instead of a simulation daemon")
 		dataDir     = flag.String("data-dir", ".ipcp-coord", "coordinator: shared blob store directory")
 		heartbeat   = flag.Duration("heartbeat", 5*time.Second, "coordinator: declare a worker lost after this silent window")
-		workerOf    = flag.String("worker", "", "register with the coordinator at this URL and serve sweep points (forces -shared-warmup)")
+		workerOf    = flag.String("worker", "", "register with the coordinator at this URL and serve sweep points (with shared warmups)")
 	)
 	flag.Parse()
 
@@ -121,14 +120,9 @@ func main() {
 	}
 	logger := slog.New(handler)
 
-	var sc experiments.Scale
-	switch *scale {
-	case "quick":
-		sc = experiments.Quick
-	case "default":
-		sc = experiments.Default
-	default:
-		fmt.Fprintln(os.Stderr, "unknown scale", *scale)
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if *warmup != 0 {
@@ -183,7 +177,7 @@ func main() {
 		}
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "cache-dir", "shared-warmup", "scale", "warmup", "measure":
+			case "cache-dir", "scale", "warmup", "measure":
 				fatal(fmt.Errorf("-coordinator runs no simulations: -%s does not apply", f.Name))
 			}
 		})
@@ -202,7 +196,6 @@ func main() {
 	// temporary one; the durable tier is the coordinator's.
 	var remoteBlobs experiments.RemoteBlobs
 	if *workerOf != "" {
-		*sharedWarmup = true
 		if *cacheDir == "" {
 			dir, err := os.MkdirTemp("", "ipcpd-worker-cache-")
 			if err != nil {
@@ -222,7 +215,7 @@ func main() {
 		JobTimeout:   *jobTimeout,
 		JournalDir:   *journalDir,
 		StallTimeout: *stallTimeout,
-		SharedWarmup: *sharedWarmup,
+		SharedWarmup: *workerOf != "",
 		RemoteBlobs:  remoteBlobs,
 		Log:          logger,
 	}

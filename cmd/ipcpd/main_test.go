@@ -462,7 +462,7 @@ func TestCoordinatorRefusesSimulationFlags(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building ipcpd: %v\n%s", err, out)
 	}
-	for _, arg := range []string{"-cache-dir=x", "-shared-warmup", "-scale=quick", "-warmup=1000", "-measure=1000"} {
+	for _, arg := range []string{"-cache-dir=x", "-scale=quick", "-warmup=1000", "-measure=1000"} {
 		cmd := exec.Command(bin, "-coordinator", "-addr", "127.0.0.1:0", "-data-dir", t.TempDir(), arg)
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError

@@ -55,6 +55,14 @@ type l1Oracle struct {
 	pageClamped [memsys.NumClasses]uint64
 }
 
+// The paper's constants the oracle reads from the text, not from
+// internal/core: a region trains as dense at 75% of its lines touched
+// (§IV-C), and a class's accuracy epoch is 256 of its fills (§V).
+const (
+	oraDenseFraction  = 0.75
+	oraThrottleWindow = 256
+)
+
 // oraIPEntry is one IP-table entry (Fig. 5).
 type oraIPEntry struct {
 	tag         uint64
@@ -308,17 +316,15 @@ func (o *l1Oracle) issueClass(m *opMatcher, cls memsys.PrefetchClass, e *oraIPEn
 		deg := o.deg[memsys.ClassCPLX]
 		sig := e.signature
 		off := int64(0)
-		issued, skipped := 0, 0
-		for step := 0; step < (deg+o.cfg.CPLXDistance)*2 && issued < deg; step++ {
+		issued := 0
+		for step := 0; step < deg*2 && issued < deg; step++ {
 			c := o.cspt[sig&o.sigMask()]
 			if c.stride == 0 {
 				break
 			}
 			if c.confidence >= 1 {
 				off += int64(c.stride)
-				if skipped < o.cfg.CPLXDistance {
-					skipped++
-				} else if o.issue(m, ip, v, off, memsys.ClassCPLX, c.stride) {
+				if o.issue(m, ip, v, off, memsys.ClassCPLX, c.stride) {
 					issued++
 				}
 			}
@@ -397,7 +403,7 @@ func (o *l1Oracle) updateRST(v memsys.Addr, carryTentative bool, carryDir int8) 
 	if e.bits&(1<<uint(line)) == 0 {
 		e.bits |= 1 << uint(line)
 		e.dense++
-		if float64(e.dense) >= o.cfg.DenseFraction*float64(o.regionLines()) {
+		if float64(e.dense) >= oraDenseFraction*float64(o.regionLines()) {
 			e.trained = true
 		}
 	}
@@ -446,7 +452,7 @@ func (o *l1Oracle) Fill(now int64, f *prefetch.FillEvent) {
 	}
 	o.fills[f.Class]++
 	o.winFills[f.Class]++
-	if o.winFills[f.Class] >= uint64(o.cfg.ThrottleWindow) {
+	if o.winFills[f.Class] >= oraThrottleWindow {
 		cls := f.Class
 		acc := float64(o.winUse[cls]) / float64(o.winFills[cls])
 		o.acc[cls] = acc

@@ -15,6 +15,7 @@ import (
 
 	"ipcp/internal/experiments"
 	"ipcp/internal/serve"
+	"ipcp/internal/sim"
 	"ipcp/internal/trace"
 	"ipcp/internal/workload"
 )
@@ -197,11 +198,11 @@ func waitSweep(t *testing.T, coordURL, id string, timeout time.Duration) sweepVi
 // TestE2EDistributedSweepMatchesSingleNode is the tentpole acceptance
 // test: a 12-point tracked grid submitted as one POST /v1/sweeps to a
 // coordinator with 3 workers completes with per-point results
-// byte-identical to single-node RunSweep, streams partial aggregation
-// on /events, and reports fan-out and blob counters on /metrics. Then
-// the fleet is replaced by one fresh worker and the same grid is
-// re-submitted: every point must be served from the shared blob store
-// without a single simulation.
+// byte-identical to single-node shared-warmup runs, streams partial
+// aggregation on /events, and reports fan-out and blob counters on
+// /metrics. Then the fleet is replaced by one fresh worker and the same
+// grid is re-submitted: every point must be served from the shared blob
+// store without a single simulation.
 func TestE2EDistributedSweepMatchesSingleNode(t *testing.T) {
 	c, cts := newTestCoord(t)
 	workers := []*testWorker{
@@ -265,8 +266,8 @@ func TestE2EDistributedSweepMatchesSingleNode(t *testing.T) {
 		t.Errorf("the fleet warmed %d times, want 2 (once per warmup group)", misses)
 	}
 
-	// Byte-identity against single-node RunSweep over the same grid in
-	// the same order.
+	// Byte-identity against one session's shared-warmup runs of the same
+	// grid in the same order.
 	var specs []experiments.RunSpec
 	for _, w := range req.Workloads {
 		for _, l1d := range req.L1D {
@@ -276,9 +277,10 @@ func TestE2EDistributedSweepMatchesSingleNode(t *testing.T) {
 		}
 	}
 	ref := experiments.NewSession(e2eScale)
-	want, errs := ref.RunSweep(specs)
-	for i, err := range errs {
-		if err != nil {
+	want := make([]*sim.Result, len(specs))
+	for i, spec := range specs {
+		var err error
+		if want[i], err = ref.RunShared(spec); err != nil {
 			t.Fatalf("reference spec %d: %v", i, err)
 		}
 	}
@@ -295,7 +297,7 @@ func TestE2EDistributedSweepMatchesSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, exp) {
-			t.Errorf("point %d: distributed result diverges from single-node RunSweep\ngot:  %s\nwant: %s",
+			t.Errorf("point %d: distributed result diverges from a single-node run\ngot:  %s\nwant: %s",
 				i, got, exp)
 		}
 	}

@@ -125,39 +125,6 @@ func TestCPLXFollowsPattern(t *testing.T) {
 	}
 }
 
-func TestCPLXDistanceSkipsNearCandidates(t *testing.T) {
-	cfg := DefaultL1Config()
-	cfg.CPLXDistance = 2
-	cfg.UseRRFilter = false
-	p := NewL1IPCP(cfg)
-	rec := &recorder{}
-	const ip = 0x460000
-	addr := uint64(0x6_0000_0000)
-	deltas := []uint64{1, 2}
-	for i := 0; i < 50; i++ { // ends mid-page so distance-shifted candidates fit
-		demand(p, rec, int64(i), ip, addr, false)
-		addr += deltas[i%2] * memsys.BlockSize
-	}
-	rec.reset()
-	demand(p, rec, 100, ip, addr, false)
-	cplx := rec.byClass(memsys.ClassCPLX)
-	if len(cplx) == 0 {
-		t.Fatal("no CPLX candidates")
-	}
-	// With distance 2, the nearest candidate must be at least 3 pattern
-	// steps ahead (the first two were skipped).
-	minDelta := int64(1 << 30)
-	for _, c := range cplx {
-		d := int64(memsys.BlockNumber(c.Addr)) - int64(memsys.BlockNumber(addr))
-		if d < minDelta {
-			minDelta = d
-		}
-	}
-	if minDelta < 4 { // skipping 1,2 puts the first issue at ≥ +4 blocks
-		t.Errorf("nearest CPLX candidate at +%d blocks; distance not applied", minDelta)
-	}
-}
-
 func TestSignatureAdvance(t *testing.T) {
 	p := NewL1IPCP(DefaultL1Config())
 	// signature = (signature << 1) XOR stride, masked to 7 bits.
@@ -410,10 +377,9 @@ func TestNLIssuesForUnclassifiedIP(t *testing.T) {
 
 func TestThrottleDegreeDown(t *testing.T) {
 	cfg := DefaultL1Config()
-	cfg.ThrottleWindow = 16
 	p := NewL1IPCP(cfg)
 	// Simulate a window of useless GS fills.
-	for i := 0; i < 16; i++ {
+	for i := 0; i < throttleWindow; i++ {
 		p.Fill(0, &prefetch.FillEvent{Prefetch: true, Class: memsys.ClassGS})
 	}
 	if got := p.ClassDegree(memsys.ClassGS); got != cfg.DegreeGS-1 {
@@ -421,7 +387,7 @@ func TestThrottleDegreeDown(t *testing.T) {
 	}
 	// Keep feeding useless windows: degree bottoms out at 1.
 	for w := 0; w < 20; w++ {
-		for i := 0; i < 16; i++ {
+		for i := 0; i < throttleWindow; i++ {
 			p.Fill(0, &prefetch.FillEvent{Prefetch: true, Class: memsys.ClassGS})
 		}
 	}
@@ -432,12 +398,11 @@ func TestThrottleDegreeDown(t *testing.T) {
 
 func TestThrottleDegreeRecovers(t *testing.T) {
 	cfg := DefaultL1Config()
-	cfg.ThrottleWindow = 16
 	p := NewL1IPCP(cfg)
 	rec := &recorder{}
 	// Drive degree down...
 	for w := 0; w < 10; w++ {
-		for i := 0; i < 16; i++ {
+		for i := 0; i < throttleWindow; i++ {
 			p.Fill(0, &prefetch.FillEvent{Prefetch: true, Class: memsys.ClassCS})
 		}
 	}
@@ -447,7 +412,7 @@ func TestThrottleDegreeRecovers(t *testing.T) {
 	// ...then report high accuracy: every fill followed by a useful
 	// hit.
 	for w := 0; w < 10; w++ {
-		for i := 0; i < 16; i++ {
+		for i := 0; i < throttleWindow; i++ {
 			p.Fill(0, &prefetch.FillEvent{Prefetch: true, Class: memsys.ClassCS})
 			p.Operate(0, &prefetch.Access{
 				Addr: 0xe0_0000, VAddr: 0xe0_0000, IP: 0x400e00,
@@ -621,12 +586,10 @@ func TestMetadataDisabled(t *testing.T) {
 }
 
 func TestMetadataStrideGatedByAccuracy(t *testing.T) {
-	cfg := DefaultL1Config()
-	cfg.ThrottleWindow = 8
-	p := NewL1IPCP(cfg)
+	p := NewL1IPCP(DefaultL1Config())
 	rec := &recorder{}
 	// Force low measured CS accuracy.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < throttleWindow; i++ {
 		p.Fill(0, &prefetch.FillEvent{Prefetch: true, Class: memsys.ClassCS})
 	}
 	const ip = 0x413000

@@ -29,12 +29,11 @@ func TestGSLowAccuracyFallsThroughToCS(t *testing.T) {
 	// When GS accuracy sits below the low watermark, the bouquet also
 	// explores CS for the same access (§V coordinated throttling).
 	cfg := DefaultL1Config()
-	cfg.ThrottleWindow = 8
 	cfg.UseRRFilter = false // observe raw candidates
 	p := NewL1IPCP(cfg)
 	rec := &recorder{}
 	// Report a window of useless GS fills: accuracy 0 < 0.40.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < throttleWindow; i++ {
 		p.Fill(0, &prefetch.FillEvent{Prefetch: true, Class: memsys.ClassGS})
 	}
 	if p.ClassAccuracy(memsys.ClassGS) != 0 {
@@ -119,11 +118,9 @@ func TestL2TableConflictReplaces(t *testing.T) {
 }
 
 func TestThrottleWindowResets(t *testing.T) {
-	cfg := DefaultL1Config()
-	cfg.ThrottleWindow = 4
-	p := NewL1IPCP(cfg)
-	// 3 fills: no measurement yet.
-	for i := 0; i < 3; i++ {
+	p := NewL1IPCP(DefaultL1Config())
+	// One fill short of the window: no measurement yet.
+	for i := 0; i < throttleWindow-1; i++ {
 		p.Fill(0, &prefetch.FillEvent{Prefetch: true, Class: memsys.ClassCS})
 	}
 	if p.classes[memsys.ClassCS].measured {
@@ -206,11 +203,11 @@ func TestL1ConfigIsData(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, def) {
 		t.Errorf("round trip = %+v, %v", back, err)
 	}
-	if err := json.Unmarshal([]byte(`{"enable_gs":false,"cplx_distance":2}`), &sparse); err != nil {
+	if err := json.Unmarshal([]byte(`{"enable_gs":false,"degree_cplx":2}`), &sparse); err != nil {
 		t.Fatal(err)
 	}
 	want := def
-	want.EnableGS, want.CPLXDistance = false, 2
+	want.EnableGS, want.DegreeCPLX = false, 2
 	if !reflect.DeepEqual(sparse, want) || sparse.Validate() != nil {
 		t.Errorf("sparse variant = %+v (%v)", sparse, sparse.Validate())
 	}

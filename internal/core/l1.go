@@ -35,20 +35,10 @@ type L1Config struct {
 	DegreeCPLX int `json:"degree_cplx"`
 	DegreeGS   int `json:"degree_gs"`
 
-	// CPLXDistance skips the first k CPLX candidates, starting the run
-	// farther ahead — the paper's §V latency-relief option ("the
-	// prefetch distance can be increased ... only to the CPLX class").
-	CPLXDistance int `json:"cplx_distance"`
-
-	// Dense threshold: fraction of region lines that must be touched
-	// before the region trains as dense (paper: 0.75).
-	DenseFraction float64 `json:"dense_fraction"`
-
-	// Accuracy watermarks and the per-class fill window for
-	// coordinated throttling (paper: 0.75 / 0.40 / 256).
-	ThrottleHigh   float64 `json:"throttle_high"`
-	ThrottleLow    float64 `json:"throttle_low"`
-	ThrottleWindow int     `json:"throttle_window"`
+	// Accuracy watermarks for coordinated throttling (paper: 0.75 /
+	// 0.40), applied once per throttleWindow fills of a class.
+	ThrottleHigh float64 `json:"throttle_high"`
+	ThrottleLow  float64 `json:"throttle_low"`
 
 	// NLThresholdMPKC gates the tentative next-line class: NL is on
 	// while demand misses per kilo-cycle stay below this value (the
@@ -108,6 +98,15 @@ func (c L1Config) MarshalJSON() ([]byte, error) {
 	return json.Marshal(plain(c))
 }
 
+// The paper's dense threshold (§IV-C) and throttling epoch (§V): a
+// region trains as dense once this fraction of its lines is touched,
+// and a class's accuracy is taken over each throttleWindow of its
+// prefetch fills.
+const (
+	denseFraction  = 0.75
+	throttleWindow = 256
+)
+
 // maxTableBytes caps the tables one configuration may allocate, so a
 // config that arrives in a request body cannot allocate the host.
 const maxTableBytes = 1 << 20
@@ -138,9 +137,6 @@ func (c L1Config) Validate() (err error) {
 	between("degree_cs", c.DegreeCS, 1, 64)
 	between("degree_cplx", c.DegreeCPLX, 1, 64)
 	between("degree_gs", c.DegreeGS, 1, 64)
-	between("cplx_distance", c.CPLXDistance, 0, 64)
-	between("throttle_window", c.ThrottleWindow, 1, 1<<30)
-	check(c.DenseFraction > 0 && c.DenseFraction <= 1, "dense_fraction = %v, want (0,1]", c.DenseFraction)
 	check(c.ThrottleLow <= c.ThrottleHigh, "throttle_low %v above throttle_high %v", c.ThrottleLow, c.ThrottleHigh)
 	check(c.NLThresholdMPKC >= 0, "nl_threshold_mpkc = %v, want >= 0", c.NLThresholdMPKC)
 	var seen [memsys.NumClasses]bool
@@ -165,10 +161,8 @@ func DefaultL1Config() L1Config {
 		DegreeCS:        3,
 		DegreeCPLX:      3,
 		DegreeGS:        6,
-		DenseFraction:   0.75,
 		ThrottleHigh:    0.75,
 		ThrottleLow:     0.40,
-		ThrottleWindow:  256,
 		NLThresholdMPKC: 50,
 		EnableCS:        true,
 		EnableCPLX:      true,
@@ -523,7 +517,7 @@ func (p *L1IPCP) updateRST(v memsys.Addr, carryTentative bool, carryDir int8) bo
 	if e.bits&(1<<uint(line)) == 0 {
 		e.bits |= 1 << uint(line)
 		e.dense++
-		if float64(e.dense) >= p.cfg.DenseFraction*float64(p.regionLines()) {
+		if float64(e.dense) >= denseFraction*float64(p.regionLines()) {
 			e.trained = true
 		}
 	}
@@ -645,17 +639,15 @@ func (p *L1IPCP) issueClass(cls memsys.PrefetchClass, e *ipEntry, ip, v memsys.A
 		deg := p.classes[memsys.ClassCPLX].degree
 		sig := e.signature
 		off := int64(0)
-		issued, skipped := 0, 0
-		for step := 0; step < (deg+p.cfg.CPLXDistance)*2 && issued < deg; step++ {
+		issued := 0
+		for step := 0; step < deg*2 && issued < deg; step++ {
 			c := p.cspt[sig&p.sigMask()]
 			if c.stride == 0 {
 				break
 			}
 			if c.confidence >= 1 {
 				off += int64(c.stride)
-				if skipped < p.cfg.CPLXDistance {
-					skipped++ // distance: walk the path without issuing
-				} else if p.issue(iss, ip, v, off, memsys.ClassCPLX, c.stride) {
+				if p.issue(iss, ip, v, off, memsys.ClassCPLX, c.stride) {
 					issued++
 				}
 			}
@@ -728,7 +720,7 @@ func (p *L1IPCP) Fill(now int64, f *prefetch.FillEvent) {
 	p.Fills[f.Class]++
 	st := &p.classes[f.Class]
 	st.fills++
-	if st.fills >= uint64(p.cfg.ThrottleWindow) {
+	if st.fills >= throttleWindow {
 		p.throttle(f.Class)
 	}
 }

@@ -53,6 +53,17 @@ var Quick = Scale{Warmup: 20_000, Measure: 60_000, MaxTraces: 8, Mixes: 4, Seed:
 // Default is the scale used to produce EXPERIMENTS.md.
 var Default = Scale{Warmup: 50_000, Measure: 200_000, Mixes: 16, Seed: 1}
 
+// ParseScale resolves the command lines' -scale value.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return Quick, nil
+	case "default":
+		return Default, nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want quick or default)", name)
+}
+
 // Table is one experiment's result: rows of labelled values.
 type Table struct {
 	ID      string
@@ -179,12 +190,14 @@ type RunSpec struct {
 // normalised returns the spec with every spelling of one simulation
 // folded onto one: an IPCP variant always names l1d "ipcp", a variant
 // equal to the paper's configuration IS the registered "ipcp", "none"
-// is "", and a core count that restates the workload count is 0.
+// is "", a core count that restates the workload count is 0, and a
+// system knob that builds the system it would build unset is unset.
 //
 // It never turns a spec Validate refuses into one it accepts: a served
 // job is found by Key before its submission is validated, so equal keys
 // must mean equal validity. That is why a variant beside another l1d
-// ("none" included) is left as written.
+// ("none" included) is left as written, and why only a valid spec's
+// knobs fold (Config ignores a negative one, which Validate refuses).
 func (r RunSpec) normalised() RunSpec {
 	switch {
 	case r.IPCPL1 == nil:
@@ -204,6 +217,22 @@ func (r RunSpec) normalised() RunSpec {
 	}
 	if r.Cores == len(r.Workloads) {
 		r.Cores = 0
+	}
+	var set []reflect.Value
+	for _, knob := range []any{&r.LLCRepl, &r.DRAMGBps, &r.L1PQ, &r.L1MSHR, &r.L1DWays, &r.L2Sets, &r.LLCSetsPerCore} {
+		if v := reflect.ValueOf(knob).Elem(); !v.IsZero() {
+			set = append(set, v)
+		}
+	}
+	if len(set) > 0 && r.Validate() == nil {
+		sig := sim.ConfigSignature(r.Config(1))
+		for _, v := range set {
+			was := reflect.ValueOf(v.Interface())
+			v.SetZero()
+			if sim.ConfigSignature(r.Config(1)) != sig {
+				v.Set(was)
+			}
+		}
 	}
 	return r
 }
@@ -334,7 +363,7 @@ type SessionStats struct {
 	PendingSaves   int `json:"pending_saves" prom:"ipcpd_checkpoint_saves_pending,gauge" help:"Results and warmup spills published to their jobs but not yet on disk (write-behind)."`
 	BuildsRecycled int `json:"builds_recycled" prom:"ipcpd_sim_builds_recycled_total,counter" help:"Simulated systems whose cache arrays were handed back for the next build."`
 
-	// Shared-warmup (RunShared/RunSweep) dispositions.
+	// Shared-warmup (RunShared) dispositions.
 	//
 	// SnapshotMemHits counts forks served from a resident warmup
 	// snapshot; SnapshotDiskHits from a disk spill; SnapshotMisses are
@@ -696,7 +725,8 @@ func (s *Session) specSeed(spec RunSpec) int64 {
 // becomes a system configuration — session runs, warmup leaders, forked
 // measure phases, the ipcp facade and the audit runner all build from
 // it, so a forked run is bit-identical to a cold one and ipcpsim to
-// ipcpd. A system knob is one RunSpec field and one line here.
+// ipcpd. A system knob is one RunSpec field, one line here and one
+// entry in normalised's list.
 func (r RunSpec) Config(seed int64) sim.Config {
 	cores := r.Cores
 	if cores == 0 {

@@ -10,8 +10,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"ipcp/internal/sim"
 )
 
 // Knob liveness: a sensitivity or ablation row whose variant simulates
@@ -34,20 +32,13 @@ var knobIDs = []string{
 const livenessGolden = "testdata/liveness.golden"
 
 // isPaperDefault reports whether spec is the paper's IPCP on the paper's
-// system: RunSpec.Key tells prefetcher configurations apart (an explicit
-// ipcp_l1 equal to the paper's is the same key), and the built system's
-// signature tells a knob set to its default value (PQ=8 MSHR=16, say)
-// from one that changes the system. The reference row is the one that
-// is, else the first.
+// system. Key folds every spelling of that run onto one — an explicit
+// ipcp_l1 equal to the paper's, a system knob at its default value
+// (PQ=8 MSHR=16, say). The reference row is the one that is, else the
+// first.
 func isPaperDefault(spec RunSpec) bool {
 	paper := ipcpCombo.on()
 	paper.Workloads = spec.Workloads
-	if sim.ConfigSignature(spec.Config(1)) != sim.ConfigSignature(paper.Config(1)) {
-		return false
-	}
-	// Same system: compare what is left, the prefetchers.
-	spec.LLCRepl, spec.DRAMGBps, spec.L1PQ, spec.L1MSHR = "", 0, 0, 0
-	spec.L1DWays, spec.L2Sets, spec.LLCSetsPerCore = 0, 0, 0
 	return spec.Key() == paper.Key()
 }
 

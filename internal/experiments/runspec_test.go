@@ -106,8 +106,8 @@ func TestRunSpecEveryFieldIsKeyed(t *testing.T) {
 	}
 }
 
-// TestEqualContentRunsOnce: the ten ways `-run all` used to spell the
-// default L1+L2 IPCP point — each under its own hand-typed key, each a
+// TestEqualContentRunsOnce: the twelve ways `-run all` used to spell
+// the default L1+L2 IPCP point — each under its own hand-typed key, each a
 // separate simulation — built the way their experiments build them now,
 // are one simulation.
 func TestEqualContentRunsOnce(t *testing.T) {
@@ -132,6 +132,9 @@ func TestEqualContentRunsOnce(t *testing.T) {
 		"throttle-high=0.75 low=0.40": variantSpec(true, func(c *core.L1Config) {
 			c.ThrottleHigh, c.ThrottleLow = paper.ThrottleHigh, paper.ThrottleLow
 		}),
+		// System knobs spelled at the paper's value.
+		"pq-8 mshr-16": sens(func(r *RunSpec) { r.L1PQ, r.L1MSHR = 8, 16 }),
+		"dram-12.8":    sens(func(r *RunSpec) { r.DRAMGBps = 12.8 }),
 	}
 	s := NewSession(tiny)
 	var first *sim.Result
@@ -159,6 +162,28 @@ func TestEqualContentRunsOnce(t *testing.T) {
 	other.Workloads = []string{"lbm-94"}
 	if _, err := s.Run(other); err != nil || s.Executed() != 2 {
 		t.Fatalf("degree-4 variant: err %v, executed %d, want its own simulation", err, s.Executed())
+	}
+}
+
+// TestPlanKeysAreSystems: across every registered plan, specs with
+// different keys are different simulations — they build different
+// systems or attach different prefetchers — so no experiment simulates
+// a run another already has under a second key.
+func TestPlanKeysAreSystems(t *testing.T) {
+	for name, sc := range map[string]Scale{"Quick": Quick, "Default": Default} {
+		keys, runs := map[string]bool{}, map[string]bool{}
+		for _, e := range All() {
+			for _, spec := range e.Plan(sc) {
+				keys[spec.Key()] = true
+				prefetchers := spec
+				prefetchers.LLCRepl, prefetchers.DRAMGBps, prefetchers.L1PQ, prefetchers.L1MSHR = "", 0, 0, 0
+				prefetchers.L1DWays, prefetchers.L2Sets, prefetchers.LLCSetsPerCore = 0, 0, 0
+				runs[sim.ConfigSignature(spec.Config(1))+"|"+prefetchers.Key()] = true
+			}
+		}
+		if len(keys) != len(runs) {
+			t.Errorf("%s plans hold %d keys for %d distinct simulations", name, len(keys), len(runs))
+		}
 	}
 }
 

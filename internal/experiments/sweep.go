@@ -109,15 +109,6 @@ func (s *Session) RunSharedContext(ctx context.Context, spec RunSpec) (*sim.Resu
 	return s.run(ctx, spec, true)
 }
 
-// RunSweep executes a sweep grid with shared warmups, returning results
-// and errors in spec order (entry i holds one or the other). Specs
-// sharing a warmup identity — typically a prefetcher sweep over one
-// workload — run one warmup between them and fork the rest; distinct
-// identities warm concurrently under the session's admission cap.
-func (s *Session) RunSweep(specs []RunSpec) ([]*sim.Result, []error) {
-	return fanOut(context.Background(), specs, s.RunSharedContext)
-}
-
 // runForked restores a fresh CacheWarmOnly system from the warmup
 // snapshot and runs only its measure phase.
 func (s *Session) runForked(ctx context.Context, spec RunSpec, snap *sim.Snapshot) (*sim.Result, error) {

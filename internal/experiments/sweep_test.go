@@ -38,13 +38,19 @@ func marshalResult(t *testing.T, res *sim.Result) string {
 	return string(b)
 }
 
+// runSweep runs a sweep grid through the shared-warmup path, all points
+// at once, returning results and errors in spec order.
+func runSweep(s *Session, specs []RunSpec) ([]*sim.Result, []error) {
+	return fanOut(context.Background(), specs, s.RunSharedContext)
+}
+
 // TestRunSweepSharesWarmup is the scheduler invariant: a grid of
 // 2 workloads × 6 prefetcher points runs exactly 2 warmups, and every
 // measure phase forks.
 func TestRunSweepSharesWarmup(t *testing.T) {
 	s := NewSession(sweepScale)
 	specs := sweepGrid()
-	results, errs := s.RunSweep(specs)
+	results, errs := runSweep(s, specs)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("spec %d (%s): %v", i, specs[i].Key(), err)
@@ -238,8 +244,8 @@ func TestSweepCancelledWarmupRetries(t *testing.T) {
 	}
 }
 
-// TestRunSweepOrderingUnderColdFallback pins RunSweep's result
-// placement: entry i always belongs to specs[i], even when some
+// TestRunSweepOrderingUnderColdFallback pins a concurrent sweep's
+// result placement: entry i always belongs to specs[i], even when some
 // points' snapshot path degrades and their cold fallbacks interleave
 // with other points' forked measures. Warmups are injected to fail for
 // one of the two workloads, so half the grid cold-runs while the other
@@ -250,7 +256,7 @@ func TestRunSweepOrderingUnderColdFallback(t *testing.T) {
 	specs := sweepGrid()
 
 	ref := NewSession(sweepScale)
-	want, refErrs := ref.RunSweep(specs)
+	want, refErrs := runSweep(ref, specs)
 	for i, err := range refErrs {
 		if err != nil {
 			t.Fatalf("reference spec %d: %v", i, err)
@@ -265,7 +271,7 @@ func TestRunSweepOrderingUnderColdFallback(t *testing.T) {
 		}
 		return nil
 	}
-	results, errs := s.RunSweep(specs)
+	results, errs := runSweep(s, specs)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("spec %d (%s): %v", i, specs[i].Key(), err)
@@ -348,7 +354,7 @@ func TestSnapshotEvictionRacesLeaders(t *testing.T) {
 		}
 	}
 	s := NewSession(sweepScale)
-	results, errs := s.RunSweep(specs)
+	results, errs := runSweep(s, specs)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("spec %d (%s): %v", i, specs[i].Key(), err)

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"sort"
 	"testing"
 
 	"ipcp/internal/memsys"
@@ -10,6 +11,13 @@ import (
 // contract the cache relies on, across a set of canonical access
 // scenarios. These are behavioural floor checks, not quality checks.
 
+// parts are the spp-ppf-dspatch composite's components: not registered
+// names, but each holds to the contract on its own.
+var parts = map[string]func() Prefetcher{
+	"spp-ppf": func() Prefetcher { return NewPPF(NewSPP()) },
+	"dspatch": func() Prefetcher { return NewDSPatch() },
+}
+
 func allNames() []string {
 	var out []string
 	for _, n := range Names() {
@@ -18,7 +26,24 @@ func allNames() []string {
 		}
 		out = append(out, n)
 	}
+	for n := range parts {
+		out = append(out, n)
+	}
+	sort.Strings(out)
 	return out
+}
+
+// build constructs a registered prefetcher or a composite's part.
+func build(t *testing.T, name string) Prefetcher {
+	t.Helper()
+	if f, ok := parts[name]; ok {
+		return f()
+	}
+	p, err := New(name, memsys.LevelL1D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // scenario drives a prefetcher with a deterministic access pattern.
@@ -67,11 +92,7 @@ func TestConformanceNoPanics(t *testing.T) {
 		for _, sc := range scenarios {
 			name, sc := name, sc
 			t.Run(name+"/"+sc.name, func(t *testing.T) {
-				p, err := New(name, memsys.LevelL1D)
-				if err != nil {
-					t.Fatal(err)
-				}
-				drive(p, sc, 2000, &recorder{})
+				drive(build(t, name), sc, 2000, &recorder{})
 			})
 		}
 	}
@@ -83,7 +104,7 @@ func TestConformanceCandidatesAligned(t *testing.T) {
 	for _, name := range allNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			p, _ := New(name, memsys.LevelL1D)
+			p := build(t, name)
 			rec := &recorder{}
 			for _, sc := range scenarios {
 				drive(p, sc, 1500, rec)
@@ -104,7 +125,7 @@ func TestConformanceSequentialCoverage(t *testing.T) {
 	for _, name := range allNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			p, _ := New(name, memsys.LevelL1D)
+			p := build(t, name)
 			rec := &recorder{}
 			drive(p, scenarios[0], 4000, rec)
 			forward := 0
@@ -126,7 +147,7 @@ func TestConformanceRejectedIssueTolerated(t *testing.T) {
 	for _, name := range allNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			p, _ := New(name, memsys.LevelL1D)
+			p := build(t, name)
 			rec := &recorder{rejectAll: true}
 			for _, sc := range scenarios {
 				drive(p, sc, 1000, rec)
@@ -151,7 +172,7 @@ func TestConformanceDeterminism(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			run := func() []Candidate {
-				p, _ := New(name, memsys.LevelL1D)
+				p := build(t, name)
 				rec := &recorder{}
 				for _, sc := range scenarios {
 					drive(p, sc, 1200, rec)

@@ -143,7 +143,3 @@ func (p *DSPatch) Fill(int64, *FillEvent) {}
 
 // Cycle implements Prefetcher.
 func (p *DSPatch) Cycle(int64) {}
-
-func init() {
-	Register("dspatch", func(Level) Prefetcher { return NewDSPatch() })
-}

@@ -145,7 +145,3 @@ func (p *PPF) Fill(now int64, f *FillEvent) {
 
 // Cycle implements Prefetcher.
 func (p *PPF) Cycle(now int64) { p.inner.Cycle(now) }
-
-func init() {
-	Register("spp-ppf", func(Level) Prefetcher { return NewPPF(NewSPP()) })
-}

@@ -41,8 +41,7 @@ func access(p Prefetcher, rec *recorder, now int64, ip, vaddr uint64, hit bool) 
 
 func TestRegistryNames(t *testing.T) {
 	want := []string{"nl", "nl-miss", "ipstride", "stream", "bop", "mlop",
-		"spp", "vldp", "bingo", "bingo119", "sms", "dspatch", "spp-ppf",
-		"spp-ppf-dspatch", "tskid"}
+		"spp", "vldp", "bingo", "bingo119", "sms", "spp-ppf-dspatch", "tskid"}
 	for _, n := range want {
 		p, err := New(n, memsys.LevelL1D)
 		if err != nil {
@@ -479,7 +478,7 @@ func TestAllPrefetchersStayInPage(t *testing.T) {
 }
 
 func TestPrefetchersIgnoreNonDemand(t *testing.T) {
-	for _, name := range []string{"nl", "ipstride", "stream", "bop", "mlop", "spp", "vldp", "bingo", "sms", "dspatch"} {
+	for _, name := range []string{"nl", "ipstride", "stream", "bop", "mlop", "spp", "vldp", "bingo", "sms", "spp-ppf-dspatch"} {
 		p, _ := New(name, memsys.LevelL1D)
 		rec := &recorder{}
 		p.Operate(0, &Access{Addr: 0x7000, VAddr: 0x7000, IP: 1, Type: memsys.Writeback}, rec)

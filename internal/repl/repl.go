@@ -27,11 +27,10 @@ type Factory func(sets, ways int) Policy
 
 // factories is the registry of known policies.
 var factories = map[string]Factory{
-	"lru":    NewLRU,
-	"srrip":  NewSRRIP,
-	"drrip":  NewDRRIP,
-	"ship":   NewSHiP,
-	"random": NewRandom,
+	"lru":   NewLRU,
+	"srrip": NewSRRIP,
+	"drrip": NewDRRIP,
+	"ship":  NewSHiP,
 	// "hawkeye" registers itself from hawkeye.go.
 }
 
@@ -46,7 +45,7 @@ func New(name string, sets, ways int) (Policy, error) {
 
 // Names returns the registered policy names.
 func Names() []string {
-	return []string{"lru", "srrip", "drrip", "ship", "hawkeye", "mpppb", "random"}
+	return []string{"lru", "srrip", "drrip", "ship", "hawkeye", "mpppb"}
 }
 
 // --- LRU -------------------------------------------------------------
@@ -284,25 +283,4 @@ func (s *ship) Fill(set, way int, r *memsys.Request) {
 	} else {
 		s.rrpv[idx] = rrpvMax - 1
 	}
-}
-
-// --- Random ------------------------------------------------------------
-
-type random struct {
-	ways  int
-	rng   *rand.Rand
-	draws uint64 // victim picks, for replay-based snapshot restore
-}
-
-// NewRandom returns a uniformly random victim policy (testing baseline).
-func NewRandom(sets, ways int) Policy {
-	return &random{ways: ways, rng: rand.New(rand.NewSource(2))}
-}
-
-func (p *random) Name() string                         { return "random" }
-func (p *random) Hit(set, way int, _ *memsys.Request)  {}
-func (p *random) Fill(set, way int, _ *memsys.Request) {}
-func (p *random) Victim(set int, _ *memsys.Request) int {
-	p.draws++
-	return p.rng.Intn(p.ways)
 }

@@ -3,9 +3,8 @@ package repl
 import "fmt"
 
 // Snapshot/restore support. Every policy's state is pure data except
-// the two RNGs (drrip's BRRIP coin, random's victim picker), which are
-// restored by replaying their recorded draw count against the fixed
-// seed — math/rand does not expose its internals, and the draw sequence
+// drrip's BRRIP coin, an RNG, which is restored by replaying its
+// recorded draw count against the fixed seed — math/rand does not expose its internals, and the draw sequence
 // is a pure function of (seed, count).
 
 // State is a tagged union capturing one policy instance. Exactly the
@@ -17,7 +16,6 @@ type State struct {
 	SRRIP   *SRRIPState
 	DRRIP   *DRRIPState
 	SHiP    *SHiPState
-	Random  *RandomState
 	Hawkeye *HawkeyeState
 	MPPPB   *MPPPBState
 }
@@ -47,11 +45,6 @@ type SHiPState struct {
 	SHCT  []uint8
 	Sig   []uint16
 	Reref []bool
-}
-
-// RandomState captures the victim RNG position.
-type RandomState struct {
-	Draws uint64
 }
 
 // HawkeyeState captures the RRPVs, predictor and OPTgen samplers.
@@ -102,8 +95,6 @@ func Save(p Policy) (State, error) {
 	case *srrip:
 		return State{Policy: "srrip", SRRIP: &SRRIPState{
 			RRPV: append([]uint8(nil), v.rrpv...)}}, nil
-	case *random:
-		return State{Policy: "random", Random: &RandomState{Draws: v.draws}}, nil
 	case *hawkeye:
 		hs := &HawkeyeState{
 			RRPV:      append([]uint8(nil), v.rrpv...),
@@ -176,14 +167,6 @@ func Restore(p Policy, s State) error {
 			return fmt.Errorf("repl: srrip state geometry mismatch")
 		}
 		copy(v.rrpv, s.SRRIP.RRPV)
-	case *random:
-		if s.Random == nil {
-			return fmt.Errorf("repl: random state missing")
-		}
-		for v.draws < s.Random.Draws {
-			v.draws++
-			v.rng.Intn(v.ways)
-		}
 	case *hawkeye:
 		hs := s.Hawkeye
 		if hs == nil || len(hs.RRPV) != len(v.rrpv) {

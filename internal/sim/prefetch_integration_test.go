@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"ipcp/internal/prefetch"
 	"ipcp/internal/stats"
 
 	_ "ipcp/internal/core" // register "ipcp"
@@ -91,12 +92,28 @@ func TestIPCPAccuracyReasonable(t *testing.T) {
 }
 
 func TestBaselinesRunEndToEnd(t *testing.T) {
-	// Every registered baseline must survive a short full-system run.
+	// Every registered baseline, and each part of the spp-ppf-dspatch
+	// composite on its own, must survive a short full-system run.
+	specs := map[string]PrefetcherSpec{
+		"spp-ppf": {New: func() (prefetch.Prefetcher, error) { return prefetch.NewPPF(prefetch.NewSPP()), nil }},
+		"dspatch": {New: func() (prefetch.Prefetcher, error) { return prefetch.NewDSPatch(), nil }},
+	}
 	for _, name := range []string{"nl", "ipstride", "stream", "bop", "mlop",
-		"spp", "vldp", "bingo", "sms", "dspatch", "spp-ppf", "spp-ppf-dspatch", "tskid"} {
-		name := name
+		"spp", "vldp", "bingo", "sms", "spp-ppf-dspatch", "tskid"} {
+		specs[name] = PrefetcherSpec{Name: name}
+	}
+	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
-			res := runWith(t, "mcf-1536", name, "none", 2000, 10000)
+			cfg := PaperConfig(1)
+			cfg.L1DPrefetcher = spec
+			sys, err := Build(cfg, streamsFor(t, []string{"mcf-1536"}, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run(2000, 10000)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res.IPC[0] <= 0 {
 				t.Errorf("%s: IPC %f", name, res.IPC[0])
 			}
