@@ -102,7 +102,7 @@ func newL1Oracle(impl *core.L1IPCP) *l1Oracle {
 		impl: impl,
 		cfg:  cfg,
 		ip:   make([]oraIPEntry, cfg.IPTableEntries),
-		cspt: make([]oraCSPT, cfg.CSPTEntries),
+		cspt: make([]oraCSPT, 1<<cfg.SignatureBits), // one entry per signature
 		rst:  make([]oraRST, cfg.RSTEntries),
 		rr:   newRefRR(),
 		nlOn: true,

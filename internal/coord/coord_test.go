@@ -186,7 +186,7 @@ func TestSweepExpandValidates(t *testing.T) {
 		{"unknown workload", serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"no-such-trace"}}}},
 		{"unknown prefetcher", serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, L1D: []string{"warp-drive"}}},
 		{"negative timeout", serve.SweepRequest{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}}, TimeoutMS: -1}},
-		{"bad explicit point", serve.SweepRequest{Points: []serve.RunRequest{{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994"}, Cores: 3}}}}},
+		{"bad explicit point", serve.SweepRequest{Points: []serve.RunRequest{{RunSpec: experiments.RunSpec{Workloads: []string{"mcf-994", "mcf-994", "mcf-994"}}}}}},
 	}
 	for _, tc := range cases {
 		if code, _ := postSweep(t, ts.URL, tc.req); code != http.StatusBadRequest {

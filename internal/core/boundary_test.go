@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"ipcp/internal/memsys"
@@ -127,38 +128,28 @@ func TestStrideOutsideClampDoesNotTrain(t *testing.T) {
 	}
 }
 
-// --- CSPT / SignatureBits reconciliation ---------------------------------
+// --- CSPT size ------------------------------------------------------------
 
-// TestCSPTSizeFollowsSignatureBits locks in the construction-time
-// reconciliation: the CSPT is indexed by the SignatureBits-wide
-// signature, so its size is forced to 1<<SignatureBits no matter what
-// the configuration claims (the abl-sig ablation varies SignatureBits
-// without touching CSPTEntries).
+// TestCSPTSizeFollowsSignatureBits: the CSPT is indexed by the
+// SignatureBits-wide signature, so its size is 1<<SignatureBits, with no
+// second field to disagree with it (the abl-sig ablation varies the
+// width alone), and construction leaves the configuration as given.
 func TestCSPTSizeFollowsSignatureBits(t *testing.T) {
-	cases := []struct {
-		bits, entries, wantLen int
-		wantBits               int
-	}{
-		{7, 128, 128, 7},       // paper default, already consistent
-		{9, 128, 512, 9},       // abl-sig: wider signature, stale entry count
-		{5, 128, 32, 5},        // narrower signature, oversized table
-		{0, 128, 2, 1},         // degenerate bits clamp to 1
-		{20, 128, 1 << 16, 16}, // over-wide bits clamp to 16
-	}
-	for _, c := range cases {
+	for _, c := range []struct{ bits, wantLen int }{
+		{7, 128},      // paper default
+		{9, 512},      // abl-sig: wider signature
+		{5, 32},       // abl-sig: narrower signature
+		{1, 2},        // narrowest width Validate accepts
+		{16, 1 << 16}, // widest width Validate accepts
+	} {
 		cfg := DefaultL1Config()
 		cfg.SignatureBits = c.bits
-		cfg.CSPTEntries = c.entries
 		p := NewL1IPCP(cfg)
 		if len(p.cspt) != c.wantLen {
-			t.Errorf("SignatureBits=%d CSPTEntries=%d: CSPT has %d entries, want %d",
-				c.bits, c.entries, len(p.cspt), c.wantLen)
+			t.Errorf("SignatureBits=%d: CSPT has %d entries, want %d", c.bits, len(p.cspt), c.wantLen)
 		}
-		if p.cfg.SignatureBits != c.wantBits {
-			t.Errorf("SignatureBits=%d: reconciled to %d, want %d", c.bits, p.cfg.SignatureBits, c.wantBits)
-		}
-		if p.cfg.CSPTEntries != len(p.cspt) {
-			t.Errorf("config CSPTEntries %d does not match table size %d", p.cfg.CSPTEntries, len(p.cspt))
+		if !reflect.DeepEqual(p.Config(), cfg) {
+			t.Errorf("SignatureBits=%d: construction rewrote the configuration to %+v", c.bits, p.Config())
 		}
 		// Every reachable signature must index in bounds.
 		if int(p.sigMask())+1 != len(p.cspt) {

@@ -25,10 +25,11 @@ import (
 // only what it changes.
 type L1Config struct {
 	IPTableEntries int `json:"ip_table_entries"` // direct-mapped; paper: 64
-	CSPTEntries    int `json:"cspt_entries"`     // direct-mapped, 1<<SignatureBits; paper: 128
 	RSTEntries     int `json:"rst_entries"`      // fully associative LRU; paper: 8
-	SignatureBits  int `json:"signature_bits"`   // paper: 7
-	RegionBits     int `json:"region_bits"`      // log2 region bytes; paper: 11 (2KB)
+	// SignatureBits is the CPLX signature width; the CSPT it indexes has
+	// 1<<SignatureBits entries (paper: 7 bits, 128 entries).
+	SignatureBits int `json:"signature_bits"`
+	RegionBits    int `json:"region_bits"` // log2 region bytes; paper: 11 (2KB)
 
 	// Default prefetch degrees per class (paper: CS 3, CPLX 3, GS 6).
 	DegreeCS   int `json:"degree_cs"`
@@ -127,10 +128,6 @@ func (c L1Config) Validate() (err error) {
 	between("ip_table_entries", c.IPTableEntries, 1, maxTableBytes/int(unsafe.Sizeof(ipEntry{})))
 	between("rst_entries", c.RSTEntries, 1, maxTableBytes/int(unsafe.Sizeof(rstEntry{})))
 	between("signature_bits", c.SignatureBits, 1, 16)
-	if err != nil {
-		return err // the shift below needs a sane width
-	}
-	check(c.CSPTEntries == 1<<c.SignatureBits, "cspt_entries = %d, want 1<<signature_bits", c.CSPTEntries)
 	// The RST tracks a region's lines in one 64-bit vector.
 	between("region_bits", c.RegionBits, memsys.BlockBits+1, memsys.BlockBits+6)
 	// A page holds 64 lines and IPCP never leaves the page.
@@ -154,7 +151,6 @@ func (c L1Config) Validate() (err error) {
 func DefaultL1Config() L1Config {
 	return L1Config{
 		IPTableEntries:  64,
-		CSPTEntries:     128,
 		RSTEntries:      8,
 		SignatureBits:   7,
 		RegionBits:      11,
@@ -188,7 +184,7 @@ type ipEntry struct {
 	lastBlock   uint64 // last virtual cache-block address
 	hasLast     bool
 	stride      int8
-	confidence  uint8 // 2-bit
+	confidence  uint8 // confBits wide
 	streamValid bool
 	direction   int8 // +1 / -1
 	signature   uint16
@@ -200,15 +196,15 @@ type ipEntry struct {
 // csptEntry is one Complex Stride Prediction Table entry (Fig. 3).
 type csptEntry struct {
 	stride     int8
-	confidence uint8 // 2-bit
+	confidence uint8 // confBits wide
 }
 
 // rstEntry is one Region Stream Table entry (Fig. 4).
 type rstEntry struct {
 	region    uint64
-	lastLine  int    // 5-bit last line offset within the region
+	lastLine  int    // last line offset within the region
 	bits      uint64 // one bit per region line
-	posNeg    int    // 6-bit saturating counter, initialized mid-range
+	posNeg    int    // rstPosNegBits-wide saturating counter, initialized mid-range
 	dense     int    // dense-count
 	trained   bool
 	tentative bool
@@ -270,25 +266,10 @@ func NewL1IPCP(cfg L1Config) *L1IPCP {
 	if cfg.IPTableEntries <= 0 {
 		cfg = DefaultL1Config()
 	}
-	// The CSPT is indexed by the SignatureBits-wide signature, so its
-	// size IS 1<<SignatureBits — a mismatched configuration would either
-	// silently alias distinct signatures (table too small) or leave
-	// entries unreachable (table too large). Reconcile the size from the
-	// signature width, the parameter that defines the CPLX history
-	// depth (paper Table I: 7 bits ↔ 128 entries).
-	if cfg.SignatureBits < 1 {
-		cfg.SignatureBits = 1
-	}
-	if cfg.SignatureBits > 16 {
-		cfg.SignatureBits = 16
-	}
-	if cfg.CSPTEntries != 1<<cfg.SignatureBits {
-		cfg.CSPTEntries = 1 << cfg.SignatureBits
-	}
 	p := &L1IPCP{
 		cfg:     cfg,
 		ipTable: make([]ipEntry, cfg.IPTableEntries),
-		cspt:    make([]csptEntry, cfg.CSPTEntries),
+		cspt:    make([]csptEntry, 1<<cfg.SignatureBits), // indexed by the signature
 		rst:     make([]rstEntry, cfg.RSTEntries),
 		rr:      newRRFilter(),
 		nlOn:    true,
@@ -303,9 +284,8 @@ func NewL1IPCP(cfg L1Config) *L1IPCP {
 // Name implements prefetch.Prefetcher.
 func (p *L1IPCP) Name() string { return "ipcp" }
 
-// Config returns the effective configuration (after construction-time
-// reconciliation of the CSPT size) — the audit oracle builds its
-// reference model from it.
+// Config returns the configuration the prefetcher was built with — the
+// audit oracle builds its reference model from it.
 func (p *L1IPCP) Config() L1Config { return p.cfg }
 
 func (p *L1IPCP) regionOf(v memsys.Addr) (region uint64, line int) {
@@ -327,8 +307,19 @@ func (p *L1IPCP) ipIndex(ip memsys.Addr) uint64 {
 	return h % uint64(len(p.ipTable))
 }
 
-// ipTag is the 9-bit partial tag stored per entry.
-func ipTag(ip memsys.Addr) uint64 { return (ip >> 2) & 0x1ff }
+// ipTag is the ipTagBits-wide partial tag stored per entry.
+func ipTag(ip memsys.Addr) uint64 { return (ip >> 2) & (1<<ipTagBits - 1) }
+
+// The model's limits, from the hardware widths (storage.go): a stride
+// outside -64..63 blocks does not train, confidence saturates at 3, and
+// the 6-bit pos/neg counter at 63, starting from (and voting positive
+// at) 32.
+const (
+	strideMax = 1<<(strideBits-1) - 1
+	confMax   = 1<<confBits - 1
+	posNegMax = 1<<rstPosNegBits - 1
+	posNegMid = 1 << (rstPosNegBits - 1)
+)
 
 // advanceSig implements signature = (signature << 1) XOR stride.
 func (p *L1IPCP) advanceSig(sig uint16, stride int8) uint16 {
@@ -384,7 +375,7 @@ func (p *L1IPCP) Operate(now int64, a *prefetch.Access, iss prefetch.Issuer) {
 	// --- stride computation (virtual, page-crossing aware, §IV-A) ---
 	strideFull := int64(block) - int64(e.lastBlock)
 	stride := int8(0)
-	if strideFull >= -64 && strideFull <= 63 {
+	if strideFull >= -strideMax-1 && strideFull <= strideMax {
 		stride = int8(strideFull)
 	}
 	prevBlock := e.lastBlock
@@ -393,7 +384,7 @@ func (p *L1IPCP) Operate(now int64, a *prefetch.Access, iss prefetch.Issuer) {
 	// --- CS training ---
 	if stride != 0 {
 		if stride == e.stride {
-			if e.confidence < 3 {
+			if e.confidence < confMax {
 				e.confidence++
 			}
 		} else {
@@ -412,7 +403,7 @@ func (p *L1IPCP) Operate(now int64, a *prefetch.Access, iss prefetch.Issuer) {
 		oldSig = e.signature
 		c := &p.cspt[oldSig&p.sigMask()]
 		if c.stride == stride {
-			if c.confidence < 3 {
+			if c.confidence < confMax {
 				c.confidence++
 			}
 		} else {
@@ -487,9 +478,9 @@ func (p *L1IPCP) updateRST(v memsys.Addr, carryTentative bool, carryDir int8) bo
 			// Bias the pos/neg counter toward the inherited direction
 			// so a single spurious first vote cannot flip it.
 			if carryDir > 0 {
-				e.posNeg = 40
+				e.posNeg = posNegMid + 8
 			} else {
-				e.posNeg = 24
+				e.posNeg = posNegMid - 8
 			}
 		}
 	}
@@ -500,7 +491,7 @@ func (p *L1IPCP) updateRST(v memsys.Addr, carryTentative bool, carryDir int8) bo
 	// offset within the region yet).
 	if e.lastLine >= 0 && line != e.lastLine {
 		if line > e.lastLine {
-			if e.posNeg < 63 {
+			if e.posNeg < posNegMax {
 				e.posNeg++
 			}
 		} else if e.posNeg > 0 {
@@ -508,7 +499,7 @@ func (p *L1IPCP) updateRST(v memsys.Addr, carryTentative bool, carryDir int8) bo
 		}
 	}
 	e.lastLine = line
-	if e.posNeg >= 32 {
+	if e.posNeg >= posNegMid {
 		e.direction = 1
 	} else {
 		e.direction = -1
@@ -547,7 +538,7 @@ func (p *L1IPCP) allocRST(region uint64) *rstEntry {
 	}
 	p.rst[victim] = rstEntry{
 		region: region, lastLine: -1,
-		posNeg: 32, // 6-bit counter initialized to 2^5
+		posNeg: posNegMid,
 		valid:  true,
 	}
 	return &p.rst[victim]

@@ -28,8 +28,8 @@ func DefaultL2Config() L2Config {
 	}
 }
 
-// l2Entry is one L2 IP-table entry: 19 bits in hardware (9-bit tag,
-// valid, 2-bit class, 7-bit stride/direction).
+// l2Entry is one L2 IP-table entry: l2EntryBits in hardware (tag,
+// valid, class, stride/direction; see storage.go).
 type l2Entry struct {
 	tag    uint64
 	valid  bool
@@ -78,7 +78,7 @@ func (p *L2IPCP) Config() L2Config { return p.cfg }
 // Operate implements prefetch.Prefetcher.
 func (p *L2IPCP) Operate(now int64, a *prefetch.Access, iss prefetch.Issuer) {
 	idx := (a.IP >> 2) % uint64(len(p.table))
-	tag := (a.IP >> 2) / uint64(len(p.table)) & 0x1ff
+	tag := (a.IP >> 2) / uint64(len(p.table)) & (1<<l2TagBits - 1)
 
 	if a.Type == memsys.Prefetch {
 		// An L1 prefetch arriving with metadata populates the table,

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"ipcp/internal/memsys"
+)
 
 // Storage reproduces Table I of the paper: the bit-exact hardware
 // budget of IPCP at the L1 and L2. The widths are the hardware widths
@@ -12,36 +17,44 @@ type Storage struct {
 	L2Bits     int
 }
 
-// Hardware field widths at the L1 (Fig. 5).
+// Hardware field widths (Fig. 3–6). Each is the one declaration of its
+// width: the model masks, clamps and saturates with the same constant
+// ComputeStorage sums (ipTag, the stride window, the confidence and
+// pos/neg counters, the L2 tag; rrTagBits and rrEntries sit with the
+// filter in rrfilter.go), so Table I costs the widths the model runs
+// with. The widths a configuration sets are not here: ComputeStorage
+// derives the signature, the CSPT size, the RST line-offset and bit
+// vector (from RegionBits) and the RST LRU (from RSTEntries) from the
+// L1Config it is given.
+//
+// What stays fixed whatever the configuration: the RST's 3-bit region
+// id is a partial tag the paper sizes on its own, which the model keeps
+// whole; the pos/neg counter is 6 bits at every region size; and the
+// per-line class bits cover the paper's 64-set, 12-way L1-D, whose
+// geometry is the cache's, not the prefetcher's.
 const (
-	l1IPTagBits       = 9
-	l1ValidBits       = 1
-	l1LastVPageBits   = 2
-	l1LastOffsetBits  = 6
-	l1StrideBits      = 7
-	l1ConfBits        = 2
-	l1StreamValidBits = 1
-	l1DirectionBits   = 1
-	l1SignatureBits   = 7
+	// IP table (Fig. 5); the stride and confidence widths are the
+	// CSPT's (Fig. 3) too.
+	ipTagBits         = 9
+	ipValidBits       = 1
+	ipLastVPageBits   = 2
+	ipStreamValidBits = 1
+	ipDirectionBits   = 1
+	strideBits        = 7
+	confBits          = 2
 
-	csptStrideBits = 7
-	csptConfBits   = 2
+	// RST (Fig. 4), bar the widths RegionBits and RSTEntries set.
+	rstRegionIDBits  = 3
+	rstPosNegBits    = 6
+	rstDenseBits     = 1
+	rstTrainedBits   = 1
+	rstTentativeBits = 1
+	rstDirectionBits = 1
 
-	rstRegionIDBits   = 3
-	rstLastOffsetBits = 5
-	rstBitVectorBits  = 32
-	rstPosNegBits     = 6
-	rstDenseBits      = 1
-	rstTrainedBits    = 1
-	rstTentativeBits  = 1
-	rstDirectionBits  = 1
-	rstLRUBits        = 3
-
-	l1ClassBitsPerLine = 2
-	l1Sets             = 64
-	l1Ways             = 12
-
-	rrFilterTagBits = 12
+	// Per-line class bits of the L1-D, and the L2 entry's class field.
+	classBits = 2
+	l1Sets    = 64
+	l1Ways    = 12
 
 	// "Others" (Table I): tentative-NL bit, per-class issue/hit
 	// counters, miss + instruction counters, per-class accuracy
@@ -52,37 +65,35 @@ const (
 	missCounterBits    = 10
 	instrCounterBits   = 10
 	accuracyRegBits    = 7 * 4 // three 7-bit accuracy registers + 7-bit MPKI
-)
 
-// Hardware field widths at the L2 (Fig. 6): 9-bit tag + valid + 2-bit
-// class + 7-bit stride = 19 bits per entry.
-const (
-	l2EntryBits        = 19
+	// L2 IP table (Fig. 6): 9-bit tag + valid + 2-bit class + 7-bit
+	// stride = 19 bits per entry.
+	l2TagBits          = 9
+	l2ValidBits        = 1
+	l2EntryBits        = l2TagBits + l2ValidBits + classBits + strideBits
 	l2TentativeNLBits  = 1
 	l2MissCounterBits  = 10
 	l2InstrCounterBits = 10
 )
 
-// ipTableEntryBits is the width of one shared L1 IP-table entry.
-func ipTableEntryBits() int {
-	return l1IPTagBits + l1ValidBits + l1LastVPageBits + l1LastOffsetBits +
-		l1StrideBits + l1ConfBits + l1StreamValidBits + l1DirectionBits + l1SignatureBits
-}
-
-// rstEntryBits is the width of one RST entry.
-func rstEntryBits() int {
-	return rstRegionIDBits + rstLastOffsetBits + rstBitVectorBits + rstPosNegBits +
-		rstDenseBits + rstTrainedBits + rstTentativeBits + rstDirectionBits + rstLRUBits
-}
-
 // ComputeStorage returns the Table I budget for the given configs.
 func ComputeStorage(l1 L1Config, l2 L2Config) Storage {
+	// The IP table keeps the last line's offset within its page; the
+	// RST, within its region, plus one bit per region line.
+	pageLineBits := memsys.PageBits - memsys.BlockBits
+	regionLineBits := l1.RegionBits - memsys.BlockBits
+	ipEntryBits := ipTagBits + ipValidBits + ipLastVPageBits + pageLineBits +
+		strideBits + confBits + ipStreamValidBits + ipDirectionBits + l1.SignatureBits
+	rstEntryBits := rstRegionIDBits + regionLineBits + 1<<regionLineBits + rstPosNegBits +
+		rstDenseBits + rstTrainedBits + rstTentativeBits + rstDirectionBits +
+		bits.Len(uint(l1.RSTEntries-1)) // LRU position
+
 	var s Storage
-	s.L1Bits = ipTableEntryBits()*l1.IPTableEntries +
-		(csptStrideBits+csptConfBits)*l1.CSPTEntries +
-		rstEntryBits()*l1.RSTEntries +
-		l1ClassBitsPerLine*l1Sets*l1Ways +
-		rrFilterTagBits*rrEntries
+	s.L1Bits = ipEntryBits*l1.IPTableEntries +
+		(strideBits+confBits)<<l1.SignatureBits + // the CSPT
+		rstEntryBits*l1.RSTEntries +
+		classBits*l1Sets*l1Ways +
+		rrTagBits*rrEntries
 	s.OthersBits = tentativeNLBits + perClassIssuedBits + perClassHitsBits +
 		missCounterBits + instrCounterBits + accuracyRegBits
 	s.L2Bits = l2EntryBits*l2.IPTableEntries +

@@ -84,9 +84,7 @@ func init() {
 
 	var sig []speedupRow
 	for _, b := range []int{5, 7, 9} {
-		sig = append(sig, ipcpRow(fmt.Sprintf("%d-bit signature", b), func(c *core.L1Config) {
-			c.SignatureBits, c.CSPTEntries = b, 1<<b
-		}))
+		sig = append(sig, ipcpRow(fmt.Sprintf("%d-bit signature", b), func(c *core.L1Config) { c.SignatureBits = b }))
 	}
 	register(speedupGrid(Experiment{
 		ID:    "abl-sig",

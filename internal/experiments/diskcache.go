@@ -110,21 +110,12 @@ func (d *diskCache) lookup(kind store.Kind, key string, accept func(payload []by
 	if d.remote == nil {
 		return false
 	}
-	got, ok := d.remote.GetBlob(key)
+	// The remote holds the bare payload, which its own framing verified.
+	payload, ok := d.remote.GetBlob(key)
 	if !ok {
 		return false
 	}
-	// The remote holds what push handed it: a checkpoint's whole frame
-	// (header and CRC gate it again here), a spill's bare payload.
-	payload := got
-	var err error
-	if kind == store.Checkpoint {
-		payload, err = store.Unframe(kind.Magic, got)
-	}
-	if err == nil {
-		err = accept(payload)
-	}
-	if err != nil {
+	if err := accept(payload); err != nil {
 		// The remote store quarantines on its own side.
 		d.log.Warn("remote entry rejected", "key", key, "err", err)
 		return false
@@ -167,14 +158,12 @@ func (d *diskCache) load(key, specKey string) (res *sim.Result, ok bool) {
 // store checkpoints one result, locally and then (only once it is
 // safely on the local disk) to the remote store.
 func (d *diskCache) store(key, specKey string, res *sim.Result) {
-	var frame []byte
 	payload, err := json.Marshal(entry{Spec: specKey, Result: res})
 	if err == nil {
-		frame = store.Frame(store.Checkpoint.Magic, payload)
-		err = d.local.Put(store.Checkpoint, key, frame)
+		err = d.local.Put(store.Checkpoint, key, store.Frame(store.Checkpoint.Magic, payload))
 	}
 	if !d.failed("checkpoint store failed", store.Checkpoint, key, err) {
-		d.push(key, frame)
+		d.push(key, payload)
 	}
 }
 

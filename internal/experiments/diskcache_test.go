@@ -59,7 +59,7 @@ func TestQuarantine(t *testing.T) {
 		name   string
 		kind   store.Kind
 		data   []byte
-		remote []byte // what the remote tier holds for the key, if anything
+		remote []byte // the bare payload the remote tier holds for the key, if any
 	}{
 		{"empty", store.Checkpoint, nil, nil},
 		{"truncated-header", store.Checkpoint, []byte(store.Checkpoint.Magic), nil},
@@ -71,7 +71,7 @@ func TestQuarantine(t *testing.T) {
 		{"legacy-valid", store.Checkpoint, stripFrame(valid), nil},
 		{"wrong-spec", store.Checkpoint, mustEncode(t, entry{Spec: "other", Result: testResult()}), nil},
 		{"nil-result", store.Checkpoint, mustEncode(t, entry{Spec: "spec-a"}), nil},
-		{"remote-good-copy", store.Checkpoint, chaos.FlipBits(valid, len(valid)-3, 0x40), valid},
+		{"remote-good-copy", store.Checkpoint, chaos.FlipBits(valid, len(valid)-3, 0x40), stripFrame(valid)},
 		{"blob-bit-flip", store.Blob, chaos.FlipBits(blob, len(blob)-3, 0x40), nil},
 		{"blob-undecodable", store.Blob, store.Frame(store.Blob.Magic, []byte("not a snapshot")), nil},
 		{"blob-remote-good-copy", store.Blob, chaos.FlipBits(blob, len(blob)-3, 0x40), []byte("snapshot bytes")},
@@ -145,6 +145,34 @@ func TestQuarantine(t *testing.T) {
 				t.Fatal("rewritten entry did not load")
 			}
 		})
+	}
+}
+
+// TestRemoteHoldsBarePayloads: both kinds reach the remote tier as their
+// bare payload (the remote frames it once, for its own transport), and
+// a checkpoint blob framed twice, as earlier builds pushed it, reads as
+// a miss and is never served.
+func TestRemoteHoldsBarePayloads(t *testing.T) {
+	d := testCache(t)
+	remote := mapBlobs{}
+	d.remote = remote
+	d.store("ab12", "spec-a", testResult())
+	d.storeBlob("cd34", []byte("snapshot bytes"))
+	if res, err := decodeEntry(remote["ab12"], "spec-a"); err != nil || res.IPC[0] != 1.25 {
+		t.Errorf("remote checkpoint is not the bare entry: %v (%q)", err, remote["ab12"])
+	}
+	if got := string(remote["cd34"]); got != "snapshot bytes" {
+		t.Errorf("remote spill = %q, want the bare payload", got)
+	}
+
+	peer := testCache(t)
+	peer.remote = mapBlobs{"ab12": store.Frame(store.Checkpoint.Magic, remote["ab12"])}
+	if _, ok := peer.load("ab12", "spec-a"); ok {
+		t.Error("a double-framed remote checkpoint was served")
+	}
+	peer.remote = remote
+	if res, ok := peer.load("ab12", "spec-a"); !ok || res.IPC[0] != 1.25 {
+		t.Error("a peer missed the pushed checkpoint")
 	}
 }
 

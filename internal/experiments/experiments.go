@@ -43,7 +43,7 @@ type Scale struct {
 	MaxTraces int
 	// Mixes is the number of heterogeneous multi-core mixes.
 	Mixes int
-	// Cores for the multi-core experiments' "small" configuration.
+	// Seed is every run's seed unless its RunSpec names one.
 	Seed int64
 }
 
@@ -163,8 +163,7 @@ func ByID(id string) (Experiment, error) {
 // entry are all this struct, and a run's identity (Key, WarmupKey) is
 // derived from its content, never typed beside it.
 type RunSpec struct {
-	Workloads []string `json:"workloads"`       // one per core
-	Cores     int      `json:"cores,omitempty"` // 0 = len(Workloads)
+	Workloads []string `json:"workloads"` // one per core
 
 	// Prefetcher names per level ("" = none; "<name>@l2" learns here and
 	// fills at the L2, see prefetch.New).
@@ -190,8 +189,8 @@ type RunSpec struct {
 // normalised returns the spec with every spelling of one simulation
 // folded onto one: an IPCP variant always names l1d "ipcp", a variant
 // equal to the paper's configuration IS the registered "ipcp", "none"
-// is "", a core count that restates the workload count is 0, and a
-// system knob that builds the system it would build unset is unset.
+// is "", and a system knob that builds the system it would build unset
+// is unset.
 //
 // It never turns a spec Validate refuses into one it accepts: a served
 // job is found by Key before its submission is validated, so equal keys
@@ -214,9 +213,6 @@ func (r RunSpec) normalised() RunSpec {
 		if *name == "none" {
 			*name = ""
 		}
-	}
-	if r.Cores == len(r.Workloads) {
-		r.Cores = 0
 	}
 	var set []reflect.Value
 	for _, knob := range []any{&r.LLCRepl, &r.DRAMGBps, &r.L1PQ, &r.L1MSHR, &r.L1DWays, &r.L2Sets, &r.LLCSetsPerCore} {
@@ -270,9 +266,6 @@ func (r RunSpec) Validate() error {
 		if _, err := workload.Named(w); err != nil {
 			return err
 		}
-	}
-	if r.Cores != 0 && r.Cores != len(r.Workloads) {
-		return fmt.Errorf("cores (%d) must be 0 or match the workload count (%d)", r.Cores, len(r.Workloads))
 	}
 	for _, p := range []string{r.L1D, r.L2, r.LLC} {
 		if err := prefetch.Check(p); err != nil {
@@ -728,10 +721,7 @@ func (s *Session) specSeed(spec RunSpec) int64 {
 // ipcpd. A system knob is one RunSpec field, one line here and one
 // entry in normalised's list.
 func (r RunSpec) Config(seed int64) sim.Config {
-	cores := r.Cores
-	if cores == 0 {
-		cores = len(r.Workloads)
-	}
+	cores := len(r.Workloads)
 	cfg := sim.PaperConfig(cores)
 	if r.LLCRepl != "" {
 		cfg.LLC.Repl = r.LLCRepl

@@ -127,7 +127,7 @@ func TestEqualContentRunsOnce(t *testing.T) {
 		"tables-x1": variantSpec(true, func(c *core.L1Config) { c.IPTableEntries *= 1; c.RSTEntries *= 1 }),
 		"cplxdeg-3": variantSpec(true, func(c *core.L1Config) { c.DegreeCPLX = 3 }),
 		"region-11": variantSpec(true, func(c *core.L1Config) { c.RegionBits = 11 }),
-		"sig-7":     variantSpec(true, func(c *core.L1Config) { c.SignatureBits, c.CSPTEntries = 7, 1<<7 }),
+		"sig-7":     variantSpec(true, func(c *core.L1Config) { c.SignatureBits = 7 }),
 		"rr-on":     variantSpec(true, func(c *core.L1Config) { c.UseRRFilter = true }),
 		"throttle-high=0.75 low=0.40": variantSpec(true, func(c *core.L1Config) {
 			c.ThrottleHigh, c.ThrottleLow = paper.ThrottleHigh, paper.ThrottleLow
@@ -187,6 +187,29 @@ func TestPlanKeysAreSystems(t *testing.T) {
 	}
 }
 
+// TestPlannedVariantsBuildAsWritten: construction never rewrites a
+// configuration, so every IPCP variant a plan builds runs as its Key
+// spells it — and as the audit oracle, built from Config, models it.
+func TestPlannedVariantsBuildAsWritten(t *testing.T) {
+	n := 0
+	for _, sc := range []Scale{Quick, Default} {
+		for _, e := range All() {
+			for _, spec := range e.Plan(sc) {
+				if spec.IPCPL1 == nil {
+					continue
+				}
+				n++
+				if got := core.NewL1IPCP(*spec.IPCPL1).Config(); !reflect.DeepEqual(got, *spec.IPCPL1) {
+					t.Errorf("%s: NewL1IPCP(%+v).Config() = %+v", e.ID, *spec.IPCPL1, got)
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no plan builds an IPCP variant")
+	}
+}
+
 // TestRunSpecWireForm: the spec is its own request body. A variant
 // object names only what it changes, an "@l2" name travels as a name,
 // and whatever decodes re-encodes to a body with the same identity.
@@ -231,35 +254,38 @@ func TestRunSpecValidate(t *testing.T) {
 	}
 	one := []string{"mcf-994"}
 	bad := map[string]RunSpec{
-		"no workloads":         {},
-		"unknown workload":     {Workloads: []string{"no-such-trace"}},
-		"core mismatch":        {Workloads: one, Cores: 3},
-		"three cores":          {Workloads: []string{"mcf-994", "mcf-994", "mcf-994"}},
-		"unknown prefetcher":   {Workloads: one, L2: "warp-drive"},
-		"unknown fill level":   {Workloads: one, L1D: "ipstride@l9"},
-		"unknown policy":       {Workloads: one, LLCRepl: "clairvoyant"},
-		"l2 sets not 2^n":      {Workloads: one, L2Sets: 1000},
-		"huge llc":             {Workloads: one, LLCSetsPerCore: 1 << 30},
-		"negative mshr":        {Workloads: one, L1MSHR: -1},
-		"negative bandwidth":   {Workloads: one, DRAMGBps: -1},
-		"variant beside spp":   {Workloads: one, L1D: "spp", IPCPL1: with(func(c *core.L1Config) { c.DegreeGS = 4 })},
-		"region_bits 99":       {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.RegionBits = 99 })},
-		"2^30-entry table":     {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.IPTableEntries = 1 << 30 })},
-		"priority not a perm":  {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.Priority[0] = memsys.ClassCS })},
-		"priority too short":   {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.Priority = c.Priority[:3] })},
-		"cspt/signature split": {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.SignatureBits = 9 })},
-		"negative signature":   {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.SignatureBits = -1 })},
-		"watermarks crossed":   {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.ThrottleLow = 0.9 })},
-		"degree 0":             {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.DegreeCS = 0 })},
-		"empty rst":            {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.RSTEntries = 0 })},
+		"no workloads":        {},
+		"unknown workload":    {Workloads: []string{"no-such-trace"}},
+		"three cores":         {Workloads: []string{"mcf-994", "mcf-994", "mcf-994"}},
+		"unknown prefetcher":  {Workloads: one, L2: "warp-drive"},
+		"unknown fill level":  {Workloads: one, L1D: "ipstride@l9"},
+		"unknown policy":      {Workloads: one, LLCRepl: "clairvoyant"},
+		"l2 sets not 2^n":     {Workloads: one, L2Sets: 1000},
+		"huge llc":            {Workloads: one, LLCSetsPerCore: 1 << 30},
+		"negative mshr":       {Workloads: one, L1MSHR: -1},
+		"negative bandwidth":  {Workloads: one, DRAMGBps: -1},
+		"variant beside spp":  {Workloads: one, L1D: "spp", IPCPL1: with(func(c *core.L1Config) { c.DegreeGS = 4 })},
+		"region_bits 99":      {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.RegionBits = 99 })},
+		"2^30-entry table":    {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.IPTableEntries = 1 << 30 })},
+		"priority not a perm": {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.Priority[0] = memsys.ClassCS })},
+		"priority too short":  {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.Priority = c.Priority[:3] })},
+		"negative signature":  {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.SignatureBits = -1 })},
+		"watermarks crossed":  {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.ThrottleLow = 0.9 })},
+		"degree 0":            {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.DegreeCS = 0 })},
+		"empty rst":           {Workloads: one, IPCPL1: with(func(c *core.L1Config) { c.RSTEntries = 0 })},
 	}
 	bad["paper variant beside spp"] = RunSpec{Workloads: one, L1D: "spp", IPCPL1: with(func(*core.L1Config) {})}
 	bad["variant beside none"] = RunSpec{Workloads: one, L1D: "none", IPCPL1: with(func(c *core.L1Config) { c.DegreeGS = 4 })}
-	var unknownKnob RunSpec
-	if err := json.Unmarshal([]byte(`{"workloads":["mcf-994"],"ipcp_l1":{"no_such_knob":1}}`), &unknownKnob); err != nil {
-		t.Fatal(err)
+	for name, variant := range map[string]string{
+		"unknown ipcp_l1 field": `{"no_such_knob":1}`,
+		"retired cspt_entries":  `{"cspt_entries":256}`, // the CSPT is 1<<signature_bits
+	} {
+		var spec RunSpec
+		if err := json.Unmarshal([]byte(`{"workloads":["mcf-994"],"ipcp_l1":`+variant+`}`), &spec); err != nil {
+			t.Fatal(err)
+		}
+		bad[name] = spec
 	}
-	bad["unknown ipcp_l1 field"] = unknownKnob
 	for name, spec := range bad {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -275,7 +301,7 @@ func TestRunSpecValidate(t *testing.T) {
 		"plain":    {Workloads: one},
 		"ceilings": {Workloads: one, L1PQ: 1 << 10, L1MSHR: 1 << 10, L1DWays: 1 << 6, L2Sets: 1 << 15, LLCSetsPerCore: 1 << 15, DRAMGBps: 1024, LLCRepl: "mpppb"},
 		"variant at its edges": {Workloads: []string{"mcf-994", "lbm-94"}, L2: "ipcp", IPCPL1: with(func(c *core.L1Config) {
-			c.SignatureBits, c.CSPTEntries, c.RegionBits = 16, 1<<16, 12
+			c.SignatureBits, c.RegionBits = 16, 12
 			c.ThrottleHigh, c.ThrottleLow = 1.01, -0.01
 		})},
 		"fill at l2": {Workloads: one, L1D: "bingo@l2", L2: "none"},

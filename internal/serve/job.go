@@ -76,8 +76,7 @@ type Job struct {
 	state      JobState
 	err        error
 	result     *sim.Result
-	report     *experiments.Report
-	replayRep  *reportView // journal-replayed report (original lost to the crash)
+	report     *reportView // KindExperiments, once finished (or replayed from the journal)
 	body       []byte      // the terminal view's GET body, once rendered (see render)
 	started    time.Time
 	finished   time.Time
@@ -153,7 +152,13 @@ func (j *Job) finish(res *sim.Result, rep *experiments.Report, err error) {
 	case err != nil:
 		j.state = StateFailed
 	}
-	j.result, j.report, j.err = res, rep, err
+	j.result, j.err = res, err
+	if rep != nil {
+		j.report = &reportView{Interrupted: rep.Interrupted, Markdown: rep.Markdown()}
+		for _, r := range rep.Failed() {
+			j.report.Failed = append(j.report.Failed, failedView{ID: r.ID, Error: fmt.Sprint(r.Err)})
+		}
+	}
 	msg := ""
 	if err != nil {
 		msg = err.Error()
@@ -315,6 +320,7 @@ func (j *Job) viewLocked() jobView {
 		Status:    j.state,
 		Submitted: j.submitted,
 		Result:    j.result,
+		Report:    j.report,
 		ExpIDs:    j.ExpIDs,
 		Spec:      j.Spec,
 		RequestID: j.RequestID,
@@ -335,15 +341,6 @@ func (j *Job) viewLocked() jobView {
 	}
 	if j.err != nil {
 		v.Error = j.err.Error()
-	}
-	if j.report != nil {
-		rv := &reportView{Interrupted: j.report.Interrupted, Markdown: j.report.Markdown()}
-		for _, res := range j.report.Failed() {
-			rv.Failed = append(rv.Failed, failedView{ID: res.ID, Error: fmt.Sprint(res.Err)})
-		}
-		v.Report = rv
-	} else if j.replayRep != nil {
-		v.Report = j.replayRep
 	}
 	if j.Kind == KindSweep {
 		v.sweepView = &sweepView{Tally: j.tallyLocked(), Groups: len(j.groups), Points: make([]Point, len(j.points))}
@@ -393,7 +390,7 @@ func newReplayedJob(h *jobHistory) *Job {
 	j.queued(sub.Time)
 	switch {
 	case fin != nil:
-		j.state, j.finished, j.result, j.replayRep = fin.Outcome, fin.Time, fin.Result, fin.Report
+		j.state, j.finished, j.result, j.report = fin.Outcome, fin.Time, fin.Result, fin.Report
 		j.stalled = fin.Outcome == StateStalled
 		if fin.Error != "" {
 			j.err = errors.New(fin.Error)

@@ -332,7 +332,7 @@ func TestValidationAndLookupErrors(t *testing.T) {
 		{"empty workloads", RunRequest{}},
 		{"unknown workload", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"no-such-trace"}}}},
 		{"unknown prefetcher", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, L1D: "warp-drive"}}},
-		{"core mismatch", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}, Cores: 3}}},
+		{"three cores", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98", "bwaves-98", "bwaves-98"}}}},
 		{"negative timeout", RunRequest{RunSpec: experiments.RunSpec{Workloads: []string{"bwaves-98"}}, TimeoutMS: -1}},
 	}
 	for _, c := range cases {

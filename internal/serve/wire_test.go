@@ -20,7 +20,7 @@ const benchRunBody = `{"workloads":["lbm-94"],"l1d":"ipcp","l2":"ipcp","seed":7}
 func TestRunRequestWireGolden(t *testing.T) {
 	for _, body := range []string{
 		benchRunBody,
-		`{"workloads":["mcf-994","lbm-94"],"cores":2,"l1d":"mlop","l2":"nl","llc":"nl-miss","llc_repl":"ship","dram_gbps":25.6,` +
+		`{"workloads":["mcf-994","lbm-94"],"l1d":"mlop","l2":"nl","llc":"nl-miss","llc_repl":"ship","dram_gbps":25.6,` +
 			`"l1_pq":4,"l1_mshr":8,"l1d_ways":8,"l2_sets":512,"llc_sets_per_core":1024,"seed":3,"timeout_ms":1500}`,
 	} {
 		var req RunRequest
@@ -34,15 +34,19 @@ func TestRunRequestWireGolden(t *testing.T) {
 			t.Errorf("re-encoded\n %s\nwant\n %s", out, body)
 		}
 	}
-	// The retired identity label is ignored, not refused, and no longer
-	// makes a second run out of the same content.
-	var plain, labelled RunRequest
+	// The retired identity label and the retired core count (always the
+	// workload count) are ignored, not refused, and make no second run
+	// out of the same content.
+	var plain RunRequest
 	json.Unmarshal([]byte(benchRunBody), &plain)
-	if err := json.Unmarshal([]byte(strings.Replace(benchRunBody, `"seed"`, `"config_key":"mine","seed"`, 1)), &labelled); err != nil {
-		t.Fatal(err)
-	}
-	if labelled.Validate() != nil || labelled.Key() != plain.Key() {
-		t.Errorf("labelled body: key %s, want %s", labelled.Key(), plain.Key())
+	for _, retired := range []string{`"config_key":"mine",`, `"cores":1,`} {
+		var req RunRequest
+		if err := json.Unmarshal([]byte(strings.Replace(benchRunBody, `"seed"`, retired+`"seed"`, 1)), &req); err != nil {
+			t.Fatal(err)
+		}
+		if req.Validate() != nil || req.Key() != plain.Key() {
+			t.Errorf("body with %s: key %s, want %s", retired, req.Key(), plain.Key())
+		}
 	}
 }
 
@@ -83,7 +87,7 @@ func TestVariantRunsOverHTTP(t *testing.T) {
 		"not a permutation":    `{"priority":["CS","CS","GS","NL"]}`,
 		"unknown class":        `{"priority":["CS","XS","GS","NL"]}`,
 		"beside another l1d":   `{}`,
-		"cspt without its sig": `{"cspt_entries":256}`,
+		"retired cspt_entries": `{"cspt_entries":256}`,
 	} {
 		l1d := ""
 		if name == "beside another l1d" {
@@ -109,7 +113,7 @@ func TestVariantRunsOverHTTP(t *testing.T) {
 func FuzzRunRequest(f *testing.F) {
 	f.Add([]byte(benchRunBody))
 	f.Add([]byte(`{"l1d":["","nl","ipstride","ipcp","spp","bop"],"l2":["","ipcp"],"seed":7,"workloads":["mcf-994","lbm-94","gcc-2226","bwaves-2931"]}`))
-	f.Add([]byte(`{"workloads":["mcf-994"],"l2":"ipcp","ipcp_l1":{"degree_cplx":4,"signature_bits":9,"cspt_entries":512,"priority":["CS","GS","CPLX","NL"]}}`))
+	f.Add([]byte(`{"workloads":["mcf-994"],"l2":"ipcp","ipcp_l1":{"degree_cplx":4,"signature_bits":9,"priority":["CS","GS","CPLX","NL"]}}`))
 	f.Add([]byte(`{"workloads":["lbm-94","mcf-994"],"l1d":"ipstride@l2","llc_sets_per_core":1024,"timeout_ms":5}`))
 	f.Add([]byte(`{"workloads":["mcf-994"],"l1d":"none","ipcp_l1":{"degree_gs":4}}`))
 	f.Add([]byte(`{"workloads":["mcf-994"],"l1d":"spp","ipcp_l1":{}}`))

@@ -34,7 +34,7 @@ var unmoved = []string{"DegreeCS", "DegreeGS", "NLThresholdMPKC"}
 // L1Config cover the first five. Every other field is a system knob.
 var identity = map[string]bool{
 	"Workloads": true, "L1D": true, "L2": true, "LLC": true, "IPCPL1": true,
-	"Cores": true, "Seed": true,
+	"Seed": true,
 }
 
 func plans() []experiments.RunSpec {
